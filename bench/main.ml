@@ -130,7 +130,7 @@ let fig8_tests () =
   let sys = Cimp_lang.Compile.of_source src in
   [
     Test.make ~name:"explore-handshake-sketch"
-      (Staged.stage (fun () -> ignore (Check.Explore.run ~invariants:[] sys)));
+      (Staged.stage (fun () -> ignore (Check.Par_explore.run ~invariants:[] sys)));
   ]
 
 (* Fig. 9: enumerate all outcomes of SB under both memory models. *)
@@ -155,7 +155,8 @@ let fig10_tests () =
   let walk_invs = Core.Scenario.invariants walk_sc in
   [
     Test.make ~name:"exhaustive-closure-3k-states"
-      (Staged.stage (fun () -> ignore (Check.Explore.run ~invariants:invs model.Core.Model.system)));
+      (Staged.stage (fun () ->
+           ignore (Check.Par_explore.run ~invariants:invs model.Core.Model.system)));
     Test.make ~name:"random-walk-2k-steps"
       (Staged.stage (fun () ->
            ignore
@@ -579,15 +580,12 @@ let checker_certify () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ()) (Fmt.str "bench-cert-%d" (Unix.getpid ()))
   in
-  let dump = ref None in
-  let on_store st = dump := Some (Certify.Writer.of_store st) in
   let t0 = Unix.gettimeofday () in
-  let o = Check.Par_explore.run ~jobs:1 ~on_store ?reducer ~invariants initial in
+  let o, table = Certify.Writer.explore ?reducer ~invariants initial in
   let entries, max_depth =
-    match !dump with
-    | Some (Ok r) -> r
-    | Some (Error e) -> Fmt.failwith "checker-certify: certificate dump failed: %s" e
-    | None -> Fmt.failwith "checker-certify: on_store never fired"
+    match table with
+    | Ok r -> r
+    | Error e -> Fmt.failwith "checker-certify: certificate refused: %s" e
   in
   (match
      Certify.Writer.write ~dir ~config_hash:(Core.Config.hash sc.Core.Scenario.cfg)

@@ -72,7 +72,7 @@ let run_cmd =
       value
       & opt int 1
       & info [ "jobs"; "j" ]
-          ~doc:"Worker domains (1 = sequential; higher runs the parallel BFS).")
+          ~doc:"Worker domains for the work-stealing BFS (1 = one worker, exact BFS order).")
   in
   let run src max_states jobs reduce obs =
     let sys = Cimp_lang.Compile.of_source src in

@@ -33,7 +33,7 @@ let check_expectation ~expect_violation label (o : _ Check.Explore.outcome) =
    the reduced ones.  Experiments that install custom invariants not
    closed under the mutator permutation (E3's early-observation probe,
    E4's ghost-bit structure, E8's final-value collector) call
-   {!Check.Explore.run} directly and stay unreduced. *)
+   {!Check.Par_explore.run} directly and stay unreduced. *)
 let explore ?safety_only sc =
   let max_states = if !quick then 3_000_000 else 40_000_000 in
   Core.Scenario.explore ~max_states ~reduce:Reduce.Mode.All ?safety_only ~obs:!obs sc
@@ -109,7 +109,7 @@ let e3 () =
          = sd.Core.State.s_mem.Core.State.fM)
   in
   let o =
-    Check.Explore.run ~max_states:(if !quick then 2_000_000 else 10_000_000)
+    Check.Par_explore.run ~max_states:(if !quick then 2_000_000 else 10_000_000)
       ~invariants:[ ("mutator-never-sees-new-fM-early", never_early) ]
       model.Core.Model.system
   in
@@ -132,7 +132,7 @@ let e4 () =
       sd.Core.State.s_hs_pending sd.Core.State.s_hs_done
   in
   let o =
-    Check.Explore.run ~max_states:(if !quick then 3_000_000 else 40_000_000)
+    Check.Par_explore.run ~max_states:(if !quick then 3_000_000 else 40_000_000)
       ~invariants:
         (("hs-pending-xor-done", bits_inv) :: Core.Scenario.invariants sc)
       model.Core.Model.system
@@ -189,7 +189,7 @@ let e7 () =
     (fun (name, src, note) ->
       let sys = Cimp_lang.Compile.of_source src in
       let o =
-        Check.Explore.run ~max_states:200_000
+        Check.Par_explore.run ~max_states:200_000
           ~invariants:[ ("assertions", Cimp_lang.Compile.assertions_hold) ]
           sys
       in
@@ -206,7 +206,7 @@ let e8 () =
   let sys = Cimp_lang.Compile.of_source src in
   let finals = ref [] in
   let o =
-    Check.Explore.run ~max_states:100_000
+    Check.Par_explore.run ~max_states:100_000
       ~invariants:
         [
           ( "collect-finals",
@@ -299,7 +299,7 @@ let e11 () =
     else not (Gcheap.Heap.valid_ref (Core.Model.sys_data sys cfg).Core.State.s_mem.Core.State.heap 2)
   in
   let o =
-    Check.Explore.run ~max_states:2_000_000
+    Check.Par_explore.run ~max_states:2_000_000
       ~invariants:(("garbage-collected-by-halt", collected) :: Core.Scenario.invariants sc)
       model.Core.Model.system
   in

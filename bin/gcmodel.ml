@@ -181,8 +181,8 @@ let jobs =
     & opt int 1
     & info [ "jobs"; "j" ]
         ~doc:
-          "Worker domains. 1 (the default) is the sequential checker; higher values run the \
-           work-stealing parallel BFS (explore, crosscheck) or the random-walk swarm (walk).")
+          "Worker domains for the work-stealing BFS (explore, crosscheck) or the random-walk \
+           swarm (walk).  1 (the default) runs one worker on the calling domain.")
 
 (* -- tiered store / checkpoint flags (lib/store) ----------------------------- *)
 
@@ -383,21 +383,20 @@ let explore_cmd =
       run_config_json raw ~shape ~safety_only ~max_states ~jobs ~reduce ~mem_budget
         ~checkpoint_every
     in
-    (* at jobs = 1 the certificate table is dumped straight from the
-       seen-set (the one-worker pool is a FIFO BFS, so its depth stamps
-       are BFS distances); the hook also forces the pool path, which is
-       what threads a store through the run at all *)
-    let cert_dump = ref None in
-    let on_store =
-      match certificate with
-      | Some _ when jobs <= 1 -> Some (fun store -> cert_dump := Some (Certify.Writer.of_store store))
-      | Some _ | None -> None
-    in
     let invariants = invariants_of cfg safety_only in
-    let o =
-      Check.Par_explore.run ~jobs ~max_states ~obs ~tracer ?reducer ?mem_budget ?spill_dir
-        ?checkpoint:(Option.map (fun dir -> (dir, checkpoint_every)) checkpoint)
-        ?on_store ~run_config ~invariants model.Core.Model.system
+    let checkpoint = Option.map (fun dir -> (dir, checkpoint_every)) checkpoint in
+    (* at jobs = 1 the certifying run is the verdict run *)
+    let o, table =
+      if certificate <> None && jobs <= 1 then
+        let o, table =
+          Certify.Writer.explore ~max_states ~obs ~tracer ?reducer ?mem_budget ?spill_dir
+            ?checkpoint ~run_config ~invariants model.Core.Model.system
+        in
+        (o, Some table)
+      else
+        ( Check.Par_explore.run ~jobs ~max_states ~obs ~tracer ?reducer ?mem_budget ?spill_dir
+            ?checkpoint ~run_config ~invariants model.Core.Model.system,
+          None )
     in
     Fmt.pr "%a@." Check.Explore.pp_outcome o;
     report cfg obs o.Check.Explore.violation;
@@ -405,41 +404,36 @@ let explore_cmd =
     let cert_failed =
       match certificate with
       | None -> None
-      | Some dir ->
+      | Some dir -> (
         let refuse msg = Some (Fmt.str "certificate refused: %s" msg) in
-        if o.Check.Explore.truncated then refuse "run truncated (state cap reached)"
-        else if o.Check.Explore.violation <> None then refuse "run found a violation"
-        else begin
-          let table =
-            if jobs <= 1 then
-              match !cert_dump with
-              | Some r -> r
-              | None -> Error "internal error: seen-set dump not captured"
-            else begin
-              (* parallel schedules can drift at the symmetry reduction's
-                 local-automorphism boundary: re-derive the canonical
-                 quotient table deterministically so the certificate is
-                 byte-identical to a jobs=1 run's *)
-              Fmt.pr "certificate: deterministic sweep (jobs=%d order is schedule-dependent)@."
-                jobs;
-              Certify.Recheck.sweep ~reducer ~invariants model.Core.Model.system
-            end
-          in
-          match table with
+        let table =
+          match (table, Certify.Writer.refusal o) with
+          | Some t, _ -> t
+          | None, Some msg -> Error msg
+          | None, None ->
+            (* parallel schedules can drift at the symmetry reduction's
+               local-automorphism boundary: the table comes from a
+               one-worker run, so the certificate is byte-identical to a
+               jobs=1 run's *)
+            Fmt.pr "certificate: one-worker run (jobs=%d order is schedule-dependent)@." jobs;
+            snd
+              (Certify.Writer.explore ~max_states ?reducer ?mem_budget ?spill_dir ~invariants
+                 model.Core.Model.system)
+        in
+        match table with
+        | Error msg -> refuse msg
+        | Ok (entries, max_depth) -> (
+          match
+            Certify.Writer.write ~dir ~config_hash:(Core.Config.hash cfg)
+              ~reduce:(Reduce.Mode.to_string reduce) ~invariant_names:(List.map fst invariants)
+              ~run_config ~max_depth entries
+          with
           | Error msg -> refuse msg
-          | Ok (entries, max_depth) -> (
-            match
-              Certify.Writer.write ~dir ~config_hash:(Core.Config.hash cfg)
-                ~reduce:(Reduce.Mode.to_string reduce) ~invariant_names:(List.map fst invariants)
-                ~run_config ~max_depth entries
-            with
-            | Error msg -> refuse msg
-            | Ok h ->
-              Fmt.pr "certificate: %d states (max depth %d, config %s) written to %s@."
-                h.Certify.Certificate.states h.Certify.Certificate.max_depth
-                h.Certify.Certificate.config_hash dir;
-              None)
-        end
+          | Ok h ->
+            Fmt.pr "certificate: %d states (max depth %d, config %s) written to %s@."
+              h.Certify.Certificate.states h.Certify.Certificate.max_depth
+              h.Certify.Certificate.config_hash dir;
+            None))
     in
     close_trace tracer trace_out;
     Obs.Reporter.close obs;
@@ -655,37 +649,67 @@ let crosscheck_cmd =
         ~invariants:(invariants_of cfg safety_only) model.Core.Model.system
     in
     Fmt.pr "%a@." Reduce.Crosscheck.pp r;
-    (* --jobs N extends the agreement obligation to the work-stealing
-       checker: verdict, violated invariant and counterexample length
-       must match the sequential full run at N domains, both unreduced
-       and under the reducer *)
+    (* the jobs leg holds the engine to the exact reference runs above,
+       at one worker and at N: verdict, violated invariant and
+       counterexample length must match the unreduced reference, both
+       unreduced and under the reducer; on clean, untruncated runs the
+       state and transition counts must match too (a fingerprint
+       collision then shows as a count mismatch).  Reduced counts are
+       compared at one worker only: at N the symmetry reduction's class
+       representatives depend on the schedule (DESIGN.md §8) *)
     let jobs_errors =
-      if jobs <= 1 then []
-      else begin
-        let invariants = invariants_of cfg safety_only in
-        let verdict (o : _ Check.Explore.outcome) =
-          match o.Check.Explore.violation with
-          | None -> "clean"
-          | Some tr ->
-            Fmt.str "violates %s, counterexample length %d" tr.Check.Trace.broken
-              (Check.Trace.length tr)
+      let invariants = invariants_of cfg safety_only in
+      let verdict = function
+        | None -> "clean"
+        | Some (broken, n) -> Fmt.str "violates %s, counterexample length %d" broken n
+      in
+      let base =
+        verdict
+          (match (r.Reduce.Crosscheck.full_violation, r.Reduce.Crosscheck.full_ce_length) with
+          | Some broken, Some n -> Some (broken, n)
+          | _ -> None)
+      in
+      let reference_closed =
+        not (r.Reduce.Crosscheck.full_truncated || r.Reduce.Crosscheck.reduced_truncated)
+      in
+      let leg j ?reducer label reference =
+        let o =
+          Check.Par_explore.run ~jobs:j ~max_states ?reducer ~invariants model.Core.Model.system
         in
-        let seq = Check.Explore.run ~max_states ~invariants model.Core.Model.system in
-        let base = verdict seq in
-        let par_run ?reducer label =
-          let o =
-            Check.Par_explore.run ~jobs ~max_states ?reducer ~invariants
-              model.Core.Model.system
+        let v =
+          verdict
+            (Option.map
+               (fun tr -> (tr.Check.Trace.broken, Check.Trace.length tr))
+               o.Check.Explore.violation)
+        in
+        let counts = (o.Check.Explore.states, o.Check.Explore.transitions) in
+        let counted =
+          v = "clean" && reference_closed && (not o.Check.Explore.truncated)
+          && (j = 1 || reducer = None)
+        in
+        if v <> base then [ Fmt.str "jobs=%d %s: %s, but reference: %s" j label v base ]
+        else if counted && counts <> reference then
+          [
+            Fmt.str "jobs=%d %s: %d states, %d transitions, but reference: %d, %d" j label
+              (fst counts) (snd counts) (fst reference) (snd reference);
+          ]
+        else begin
+          Fmt.pr "jobs equivalence OK (jobs=%d, %s)%s@." j label
+            (if counted then Fmt.str ": %d states, %d transitions" (fst counts) (snd counts)
+             else "");
+          []
+        end
+      in
+      List.concat_map
+        (fun j ->
+          let unreduced =
+            leg j "unreduced"
+              (r.Reduce.Crosscheck.full_states, r.Reduce.Crosscheck.full_transitions)
           in
-          let pv = verdict o in
-          if pv = base then begin
-            Fmt.pr "jobs equivalence OK (jobs=%d, %s)@." jobs label;
-            []
-          end
-          else [ Fmt.str "jobs=%d %s: %s, but sequential: %s" jobs label pv base ]
-        in
-        par_run "unreduced" @ par_run ~reducer "reduced"
-      end
+          unreduced
+          @ leg j ~reducer "reduced"
+              (r.Reduce.Crosscheck.reduced_states, r.Reduce.Crosscheck.reduced_transitions))
+        (List.sort_uniq compare [ 1; max 1 jobs ])
     in
     (* --mem-budget B extends the obligation to the tiered store: a
        forced-spill run (most states on disk) and a checkpoint/resume
@@ -774,7 +798,7 @@ let crosscheck_cmd =
     | None -> ()
     | Some _ ->
       let o =
-        Check.Explore.run ~max_states ~reducer
+        Check.Par_explore.run ~max_states ~reducer
           ~invariants:(invariants_of cfg safety_only) model.Core.Model.system
       in
       explain_violation ~html:explain ~obs cfg o.Check.Explore.violation);
@@ -790,8 +814,10 @@ let crosscheck_cmd =
        ~doc:
          "Run reduced and unreduced exploration on the same instance and verify they agree \
           (verdict, violated invariant, counterexample length, reduced <= full states). \
-          With --jobs N, also verify the work-stealing parallel checker reports the same \
-          verdict, invariant and counterexample length at N domains, unreduced and reduced. \
+          Then verify the work-stealing engine against those exact reference runs at 1 and \
+          at --jobs N domains, unreduced and reduced: same verdict, invariant and \
+          counterexample length, and on clean runs the same state and transition counts \
+          (reduced counts at 1 domain only). \
           With --mem-budget B, also verify a forced-spill run (tiered store under budget B, \
           at 1 and 4 domains) and a checkpoint/resume round-trip report the all-RAM verdict \
           and state count. Exits 1 on mismatch.")

@@ -80,7 +80,7 @@ let () =
     (String.concat ", " (List.map fst chans));
   let sys = Cimp_lang.Compile.system prog in
   let o =
-    Check.Explore.run ~max_states:2_000_000
+    Check.Par_explore.run ~max_states:2_000_000
       ~invariants:[ ("mutual-exclusion", Cimp_lang.Compile.assertions_hold) ]
       sys
   in

@@ -44,7 +44,7 @@ let () =
     (fun i inv ->
       if i < 5 then Fmt.pr "  - %s: %s@." inv.Core.Invariants.name inv.Core.Invariants.doc)
     (Core.Invariants.all cfg);
-  let outcome = Check.Explore.run ~max_states:5_000_000 ~invariants model.Core.Model.system in
+  let outcome = Check.Par_explore.run ~max_states:5_000_000 ~invariants model.Core.Model.system in
   Fmt.pr "paper collector: %a@.@." Check.Explore.pp_outcome outcome;
 
   (* 4. the same instance without the deletion barrier *)
@@ -57,7 +57,9 @@ let () =
       (fun i -> (i.Core.Invariants.name, i.Core.Invariants.check))
       (Core.Invariants.safety_invariants broken)
   in
-  let outcome' = Check.Explore.run ~max_states:5_000_000 ~invariants:safety model'.Core.Model.system in
+  let outcome' =
+    Check.Par_explore.run ~max_states:5_000_000 ~invariants:safety model'.Core.Model.system
+  in
   Fmt.pr "without the deletion barrier: %a@." Check.Explore.pp_outcome outcome';
   match outcome'.Check.Explore.violation with
   | Some trace ->

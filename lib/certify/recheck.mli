@@ -1,12 +1,11 @@
-(** The independent certificate validator, and the deterministic sweep
-    that is its write-time twin.
+(** The independent certificate validator.
 
-    Both run the same FIFO BFS over canonical representatives from the
-    canonical initial state — the quotient graph the explorers visit
-    (see {!Check.Reducer.t}'s [canon_state]).  Neither calls any explorer
-    code: the trusted base is the model's step function, the invariant
-    catalogue and the reducer, exactly what the soundness argument
-    (DESIGN.md) already assumes. *)
+    It runs its own FIFO BFS over canonical representatives from the
+    canonical initial state — the quotient graph the engine visits (see
+    {!Check.Reducer.t}'s [canon_state]).  It calls no explorer code: the
+    trusted base is the model's step function, the invariant catalogue
+    and the reducer, exactly what the soundness argument (DESIGN.md)
+    already assumes. *)
 
 type stats = {
   states : int;  (** classes visited = table entries validated *)
@@ -16,21 +15,6 @@ type stats = {
   table_bytes : int;  (** on-disk certificate table size *)
 }
 
-val sweep :
-  ?normal_form:bool ->
-  reducer:('a, 'v, 's) Check.Reducer.t option ->
-  invariants:(string * (('a, 'v, 's) Cimp.System.t -> bool)) list ->
-  ('a, 'v, 's) Cimp.System.t ->
-  (Store.Segment.entry array * int, string) result
-(** Build mode: BFS the quotient graph, evaluating the full invariant
-    catalogue per class, and return the certificate table (sorted by
-    fingerprint, parent/event zeroed, meta packed) with its max depth.
-    [Error] if any invariant is violated — unsafe runs are not
-    certifiable.  The certificate writer uses this when the producing
-    run's schedule is nondeterministic (jobs > 1), making certificates
-    byte-identical per (configuration, reduction mode) regardless of
-    how many workers explored. *)
-
 val validate :
   ?normal_form:bool ->
   reducer:('a, 'v, 's) Check.Reducer.t option ->
@@ -39,9 +23,9 @@ val validate :
   dir:string ->
   ('a, 'v, 's) Cimp.System.t ->
   (Certificate.header * stats, string) result
-(** Probe mode: validate the certificate in [dir] against the given
-    model without running any explorer.  Checks, failing closed with a
-    diagnostic naming the offending fingerprint or header field:
+(** Validate the certificate in [dir] against the given model without
+    running any explorer.  Checks, failing closed with a diagnostic
+    naming the offending fingerprint or header field:
     header format and completeness of the claimed obligations,
     [config_hash] binding, invariant catalogue and reduction-mode match,
     table digest, root membership at depth 0, per-entry invariant

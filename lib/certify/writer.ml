@@ -1,24 +1,19 @@
 (* Certificate emission.
 
-   Two table sources, one byte format:
+   One table source: [explore] runs the engine with one worker and
+   [of_store] dumps its tiered seen-set (tier-0 shards plus any spilled
+   segments, min-depth / or-expanded merged per fingerprint).  The
+   one-worker pool is a FIFO BFS, so the stored depth stamps are BFS
+   distances and the dump already is the canonical table.  Runs at
+   jobs > 1 cannot be dumped: their visited class set can differ across
+   schedules at the symmetry reduction's local-automorphism boundary, so
+   their callers certify with a second, one-worker run.
 
-   - [of_store] dumps the explorer's tiered seen-set (tier-0 shards plus
-     any spilled segments, min-depth / or-expanded merged per
-     fingerprint) after a deterministic run — the jobs = 1 pool is a
-     FIFO BFS, so the stored depth stamps are BFS distances and the dump
-     already is the canonical table.
-
-   - a Recheck.sweep table, used by callers whose producing run was
-     scheduled nondeterministically (jobs > 1): the parallel explorers'
-     visited class set can differ across schedules at the symmetry
-     reduction's local-automorphism boundary, so the writer re-derives
-     the canonical quotient table the validator will reconstruct.
-
-   Either way [write] emits table.seg (one globally sorted segment) and
-   then CERT.json binding the configuration hash, reduction mode,
-   invariant catalogue, obligations and the table digest.  The header is
-   written last so a crash mid-write never leaves a certificate that
-   parses: no CERT.json, no certificate. *)
+   [write] emits table.seg (one globally sorted segment) and then
+   CERT.json binding the configuration hash, reduction mode, invariant
+   catalogue, obligations and the table digest.  The header is written
+   last so a crash mid-write never leaves a certificate that parses: no
+   CERT.json, no certificate. *)
 
 let rec mkdirs dir =
   if not (Sys.file_exists dir) then begin
@@ -66,6 +61,22 @@ let of_store store =
         0 entries
     in
     Ok (entries, max_depth)
+
+let refusal (o : _ Check.Explore.outcome) =
+  if o.truncated then Some "run truncated (state cap reached)"
+  else if o.violation <> None then Some "run found a violation"
+  else None
+
+let explore ?max_states ?obs ?tracer ?reducer ?mem_budget ?spill_dir ?checkpoint ?run_config
+    ~invariants initial =
+  let dump = ref (Error "the store hook never ran") in
+  let o =
+    Check.Par_explore.run ~jobs:1 ?max_states ?obs ?tracer ?reducer ?mem_budget ?spill_dir
+      ?checkpoint ?run_config
+      ~on_store:(fun store -> dump := of_store store)
+      ~invariants initial
+  in
+  (o, match refusal o with Some msg -> Error msg | None -> !dump)
 
 let write ~dir ~config_hash ~reduce ~invariant_names ~run_config ~max_depth entries =
   let n = Array.length entries in

@@ -2,14 +2,38 @@
     certificate directory ({!Certificate}). *)
 
 val of_store : Store.Tiered.t -> (Store.Segment.entry array * int, string) result
-(** Dump the explorer's tiered seen-set — tier-0 shards merged with any
+(** Dump the engine's tiered seen-set — tier-0 shards merged with any
     spilled segments, min-depth per fingerprint — into a certificate
     table (sorted, parent/event zeroed) with its max depth.  Only valid
-    after a deterministic (jobs = 1, FIFO BFS) run, whose depth stamps
-    are BFS distances; nondeterministic producers must use
-    {!Recheck.sweep} instead.  [Error] if any state records a violation
-    or was never expanded (truncated run) — such runs are not
-    certifiable. *)
+    after a one-worker run ({!Check.Par_explore.run} at [jobs = 1], a
+    FIFO BFS), whose depth stamps are BFS distances and whose visited
+    class set does not depend on a schedule; {!explore} is that run.
+    [Error] if any state records a violation or was never expanded
+    (truncated run) — such runs are not certifiable. *)
+
+val refusal : ('a, 'v, 's) Check.Explore.outcome -> string option
+(** Why a run's outcome cannot be certified — it was truncated or found
+    a violation — or [None]. *)
+
+val explore :
+  ?max_states:int ->
+  ?obs:Obs.Reporter.t ->
+  ?tracer:Obs.Tracing.t ->
+  ?reducer:('a, 'v, 's) Check.Reducer.t ->
+  ?mem_budget:int ->
+  ?spill_dir:string ->
+  ?checkpoint:string * int ->
+  ?run_config:Obs.Json.t ->
+  invariants:(string * (('a, 'v, 's) Cimp.System.t -> bool)) list ->
+  ('a, 'v, 's) Cimp.System.t ->
+  ('a, 'v, 's) Check.Explore.outcome * (Store.Segment.entry array * int, string) result
+(** The certifying run: {!Check.Par_explore.run} with one worker (the
+    optional arguments are passed through), its store dumped by
+    {!of_store}.  Returns the run's outcome and the certificate table,
+    or [Error] naming why the run is not certifiable ({!refusal}, or a
+    store entry {!of_store} refuses).  Every producer uses it, so a
+    table is a pure function of (configuration, reduction mode) whatever
+    [--jobs] the caller's own verdict run used. *)
 
 val write :
   dir:string ->

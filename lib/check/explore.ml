@@ -5,7 +5,11 @@
    substitute for the paper's induction over the reachable-state set
    (Section 3.2): on a bounded instance it *is* that induction, carried out
    by enumeration, and it additionally produces a shortest counterexample
-   schedule when an invariant fails. *)
+   schedule when an invariant fails.
+
+   This module holds the outcome type, its rendering and the coverage and
+   replay helpers the engine (Par_explore) shares, plus [run], the exact
+   reference BFS. *)
 
 type ('a, 'v, 's) outcome = {
   states : int;  (* distinct states visited *)
@@ -53,12 +57,12 @@ let coverage_gaps sys ~covered =
   done;
   sort_coverage !gaps
 
-(* Forward replay of a recorded transition chain, shared by both
-   explorers' counterexample reconstruction and by checkpoint resume.
+(* Forward replay of a recorded transition chain, shared by the
+   reference BFS's and the engine's counterexample reconstruction.
    An event alone does not determine the successor (a Local_op may offer
    several successors under one label), so each step also matches the
    recorded key — a structural fingerprint here, a compact int hash in
-   the parallel explorer — of the state it must land in. *)
+   the engine — of the state it must land in. *)
 let replay_chain ~norm ~matches initial chain =
   let rec replay sys chain acc =
     match chain with
@@ -79,17 +83,19 @@ let replay_chain ~norm ~matches initial chain =
   in
   replay initial chain []
 
-(* BFS.  [invariants] are (name, predicate) pairs checked at every state,
-   including the initial one.  Stops at the first violation (BFS order
-   makes it a shortest one).
+(* The exact reference BFS.  [invariants] are (name, predicate) pairs
+   checked at every state, including the initial one.  Stops at the first
+   violation (BFS order makes it a shortest one).  The production engine
+   is Par_explore; this loop stays because its seen-set is exact — keyed
+   by structural equality, not by a 63-bit hash — so the cross-check
+   harness and the equivalence tests compare the engine against it.
 
    With [normal_form] (default), states are explored in the definite-tau
    normal form (Cimp.System.normalize): runs of deterministic local
    register/control steps — unobservable by other processes — execute
    eagerly, so invariants are evaluated at atomic-action boundaries only.
    This is the evaluation-context atomicity coarsening of Section 3. *)
-let run ?(max_states = 1_000_000) ?(normal_form = true) ?(track_coverage = false)
-    ?(obs = Obs.Reporter.null) ?(tracer = Obs.Tracing.null) ?(heartbeat_every = 20_000) ?reducer
+let run ?(max_states = 1_000_000) ?(normal_form = true) ?(track_coverage = false) ?reducer
     ~invariants initial =
   let norm sys = if normal_form then Cimp.System.normalize sys else sys in
   let fp_of sys = Reducer.fp_of reducer sys in
@@ -106,32 +112,11 @@ let run ?(max_states = 1_000_000) ?(normal_form = true) ?(track_coverage = false
     end
   in
   let t0 = Unix.gettimeofday () in
-  (* per-phase wall-time attribution for the "profile" record: successor
-     generation vs normalization vs fingerprinting vs invariant evaluation
-     (the invariant share comes from Inv_stats).  Only paid when a
-     reporter is attached — the disabled path costs one branch per
-     timed call, like the heartbeat gate. *)
-  let profiling = Obs.Reporter.enabled obs in
-  let gc0 = Gc.quick_stat () in
-  let succ_s = ref 0. and succ_calls = ref 0 in
-  let norm_s = ref 0. and fp_s = ref 0. and fp_calls = ref 0 in
-  let timed acc calls f =
-    if profiling then begin
-      let t = Unix.gettimeofday () in
-      let r = f () in
-      acc := !acc +. (Unix.gettimeofday () -. t);
-      incr calls;
-      r
-    end
-    else f ()
-  in
-  let norm_calls = ref 0 (* unreported; [timed] wants a counter *) in
   let seen = Fingerprint.Table.create 65536 in
-  (* Parent pointers for trace reconstruction: fingerprint + event only.
-     Retaining every full state here used to dominate the checker's
-     memory; counterexamples are instead rebuilt by bounded replay
-     (walk the fingerprint chain back to the root, then re-execute the
-     recorded events forward from [initial]). *)
+  (* Parent pointers for trace reconstruction: fingerprint + event only;
+     counterexamples are rebuilt by bounded replay (walk the fingerprint
+     chain back to the root, then re-execute the recorded events forward
+     from [initial]). *)
   let parent = Fingerprint.Table.create 65536 in
   let q = Queue.create () in
   let states = ref 0 in
@@ -140,61 +125,7 @@ let run ?(max_states = 1_000_000) ?(normal_form = true) ?(track_coverage = false
   let depth = ref 0 in
   let truncated = ref false in
   let violation = ref None in
-  let iv = Inv_stats.make ~obs invariants in
-  let check_state = iv.Inv_stats.check in
-  (* progress heartbeats, gated twice: the [enabled] test keeps the null
-     sink's cost to one branch per expanded node, the state-count delta
-     keeps an enabled sink's cost to one record per [heartbeat_every]
-     states *)
-  let hb_states = ref 0 in
-  let hb_time = ref t0 in
-  let heartbeat () =
-    if Obs.Reporter.enabled obs && !states - !hb_states >= heartbeat_every then begin
-      let now = Unix.gettimeofday () in
-      let interval = now -. !hb_time in
-      let rate =
-        if interval > 0. then float_of_int (!states - !hb_states) /. interval else 0.
-      in
-      let gc = Gc.quick_stat () in
-      Obs.Reporter.emit obs "heartbeat"
-        [
-          ("checker", Obs.Json.String "explore");
-          ("states", Obs.Json.Int !states);
-          ("max_states", Obs.Json.Int max_states);
-          ("transitions", Obs.Json.Int !transitions);
-          ("depth", Obs.Json.Int !depth);
-          ("frontier", Obs.Json.Int (Queue.length q));
-          ("states_per_sec", Obs.Json.Float rate);
-          ("heap_words", Obs.Json.Int gc.Gc.heap_words);
-          ("minor_collections", Obs.Json.Int gc.Gc.minor_collections);
-          ("major_collections", Obs.Json.Int gc.Gc.major_collections);
-        ];
-      hb_states := !states;
-      hb_time := now
-    end
-  in
-  (* the sequential explorer has one lane: a span per heartbeat interval
-     of expansion work, so the trace shows throughput phases over time *)
-  let tr_on = Obs.Tracing.enabled tracer && Obs.Tracing.lanes tracer >= 1 in
-  let n_expand = if tr_on then Obs.Tracing.intern tracer "expand" else 0 in
-  if tr_on then Obs.Tracing.set_lane tracer ~dom:0 "explore";
-  let tr_states = ref 0 in
-  let tr_start = ref (Obs.Tracing.now tracer) in
-  let trace_tick ~final () =
-    if tr_on && (!states - !tr_states >= heartbeat_every || (final && !states > !tr_states))
-    then begin
-      let now = Obs.Tracing.now tracer in
-      Obs.Tracing.span_args tracer ~dom:0 ~name:n_expand ~start_ns:!tr_start ~stop_ns:now
-        ~args:
-          [
-            ("states", Obs.Json.Int !states);
-            ("frontier", Obs.Json.Int (Queue.length q));
-            ("depth", Obs.Json.Int !depth);
-          ];
-      tr_states := !states;
-      tr_start := now
-    end
-  in
+  let check_state = (Inv_stats.plain invariants).Inv_stats.check in
   let reconstruct fp broken =
     (* Walk parent pointers back to the root, then replay the recorded
        events forward from [initial] via [replay_chain]; cost is
@@ -218,7 +149,7 @@ let run ?(max_states = 1_000_000) ?(normal_form = true) ?(track_coverage = false
     { Trace.initial; steps; broken }
   in
   let enqueue ~from_fp ~event ~d sys =
-    let fp = timed fp_s fp_calls (fun () -> fp_of sys) in
+    let fp = fp_of sys in
     if not (Fingerprint.Table.mem seen fp) then begin
       Fingerprint.Table.add seen fp ();
       (match (from_fp, event) with
@@ -252,70 +183,16 @@ let run ?(max_states = 1_000_000) ?(normal_form = true) ?(track_coverage = false
       else begin
         incr transitions;
         record_event event;
-        enqueue ~from_fp:(Some fp) ~event:(Some event) ~d:(d + 1)
-          (timed norm_s norm_calls (fun () -> norm sys'));
+        enqueue ~from_fp:(Some fp) ~event:(Some event) ~d:(d + 1) (norm sys');
         expand fp d rest
       end
   in
   while not (Queue.is_empty q) && !violation = None && not !truncated do
     let fp, sys, d = Queue.pop q in
-    let succs = timed succ_s succ_calls (fun () -> Reducer.succs_of reducer sys) in
+    let succs = Reducer.succs_of reducer sys in
     if succs = [] then incr deadlocks;
-    expand fp d succs;
-    heartbeat ();
-    trace_tick ~final:false ()
+    expand fp d succs
   done;
-  trace_tick ~final:true ();
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let first_violation = Option.map (fun tr -> tr.Trace.broken) !violation in
-  iv.Inv_stats.report obs ~first_violation;
-  Reducer.report obs ~checker:"explore" reducer ~states:!states ~transitions:!transitions
-    ~elapsed;
-  if profiling then begin
-    let inv_evals, inv_s = iv.Inv_stats.totals () in
-    let gc1 = Gc.quick_stat () in
-    let other = Float.max 0. (elapsed -. !succ_s -. !norm_s -. !fp_s -. inv_s) in
-    Obs.Reporter.emit obs "profile"
-      [
-        ("checker", Obs.Json.String "explore");
-        ("states", Obs.Json.Int !states);
-        ("transitions", Obs.Json.Int !transitions);
-        ("elapsed_s", Obs.Json.Float elapsed);
-        ("succ_gen_s", Obs.Json.Float !succ_s);
-        ("succ_gen_calls", Obs.Json.Int !succ_calls);
-        ("normalize_s", Obs.Json.Float !norm_s);
-        ("fingerprint_s", Obs.Json.Float !fp_s);
-        ("fingerprint_calls", Obs.Json.Int !fp_calls);
-        ("invariant_s", Obs.Json.Float inv_s);
-        ("invariant_evals", Obs.Json.Int inv_evals);
-        ("other_s", Obs.Json.Float other);
-        ("minor_words", Obs.Json.Float (gc1.Gc.minor_words -. gc0.Gc.minor_words));
-        ("promoted_words", Obs.Json.Float (gc1.Gc.promoted_words -. gc0.Gc.promoted_words));
-        ("major_words", Obs.Json.Float (gc1.Gc.major_words -. gc0.Gc.major_words));
-        ( "minor_collections",
-          Obs.Json.Int (gc1.Gc.minor_collections - gc0.Gc.minor_collections) );
-        ( "major_collections",
-          Obs.Json.Int (gc1.Gc.major_collections - gc0.Gc.major_collections) );
-        ("heap_words", Obs.Json.Int gc1.Gc.heap_words);
-      ]
-  end;
-  if Obs.Reporter.enabled obs then
-    Obs.Reporter.emit obs "outcome"
-      [
-        ("checker", Obs.Json.String "explore");
-        ("states", Obs.Json.Int !states);
-        ("transitions", Obs.Json.Int !transitions);
-        ("depth", Obs.Json.Int !depth);
-        ("deadlocks", Obs.Json.Int !deadlocks);
-        ("truncated", Obs.Json.Bool !truncated);
-        ( "violation",
-          match first_violation with
-          | None -> Obs.Json.Null
-          | Some name -> Obs.Json.String name );
-        ("elapsed_s", Obs.Json.Float elapsed);
-        ( "states_per_sec",
-          Obs.Json.Float (if elapsed > 0. then float_of_int !states /. elapsed else 0.) );
-      ];
   {
     states = !states;
     transitions = !transitions;
@@ -323,6 +200,6 @@ let run ?(max_states = 1_000_000) ?(normal_form = true) ?(track_coverage = false
     deadlocks = !deadlocks;
     truncated = !truncated;
     violation = !violation;
-    elapsed;
+    elapsed = Unix.gettimeofday () -. t0;
     covered = sort_coverage (Hashtbl.fold (fun k () acc -> k :: acc) coverage []);
   }

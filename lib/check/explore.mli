@@ -3,7 +3,10 @@
 
     On a bounded instance this is the executable substitute for the paper's
     induction over the reachable-state set (Section 3.2), and it produces a
-    shortest counterexample schedule when an invariant fails. *)
+    shortest counterexample schedule when an invariant fails.  This module
+    holds the outcome type and the helpers the engine ({!Par_explore})
+    shares, plus {!run}, the exact reference BFS the engine is checked
+    against. *)
 
 type ('a, 'v, 's) outcome = {
   states : int;  (** distinct states visited *)
@@ -41,8 +44,8 @@ val coverage_gaps :
     determine the successor (a [Local_op] may offer several successors
     under one label), so each step also requires [matches state key] on
     the state it lands in; [key] is a structural fingerprint in the
-    sequential explorer and a compact int hash in the parallel one.
-    Shared by both explorers' counterexample reconstruction and by
+    reference BFS and a compact int hash in the engine.  Shared by both
+    loops' counterexample reconstruction and by
     checkpoint resume (which rebuilds frontier states from parent
     chains, because CIMP systems embed closures and cannot be
     marshalled). *)
@@ -53,10 +56,17 @@ val replay_chain :
   ('k * Cimp.System.event) list ->
   ('a, 'v, 's) Trace.step list
 
-(** [run ~invariants initial] explores from [initial].  Invariants are
-    (name, predicate) pairs checked at every state, including the initial
-    one; exploration stops at the first violation, which BFS order makes a
-    shortest one.
+(** [run ~invariants initial] explores from [initial] — the exact
+    reference BFS.  Invariants are (name, predicate) pairs checked at
+    every state, including the initial one; exploration stops at the
+    first violation, which BFS order makes a shortest one.
+
+    The production engine is {!Par_explore.run}, at every [jobs]; it
+    dedups on 63-bit fingerprint hashes.  This loop dedups on
+    {!Fingerprint.equal} (structural equality), so it never merges two
+    distinct states: [Reduce.Crosscheck], [gcmodel crosscheck] and the
+    equivalence tests compare the engine against it.  It emits no
+    records.
 
     @param max_states cap on distinct states (default 1,000,000); hitting
            it sets [truncated] and stops the exploration (no further
@@ -66,33 +76,17 @@ val replay_chain :
            eagerly, so invariants are evaluated at atomic-action
            boundaries only.
     @param track_coverage record which (pid, label) pairs fire.
-    @param obs observability reporter (default {!Obs.Reporter.null}, which
-           costs one branch per expanded node).  When enabled, the run
-           emits [heartbeat] records (states/sec, frontier size, depth,
-           GC words) every [heartbeat_every] states, one [invariant]
-           record per invariant (eval count, cumulative seconds,
-           first-violation attribution) and a final [outcome] record.
-    @param tracer span tracer (default {!Obs.Tracing.null}).  When live
-           (with at least one lane), lane 0 carries one [expand] span per
-           heartbeat interval of expansion work, so the Chrome trace shows
-           throughput phases over time.
-    @param heartbeat_every states between heartbeats (default 20,000).
     @param reducer optional state-space reduction hook ({!Reducer.t}):
            its fingerprint replaces {!Fingerprint.of_system} for seen-set
            dedup and counterexample replay matching, and its successor
-           function replaces {!Cimp.System.steps} for expansion.  Absent,
-           behaviour is bit-for-bit the unreduced checker.  When present
-           and [obs] is enabled, a [reduction] record is emitted next to
-           the [outcome] record.  Note reduction may lengthen the
-           "shortest" counterexample (partial-order reduction removes
-           interleavings, symmetry merges orbits). *)
+           function replaces {!Cimp.System.steps} for expansion.  Note
+           reduction may lengthen the "shortest" counterexample
+           (partial-order reduction removes interleavings, symmetry
+           merges orbits). *)
 val run :
   ?max_states:int ->
   ?normal_form:bool ->
   ?track_coverage:bool ->
-  ?obs:Obs.Reporter.t ->
-  ?tracer:Obs.Tracing.t ->
-  ?heartbeat_every:int ->
   ?reducer:('a, 'v, 's) Reducer.t ->
   invariants:(string * (('a, 'v, 's) Cimp.System.t -> bool)) list ->
   ('a, 'v, 's) Cimp.System.t ->

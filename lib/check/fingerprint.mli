@@ -42,5 +42,5 @@ val fp64 : t -> int64
 val hash_poly : t -> int
 
 (** Hash tables keyed by fingerprint ({!hash} for hashing, {!equal} for
-    collision resolution) — the sequential explorer's seen-set. *)
+    collision resolution) — the reference BFS's exact seen-set. *)
 module Table : Hashtbl.S with type key = t

@@ -1,5 +1,8 @@
-(* Parallel exhaustive exploration: asynchronous work-stealing BFS across
-   OCaml 5 domains.
+(* The exploration engine: asynchronous work-stealing BFS across OCaml 5
+   domains.  Every production explore runs it; at [jobs] = 1 the one
+   worker runs on the calling domain and its FIFO deque gives exact BFS
+   order.  Explore.run stays as the exact reference it is checked
+   against.
 
    A persistent pool of [jobs] worker domains is spawned once per run.
    Each worker expands states from its own deque (a growable ring guarded
@@ -25,7 +28,7 @@
    violation is never pruned, so the cell converges to the minimal
    (depth, fingerprint) violation and the parent chain of that
    fingerprint has exactly best-depth edges — the counterexample replay
-   (identical to the sequential explorer's) returns a shortest trace.
+   (the reference BFS's) returns a shortest trace.
 
    Memory layout (cf. "Reducing State Explosion for Software Model
    Checking with Relaxed Memory Consistency Models"): full states live
@@ -47,8 +50,8 @@
    the mechanism counterexample reconstruction already trusts.
 
    Determinism: on a non-truncated run with no violation, {states,
-   transitions, depth, deadlocks, covered} are equal to the sequential
-   explorer's for every [jobs] (every reachable state is inserted exactly
+   transitions, depth, deadlocks, covered} are equal to the reference
+   BFS's for every [jobs] (every reachable state is inserted exactly
    once, and transitions/deadlocks are counted only on a state's first
    expansion; re-expansions triggered by depth improvement recount
    nothing).  Spilling preserves all of that except that [depth] may
@@ -56,8 +59,9 @@
    copy remains on disk until a merge).  On a violating run the verdict,
    the violated invariant and the counterexample length are deterministic
    across [jobs] (minimal depth, smallest fingerprint as tie-break);
-   state counts of violating runs are not comparable because pruning
-   races with discovery. *)
+   state counts of violating runs are not comparable because the frontier
+   below the violating depth is finished and pruning races with
+   discovery. *)
 
 type ('a, 'v, 's) outcome = ('a, 'v, 's) Explore.outcome
 
@@ -175,679 +179,733 @@ end
 let max_jobs = 64
 let pop_batch_size = 8
 
+(* Per-worker phase slots, summed into the profile record and laid out
+   as the sub-spans of each traced [expand] span: cumulative nanoseconds
+   per expansion phase (successor generation, normalization,
+   fingerprinting, seen-set insert, invariants, deque push), then the
+   successor-generation and fingerprint call counts. *)
+let ph_succ = 0
+let ph_norm = 1
+let ph_fp = 2
+let ph_ins = 3
+let ph_inv = 4
+let ph_push = 5
+let ph_succ_calls = 6
+let ph_fp_calls = 7
+
 let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_coverage = false)
     ?(obs = Obs.Reporter.null) ?(tracer = Obs.Tracing.null) ?(heartbeat_every = 20_000)
     ?(hooks = no_hooks) ?reducer ?mem_budget ?spill_dir ?checkpoint ?resume ?on_store
     ?(run_config = Obs.Json.Null) ~invariants initial =
   let jobs = max 1 (min jobs max_jobs) in
-  if jobs = 1 && mem_budget = None && checkpoint = None && resume = None && on_store = None
-  then
-    (* the sequential explorer is the jobs=1 semantics, bit for bit; any
-       store or checkpoint option selects the pool (with one worker: a
-       FIFO deque, so still deterministic BFS order) *)
-    Explore.run ~max_states ~normal_form ~track_coverage ~obs ~tracer ~heartbeat_every ?reducer
-      ~invariants initial
-  else begin
-    let t0_ns = Obs.Clock.monotonic_ns () in
-    let base_elapsed =
-      match resume with Some s -> s.Store.Checkpoint.elapsed_s | None -> 0.
+  let t0_ns = Obs.Clock.monotonic_ns () in
+  let base_elapsed =
+    match resume with Some s -> s.Store.Checkpoint.elapsed_s | None -> 0.
+  in
+  let norm sys = if normal_form then Cimp.System.normalize sys else sys in
+  let fp_of sys = Reducer.fp_of reducer sys in
+  let canon sys = Reducer.canon_of reducer sys in
+  (* expand canonical representatives everywhere (root included): the
+     visited class set is then independent of which worker reaches a
+     class first — the reference BFS (Explore) follows the same rule *)
+  let initial = canon (norm initial) in
+  let codec = Store.Event_codec.of_system initial in
+  let seen =
+    match resume with
+    | Some snap -> snap.Store.Checkpoint.store
+    | None -> Store.Tiered.create ?mem_budget ?spill_dir ()
+  in
+  let inv_names = Array.of_list (List.map fst invariants) in
+  if Array.length inv_names > Store.Tiered.max_violation_index + 1 then
+    invalid_arg "Par_explore: too many invariants to pack";
+  let inv_index =
+    let tbl = Hashtbl.create 16 in
+    Array.iteri (fun i name -> if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name i) inv_names;
+    fun name -> match Hashtbl.find_opt tbl name with Some i -> i | None -> 0
+  in
+  (* phase timing per state is only paid when a trace is being recorded
+     or a reporter is attached (for the profile record); per-worker
+     busy/idle accounting (two clock reads per batch, one per idle
+     episode) is always on, so the scaling-detail record is available to
+     any obs sink *)
+  let tr_on = Obs.Tracing.enabled tracer && Obs.Tracing.lanes tracer >= jobs in
+  let profiling = Obs.Reporter.enabled obs in
+  let timing = tr_on || profiling in
+  let gc0 = Gc.quick_stat () in
+  let n_expand = if tr_on then Obs.Tracing.intern tracer "expand" else 0 in
+  let n_succ = if tr_on then Obs.Tracing.intern tracer "successor-gen" else 0 in
+  let n_fp = if tr_on then Obs.Tracing.intern tracer "normalize+fingerprint" else 0 in
+  let n_ins = if tr_on then Obs.Tracing.intern tracer "seen-insert" else 0 in
+  let n_inv = if tr_on then Obs.Tracing.intern tracer "invariants" else 0 in
+  let n_push = if tr_on then Obs.Tracing.intern tracer "deque-push" else 0 in
+  let n_steal = if tr_on then Obs.Tracing.intern tracer "steal" else 0 in
+  let n_steal_fail = if tr_on then Obs.Tracing.intern tracer "steal-fail" else 0 in
+  let n_probe = if tr_on then Obs.Tracing.intern tracer "termination-probe" else 0 in
+  let n_spill = if tr_on then Obs.Tracing.intern tracer "store-spill" else 0 in
+  let n_merge = if tr_on then Obs.Tracing.intern tracer "store-merge" else 0 in
+  let n_disk = if tr_on then Obs.Tracing.intern tracer "store-disk-probe" else 0 in
+  if tr_on then
+    for d = 0 to jobs - 1 do
+      Obs.Tracing.set_lane tracer ~dom:d (Fmt.str "worker %d" d)
+    done;
+  (* spill/merge/probe spans happen under a shard lock deep in the
+     store, on whichever worker triggered them; a domain-local worker
+     id routes them into that worker's single-writer lane *)
+  let dls_worker = Domain.DLS.new_key (fun () -> -1) in
+  if tr_on then
+    Store.Tiered.set_hooks seen
+      {
+        Store.Tiered.on_spill =
+          (fun ~shard:_ ~entries ~bytes ~start_ns ~stop_ns ->
+            let w = Domain.DLS.get dls_worker in
+            if w >= 0 then
+              Obs.Tracing.span_args tracer ~dom:w ~name:n_spill ~start_ns ~stop_ns
+                ~args:[ ("entries", Obs.Json.Int entries); ("bytes", Obs.Json.Int bytes) ]);
+        on_merge =
+          (fun ~shard:_ ~segments ~entries ~start_ns ~stop_ns ->
+            let w = Domain.DLS.get dls_worker in
+            if w >= 0 then
+              Obs.Tracing.span_args tracer ~dom:w ~name:n_merge ~start_ns ~stop_ns
+                ~args:
+                  [ ("segments", Obs.Json.Int segments); ("entries", Obs.Json.Int entries) ]);
+        on_disk_probe =
+          (fun ~shard:_ ~hit ~start_ns ~stop_ns ->
+            let w = Domain.DLS.get dls_worker in
+            if w >= 0 then
+              Obs.Tracing.span_args tracer ~dom:w ~name:n_disk ~start_ns ~stop_ns
+                ~args:[ ("hit", Obs.Json.Bool hit) ]);
+      };
+  (* per-shard resident-bytes gauges (tier-0 occupancy x entry size),
+     refreshed on every heartbeat; own registry so repeated runs in one
+     process do not pile up in the default one *)
+  let gauge_registry = Obs.Metrics.create_registry () in
+  let shard_gauges =
+    if Obs.Reporter.enabled obs then
+      Array.init Store.Tiered.n_shards (fun i ->
+          Obs.Metrics.gauge ~registry:gauge_registry (Fmt.str "bytes_resident.%02d" i))
+    else [||]
+  in
+  let refresh_gauges () =
+    if Array.length shard_gauges > 0 then
+      Array.iteri
+        (fun i b -> Obs.Metrics.set shard_gauges.(i) (float_of_int b))
+        (Store.Tiered.resident_bytes_per_shard seen)
+  in
+  let busy_ns = Array.make jobs 0 in
+  let idle_ns = Array.make jobs 0 in
+  let steals = Array.make jobs 0 in
+  let steal_fails = Array.make jobs 0 in
+  let stolen_tasks = Array.make jobs 0 in
+  let term_probes = Array.make jobs 0 in
+  let phases = Array.make jobs [||] in
+  let resume_int f = match resume with Some s -> f s | None -> 0 in
+  let states = Atomic.make (resume_int (fun s -> s.Store.Checkpoint.states)) in
+  let transitions = Atomic.make (resume_int (fun s -> s.Store.Checkpoint.transitions)) in
+  let deadlocks = Atomic.make (resume_int (fun s -> s.Store.Checkpoint.deadlocks)) in
+  let truncated =
+    Atomic.make (match resume with Some s -> s.Store.Checkpoint.truncated | None -> false)
+  in
+  (* best violation: (depth, fingerprint) with min-tie-break.  The depth
+     mirror is atomic so the expansion fast path can prune without
+     taking the mutex; fp/inv are only read after the pool joins. *)
+  let best_lock = Mutex.create () in
+  let best_depth = Atomic.make max_int in
+  let best_fp = ref 0 in
+  let best_inv = ref (-1) in
+  (match resume with
+  | Some { Store.Checkpoint.best = Some (d, fp, inv); _ } ->
+    Atomic.set best_depth d;
+    best_fp := fp;
+    best_inv := inv
+  | _ -> ());
+  let offer ~depth ~fp ~inv =
+    if depth <= Atomic.get best_depth then begin
+      Mutex.lock best_lock;
+      let d0 = Atomic.get best_depth in
+      if depth < d0 || (depth = d0 && fp < !best_fp) then begin
+        best_fp := fp;
+        best_inv := inv;
+        Atomic.set best_depth depth
+      end;
+      Mutex.unlock best_lock
+    end
+  in
+  (* termination detection: [pending] counts published-but-unfinished
+     tasks.  It is incremented before tasks become visible in any deque
+     and decremented only after a task's expansion (successor
+     publication included) completes, so pending = 0 observed by any
+     worker means the exploration is quiescent and can never wake up. *)
+  let pending = Atomic.make 0 in
+  (* worker-indexed so each domain owns its instrumentation arrays *)
+  let ivs = Array.init jobs (fun _ -> Inv_stats.make ~obs invariants) in
+  let coverage =
+    Array.init jobs (fun _ -> Hashtbl.create (if track_coverage then 512 else 1))
+  in
+  (match resume with
+  | Some snap ->
+    List.iter (fun pair -> Hashtbl.replace coverage.(0) pair ()) snap.Store.Checkpoint.covered
+  | None -> ());
+  let record_event w ev =
+    if track_coverage then begin
+      match ev with
+      | Cimp.System.Tau (p, l) -> Hashtbl.replace coverage.(w) (p, l) ()
+      | Cimp.System.Rendezvous { requester; req_label; responder; resp_label } ->
+        Hashtbl.replace coverage.(w) (requester, req_label) ();
+        Hashtbl.replace coverage.(w) (responder, resp_label) ()
+    end
+  in
+  let merged_covered () =
+    let merged = Hashtbl.create 512 in
+    Array.iter (fun tbl -> Hashtbl.iter (fun k () -> Hashtbl.replace merged k ()) tbl) coverage;
+    Explore.sort_coverage (Hashtbl.fold (fun k () acc -> k :: acc) merged [])
+  in
+  let fp0 = Fingerprint.hash (fp_of initial) in
+  let dummy_task = (fp0, initial, 0) in
+  let deques = Array.init jobs (fun _ -> Deque.create ~dummy:dummy_task) in
+  let publish w tasks =
+    ignore (Atomic.fetch_and_add pending (List.length tasks));
+    Deque.push_list deques.(w) tasks
+  in
+  let reconstruct fp broken =
+    (* chain of (fingerprint, event) from the root to [fp], replayed
+       forward by the shared {!Explore.replay_chain} (same-label
+       successors disambiguated by the recorded fingerprint) *)
+    let rec back fp acc =
+      match Store.Tiered.find seen fp with
+      | Some (parent, ev) when parent <> 0 ->
+        back parent ((fp, Store.Event_codec.decode codec ev) :: acc)
+      | _ -> acc
     in
-    let norm sys = if normal_form then Cimp.System.normalize sys else sys in
-    let fp_of sys = Reducer.fp_of reducer sys in
-    let canon sys = Reducer.canon_of reducer sys in
-    (* expand canonical representatives everywhere (root included): the
-       visited class set is then independent of which worker reaches a
-       class first — see Explore for the sequential twin of this rule *)
-    let initial = canon (norm initial) in
-    let codec = Store.Event_codec.of_system initial in
-    let seen =
-      match resume with
-      | Some snap -> snap.Store.Checkpoint.store
-      | None -> Store.Tiered.create ?mem_budget ?spill_dir ()
+    let chain = back fp [] in
+    let steps =
+      Explore.replay_chain
+        ~norm:(fun s -> canon (norm s))
+        ~matches:(fun s' fp' -> Fingerprint.hash (fp_of s') = fp')
+        initial chain
     in
-    let inv_names = Array.of_list (List.map fst invariants) in
-    if Array.length inv_names > Store.Tiered.max_violation_index + 1 then
-      invalid_arg "Par_explore: too many invariants to pack";
-    let inv_index =
-      let tbl = Hashtbl.create 16 in
-      Array.iteri (fun i name -> if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name i) inv_names;
-      fun name -> match Hashtbl.find_opt tbl name with Some i -> i | None -> 0
-    in
-    (* phase timing per state is only paid when a trace is being recorded;
-       per-worker busy/idle accounting (two clock reads per batch, one per
-       idle episode) is always on, so the scaling-detail record is
-       available to any obs sink *)
-    let tr_on = Obs.Tracing.enabled tracer && Obs.Tracing.lanes tracer >= jobs in
-    let n_expand = if tr_on then Obs.Tracing.intern tracer "expand" else 0 in
-    let n_succ = if tr_on then Obs.Tracing.intern tracer "successor-gen" else 0 in
-    let n_fp = if tr_on then Obs.Tracing.intern tracer "normalize+fingerprint" else 0 in
-    let n_ins = if tr_on then Obs.Tracing.intern tracer "seen-insert" else 0 in
-    let n_inv = if tr_on then Obs.Tracing.intern tracer "invariants" else 0 in
-    let n_push = if tr_on then Obs.Tracing.intern tracer "deque-push" else 0 in
-    let n_steal = if tr_on then Obs.Tracing.intern tracer "steal" else 0 in
-    let n_steal_fail = if tr_on then Obs.Tracing.intern tracer "steal-fail" else 0 in
-    let n_probe = if tr_on then Obs.Tracing.intern tracer "termination-probe" else 0 in
-    let n_spill = if tr_on then Obs.Tracing.intern tracer "store-spill" else 0 in
-    let n_merge = if tr_on then Obs.Tracing.intern tracer "store-merge" else 0 in
-    let n_disk = if tr_on then Obs.Tracing.intern tracer "store-disk-probe" else 0 in
-    if tr_on then
-      for d = 0 to jobs - 1 do
-        Obs.Tracing.set_lane tracer ~dom:d (Fmt.str "worker %d" d)
-      done;
-    (* spill/merge/probe spans happen under a shard lock deep in the
-       store, on whichever worker triggered them; a domain-local worker
-       id routes them into that worker's single-writer lane *)
-    let dls_worker = Domain.DLS.new_key (fun () -> -1) in
-    if tr_on then
-      Store.Tiered.set_hooks seen
-        {
-          Store.Tiered.on_spill =
-            (fun ~shard:_ ~entries ~bytes ~start_ns ~stop_ns ->
-              let w = Domain.DLS.get dls_worker in
-              if w >= 0 then
-                Obs.Tracing.span_args tracer ~dom:w ~name:n_spill ~start_ns ~stop_ns
-                  ~args:[ ("entries", Obs.Json.Int entries); ("bytes", Obs.Json.Int bytes) ]);
-          on_merge =
-            (fun ~shard:_ ~segments ~entries ~start_ns ~stop_ns ->
-              let w = Domain.DLS.get dls_worker in
-              if w >= 0 then
-                Obs.Tracing.span_args tracer ~dom:w ~name:n_merge ~start_ns ~stop_ns
-                  ~args:
-                    [ ("segments", Obs.Json.Int segments); ("entries", Obs.Json.Int entries) ]);
-          on_disk_probe =
-            (fun ~shard:_ ~hit ~start_ns ~stop_ns ->
-              let w = Domain.DLS.get dls_worker in
-              if w >= 0 then
-                Obs.Tracing.span_args tracer ~dom:w ~name:n_disk ~start_ns ~stop_ns
-                  ~args:[ ("hit", Obs.Json.Bool hit) ]);
-        };
-    (* per-shard resident-bytes gauges (tier-0 occupancy x entry size),
-       refreshed on every heartbeat; own registry so repeated runs in one
-       process do not pile up in the default one *)
-    let gauge_registry = Obs.Metrics.create_registry () in
-    let shard_gauges =
-      if Obs.Reporter.enabled obs then
-        Array.init Store.Tiered.n_shards (fun i ->
-            Obs.Metrics.gauge ~registry:gauge_registry (Fmt.str "bytes_resident.%02d" i))
-      else [||]
-    in
-    let refresh_gauges () =
-      if Array.length shard_gauges > 0 then
-        Array.iteri
-          (fun i b -> Obs.Metrics.set shard_gauges.(i) (float_of_int b))
-          (Store.Tiered.resident_bytes_per_shard seen)
-    in
-    let busy_ns = Array.make jobs 0 in
-    let idle_ns = Array.make jobs 0 in
-    let steals = Array.make jobs 0 in
-    let steal_fails = Array.make jobs 0 in
-    let stolen_tasks = Array.make jobs 0 in
-    let term_probes = Array.make jobs 0 in
-    let resume_int f = match resume with Some s -> f s | None -> 0 in
-    let states = Atomic.make (resume_int (fun s -> s.Store.Checkpoint.states)) in
-    let transitions = Atomic.make (resume_int (fun s -> s.Store.Checkpoint.transitions)) in
-    let deadlocks = Atomic.make (resume_int (fun s -> s.Store.Checkpoint.deadlocks)) in
-    let truncated =
-      Atomic.make (match resume with Some s -> s.Store.Checkpoint.truncated | None -> false)
-    in
-    (* best violation: (depth, fingerprint) with min-tie-break.  The depth
-       mirror is atomic so the expansion fast path can prune without
-       taking the mutex; fp/inv are only read after the pool joins. *)
-    let best_lock = Mutex.create () in
-    let best_depth = Atomic.make max_int in
-    let best_fp = ref 0 in
-    let best_inv = ref (-1) in
-    (match resume with
-    | Some { Store.Checkpoint.best = Some (d, fp, inv); _ } ->
-      Atomic.set best_depth d;
-      best_fp := fp;
-      best_inv := inv
-    | _ -> ());
-    let offer ~depth ~fp ~inv =
-      if depth <= Atomic.get best_depth then begin
-        Mutex.lock best_lock;
-        let d0 = Atomic.get best_depth in
-        if depth < d0 || (depth = d0 && fp < !best_fp) then begin
-          best_fp := fp;
-          best_inv := inv;
-          Atomic.set best_depth depth
-        end;
-        Mutex.unlock best_lock
-      end
-    in
-    (* termination detection: [pending] counts published-but-unfinished
-       tasks.  It is incremented before tasks become visible in any deque
-       and decremented only after a task's expansion (successor
-       publication included) completes, so pending = 0 observed by any
-       worker means the exploration is quiescent and can never wake up. *)
-    let pending = Atomic.make 0 in
-    (* worker-indexed so each domain owns its instrumentation arrays *)
-    let ivs = Array.init jobs (fun _ -> Inv_stats.make ~obs invariants) in
-    let coverage =
-      Array.init jobs (fun _ -> Hashtbl.create (if track_coverage then 512 else 1))
-    in
-    (match resume with
-    | Some snap ->
-      List.iter (fun pair -> Hashtbl.replace coverage.(0) pair ()) snap.Store.Checkpoint.covered
-    | None -> ());
-    let record_event w ev =
-      if track_coverage then begin
-        match ev with
-        | Cimp.System.Tau (p, l) -> Hashtbl.replace coverage.(w) (p, l) ()
-        | Cimp.System.Rendezvous { requester; req_label; responder; resp_label } ->
-          Hashtbl.replace coverage.(w) (requester, req_label) ();
-          Hashtbl.replace coverage.(w) (responder, resp_label) ()
-      end
-    in
-    let merged_covered () =
-      let merged = Hashtbl.create 512 in
-      Array.iter (fun tbl -> Hashtbl.iter (fun k () -> Hashtbl.replace merged k ()) tbl) coverage;
-      Explore.sort_coverage (Hashtbl.fold (fun k () acc -> k :: acc) merged [])
-    in
-    let fp0 = Fingerprint.hash (fp_of initial) in
-    let dummy_task = (fp0, initial, 0) in
-    let deques = Array.init jobs (fun _ -> Deque.create ~dummy:dummy_task) in
-    let publish w tasks =
-      ignore (Atomic.fetch_and_add pending (List.length tasks));
-      Deque.push_list deques.(w) tasks
-    in
-    let reconstruct fp broken =
-      (* chain of (fingerprint, event) from the root to [fp], replayed
-         forward by the shared {!Explore.replay_chain} (same-label
-         successors disambiguated by the recorded fingerprint) *)
-      let rec back fp acc =
-        match Store.Tiered.find seen fp with
-        | Some (parent, ev) when parent <> 0 ->
-          back parent ((fp, Store.Event_codec.decode codec ev) :: acc)
-        | _ -> acc
-      in
-      let chain = back fp [] in
-      let steps =
-        Explore.replay_chain
-          ~norm:(fun s -> canon (norm s))
-          ~matches:(fun s' fp' -> Fingerprint.hash (fp_of s') = fp')
-          initial chain
-      in
-      { Trace.initial; steps; broken }
-    in
-    (* -- checkpoint rendezvous ---------------------------------------------
+    { Trace.initial; steps; broken }
+  in
+  (* -- checkpoint rendezvous ---------------------------------------------
 
-       Worker 0 coordinates.  When due, it raises [ckpt_req]; the other
-       workers notice at a batch boundary (or inside the idle-steal spin)
-       and park in [ckpt_wait] until the snapshot is written.  A parked
-       worker holds no popped-but-unprocessed task and no lock, so at
-       full rendezvous the deques plus the atomic counters are the whole
-       exploration state, and pending equals the sum of deque lengths.
-       If the coordinator observes pending = 0 while gathering the pool
-       it aborts (workers may already be exiting through quiescence; the
-       post-join final snapshot covers that case). *)
-    let ckpt = Option.map (fun (dir, every) -> (dir, max 1 every)) checkpoint in
-    let ckpt_req = Atomic.make false in
-    let ckpt_arrived = Atomic.make 0 in
-    let ckpt_gen = Atomic.make 0 in
-    let ckpt_seq = ref (match resume with Some s -> s.Store.Checkpoint.seq + 1 | None -> 1) in
-    let last_ckpt_states = ref (Atomic.get states) in
-    let do_snapshot dir =
-      let elapsed_now = base_elapsed +. Obs.Clock.elapsed_s ~since:t0_ns in
-      let frontier =
-        Array.map (fun d -> List.map (fun (fp, _, dep) -> (fp, dep)) (Deque.to_list d)) deques
-      in
-      let best =
-        if Atomic.get best_depth = max_int then None
-        else Some (Atomic.get best_depth, !best_fp, !best_inv)
-      in
-      Store.Checkpoint.write ~dir ~seq:!ckpt_seq ~config:run_config ~store:seen
-        ~states:(Atomic.get states) ~transitions:(Atomic.get transitions)
-        ~deadlocks:(Atomic.get deadlocks) ~truncated:(Atomic.get truncated)
-        ~elapsed_s:elapsed_now ~best ~frontier ~covered:(merged_covered ());
-      if Obs.Reporter.enabled obs then
-        Obs.Reporter.emit obs "checkpoint"
-          [
-            ("checker", Obs.Json.String "par-explore");
-            ("seq", Obs.Json.Int !ckpt_seq);
-            ("states", Obs.Json.Int (Atomic.get states));
-            ("frontier", Obs.Json.Int (Atomic.get pending));
-            ("dir", Obs.Json.String dir);
-          ];
-      incr ckpt_seq;
-      last_ckpt_states := Atomic.get states
+     Worker 0 coordinates.  When due, it raises [ckpt_req]; the other
+     workers notice at a batch boundary (or inside the idle-steal spin)
+     and park in [ckpt_wait] until the snapshot is written.  A parked
+     worker holds no popped-but-unprocessed task and no lock, so at
+     full rendezvous the deques plus the atomic counters are the whole
+     exploration state, and pending equals the sum of deque lengths.
+     If the coordinator observes pending = 0 while gathering the pool
+     it aborts (workers may already be exiting through quiescence; the
+     post-join final snapshot covers that case). *)
+  let ckpt = Option.map (fun (dir, every) -> (dir, max 1 every)) checkpoint in
+  let ckpt_req = Atomic.make false in
+  let ckpt_arrived = Atomic.make 0 in
+  let ckpt_gen = Atomic.make 0 in
+  let ckpt_seq = ref (match resume with Some s -> s.Store.Checkpoint.seq + 1 | None -> 1) in
+  let last_ckpt_states = ref (Atomic.get states) in
+  let do_snapshot dir =
+    let elapsed_now = base_elapsed +. Obs.Clock.elapsed_s ~since:t0_ns in
+    let frontier =
+      Array.map (fun d -> List.map (fun (fp, _, dep) -> (fp, dep)) (Deque.to_list d)) deques
     in
-    let ckpt_wait w =
-      if w > 0 && Atomic.get ckpt_req then begin
-        let gen = Atomic.get ckpt_gen in
-        Atomic.incr ckpt_arrived;
-        while Atomic.get ckpt_req && Atomic.get ckpt_gen = gen do
-          Domain.cpu_relax ()
-        done;
-        Atomic.decr ckpt_arrived
+    let best =
+      if Atomic.get best_depth = max_int then None
+      else Some (Atomic.get best_depth, !best_fp, !best_inv)
+    in
+    Store.Checkpoint.write ~dir ~seq:!ckpt_seq ~config:run_config ~store:seen
+      ~states:(Atomic.get states) ~transitions:(Atomic.get transitions)
+      ~deadlocks:(Atomic.get deadlocks) ~truncated:(Atomic.get truncated)
+      ~elapsed_s:elapsed_now ~best ~frontier ~covered:(merged_covered ());
+    if Obs.Reporter.enabled obs then
+      Obs.Reporter.emit obs "checkpoint"
+        [
+          ("checker", Obs.Json.String "par-explore");
+          ("seq", Obs.Json.Int !ckpt_seq);
+          ("states", Obs.Json.Int (Atomic.get states));
+          ("frontier", Obs.Json.Int (Atomic.get pending));
+          ("dir", Obs.Json.String dir);
+        ];
+    incr ckpt_seq;
+    last_ckpt_states := Atomic.get states
+  in
+  let ckpt_wait w =
+    if w > 0 && Atomic.get ckpt_req then begin
+      let gen = Atomic.get ckpt_gen in
+      Atomic.incr ckpt_arrived;
+      while Atomic.get ckpt_req && Atomic.get ckpt_gen = gen do
+        Domain.cpu_relax ()
+      done;
+      Atomic.decr ckpt_arrived
+    end
+  in
+  let maybe_checkpoint w =
+    match ckpt with
+    | None -> ()
+    | Some (dir, every) ->
+      if w > 0 then ckpt_wait w
+      else if Atomic.get states - !last_ckpt_states >= every then begin
+        if jobs = 1 then do_snapshot dir
+        else begin
+          Atomic.set ckpt_req true;
+          let parked = ref false in
+          let quiescent = ref false in
+          while not (!parked || !quiescent) do
+            if Atomic.get ckpt_arrived >= jobs - 1 then parked := true
+            else if Atomic.get pending = 0 then quiescent := true
+            else Domain.cpu_relax ()
+          done;
+          if !parked then do_snapshot dir;
+          Atomic.incr ckpt_gen;
+          Atomic.set ckpt_req false;
+          while Atomic.get ckpt_arrived > 0 do
+            Domain.cpu_relax ()
+          done
+        end
+      end
+  in
+  (* One worker: expand tasks from the own deque, steal when dry, exit
+     at quiescence.  Each worker emits its own heartbeats (tagged with
+     its domain index) and writes spans only into its own lane, so the
+     single-writer-per-lane tracing discipline holds without any
+     coordinator involvement. *)
+  let worker w () =
+    Domain.DLS.set dls_worker w;
+    let iv = ivs.(w) in
+    let own = deques.(w) in
+    (* cumulative phase slots (see [ph_succ]); every heartbeat interval
+       and when the worker goes idle, the growth since the last flush is
+       laid out as one [expand] span with the phase children back to
+       back inside it *)
+    let ph = Array.make (ph_fp_calls + 1) 0 in
+    phases.(w) <- ph;
+    let laid = Array.make (ph_push + 1) 0 in
+    let span_start = ref (Obs.Clock.monotonic_ns ()) in
+    let span_states = ref 0 in
+    let expanded = ref 0 in
+    let hb_expanded = ref 0 in
+    let hb_time = ref !span_start in
+    let timed slot f =
+      if timing then begin
+        let t = Obs.Clock.monotonic_ns () in
+        let r = f () in
+        ph.(slot) <- ph.(slot) + (Obs.Clock.monotonic_ns () - t);
+        r
+      end
+      else f ()
+    in
+    let flush_span () =
+      if tr_on && !span_states > 0 then begin
+        let stop = Obs.Clock.monotonic_ns () in
+        Obs.Tracing.span_args tracer ~dom:w ~name:n_expand ~start_ns:!span_start ~stop_ns:stop
+          ~args:[ ("states", Obs.Json.Int !span_states) ];
+        let cursor = ref !span_start in
+        List.iter
+          (fun (name, slots) ->
+            let ns = List.fold_left (fun acc i -> acc + ph.(i) - laid.(i)) 0 slots in
+            List.iter (fun i -> laid.(i) <- ph.(i)) slots;
+            if ns > 0 then begin
+              Obs.Tracing.span_between tracer ~dom:w ~name ~start_ns:!cursor
+                ~stop_ns:(!cursor + ns);
+              cursor := !cursor + ns
+            end)
+          [
+            (n_succ, [ ph_succ ]);
+            (n_fp, [ ph_norm; ph_fp ]);
+            (n_ins, [ ph_ins ]);
+            (n_inv, [ ph_inv ]);
+            (n_push, [ ph_push ]);
+          ];
+        span_states := 0
+      end;
+      span_start := Obs.Clock.monotonic_ns ()
+    in
+    let heartbeat () =
+      if !expanded - !hb_expanded >= heartbeat_every then begin
+        let now_ns = Obs.Clock.monotonic_ns () in
+        if Obs.Reporter.enabled obs then begin
+          let interval = float_of_int (now_ns - !hb_time) *. 1e-9 in
+          let rate =
+            if interval > 0. then float_of_int (!expanded - !hb_expanded) /. interval else 0.
+          in
+          let gc = Gc.quick_stat () in
+          refresh_gauges ();
+          let st = Store.Tiered.stats seen in
+          Obs.Reporter.emit obs "heartbeat"
+            [
+              ("checker", Obs.Json.String "par-explore");
+              ("domain", Obs.Json.Int w);
+              ("frontier", Obs.Json.Int (Atomic.get pending));
+              ("states", Obs.Json.Int (Atomic.get states));
+              ("max_states", Obs.Json.Int max_states);
+              ("transitions", Obs.Json.Int (Atomic.get transitions));
+              ("states_per_sec", Obs.Json.Float rate);
+              ("heap_words", Obs.Json.Int gc.Gc.heap_words);
+              ("bytes_resident", Obs.Json.Int st.Store.Tiered.resident_bytes);
+              ("mem_budget", Obs.Json.Int (Store.Tiered.mem_budget seen));
+              ("segments", Obs.Json.Int st.Store.Tiered.segments);
+              ( "spilled_states",
+                Obs.Json.Int
+                  (max 0 (Store.Tiered.count seen - st.Store.Tiered.resident_entries)) );
+              ("store", Obs.Metrics.dump ~registry:gauge_registry ());
+            ]
+        end;
+        flush_span ();
+        hb_expanded := !expanded;
+        hb_time := now_ns
       end
     in
-    let maybe_checkpoint w =
-      match ckpt with
-      | None -> ()
-      | Some (dir, every) ->
-        if w > 0 then ckpt_wait w
-        else if Atomic.get states - !last_ckpt_states >= every then begin
-          if jobs = 1 then do_snapshot dir
-          else begin
-            Atomic.set ckpt_req true;
-            let parked = ref false in
-            let quiescent = ref false in
-            while not (!parked || !quiescent) do
-              if Atomic.get ckpt_arrived >= jobs - 1 then parked := true
-              else if Atomic.get pending = 0 then quiescent := true
-              else Domain.cpu_relax ()
-            done;
-            if !parked then do_snapshot dir;
-            Atomic.incr ckpt_gen;
-            Atomic.set ckpt_req false;
-            while Atomic.get ckpt_arrived > 0 do
-              Domain.cpu_relax ()
-            done
-          end
-        end
-    in
-    (* One worker: expand tasks from the own deque, steal when dry, exit
-       at quiescence.  Each worker emits its own heartbeats (tagged with
-       its domain index) and writes spans only into its own lane, so the
-       single-writer-per-lane tracing discipline holds without any
-       coordinator involvement. *)
-    let worker w () =
-      Domain.DLS.set dls_worker w;
-      let iv = ivs.(w) in
-      let own = deques.(w) in
-      (* per-phase accumulators, flushed as one [expand] span (phase
-         children laid back to back inside it) every heartbeat interval
-         and when the worker goes idle *)
-      let span_start = ref (Obs.Clock.monotonic_ns ()) in
-      let span_states = ref 0 in
-      let succ_ns = ref 0 and fp_ns = ref 0 and ins_ns = ref 0 in
-      let inv_ns = ref 0 and push_ns = ref 0 in
-      let expanded = ref 0 in
-      let hb_expanded = ref 0 in
-      let hb_time = ref !span_start in
-      let timed acc f =
-        if tr_on then begin
-          let t = Obs.Clock.monotonic_ns () in
-          let r = f () in
-          acc := !acc + (Obs.Clock.monotonic_ns () - t);
-          r
-        end
-        else f ()
-      in
-      let flush_span () =
-        if tr_on && !span_states > 0 then begin
-          let stop = Obs.Clock.monotonic_ns () in
-          Obs.Tracing.span_args tracer ~dom:w ~name:n_expand ~start_ns:!span_start ~stop_ns:stop
-            ~args:[ ("states", Obs.Json.Int !span_states) ];
-          let cursor = ref !span_start in
+    let process (fp, sys, d_task) =
+      (match Store.Tiered.begin_expand seen fp ~depth:d_task with
+      | `Stale -> ()
+      | (`First d | `Again d) as claim ->
+        if (not (Atomic.get truncated)) && d < Atomic.get best_depth then begin
+          let first = match claim with `First _ -> true | `Again _ -> false in
+          hooks.on_expand ~worker:w ~depth:d;
+          let succs = timed ph_succ (fun () -> Reducer.succs_of reducer sys) in
+          ph.(ph_succ_calls) <- ph.(ph_succ_calls) + 1;
+          if succs = [] && first then Atomic.incr deadlocks;
+          let out = ref [] in
           List.iter
-            (fun (name, acc) ->
-              if !acc > 0 then begin
-                Obs.Tracing.span_between tracer ~dom:w ~name ~start_ns:!cursor
-                  ~stop_ns:(!cursor + !acc);
-                cursor := !cursor + !acc;
-                acc := 0
-              end)
-            [ (n_succ, succ_ns); (n_fp, fp_ns); (n_ins, ins_ns); (n_inv, inv_ns); (n_push, push_ns) ];
-          span_states := 0
-        end;
-        span_start := Obs.Clock.monotonic_ns ()
-      in
-      let heartbeat () =
-        if !expanded - !hb_expanded >= heartbeat_every then begin
-          let now_ns = Obs.Clock.monotonic_ns () in
-          if Obs.Reporter.enabled obs then begin
-            let interval = float_of_int (now_ns - !hb_time) *. 1e-9 in
-            let rate =
-              if interval > 0. then float_of_int (!expanded - !hb_expanded) /. interval else 0.
-            in
-            let gc = Gc.quick_stat () in
-            refresh_gauges ();
-            let st = Store.Tiered.stats seen in
-            Obs.Reporter.emit obs "heartbeat"
-              [
-                ("checker", Obs.Json.String "par-explore");
-                ("domain", Obs.Json.Int w);
-                ("frontier", Obs.Json.Int (Atomic.get pending));
-                ("states", Obs.Json.Int (Atomic.get states));
-                ("max_states", Obs.Json.Int max_states);
-                ("transitions", Obs.Json.Int (Atomic.get transitions));
-                ("states_per_sec", Obs.Json.Float rate);
-                ("heap_words", Obs.Json.Int gc.Gc.heap_words);
-                ("bytes_resident", Obs.Json.Int st.Store.Tiered.resident_bytes);
-                ("mem_budget", Obs.Json.Int (Store.Tiered.mem_budget seen));
-                ("segments", Obs.Json.Int st.Store.Tiered.segments);
-                ( "spilled_states",
-                  Obs.Json.Int
-                    (max 0 (Store.Tiered.count seen - st.Store.Tiered.resident_entries)) );
-                ("store", Obs.Metrics.dump ~registry:gauge_registry ());
-              ]
-          end;
-          flush_span ();
-          hb_expanded := !expanded;
-          hb_time := now_ns
-        end
-      in
-      let process (fp, sys, d_task) =
-        (match Store.Tiered.begin_expand seen fp ~depth:d_task with
-        | `Stale -> ()
-        | (`First d | `Again d) as claim ->
-          if (not (Atomic.get truncated)) && d < Atomic.get best_depth then begin
-            let first = match claim with `First _ -> true | `Again _ -> false in
-            hooks.on_expand ~worker:w ~depth:d;
-            let succs = timed succ_ns (fun () -> Reducer.succs_of reducer sys) in
-            if succs = [] && first then Atomic.incr deadlocks;
-            let out = ref [] in
-            List.iter
-              (fun (event, sys') ->
-                if Atomic.get states < max_states then begin
-                  if first then Atomic.incr transitions;
-                  record_event w event;
-                  let sys', fp' =
-                    timed fp_ns (fun () ->
-                        let sys' = norm sys' in
-                        (sys', Fingerprint.hash (fp_of sys')))
+            (fun (event, sys') ->
+              if Atomic.get states < max_states then begin
+                if first then Atomic.incr transitions;
+                record_event w event;
+                let sys' = timed ph_norm (fun () -> norm sys') in
+                let fp' = timed ph_fp (fun () -> Fingerprint.hash (fp_of sys')) in
+                ph.(ph_fp_calls) <- ph.(ph_fp_calls) + 1;
+                let d' = d + 1 in
+                (* depth > best can neither beat the violation nor lie on
+                   a minimal chain (ancestors of minimal violations stay
+                   strictly below best); depth = best must still be
+                   inserted and checked for the fingerprint tie-break *)
+                if d' <= Atomic.get best_depth then begin
+                  let added =
+                    timed ph_ins (fun () ->
+                        Store.Tiered.add seen fp' ~parent:fp
+                          ~event:(Store.Event_codec.encode codec event)
+                          ~depth:d')
                   in
-                  let d' = d + 1 in
-                  (* depth > best can neither beat the violation nor lie on
-                     a minimal chain (ancestors of minimal violations stay
-                     strictly below best); depth = best must still be
-                     inserted and checked for the fingerprint tie-break *)
-                  if d' <= Atomic.get best_depth then begin
-                    let added =
-                      timed ins_ns (fun () ->
-                          Store.Tiered.add seen fp' ~parent:fp
-                            ~event:(Store.Event_codec.encode codec event)
-                            ~depth:d')
-                    in
-                    match added with
-                    | Store.Tiered.Fresh ->
-                      let n = Atomic.fetch_and_add states 1 + 1 in
-                      if n >= max_states then Atomic.set truncated true;
-                      (* evaluate and expand the canonical representative
-                         of the fresh class (canonicalization is paid
-                         once per class, not per generated successor) *)
-                      let sys' = canon sys' in
-                      (match timed inv_ns (fun () -> iv.Inv_stats.check sys') with
-                      | Some name ->
-                        let idx = inv_index name in
-                        Store.Tiered.mark_violation seen fp' idx;
-                        offer ~depth:d' ~fp:fp' ~inv:idx
-                      | None -> ());
-                      if d' < Atomic.get best_depth then out := (fp', sys', d') :: !out
-                    | Store.Tiered.Improved viol ->
-                      if viol >= 0 then offer ~depth:d' ~fp:fp' ~inv:viol;
-                      if d' < Atomic.get best_depth then out := (fp', canon sys', d') :: !out
-                    | Store.Tiered.Stale -> ()
-                  end
+                  match added with
+                  | Store.Tiered.Fresh ->
+                    let n = Atomic.fetch_and_add states 1 + 1 in
+                    if n >= max_states then Atomic.set truncated true;
+                    (* evaluate and expand the canonical representative
+                       of the fresh class (canonicalization is paid
+                       once per class, not per generated successor) *)
+                    let sys' = canon sys' in
+                    (match timed ph_inv (fun () -> iv.Inv_stats.check sys') with
+                    | Some name ->
+                      let idx = inv_index name in
+                      Store.Tiered.mark_violation seen fp' idx;
+                      offer ~depth:d' ~fp:fp' ~inv:idx
+                    | None -> ());
+                    if d' < Atomic.get best_depth then out := (fp', sys', d') :: !out
+                  | Store.Tiered.Improved viol ->
+                    if viol >= 0 then offer ~depth:d' ~fp:fp' ~inv:viol;
+                    if d' < Atomic.get best_depth then out := (fp', canon sys', d') :: !out
+                  | Store.Tiered.Stale -> ()
                 end
-                else Atomic.set truncated true)
-              succs;
-            if !out <> [] then timed push_ns (fun () -> publish w (List.rev !out));
-            incr expanded;
-            incr span_states;
-            heartbeat ()
-          end);
-        Atomic.decr pending
+              end
+              else Atomic.set truncated true)
+            succs;
+          if !out <> [] then timed ph_push (fun () -> publish w (List.rev !out));
+          incr expanded;
+          incr span_states;
+          heartbeat ()
+        end);
+      Atomic.decr pending
+    in
+    (* round-robin sweep from w+1; steal half of the first victim that
+       yields anything *)
+    let try_steal () =
+      let rec go k =
+        if k >= jobs then None
+        else begin
+          let v = (w + k) mod jobs in
+          if Deque.size deques.(v) = 0 then go (k + 1)
+          else
+            match Deque.steal deques.(v) with
+            | [] -> go (k + 1)
+            | ts -> Some (v, ts)
+        end
       in
-      (* round-robin sweep from w+1; steal half of the first victim that
-         yields anything *)
-      let try_steal () =
-        let rec go k =
-          if k >= jobs then None
-          else begin
-            let v = (w + k) mod jobs in
-            if Deque.size deques.(v) = 0 then go (k + 1)
-            else
-              match Deque.steal deques.(v) with
-              | [] -> go (k + 1)
-              | ts -> Some (v, ts)
-          end
-        in
-        go 1
-      in
-      let backoff = ref 0 in
-      let rec main () =
+      go 1
+    in
+    let backoff = ref 0 in
+    let rec main () =
+      maybe_checkpoint w;
+      match Deque.pop_batch own pop_batch_size with
+      | [] -> idle ()
+      | tasks ->
+        let t0 = Obs.Clock.monotonic_ns () in
+        List.iter process tasks;
+        busy_ns.(w) <- busy_ns.(w) + (Obs.Clock.monotonic_ns () - t0);
+        main ()
+    and idle () =
+      flush_span ();
+      hooks.on_idle ~worker:w;
+      let ep_start = Obs.Clock.monotonic_ns () in
+      let sweeps = ref 0 in
+      let rec spin () =
         maybe_checkpoint w;
-        match Deque.pop_batch own pop_batch_size with
-        | [] -> idle ()
-        | tasks ->
-          let t0 = Obs.Clock.monotonic_ns () in
-          List.iter process tasks;
-          busy_ns.(w) <- busy_ns.(w) + (Obs.Clock.monotonic_ns () - t0);
+        let t_sweep = Obs.Clock.monotonic_ns () in
+        match try_steal () with
+        | Some (v, ts) ->
+          let now = Obs.Clock.monotonic_ns () in
+          let n = List.length ts in
+          steals.(w) <- steals.(w) + 1;
+          stolen_tasks.(w) <- stolen_tasks.(w) + n;
+          Deque.push_list own ts;
+          hooks.on_steal ~worker:w ~victim:v ~stolen:n;
+          if tr_on then begin
+            if !sweeps > 0 then
+              Obs.Tracing.span_between tracer ~dom:w ~name:n_steal_fail ~start_ns:ep_start
+                ~stop_ns:t_sweep;
+            Obs.Tracing.span_between tracer ~dom:w ~name:n_steal ~start_ns:t_sweep ~stop_ns:now
+          end;
+          idle_ns.(w) <- idle_ns.(w) + (now - ep_start);
+          backoff := 0;
+          span_start := Obs.Clock.monotonic_ns ();
           main ()
-      and idle () =
-        flush_span ();
-        hooks.on_idle ~worker:w;
-        let ep_start = Obs.Clock.monotonic_ns () in
-        let sweeps = ref 0 in
-        let rec spin () =
-          maybe_checkpoint w;
-          let t_sweep = Obs.Clock.monotonic_ns () in
-          match try_steal () with
-          | Some (v, ts) ->
+        | None ->
+          incr sweeps;
+          steal_fails.(w) <- steal_fails.(w) + 1;
+          term_probes.(w) <- term_probes.(w) + 1;
+          let t_probe = Obs.Clock.monotonic_ns () in
+          let p = Atomic.get pending in
+          hooks.on_probe ~worker:w ~pending:p;
+          if p = 0 then begin
+            (* quiescent: no published task anywhere, and new tasks are
+               only published by task expansions, so none can appear *)
             let now = Obs.Clock.monotonic_ns () in
-            let n = List.length ts in
-            steals.(w) <- steals.(w) + 1;
-            stolen_tasks.(w) <- stolen_tasks.(w) + n;
-            Deque.push_list own ts;
-            hooks.on_steal ~worker:w ~victim:v ~stolen:n;
             if tr_on then begin
-              if !sweeps > 0 then
-                Obs.Tracing.span_between tracer ~dom:w ~name:n_steal_fail ~start_ns:ep_start
-                  ~stop_ns:t_sweep;
-              Obs.Tracing.span_between tracer ~dom:w ~name:n_steal ~start_ns:t_sweep ~stop_ns:now
+              Obs.Tracing.span_between tracer ~dom:w ~name:n_steal_fail ~start_ns:ep_start
+                ~stop_ns:t_probe;
+              Obs.Tracing.span_between tracer ~dom:w ~name:n_probe ~start_ns:t_probe
+                ~stop_ns:now
             end;
-            idle_ns.(w) <- idle_ns.(w) + (now - ep_start);
-            backoff := 0;
-            span_start := Obs.Clock.monotonic_ns ();
-            main ()
+            idle_ns.(w) <- idle_ns.(w) + (now - ep_start)
+          end
+          else begin
+            (* exponential-ish backoff: spin first, then sleep so a
+               core-limited host gives the busy domains the CPU *)
+            incr backoff;
+            if !backoff < 64 then Domain.cpu_relax () else Unix.sleepf 0.0002;
+            spin ()
+          end
+      in
+      spin ()
+    in
+    main ()
+  in
+  (* root (or restored frontier): published before the pool spawns, so
+     no worker can observe pending = 0 before the first task exists *)
+  (match resume with
+  | None ->
+    ignore (Store.Tiered.add seen fp0 ~parent:0 ~event:0 ~depth:0);
+    Atomic.set states 1;
+    (match ivs.(0).Inv_stats.check initial with
+    | Some name ->
+      let idx = inv_index name in
+      Store.Tiered.mark_violation seen fp0 idx;
+      offer ~depth:0 ~fp:fp0 ~inv:idx
+    | None -> ());
+    publish 0 [ (fp0, initial, 0) ]
+  | Some snap ->
+    (* frontier states were snapshotted as (fingerprint, depth) only;
+       rebuild each by memoized parent-chain replay — the trusted
+       counterexample mechanism — and redistribute round-robin *)
+    if Store.Tiered.find seen fp0 = None then
+      invalid_arg "Par_explore.run: checkpoint does not match this model configuration";
+    let cache = Hashtbl.create 4096 in
+    Hashtbl.add cache fp0 initial;
+    let rec state_of fp =
+      match Hashtbl.find_opt cache fp with
+      | Some s -> s
+      | None -> (
+        match Store.Tiered.find seen fp with
+        | Some (parent, code) when parent <> 0 -> (
+          let psys = state_of parent in
+          let ev = Store.Event_codec.decode codec code in
+          match
+            List.find_map
+              (fun (e, s') ->
+                if e = ev then begin
+                  let s' = canon (norm s') in
+                  if Fingerprint.hash (fp_of s') = fp then Some s' else None
+                end
+                else None)
+              (Cimp.System.steps psys)
+          with
+          | Some s ->
+            Hashtbl.add cache fp s;
+            s
           | None ->
-            incr sweeps;
-            steal_fails.(w) <- steal_fails.(w) + 1;
-            term_probes.(w) <- term_probes.(w) + 1;
-            let t_probe = Obs.Clock.monotonic_ns () in
-            let p = Atomic.get pending in
-            hooks.on_probe ~worker:w ~pending:p;
-            if p = 0 then begin
-              (* quiescent: no published task anywhere, and new tasks are
-                 only published by task expansions, so none can appear *)
-              let now = Obs.Clock.monotonic_ns () in
-              if tr_on then begin
-                Obs.Tracing.span_between tracer ~dom:w ~name:n_steal_fail ~start_ns:ep_start
-                  ~stop_ns:t_probe;
-                Obs.Tracing.span_between tracer ~dom:w ~name:n_probe ~start_ns:t_probe
-                  ~stop_ns:now
-              end;
-              idle_ns.(w) <- idle_ns.(w) + (now - ep_start)
-            end
-            else begin
-              (* exponential-ish backoff: spin first, then sleep so a
-                 core-limited host gives the busy domains the CPU *)
-              incr backoff;
-              if !backoff < 64 then Domain.cpu_relax () else Unix.sleepf 0.0002;
-              spin ()
-            end
-        in
-        spin ()
-      in
-      main ()
+            invalid_arg
+              "Par_explore.run: cannot replay a checkpointed frontier state (model mismatch?)")
+        | _ ->
+          invalid_arg "Par_explore.run: frontier fingerprint missing from the checkpoint store"
+      )
     in
-    (* root (or restored frontier): published before the pool spawns, so
-       no worker can observe pending = 0 before the first task exists *)
-    (match resume with
-    | None ->
-      ignore (Store.Tiered.add seen fp0 ~parent:0 ~event:0 ~depth:0);
-      Atomic.set states 1;
-      (match ivs.(0).Inv_stats.check initial with
-      | Some name ->
-        let idx = inv_index name in
-        Store.Tiered.mark_violation seen fp0 idx;
-        offer ~depth:0 ~fp:fp0 ~inv:idx
-      | None -> ());
-      publish 0 [ (fp0, initial, 0) ]
-    | Some snap ->
-      (* frontier states were snapshotted as (fingerprint, depth) only;
-         rebuild each by memoized parent-chain replay — the trusted
-         counterexample mechanism — and redistribute round-robin *)
-      if Store.Tiered.find seen fp0 = None then
-        invalid_arg "Par_explore.run: checkpoint does not match this model configuration";
-      let cache = Hashtbl.create 4096 in
-      Hashtbl.add cache fp0 initial;
-      let rec state_of fp =
-        match Hashtbl.find_opt cache fp with
-        | Some s -> s
-        | None -> (
-          match Store.Tiered.find seen fp with
-          | Some (parent, code) when parent <> 0 -> (
-            let psys = state_of parent in
-            let ev = Store.Event_codec.decode codec code in
-            match
-              List.find_map
-                (fun (e, s') ->
-                  if e = ev then begin
-                    let s' = canon (norm s') in
-                    if Fingerprint.hash (fp_of s') = fp then Some s' else None
-                  end
-                  else None)
-                (Cimp.System.steps psys)
-            with
-            | Some s ->
-              Hashtbl.add cache fp s;
-              s
-            | None ->
-              invalid_arg
-                "Par_explore.run: cannot replay a checkpointed frontier state (model mismatch?)")
-          | _ ->
-            invalid_arg "Par_explore.run: frontier fingerprint missing from the checkpoint store"
-        )
-      in
-      let i = ref 0 in
-      Array.iter
-        (fun tasks ->
-          List.iter
-            (fun (fp, d) ->
-              publish (!i mod jobs) [ (fp, state_of fp, d) ];
-              incr i)
-            tasks)
-        snap.Store.Checkpoint.frontier);
-    let doms = Array.init (jobs - 1) (fun j -> Domain.spawn (worker (j + 1))) in
-    worker 0 ();
-    Array.iter Domain.join doms;
-    (* a final snapshot (frontier empty) makes resume-after-completion
-       report the finished verdict instead of failing *)
-    (match ckpt with Some (dir, _) -> do_snapshot dir | None -> ());
-    let elapsed = base_elapsed +. Obs.Clock.elapsed_s ~since:t0_ns in
-    let violation =
-      if Atomic.get best_depth = max_int then None
-      else Some (reconstruct !best_fp inv_names.(!best_inv))
+    let i = ref 0 in
+    Array.iter
+      (fun tasks ->
+        List.iter
+          (fun (fp, d) ->
+            publish (!i mod jobs) [ (fp, state_of fp, d) ];
+            incr i)
+          tasks)
+      snap.Store.Checkpoint.frontier);
+  let doms = Array.init (jobs - 1) (fun j -> Domain.spawn (worker (j + 1))) in
+  worker 0 ();
+  Array.iter Domain.join doms;
+  (* a final snapshot (frontier empty) makes resume-after-completion
+     report the finished verdict instead of failing *)
+  (match ckpt with Some (dir, _) -> do_snapshot dir | None -> ());
+  let elapsed = base_elapsed +. Obs.Clock.elapsed_s ~since:t0_ns in
+  let violation =
+    if Atomic.get best_depth = max_int then None
+    else Some (reconstruct !best_fp inv_names.(!best_inv))
+  in
+  let depth =
+    if violation = None then Store.Tiered.max_depth seen else Atomic.get best_depth
+  in
+  let first_violation = Option.map (fun tr -> tr.Trace.broken) violation in
+  Array.iter (fun iv -> iv.Inv_stats.report obs ~first_violation) ivs;
+  let states = Atomic.get states in
+  let transitions = Atomic.get transitions in
+  Reducer.report obs ~checker:"par-explore" reducer ~states ~transitions ~elapsed;
+  let deadlocks = Atomic.get deadlocks in
+  let truncated = Atomic.get truncated in
+  if Obs.Reporter.enabled obs then begin
+    (* per-phase attribution summed over the workers; [other_s] is the
+       rest of their busy time (seen-set insert, canonicalization, deque
+       traffic), so idle and stealing time stay out of it *)
+    let gc1 = Gc.quick_stat () in
+    let sum slot = Array.fold_left (fun acc p -> acc + p.(slot)) 0 phases in
+    let secs slot = float_of_int (sum slot) *. 1e-9 in
+    let inv_evals, inv_s =
+      Array.fold_left
+        (fun (n, t) iv ->
+          let n', t' = iv.Inv_stats.totals () in
+          (n + n', t +. t'))
+        (0, 0.) ivs
     in
-    let depth =
-      if violation = None then Store.Tiered.max_depth seen else Atomic.get best_depth
-    in
-    let first_violation = Option.map (fun tr -> tr.Trace.broken) violation in
-    Array.iter (fun iv -> iv.Inv_stats.report obs ~first_violation) ivs;
-    let states = Atomic.get states in
-    let transitions = Atomic.get transitions in
-    Reducer.report obs ~checker:"par-explore" reducer ~states ~transitions ~elapsed;
-    let deadlocks = Atomic.get deadlocks in
-    let truncated = Atomic.get truncated in
-    if Obs.Reporter.enabled obs then begin
-      let rate = if elapsed > 0. then float_of_int states /. elapsed else 0. in
-      Obs.Reporter.emit obs "outcome"
-        [
-          ("checker", Obs.Json.String "par-explore");
-          ("jobs", Obs.Json.Int jobs);
-          ("states", Obs.Json.Int states);
-          ("transitions", Obs.Json.Int transitions);
-          ("depth", Obs.Json.Int depth);
-          ("deadlocks", Obs.Json.Int deadlocks);
-          ("truncated", Obs.Json.Bool truncated);
-          ( "violation",
-            match first_violation with
-            | None -> Obs.Json.Null
-            | Some name -> Obs.Json.String name );
-          ("elapsed_s", Obs.Json.Float elapsed);
-          ("states_per_sec", Obs.Json.Float rate);
-        ];
-      Obs.Reporter.emit obs "scaling"
-        [
-          ("checker", Obs.Json.String "par-explore");
-          ("jobs", Obs.Json.Int jobs);
-          ("states", Obs.Json.Int states);
-          ("elapsed_s", Obs.Json.Float elapsed);
-          ("states_per_sec", Obs.Json.Float rate);
-        ];
-      (* contention attribution + Amdahl decomposition of this run *)
-      let lock_stats, shard_wait_s = Obs.Contention.shard_summary (Store.Tiered.locks seen) in
-      let _, deque_wait_s = Obs.Contention.shard_summary (Deque.locks deques) in
-      let ns_s a = Array.map (fun ns -> float_of_int ns *. 1e-9) a in
-      let busy_s = ns_s busy_ns and idle_s = ns_s idle_ns in
-      let isum a = Array.fold_left ( + ) 0 a in
-      let est = Obs.Contention.estimate ~jobs ~wall_s:elapsed ~busy_per_domain:busy_s in
-      let flist a = Obs.Json.List (Array.to_list (Array.map (fun v -> Obs.Json.Float v) a)) in
-      let ilist a = Obs.Json.List (Array.to_list (Array.map (fun v -> Obs.Json.Int v) a)) in
-      let st = Store.Tiered.stats seen in
-      Obs.Reporter.emit obs "scaling-detail"
-        ([
-           ("checker", Obs.Json.String "par-explore");
-           ("states", Obs.Json.Int states);
-           ("transitions", Obs.Json.Int transitions);
-           ("states_per_sec", Obs.Json.Float rate);
-         ]
-        @ Obs.Contention.estimate_json est
-        @ [
-            ("busy_per_domain_s", flist busy_s);
-            ("idle_wait_s", Obs.Json.Float (Array.fold_left ( +. ) 0. idle_s));
-            ("idle_per_domain_s", flist idle_s);
-            ("steals", Obs.Json.Int (isum steals));
-            ("steal_fails", Obs.Json.Int (isum steal_fails));
-            ("stolen_tasks", Obs.Json.Int (isum stolen_tasks));
-            ("termination_probes", Obs.Json.Int (isum term_probes));
-            ("lock_acquires", Obs.Json.Int lock_stats.Obs.Contention.acquires);
-            ("lock_contended", Obs.Json.Int lock_stats.Obs.Contention.contended);
-            ( "lock_wait_s",
-              Obs.Json.Float (float_of_int lock_stats.Obs.Contention.wait_ns *. 1e-9) );
-            ( "lock_max_wait_s",
-              Obs.Json.Float (float_of_int lock_stats.Obs.Contention.max_wait_ns *. 1e-9) );
-            ("shard_wait_s", flist shard_wait_s);
-            ( "deque_wait_s",
-              Obs.Json.Float (Array.fold_left ( +. ) 0. deque_wait_s) );
-            (* tiered-store spill attribution *)
-            ("mem_budget", Obs.Json.Int (Store.Tiered.mem_budget seen));
-            ("bytes_resident", Obs.Json.Int st.Store.Tiered.resident_bytes);
-            ( "bytes_resident_per_shard",
-              ilist (Store.Tiered.resident_bytes_per_shard seen) );
-            ("peak_bytes_resident", Obs.Json.Int st.Store.Tiered.peak_resident_bytes);
-            ("spills", Obs.Json.Int st.Store.Tiered.spills);
-            ("merges", Obs.Json.Int st.Store.Tiered.merges);
-            ("segments", Obs.Json.Int st.Store.Tiered.segments);
-            ("spilled_entries", Obs.Json.Int st.Store.Tiered.spilled_entries);
-            ( "spilled_states",
-              Obs.Json.Int (max 0 (Store.Tiered.count seen - st.Store.Tiered.resident_entries))
-            );
-            ("disk_bytes", Obs.Json.Int st.Store.Tiered.disk_bytes);
-            ("disk_probes", Obs.Json.Int st.Store.Tiered.disk_probes);
-            ("disk_hits", Obs.Json.Int st.Store.Tiered.disk_hits);
-            ("bloom_checks", Obs.Json.Int st.Store.Tiered.bloom_checks);
-            ("bloom_negatives", Obs.Json.Int st.Store.Tiered.bloom_negatives);
-            ("segment_mem_bytes", Obs.Json.Int st.Store.Tiered.segment_mem_bytes);
-          ])
-    end;
-    (* certificate writers read the store after the run settles but before
-       it goes out of scope (the snapshot above already flushed nothing:
-       the store is complete in RAM + segments at this point) *)
-    (match on_store with None -> () | Some f -> f seen);
-    let covered = merged_covered () in
-    {
-      Explore.states;
-      transitions;
-      depth;
-      deadlocks;
-      truncated;
-      violation;
-      elapsed;
-      covered;
-    }
-  end
+    let busy_s = float_of_int (Array.fold_left ( + ) 0 busy_ns) *. 1e-9 in
+    let succ_s = secs ph_succ and norm_s = secs ph_norm and fp_s = secs ph_fp in
+    Obs.Reporter.emit obs "profile"
+      [
+        ("checker", Obs.Json.String "par-explore");
+        ("states", Obs.Json.Int states);
+        ("transitions", Obs.Json.Int transitions);
+        ("elapsed_s", Obs.Json.Float elapsed);
+        ("succ_gen_s", Obs.Json.Float succ_s);
+        ("succ_gen_calls", Obs.Json.Int (sum ph_succ_calls));
+        ("normalize_s", Obs.Json.Float norm_s);
+        ("fingerprint_s", Obs.Json.Float fp_s);
+        ("fingerprint_calls", Obs.Json.Int (sum ph_fp_calls));
+        ("invariant_s", Obs.Json.Float inv_s);
+        ("invariant_evals", Obs.Json.Int inv_evals);
+        ("other_s", Obs.Json.Float (Float.max 0. (busy_s -. succ_s -. norm_s -. fp_s -. inv_s)));
+        ("minor_words", Obs.Json.Float (gc1.Gc.minor_words -. gc0.Gc.minor_words));
+        ("promoted_words", Obs.Json.Float (gc1.Gc.promoted_words -. gc0.Gc.promoted_words));
+        ("major_words", Obs.Json.Float (gc1.Gc.major_words -. gc0.Gc.major_words));
+        ("minor_collections", Obs.Json.Int (gc1.Gc.minor_collections - gc0.Gc.minor_collections));
+        ("major_collections", Obs.Json.Int (gc1.Gc.major_collections - gc0.Gc.major_collections));
+        ("heap_words", Obs.Json.Int gc1.Gc.heap_words);
+      ];
+    let rate = if elapsed > 0. then float_of_int states /. elapsed else 0. in
+    Obs.Reporter.emit obs "outcome"
+      [
+        ("checker", Obs.Json.String "par-explore");
+        ("jobs", Obs.Json.Int jobs);
+        ("states", Obs.Json.Int states);
+        ("transitions", Obs.Json.Int transitions);
+        ("depth", Obs.Json.Int depth);
+        ("deadlocks", Obs.Json.Int deadlocks);
+        ("truncated", Obs.Json.Bool truncated);
+        ( "violation",
+          match first_violation with
+          | None -> Obs.Json.Null
+          | Some name -> Obs.Json.String name );
+        ("elapsed_s", Obs.Json.Float elapsed);
+        ("states_per_sec", Obs.Json.Float rate);
+      ];
+    Obs.Reporter.emit obs "scaling"
+      [
+        ("checker", Obs.Json.String "par-explore");
+        ("jobs", Obs.Json.Int jobs);
+        ("states", Obs.Json.Int states);
+        ("elapsed_s", Obs.Json.Float elapsed);
+        ("states_per_sec", Obs.Json.Float rate);
+      ];
+    (* contention attribution + Amdahl decomposition of this run *)
+    let lock_stats, shard_wait_s = Obs.Contention.shard_summary (Store.Tiered.locks seen) in
+    let _, deque_wait_s = Obs.Contention.shard_summary (Deque.locks deques) in
+    let ns_s a = Array.map (fun ns -> float_of_int ns *. 1e-9) a in
+    let busy_s = ns_s busy_ns and idle_s = ns_s idle_ns in
+    let isum a = Array.fold_left ( + ) 0 a in
+    let est = Obs.Contention.estimate ~jobs ~wall_s:elapsed ~busy_per_domain:busy_s in
+    let flist a = Obs.Json.List (Array.to_list (Array.map (fun v -> Obs.Json.Float v) a)) in
+    let ilist a = Obs.Json.List (Array.to_list (Array.map (fun v -> Obs.Json.Int v) a)) in
+    let st = Store.Tiered.stats seen in
+    Obs.Reporter.emit obs "scaling-detail"
+      ([
+         ("checker", Obs.Json.String "par-explore");
+         ("states", Obs.Json.Int states);
+         ("transitions", Obs.Json.Int transitions);
+         ("states_per_sec", Obs.Json.Float rate);
+       ]
+      @ Obs.Contention.estimate_json est
+      @ [
+          ("busy_per_domain_s", flist busy_s);
+          ("idle_wait_s", Obs.Json.Float (Array.fold_left ( +. ) 0. idle_s));
+          ("idle_per_domain_s", flist idle_s);
+          ("steals", Obs.Json.Int (isum steals));
+          ("steal_fails", Obs.Json.Int (isum steal_fails));
+          ("stolen_tasks", Obs.Json.Int (isum stolen_tasks));
+          ("termination_probes", Obs.Json.Int (isum term_probes));
+          ("lock_acquires", Obs.Json.Int lock_stats.Obs.Contention.acquires);
+          ("lock_contended", Obs.Json.Int lock_stats.Obs.Contention.contended);
+          ( "lock_wait_s",
+            Obs.Json.Float (float_of_int lock_stats.Obs.Contention.wait_ns *. 1e-9) );
+          ( "lock_max_wait_s",
+            Obs.Json.Float (float_of_int lock_stats.Obs.Contention.max_wait_ns *. 1e-9) );
+          ("shard_wait_s", flist shard_wait_s);
+          ( "deque_wait_s",
+            Obs.Json.Float (Array.fold_left ( +. ) 0. deque_wait_s) );
+          (* tiered-store spill attribution *)
+          ("mem_budget", Obs.Json.Int (Store.Tiered.mem_budget seen));
+          ("bytes_resident", Obs.Json.Int st.Store.Tiered.resident_bytes);
+          ( "bytes_resident_per_shard",
+            ilist (Store.Tiered.resident_bytes_per_shard seen) );
+          ("peak_bytes_resident", Obs.Json.Int st.Store.Tiered.peak_resident_bytes);
+          ("spills", Obs.Json.Int st.Store.Tiered.spills);
+          ("merges", Obs.Json.Int st.Store.Tiered.merges);
+          ("segments", Obs.Json.Int st.Store.Tiered.segments);
+          ("spilled_entries", Obs.Json.Int st.Store.Tiered.spilled_entries);
+          ( "spilled_states",
+            Obs.Json.Int (max 0 (Store.Tiered.count seen - st.Store.Tiered.resident_entries))
+          );
+          ("disk_bytes", Obs.Json.Int st.Store.Tiered.disk_bytes);
+          ("disk_probes", Obs.Json.Int st.Store.Tiered.disk_probes);
+          ("disk_hits", Obs.Json.Int st.Store.Tiered.disk_hits);
+          ("bloom_checks", Obs.Json.Int st.Store.Tiered.bloom_checks);
+          ("bloom_negatives", Obs.Json.Int st.Store.Tiered.bloom_negatives);
+          ("segment_mem_bytes", Obs.Json.Int st.Store.Tiered.segment_mem_bytes);
+        ])
+  end;
+  (* certificate writers read the store after the run settles but before
+     it goes out of scope (the snapshot above already flushed nothing:
+     the store is complete in RAM + segments at this point) *)
+  (match on_store with None -> () | Some f -> f seen);
+  let covered = merged_covered () in
+  {
+    Explore.states;
+    transitions;
+    depth;
+    deadlocks;
+    truncated;
+    violation;
+    elapsed;
+    covered;
+  }

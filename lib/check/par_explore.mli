@@ -1,5 +1,6 @@
-(** Parallel exhaustive exploration: asynchronous work-stealing BFS across
-    OCaml 5 domains.
+(** The exploration engine: asynchronous work-stealing BFS across OCaml 5
+    domains.  Every production explore runs it, at every [jobs]; one
+    worker runs on the calling domain with a single FIFO deque.
 
     A persistent pool of [jobs] worker domains is spawned once per run
     (not per BFS level).  Each worker expands states from its own deque,
@@ -17,7 +18,8 @@
     distances by quiescence, and violations race through an atomic
     best-(depth, fingerprint) cell with min-tie-break.  The minimal trace
     is then recovered by the same bounded parent-chain replay as the
-    sequential explorer.  DESIGN.md §11 gives the minimality argument.
+    reference BFS ({!Explore.run}).  DESIGN.md §11 gives the minimality
+    argument.
 
     The seen-set is the tiered store of {!Store.Tiered}: 64
     independently-locked RAM shards that, under a memory budget, freeze
@@ -49,29 +51,32 @@ val max_jobs : int
 (** Cap on [jobs] (64): deques, lanes and per-worker counters are
     fixed-size arrays of this length. *)
 
-(** [run ~jobs ~invariants initial] explores like {!Explore.run} but
-    across [jobs] worker domains.  [jobs <= 1] (the default) delegates to
-    {!Explore.run} when no store or checkpoint option is given, so
-    default results are bit-for-bit the sequential ones; with
-    [mem_budget], [checkpoint] or [resume] the pool runs even at one
-    worker (a single FIFO deque, still deterministic BFS order).  [jobs]
-    is capped at {!max_jobs}.
+(** [run ~jobs ~invariants initial] explores [initial] across [jobs]
+    worker domains (default 1, capped at {!max_jobs}), checking the
+    (name, predicate) [invariants] at every state, the initial one
+    included.  One worker expands states in exact BFS order.  The seen
+    set keys on the 63-bit {!Fingerprint.hash}: distinct states collide
+    with probability about [n^2 / 2^63] for [n] states, the one thing
+    {!Explore.run}, the exact reference, cannot get wrong.
 
-    Determinism contract across [jobs]:
+    Determinism contract, against {!Explore.run} at every [jobs]:
     - a non-truncated run with no violation reports exactly the
-      sequential explorer's counts ([states], [transitions], [depth],
-      [deadlocks]) and [covered] list: every reachable state is inserted
-      exactly once, and transitions/deadlocks are counted only on a
-      state's first expansion (depth-improvement re-expansions recount
-      nothing).  One caveat under [mem_budget]: [depth] may overstate
-      when a spilled entry is later depth-improved (the stale deeper
-      copy persists on disk until a merge rewrites it);
+      reference's counts ([states], [transitions], [depth], [deadlocks])
+      and [covered] list: every reachable state is inserted exactly
+      once, and transitions/deadlocks are counted only on a state's
+      first expansion (depth-improvement re-expansions recount nothing).
+      Under a symmetry reducer this holds at one worker; at several the
+      class representatives, and so the counts, depend on the schedule.
+      One caveat under [mem_budget]: [depth] may overstate when a
+      spilled entry is later depth-improved (the stale deeper copy
+      persists on disk until a merge rewrites it);
     - a violating run reports a violation of minimal depth; among
       equal-depth violations the smallest fingerprint wins, so the
       verdict, the violated invariant and the counterexample length are
-      deterministic.  State counts of violating runs are not comparable
-      across [jobs] (pruning races with discovery), matching the
-      sequential explorer's early stop;
+      deterministic.  State counts of violating runs are not comparable:
+      the engine finishes the frontier below the minimal violating depth
+      where the reference stops at the first violation, and at several
+      workers pruning races with discovery;
     - [max_states] may overshoot by the successors in flight (at most one
       expansion batch per worker) before every worker observes the cap.
 
@@ -98,15 +103,23 @@ val max_jobs : int
            [Invalid_argument] if the snapshot does not match the model.
     @param run_config opaque JSON echoed into each snapshot's manifest,
            so [gcmodel resume] can rebuild the model and flags.
+    @param on_store called once with the seen-set after the pool joins,
+           before the store goes out of scope; certificate writers dump
+           it ([Certify.Writer.of_store]).
 
-    Remaining parameters are as in {!Explore.run}.  When [obs] is
+    [max_states] (default 1,000,000), [normal_form], [track_coverage]
+    and [reducer] are as in {!Explore.run}; [heartbeat_every] (default
+    20,000) counts each worker's expansions.  When [obs] is
     enabled, each worker emits its own [heartbeat] records tagged with a
     [domain] index (the [frontier] field reports the pending-task count)
     carrying store occupancy ([bytes_resident], [mem_budget],
     [segments], [spilled_states], and a [store] metrics dump with a
     per-shard [bytes_resident.NN] gauge each), each worker reports its
     own per-[invariant] records (aggregate across domains for totals),
-    and the run ends with an [outcome] record, a [scaling] record
+    a reducer adds a [reduction] record,
+    and the run ends with a [profile] record (per-phase wall time and
+    call counts summed over the workers, [other_s] the rest of their
+    busy time, and GC deltas), an [outcome] record, a [scaling] record
     ([jobs], [states], [elapsed_s], [states_per_sec]) for
     speedup-vs-domains tracking, and a [scaling-detail] record:
     per-domain busy and idle seconds, steal / failed-steal / stolen-task

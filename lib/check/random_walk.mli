@@ -26,7 +26,8 @@ val pp_outcome : ('a, 'v, 's) outcome Fmt.t
            [trace_tail] yields a trace holding only the final
            [trace_tail] steps — its [steps] then do not replay from
            [initial].
-    @param obs as in {!Explore.run}: [heartbeat] records every
+    @param obs observability reporter (default {!Obs.Reporter.null}):
+           [heartbeat] records every
            [heartbeat_every] steps (steps/sec, runs, dead-end restarts,
            GC words), per-[invariant] records, and a final [outcome]
            record.

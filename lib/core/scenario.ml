@@ -45,12 +45,12 @@ let invariants ?(safety_only = false) sc =
   in
   List.map (fun i -> (i.Invariants.name, i.Invariants.check)) invs
 
-(* [jobs = 1] (the default) is the sequential checker, bit for bit:
-   Par_explore.run and Random_walk.swarm both delegate.  [reduce]
-   defaults to None_ for the same reason — callers opt in — and is
-   applied identically on the sequential and [jobs > 1] paths (the same
-   Reduction.reducer value is threaded either way; its counters are
-   atomic, so domains can share it). *)
+(* Exploration runs the engine (Par_explore.run) with [jobs] workers,
+   one by default; the walk delegates to Random_walk.swarm, which at
+   [jobs = 1] is the single walker.  [reduce] defaults to None_ —
+   callers opt in — and is applied identically at every [jobs] (the
+   same Reduction.reducer value is threaded either way; its counters
+   are atomic, so domains can share it). *)
 let explore ?(max_states = 30_000_000) ?(jobs = 1) ?safety_only ?obs
     ?(reduce = Reduce.Mode.None_) sc =
   let reducer = Reduction.reducer sc.cfg reduce in

@@ -31,11 +31,12 @@ val invariants : ?safety_only:bool -> t -> (string * (Model.sys -> bool)) list
 (** The invariant catalogue instantiated for the scenario's configuration,
     as (name, predicate) pairs for the checker. *)
 
-(** [jobs] worker domains (default 1 = the sequential checker, bit for
-    bit; see {!Check.Par_explore.run} / {!Check.Random_walk.swarm}).
-    [reduce] (default {!Reduce.Mode.None_}, i.e. the seed behaviour)
-    selects the state-space reduction; it is applied identically on the
-    sequential and [jobs > 1] paths.  The [bin/] tools default explore
+(** [explore] runs the exploration engine, {!Check.Par_explore.run},
+    with [jobs] worker domains (default 1: one worker on the calling
+    domain, exact BFS order); [random_walk] runs
+    {!Check.Random_walk.swarm}.  [reduce] (default {!Reduce.Mode.None_},
+    i.e. the seed behaviour) selects the state-space reduction; it is
+    applied identically at every [jobs].  The [bin/] tools default explore
     to [all] — the library default stays [None_] so existing callers
     and the differential tests get unreduced semantics unless they
     opt in. *)

@@ -230,13 +230,13 @@ let check_mutant ~budget ~jobs ~reduce ~scenarios (m : mutant) =
    A [Survived { closed = true }] verdict claims equivalence at the
    suite's bounds, but the claim lives only in the campaign's output.
    With a certificate directory, the campaign *closes* each surviving
-   equivalent by certificate: per applicable scenario, a deterministic
-   sweep (Certify.Recheck.sweep — the validator's own BFS, not the
-   explorer) re-derives the reach table and writes a certificate whose
+   equivalent by certificate: per applicable scenario, a one-worker
+   certifying run (Certify.Writer.explore, whatever [jobs] the kill
+   search used) produces the reach table and writes a certificate whose
    header embeds a run configuration `gcmodel recheck` can rebuild the
    mutated instance from, via the same --mutant spelling the campaign
    uses.  The equivalence claim then stays checkable long after the
-   campaign ran, by a validator that shares no code with it.
+   campaign ran, by a validator that shares no code with the explorer.
 
    Caveat: a custom scenario whose configuration tweak is not
    expressible in the raw explore flags produces a certificate recheck
@@ -291,7 +291,12 @@ let certify_survivor ~dir ~reduce ~scenarios (m : mutant) =
         let model = Core.Scenario.model sc' in
         let reducer = Core.Reduction.reducer cfg reduce in
         let invariants = Core.Scenario.invariants sc' in
-        match Certify.Recheck.sweep ~reducer ~invariants model.Core.Model.system with
+        (* no state cap: the survivor already closed within the budget *)
+        match
+          snd
+            (Certify.Writer.explore ~max_states:max_int ?reducer ~invariants
+               model.Core.Model.system)
+        with
         | Error e -> Error (sc.Core.Scenario.label, e)
         | Ok (entries, max_depth) -> (
           let out =

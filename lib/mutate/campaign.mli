@@ -88,8 +88,9 @@ val run :
 
     With [certificates] set, each [Survived { closed = true }] mutant's
     equivalence claim is closed by certificate: per applicable scenario
-    a deterministic sweep re-derives the reach table and writes a
-    certificate into [certificates]/(mutant)/(scenario), validatable by
+    a one-worker certifying run ({!Certify.Writer.explore}) produces the
+    reach table and writes a certificate into
+    [certificates]/(mutant)/(scenario), validatable by
     [gcmodel recheck] (the header embeds a run configuration that
     rebuilds the mutated instance via [--mutant]).  One ["certificate"]
     record per written — or failed — certificate goes to [obs]; a

@@ -1,9 +1,9 @@
 (* Tests for the certifying checker (lib/certify): certificate
-   round-trips through both producers (jobs=1 store dump, jobs>1
-   deterministic sweep) under reduce none/all, byte-determinism across
-   producers, certdiff, and the adversarial tamper cases — a tampered
-   certificate must fail closed with a diagnostic naming the offending
-   fingerprint or header field, never validate. *)
+   round-trips after a jobs=1 and a jobs=4 verdict run under reduce
+   none/all, byte-determinism across those two, certdiff, survivor
+   certificates from a mutation campaign, and the adversarial tamper
+   cases — a tampered certificate must fail closed with a diagnostic
+   naming the offending fingerprint or header field, never validate. *)
 
 let sc =
   Core.Scenario.make ~label:"cert-test" ~n_muts:1 ~n_refs:2 ~max_mut_ops:1 ~shape:"single" ()
@@ -22,11 +22,13 @@ let fresh_dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "gccert-test-%d-%d" (Unix.getpid ()) !n)
 
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
 
 let contains ~sub s =
   let n = String.length s and m = String.length sub in
@@ -35,29 +37,21 @@ let contains ~sub s =
 
 let ok_or_fail what = function Ok v -> v | Error e -> Alcotest.fail (what ^ ": " ^ e)
 
-(* Produce a certificate the way `gcmodel explore --jobs N` does: N=1
-   dumps the explorer's own store (FIFO BFS, stamps are BFS distances),
-   N>1 re-derives the table with the deterministic sweep. *)
+(* Produce a certificate the way `gcmodel explore --jobs N --certificate`
+   does: the table always comes from the one-worker certifying run
+   (Certify.Writer.explore), which at N=1 is the verdict run and at N>1
+   follows an N-worker verdict run. *)
 let make_cert ~jobs ~mode dir =
   let reducer = reducer_of mode in
-  let entries, max_depth =
-    if jobs <= 1 then begin
-      let dump = ref None in
-      let on_store st = dump := Some (Certify.Writer.of_store st) in
-      let o = Check.Par_explore.run ~jobs:1 ~on_store ?reducer ~invariants (initial ()) in
-      Alcotest.(check bool) "run closed without violation" true
-        ((not o.Check.Explore.truncated) && o.Check.Explore.violation = None);
-      match !dump with
-      | None -> Alcotest.fail "on_store never fired"
-      | Some r -> ok_or_fail "of_store" r
-    end
-    else begin
-      let o = Check.Par_explore.run ~jobs ?reducer ~invariants (initial ()) in
-      Alcotest.(check bool) "parallel run closed without violation" true
-        ((not o.Check.Explore.truncated) && o.Check.Explore.violation = None);
-      ok_or_fail "sweep" (Certify.Recheck.sweep ~reducer ~invariants (initial ()))
-    end
+  let closed (o : _ Check.Explore.outcome) =
+    (not o.Check.Explore.truncated) && o.Check.Explore.violation = None
   in
+  if jobs > 1 then
+    Alcotest.(check bool) "parallel run closed without violation" true
+      (closed (Check.Par_explore.run ~jobs ?reducer ~invariants (initial ())));
+  let o, table = Certify.Writer.explore ?reducer ~invariants (initial ()) in
+  Alcotest.(check bool) "run closed without violation" true (closed o);
+  let entries, max_depth = ok_or_fail "certifying run" table in
   ok_or_fail "write"
     (Certify.Writer.write ~dir ~config_hash ~reduce:(Reduce.Mode.to_string mode)
        ~invariant_names:(List.map fst invariants) ~run_config ~max_depth entries)
@@ -66,7 +60,7 @@ let validate ?(hash = config_hash) ~mode dir =
   Certify.Recheck.validate ~reducer:(reducer_of mode) ~invariants ~config_hash:hash ~dir
     (initial ())
 
-(* -- Round-trips: both producers x reduce none/all ------------------------- *)
+(* -- Round-trips: jobs 1/4 x reduce none/all -------------------------------- *)
 
 let round_trip ~jobs ~mode () =
   let dir = fresh_dir () in
@@ -94,14 +88,14 @@ let test_mode_is_part_of_the_claim () =
     Alcotest.(check bool) ("names the reduce field: " ^ e) true
       (contains ~sub:"\"reduce\"" e)
 
-(* -- Determinism: both producers emit byte-identical tables ---------------- *)
+(* -- Determinism: jobs 1 and 4 emit byte-identical tables ------------------ *)
 
 let test_producers_agree_bytewise () =
   let da = fresh_dir () and db = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf da; rm_rf db) @@ fun () ->
   let ha = make_cert ~jobs:1 ~mode:Reduce.Mode.All da in
   let hb = make_cert ~jobs:4 ~mode:Reduce.Mode.All db in
-  Alcotest.(check string) "table digests agree across producers"
+  Alcotest.(check string) "table digests agree at jobs 1 and 4"
     ha.Certify.Certificate.table_digest hb.Certify.Certificate.table_digest;
   let d = ok_or_fail "certdiff" (Certify.Diff.run da db) in
   Alcotest.(check bool) "certdiff sees identical certificates" true (Certify.Diff.identical d)
@@ -211,15 +205,61 @@ let test_dropped_entry =
     };
   expect_fail ~what:"dropped entry" ~subs:[ "closure miss" ] dir
 
+(* -- Survivor certificates: a campaign closes an equivalent mutant by
+      certificate, and recheck accepts every certificate it writes ------- *)
+
+let test_campaign_survivor_certificates () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let m =
+    match Mutate.Operators.by_name cfg "drop-fence:mut:hs-load-fence" with
+    | Some op -> Mutate.Campaign.of_operator op
+    | None -> Alcotest.fail "operator drop-fence:mut:hs-load-fence is missing"
+  in
+  Alcotest.(check bool) "the mutant is expected equivalent" true
+    m.Mutate.Campaign.expected_equivalent;
+  let obs, dump = Obs.Reporter.memory () in
+  let out = Mutate.Campaign.run ~obs ~scenarios:[ sc ] ~certificates:dir ~mutants:[ m ] () in
+  Obs.Reporter.close obs;
+  (match out.Mutate.Campaign.entries with
+  | [ { Mutate.Campaign.classification = Survived { closed = true }; _ } ] -> ()
+  | _ -> Alcotest.fail "the mutant must survive with its scenario closed");
+  let field name = function Obs.Json.Obj fields -> List.assoc_opt name fields | _ -> None in
+  let certs =
+    List.filter_map
+      (fun r ->
+        if field "event" r <> Some (Obs.Json.String "certificate") then None
+        else
+          match (field "dir" r, field "error" r) with
+          | Some (Obs.Json.String d), None -> Some d
+          | _, Some e -> Alcotest.failf "certificate refused: %s" (Obs.Json.to_string e)
+          | _ -> Alcotest.fail "certificate record without a dir")
+      (dump ())
+  in
+  Alcotest.(check int) "one certificate for the one scenario" 1 (List.length certs);
+  let cfg' = m.Mutate.Campaign.tweak cfg in
+  let sc' = { sc with Core.Scenario.cfg = cfg' } in
+  List.iter
+    (fun d ->
+      let _, st =
+        ok_or_fail "recheck"
+          (Certify.Recheck.validate
+             ~reducer:(Core.Reduction.reducer cfg' Reduce.Mode.All)
+             ~invariants:(Core.Scenario.invariants sc') ~config_hash:(Core.Config.hash cfg') ~dir:d
+             (Core.Scenario.model sc').Core.Model.system)
+      in
+      Alcotest.(check bool) "the certificate covers states" true (st.Certify.Recheck.states > 0))
+    certs
+
 let suite =
   [
     Alcotest.test_case "round-trip (store dump, reduce all)" `Quick
       (round_trip ~jobs:1 ~mode:Reduce.Mode.All);
     Alcotest.test_case "round-trip (store dump, reduce none)" `Quick
       (round_trip ~jobs:1 ~mode:Reduce.Mode.None_);
-    Alcotest.test_case "round-trip (jobs=4 sweep, reduce all)" `Quick
+    Alcotest.test_case "round-trip (jobs=4 run, reduce all)" `Quick
       (round_trip ~jobs:4 ~mode:Reduce.Mode.All);
-    Alcotest.test_case "round-trip (jobs=4 sweep, reduce none)" `Quick
+    Alcotest.test_case "round-trip (jobs=4 run, reduce none)" `Quick
       (round_trip ~jobs:4 ~mode:Reduce.Mode.None_);
     Alcotest.test_case "reduce mode is part of the claim" `Quick test_mode_is_part_of_the_claim;
     Alcotest.test_case "producers emit byte-identical tables" `Quick
@@ -231,4 +271,6 @@ let suite =
     Alcotest.test_case "tamper: dropped obligation" `Quick test_dropped_obligation;
     Alcotest.test_case "tamper: wrong-config header" `Quick test_wrong_config_header;
     Alcotest.test_case "tamper: dropped entry behind a valid digest" `Quick test_dropped_entry;
+    Alcotest.test_case "campaign survivor certificates recheck" `Quick
+      test_campaign_survivor_certificates;
   ]

@@ -164,35 +164,48 @@ let bounded_counter () : (int, int, int) System.t =
   in
   System.make [| "p" |] [| proc p 0 |]
 
+(* the engine's counts at [jobs] against the exact reference BFS *)
+let check_counts ~jobs (seq : _ Check.Explore.outcome) (par : _ Check.Explore.outcome) =
+  let check what a b = Alcotest.(check int) (Fmt.str "%s at jobs=%d" what jobs) a b in
+  check "states" seq.Check.Explore.states par.Check.Explore.states;
+  check "transitions" seq.Check.Explore.transitions par.Check.Explore.transitions;
+  check "depth" seq.Check.Explore.depth par.Check.Explore.depth;
+  check "deadlocks" seq.Check.Explore.deadlocks par.Check.Explore.deadlocks
+
 let test_par_matches_seq_counts () =
   let seq = Check.Explore.run ~normal_form:false ~invariants:[] (bounded_counter ()) in
-  let par = Check.Par_explore.run ~jobs:4 ~normal_form:false ~invariants:[] (bounded_counter ()) in
-  Alcotest.(check int) "states" seq.Check.Explore.states par.Check.Explore.states;
-  Alcotest.(check int) "transitions" seq.Check.Explore.transitions par.Check.Explore.transitions;
-  Alcotest.(check int) "depth" seq.Check.Explore.depth par.Check.Explore.depth;
-  Alcotest.(check int) "deadlocks" seq.Check.Explore.deadlocks par.Check.Explore.deadlocks;
-  Alcotest.(check bool) "closed" false par.Check.Explore.truncated;
-  Alcotest.(check bool) "no violation" true (par.Check.Explore.violation = None)
+  List.iter
+    (fun jobs ->
+      let par =
+        Check.Par_explore.run ~jobs ~normal_form:false ~invariants:[] (bounded_counter ())
+      in
+      check_counts ~jobs seq par;
+      Alcotest.(check bool) "closed" false par.Check.Explore.truncated;
+      Alcotest.(check bool) "no violation" true (par.Check.Explore.violation = None))
+    [ 1; 4 ]
 
 let test_par_matches_seq_gc_scenario () =
   (* a real GC-model instance: wide frontiers (hundreds of states per
      level) actually fan out across domains and through the sharded
-     seen-set; every count and the verdict must match the sequential
-     explorer *)
+     seen-set; every count and the verdict must match the exact
+     reference BFS, at one worker too *)
   let sc = Core.Scenario.make ~label:"par-eq" ~n_refs:2 ~shape:"single" ~max_mut_ops:1 () in
-  let seq = Core.Scenario.explore sc in
-  let par = Core.Scenario.explore ~jobs:4 sc in
-  Alcotest.(check int) "states" seq.Check.Explore.states par.Check.Explore.states;
-  Alcotest.(check int) "transitions" seq.Check.Explore.transitions par.Check.Explore.transitions;
-  Alcotest.(check int) "depth" seq.Check.Explore.depth par.Check.Explore.depth;
-  Alcotest.(check int) "deadlocks" seq.Check.Explore.deadlocks par.Check.Explore.deadlocks;
-  Alcotest.(check bool) "verdict" (seq.Check.Explore.violation = None)
-    (par.Check.Explore.violation = None)
+  let seq =
+    Check.Explore.run ~invariants:(Core.Scenario.invariants sc)
+      (Core.Scenario.model sc).Core.Model.system
+  in
+  List.iter
+    (fun jobs ->
+      let par = Core.Scenario.explore ~jobs sc in
+      check_counts ~jobs seq par;
+      Alcotest.(check bool) "verdict" (seq.Check.Explore.violation = None)
+        (par.Check.Explore.violation = None))
+    [ 1; 4 ]
 
 let test_par_violation_same_name_and_length () =
-  (* seeded violations: --jobs 1 and --jobs 4 must report the same
-     invariant and a shortest trace of the same length, at depth 1 and at
-     depth 3 *)
+  (* seeded violations: the engine at --jobs 1, 2 and 4 must report the
+     reference's invariant and a shortest trace of the same length, at
+     depth 1 and at depth 3 *)
   let sys () : (int, int, int) System.t =
     let p : com = Com.Loop (Com.Local_op ("step", fun s -> [ s + 1; s + 3 ])) in
     System.make [| "p" |] [| proc p 0 |]
@@ -212,19 +225,26 @@ let test_par_violation_same_name_and_length () =
           Alcotest.(check string) "same invariant (par)" name ptr.Check.Trace.broken;
           Alcotest.(check int) "par trace has the same length" expected_len (Check.Trace.length ptr)
         | None -> Alcotest.fail "parallel explorer must find the violation")
-      [ 2; 4 ]
+      [ 1; 2; 4 ]
   in
   check_both "not-three" (fun sys -> (System.proc sys 0).Com.data <> 3) 1;
   check_both "not-five" (fun sys -> (System.proc sys 0).Com.data <> 5) 3
 
 let test_par_coverage_matches_seq () =
   let sc = Core.Scenario.make ~label:"par-cov" ~n_refs:2 ~shape:"single" ~max_mut_ops:1 () in
-  let run jobs =
-    (Check.Par_explore.run ~jobs ~track_coverage:true ~invariants:[]
-       (Core.Scenario.model sc).Core.Model.system)
-      .Check.Explore.covered
+  let sys () = (Core.Scenario.model sc).Core.Model.system in
+  let seq =
+    (Check.Explore.run ~track_coverage:true ~invariants:[] (sys ())).Check.Explore.covered
   in
-  Alcotest.(check int) "same covered set, same order" 0 (compare (run 1) (run 4))
+  List.iter
+    (fun jobs ->
+      let par =
+        (Check.Par_explore.run ~jobs ~track_coverage:true ~invariants:[] (sys ()))
+          .Check.Explore.covered
+      in
+      Alcotest.(check bool) (Fmt.str "same covered set, same order at jobs=%d" jobs) true
+        (seq = par))
+    [ 1; 4 ]
 
 (* -- work-stealing seen-set and termination-detection edge cases ------------ *)
 
@@ -373,9 +393,9 @@ let test_par_steal_during_termination_probe () =
   Alcotest.(check int) "depth" seq.Check.Explore.depth par.Check.Explore.depth;
   Alcotest.(check int) "deadlocks" seq.Check.Explore.deadlocks par.Check.Explore.deadlocks
 
-(* Acceptance: verdict, violated invariant and counterexample length are
-   identical across --jobs 1/2/4, with and without --reduce all, on a GC
-   instance. *)
+(* Acceptance: verdict, violated invariant and counterexample length at
+   --jobs 1/2/4 are the exact reference's, with and without --reduce all,
+   on a GC instance. *)
 let test_par_jobs_equivalence_with_reduce () =
   let sc = Core.Scenario.make ~label:"par-eq-red" ~n_refs:2 ~shape:"single" ~max_mut_ops:1 () in
   let verdict (o : _ Check.Explore.outcome) =
@@ -385,14 +405,20 @@ let test_par_jobs_equivalence_with_reduce () =
   in
   List.iter
     (fun reduce ->
-      let base = verdict (Core.Scenario.explore ~jobs:1 ~reduce sc) in
+      let base =
+        verdict
+          (Check.Explore.run
+             ?reducer:(Core.Reduction.reducer sc.Core.Scenario.cfg reduce)
+             ~invariants:(Core.Scenario.invariants sc)
+             (Core.Scenario.model sc).Core.Model.system)
+      in
       List.iter
         (fun jobs ->
           Alcotest.(check (pair string int))
             (Fmt.str "verdict equivalence at jobs=%d reduce=%s" jobs (Reduce.Mode.to_string reduce))
             base
             (verdict (Core.Scenario.explore ~jobs ~reduce sc)))
-        [ 2; 4 ])
+        [ 1; 2; 4 ])
     [ Reduce.Mode.None_; Reduce.Mode.All ]
 
 (* -- the random-walk swarm -------------------------------------------------- *)

@@ -166,12 +166,10 @@ let test_html_smoke () =
 
 (* -- checker profiling --------------------------------------------------------- *)
 
-let test_profile_record () =
-  let sc = nd_barrier () in
+(* the one profile record of an explore run, with all its fields *)
+let profile_of ?jobs ?safety_only ?reduce sc =
   let obs, dump = Obs.Reporter.memory () in
-  let (_ : _ Check.Explore.outcome) =
-    Core.Scenario.explore ~safety_only:true ~reduce:Reduce.Mode.All ~obs sc
-  in
+  let o = Core.Scenario.explore ?jobs ?safety_only ?reduce ~obs sc in
   Obs.Reporter.close obs;
   let field name = function
     | Obs.Json.Obj fields -> List.assoc_opt name fields
@@ -180,7 +178,7 @@ let test_profile_record () =
   let profiles =
     List.filter (fun r -> field "event" r = Some (Obs.Json.String "profile")) (dump ())
   in
-  Alcotest.(check bool) "exactly one profile record" true (List.length profiles = 1);
+  Alcotest.(check int) "exactly one profile record" 1 (List.length profiles);
   let p = List.hd profiles in
   List.iter
     (fun key ->
@@ -191,10 +189,34 @@ let test_profile_record () =
       "other_s"; "minor_words"; "promoted_words"; "major_words"; "minor_collections";
       "major_collections"; "heap_words";
     ];
+  let int_field key =
+    match field key p with
+    | Some (Obs.Json.Int n) -> n
+    | _ -> Alcotest.failf "%s is not an int" key
+  in
+  (o, int_field)
+
+let test_profile_record () =
+  let _, field = profile_of ~safety_only:true ~reduce:Reduce.Mode.All (nd_barrier ()) in
   (* attribution is real work, not zeroes *)
-  (match field "invariant_evals" p with
-  | Some (Obs.Json.Int n) -> Alcotest.(check bool) "invariants were evaluated" true (n > 0)
-  | _ -> Alcotest.fail "invariant_evals is not an int")
+  Alcotest.(check bool) "invariants were evaluated" true (field "invariant_evals" > 0);
+  (* on a clean instance every state evaluates every invariant exactly
+     once, whichever worker inserts it: the summed count does not depend
+     on the schedule *)
+  let sc = Core.Scenario.make ~label:"profile" ~n_refs:2 ~shape:"single" ~max_mut_ops:1 () in
+  let n_invariants = List.length (Core.Scenario.invariants sc) in
+  List.iter
+    (fun jobs ->
+      let o, field = profile_of ~jobs sc in
+      Alcotest.(check bool) "clean and closed" true
+        (o.Check.Explore.violation = None && not o.Check.Explore.truncated);
+      Alcotest.(check int) (Fmt.str "states in the profile at jobs=%d" jobs)
+        o.Check.Explore.states (field "states");
+      Alcotest.(check int)
+        (Fmt.str "invariant_evals = states x invariants at jobs=%d" jobs)
+        (o.Check.Explore.states * n_invariants)
+        (field "invariant_evals"))
+    [ 1; 2 ]
 
 let suite =
   [

@@ -288,7 +288,7 @@ let test_explore_jsonl_stream () =
   let sys = System.make [| "p" |] [| proc p 0 |] in
   let obs = Obs.Reporter.jsonl path in
   let o =
-    Check.Explore.run ~max_states:500 ~heartbeat_every:100 ~obs
+    Check.Par_explore.run ~max_states:500 ~heartbeat_every:100 ~obs
       ~invariants:[ ("true", fun _ -> true) ]
       sys
   in

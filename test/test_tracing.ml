@@ -187,8 +187,8 @@ let test_par_explore_traces_and_scaling_detail () =
   let tracer = Obs.Tracing.create ~domains:2 () in
   let o = Check.Par_explore.run ~jobs:2 ~obs ~tracer ~invariants model.Core.Model.system in
   Obs.Reporter.close obs;
-  let seq = Check.Par_explore.run ~jobs:1 ~invariants model.Core.Model.system in
-  Alcotest.(check int) "jobs=2 visits the sequential state count" seq.Check.Explore.states
+  let seq = Check.Explore.run ~invariants model.Core.Model.system in
+  Alcotest.(check int) "jobs=2 visits the reference state count" seq.Check.Explore.states
     o.Check.Explore.states;
   (* spans: both worker lanes carry events, and the work-stealing span
      taxonomy replaces the old barrier one (every worker ends its run
