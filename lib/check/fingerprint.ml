@@ -8,7 +8,10 @@
 
    Hashing is a compact structural fingerprint: an FNV-1a-style mix over
    the label spine and a traversal of the data representation, computed
-   once at [of_system] and cached.  It replaces the former
+   once when the fingerprint is built ([of_system] or [of_parts]) and
+   cached.  Its values are stored in certificate tables (GCCERT001) and
+   checkpoints, so the mix sequence below is a file format: changing it
+   invalidates every stored fingerprint.  It replaces the former
    [Hashtbl.hash_param 64 256] polymorphic hash, which (a) re-walked the
    whole value on every probe, (b) truncated deep states at its
    meaningful-node budget, and (c) folded to 30 bits.  The structural mix
@@ -29,37 +32,49 @@ type t = {
 let fnv_prime = 0x100000001b3
 let mix h x = (h lxor x) * fnv_prime
 
+(* A closure-free loop over the characters, so the accumulator stays in
+   a register: labels are most of the bytes a control spine mixes. *)
 let mix_string h s =
   let h = ref (mix h (String.length s)) in
-  String.iter (fun c -> h := mix !h (Char.code c)) s;
+  for i = 0 to String.length s - 1 do
+    h := mix !h (Char.code (String.unsafe_get s i))
+  done;
   !h
 
 (* Structural walk of a data payload.  Only the representations canonical
    data can have: immediates, scannable blocks, strings, boxed floats.
    Functional and abstract values violate the module contract (they would
-   also break the explorer's structural [equal]), so fail loudly. *)
+   also break the explorer's structural [equal]), so fail loudly.
+
+   The tags of lazy, closure, object, infix and forward blocks are the
+   contiguous range [lazy_tag .. forward_tag] just below [no_scan_tag],
+   so one comparison admits every ordinary block to the scan path;
+   immediate fields are mixed in place, without a call.  The mix sequence
+   is exactly that of a call per field: [mix (mix h 3) v] for an
+   immediate [v], and the tag-and-size header then the fields for a
+   block. *)
 let rec mix_obj h (o : Stdlib.Obj.t) =
-  if Stdlib.Obj.is_int o then mix (mix h 3) (Stdlib.Obj.obj o : int)
-  else begin
-    let tag = Stdlib.Obj.tag o in
-    if tag = Stdlib.Obj.closure_tag || tag = Stdlib.Obj.infix_tag
-       || tag = Stdlib.Obj.object_tag || tag = Stdlib.Obj.lazy_tag
-       || tag = Stdlib.Obj.forward_tag
-    then invalid_arg "Fingerprint: non-canonical value in a data state"
-    else if tag < Stdlib.Obj.no_scan_tag then begin
-      let n = Stdlib.Obj.size o in
-      let acc = ref (mix (mix (mix h 5) tag) n) in
-      for i = 0 to n - 1 do
-        acc := mix_obj !acc (Stdlib.Obj.field o i)
-      done;
-      !acc
-    end
-    else if tag = Stdlib.Obj.string_tag then mix_string (mix h 7) (Stdlib.Obj.obj o : string)
-    else if tag = Stdlib.Obj.double_tag then
-      mix (mix h 9) (Int64.to_int (Int64.bits_of_float (Stdlib.Obj.obj o : float)))
-    else (* custom blocks (Int64.t etc.): content-hashed polymorphically *)
-      mix (mix h 11) (Hashtbl.hash o)
+  if Stdlib.Obj.is_int o then mix (mix h 3) (Stdlib.Obj.obj o : int) else mix_block h o
+
+and mix_block h o =
+  let tag = Stdlib.Obj.tag o in
+  if tag < Stdlib.Obj.lazy_tag then begin
+    let n = Stdlib.Obj.size o in
+    let acc = ref (mix (mix (mix h 5) tag) n) in
+    for i = 0 to n - 1 do
+      let f = Stdlib.Obj.field o i in
+      if Stdlib.Obj.is_int f then acc := mix (mix !acc 3) (Stdlib.Obj.obj f : int)
+      else acc := mix_block !acc f
+    done;
+    !acc
   end
+  else if tag < Stdlib.Obj.no_scan_tag then
+    invalid_arg "Fingerprint: non-canonical value in a data state"
+  else if tag = Stdlib.Obj.string_tag then mix_string (mix h 7) (Stdlib.Obj.obj o : string)
+  else if tag = Stdlib.Obj.double_tag then
+    mix (mix h 9) (Int64.to_int (Int64.bits_of_float (Stdlib.Obj.obj o : float)))
+  else (* custom blocks (Int64.t etc.): content-hashed polymorphically *)
+    mix (mix h 11) (Hashtbl.hash o)
 
 (* The data payloads are stashed as Obj.t to keep this module polymorphic in
    the system's state type; they are only ever consumed by the structural

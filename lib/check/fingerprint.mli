@@ -7,10 +7,17 @@
 
     Each fingerprint caches a compact word-sized structural hash (an
     FNV-1a-style mix over the label spine and the data representation,
-    never 0), computed once at {!of_system}.  It replaces the former
-    polymorphic [Hashtbl.hash_param] hash and is strong enough to key the
-    parallel explorer's seen-set on its own: collisions occur with
-    probability about [n^2 / 2^63] for [n] states. *)
+    never 0), computed once when it is built, by {!of_system} or
+    {!of_parts}.  It replaces the former polymorphic
+    [Hashtbl.hash_param] hash and is strong enough to key the parallel
+    explorer's seen-set on its own: collisions occur with probability
+    about [n^2 / 2^63] for [n] states.
+
+    The hash values are part of the GCCERT001 certificate table and the
+    checkpoint formats (both store them), so changing the mix is a format
+    change: every stored certificate and checkpoint would stop matching.
+    Tests pin literal values of both the mix and whole certificate
+    headers. *)
 
 type t
 
@@ -24,7 +31,9 @@ val of_system : ('a, 'v, 's) Cimp.System.t -> t
     *canonical representative* (e.g. with symmetric processes sorted or
     dead registers nulled) without materialising an executable system:
     the [data] payloads must satisfy the same canonical-plain-data
-    contract as process data states. *)
+    contract as process data states.  The compact hash is computed here,
+    once.  Raises [Invalid_argument] on a payload holding a closure,
+    infix, object, lazy or forward block. *)
 val of_parts : control:Cimp.Label.t list list -> data:Stdlib.Obj.t list -> t
 
 (** Structural equality (the cached hash is used as a cheap negative

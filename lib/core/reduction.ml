@@ -22,26 +22,34 @@
 open Types
 open State
 
-let spine_of sys p = Cimp.Com.stack_labels (Cimp.System.proc sys p).Cimp.Com.stack
-let head_of sys p = match spine_of sys p with [] -> "" | l :: _ -> l
+(* The current label of process [p]: the head label of its top frame. *)
+let head_of sys p =
+  match (Cimp.System.proc sys p).Cimp.Com.stack with [] -> "" | c :: _ -> Cimp.Com.head_label c
 
 (* -- register liveness ------------------------------------------------------
 
    [canon_mut]/[canon_gc] null dead registers, returning the argument
    physically unchanged when no rule fires (Symmetry counts a state as
    "nulled" via [!=]).  [spine] is the process's label spine, [h] its
-   head (current) label. *)
+   head (current) label.  The tests are typed (no polymorphic compare):
+   they run on every fingerprinted state. *)
+
+let is_mark_regs0 r =
+  Option.is_none r.mk_ref && (not r.mk_fM) && (not r.mk_flag) && r.mk_phase = Ph_idle
+  && not r.mk_winner
 
 let canon_mut spine h (d : mut_data) =
   (* At the top of the op loop (spine = [hs-read]: the Choose over ops,
      whose first branch is the handshake) every op-scratch register is
      dead: each op writes its own scratch before reading it.  m_roots,
      m_ops and m_rooted genuinely carry across ops and stay. *)
+  let at_op_loop = match spine with [ l ] -> String.equal l "mut:hs-read" | _ -> false in
   let d =
     if
-      spine = [ "mut:hs-read" ]
-      && (d.m_src <> None || d.m_dst <> None || d.m_fld <> 0 || d.m_fA || d.m_hs_pending
-         || d.m_hs_type <> Hs_get_work || d.m_todo <> [])
+      at_op_loop
+      && (Option.is_some d.m_src || Option.is_some d.m_dst || d.m_fld <> 0 || d.m_fA
+         || d.m_hs_pending || d.m_hs_type <> Hs_get_work
+         || match d.m_todo with [] -> false | _ :: _ -> true)
     then
       {
         d with
@@ -60,14 +68,14 @@ let canon_mut spine h (d : mut_data) =
      del-target assign, kept for non-normal-form belt and braces). *)
   let d =
     if
-      d.m_loaded <> None
-      && not (String.starts_with ~prefix:"mut:bar-del" h || h = "mut:del-target")
+      Option.is_some d.m_loaded
+      && not (String.starts_with ~prefix:"mut:bar-del" h || String.equal h "mut:del-target")
     then { d with m_loaded = None }
     else d
   in
   (* mark registers: live only inside an inlined mark expansion *)
   if
-    d.m_mark <> mark_regs0
+    (not (is_mark_regs0 d.m_mark))
     && not
          (String.starts_with ~prefix:"mut:bar-del" h
          || String.starts_with ~prefix:"mut:bar-ins" h
@@ -77,15 +85,17 @@ let canon_mut spine h (d : mut_data) =
 
 let canon_gc h (g : gc_data) =
   let g =
-    if g.g_mark <> mark_regs0 && not (String.starts_with ~prefix:"gc:mark:" h) then
+    if (not (is_mark_regs0 g.g_mark)) && not (String.starts_with ~prefix:"gc:mark:" h) then
       { g with g_mark = mark_regs0 }
     else g
   in
   (* g_ref: read by the sweep's flag load and free request closures and
      by free_only_garbage (which only fires at gc:free) *)
   let g =
-    if g.g_ref <> None && not (h = "gc:sweep-load-flag" || h = "gc:free") then
-      { g with g_ref = None }
+    if
+      Option.is_some g.g_ref
+      && not (String.equal h "gc:sweep-load-flag" || String.equal h "gc:free")
+    then { g with g_ref = None }
     else g
   in
   (* g_flag / g_any_pending: consumed by If/While tests, which are
@@ -105,9 +115,8 @@ let canon_gc h (g : gc_data) =
    its restriction m -> perm (m+1) - 1. *)
 
 let permute_idx permi l =
-  let arr = Array.of_list l in
-  let out = Array.copy arr in
-  Array.iteri (fun j x -> out.(permi j) <- x) arr;
+  let out = Array.of_list l in
+  List.iteri (fun j x -> out.(permi j) <- x) l;
   Array.to_list out
 
 let rename_sys ~perm sd =
@@ -129,23 +138,22 @@ let spec cfg : (Types.msg, Types.value, State.t) Reduce.Symmetry.spec =
   {
     Reduce.Symmetry.sym_pids = List.init cfg.Config.n_muts (Config.pid_mut cfg);
     canon_local =
-      (fun sys ~pid d ->
+      (fun _sys ~pid:_ ~spine d ->
+        let h = match spine with [] -> "" | l :: _ -> l in
         match d with
         | L_gc g ->
-          let g' = canon_gc (head_of sys pid) g in
+          let g' = canon_gc h g in
           if g' == g then d else L_gc g'
         | L_mut m ->
-          let spine = spine_of sys pid in
-          let h = match spine with [] -> "" | l :: _ -> l in
           let m' = canon_mut spine h m in
           if m' == m then d else L_mut m'
         | L_sys _ -> d);
     key =
-      (fun sys ~pid ~canon ->
+      (fun sys ~pid ~spine ~canon ->
         let sd = Model.sys_data sys cfg in
         let m = pid - 1 in
         Stdlib.Obj.repr
-          ( spine_of sys pid,
+          ( spine,
             mut canon,
             buf_of sd pid,
             wl_of sd pid,

@@ -25,11 +25,18 @@
 type ('a, 'v, 's) spec = {
   sym_pids : Cimp.System.pid list;
       (* the interchangeable processes; everything else keeps its slot *)
-  canon_local : ('a, 'v, 's) Cimp.System.t -> pid:Cimp.System.pid -> 's -> 's;
-      (* liveness canonicalization of one process's data at this state;
-         must return the argument *physically unchanged* when no rule
-         fires (change is detected by [!=]) *)
-  key : ('a, 'v, 's) Cimp.System.t -> pid:Cimp.System.pid -> canon:'s -> Stdlib.Obj.t;
+  canon_local :
+    ('a, 'v, 's) Cimp.System.t -> pid:Cimp.System.pid -> spine:Cimp.Label.t list -> 's -> 's;
+      (* liveness canonicalization of one process's data at this state,
+         given that process's label spine; must return the argument
+         *physically unchanged* when no rule fires (change is detected
+         by [!=]) *)
+  key :
+    ('a, 'v, 's) Cimp.System.t ->
+    pid:Cimp.System.pid ->
+    spine:Cimp.Label.t list ->
+    canon:'s ->
+    Stdlib.Obj.t;
       (* structural sort key of a symmetric process: must cover its
          control spine, canonical local data, and every per-process slice
          of shared state (store buffer, work-list, handshake bits, ...) *)
@@ -40,8 +47,12 @@ type ('a, 'v, 's) spec = {
   rename_shared : perm:(Cimp.System.pid -> Cimp.System.pid) -> pid:Cimp.System.pid -> 's -> 's;
       (* apply the pid renaming to one (canonicalized) data payload:
          per-process slices of shared state move with the permutation;
-         identity for payloads that mention no pids *)
+         identity for payloads that mention no pids, and structurally the
+         identity under the identity permutation (which is therefore
+         never applied) *)
 }
+
+let spine_of sys p = Cimp.Com.stack_labels (Cimp.System.proc sys p).Cimp.Com.stack
 
 (* Executable canonical representative: every process's local data with
    its dead registers nulled, pids untouched.  Unlike the permuted state
@@ -58,57 +69,75 @@ let canon_state spec sys =
     let d = (Cimp.System.proc sys p).Cimp.Com.data in
     (* spines are control state, unaffected by the data rewrites, so
        reading them from the original [sys] is sound *)
-    let c = spec.canon_local sys ~pid:p d in
+    let c = spec.canon_local sys ~pid:p ~spine:(spine_of sys p) d in
     if c != d then out := Cimp.System.map_data !out p (fun _ -> c)
   done;
   !out
 
-(* All permutations of a list, for the property tests. *)
+(* All permutations of a list, for the property tests.  The chosen
+   element is removed by position, so repeated elements are kept. *)
 let rec permutations = function
   | [] -> [ [] ]
   | l ->
-    List.concat_map
-      (fun x ->
-        let rest = List.filter (fun y -> y <> x) l in
-        List.map (fun p -> x :: p) (permutations rest))
-      l
+    List.concat
+      (List.mapi
+         (fun i x ->
+           let rest = List.filteri (fun j _ -> j <> i) l in
+           List.map (fun p -> x :: p) (permutations rest))
+         l)
 
 (* Canonical fingerprint of [sys] under [spec].  Returns the fingerprint
    plus whether the sort actually permuted anything and whether any
-   register was nulled (for the reduction counters). *)
+   register was nulled (for the reduction counters).
+
+   Every checker worker calls this concurrently on every generated
+   successor, so it is pure (no memo table, no shared cache) and does
+   each piece of work once: each spine is built once and shared by
+   [canon_local], [key] and the fingerprint, and when the sort moves
+   nothing the canonical payloads are hashed as they are. *)
 let canonical_fingerprint spec sys =
   let n = Cimp.System.n_procs sys in
-  let data p = (Cimp.System.proc sys p).Cimp.Com.data in
-  let spine p = Cimp.Com.stack_labels (Cimp.System.proc sys p).Cimp.Com.stack in
+  let spines = Array.init n (spine_of sys) in
   let nulled = ref false in
   let canon =
     Array.init n (fun p ->
-        let d = data p in
-        let c = spec.canon_local sys ~pid:p d in
+        let d = (Cimp.System.proc sys p).Cimp.Com.data in
+        let c = spec.canon_local sys ~pid:p ~spine:spines.(p) d in
         if c != d then nulled := true;
         c)
   in
-  (* perm.(old_pid) = canonical slot; src.(slot) = old_pid *)
-  let perm = Array.init n Fun.id in
-  let src = Array.init n Fun.id in
-  let permuted = ref false in
-  let sym = Array.of_list spec.sym_pids in
-  if Array.length sym > 1 && spec.permute_ok sys then begin
-    let order = Array.map (fun p -> (spec.key sys ~pid:p ~canon:canon.(p), p)) sym in
-    (* stable, so equal keys keep their pid order and the identity wins
-       on fully symmetric states *)
-    Array.stable_sort (fun (k1, _) (k2, _) -> Stdlib.compare k1 k2) order;
-    Array.iteri
-      (fun i (_, p) ->
-        let slot = sym.(i) in
-        src.(slot) <- p;
-        perm.(p) <- slot;
-        if p <> slot then permuted := true)
-      order
-  end;
-  let control = List.init n (fun q -> spine src.(q)) in
-  let payload =
-    List.init n (fun q ->
-        Stdlib.Obj.repr (spec.rename_shared ~perm:(fun p -> perm.(p)) ~pid:q canon.(src.(q))))
+  (* src.(slot) = old_pid; None while the order is the identity *)
+  let src =
+    match spec.sym_pids with
+    | [] | [ _ ] -> None
+    | _ when not (spec.permute_ok sys) -> None
+    | sym_pids ->
+      let sym = Array.of_list sym_pids in
+      let order =
+        Array.map (fun p -> (spec.key sys ~pid:p ~spine:spines.(p) ~canon:canon.(p), p)) sym
+      in
+      (* stable, so equal keys keep their pid order and the identity wins
+         on fully symmetric states *)
+      Array.stable_sort (fun (k1, _) (k2, _) -> Stdlib.compare k1 k2) order;
+      if Array.for_all2 (fun (_, p) slot -> p = slot) order sym then None
+      else begin
+        let src = Array.init n Fun.id in
+        Array.iteri (fun i (_, p) -> src.(sym.(i)) <- p) order;
+        Some src
+      end
   in
-  (Check.Fingerprint.of_parts ~control ~data:payload, !permuted, !nulled)
+  match src with
+  | None ->
+    let control = Array.to_list spines in
+    let data = List.init n (fun q -> Stdlib.Obj.repr canon.(q)) in
+    (Check.Fingerprint.of_parts ~control ~data, false, !nulled)
+  | Some src ->
+    (* perm.(old_pid) = canonical slot *)
+    let perm = Array.make n 0 in
+    Array.iteri (fun slot p -> perm.(p) <- slot) src;
+    let perm p = perm.(p) in
+    let control = List.init n (fun q -> spines.(src.(q))) in
+    let data =
+      List.init n (fun q -> Stdlib.Obj.repr (spec.rename_shared ~perm ~pid:q canon.(src.(q))))
+    in
+    (Check.Fingerprint.of_parts ~control ~data, true, !nulled)

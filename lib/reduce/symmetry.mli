@@ -18,16 +18,30 @@
 
 type ('a, 'v, 's) spec = {
   sym_pids : Cimp.System.pid list;
-  canon_local : ('a, 'v, 's) Cimp.System.t -> pid:Cimp.System.pid -> 's -> 's;
-      (** must return its argument physically unchanged when no rule
-          fires; change is detected by [!=] *)
-  key : ('a, 'v, 's) Cimp.System.t -> pid:Cimp.System.pid -> canon:'s -> Stdlib.Obj.t;
-      (** structural sort key: control spine, canonical local data, and
-          every per-process slice of shared state *)
+  canon_local :
+    ('a, 'v, 's) Cimp.System.t -> pid:Cimp.System.pid -> spine:Cimp.Label.t list -> 's -> 's;
+      (** [canon_local sys ~pid ~spine d] nulls the dead registers of
+          process [pid]'s data [d].  [spine] is that process's label
+          spine ({!Cimp.Com.stack_labels} of its frame stack, head label
+          first), computed once by the caller and shared with [key] and
+          the fingerprint.  Must return [d] physically unchanged when no
+          rule fires; change is detected by [!=] *)
+  key :
+    ('a, 'v, 's) Cimp.System.t ->
+    pid:Cimp.System.pid ->
+    spine:Cimp.Label.t list ->
+    canon:'s ->
+    Stdlib.Obj.t;
+      (** [key sys ~pid ~spine ~canon]: structural sort key of symmetric
+          process [pid], given its label spine and its [canon_local]
+          data.  Must cover the control spine, the canonical local data,
+          and every per-process slice of shared state *)
   permute_ok : ('a, 'v, 's) Cimp.System.t -> bool;
   rename_shared : perm:(Cimp.System.pid -> Cimp.System.pid) -> pid:Cimp.System.pid -> 's -> 's;
       (** move per-process slices of shared state along the permutation;
-          identity for payloads that mention no pids *)
+          identity for payloads that mention no pids.  Only called when
+          the sort moved a process: under the identity permutation it
+          must be structurally the identity, and is skipped *)
 }
 
 (** [canon_state spec sys]: the executable canonical representative —
@@ -36,11 +50,15 @@ type ('a, 'v, 's) spec = {
     preserves {!canonical_fingerprint}. *)
 val canon_state : ('a, 'v, 's) spec -> ('a, 'v, 's) Cimp.System.t -> ('a, 'v, 's) Cimp.System.t
 
-(** All permutations of a list (property tests; factorial blowup). *)
+(** All permutations of a list, by position: a list of length [n] has
+    [n!] of them, repeated elements included (property tests; factorial
+    blowup). *)
 val permutations : 'a list -> 'a list list
 
 (** [canonical_fingerprint spec sys] = [(fp, permuted, nulled)]: the
     fingerprint of the canonical representative, whether the sort moved
-    any process, and whether any dead register was nulled. *)
+    any process, and whether any dead register was nulled.  Pure and
+    domain-safe (the checkers' workers call it concurrently); builds
+    each process's spine once per call. *)
 val canonical_fingerprint :
   ('a, 'v, 's) spec -> ('a, 'v, 's) Cimp.System.t -> Check.Fingerprint.t * bool * bool

@@ -76,6 +76,42 @@ let round_trip ~jobs ~mode () =
   Alcotest.(check bool) "some transitions were re-derived" true
     (st.Certify.Recheck.transitions > 0)
 
+(* -- Pinned header values ------------------------------------------------------
+
+   Certificates and checkpoints store fingerprint values, so the
+   fingerprint mix and the canonicalisation are part of the format: these
+   headers must not drift.  The instance is checked first, so a change to
+   the model is told apart from a change to the fingerprint.  Two mutators
+   under reduce all is where the symmetry sort actually permutes. *)
+
+let pinned ~n_muts ~mode ~config ~root_fp ~digest ~states ~max_depth () =
+  let sc =
+    Core.Scenario.make ~label:"cert-pinned" ~n_muts ~n_refs:2 ~max_mut_ops:1 ~shape:"single" ()
+  in
+  let cfg = sc.Core.Scenario.cfg in
+  Alcotest.(check string) "config_hash (the instance itself)" config (Core.Config.hash cfg);
+  let invariants = Core.Scenario.invariants sc in
+  let o, table =
+    Certify.Writer.explore ?reducer:(Core.Reduction.reducer cfg mode) ~invariants
+      (Core.Scenario.model sc).Core.Model.system
+  in
+  Alcotest.(check bool) "run closed without violation" true
+    ((not o.Check.Explore.truncated) && o.Check.Explore.violation = None);
+  let entries, max_depth' = ok_or_fail "certifying run" table in
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let h =
+    ok_or_fail "write"
+      (Certify.Writer.write ~dir ~config_hash:(Core.Config.hash cfg)
+         ~reduce:(Reduce.Mode.to_string mode) ~invariant_names:(List.map fst invariants)
+         ~run_config ~max_depth:max_depth' entries)
+  in
+  Alcotest.(check string) "header config_hash" config h.Certify.Certificate.config_hash;
+  Alcotest.(check int) "root_fp" root_fp h.Certify.Certificate.root_fp;
+  Alcotest.(check string) "table_digest" digest h.Certify.Certificate.table_digest;
+  Alcotest.(check int) "states" states h.Certify.Certificate.states;
+  Alcotest.(check int) "max_depth" max_depth h.Certify.Certificate.max_depth
+
 (* A wrong reduction mode at validation time is a header mismatch, not a
    crash: the certificate asserts closure of the *reduced* relation. *)
 let test_mode_is_part_of_the_claim () =
@@ -261,6 +297,18 @@ let suite =
       (round_trip ~jobs:4 ~mode:Reduce.Mode.All);
     Alcotest.test_case "round-trip (jobs=4 run, reduce none)" `Quick
       (round_trip ~jobs:4 ~mode:Reduce.Mode.None_);
+    Alcotest.test_case "pinned header (1 mutator, reduce none)" `Quick
+      (pinned ~n_muts:1 ~mode:Reduce.Mode.None_ ~config:"9c9619547ed81c40927cbb02d34d2c89"
+         ~root_fp:2394632907316496068 ~digest:"a62baf521f3c7cc192688d0d27e718c5" ~states:2_826
+         ~max_depth:102);
+    Alcotest.test_case "pinned header (1 mutator, reduce all)" `Quick
+      (pinned ~n_muts:1 ~mode:Reduce.Mode.All ~config:"9c9619547ed81c40927cbb02d34d2c89"
+         ~root_fp:2394632907316496068 ~digest:"6dd02c21ad34641ba0e37a52a0810fa3" ~states:1_176
+         ~max_depth:91);
+    Alcotest.test_case "pinned header (2 mutators, reduce all)" `Quick
+      (pinned ~n_muts:2 ~mode:Reduce.Mode.All ~config:"7b7680aa5dcfd320c7ef9d1d9bf30ca6"
+         ~root_fp:(-2417670118780099374) ~digest:"80efd2c5b01dd1e4102cda826f62204c"
+         ~states:28_656 ~max_depth:130);
     Alcotest.test_case "reduce mode is part of the claim" `Quick test_mode_is_part_of_the_claim;
     Alcotest.test_case "producers emit byte-identical tables" `Quick
       test_producers_agree_bytewise;

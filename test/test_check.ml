@@ -153,6 +153,56 @@ let test_fingerprint_hashes_distinct_and_stable () =
         (Check.Fingerprint.hash fp'))
     (List.filteri (fun i _ -> i < 128) fps)
 
+(* The mix itself is pinned: fingerprint values are stored in
+   certificate tables and checkpoints, so a change to any value is a
+   format change.  Literal (payload, hash) pairs of 64-bit OCaml cover
+   every branch of the data walk and the control spine. *)
+let test_fingerprint_mix_pinned () =
+  let o = Stdlib.Obj.repr in
+  let hash ~control ~data = Check.Fingerprint.hash (Check.Fingerprint.of_parts ~control ~data) in
+  List.iter
+    (fun (name, control, data, expected) ->
+      Alcotest.(check int) name expected (hash ~control ~data))
+    [
+      ("nothing", [], [], -2455861434336641879);
+      ("int 0", [], [ o 0 ], -2909792836339976902);
+      ("int 42", [], [ o 42 ], -2909768647084156260);
+      ("int -1", [], [ o (-1) ], 2909791736828348691);
+      ("max_int", [], [ o max_int ], -1701894281599039213);
+      ("bool, unit, char", [], [ o true; o (); o 'x' ], 3514615715335992333);
+      ("nested tuples", [], [ o (1, (2, 3), (true, (4, 5))) ], 1717613350686318152);
+      ("int list", [], [ o [ 1; 2; 3 ] ], -1932457934465071838);
+      ("list of lists", [], [ o [ [ 1 ]; []; [ 2; 3 ] ] ], -3873825818469810512);
+      ( "options",
+        [],
+        [ o (Some 3, (None : int option), Some (Some [ 1 ])) ],
+        -1961808778417716076 );
+      ("empty string", [], [ o "" ], -2905966535874559522);
+      ("long string", [], [ o "a string longer than eight bytes" ], 2937475729345543142);
+      ("boxed float", [], [ o 3.25 ], 957677741709055392);
+      ("Int64", [], [ o 0x1234_5678_9abc_def0L ], -3116572490697964817);
+      ("float array", [], [ o [| 1.0; -2.5 |] ], -3915065103952829492);
+      ("(int, float) pairs", [], [ o [ (1, 0.5); (2, -0.0) ] ], 1886788731287286071);
+      ( "multi-label spines",
+        [ [ "gc:mark:loop"; "gc:outer" ]; []; [ "mut:hs-read"; "mut:op"; "top" ] ],
+        [],
+        393948273107870058 );
+      ( "spines and data",
+        [ [ "a"; "" ]; [ "bcdefghijk" ] ],
+        [ o 1; o (Some "x"); o [ 1.5 ] ],
+        -4211228051672505397 );
+    ];
+  let rejects name v =
+    match hash ~control:[] ~data:[ v ] with
+    | _ -> Alcotest.fail (name ^ ": accepted a non-canonical payload")
+    | exception Invalid_argument _ -> ()
+  in
+  let r = ref 0 in
+  rejects "closure" (o (fun x -> x + !r));
+  rejects "closure in a tuple" (o (1, (fun x -> x + !r)));
+  rejects "lazy" (o (Lazy.from_fun (fun () -> !r)));
+  rejects "object" (o (object method x = !r end))
+
 (* -- the parallel explorer ------------------------------------------------- *)
 
 (* A bounded branching counter: wide enough to exercise multi-state
@@ -474,6 +524,8 @@ let suite =
     Alcotest.test_case "fingerprint discipline" `Quick test_fingerprints;
     Alcotest.test_case "fingerprint hashes: distinct and stable" `Quick
       test_fingerprint_hashes_distinct_and_stable;
+    Alcotest.test_case "fingerprint mix: pinned values, non-canonical rejected" `Quick
+      test_fingerprint_mix_pinned;
     Alcotest.test_case "par explorer matches sequential counts" `Quick test_par_matches_seq_counts;
     Alcotest.test_case "par explorer matches sequential on a GC instance" `Quick
       test_par_matches_seq_gc_scenario;

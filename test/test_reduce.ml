@@ -50,6 +50,18 @@ let test_permutations () =
     (fun p -> Alcotest.(check (list int)) "is a permutation" [ 0; 1; 2 ] (List.sort compare p))
     ps
 
+(* Elements are removed by position, so repeats are permuted too: every
+   result has the input's length and multiset. *)
+let test_permutations_repeats () =
+  let ps = Reduce.Symmetry.permutations [ 0; 0; 1 ] in
+  Alcotest.(check int) "3! permutations" 6 (List.length ps);
+  List.iter
+    (fun p -> Alcotest.(check (list int)) "same multiset" [ 0; 0; 1 ] (List.sort compare p))
+    ps;
+  Alcotest.(check (list (list int)))
+    "distinct arrangements" [ [ 0; 0; 1 ]; [ 0; 1; 0 ]; [ 1; 0; 0 ] ]
+    (List.sort_uniq compare ps)
+
 (* -- Symmetry: canonical fingerprint is a permutation invariant ------------ *)
 
 (* For every reachable state outside the handshake signal window and every
@@ -301,6 +313,7 @@ let suite =
   [
     Alcotest.test_case "mode: parse/print roundtrip" `Quick test_mode_roundtrip;
     Alcotest.test_case "permutations: 3! distinct" `Quick test_permutations;
+    Alcotest.test_case "permutations: repeated elements kept" `Quick test_permutations_repeats;
     Alcotest.test_case "sym: canonical fp invariant (2 mutators)" `Quick test_sym_invariance_2;
     Alcotest.test_case "sym: canonical fp invariant (3 mutators)" `Quick test_sym_invariance_3;
     Alcotest.test_case "por: deferred fences commute (oracle)" `Quick test_por_commutation;
