@@ -28,7 +28,11 @@ type raw_cfg = {
 let raw_cfg_term =
   let open Term in
   let muts = Arg.(value & opt int 1 & info [ "muts" ] ~doc:"Number of mutators.") in
-  let refs = Arg.(value & opt int 3 & info [ "refs" ] ~doc:"Heap size (references).") in
+  let refs =
+    Arg.(
+      value & opt int 3
+      & info [ "refs" ] ~doc:"Heap size (references), at most 62; $(b,--shape) must fit in it.")
+  in
   let fields = Arg.(value & opt int 1 & info [ "fields" ] ~doc:"Fields per object.") in
   let buf = Arg.(value & opt int 1 & info [ "buf" ] ~doc:"TSO store-buffer capacity.") in
   let cycles =
@@ -301,10 +305,19 @@ let run_config_parse json =
     mem_budget,
     int_field "checkpoint_every" 50_000 )
 
+(* A shape that does not exist or does not fit --refs is a one-line
+   error, not an uncaught exception. *)
 let model_of (cfg, _v) shape =
-  match Gcheap.Shapes.by_name ~n_refs:cfg.Core.Config.n_refs ~n_fields:cfg.Core.Config.n_fields shape with
-  | None -> Fmt.failwith "unknown shape %s" shape
-  | Some s -> Core.Model.make cfg s
+  let refuse msg =
+    Fmt.epr "gcmodel: %s@." msg;
+    exit 1
+  in
+  match
+    Gcheap.Shapes.by_name ~n_refs:cfg.Core.Config.n_refs ~n_fields:cfg.Core.Config.n_fields shape
+  with
+  | None -> refuse (Fmt.str "unknown shape %s (see gcmodel shapes)" shape)
+  | Some s -> ( try Core.Model.make cfg s with Invalid_argument msg -> refuse msg)
+  | exception Invalid_argument msg -> refuse msg
 
 let invariants_of cfg safety_only =
   let invs =

@@ -99,6 +99,19 @@ let at_labels { stack; _ } =
   in
   match stack with [] -> [] | c :: _ -> List.sort_uniq Label.compare (heads [] c)
 
+(* [at_labels] as a test: does some label at which control may act satisfy
+   [pred]?  Walks the head command without building a list. *)
+let rec exists_head pred = function
+  | Seq (a, _) | Loop a -> exists_head pred a
+  | Choose cs -> exists_heads pred cs
+  | Skip l | Local_op (l, _) | Request (l, _, _) | Response (l, _) | If (l, _, _, _)
+  | While (l, _, _) ->
+    pred l
+
+and exists_heads pred = function [] -> false | c :: cs -> exists_head pred c || exists_heads pred cs
+
+let exists_at pred { stack; _ } = match stack with [] -> false | c :: _ -> exists_head pred c
+
 let terminated { stack; _ } = stack = []
 
 (* -- Offers: the three kinds of transitions a process can make ----------- *)

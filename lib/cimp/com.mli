@@ -82,6 +82,10 @@ val stack_labels : ('a, 'v, 's) t list -> Label.t list
     contributes all of its branch heads. *)
 val at_labels : ('a, 'v, 's) config -> Label.t list
 
+(** [exists_at pred c]: does some label of [at_labels c] satisfy [pred]?
+    Allocates nothing; the hot-path form of the paper's [at p l] tests. *)
+val exists_at : (Label.t -> bool) -> ('a, 'v, 's) config -> bool
+
 val terminated : ('a, 'v, 's) config -> bool
 
 (** {1 Transition offers} *)

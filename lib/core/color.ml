@@ -9,38 +9,46 @@
      grey) at once, and without the ghost it would look black between the
      CAS and the work-list insertion.
 
-   Marks are interpreted against the committed memory's f_M sense. *)
+   Marks are interpreted against the committed memory's f_M sense.  Every
+   colour is a reference mask (Gcheap.Heap); the list and per-reference
+   functions are views of the masks. *)
 
 open State
 
 (* All grey references: work-lists of every software process plus the ghost
    honorary greys. *)
-let greys cfg sd =
-  let n = Config.n_software cfg in
-  let wl = List.concat (List.filteri (fun p _ -> p < n) sd.s_W) in
-  let ghg = List.filter_map Fun.id sd.s_ghg in
-  List.sort_uniq compare (wl @ ghg)
-
-let is_grey cfg sd r = List.mem r (greys cfg sd)
+let grey_mask cfg sd =
+  let add m r = m lor Gcheap.Heap.bit r in
+  let rec wls p m = function
+    | wl :: rest when p < Config.n_software cfg ->
+      wls (p + 1) (List.fold_left add m wl) rest
+    | _ -> m
+  in
+  let ghg m = function Some r -> add m r | None -> m in
+  List.fold_left ghg (wls 0 0 sd.s_W) sd.s_ghg land Gcheap.Heap.universe sd.s_mem.heap
 
 (* Marked on the heap w.r.t. the committed sense of f_M. *)
-let is_marked sd r = Gcheap.Heap.mark sd.s_mem.heap r = Some sd.s_mem.fM
+let marked_mask sd = Gcheap.Heap.marked_mask sd.s_mem.heap sd.s_mem.fM
 
-let is_white sd r = Gcheap.Heap.mark sd.s_mem.heap r = Some (not sd.s_mem.fM)
+let white_mask sd = Gcheap.Heap.marked_mask sd.s_mem.heap (not sd.s_mem.fM)
 
-let is_black cfg sd r = is_marked sd r && not (is_grey cfg sd r)
-
-let whites sd = Gcheap.Heap.marked_with sd.s_mem.heap (not sd.s_mem.fM)
-let marked sd = Gcheap.Heap.marked_with sd.s_mem.heap sd.s_mem.fM
-let blacks cfg sd = List.filter (fun r -> not (is_grey cfg sd r)) (marked sd)
+let black_mask cfg sd = marked_mask sd land lnot (grey_mask cfg sd)
 
 (* Grey-protected whites: white objects reachable from some grey via a
    chain of zero or more white objects (Fig. 1). *)
-let grey_protected_whites cfg sd =
-  let white r = is_white sd r in
-  let protected_set =
-    Gcheap.Reach.white_reachable_set sd.s_mem.heap ~white (greys cfg sd)
-  in
-  List.filter white protected_set
+let protected_mask cfg sd =
+  let white = white_mask sd in
+  Gcheap.Reach.white_reach sd.s_mem.heap ~white (grey_mask cfg sd) land white
 
-let is_grey_protected cfg sd r = is_white sd r && List.mem r (grey_protected_whites cfg sd)
+let mem r m = Gcheap.Heap.bit r land m <> 0
+
+let greys cfg sd = Gcheap.Heap.refs_of_mask (grey_mask cfg sd)
+let is_grey cfg sd r = mem r (grey_mask cfg sd)
+let is_marked sd r = mem r (marked_mask sd)
+let is_white sd r = mem r (white_mask sd)
+let is_black cfg sd r = mem r (black_mask cfg sd)
+
+let blacks cfg sd = Gcheap.Heap.refs_of_mask (black_mask cfg sd)
+
+let grey_protected_whites cfg sd = Gcheap.Heap.refs_of_mask (protected_mask cfg sd)
+let is_grey_protected cfg sd r = mem r (protected_mask cfg sd)

@@ -16,7 +16,13 @@
    references and processes, and a one-sentence account.  [witness] is
    only ever evaluated on the single violating state (by [lib/explain]
    and the [gcmodel explain] subcommand), so it may recompute freely; by
-   construction it returns [[]] exactly when [check] holds. *)
+   construction it returns [[]] exactly when [check] holds.
+
+   The checks compute over reference masks (Gcheap.Heap: bit r is
+   reference r): reachability, colours, roots and buffered writes are
+   each one int, and a check is a handful of mask operations.  The
+   witnesses read the list views of the same masks (Color.blacks,
+   Reach.reachable_set, ...), so both share one implementation. *)
 
 open Types
 open State
@@ -81,56 +87,78 @@ let witnessed ~name ~doc ~safety ?(paper = "") ?(conjuncts = []) check details =
 let buffered_insertions sd p =
   List.filter_map (function W_field (_, _, Some r) -> Some r | _ -> None) (buf_of sd p)
 
-(* Buffered deletions for process p: for each pending field write, the
-   value it will overwrite — the committed heap value as updated by the
-   *earlier* writes to the same field in p's own (FIFO) buffer. *)
+let add m r = m lor Gcheap.Heap.bit r
+
+(* Buffered deletions for process p's buffer: for each pending field
+   write, the value it will overwrite — the committed heap value as
+   updated by the *earlier* writes to the same field in p's own (FIFO)
+   buffer. *)
+let deletions_mask heap buf =
+  let rec overwritten r f = function
+    | [] -> Gcheap.Heap.field heap r f
+    | W_field (r', f', v) :: _ when r' = r && f' = f -> v
+    | _ :: earlier -> overwritten r f earlier
+  in
+  let rec go earlier m = function
+    | [] -> m
+    | (W_field (r, f, _) as w) :: rest ->
+      let m = match overwritten r f earlier with Some d -> add m d | None -> m in
+      go (w :: earlier) m rest
+    | (W_fA _ | W_fM _ | W_phase _ | W_mark _) :: rest -> go earlier m rest
+  in
+  go [] 0 buf land Gcheap.Heap.universe heap
+
 let buffered_deletions sd p =
-  let field_now overrides (r, f) =
-    match List.assoc_opt (r, f) overrides with
-    | Some v -> v
-    | None -> Gcheap.Heap.field sd.s_mem.heap r f
-  in
-  let _, dels =
-    List.fold_left
-      (fun (overrides, dels) w ->
-        match w with
-        | W_field (r, f, v) ->
-          let old = field_now overrides (r, f) in
-          (((r, f), v) :: overrides, match old with Some d -> d :: dels | None -> dels)
-        | W_fA _ | W_fM _ | W_phase _ | W_mark _ -> (overrides, dels))
-      ([], []) (buf_of sd p)
-  in
-  List.sort_uniq compare dels
+  Gcheap.Heap.refs_of_mask (deletions_mask sd.s_mem.heap (buf_of sd p))
+
+(* The mutators' (handshake-phase, store buffer) pairs: s_bufs lists the
+   collector's buffer first, then one per mutator. *)
+let fold_muts f acc sd = List.fold_left2 f acc sd.s_hs_mut_hs (List.tl sd.s_bufs)
+
+(* Label tests for [Cimp.Com.exists_at], without String.starts_with's
+   per-call closure: does [sub] occur in [s] at offset [i] / at or after
+   offset [i]? *)
+let rec same_from s sub i j =
+  j = String.length sub || (s.[i + j] = sub.[j] && same_from s sub i (j + 1))
+
+let occurs_at s sub i = i + String.length sub <= String.length s && same_from s sub i 0
+
+let rec occurs_from s sub i = occurs_at s sub i || (i < String.length s && occurs_from s sub (i + 1))
+
+(* Control inside an in-flight deletion barrier, whose loaded register
+   holds the reference being deleted. *)
+let deleting lbl = occurs_at lbl "mut:bar-del" 0 || occurs_at lbl "mut:del-target" 0
 
 (* The extended root set of Section 3.2: mutator roots, grey references
    (work-lists and ghost honorary greys), references pending in TSO store
-   buffers, and the reference held by an in-flight deletion barrier. *)
+   buffers, and the reference held by an in-flight deletion barrier.  A
+   mutator's loaded register keeps its last value, so it is set in most
+   states; its label test runs only when the reference is not a root
+   already. *)
+let extended_roots_mask cfg sys sd =
+  let buffered m = function W_field (_, _, Some r) | W_mark (r, _) -> add m r | _ -> m in
+  let rec muts m i =
+    if i = cfg.Config.n_muts then m
+    else
+      let d = Model.mut_data sys cfg i in
+      let m = List.fold_left add m d.m_roots in
+      match d.m_loaded with
+      | Some r
+        when m land Gcheap.Heap.bit r = 0
+             && Cimp.Com.exists_at deleting (Cimp.System.proc sys (Config.pid_mut cfg i)) ->
+        muts (add m r) (i + 1)
+      | Some _ | None -> muts m (i + 1)
+  in
+  let m = List.fold_left (List.fold_left buffered) (Color.grey_mask cfg sd) sd.s_bufs in
+  muts m 0 land Gcheap.Heap.universe sd.s_mem.heap
+
 let extended_roots cfg sys =
-  let sd = Model.sys_data sys cfg in
-  let mut_roots =
-    List.concat (List.init cfg.Config.n_muts (fun m -> (Model.mut_data sys cfg m).m_roots))
-  in
-  let buffer_refs =
-    List.concat
-      (List.init (Config.n_software cfg) (fun p ->
-           List.filter_map
-             (function W_field (_, _, v) -> v | W_mark (r, _) -> Some r | _ -> None)
-             (buf_of sd p)))
-  in
-  let in_flight_deletions =
-    List.filter_map
-      (fun m ->
-        let pid = Config.pid_mut cfg m in
-        if Model.at_prefix sys pid "mut:bar-del" || Model.at_prefix sys pid "mut:del-target" then
-          (Model.mut_data sys cfg m).m_loaded
-        else None)
-      (List.init cfg.Config.n_muts Fun.id)
-  in
-  List.sort_uniq compare (mut_roots @ Color.greys cfg sd @ buffer_refs @ in_flight_deletions)
+  Gcheap.Heap.refs_of_mask (extended_roots_mask cfg sys (Model.sys_data sys cfg))
+
+let reachable_mask cfg sys sd = Gcheap.Reach.reach sd.s_mem.heap (extended_roots_mask cfg sys sd)
 
 let reachable_from_roots cfg sys =
-  let sd = Model.sys_data sys cfg in
-  Gcheap.Reach.reachable_set sd.s_mem.heap (extended_roots cfg sys)
+  Gcheap.Heap.refs_of_mask (reachable_mask cfg sys (Model.sys_data sys cfg))
 
 (* -- Safety --------------------------------------------------------------- *)
 
@@ -138,7 +166,7 @@ let reachable_from_roots cfg sys =
 let valid_refs_inv cfg =
   let check sys =
     let sd = Model.sys_data sys cfg in
-    List.for_all (Gcheap.Heap.valid_ref sd.s_mem.heap) (reachable_from_roots cfg sys)
+    reachable_mask cfg sys sd land lnot (Gcheap.Heap.valid_mask sd.s_mem.heap) = 0
   in
   witnessed ~name:"valid_refs_inv"
     ~doc:"every reference reachable from the (extended) roots denotes a heap object"
@@ -188,7 +216,9 @@ let free_only_garbage cfg =
       let sd = Model.sys_data sys cfg in
       match (Model.gc_data sys).g_ref with
       | None -> false
-      | Some r -> Color.is_white sd r && not (List.mem r (reachable_from_roots cfg sys))
+      | Some r ->
+        let b = Gcheap.Heap.bit r in
+        Color.white_mask sd land b <> 0 && reachable_mask cfg sys sd land b = 0
     end
   in
   witnessed ~name:"free_only_garbage"
@@ -235,17 +265,24 @@ let worklists_disjoint cfg =
     let n = Config.n_software cfg in
     List.init n (fun p -> (p, wl_of sd p @ (match ghg_of sd p with Some r -> [ r ] | None -> [])))
   in
+  (* No duplicate within one set and no reference in two sets: every entry
+     of every set is distinct.  [fresh] adds an entry to the mask of those
+     seen, or yields -1 (absorbing: every bit set) on a repeat. *)
+  let fresh seen r =
+    let b = Gcheap.Heap.bit r in
+    if seen land b <> 0 then -1 else seen lor b
+  in
   let check sys =
     let sd = Model.sys_data sys cfg in
-    let sets = List.map snd (sets sd) in
-    let rec pairwise = function
-      | [] -> true
-      | s :: rest ->
-        List.for_all (fun s' -> List.for_all (fun r -> not (List.mem r s')) s) rest
-        && pairwise rest
+    let n = Config.n_software cfg in
+    let rec go p seen wls ghgs =
+      match (wls, ghgs) with
+      | wl :: wls, g :: ghgs when p < n ->
+        let seen = List.fold_left fresh seen wl in
+        go (p + 1) (match g with Some r -> fresh seen r | None -> seen) wls ghgs
+      | _ -> seen <> -1
     in
-    List.for_all (fun s -> List.length (List.sort_uniq compare s) = List.length s) sets
-    && pairwise sets
+    go 0 0 sd.s_W sd.s_ghg
   in
   witnessed ~name:"worklists_disjoint"
     ~doc:"grey ownership is exclusive: work-lists (and honorary greys) are pairwise disjoint"
@@ -297,13 +334,19 @@ let valid_w_inv cfg =
   let check sys =
     let sd = Model.sys_data sys cfg in
     let n = Config.n_software cfg in
-    let marked_unless_locked p =
-      sd.s_lock = Some p || List.for_all (Color.is_marked sd) (greys_of sd p)
+    let marked = Color.marked_mask sd in
+    let is_marked r = marked land Gcheap.Heap.bit r <> 0 in
+    let locked p = match sd.s_lock with Some q -> q = p | None -> false in
+    let marks_use_fM = function W_mark (_, b) -> b = sd.s_mem.fM | _ -> true in
+    let rec go p wls ghgs bufs =
+      match (wls, ghgs, bufs) with
+      | wl :: wls, g :: ghgs, buf :: bufs when p < n ->
+        (locked p
+        || (List.for_all is_marked wl && match g with Some r -> is_marked r | None -> true))
+        && List.for_all marks_use_fM buf && go (p + 1) wls ghgs bufs
+      | _ -> true
     in
-    let marks_use_fM p =
-      List.for_all (function W_mark (_, b) -> b = sd.s_mem.fM | _ -> true) (buf_of sd p)
-    in
-    List.for_all (fun p -> marked_unless_locked p && marks_use_fM p) (List.init n Fun.id)
+    go 0 sd.s_W sd.s_ghg sd.s_bufs
   in
   witnessed ~name:"valid_W_inv"
     ~doc:
@@ -355,11 +398,10 @@ let tso_ownership cfg =
   let gc_ok = function W_fA _ | W_fM _ | W_phase _ | W_mark _ -> true | W_field _ -> false in
   let mut_ok = function W_mark _ | W_field _ -> true | W_fA _ | W_fM _ | W_phase _ -> false in
   let check sys =
-    let sd = Model.sys_data sys cfg in
-    List.for_all gc_ok (buf_of sd Config.pid_gc)
-    && List.for_all
-         (fun m -> List.for_all mut_ok (buf_of sd (Config.pid_mut cfg m)))
-         (List.init cfg.Config.n_muts Fun.id)
+    match (Model.sys_data sys cfg).s_bufs with
+    | gc_buf :: mut_bufs ->
+      List.for_all gc_ok gc_buf && List.for_all (List.for_all mut_ok) mut_bufs
+    | [] -> true
   in
   witnessed ~name:"tso_ownership"
     ~doc:"only the collector has control-variable writes in flight; mutators only write marks and fields"
@@ -391,18 +433,11 @@ let tso_ownership cfg =
               (Fmt.str "mutator %d" m))
           (List.init cfg.Config.n_muts Fun.id))
 
+let cas_section_label lbl = occurs_from lbl ":cas-" 0 || occurs_from lbl ":unlock" 0
+
 let tso_lock_scope cfg =
   let in_cas_section sys p =
-    p < Config.n_software cfg
-    && List.exists
-         (fun lbl ->
-           let has sub =
-             let n = String.length sub and ln = String.length lbl in
-             let rec go i = i + n <= ln && (String.sub lbl i n = sub || go (i + 1)) in
-             go 0
-           in
-           has ":cas-" || has ":unlock")
-         (Cimp.Com.at_labels (Cimp.System.proc sys p))
+    p < Config.n_software cfg && Cimp.Com.exists_at cas_section_label (Cimp.System.proc sys p)
   in
   let check sys =
     let sd = Model.sys_data sys cfg in
@@ -440,11 +475,10 @@ let gc_fm_coherent cfg =
   let check sys =
     let sd = Model.sys_data sys cfg in
     let g = Model.gc_data sys in
+    (match pending_fM sd with Some b -> b = g.g_fM | None -> sd.s_mem.fM = g.g_fM)
     (* between the local flip (Fig. 2 line 5's register update) and the
        issuing of the store, the collector is at the write itself *)
-    Model.at_prefix sys Config.pid_gc "gc:write-fM"
-    ||
-    match pending_fM sd with Some b -> b = g.g_fM | None -> sd.s_mem.fM = g.g_fM
+    || Model.at_prefix sys Config.pid_gc "gc:write-fM"
   in
   witnessed ~name:"gc_fM_coherent"
     ~doc:"the collector's local f_M agrees with memory, modulo its own pending write"
@@ -608,7 +642,7 @@ let no_black_refs_init cfg =
       let sd = Model.sys_data sys cfg in
       match sd.s_hs_type with
       | Hs_nop2 | Hs_nop3 ->
-        if sd.s_mem.fA <> sd.s_mem.fM then Color.blacks cfg sd = [] else true
+        if sd.s_mem.fA <> sd.s_mem.fM then Color.black_mask cfg sd = 0 else true
       | Hs_nop1 | Hs_nop4 | Hs_get_roots | Hs_get_work -> true
     end
   in
@@ -641,11 +675,12 @@ let idle_heap_uniform cfg =
       let sd = Model.sys_data sys cfg in
       match sd.s_hs_type with
       | Hs_nop1 ->
-        Color.greys cfg sd = []
+        Color.grey_mask cfg sd = 0
         &&
-        let dom = Gcheap.Heap.domain sd.s_mem.heap in
-        if sd.s_mem.fA = sd.s_mem.fM then List.for_all (Color.is_marked sd) dom
-        else List.for_all (Color.is_white sd) dom
+        let uniform =
+          if sd.s_mem.fA = sd.s_mem.fM then Color.marked_mask sd else Color.white_mask sd
+        in
+        Gcheap.Heap.valid_mask sd.s_mem.heap land lnot uniform = 0
       | Hs_nop2 | Hs_nop3 | Hs_nop4 | Hs_get_roots | Hs_get_work -> true
     end
   in
@@ -686,15 +721,14 @@ let marked_insertions cfg =
     if not (cfg.Config.insertion_barrier && cfg.Config.handshake_fences) then true
     else begin
       let sd = Model.sys_data sys cfg in
-      List.for_all
-        (fun m ->
-          match mut_hp sd m with
-          | Hp_init_mark | Hp_idle_mark_sweep ->
-            List.for_all
-              (fun r -> Color.is_marked sd r || Color.is_grey cfg sd r)
-              (buffered_insertions sd (Config.pid_mut cfg m))
-          | Hp_idle | Hp_idle_init -> true)
-        (List.init cfg.Config.n_muts Fun.id)
+      let inserted m hs buf =
+        match hp_of_hs hs with
+        | Hp_init_mark | Hp_idle_mark_sweep ->
+          List.fold_left (fun m -> function W_field (_, _, Some r) -> add m r | _ -> m) m buf
+        | Hp_idle | Hp_idle_init -> m
+      in
+      let ins = fold_muts inserted 0 sd land Gcheap.Heap.universe sd.s_mem.heap in
+      ins = 0 || ins land lnot (Color.marked_mask sd lor Color.grey_mask cfg sd) = 0
     end
   in
   witnessed ~name:"marked_insertions"
@@ -732,15 +766,13 @@ let marked_deletions cfg =
     if not (cfg.Config.deletion_barrier && cfg.Config.handshake_fences) then true
     else begin
       let sd = Model.sys_data sys cfg in
-      List.for_all
-        (fun m ->
-          match mut_hp sd m with
-          | Hp_idle_mark_sweep ->
-            List.for_all
-              (fun r -> Color.is_marked sd r || Color.is_grey cfg sd r)
-              (buffered_deletions sd (Config.pid_mut cfg m))
-          | Hp_idle | Hp_idle_init | Hp_init_mark -> true)
-        (List.init cfg.Config.n_muts Fun.id)
+      let deleted m hs buf =
+        match hp_of_hs hs with
+        | Hp_idle_mark_sweep -> m lor deletions_mask sd.s_mem.heap buf
+        | Hp_idle | Hp_idle_init | Hp_init_mark -> m
+      in
+      let dels = fold_muts deleted 0 sd in
+      dels = 0 || dels land lnot (Color.marked_mask sd lor Color.grey_mask cfg sd) = 0
     end
   in
   witnessed ~name:"marked_deletions"
@@ -786,18 +818,20 @@ let reachable_snapshot_inv cfg =
     if not guard then true
     else begin
       let sd = Model.sys_data sys cfg in
-      let protected_whites = Color.grey_protected_whites cfg sd in
-      List.for_all
-        (fun m ->
-          (not (mut_black sd m))
-          ||
-          let roots = (Model.mut_data sys cfg m).m_roots in
-          let reach = Gcheap.Reach.reachable_set sd.s_mem.heap roots in
-          List.for_all
-            (fun r ->
-              Color.is_marked sd r || Color.is_grey cfg sd r || List.mem r protected_whites)
-            reach)
-        (List.init cfg.Config.n_muts Fun.id)
+      let heap = sd.s_mem.heap in
+      (* the union over black mutators: each one's reach is covered iff
+         the union's is *)
+      let rec roots m i =
+        if i = cfg.Config.n_muts then m
+        else if mut_black sd i then
+          roots (List.fold_left add m (Model.mut_data sys cfg i).m_roots) (i + 1)
+        else roots m (i + 1)
+      in
+      let roots = roots 0 0 land Gcheap.Heap.universe heap in
+      roots = 0
+      || Gcheap.Reach.reach heap roots
+         land lnot (Color.marked_mask sd lor Color.grey_mask cfg sd lor Color.protected_mask cfg sd)
+         = 0
     end
   in
   witnessed ~name:"reachable_snapshot_inv"
@@ -911,16 +945,9 @@ let weak_tricolor cfg =
     if not guard then true
     else begin
       let sd = Model.sys_data sys cfg in
-      let protected_whites = Color.grey_protected_whites cfg sd in
-      List.for_all
-        (fun b ->
-          match Gcheap.Heap.get sd.s_mem.heap b with
-          | None -> true
-          | Some o ->
-            List.for_all
-              (fun c -> (not (Color.is_white sd c)) || List.mem c protected_whites)
-              (Gcheap.Obj.children o))
-        (Color.blacks cfg sd)
+      let pointed = Gcheap.Heap.children_mask sd.s_mem.heap (Color.black_mask cfg sd) in
+      let white_pointed = pointed land Color.white_mask sd in
+      white_pointed = 0 || white_pointed land lnot (Color.protected_mask cfg sd) = 0
     end
   in
   witnessed ~name:"weak_tricolor_inv"
@@ -969,13 +996,9 @@ let strong_tricolor cfg =
       match sd.s_hs_type with
       | Hs_nop4 | Hs_get_roots | Hs_get_work ->
         sd.s_mem.fA <> sd.s_mem.fM
-        || List.for_all
-             (fun b ->
-               match Gcheap.Heap.get sd.s_mem.heap b with
-               | None -> true
-               | Some o ->
-                 List.for_all (fun c -> not (Color.is_white sd c)) (Gcheap.Obj.children o))
-             (Color.blacks cfg sd)
+        || Gcheap.Heap.children_mask sd.s_mem.heap (Color.black_mask cfg sd)
+           land Color.white_mask sd
+           = 0
       | Hs_nop1 | Hs_nop2 | Hs_nop3 -> true
     end
   in

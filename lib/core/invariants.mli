@@ -57,9 +57,11 @@ val buffered_deletions : State.sys_data -> int -> Types.rf list
 
 val extended_roots : Config.t -> Model.sys -> Types.rf list
 (** The paper's extended root set: mutator roots, greys, references in TSO
-    buffers, and in-flight deletion-barrier registers. *)
+    buffers, and in-flight deletion-barrier registers — ascending, a view
+    of the reference mask the checks use. *)
 
 val reachable_from_roots : Config.t -> Model.sys -> Types.rf list
+(** Everything reachable from {!extended_roots}, ascending. *)
 
 (** {1 The catalogue} *)
 

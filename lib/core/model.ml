@@ -51,9 +51,32 @@ let initial_sys_data cfg (shape : Gcheap.Shapes.t) =
     s_dangling = false;
   }
 
+(* A shape fits the configuration when every reference its roots and
+   fields mention lies in [0, n_refs): a shape built over too small a heap
+   silently drops its out-of-range allocations (Heap.alloc is a no-op
+   there) but keeps the fields pointing at them, and the reference masks
+   of the invariant layer assume an in-universe state. *)
+let check_fits cfg (shape : Gcheap.Shapes.t) =
+  let heap = shape.Gcheap.Shapes.heap in
+  let fields r =
+    match Gcheap.Heap.get heap r with Some o -> Gcheap.Obj.children o | None -> []
+  in
+  let refs =
+    List.concat shape.Gcheap.Shapes.roots
+    @ List.concat_map fields (List.init (Gcheap.Heap.n_refs heap) Fun.id)
+  in
+  let n = cfg.Config.n_refs in
+  match List.filter (fun r -> r < 0 || r >= n) refs with
+  | [] ->
+    if Gcheap.Heap.n_refs heap <> n then invalid_arg "Model.make: shape/config n_refs mismatch"
+  | outside ->
+    let needed = List.fold_left (fun m r -> max m (r + 1)) n outside in
+    invalid_arg
+      (Printf.sprintf "Model.make: shape %s needs %d refs, but the configuration has %d"
+         shape.Gcheap.Shapes.name needed n)
+
 let make cfg (shape : Gcheap.Shapes.t) : t =
-  if Gcheap.Heap.n_refs shape.Gcheap.Shapes.heap <> cfg.Config.n_refs then
-    invalid_arg "Model.make: shape/config n_refs mismatch";
+  check_fits cfg shape;
   validate_labels cfg;
   let data p =
     if p = Config.pid_gc then State.L_gc State.gc_data0
@@ -74,6 +97,4 @@ let mut_data (sys : sys) cfg m =
 
 (* Is process p's control inside a label whose name starts with [prefix]? *)
 let at_prefix (sys : sys) p prefix =
-  List.exists
-    (fun lbl -> String.length lbl >= String.length prefix && String.sub lbl 0 (String.length prefix) = prefix)
-    (Cimp.Com.at_labels (Cimp.System.proc sys p))
+  Cimp.Com.exists_at (String.starts_with ~prefix) (Cimp.System.proc sys p)

@@ -12,8 +12,12 @@ type sys = (Types.msg, Types.value, State.t) Cimp.System.t
 type t = { cfg : Config.t; shape : Gcheap.Shapes.t; system : sys }
 
 val make : Config.t -> Gcheap.Shapes.t -> t
-(** @raise Invalid_argument if the shape's size disagrees with the
-    configuration or a process program has duplicate labels. *)
+(** @raise Invalid_argument if the shape refers to a reference outside
+    [[0, n_refs)] (the message names the shape and the refs it needs), if
+    its size otherwise disagrees with the configuration, or if a process
+    program has duplicate labels.  Every reference of every reachable
+    state then lies inside the universe, which the invariant layer's
+    reference masks require ({!Gcheap.Heap}). *)
 
 val programs : Config.t -> (Types.msg, Types.value, State.t) Cimp.Com.t list
 val validate_labels : Config.t -> unit

@@ -61,12 +61,11 @@ let capture cfg ~step system =
       dom
   in
   let colors =
+    let grey = Core.Color.grey_mask cfg sd and marked = Core.Color.marked_mask sd in
     List.map
       (fun r ->
-        ( r,
-          if Core.Color.is_grey cfg sd r then Grey
-          else if Core.Color.is_marked sd r then Black
-          else White ))
+        let b = Gcheap.Heap.bit r in
+        (r, if grey land b <> 0 then Grey else if marked land b <> 0 then Black else White))
       dom
   in
   let honorary = List.filter_map (fun p -> Option.map (fun r -> (r, p)) (ghg_of sd p)) softs in

@@ -273,6 +273,58 @@ let test_dangling_root_caught () =
   let v = Core.Invariants.valid_refs_inv { cfg with Cfg.n_muts = 1 } in
   Alcotest.(check bool) "violation detected" false (v.Core.Invariants.check m.Core.Model.system)
 
+(* -- Shapes must fit the reference universe ----------------------------------- *)
+
+let misfit_message refs name =
+  let c = { cfg with Cfg.n_refs = refs } in
+  match Gcheap.Shapes.by_name ~n_refs:refs ~n_fields:1 name with
+  | None -> Alcotest.fail ("no shape " ^ name)
+  | Some s -> (
+    match Core.Model.make c s with
+    | _ -> None
+    | exception Invalid_argument msg -> Some msg)
+
+let test_misfit_shapes_rejected () =
+  (* shared allocates ref 2 and points refs 0 and 1 at it; a 2-ref heap
+     drops that allocation but keeps the fields, a spurious dangling
+     pointer that made the paper's collector look unsafe *)
+  Alcotest.(check (option string)) "shared at 2 refs"
+    (Some "Model.make: shape shared needs 3 refs, but the configuration has 2")
+    (misfit_message 2 "shared");
+  Alcotest.(check (option string)) "fig1 at 2 refs"
+    (Some "Model.make: shape fig1 needs 4 refs, but the configuration has 2")
+    (misfit_message 2 "fig1");
+  Alcotest.(check (option string)) "fig1 at 3 refs"
+    (Some "Model.make: shape fig1 needs 4 refs, but the configuration has 3")
+    (misfit_message 3 "fig1");
+  Alcotest.(check (option string)) "shared fits 3 refs" None (misfit_message 3 "shared");
+  Alcotest.(check (option string)) "fig1 fits 4 refs" None (misfit_message 4 "fig1")
+
+(* The command line turns the rejection into one line on stderr and a
+   non-zero exit, for `explore --shape shared --refs 2` and
+   `--shape fig1 --refs 2` alike. *)
+let test_cli_misfit_shapes () =
+  let build_dir = Filename.dirname (Filename.dirname Sys.executable_name) in
+  let gcmodel = Filename.concat (Filename.concat build_dir "bin") "gcmodel.exe" in
+  List.iter
+    (fun (shape, needs) ->
+      let err = Filename.temp_file "gcmodel" ".err" in
+      let code =
+        Sys.command
+          (Filename.quote_command gcmodel ~stdout:Filename.null ~stderr:err
+             [ "explore"; "--shape"; shape; "--refs"; "2" ])
+      in
+      let lines = In_channel.with_open_text err In_channel.input_lines in
+      Sys.remove err;
+      Alcotest.(check bool) (shape ^ ": non-zero exit") true (code <> 0);
+      Alcotest.(check (list string)) (shape ^ ": one-line error")
+        [
+          Printf.sprintf
+            "gcmodel: Model.make: shape %s needs %d refs, but the configuration has 2" shape needs;
+        ]
+        lines)
+    [ ("shared", 3); ("fig1", 4) ]
+
 let test_hp_mapping () =
   Alcotest.(check bool) "nop1 -> Idle" true (hp_of_hs Hs_nop1 = Hp_idle);
   Alcotest.(check bool) "nop2 -> IdleInit" true (hp_of_hs Hs_nop2 = Hp_idle_init);
@@ -313,4 +365,6 @@ let suite =
     Alcotest.test_case "initial states satisfy the catalogue" `Quick test_initial_invariants_hold_on_all_shapes;
     Alcotest.test_case "dangling roots violate valid_refs_inv" `Quick test_dangling_root_caught;
     Alcotest.test_case "handshake-phase mapping" `Quick test_hp_mapping;
+    Alcotest.test_case "shapes that do not fit are rejected" `Quick test_misfit_shapes_rejected;
+    Alcotest.test_case "gcmodel refuses misfit shapes in one line" `Quick test_cli_misfit_shapes;
   ]

@@ -141,6 +141,82 @@ let test_chain_shape_bounds () =
   let c = S.chain ~n_refs:2 ~n_fields:1 5 in
   Alcotest.(check (list int)) "clamped to heap size" [ 0; 1 ] (H.domain c.S.heap)
 
+(* -- Reference masks ----------------------------------------------------------
+
+   The mask kernel the invariant layer runs on: each mask must agree with
+   the list cases above, bit for bit. *)
+
+let mask = H.mask_of_refs
+
+let test_masks_chain () =
+  let h = chain_heap () in
+  Alcotest.(check int) "valid" 0b1111 (H.valid_mask h);
+  Alcotest.(check int) "children of 0 and 1" 0b0110 (H.children_mask h 0b0011);
+  Alcotest.(check int) "from 0" (mask h [ 0; 1; 2 ]) (R.reach h (mask h [ 0 ]));
+  Alcotest.(check int) "from 1" (mask h [ 1; 2 ]) (R.reach h (mask h [ 1 ]));
+  Alcotest.(check (list int)) "view" [ 0; 1; 2 ] (H.refs_of_mask (R.reach h 0b0001))
+
+let test_masks_cycle () =
+  let h = H.set_field (chain_heap ()) 2 0 (Some 0) in
+  Alcotest.(check int) "cycle closed" 0b0111 (R.reach h (mask h [ 2 ]))
+
+let test_masks_dangling_root () =
+  let h = mk () in
+  Alcotest.(check int) "nothing valid" 0 (H.valid_mask h);
+  Alcotest.(check int) "dangling root present" 0b1000 (R.reach h (mask h [ 3 ]));
+  Alcotest.(check int) "free cells have no children" 0 (H.children_mask h 0b1111)
+
+let test_masks_marks () =
+  let h = H.alloc (H.alloc (mk ()) 0 ~mark:true) 1 ~mark:false in
+  Alcotest.(check int) "marked true" 0b01 (H.marked_mask h true);
+  Alcotest.(check int) "marked false" 0b10 (H.marked_mask h false);
+  Alcotest.(check (list int)) "free refs" [ 2; 3 ] (H.free_refs h)
+
+let white_mask h = H.marked_mask h false
+
+let test_masks_white_chains () =
+  (* grey 0 -> white 1 -> white 2; black 3 -> 2 (as the list case) *)
+  let h = chain_heap () in
+  let h = H.set_mark h 0 true in
+  let h = H.alloc (H.free h 3) 3 ~mark:true in
+  let h = H.set_field h 3 0 (Some 2) in
+  Alcotest.(check int) "0, 1 and 2" 0b0111 (R.white_reach h ~white:(white_mask h) 0b0001);
+  let h' = H.set_field h 1 0 None in
+  Alcotest.(check int) "2 unprotected after the cut" 0b0011
+    (R.white_reach h' ~white:(white_mask h') 0b0001)
+
+let test_masks_nonwhite_source () =
+  (* grey 0 -> black 1 -> white 2: 1 is an endpoint, not a way through ... *)
+  let h = H.set_mark (chain_heap ()) 1 true in
+  Alcotest.(check int) "stops at 1" 0b0011 (R.white_reach h ~white:(white_mask h) 0b0001);
+  (* ... unless it is a source itself *)
+  let h = H.set_mark (H.set_mark (chain_heap ()) 0 true) 1 true in
+  Alcotest.(check int) "source 1 expands" 0b0111 (R.white_reach h ~white:(white_mask h) 0b0011)
+
+let test_masks_cap () =
+  Alcotest.(check int) "62 refs" 62 H.max_refs;
+  let h = H.alloc (H.make ~n_refs:62 ~n_fields:1) 61 ~mark:false in
+  let h = H.alloc h 0 ~mark:false in
+  let h = H.set_field h 0 0 (Some 61) in
+  Alcotest.(check int) "bit 61 valid" ((1 lsl 61) lor 1) (H.valid_mask h);
+  Alcotest.(check int) "bit 61 reached" ((1 lsl 61) lor 1) (R.reach h 1);
+  Alcotest.(check bool) "masks stay non-negative" true (H.universe h > 0);
+  Alcotest.(check (list int)) "view" [ 0; 61 ] (R.reachable_set h [ 0 ]);
+  Alcotest.check_raises "63 refs"
+    (Invalid_argument "Heap.make: 63 references exceed the 62-reference universe") (fun () ->
+      ignore (H.make ~n_refs:63 ~n_fields:1))
+
+let test_masks_drop_outside () =
+  let h = mk () in
+  Alcotest.(check int) "negative and out-of-universe roots dropped" 0b0101
+    (mask h [ -1; 0; 2; 4; 61; 62; 99; max_int; min_int ]);
+  Alcotest.(check int) "no bit for them" 0 (H.bit (-1) lor H.bit 62 lor H.bit max_int);
+  (* a field pointing outside the universe contributes no child *)
+  let h = H.alloc h 0 ~mark:false in
+  let h = H.set_field (H.set_field h 0 0 (Some 7)) 0 1 (Some (-3)) in
+  Alcotest.(check int) "no children" 0 (H.children_mask h 0b0001);
+  Alcotest.(check int) "reach stays in the universe" 0b0001 (R.reach h 0b0001)
+
 (* qcheck: reachability is monotone in the root set, and closed. *)
 let arbitrary_heap =
   QCheck.make
@@ -169,6 +245,19 @@ let prop_reach_closed =
           | Some o -> List.for_all (fun c -> List.mem c reach) (O.children o))
         reach)
 
+let prop_reach_agrees_with_dfs =
+  QCheck.Test.make ~name:"mask reachability agrees with a depth-first search" ~count:200
+    (QCheck.pair arbitrary_heap (QCheck.list_of_size (QCheck.Gen.int_bound 4) QCheck.(int_bound 7)))
+    (fun (h, roots) ->
+      let rec dfs seen r =
+        if r < 0 || r >= H.n_refs h || List.mem r seen then seen
+        else
+          match H.get h r with
+          | None -> r :: seen
+          | Some o -> List.fold_left dfs (r :: seen) (O.children o)
+      in
+      List.sort compare (List.fold_left dfs [] roots) = R.reachable_set h roots)
+
 let prop_white_reach_subset =
   QCheck.Test.make ~name:"white-reachable is a subset of reachable" ~count:200 arbitrary_heap
     (fun h ->
@@ -195,7 +284,16 @@ let suite =
     Alcotest.test_case "shape catalogue" `Quick test_shapes;
     Alcotest.test_case "per-mutator shape roots" `Quick test_shape_roots_cycle;
     Alcotest.test_case "shape size clamping" `Quick test_chain_shape_bounds;
+    Alcotest.test_case "masks: chain" `Quick test_masks_chain;
+    Alcotest.test_case "masks: cycle" `Quick test_masks_cycle;
+    Alcotest.test_case "masks: dangling root" `Quick test_masks_dangling_root;
+    Alcotest.test_case "masks: marks and free refs" `Quick test_masks_marks;
+    Alcotest.test_case "masks: white chains" `Quick test_masks_white_chains;
+    Alcotest.test_case "masks: non-white source" `Quick test_masks_nonwhite_source;
+    Alcotest.test_case "masks: the 62-ref cap" `Quick test_masks_cap;
+    Alcotest.test_case "masks: out-of-universe refs dropped" `Quick test_masks_drop_outside;
     QCheck_alcotest.to_alcotest prop_reach_monotone;
     QCheck_alcotest.to_alcotest prop_reach_closed;
+    QCheck_alcotest.to_alcotest prop_reach_agrees_with_dfs;
     QCheck_alcotest.to_alcotest prop_white_reach_subset;
   ]

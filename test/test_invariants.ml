@@ -174,6 +174,107 @@ let test_catalogue_metadata () =
     (List.length (List.sort_uniq compare names));
   List.iter (fun i -> Alcotest.(check bool) "doc" true (String.length i.Core.Invariants.doc > 0)) invs
 
+(* -- Verdicts pinned on a walk corpus ---------------------------------------
+
+   The tests above build one refuting state per invariant; this one pins
+   what all 18 checks say on a fixed corpus of model states, violating
+   ones included, so that a change to how the checks compute cannot change
+   a single verdict unnoticed.  The corpus is one seeded 1,500-state walk
+   per variant and per applicable mutant, on every shape that fits, at 1
+   mutator, 3 and 4 refs and buffer bound 1.  The walk keeps going past
+   violations (restarting only at dead ends) and leaves every fourth
+   successor un-normalised, so intermediate control points are in it too.
+   The digest covers every state's verdict vector in corpus order. *)
+
+let corpus_configs refs =
+  let base = { Cfg.default with n_muts = 1; n_refs = refs; buf_bound = 1 } in
+  List.map (fun v -> v.Core.Variants.tweak base) Core.Variants.all
+  @ List.filter_map
+      (fun m ->
+        if Mutate.Operators.applies m base then Some (Mutate.Operators.tweak m base) else None)
+      (Mutate.Operators.all base)
+
+let corpus_walk_length = 1_500
+
+(* Calls [visit] on each of the walk's states. *)
+let corpus_walk ~seed ~visit system =
+  let initial = Cimp.System.normalize system in
+  let rng = Random.State.make [| seed |] in
+  let rec go sys i =
+    if i < corpus_walk_length then begin
+      visit sys;
+      match Cimp.System.steps sys with
+      | [] -> go initial (i + 1)
+      | succs ->
+        let _, next = List.nth succs (Random.State.int rng (List.length succs)) in
+        go (if i mod 4 = 3 then next else Cimp.System.normalize next) (i + 1)
+    end
+  in
+  go initial 0
+
+(* The verdict digest, the number of states and each invariant's failure
+   count over the corpus. *)
+let corpus_verdicts () =
+  let names = List.map (fun i -> i.Core.Invariants.name) (Core.Invariants.all cfg) in
+  let failures = Array.make (List.length names) 0 in
+  let digests = Buffer.create 4096 in
+  let states = ref 0 in
+  let seed = ref 0 in
+  List.iter
+    (fun refs ->
+      List.iter
+        (fun c ->
+          let checks = List.map (fun i -> i.Core.Invariants.check) (Core.Invariants.all c) in
+          List.iter
+            (fun s ->
+              match Core.Model.make c s with
+              | exception Invalid_argument _ -> ()
+              | m ->
+                let verdicts = Buffer.create (corpus_walk_length * List.length checks) in
+                let visit sys =
+                  incr states;
+                  List.iteri
+                    (fun k check ->
+                      let ok = check sys in
+                      if not ok then failures.(k) <- failures.(k) + 1;
+                      Buffer.add_char verdicts (if ok then '1' else '0'))
+                    checks
+                in
+                corpus_walk ~seed:!seed ~visit m.Core.Model.system;
+                incr seed;
+                Buffer.add_string digests (Digest.to_hex (Digest.string (Buffer.contents verdicts))))
+            (Gcheap.Shapes.all ~n_refs:refs ~n_fields:c.Cfg.n_fields))
+        (corpus_configs refs))
+    [ 3; 4 ];
+  ( Digest.to_hex (Digest.string (Buffer.contents digests)),
+    !states,
+    List.mapi (fun k name -> (name, failures.(k))) names )
+
+let test_corpus_verdicts () =
+  let digest, states, failures = corpus_verdicts () in
+  Alcotest.(check int) "corpus states" 693_000 states;
+  Alcotest.(check (list (pair string int))) "failures per invariant" [
+      ("valid_refs_inv", 309);
+      ("no_dangling_access", 0);
+      ("free_only_garbage", 14);
+      ("worklists_disjoint", 157);
+      ("valid_W_inv", 6074);
+      ("tso_ownership", 0);
+      ("tso_lock_scope", 0);
+      ("gc_fM_coherent", 0);
+      ("sys_phase_inv", 1160);
+      ("fA_fM_relation", 205);
+      ("no_black_refs_init", 8623);
+      ("idle_heap_uniform", 7099);
+      ("marked_insertions", 902);
+      ("marked_deletions", 504);
+      ("reachable_snapshot_inv", 4479);
+      ("gc_W_empty_mut_inv", 0);
+      ("weak_tricolor_inv", 99);
+      ("strong_tricolor_inv", 70);
+    ] failures;
+  Alcotest.(check string) "verdict digest" "24a794402467976a77f70515fd14cb7d" digest
+
 let suite =
   [
     Alcotest.test_case "valid_refs_inv is refutable" `Quick test_valid_refs_refutable;
@@ -198,4 +299,5 @@ let suite =
     Alcotest.test_case "free_only_garbage vacuous off-label" `Quick test_free_only_garbage_vacuous_off_label;
     Alcotest.test_case "ablated guards disable cleanly" `Quick test_ablated_guards_disable;
     Alcotest.test_case "catalogue metadata" `Quick test_catalogue_metadata;
+    Alcotest.test_case "verdicts pinned on a walk corpus" `Quick test_corpus_verdicts;
   ]
