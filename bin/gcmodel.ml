@@ -1093,47 +1093,6 @@ let campaign_cmd =
       const run $ operators $ budget $ muts $ jobs $ reduce_term ~default:"all" $ out $ html
       $ stubs $ certificates $ list_only $ obs_term)
 
-(* -- bench regression gate (lib/obs/benchcmp) -------------------------------- *)
-
-let benchdiff_cmd =
-  let old_file = Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD" ~doc:"Baseline BENCH report.") in
-  let new_file = Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW" ~doc:"Candidate BENCH report.") in
-  let threshold =
-    Arg.(
-      value
-      & opt float Obs.Benchcmp.default_threshold
-      & info [ "threshold" ] ~docv:"FRAC"
-          ~doc:
-            "Noise band as a fraction: a metric has to move by more than $(docv) (in its \
-             bad direction) to count as a regression.")
-  in
-  let warn_only =
-    Arg.(
-      value
-      & flag
-      & info [ "warn-only" ]
-          ~doc:"Report regressions but exit 0 anyway (for advisory CI steps).")
-  in
-  let run old_path new_path threshold warn_only =
-    match Obs.Benchcmp.compare_files ~threshold ~old_path new_path with
-    | Error msg ->
-      Fmt.epr "benchdiff: %s@." msg;
-      exit 2
-    | Ok r ->
-      print_string
-        (Obs.Benchcmp.render ~old_name:(Filename.basename old_path)
-           ~new_name:(Filename.basename new_path) r);
-      if Obs.Benchcmp.has_regressions r && not warn_only then exit 1
-  in
-  Cmd.v
-    (Cmd.info "benchdiff"
-       ~doc:
-         "Diff two BENCH_<n>.json reports metric by metric (ns/run: lower is better; \
-          states/sec and steps/sec: higher is better) and classify each change against a \
-          noise threshold.  Exits 1 when any metric regressed past the threshold, 2 when \
-          the reports are not comparable (e.g. different machines).")
-    Term.(const run $ old_file $ new_file $ threshold $ warn_only)
-
 (* -- generated reference manuals (lib/mutate/doc_gen) ------------------------ *)
 
 let doc_invariants_cmd =
@@ -1242,8 +1201,7 @@ let () =
        (Cmd.group info
           [
             explore_cmd; resume_cmd; recheck_cmd; certdiff_cmd; walk_cmd; crosscheck_cmd;
-            explain_cmd; campaign_cmd;
-            benchdiff_cmd; harness_cmd;
+            explain_cmd; campaign_cmd; harness_cmd;
             variants_cmd; shapes_cmd; dump_cmd; program_cmd; doc_invariants_cmd;
             doc_variants_cmd; doc_certificates_cmd;
           ]))

@@ -45,10 +45,6 @@ val rate : int -> int -> float
 val summary : Campaign.outcome -> string
 (** Plain-text summary for the CLI. *)
 
-val stats_json : stats -> Obs.Json.t
-(** The summary block alone — embedded in {!to_json} and in the bench
-    report's campaign group. *)
-
 val to_json : Campaign.outcome -> Obs.Json.t
 val write_json : string -> Campaign.outcome -> unit
 

@@ -1,34 +1,14 @@
-(* Counters, gauges, histograms, and the registry that snapshots them.
-   See metrics.mli for the plain/atomic split rationale. *)
+(* Counters, gauges, and the registry that snapshots them.  See
+   metrics.mli for the plain/atomic split rationale. *)
 
 type metric =
   | M_counter of counter
   | M_acounter of acounter
   | M_gauge of gauge
-  | M_histogram of histogram
 
 and counter = { c_name : string; mutable c_n : int }
 and acounter = { a_name : string; a_n : int Atomic.t }
 and gauge = { g_name : string; mutable g_v : float }
-
-(* Histograms are sharded by the observing domain's id so concurrent
-   [observe]s never race: each shard holds its own reservoir and is
-   guarded by a mutex that is uncontended unless two domain ids collide
-   modulo the shard count.  Snapshots merge the shards.  Sample arrays
-   are allocated on a shard's first observation, so an 8-way histogram
-   that only ever sees one domain costs one reservoir. *)
-and histogram = { h_name : string; h_cap : int; h_shards : hshard array }
-
-and hshard = {
-  hs_lock : Mutex.t;
-  mutable hs_samples : float array;  (* reservoir; first [hs_filled] slots valid *)
-  mutable hs_filled : int;
-  mutable hs_seen : int;  (* total observations through this shard *)
-  mutable hs_sum : float;
-  mutable hs_min : float;
-  mutable hs_max : float;
-  mutable hs_lcg : int;  (* deterministic replacement stream *)
-}
 
 (* Registration may race (the runtime creates metrics from several
    domains), so the registry itself is locked; the metrics are not. *)
@@ -72,121 +52,6 @@ let gauge ?(registry = default) name =
 let set g v = g.g_v <- v
 let value g = g.g_v
 
-(* -- histograms -------------------------------------------------------------- *)
-
-let n_hshards = 8
-
-let histogram ?(registry = default) ?(capacity = 4096) name =
-  if capacity <= 0 then invalid_arg "Metrics.histogram: capacity must be positive";
-  let h =
-    {
-      h_name = name;
-      h_cap = capacity;
-      h_shards =
-        Array.init n_hshards (fun _ ->
-            {
-              hs_lock = Mutex.create ();
-              hs_samples = [||];
-              hs_filled = 0;
-              hs_seen = 0;
-              hs_sum = 0.;
-              hs_min = infinity;
-              hs_max = neg_infinity;
-              hs_lcg = 0x2545F491;
-            });
-    }
-  in
-  register registry (M_histogram h);
-  h
-
-let lcg_next s =
-  (* the 48-bit java.util.Random step; only used once the reservoir is full *)
-  s.hs_lcg <- (s.hs_lcg * 0x5DEECE66D + 0xB) land ((1 lsl 48) - 1);
-  s.hs_lcg
-
-let observe h v =
-  let s = h.h_shards.((Domain.self () :> int) land (n_hshards - 1)) in
-  Mutex.lock s.hs_lock;
-  if s.hs_samples = [||] then s.hs_samples <- Array.make h.h_cap 0.;
-  s.hs_seen <- s.hs_seen + 1;
-  s.hs_sum <- s.hs_sum +. v;
-  if v < s.hs_min then s.hs_min <- v;
-  if v > s.hs_max then s.hs_max <- v;
-  if s.hs_filled < h.h_cap then begin
-    s.hs_samples.(s.hs_filled) <- v;
-    s.hs_filled <- s.hs_filled + 1
-  end
-  else begin
-    (* algorithm R: replace slot [r] for r uniform in [0, seen) iff r < cap *)
-    let r = lcg_next s mod s.hs_seen in
-    if r < h.h_cap then s.hs_samples.(r) <- v
-  end;
-  Mutex.unlock s.hs_lock
-
-(* Snapshot helpers fold over the shards.  They take each shard's lock in
-   turn, so a snapshot concurrent with observations sees each shard in a
-   consistent state (the aggregate may straddle observations — fine for
-   monitoring). *)
-let fold_shards h f acc =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.hs_lock;
-      let r = f acc s in
-      Mutex.unlock s.hs_lock;
-      r)
-    acc h.h_shards
-
-let observations h = fold_shards h (fun n s -> n + s.hs_seen) 0
-
-let merged_samples h =
-  let n = fold_shards h (fun n s -> n + s.hs_filled) 0 in
-  let out = Array.make (max 1 n) 0. in
-  let i = ref 0 in
-  ignore
-    (fold_shards h
-       (fun () s ->
-         Array.blit s.hs_samples 0 out !i s.hs_filled;
-         i := !i + s.hs_filled)
-       ());
-  Array.sub out 0 n
-
-let percentile h p =
-  let sorted = merged_samples h in
-  Array.sort compare sorted;
-  let n = Array.length sorted in
-  if n = 0 then nan
-  else begin
-    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) rank))
-  end
-
-let mean h =
-  let seen = observations h in
-  if seen = 0 then nan else fold_shards h (fun x s -> x +. s.hs_sum) 0. /. float_of_int seen
-
-let hmin h =
-  if observations h = 0 then nan else fold_shards h (fun x s -> Float.min x s.hs_min) infinity
-
-let hmax h =
-  if observations h = 0 then nan
-  else fold_shards h (fun x s -> Float.max x s.hs_max) neg_infinity
-
-let hsnapshot h =
-  (* An empty histogram has nan percentiles; emit null rather than rely
-     on every sink degrading non-finite floats the same way. *)
-  let n = observations h in
-  let stat v = if n = 0 then Json.Null else Json.Float v in
-  Json.Obj
-    [
-      ("count", Json.Int n);
-      ("mean", stat (mean h));
-      ("p50", stat (percentile h 50.));
-      ("p90", stat (percentile h 90.));
-      ("p99", stat (percentile h 99.));
-      ("min", stat (hmin h));
-      ("max", stat (hmax h));
-    ]
-
 (* -- dump -------------------------------------------------------------------- *)
 
 let dump ?(registry = default) () =
@@ -198,6 +63,5 @@ let dump ?(registry = default) () =
        (function
          | M_counter c -> (c.c_name, Json.Int c.c_n)
          | M_acounter a -> (a.a_name, Json.Int (Atomic.get a.a_n))
-         | M_gauge g -> (g.g_name, Json.Float g.g_v)
-         | M_histogram h -> (h.h_name, hsnapshot h))
+         | M_gauge g -> (g.g_name, Json.Float g.g_v))
        metrics)

@@ -1,13 +1,11 @@
-(** Structured metrics: counters, gauges and histograms in a process-wide
-    registry.
+(** Structured metrics: counters and gauges in a process-wide registry.
 
     Two counter flavours: plain (single-domain checker code, a bare
     [mutable int] so instrumentation is one add) and atomic (the multicore
     runtime, so instrumentation does not perturb the TSO behaviours under
     test by introducing accidental synchronisation points — an
     [Atomic.t] is exactly the fetch-and-add the paper's ghost counters
-    use).  Histograms are single-writer reservoir samples with exact
-    percentiles while under capacity.
+    use).  Latency distributions live in {!Latency}.
 
     Creation registers the metric in a registry (the shared [default] one
     unless told otherwise); [dump] snapshots every registered metric as a
@@ -21,8 +19,7 @@ val create_registry : unit -> registry
 val default : registry
 
 (** Snapshot every metric registered in the registry (default: the
-    process-wide one) as [name -> value].  Histograms dump an object with
-    [count], [mean], [p50], [p90], [p99], [min], [max]. *)
+    process-wide one) as [name -> value]. *)
 val dump : ?registry:registry -> unit -> Json.t
 
 (** {1 Plain counters} — single writer, no synchronisation. *)
@@ -50,35 +47,3 @@ type gauge
 val gauge : ?registry:registry -> string -> gauge
 val set : gauge -> float -> unit
 val value : gauge -> float
-
-(** {1 Histograms} — domain-safe sharded reservoir samples. *)
-
-type histogram
-
-(** [histogram name] with a reservoir of [capacity] samples (default
-    4096) per observing shard.  Observations are sharded by the calling
-    domain's id (8 shards, each with its own reservoir and a mutex that
-    is uncontended unless domain ids collide modulo the shard count), so
-    concurrent [observe] from several domains is safe and near
-    synchronisation-free; snapshots merge the shards.  For a
-    single-domain writer the behaviour is the classic one: under
-    capacity every observation is retained and percentiles are exact;
-    over capacity, reservoir sampling (algorithm R with a deterministic
-    LCG, so runs are reproducible) keeps a uniform sample. *)
-val histogram : ?registry:registry -> ?capacity:int -> string -> histogram
-
-val observe : histogram -> float -> unit
-
-(** Total observations (not the retained sample size). *)
-val observations : histogram -> int
-
-(** [percentile h p] for [p] in [0..100] over the retained sample; [nan]
-    when empty. *)
-val percentile : histogram -> float -> float
-
-val mean : histogram -> float
-val hmin : histogram -> float
-val hmax : histogram -> float
-
-(** The JSON summary [dump] uses, exposed for per-metric reporting. *)
-val hsnapshot : histogram -> Json.t

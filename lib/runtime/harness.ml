@@ -149,7 +149,6 @@ let run ?(n_muts = 2) ?(n_slots = 256) ?(n_fields = 2) ?(duration = 0.5) ?(barri
         ("cas_wins", Obs.Json.Int stats.cas_wins);
         ("barrier_fast_path", Obs.Json.Int stats.barrier_fast_path);
         ("hs_rounds", Obs.Json.Int stats.hs_rounds);
-        ("hs_latency", Obs.Metrics.hsnapshot sh.Rshared.hs_latency);
         ("latency", stats.latency);
         ("live_at_end", Obs.Json.Int stats.live_at_end);
         ( "violation",

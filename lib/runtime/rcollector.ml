@@ -31,8 +31,7 @@ let handshake sh typ =
       done)
     sh.hs_req;
   (* round latency: a ragged handshake is only done once the slowest
-     mutator acked, so this is the collector-observed stall.  Single
-     writer (the collector), so a plain histogram suffices. *)
+     mutator acked, so this is the collector-observed stall *)
   let t1_ns = Obs.Clock.monotonic_ns () in
   let dt_ns = t1_ns - t0_ns in
   let dt = float_of_int dt_ns *. 1e-9 in
@@ -41,7 +40,6 @@ let handshake sh typ =
       ~name:(Obs.Tracing.intern sh.tracer (hs_span_name typ))
       ~start_ns:t0_ns ~stop_ns:t1_ns;
   Obs.Metrics.aincr sh.hs_rounds;
-  Obs.Metrics.observe sh.hs_latency dt;
   if sh.lat.lat_on then begin
     (* whole-round history gets the coordinated-omission treatment when
        configured (rounds are the runtime's periodic heartbeat); the

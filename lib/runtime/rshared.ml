@@ -76,7 +76,6 @@ type t = {
        mark/sweep stages, whole cycles), lanes 1..n_muts the mutators' *)
   registry : Obs.Metrics.registry;
   hs_rounds : Obs.Metrics.acounter;  (* handshake rounds completed *)
-  hs_latency : Obs.Metrics.histogram;  (* seconds per round; collector-only writer *)
   lat : lat;
   hb_every_ns : int;  (* min interval between runtime-heartbeat records *)
 }
@@ -128,7 +127,6 @@ let make ?(trace_pause = 0.) ?(obs = Obs.Reporter.null) ?(tracer = Obs.Tracing.n
     tracer;
     registry;
     hs_rounds = Obs.Metrics.acounter ~registry "hs_rounds";
-    hs_latency = Obs.Metrics.histogram ~registry "hs_latency_s";
     lat = make_lat ~latency ~co_interval_ns ~n_muts;
     hb_every_ns = int_of_float (heartbeat_every_s *. 1e9);
   }

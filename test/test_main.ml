@@ -18,4 +18,5 @@ let () =
       ("mutate", Test_mutate.suite);
       ("store", Test_store.suite);
       ("certify", Test_certify.suite);
+      ("counts", Test_counts.suite);
     ]

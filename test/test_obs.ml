@@ -100,50 +100,6 @@ let test_counters_and_gauges () =
       (List.mem_assoc "states" fields && List.mem_assoc "depth" fields)
   | j -> Alcotest.failf "dump is not an object: %s" (Obs.Json.to_string j)
 
-let test_histogram_exact_percentiles () =
-  let h = Obs.Metrics.histogram ~registry:(Obs.Metrics.create_registry ()) "lat" in
-  for i = 100 downto 1 do
-    Obs.Metrics.observe h (float_of_int i)
-  done;
-  Alcotest.(check int) "observations" 100 (Obs.Metrics.observations h);
-  Alcotest.(check (float 0.)) "p50" 50. (Obs.Metrics.percentile h 50.);
-  Alcotest.(check (float 0.)) "p90" 90. (Obs.Metrics.percentile h 90.);
-  Alcotest.(check (float 0.)) "p99" 99. (Obs.Metrics.percentile h 99.);
-  Alcotest.(check (float 0.)) "p100" 100. (Obs.Metrics.percentile h 100.);
-  Alcotest.(check (float 0.)) "min" 1. (Obs.Metrics.hmin h);
-  Alcotest.(check (float 0.)) "max" 100. (Obs.Metrics.hmax h);
-  Alcotest.(check (float 1e-9)) "mean" 50.5 (Obs.Metrics.mean h)
-
-let test_histogram_reservoir () =
-  let h =
-    Obs.Metrics.histogram ~registry:(Obs.Metrics.create_registry ()) ~capacity:64 "lat"
-  in
-  for i = 1 to 10_000 do
-    Obs.Metrics.observe h (float_of_int i)
-  done;
-  Alcotest.(check int) "observations count everything" 10_000 (Obs.Metrics.observations h);
-  Alcotest.(check (float 0.)) "min survives sampling" 1. (Obs.Metrics.hmin h);
-  Alcotest.(check (float 0.)) "max survives sampling" 10_000. (Obs.Metrics.hmax h);
-  let p50 = Obs.Metrics.percentile h 50. in
-  Alcotest.(check bool) "p50 inside the observed range" true (p50 >= 1. && p50 <= 10_000.);
-  match Obs.Metrics.hsnapshot h with
-  | Obs.Json.Obj fields ->
-    Alcotest.check json "snapshot count" (Obs.Json.Int 10_000) (List.assoc "count" fields)
-  | j -> Alcotest.failf "hsnapshot is not an object: %s" (Obs.Json.to_string j)
-
-let test_empty_histogram_snapshot () =
-  (* regression: an empty histogram's snapshot must be count=0 with
-     explicit nulls, not NaN-valued stats relying on the JSON writer to
-     degrade them *)
-  let h = Obs.Metrics.histogram ~registry:(Obs.Metrics.create_registry ()) "empty" in
-  match Obs.Metrics.hsnapshot h with
-  | Obs.Json.Obj fields ->
-    Alcotest.check json "count is zero" (Obs.Json.Int 0) (List.assoc "count" fields);
-    List.iter
-      (fun k -> Alcotest.check json (k ^ " is null") Obs.Json.Null (List.assoc k fields))
-      [ "mean"; "p50"; "p90"; "p99"; "min"; "max" ]
-  | j -> Alcotest.failf "hsnapshot is not an object: %s" (Obs.Json.to_string j)
-
 let test_atomic_counter_under_domains () =
   let c = Obs.Metrics.acounter ~registry:(Obs.Metrics.create_registry ()) "cas" in
   let per_domain = 10_000 in
@@ -376,6 +332,16 @@ let test_harness_emits_records () =
     (int_field fields "cycles");
   Alcotest.(check int) "handshake rounds agree" stats.Runtime.Harness.hs_rounds
     (int_field fields "hs_rounds");
+  (* with no coordinated-omission interval, the round histogram holds
+     exactly one sample per round *)
+  (match List.assoc_opt "latency" fields with
+  | Some (Obs.Json.Obj latency) -> (
+    match List.assoc_opt "hs_round" latency with
+    | Some (Obs.Json.Obj hs_round) ->
+      Alcotest.(check int) "one hs_round sample per round" stats.Runtime.Harness.hs_rounds
+        (int_field hs_round "count")
+    | _ -> Alcotest.fail "latency section lacks hs_round")
+  | _ -> Alcotest.fail "harness record lacks its latency section");
   let cycles = records_of_event "gc-cycle" records in
   Alcotest.(check int) "one record per completed cycle" stats.Runtime.Harness.cycles
     (List.length cycles);
@@ -394,18 +360,13 @@ let suite =
     Alcotest.test_case "json: plain forms parse" `Quick test_json_parses_plain_forms;
     Alcotest.test_case "json: garbage rejected" `Quick test_json_rejects_garbage;
     Alcotest.test_case "json: non-finite floats stay parseable" `Quick test_json_nonfinite_floats;
-    Alcotest.test_case "metrics: counters and gauges" `Quick test_counters_and_gauges;
-    Alcotest.test_case "metrics: exact percentiles under capacity" `Quick
-      test_histogram_exact_percentiles;
-    Alcotest.test_case "metrics: reservoir over capacity" `Quick test_histogram_reservoir;
-    Alcotest.test_case "metrics: empty histogram snapshot is nulls" `Quick
-      test_empty_histogram_snapshot;
-    Alcotest.test_case "metrics: atomic counter under 4 domains" `Quick
-      test_atomic_counter_under_domains;
     Alcotest.test_case "reporter: memory sink and lifecycle" `Quick test_reporter_memory_sink;
     Alcotest.test_case "reporter: spec parsing" `Quick test_reporter_spec_parsing;
     Alcotest.test_case "trace: event JSON round-trip" `Quick test_event_json_roundtrip;
     Alcotest.test_case "trace: schedule JSON round-trip" `Quick test_trace_json_roundtrip;
+    Alcotest.test_case "metrics: atomic counter under 4 domains" `Quick
+      test_atomic_counter_under_domains;
+    Alcotest.test_case "metrics: counters and gauges" `Quick test_counters_and_gauges;
     Alcotest.test_case "explore: per-invariant evals == states (baseline)" `Quick
       test_explore_per_invariant_evals;
     Alcotest.test_case "explore: JSONL stream is well-formed" `Quick test_explore_jsonl_stream;

@@ -1,9 +1,8 @@
 (* Tests for the concurrency-telemetry layer: the per-domain span tracer
    (deterministic output under a stubbed clock, Chrome trace-event shape,
-   ring overflow), domain-safe histograms under real domains, contention
-   probes and the serial-fraction estimate, the scaling-detail record of
-   the parallel checker, the live dashboard's plain renderer, and the
-   BENCH regression gate. *)
+   ring overflow), contention probes and the serial-fraction estimate,
+   the scaling-detail record of the parallel checker, and the live
+   dashboard's plain renderer. *)
 
 (* -- span tracer -------------------------------------------------------------- *)
 
@@ -99,26 +98,6 @@ let test_tracer_null_is_inert () =
   Obs.Tracing.span tr ~dom:0 ~name:0 ~start_ns:0;
   Obs.Tracing.instant tr ~dom:0 ~name:0;
   Alcotest.(check int) "nothing recorded" 0 (Obs.Tracing.events tr)
-
-(* -- histograms under domains (satellite: domain-safe Metrics) ---------------- *)
-
-let test_histogram_hammered_by_domains () =
-  let h = Obs.Metrics.histogram ~registry:(Obs.Metrics.create_registry ()) "lat" in
-  let per_domain = 25_000 in
-  let worker () =
-    for i = 1 to per_domain do
-      Obs.Metrics.observe h (float_of_int i)
-    done
-  in
-  let domains = List.init 4 (fun _ -> Domain.spawn worker) in
-  List.iter Domain.join domains;
-  Alcotest.(check int) "no observation lost across 4 domains" (4 * per_domain)
-    (Obs.Metrics.observations h);
-  Alcotest.(check (float 0.)) "min survives" 1. (Obs.Metrics.hmin h);
-  Alcotest.(check (float 0.)) "max survives" (float_of_int per_domain) (Obs.Metrics.hmax h);
-  let p50 = Obs.Metrics.percentile h 50. in
-  Alcotest.(check bool) "p50 inside the observed range" true
-    (p50 >= 1. && p50 <= float_of_int per_domain)
 
 (* -- contention probes -------------------------------------------------------- *)
 
@@ -325,92 +304,6 @@ let test_reporter_live_spec () =
     Obs.Reporter.close t
   | Error msg -> Alcotest.fail msg
 
-(* -- benchdiff ---------------------------------------------------------------- *)
-
-let report ?hostname ~fig5_ns ~explore_sps () =
-  Obs.Json.Obj
-    ((match hostname with
-     | Some h -> [ ("schema", Obs.Json.String "relaxing-safely-bench-v3");
-                   ("hostname", Obs.Json.String h) ]
-     | None -> [ ("schema", Obs.Json.String "relaxing-safely-bench-v2") ])
-    @ [
-        ("ocaml_version", Obs.Json.String "5.1.1");
-        ( "groups",
-          Obs.Json.List
-            [
-              Obs.Json.Obj
-                [
-                  ("group", Obs.Json.String "fig5");
-                  ( "tests",
-                    Obs.Json.List
-                      [
-                        Obs.Json.Obj
-                          [
-                            ("name", Obs.Json.String "mark-fast-path");
-                            ("ns_per_run", Obs.Json.Float fig5_ns);
-                          ];
-                      ] );
-                ];
-            ] );
-        ( "checker",
-          Obs.Json.Obj [ ("explore_states_per_sec", Obs.Json.Float explore_sps) ] );
-      ])
-
-let run_compare ~old_ new_ =
-  match Obs.Benchcmp.compare_reports ~old_ new_ with
-  | Ok r -> r
-  | Error msg -> Alcotest.failf "comparison refused: %s" msg
-
-let test_benchdiff_detects_regression () =
-  (* ns/run doubling is a regression; states/sec halving is too *)
-  let old_ = report ~hostname:"host-a" ~fig5_ns:100. ~explore_sps:1000. () in
-  let new_ = report ~hostname:"host-a" ~fig5_ns:200. ~explore_sps:500. () in
-  let r = run_compare ~old_ new_ in
-  Alcotest.(check int) "both regressions caught" 2 (List.length r.Obs.Benchcmp.regressions);
-  Alcotest.(check bool) "has_regressions" true (Obs.Benchcmp.has_regressions r);
-  let worst = List.hd r.Obs.Benchcmp.regressions in
-  Alcotest.(check (float 1e-9)) "signed change" 100. worst.Obs.Benchcmp.change_pct;
-  Alcotest.(check bool) "render names the loser" true
-    (contains (Obs.Benchcmp.render r) "WORSE")
-
-let test_benchdiff_improvement_and_noise () =
-  let old_ = report ~hostname:"host-a" ~fig5_ns:100. ~explore_sps:1000. () in
-  let new_ = report ~hostname:"host-a" ~fig5_ns:50. ~explore_sps:1100. () in
-  let r = run_compare ~old_ new_ in
-  Alcotest.(check bool) "no regressions" false (Obs.Benchcmp.has_regressions r);
-  Alcotest.(check int) "faster ns/run is an improvement" 1
-    (List.length r.Obs.Benchcmp.improvements);
-  Alcotest.(check int) "+10%% states/sec is inside the 15%% noise band" 1
-    (List.length r.Obs.Benchcmp.unchanged)
-
-let test_benchdiff_refuses_cross_machine () =
-  let old_ = report ~hostname:"host-a" ~fig5_ns:100. ~explore_sps:1000. () in
-  let new_ = report ~hostname:"host-b" ~fig5_ns:100. ~explore_sps:1000. () in
-  match Obs.Benchcmp.compare_reports ~old_ new_ with
-  | Ok _ -> Alcotest.fail "cross-machine comparison must be refused"
-  | Error msg -> Alcotest.(check bool) "names both hosts" true (contains msg "host-b")
-
-let test_benchdiff_v2_warns () =
-  let old_ = report ~fig5_ns:100. ~explore_sps:1000. () in
-  let new_ = report ~hostname:"host-a" ~fig5_ns:100. ~explore_sps:1000. () in
-  let r = run_compare ~old_ new_ in
-  Alcotest.(check bool) "hostname-less report warns" true
-    (List.exists (fun w -> contains w "hostname") r.Obs.Benchcmp.warnings)
-
-let test_benchdiff_custom_threshold () =
-  let old_ = report ~hostname:"host-a" ~fig5_ns:100. ~explore_sps:1000. () in
-  let new_ = report ~hostname:"host-a" ~fig5_ns:110. ~explore_sps:1000. () in
-  let strict =
-    match Obs.Benchcmp.compare_reports ~threshold:0.05 ~old_ new_ with
-    | Ok r -> r
-    | Error msg -> Alcotest.fail msg
-  in
-  Alcotest.(check bool) "+10%% ns/run regresses at a 5%% threshold" true
-    (Obs.Benchcmp.has_regressions strict);
-  let default = run_compare ~old_ new_ in
-  Alcotest.(check bool) "...but not at the default" false
-    (Obs.Benchcmp.has_regressions default)
-
 let suite =
   [
     Alcotest.test_case "tracer: byte-stable under a stubbed clock" `Quick
@@ -419,8 +312,6 @@ let suite =
     Alcotest.test_case "tracer: ring overflow drops, never corrupts" `Quick
       test_tracer_ring_overflow;
     Alcotest.test_case "tracer: null tracer is inert" `Quick test_tracer_null_is_inert;
-    Alcotest.test_case "metrics: histogram hammered by 4 domains" `Quick
-      test_histogram_hammered_by_domains;
     Alcotest.test_case "contention: uncontended probe is exact" `Quick
       test_lock_uncontended_counts;
     Alcotest.test_case "contention: contended acquire measures its wait" `Quick
@@ -432,12 +323,4 @@ let suite =
       test_par_explore_traces_and_scaling_detail;
     Alcotest.test_case "dashboard: plain renderer" `Quick test_dashboard_plain_renders;
     Alcotest.test_case "reporter: --obs=live spec" `Quick test_reporter_live_spec;
-    Alcotest.test_case "benchdiff: regression detected" `Quick test_benchdiff_detects_regression;
-    Alcotest.test_case "benchdiff: improvement and noise band" `Quick
-      test_benchdiff_improvement_and_noise;
-    Alcotest.test_case "benchdiff: cross-machine refusal" `Quick
-      test_benchdiff_refuses_cross_machine;
-    Alcotest.test_case "benchdiff: v2 report warns" `Quick test_benchdiff_v2_warns;
-    Alcotest.test_case "benchdiff: threshold is configurable" `Quick
-      test_benchdiff_custom_threshold;
   ]
