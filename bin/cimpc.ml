@@ -94,7 +94,7 @@ let run_cmd =
     match o.Check.Explore.violation with
     | Some tr ->
       Fmt.pr "%a@." Check.Trace.pp tr;
-      Obs.Reporter.emit obs "violation" [ ("trace", Check.Trace.to_json tr) ];
+      Obs.Reporter.emit obs Obs.Record.violation [ ("trace", Check.Trace.to_json tr) ];
       Obs.Reporter.close obs;
       exit 1
     | None -> Obs.Reporter.close obs

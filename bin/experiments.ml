@@ -16,7 +16,7 @@ let obs = ref Obs.Reporter.null
 
 let section n title =
   Fmt.pr "@.=== %s — %s ===@." n title;
-  Obs.Reporter.emit !obs "experiment"
+  Obs.Reporter.emit !obs Obs.Record.experiment
     [ ("name", Obs.Json.String n); ("title", Obs.Json.String title) ]
 
 let result_line label (o : _ Check.Explore.outcome) =

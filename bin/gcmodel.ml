@@ -331,7 +331,7 @@ let report cfg obs (violation : _ Check.Trace.t option) =
   | Some tr ->
     Fmt.pr "%a@." (Core.Dump.pp_trace cfg) tr;
     (* the counterexample as a replayable artifact *)
-    Obs.Reporter.emit obs "violation" [ ("trace", Check.Trace.to_json tr) ]
+    Obs.Reporter.emit obs Obs.Record.violation [ ("trace", Check.Trace.to_json tr) ]
 
 (* -- counterexample forensics (lib/explain) ---------------------------------- *)
 
@@ -351,7 +351,7 @@ let explain_file =
 
 let write_explanation ?(last = 8) ~html ~obs cfg (tr : Explain.Report.trace) =
   let rep = Explain.Report.analyze cfg tr in
-  Obs.Reporter.emit obs "explanation" [ ("report", Explain.Report.to_json rep) ];
+  Obs.Reporter.emit obs Obs.Record.explanation [ ("report", Explain.Report.to_json rep) ];
   (match html with
   | None -> ()
   | Some path ->
@@ -575,7 +575,7 @@ let recheck_cmd =
           st.Certify.Recheck.states st.Certify.Recheck.transitions
           st.Certify.Recheck.max_depth st.Certify.Recheck.elapsed_s rate
           (float_of_int st.Certify.Recheck.table_bytes /. float_of_int (max 1 st.Certify.Recheck.states));
-        Obs.Reporter.emit obs "recheck"
+        Obs.Reporter.emit obs Obs.Record.recheck
           [
             ("dir", Obs.Json.String dir);
             ("states", Obs.Json.Int st.Certify.Recheck.states);
@@ -1095,32 +1095,24 @@ let campaign_cmd =
 
 (* -- generated reference manuals (lib/mutate/doc_gen) ------------------------ *)
 
-let doc_invariants_cmd =
-  let run () = print_string (Mutate.Doc_gen.invariants_md ()) in
+let doc_cmd =
+  let dir = Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR") in
+  let run dir =
+    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    List.iter
+      (fun (name, md) ->
+        let path = Filename.concat dir name in
+        Out_channel.with_open_bin path (fun oc -> output_string oc (md ()));
+        Fmt.pr "wrote %s@." path)
+      Mutate.Doc_gen.manuals
+  in
   Cmd.v
-    (Cmd.info "doc-invariants"
+    (Cmd.info "doc"
        ~doc:
-         "Emit the invariant reference manual (docs/INVARIANTS.md) to stdout.  CI diffs the \
-          committed file against this output.")
-    Term.(const run $ const ())
-
-let doc_variants_cmd =
-  let run () = print_string (Mutate.Doc_gen.variants_md ()) in
-  Cmd.v
-    (Cmd.info "doc-variants"
-       ~doc:
-         "Emit the variant and mutation-operator reference manual (docs/VARIANTS.md) to \
-          stdout.  CI diffs the committed file against this output.")
-    Term.(const run $ const ())
-
-let doc_certificates_cmd =
-  let run () = print_string (Mutate.Doc_gen.certificates_md ()) in
-  Cmd.v
-    (Cmd.info "doc-certificates"
-       ~doc:
-         "Emit the certificate format specification (docs/CERTIFICATES.md) to stdout.  CI \
-          diffs the committed file against this output.")
-    Term.(const run $ const ())
+         "Write the four generated reference manuals into $(i,DIR): INVARIANTS.md, \
+          VARIANTS.md, CERTIFICATES.md and RECORDS.md.  CI diffs docs/ against this \
+          output.")
+    Term.(const run $ dir)
 
 (* -- concrete runtime stress harness (lib/runtime) --------------------------- *)
 
@@ -1202,6 +1194,5 @@ let () =
           [
             explore_cmd; resume_cmd; recheck_cmd; certdiff_cmd; walk_cmd; crosscheck_cmd;
             explain_cmd; campaign_cmd; harness_cmd;
-            variants_cmd; shapes_cmd; dump_cmd; program_cmd; doc_invariants_cmd;
-            doc_variants_cmd; doc_certificates_cmd;
+            variants_cmd; shapes_cmd; dump_cmd; program_cmd; doc_cmd;
           ]))

@@ -50,7 +50,7 @@ let run names verbose obs =
     (fun (v : Tso.Litmus.verdict) ->
       Fmt.pr "%a@." Tso.Litmus.pp_verdict v;
       Fmt.pr "    %s@." v.Tso.Litmus.test.Tso.Litmus.description;
-      Obs.Reporter.emit obs "litmus" (verdict_record v);
+      Obs.Reporter.emit obs Obs.Record.litmus (verdict_record v);
       if verbose then begin
         Fmt.pr "    TSO outcomes: %a@." pp_outcomes v.Tso.Litmus.tso_outcomes;
         Fmt.pr "    SC outcomes:  %a@." pp_outcomes v.Tso.Litmus.sc_outcomes
@@ -58,7 +58,7 @@ let run names verbose obs =
     verdicts;
   let bad = List.filter (fun v -> not v.Tso.Litmus.ok) verdicts in
   let mismatches = List.length bad in
-  Obs.Reporter.emit obs "outcome"
+  Obs.Reporter.emit obs Obs.Record.outcome_litmus
     [
       ("checker", Obs.Json.String "litmus");
       ("tests", Obs.Json.Int (List.length verdicts));

@@ -39,7 +39,7 @@ let instrumented invariants =
   let report obs ~first_violation =
     Array.iteri
       (fun i (name, _) ->
-        Obs.Reporter.emit obs "invariant"
+        Obs.Reporter.emit obs Obs.Record.invariant
           [
             ("name", Obs.Json.String name);
             ("evals", Obs.Json.Int evals.(i));

@@ -193,6 +193,8 @@ let ph_push = 5
 let ph_succ_calls = 6
 let ph_fp_calls = 7
 
+let int_list a = Obs.Json.List (Array.to_list (Array.map (fun v -> Obs.Json.Int v) a))
+
 let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_coverage = false)
     ?(obs = Obs.Reporter.null) ?(tracer = Obs.Tracing.null) ?(heartbeat_every = 20_000)
     ?(hooks = no_hooks) ?reducer ?mem_budget ?spill_dir ?checkpoint ?resume ?on_store
@@ -275,22 +277,6 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
               Obs.Tracing.span_args tracer ~dom:w ~name:n_disk ~start_ns ~stop_ns
                 ~args:[ ("hit", Obs.Json.Bool hit) ]);
       };
-  (* per-shard resident-bytes gauges (tier-0 occupancy x entry size),
-     refreshed on every heartbeat; own registry so repeated runs in one
-     process do not pile up in the default one *)
-  let gauge_registry = Obs.Metrics.create_registry () in
-  let shard_gauges =
-    if Obs.Reporter.enabled obs then
-      Array.init Store.Tiered.n_shards (fun i ->
-          Obs.Metrics.gauge ~registry:gauge_registry (Fmt.str "bytes_resident.%02d" i))
-    else [||]
-  in
-  let refresh_gauges () =
-    if Array.length shard_gauges > 0 then
-      Array.iteri
-        (fun i b -> Obs.Metrics.set shard_gauges.(i) (float_of_int b))
-        (Store.Tiered.resident_bytes_per_shard seen)
-  in
   let busy_ns = Array.make jobs 0 in
   let idle_ns = Array.make jobs 0 in
   let steals = Array.make jobs 0 in
@@ -416,7 +402,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
       ~deadlocks:(Atomic.get deadlocks) ~truncated:(Atomic.get truncated)
       ~elapsed_s:elapsed_now ~best ~frontier ~covered:(merged_covered ());
     if Obs.Reporter.enabled obs then
-      Obs.Reporter.emit obs "checkpoint"
+      Obs.Reporter.emit obs Obs.Record.checkpoint
         [
           ("checker", Obs.Json.String "par-explore");
           ("seq", Obs.Json.Int !ckpt_seq);
@@ -527,9 +513,8 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
             if interval > 0. then float_of_int (!expanded - !hb_expanded) /. interval else 0.
           in
           let gc = Gc.quick_stat () in
-          refresh_gauges ();
           let st = Store.Tiered.stats seen in
-          Obs.Reporter.emit obs "heartbeat"
+          Obs.Reporter.emit obs Obs.Record.heartbeat_explore
             [
               ("checker", Obs.Json.String "par-explore");
               ("domain", Obs.Json.Int w);
@@ -545,7 +530,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
               ( "spilled_states",
                 Obs.Json.Int
                   (max 0 (Store.Tiered.count seen - st.Store.Tiered.resident_entries)) );
-              ("store", Obs.Metrics.dump ~registry:gauge_registry ());
+              ("bytes_resident_per_shard", int_list (Store.Tiered.resident_bytes_per_shard seen));
             ]
         end;
         flush_span ();
@@ -778,8 +763,8 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
   let truncated = Atomic.get truncated in
   if Obs.Reporter.enabled obs then begin
     (* per-phase attribution summed over the workers; [other_s] is the
-       rest of their busy time (seen-set insert, canonicalization, deque
-       traffic), so idle and stealing time stay out of it *)
+       rest of their busy time (canonicalization, deque traffic), so idle
+       and stealing time stay out of it *)
     let gc1 = Gc.quick_stat () in
     let sum slot = Array.fold_left (fun acc p -> acc + p.(slot)) 0 phases in
     let secs slot = float_of_int (sum slot) *. 1e-9 in
@@ -792,7 +777,8 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
     in
     let busy_s = float_of_int (Array.fold_left ( + ) 0 busy_ns) *. 1e-9 in
     let succ_s = secs ph_succ and norm_s = secs ph_norm and fp_s = secs ph_fp in
-    Obs.Reporter.emit obs "profile"
+    let ins_s = secs ph_ins in
+    Obs.Reporter.emit obs Obs.Record.profile
       [
         ("checker", Obs.Json.String "par-explore");
         ("states", Obs.Json.Int states);
@@ -803,9 +789,11 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
         ("normalize_s", Obs.Json.Float norm_s);
         ("fingerprint_s", Obs.Json.Float fp_s);
         ("fingerprint_calls", Obs.Json.Int (sum ph_fp_calls));
+        ("seen_insert_s", Obs.Json.Float ins_s);
         ("invariant_s", Obs.Json.Float inv_s);
         ("invariant_evals", Obs.Json.Int inv_evals);
-        ("other_s", Obs.Json.Float (Float.max 0. (busy_s -. succ_s -. norm_s -. fp_s -. inv_s)));
+        ( "other_s",
+          Obs.Json.Float (Float.max 0. (busy_s -. succ_s -. norm_s -. fp_s -. ins_s -. inv_s)) );
         ("minor_words", Obs.Json.Float (gc1.Gc.minor_words -. gc0.Gc.minor_words));
         ("promoted_words", Obs.Json.Float (gc1.Gc.promoted_words -. gc0.Gc.promoted_words));
         ("major_words", Obs.Json.Float (gc1.Gc.major_words -. gc0.Gc.major_words));
@@ -814,7 +802,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
         ("heap_words", Obs.Json.Int gc1.Gc.heap_words);
       ];
     let rate = if elapsed > 0. then float_of_int states /. elapsed else 0. in
-    Obs.Reporter.emit obs "outcome"
+    Obs.Reporter.emit obs Obs.Record.outcome_explore
       [
         ("checker", Obs.Json.String "par-explore");
         ("jobs", Obs.Json.Int jobs);
@@ -830,14 +818,6 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
         ("elapsed_s", Obs.Json.Float elapsed);
         ("states_per_sec", Obs.Json.Float rate);
       ];
-    Obs.Reporter.emit obs "scaling"
-      [
-        ("checker", Obs.Json.String "par-explore");
-        ("jobs", Obs.Json.Int jobs);
-        ("states", Obs.Json.Int states);
-        ("elapsed_s", Obs.Json.Float elapsed);
-        ("states_per_sec", Obs.Json.Float rate);
-      ];
     (* contention attribution + Amdahl decomposition of this run *)
     let lock_stats, shard_wait_s = Obs.Contention.shard_summary (Store.Tiered.locks seen) in
     let _, deque_wait_s = Obs.Contention.shard_summary (Deque.locks deques) in
@@ -846,9 +826,8 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
     let isum a = Array.fold_left ( + ) 0 a in
     let est = Obs.Contention.estimate ~jobs ~wall_s:elapsed ~busy_per_domain:busy_s in
     let flist a = Obs.Json.List (Array.to_list (Array.map (fun v -> Obs.Json.Float v) a)) in
-    let ilist a = Obs.Json.List (Array.to_list (Array.map (fun v -> Obs.Json.Int v) a)) in
     let st = Store.Tiered.stats seen in
-    Obs.Reporter.emit obs "scaling-detail"
+    Obs.Reporter.emit obs Obs.Record.scaling_detail
       ([
          ("checker", Obs.Json.String "par-explore");
          ("states", Obs.Json.Int states);
@@ -877,7 +856,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
           ("mem_budget", Obs.Json.Int (Store.Tiered.mem_budget seen));
           ("bytes_resident", Obs.Json.Int st.Store.Tiered.resident_bytes);
           ( "bytes_resident_per_shard",
-            ilist (Store.Tiered.resident_bytes_per_shard seen) );
+            int_list (Store.Tiered.resident_bytes_per_shard seen) );
           ("peak_bytes_resident", Obs.Json.Int st.Store.Tiered.peak_resident_bytes);
           ("spills", Obs.Json.Int st.Store.Tiered.spills);
           ("merges", Obs.Json.Int st.Store.Tiered.merges);

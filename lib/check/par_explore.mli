@@ -113,15 +113,13 @@ val max_jobs : int
     enabled, each worker emits its own [heartbeat] records tagged with a
     [domain] index (the [frontier] field reports the pending-task count)
     carrying store occupancy ([bytes_resident], [mem_budget],
-    [segments], [spilled_states], and a [store] metrics dump with a
-    per-shard [bytes_resident.NN] gauge each), each worker reports its
-    own per-[invariant] records (aggregate across domains for totals),
-    a reducer adds a [reduction] record,
+    [segments], [spilled_states], and [bytes_resident_per_shard]), each
+    worker reports its own per-[invariant] records (aggregate across
+    domains for totals), a reducer adds a [reduction] record,
     and the run ends with a [profile] record (per-phase wall time and
-    call counts summed over the workers, [other_s] the rest of their
-    busy time, and GC deltas), an [outcome] record, a [scaling] record
-    ([jobs], [states], [elapsed_s], [states_per_sec]) for
-    speedup-vs-domains tracking, and a [scaling-detail] record:
+    call counts summed over the workers, [seen_insert_s] the seen-set
+    insert, [other_s] the rest of their busy time, and GC deltas), an
+    [outcome] record (with [jobs]), and a [scaling-detail] record:
     per-domain busy and idle seconds, steal / failed-steal / stolen-task
     / termination-probe counters, seen-set shard lock contention
     (acquires, contended acquires, per-shard wait), deque lock wait, the
@@ -129,7 +127,7 @@ val max_jobs : int
     the tiered-store counters (resident/peak/disk bytes, spills, merges,
     segments, spilled entries, disk probe and Bloom statistics).  Each
     checkpoint also emits a [checkpoint] record ([seq], [states],
-    [frontier], [dir]).
+    [frontier], [dir]).  {!Obs.Record} declares every field.
 
     When [tracer] is live with at least [jobs] lanes, each worker's own
     lane (single-writer discipline, no coordinator involvement) carries

@@ -66,10 +66,9 @@ val run :
     exactly [steps] when no violation occurs, so aggregate counters are
     deterministic in [seed]).  The first violation found raises a stop
     flag the other domains poll every step; the lowest-indexed finder's
-    trace is returned.  Run/step/restart counters are aggregated through
-    Obs atomic metrics in a swarm-private registry and attached to the
-    swarm's [outcome] record, followed by a [scaling] record.  [jobs <= 1]
-    delegates to {!run}; [jobs] is capped at 64. *)
+    trace is returned.  The swarm's own [outcome] record carries [jobs]
+    and the walkers' summed [steps], [runs] and [dead_end_restarts].
+    [jobs <= 1] delegates to {!run}; [jobs] is capped at 64. *)
 val swarm :
   ?jobs:int ->
   ?seed:int ->

@@ -71,7 +71,7 @@ let report obs ~checker reducer ~states ~transitions ~elapsed =
   | None -> ()
   | Some r ->
     if Obs.Reporter.enabled obs then
-      Obs.Reporter.emit obs "reduction"
+      Obs.Reporter.emit obs Obs.Record.reduction
         [
           ("checker", Obs.Json.String checker);
           ("reduce", Obs.Json.String r.name);

@@ -88,31 +88,6 @@ let steps sys =
   done;
   !acc
 
-(* Successors restricted to one scheduled process [p]: p's tau steps and the
-   rendezvous in which p is the requester.  Responders are passive, matching
-   the intuition that Sys is reactive; used by the random-walk scheduler. *)
-let steps_of sys p =
-  let acc = ref [] in
-  let n = n_procs sys in
-  let cfg = sys.procs.(p) in
-  List.iter
-    (fun (l, cfg') -> acc := (Tau (p, l), set1 sys p cfg') :: !acc)
-    (Com.tau_steps cfg);
-  List.iter
-    (fun (req_label, alpha, k) ->
-      for q = 0 to n - 1 do
-        if q <> p then
-          List.iter
-            (fun (resp_label, cfg_q', beta) ->
-              let ev = Rendezvous { requester = p; req_label; responder = q; resp_label } in
-              acc := (ev, set2 sys p (k beta) q cfg_q') :: !acc)
-            (Com.responses alpha sys.procs.(q))
-      done)
-    (Com.requests cfg);
-  !acc
-
-let deadlocked sys = steps sys = []
-
 (* Normal form under definite local steps: run every process's definite tau
    steps to quiescence.  States in normal form never rest at a
    deterministic register/control operation; see Com.definite_tau for the

@@ -37,12 +37,6 @@ val name : ('a, 'v, 's) t -> pid -> string
     every requester/responder pairing (second rule). *)
 val steps : ('a, 'v, 's) t -> (event * ('a, 'v, 's) t) list
 
-(** Successors when only process [p] is scheduled (its taus and the
-    rendezvous it initiates); used by randomized schedulers. *)
-val steps_of : ('a, 'v, 's) t -> pid -> (event * ('a, 'v, 's) t) list
-
-val deadlocked : ('a, 'v, 's) t -> bool
-
 (** The paper's [at p l]: does control of process [p] reside at label [l]? *)
 val at : ('a, 'v, 's) t -> pid -> Label.t -> bool
 

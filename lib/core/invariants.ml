@@ -42,7 +42,7 @@ type t = {
   conjuncts : (string * string) list;
     (* every conjunct name this invariant's witnesses can carry, with a
        one-line informal statement — the source of truth for
-       docs/INVARIANTS.md (gcmodel doc-invariants) and the columns of the
+       docs/INVARIANTS.md (gcmodel doc) and the columns of the
        campaign kill-matrix *)
   check : Model.sys -> bool;
   witness : Model.sys -> witness list;

@@ -34,7 +34,7 @@ type t = {
   conjuncts : (string * string) list;
       (** every conjunct name this invariant's witnesses can carry, each
           with a one-line informal statement — the source of truth for the
-          generated [docs/INVARIANTS.md] ([gcmodel doc-invariants]) and
+          generated [docs/INVARIANTS.md] ([gcmodel doc]) and
           the columns of the campaign kill-matrix *)
   check : Model.sys -> bool;
   witness : Model.sys -> witness list;

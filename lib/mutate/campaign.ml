@@ -153,7 +153,7 @@ let classification_fields = function
   | Errored msg -> [ ("status", Obs.Json.String "error"); ("error", Obs.Json.String msg) ]
 
 let emit_entry obs e =
-  Obs.Reporter.emit obs "campaign"
+  Obs.Reporter.emit obs Obs.Record.campaign
     ([
        ("mutant", Obs.Json.String e.mutant.name);
        ("operator", Obs.Json.String e.mutant.operator);
@@ -328,7 +328,7 @@ let run ?(obs = Obs.Reporter.null) ?(budget = 300_000) ?(jobs = 1) ?(reduce = Re
           | Ok certs ->
             List.iter
               (fun (label, out, states) ->
-                Obs.Reporter.emit obs "certificate"
+                Obs.Reporter.emit obs Obs.Record.certificate
                   [
                     ("mutant", Obs.Json.String m.name);
                     ("scenario", Obs.Json.String label);
@@ -337,7 +337,7 @@ let run ?(obs = Obs.Reporter.null) ?(budget = 300_000) ?(jobs = 1) ?(reduce = Re
                   ])
               certs
           | Error (label, msg) ->
-            Obs.Reporter.emit obs "certificate"
+            Obs.Reporter.emit obs Obs.Record.certificate
               [
                 ("mutant", Obs.Json.String m.name);
                 ("scenario", Obs.Json.String label);

@@ -1,9 +1,9 @@
-(** Generators for the two reference manuals.
+(** Generators for the four reference manuals in [docs/].
 
     Pure functions of the catalogues — no clocks, no environment — so the
-    output is byte-stable; CI regenerates and diffs against the committed
-    [docs/INVARIANTS.md] / [docs/VARIANTS.md], and the test suite does the
-    same locally. *)
+    output is byte-stable; CI regenerates them with [gcmodel doc] and
+    diffs against the committed files, and the test suite does the same
+    locally. *)
 
 val invariants_md : unit -> string
 (** [docs/INVARIANTS.md]: every invariant's kind, paper locus, informal
@@ -23,3 +23,13 @@ val certificates_md : unit -> string
     models, and the command cheat-sheet.  Rendered against the living
     constants ({!Certify.Certificate.format_tag}, the invariant count),
     so format drift breaks the CI diff. *)
+
+val records_md : unit -> string
+(** [docs/RECORDS.md]: every JSONL record the tools emit — event name,
+    emitter, meaning, fields and optional fields — rendered from
+    {!Obs.Record.all}, the declarations {!Obs.Reporter.emit} checks
+    against. *)
+
+val manuals : (string * (unit -> string)) list
+(** The four manuals as (file name, generator) pairs, in manual order:
+    what [gcmodel doc DIR] writes into [DIR]. *)

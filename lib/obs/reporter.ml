@@ -34,8 +34,10 @@ let enabled t =
 
 let pp_pretty_field ppf (k, v) = Fmt.pf ppf "%s=%a" k Json.pp v
 
-let emit t event fields =
+let emit t (r : Record.t) fields =
   if enabled t then begin
+    Record.check r fields;
+    let event = r.Record.name in
     (* [ts] is wall-clock time, for humans correlating with other logs;
        [rel_s] is monotonic elapsed time since the reporter was created,
        so wall-clock jumps cannot produce negative or non-monotonic
@@ -63,25 +65,6 @@ let emit t event fields =
     | Memory records -> records := record :: !records
     | Live d -> Dashboard.update d event fields);
     Mutex.unlock t.lock
-  end
-
-let span t name f =
-  if not (enabled t) then f ()
-  else begin
-    let start = Clock.monotonic_ns () in
-    let finish ok =
-      emit t "span"
-        [ ("name", Json.String name);
-          ("s", Json.Float (Clock.elapsed_s ~since:start));
-          ("ok", Json.Bool ok) ]
-    in
-    match f () with
-    | v ->
-      finish true;
-      v
-    | exception e ->
-      finish false;
-      raise e
   end
 
 let close t =

@@ -7,9 +7,9 @@
     buffer (tests).  Emission is mutex-protected so the multicore runtime
     can report from several domains into one stream.
 
-    Every record carries [event] (the record type), [ts] (Unix time) and
-    [rel_s] (seconds since the reporter was created), then the caller's
-    fields. *)
+    Every record carries [event] (the declaration's name, see {!Record}),
+    [ts] (Unix time) and [rel_s] (seconds since the reporter was created),
+    then the caller's fields. *)
 
 type t
 
@@ -38,12 +38,11 @@ val live : ?dashboard:Dashboard.t -> unit -> t
     instrumentation whose mere bookkeeping would cost something. *)
 val enabled : t -> bool
 
-(** [emit t event fields] writes one record.  No-op when disabled. *)
-val emit : t -> string -> (string * Json.t) list -> unit
-
-(** [span t name f] times [f ()] and emits a [span] record with the name
-    and duration; the result (or exception) passes through. *)
-val span : t -> string -> (unit -> 'a) -> 'a
+(** [emit t record fields] writes one [record].  No-op when disabled;
+    otherwise the field names are checked against the declaration first.
+    @raise Invalid_argument when a declared field is missing, or a field
+    is undeclared or given twice (see {!Record.check}). *)
+val emit : t -> Record.t -> (string * Json.t) list -> unit
 
 (** Flush and release the sink ([jsonl] closes the file).  Idempotent;
     further emits are dropped. *)

@@ -61,7 +61,7 @@ let run ?max_states ?normal_form ?(obs = Obs.Reporter.null) ~reducer ~invariants
   if Obs.Reporter.enabled obs then begin
     let opt_str = function None -> Obs.Json.Null | Some s -> Obs.Json.String s in
     let opt_int = function None -> Obs.Json.Null | Some i -> Obs.Json.Int i in
-    Obs.Reporter.emit obs "crosscheck"
+    Obs.Reporter.emit obs Obs.Record.crosscheck
       [
         ("reduce", Obs.Json.String r.reduce);
         ("full_states", Obs.Json.Int r.full_states);

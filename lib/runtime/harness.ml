@@ -136,7 +136,7 @@ let run ?(n_muts = 2) ?(n_slots = 256) ?(n_fields = 2) ?(duration = 0.5) ?(barri
     }
   in
   if Obs.Reporter.enabled obs then
-    Obs.Reporter.emit obs "harness"
+    Obs.Reporter.emit obs Obs.Record.harness
       [
         ("n_muts", Obs.Json.Int n_muts);
         ("duration_s", Obs.Json.Float duration);

@@ -148,7 +148,7 @@ let cycle sh =
     let cas_wins = Atomic.get sh.cas_wins - cas_wins0 in
     let fast = Atomic.get sh.barrier_fast_path - fast0 in
     let flag_tests = cas_attempts + fast in
-    Obs.Reporter.emit sh.obs "gc-cycle"
+    Obs.Reporter.emit sh.obs Obs.Record.gc_cycle
       [
         ("cycle", Obs.Json.Int (Atomic.get sh.cycles));
         ("elapsed_s", Obs.Json.Float (float_of_int (t_end_ns - t_cycle_ns) *. 1e-9));
@@ -178,7 +178,7 @@ let emit_heartbeat sh ~dt_ns ~allocs0 =
     if dt_ns > 0 then float_of_int (allocs - allocs0) /. (float_of_int dt_ns *. 1e-9)
     else 0.
   in
-  Obs.Reporter.emit sh.obs "runtime-heartbeat"
+  Obs.Reporter.emit sh.obs Obs.Record.runtime_heartbeat
     [
       ("cycles", Obs.Json.Int (Atomic.get sh.cycles));
       ("live", Obs.Json.Int (Rheap.live_count sh.heap));

@@ -175,8 +175,9 @@ let profile_of ?jobs ?safety_only ?reduce sc =
     | Obs.Json.Obj fields -> List.assoc_opt name fields
     | _ -> None
   in
+  let records = dump () in
   let profiles =
-    List.filter (fun r -> field "event" r = Some (Obs.Json.String "profile")) (dump ())
+    List.filter (fun r -> field "event" r = Some (Obs.Json.String "profile")) records
   in
   Alcotest.(check int) "exactly one profile record" 1 (List.length profiles);
   let p = List.hd profiles in
@@ -194,6 +195,13 @@ let profile_of ?jobs ?safety_only ?reduce sc =
     | Some (Obs.Json.Int n) -> n
     | _ -> Alcotest.failf "%s is not an int" key
   in
+  if reduce = Some Reduce.Mode.All then
+    Alcotest.(check bool) "the reduction record has reduce = all" true
+      (List.exists
+         (fun r ->
+           field "event" r = Some (Obs.Json.String "reduction")
+           && field "reduce" r = Some (Obs.Json.String "all"))
+         records);
   (o, int_field)
 
 let test_profile_record () =

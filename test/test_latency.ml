@@ -212,8 +212,9 @@ let test_runtime_latency_section_and_heartbeat () =
   | Some (Obs.Json.List acks) ->
     Alcotest.(check int) "one ack histogram per mutator" 2 (List.length acks)
   | _ -> Alcotest.fail "latency section lacks per-mutator hs_ack");
-  ignore (sub lat "pause");
-  ignore (sub lat "barrier_slow");
+  List.iter
+    (fun k -> ignore (sub lat k))
+    [ "pause"; "barrier_slow"; "hs_round_by_type"; "alloc"; "alloc_stall_wait"; "mark"; "sweep" ];
   (* heartbeats: at least one per run, with live handshake percentiles *)
   let hbs = records_of_event "runtime-heartbeat" (dump ()) in
   Alcotest.(check bool) "at least one heartbeat" true (List.length hbs >= 1);

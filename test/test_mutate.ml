@@ -226,19 +226,16 @@ let read_doc name =
   | None -> Alcotest.fail ("cannot locate docs/" ^ name)
 
 let test_docs_match_generators () =
-  Alcotest.(check bool)
-    "docs/INVARIANTS.md matches `gcmodel doc-invariants` (regenerate if you changed the catalogue)"
-    true
-    (read_doc "INVARIANTS.md" = Mutate.Doc_gen.invariants_md ());
-  Alcotest.(check bool)
-    "docs/VARIANTS.md matches `gcmodel doc-variants` (regenerate if you changed the catalogues)"
-    true
-    (read_doc "VARIANTS.md" = Mutate.Doc_gen.variants_md ());
-  Alcotest.(check bool)
-    "docs/CERTIFICATES.md matches `gcmodel doc-certificates` (regenerate if you changed the \
-     format)"
-    true
-    (read_doc "CERTIFICATES.md" = Mutate.Doc_gen.certificates_md ())
+  Alcotest.(check (list string)) "gcmodel doc writes the four manuals"
+    [ "INVARIANTS.md"; "VARIANTS.md"; "CERTIFICATES.md"; "RECORDS.md" ]
+    (List.map fst Mutate.Doc_gen.manuals);
+  List.iter
+    (fun (name, md) ->
+      Alcotest.(check bool)
+        (Fmt.str "docs/%s matches `gcmodel doc` (regenerate with `gcmodel doc docs`)" name)
+        true
+        (read_doc name = md ()))
+    Mutate.Doc_gen.manuals
 
 let test_manuals_cover_the_catalogues () =
   let inv_md = Mutate.Doc_gen.invariants_md () in
@@ -257,7 +254,13 @@ let test_manuals_cover_the_catalogues () =
     (fun (m : Mutate.Operators.t) ->
       Alcotest.(check bool) ("manual covers " ^ m.Mutate.Operators.name) true
         (contains ~sub:("`" ^ m.Mutate.Operators.name ^ "`") var_md))
-    (Mutate.Operators.all fat_cfg)
+    (Mutate.Operators.all fat_cfg);
+  let rec_md = Mutate.Doc_gen.records_md () in
+  List.iter
+    (fun (r : Obs.Record.t) ->
+      Alcotest.(check bool) (Fmt.str "manual covers %s (%s)" r.name r.emitter) true
+        (contains ~sub:(Fmt.str "## `%s` — %s" r.name r.emitter) rec_md))
+    Obs.Record.all
 
 let suite =
   [

@@ -1,7 +1,8 @@
-(* Tests for the observability layer: the JSON codec, metrics (including
-   atomic counters under real domains), reporter sinks and spec parsing,
-   Trace JSON export round-trips, and the instrumentation wired into the
-   checkers and the multicore harness. *)
+(* Tests for the observability layer: the JSON codec, atomic counters
+   under real domains, reporter sinks and spec parsing, the record
+   declarations and their emit-time check, Trace JSON export round-trips,
+   and the instrumentation wired into the checkers and the multicore
+   harness. *)
 
 open Cimp
 
@@ -85,23 +86,8 @@ let test_json_nonfinite_floats () =
 
 (* -- Metrics ----------------------------------------------------------------- *)
 
-let test_counters_and_gauges () =
-  let reg = Obs.Metrics.create_registry () in
-  let c = Obs.Metrics.counter ~registry:reg "states" in
-  Obs.Metrics.incr c;
-  Obs.Metrics.add c 9;
-  Alcotest.(check int) "plain counter" 10 (Obs.Metrics.count c);
-  let g = Obs.Metrics.gauge ~registry:reg "depth" in
-  Obs.Metrics.set g 3.5;
-  Alcotest.(check (float 0.)) "gauge" 3.5 (Obs.Metrics.value g);
-  match Obs.Metrics.dump ~registry:reg () with
-  | Obs.Json.Obj fields ->
-    Alcotest.(check bool) "dump has both metrics" true
-      (List.mem_assoc "states" fields && List.mem_assoc "depth" fields)
-  | j -> Alcotest.failf "dump is not an object: %s" (Obs.Json.to_string j)
-
 let test_atomic_counter_under_domains () =
-  let c = Obs.Metrics.acounter ~registry:(Obs.Metrics.create_registry ()) "cas" in
+  let c = Obs.Metrics.acounter () in
   let per_domain = 10_000 in
   let worker () =
     for _ = 1 to per_domain do
@@ -114,25 +100,24 @@ let test_atomic_counter_under_domains () =
 
 (* -- Reporter ---------------------------------------------------------------- *)
 
+let experiment title =
+  [ ("name", Obs.Json.String "E0"); ("title", Obs.Json.String title) ]
+
 let test_reporter_memory_sink () =
   Alcotest.(check bool) "null is disabled" false (Obs.Reporter.enabled Obs.Reporter.null);
   let obs, dump = Obs.Reporter.memory () in
   Alcotest.(check bool) "memory is enabled" true (Obs.Reporter.enabled obs);
-  Obs.Reporter.emit obs "ping" [ ("n", Obs.Json.Int 1) ];
-  let x = Obs.Reporter.span obs "work" (fun () -> 7) in
-  Alcotest.(check int) "span passes the result through" 7 x;
+  Obs.Reporter.emit obs Obs.Record.experiment (experiment "ping");
   (match dump () with
-  | [ Obs.Json.Obj ping; Obs.Json.Obj span ] ->
-    Alcotest.check json "event name" (Obs.Json.String "ping") (List.assoc "event" ping);
+  | [ Obs.Json.Obj ping ] ->
+    Alcotest.check json "event name" (Obs.Json.String "experiment") (List.assoc "event" ping);
     Alcotest.(check bool) "base fields present" true
-      (List.mem_assoc "ts" ping && List.mem_assoc "rel_s" ping);
-    Alcotest.check json "span record" (Obs.Json.String "span") (List.assoc "event" span);
-    Alcotest.check json "span name" (Obs.Json.String "work") (List.assoc "name" span)
-  | records -> Alcotest.failf "expected 2 records, got %d" (List.length records));
+      (List.mem_assoc "ts" ping && List.mem_assoc "rel_s" ping)
+  | records -> Alcotest.failf "expected 1 record, got %d" (List.length records));
   Obs.Reporter.close obs;
   Alcotest.(check bool) "closed reporter is disabled" false (Obs.Reporter.enabled obs);
-  Obs.Reporter.emit obs "late" [];
-  Alcotest.(check int) "emits after close are dropped" 2 (List.length (dump ()))
+  Obs.Reporter.emit obs Obs.Record.experiment (experiment "late");
+  Alcotest.(check int) "emits after close are dropped" 1 (List.length (dump ()))
 
 let test_reporter_spec_parsing () =
   (match Obs.Reporter.of_spec "off" with
@@ -144,7 +129,7 @@ let test_reporter_spec_parsing () =
   let path = Filename.temp_file "obs_spec" ".jsonl" in
   (match Obs.Reporter.of_spec ("json:" ^ path) with
   | Ok t ->
-    Obs.Reporter.emit t "hello" [];
+    Obs.Reporter.emit t Obs.Record.experiment (experiment "hello");
     Obs.Reporter.close t;
     let ic = open_in path in
     let line = input_line ic in
@@ -354,6 +339,68 @@ let test_harness_emits_records () =
       | _ -> Alcotest.fail "gc-cycle record lacks hs_latency_s")
     cycles
 
+(* -- Record declarations -------------------------------------------------------- *)
+
+let test_records_refusal () =
+  let obs, dump = Obs.Reporter.memory () in
+  let refused what field fields =
+    match Obs.Reporter.emit obs Obs.Record.experiment fields with
+    | () -> Alcotest.failf "%s field %s accepted" what field
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (Fmt.str "%S names the record and the field" msg) true
+        (Test_certify.contains ~sub:"record experiment" msg
+        && Test_certify.contains ~sub:(what ^ " field " ^ field) msg)
+  in
+  let name = ("name", Obs.Json.String "E0") and title = ("title", Obs.Json.String "t") in
+  refused "missing" "title" [ name ];
+  refused "undeclared" "id" [ name; title; ("id", Obs.Json.String "E0") ];
+  refused "duplicated" "name" [ name; title; name ];
+  Alcotest.(check int) "refused records are not written" 0 (List.length (dump ()));
+  (* a disabled reporter drops the record before any check *)
+  Obs.Reporter.emit Obs.Reporter.null Obs.Record.experiment [ name; name ];
+  Obs.Reporter.close obs;
+  Obs.Reporter.emit obs Obs.Record.experiment [ ("id", Obs.Json.Null) ];
+  Alcotest.(check int) "closed reporter drops unchecked" 0 (List.length (dump ()))
+
+(* One memory sink through a checkpointed, reduced parallel explore, a
+   walk and a swarm, a crosscheck and the runtime harness sees every
+   declaration except those emitted only by bin/ or the campaign (which
+   are checked at emit there too). *)
+let test_records_all_emitted () =
+  let sc = Core.Scenario.make ~label:"records" ~n_refs:2 ~shape:"single" ~max_mut_ops:1 () in
+  let system = (Core.Scenario.model sc).Core.Model.system in
+  let invariants = Core.Scenario.invariants sc in
+  let reducer = Core.Reduction.reducer sc.Core.Scenario.cfg Reduce.Mode.All in
+  let dir = Test_certify.fresh_dir () in
+  let obs, dump = Obs.Reporter.memory () in
+  Fun.protect ~finally:(fun () -> Test_certify.rm_rf dir) (fun () ->
+      ignore
+        (Check.Par_explore.run ~jobs:2 ~obs ?reducer ~heartbeat_every:200
+           ~checkpoint:(dir, 500) ~invariants system));
+  ignore (Check.Random_walk.run ~steps:2_000 ~heartbeat_every:500 ~obs ?reducer ~invariants system);
+  ignore (Check.Random_walk.swarm ~jobs:2 ~steps:2_000 ~obs ~invariants system);
+  ignore (Core.Scenario.crosscheck ~obs sc);
+  ignore (Runtime.Harness.run ~duration:0.2 ~obs ());
+  Obs.Reporter.close obs;
+  let records = List.map (record_fields "emitted") (dump ()) in
+  let emitted (d : Obs.Record.t) =
+    List.exists
+      (fun fields ->
+        let own = List.filter (fun (k, _) -> not (List.mem k [ "event"; "ts"; "rel_s" ])) fields in
+        List.assoc "event" fields = Obs.Json.String d.name
+        && match Obs.Record.check d own with () -> true | exception Invalid_argument _ -> false)
+      records
+  in
+  let elsewhere =
+    Obs.Record.
+      [ violation; explanation; recheck; experiment; litmus; outcome_litmus; campaign; certificate ]
+  in
+  List.iter
+    (fun (d : Obs.Record.t) ->
+      if not (List.memq d elsewhere) then
+        Alcotest.(check bool) (Fmt.str "%s (%s) emitted" d.name d.emitter) true (emitted d))
+    Obs.Record.all
+
 let suite =
   [
     Alcotest.test_case "json: print/parse round-trip" `Quick test_json_roundtrip;
@@ -366,7 +413,8 @@ let suite =
     Alcotest.test_case "trace: schedule JSON round-trip" `Quick test_trace_json_roundtrip;
     Alcotest.test_case "metrics: atomic counter under 4 domains" `Quick
       test_atomic_counter_under_domains;
-    Alcotest.test_case "metrics: counters and gauges" `Quick test_counters_and_gauges;
+    Alcotest.test_case "records: refusal" `Quick test_records_refusal;
+    Alcotest.test_case "records: every declaration is emitted" `Quick test_records_all_emitted;
     Alcotest.test_case "explore: per-invariant evals == states (baseline)" `Quick
       test_explore_per_invariant_evals;
     Alcotest.test_case "explore: JSONL stream is well-formed" `Quick test_explore_jsonl_stream;
