@@ -7,9 +7,9 @@
    by enumeration, and it additionally produces a shortest counterexample
    schedule when an invariant fails.
 
-   This module holds the outcome type, its rendering and the coverage and
-   replay helpers the engine (Par_explore) shares, plus [run], the exact
-   reference BFS. *)
+   This module holds the outcome type, its rendering and the replay helper
+   the engine (Par_explore) shares, plus [run], the exact reference BFS,
+   the only loop that records coverage. *)
 
 type ('a, 'v, 's) outcome = {
   states : int;  (* distinct states visited *)
@@ -20,8 +20,9 @@ type ('a, 'v, 's) outcome = {
   violation : ('a, 'v, 's) Trace.t option;  (* first (shortest) violation *)
   elapsed : float;  (* seconds *)
   covered : (int * Cimp.Label.t) list;
-      (* (pid, label) pairs that fired, when coverage tracking is on:
-         program locations never exercised indicate dead model code *)
+      (* (pid, label) pairs that fired, when the reference BFS tracks
+         coverage: program locations never exercised indicate dead model
+         code *)
 }
 
 let pp_outcome ppf o =

@@ -17,19 +17,16 @@ type ('a, 'v, 's) outcome = {
   violation : ('a, 'v, 's) Trace.t option;  (** first (shortest) violation *)
   elapsed : float;  (** wall-clock seconds *)
   covered : (int * Cimp.Label.t) list;
-      (** (pid, label) pairs that fired (empty unless [track_coverage]),
-          sorted by pid then label so coverage diffs are stable across
-          runs; program locations never exercised indicate dead model
-          code *)
+      (** (pid, label) pairs that fired, sorted by pid then label so
+          coverage diffs are stable across runs; program locations never
+          exercised indicate dead model code.  Only the reference BFS
+          ({!run} with [track_coverage]) records it; otherwise, and from
+          {!Par_explore.run} always, it is empty *)
 }
 
 val pp_outcome : ('a, 'v, 's) outcome Fmt.t
 (** One-line human rendering of an outcome (counts, depth, wall time,
     verdict) — the checker CLIs' summary line. *)
-
-(** Sort (pid, label) coverage pairs deterministically (by pid, then
-    label), as the [covered] field is; shared with {!Par_explore}. *)
-val sort_coverage : (int * Cimp.Label.t) list -> (int * Cimp.Label.t) list
 
 (** [coverage_gaps sys ~covered] lists the (pid, label) pairs of [sys]'s
     programs that never fired, sorted by pid then label.  Pass the

@@ -50,7 +50,7 @@
    the mechanism counterexample reconstruction already trusts.
 
    Determinism: on a non-truncated run with no violation, {states,
-   transitions, depth, deadlocks, covered} are equal to the reference
+   transitions, depth, deadlocks} are equal to the reference
    BFS's for every [jobs] (every reachable state is inserted exactly
    once, and transitions/deadlocks are counted only on a state's first
    expansion; re-expansions triggered by depth improvement recount
@@ -195,10 +195,10 @@ let ph_fp_calls = 7
 
 let int_list a = Obs.Json.List (Array.to_list (Array.map (fun v -> Obs.Json.Int v) a))
 
-let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_coverage = false)
-    ?(obs = Obs.Reporter.null) ?(tracer = Obs.Tracing.null) ?(heartbeat_every = 20_000)
-    ?(hooks = no_hooks) ?reducer ?mem_budget ?spill_dir ?checkpoint ?resume ?on_store
-    ?(run_config = Obs.Json.Null) ~invariants initial =
+let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.Reporter.null)
+    ?(tracer = Obs.Tracing.null) ?(heartbeat_every = 20_000) ?(hooks = no_hooks) ?reducer
+    ?mem_budget ?spill_dir ?checkpoint ?resume ?on_store ?(run_config = Obs.Json.Null) ~invariants
+    initial =
   let jobs = max 1 (min jobs max_jobs) in
   let t0_ns = Obs.Clock.monotonic_ns () in
   let base_elapsed =
@@ -324,27 +324,6 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
   let pending = Atomic.make 0 in
   (* worker-indexed so each domain owns its instrumentation arrays *)
   let ivs = Array.init jobs (fun _ -> Inv_stats.make ~obs invariants) in
-  let coverage =
-    Array.init jobs (fun _ -> Hashtbl.create (if track_coverage then 512 else 1))
-  in
-  (match resume with
-  | Some snap ->
-    List.iter (fun pair -> Hashtbl.replace coverage.(0) pair ()) snap.Store.Checkpoint.covered
-  | None -> ());
-  let record_event w ev =
-    if track_coverage then begin
-      match ev with
-      | Cimp.System.Tau (p, l) -> Hashtbl.replace coverage.(w) (p, l) ()
-      | Cimp.System.Rendezvous { requester; req_label; responder; resp_label } ->
-        Hashtbl.replace coverage.(w) (requester, req_label) ();
-        Hashtbl.replace coverage.(w) (responder, resp_label) ()
-    end
-  in
-  let merged_covered () =
-    let merged = Hashtbl.create 512 in
-    Array.iter (fun tbl -> Hashtbl.iter (fun k () -> Hashtbl.replace merged k ()) tbl) coverage;
-    Explore.sort_coverage (Hashtbl.fold (fun k () acc -> k :: acc) merged [])
-  in
   let fp0 = Fingerprint.hash (fp_of initial) in
   let dummy_task = (fp0, initial, 0) in
   let deques = Array.init jobs (fun _ -> Deque.create ~dummy:dummy_task) in
@@ -400,7 +379,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
     Store.Checkpoint.write ~dir ~seq:!ckpt_seq ~config:run_config ~store:seen
       ~states:(Atomic.get states) ~transitions:(Atomic.get transitions)
       ~deadlocks:(Atomic.get deadlocks) ~truncated:(Atomic.get truncated)
-      ~elapsed_s:elapsed_now ~best ~frontier ~covered:(merged_covered ());
+      ~elapsed_s:elapsed_now ~best ~frontier;
     if Obs.Reporter.enabled obs then
       Obs.Reporter.emit obs Obs.Record.checkpoint
         [
@@ -553,7 +532,6 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
             (fun (event, sys') ->
               if Atomic.get states < max_states then begin
                 if first then Atomic.incr transitions;
-                record_event w event;
                 let sys' = timed ph_norm (fun () -> norm sys') in
                 let fp' = timed ph_fp (fun () -> Fingerprint.hash (fp_of sys')) in
                 ph.(ph_fp_calls) <- ph.(ph_fp_calls) + 1;
@@ -877,14 +855,4 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
      it goes out of scope (the snapshot above already flushed nothing:
      the store is complete in RAM + segments at this point) *)
   (match on_store with None -> () | Some f -> f seen);
-  let covered = merged_covered () in
-  {
-    Explore.states;
-    transitions;
-    depth;
-    deadlocks;
-    truncated;
-    violation;
-    elapsed;
-    covered;
-  }
+  { Explore.states; transitions; depth; deadlocks; truncated; violation; elapsed; covered = [] }

@@ -61,10 +61,10 @@ val max_jobs : int
 
     Determinism contract, against {!Explore.run} at every [jobs]:
     - a non-truncated run with no violation reports exactly the
-      reference's counts ([states], [transitions], [depth], [deadlocks])
-      and [covered] list: every reachable state is inserted exactly
-      once, and transitions/deadlocks are counted only on a state's
-      first expansion (depth-improvement re-expansions recount nothing).
+      reference's counts ([states], [transitions], [depth], [deadlocks]):
+      every reachable state is inserted exactly once, and
+      transitions/deadlocks are counted only on a state's first
+      expansion (depth-improvement re-expansions recount nothing).
       Under a symmetry reducer this holds at one worker; at several the
       class representatives, and so the counts, depend on the schedule.
       One caveat under [mem_budget]: [depth] may overstate when a
@@ -107,8 +107,9 @@ val max_jobs : int
            before the store goes out of scope; certificate writers dump
            it ([Certify.Writer.of_store]).
 
-    [max_states] (default 1,000,000), [normal_form], [track_coverage]
-    and [reducer] are as in {!Explore.run}; [heartbeat_every] (default
+    [max_states] (default 1,000,000), [normal_form] and [reducer] are as
+    in {!Explore.run}; the outcome's [covered] is always empty (coverage
+    comes from the reference BFS only).  [heartbeat_every] (default
     20,000) counts each worker's expansions.  When [obs] is
     enabled, each worker emits its own [heartbeat] records tagged with a
     [domain] index (the [frontier] field reports the pending-task count)
@@ -142,7 +143,6 @@ val run :
   ?jobs:int ->
   ?max_states:int ->
   ?normal_form:bool ->
-  ?track_coverage:bool ->
   ?obs:Obs.Reporter.t ->
   ?tracer:Obs.Tracing.t ->
   ?heartbeat_every:int ->

@@ -73,8 +73,8 @@ let duplicate_labels com =
 type ('a, 'v, 's) config = { stack : ('a, 'v, 's) t list; data : 's }
 
 (* Canonical form: decompose Seq at the head of the stack.  Loop and Choose
-   are left in place; their unfolding happens transparently in the offer
-   functions below, so the stored representation stays canonical. *)
+   are left in place; [unfold] below enters them transparently when a step
+   is taken, so the stored representation stays canonical. *)
 let rec norm = function
   | Seq (a, b) :: rest -> norm (a :: b :: rest)
   | stack -> stack
@@ -116,26 +116,45 @@ let terminated { stack; _ } = stack = []
 
 (* -- Offers: the three kinds of transitions a process can make ----------- *)
 
-(* tau-successors: local computation and control-flow steps.  Guard
-   evaluation (If/While) counts as one atomic step, as in the Isabelle
-   semantics; Loop and Choose unfold without consuming a step, so that an
-   external choice commits only when one alternative performs its first
-   action (this is what lets Fig. 9's Sys process offer all its RESPONSE
-   branches simultaneously). *)
-let rec tau_steps { stack; data } =
-  match stack with
-  | [] -> []
-  | Skip l :: rest -> [ (l, make rest data) ]
-  | Local_op (l, f) :: rest -> List.map (fun d -> (l, make rest d)) (f data)
-  | If (l, p, a, b) :: rest ->
-    [ (l, make ((if p data then a else b) :: rest) data) ]
-  | While (l, p, c) :: rest as whole ->
-    if p data then [ (l, make (c :: whole) data) ] else [ (l, make rest data) ]
-  | Loop c :: _ as whole -> tau_steps { stack = norm (c :: whole); data }
-  | Choose cs :: rest ->
-    List.concat_map (fun c -> tau_steps { stack = norm (c :: rest); data }) cs
-  | Seq (a, b) :: rest -> tau_steps { stack = norm (a :: b :: rest); data }
-  | (Request _ | Response _) :: _ -> []
+type ('a, 'v, 's) offer =
+  | Tau of Label.t * ('a, 'v, 's) config
+  | Req of Label.t * 'a * ('v -> ('a, 'v, 's) config)
+  | Resp of Label.t * ('a -> (('a, 'v, 's) config * 'v) list)
+
+(* The stack with Seq and Loop unfolded at its head: the Fig. 7 contexts
+   in which every step is taken.  Loop re-pushes itself as the
+   continuation, so it unfolds without consuming a step; the stored
+   representation keeps it folded, so control states stay canonical. *)
+let rec unfold = function
+  | Seq (a, b) :: rest -> unfold (a :: b :: rest)
+  | Loop c :: _ as whole -> unfold (c :: whole)
+  | stack -> stack
+
+(* Everything a process can do next, in branch order.  Guard evaluation
+   (If/While) is one atomic step, as in the Isabelle semantics.  A REQUEST
+   offers alpha, a function of the local state (Fig. 7 third rule), and a
+   continuation awaiting beta; a RESPONSE offers, for any alpha, its
+   successors with the beta sent back (last rule).  An external choice
+   offers the union of its branches and commits only when one acts, which
+   is what lets Fig. 9's Sys process respond and dequeue at once. *)
+let offers { stack; data } =
+  let rec go stack tail =
+    match unfold stack with
+    | [] -> tail
+    | Skip l :: rest -> Tau (l, make rest data) :: tail
+    | Local_op (l, f) :: rest ->
+      List.fold_right (fun d tail -> Tau (l, make rest d) :: tail) (f data) tail
+    | If (l, p, a, b) :: rest -> Tau (l, make ((if p data then a else b) :: rest) data) :: tail
+    | While (l, p, c) :: rest as whole ->
+      Tau (l, if p data then make (c :: whole) data else make rest data) :: tail
+    | Request (l, act, apply) :: rest ->
+      Req (l, act data, fun v -> make rest (apply v data)) :: tail
+    | Response (l, f) :: rest ->
+      Resp (l, fun alpha -> List.map (fun (d, v) -> (make rest d, v)) (f alpha data)) :: tail
+    | Choose cs :: rest -> List.fold_right (fun c tail -> go (c :: rest) tail) cs tail
+    | (Seq _ | Loop _) :: _ -> assert false (* unfolded *)
+  in
+  go stack []
 
 (* A *definite* tau step: the process's entire enabled behaviour is exactly
    one deterministic local/control step.  Such steps touch only the
@@ -146,40 +165,12 @@ let rec tau_steps { stack; data } =
    Choose are never definite (stepping would commit the choice), and
    Local_ops with zero or several successors are genuine
    blocking/non-determinism. *)
-let rec definite_tau { stack; data } =
-  match stack with
+let definite_tau { stack; data } =
+  match unfold stack with
   | Skip _ :: rest -> Some (make rest data)
   | If (_, p, a, b) :: rest -> Some (make ((if p data then a else b) :: rest) data)
   | While (_, p, c) :: rest as whole ->
     Some (if p data then make (c :: whole) data else make rest data)
-  | Local_op (_, f) :: rest -> (
-    match f data with [ d ] -> Some (make rest d) | _ -> None)
-  | Loop c :: _ as whole -> definite_tau { stack = norm (c :: whole); data }
-  | Seq (a, b) :: rest -> definite_tau { stack = norm (a :: b :: rest); data }
+  | Local_op (_, f) :: rest -> ( match f data with [ d ] -> Some (make rest d) | _ -> None)
   | (Choose _ | Request _ | Response _) :: _ | [] -> None
-
-(* Request offers: the message alpha (a function of the local state, per
-   Fig. 7 third rule) together with the continuation applied to the
-   responder's value beta. *)
-let rec requests { stack; data } =
-  match stack with
-  | Request (l, act, apply) :: rest ->
-    [ (l, act data, fun v -> make rest (apply v data)) ]
-  | Loop c :: _ as whole -> requests { stack = norm (c :: whole); data }
-  | Choose cs :: rest ->
-    List.concat_map (fun c -> requests { stack = norm (c :: rest); data }) cs
-  | Seq (a, b) :: rest -> requests { stack = norm (a :: b :: rest); data }
-  | _ -> []
-
-(* Response offers for a given request alpha: each yields the responder's
-   successor configuration and the value beta sent back (Fig. 7, last
-   rule). *)
-let rec responses alpha { stack; data } =
-  match stack with
-  | Response (l, f) :: rest ->
-    List.map (fun (d, v) -> (l, make rest d, v)) (f alpha data)
-  | Loop c :: _ as whole -> responses alpha { stack = norm (c :: whole); data }
-  | Choose cs :: rest ->
-    List.concat_map (fun c -> responses alpha { stack = norm (c :: rest); data }) cs
-  | Seq (a, b) :: rest -> responses alpha { stack = norm (a :: b :: rest); data }
-  | _ -> []
+  | (Seq _ | Loop _) :: _ -> assert false (* unfolded *)

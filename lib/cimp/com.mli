@@ -71,8 +71,6 @@ type ('a, 'v, 's) config = { stack : ('a, 'v, 's) t list; data : 's }
     at the head of the stack). *)
 val make : ('a, 'v, 's) t list -> 's -> ('a, 'v, 's) config
 
-val norm : ('a, 'v, 's) t list -> ('a, 'v, 's) t list
-
 (** The spine of head labels of the stack frames; with unique labels this
     identifies the control state. *)
 val stack_labels : ('a, 'v, 's) t list -> Label.t list
@@ -90,16 +88,19 @@ val terminated : ('a, 'v, 's) config -> bool
 
 (** {1 Transition offers} *)
 
-(** All tau successors, each labelled with the location that fired. *)
-val tau_steps : ('a, 'v, 's) config -> (Label.t * ('a, 'v, 's) config) list
+(** One thing a process can do next (Fig. 7), found under the [Seq],
+    [Loop] and [Choose] contexts at the head of its stack. *)
+type ('a, 'v, 's) offer =
+  | Tau of Label.t * ('a, 'v, 's) config  (** a local or control step, and its successor *)
+  | Req of Label.t * 'a * ('v -> ('a, 'v, 's) config)
+      (** a REQUEST: the message, and the continuation awaiting the reply *)
+  | Resp of Label.t * ('a -> (('a, 'v, 's) config * 'v) list)
+      (** a RESPONSE: for a message, each successor with the value sent
+          back; [[]] refuses it *)
 
-(** All request offers: the firing label, the message, and the
-    continuation awaiting the responder's value. *)
-val requests : ('a, 'v, 's) config -> (Label.t * 'a * ('v -> ('a, 'v, 's) config)) list
-
-(** All response offers for a given message: the firing label, the
-    responder's successor, and the value sent back. *)
-val responses : 'a -> ('a, 'v, 's) config -> (Label.t * ('a, 'v, 's) config * 'v) list
+(** Every offer, in branch order; a [Local_op]'s successors come in the
+    order its function lists them. *)
+val offers : ('a, 'v, 's) config -> ('a, 'v, 's) offer list
 
 (** If the process's entire enabled behaviour is exactly one deterministic
     local/control step, its successor; such steps are unobservable by

@@ -65,49 +65,47 @@ let set2 sys p cfg_p q cfg_q =
    First rule of Fig. 8: any process takes a tau step.  Second rule:
    a requester p and a distinct responder q synchronise; p's REQUEST
    computes alpha from p's state, q's RESPONSE non-deterministically picks a
-   successor state and a value beta, and p's continuation absorbs beta. *)
+   successor state and a value beta, and p's continuation absorbs beta.
+   Each process's offers are read once, and a request is paired with the
+   response offers already in hand. *)
 let steps sys =
-  let acc = ref [] in
   let n = n_procs sys in
+  let offers = Array.map Com.offers sys.procs in
+  let acc = ref [] in
   for p = n - 1 downto 0 do
-    let cfg = sys.procs.(p) in
     List.iter
-      (fun (l, cfg') -> acc := (Tau (p, l), set1 sys p cfg') :: !acc)
-      (Com.tau_steps cfg);
+      (function Com.Tau (l, cfg') -> acc := (Tau (p, l), set1 sys p cfg') :: !acc | _ -> ())
+      offers.(p);
     List.iter
-      (fun (req_label, alpha, k) ->
-        for q = 0 to n - 1 do
-          if q <> p then
-            List.iter
-              (fun (resp_label, cfg_q', beta) ->
-                let ev = Rendezvous { requester = p; req_label; responder = q; resp_label } in
-                acc := (ev, set2 sys p (k beta) q cfg_q') :: !acc)
-              (Com.responses alpha sys.procs.(q))
-        done)
-      (Com.requests cfg)
+      (function
+        | Com.Req (req_label, alpha, k) ->
+          for q = 0 to n - 1 do
+            if q <> p then
+              List.iter
+                (function
+                  | Com.Resp (resp_label, respond) ->
+                    let ev = Rendezvous { requester = p; req_label; responder = q; resp_label } in
+                    List.iter
+                      (fun (cfg_q', beta) -> acc := (ev, set2 sys p (k beta) q cfg_q') :: !acc)
+                      (respond alpha)
+                  | _ -> ())
+                offers.(q)
+          done
+        | _ -> ())
+      offers.(p)
   done;
   !acc
 
 (* Normal form under definite local steps: run every process's definite tau
-   steps to quiescence.  States in normal form never rest at a
-   deterministic register/control operation; see Com.definite_tau for the
-   soundness argument.  The checker explores normal forms only, which is
-   the atomicity coarsening the paper's evaluation-context semantics
-   licenses. *)
+   steps to quiescence.  A definite tau reads and writes only its own
+   process's configuration, so each process settles on its own.  States in
+   normal form never rest at a deterministic register/control operation;
+   see Com.definite_tau for the soundness argument.  The checker explores
+   normal forms only, which is the atomicity coarsening the paper's
+   evaluation-context semantics licenses. *)
 let normalize sys =
-  let procs = Array.copy sys.procs in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for p = 0 to Array.length procs - 1 do
-      match Com.definite_tau procs.(p) with
-      | Some cfg ->
-        procs.(p) <- cfg;
-        changed := true
-      | None -> ()
-    done
-  done;
-  { sys with procs }
+  let rec settle cfg = match Com.definite_tau cfg with Some cfg -> settle cfg | None -> cfg in
+  { sys with procs = Array.map settle sys.procs }
 
 (* The paper's [at p l]: does control of process p reside at label l? *)
 let at sys p l = Com.exists_at (Label.equal l) sys.procs.(p)

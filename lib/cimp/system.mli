@@ -34,7 +34,12 @@ val proc : ('a, 'v, 's) t -> pid -> ('a, 'v, 's) Com.config
 val name : ('a, 'v, 's) t -> pid -> string
 
 (** All successors: every process's tau steps (first rule of Fig. 8) and
-    every requester/responder pairing (second rule). *)
+    every requester/responder pairing (second rule), reading each
+    process's {!Com.offers} once.  The order is a contract, since the
+    random walker draws an index into it: grouped by acting process (a
+    rendezvous's requester) in ascending pid, each group is, reversed,
+    the process's taus in offer order, then its rendezvous by request,
+    responder pid, response offer and responder successor. *)
 val steps : ('a, 'v, 's) t -> (event * ('a, 'v, 's) t) list
 
 (** The paper's [at p l]: does control of process [p] reside at label [l]? *)
@@ -48,8 +53,10 @@ val map_data : ('a, 'v, 's) t -> pid -> ('s -> 's) -> ('a, 'v, 's) t
     fingerprint. *)
 val control_fingerprint : ('a, 'v, 's) t -> Label.t list list
 
-(** Normal form under definite local steps: run every process's
-    {!Com.definite_tau} steps to quiescence.  Sound for invariants that
-    only observe states at atomic-action boundaries — the evaluation-context
-    coarsening of the paper's Section 3. *)
+(** Normal form under definite local steps: every process runs its
+    {!Com.definite_tau} steps to quiescence.  A definite tau reads and
+    writes only its own configuration, so each process settles on its own.
+    Sound for invariants that only observe states at atomic-action
+    boundaries — the evaluation-context coarsening of the paper's
+    Section 3. *)
 val normalize : ('a, 'v, 's) t -> ('a, 'v, 's) t

@@ -12,9 +12,7 @@
    - the counterexample length: our reducers preserve shortest-trace
      distances (symmetry permutes whole paths; the POR rule only
      reorders independent transitions within a path), so under BFS both
-     explorations find equal-length counterexamples.  [ok
-     ~allow_longer_ce:true] relaxes this to reduced >= full for
-     experimenting with policies that do stretch traces;
+     explorations find equal-length counterexamples;
    - reduced distinct states <= full distinct states. *)
 
 type result = {
@@ -80,7 +78,7 @@ let run ?max_states ?normal_form ?(obs = Obs.Reporter.null) ~reducer ~invariants
   r
 
 (* Mismatch descriptions; [] means the cross-check passed. *)
-let errors ?(allow_longer_ce = false) r =
+let errors r =
   let e = ref [] in
   let add fmt = Printf.ksprintf (fun s -> e := s :: !e) fmt in
   if r.full_truncated then add "full run truncated: instance does not close, cross-check is vacuous";
@@ -92,12 +90,10 @@ let errors ?(allow_longer_ce = false) r =
   if r.reduced_states > r.full_states then
     add "reduced visited MORE states than full: %d > %d" r.reduced_states r.full_states;
   (match (r.full_ce_length, r.reduced_ce_length) with
-  | Some f, Some g when (if allow_longer_ce then g < f else g <> f) ->
+  | Some f, Some g when g <> f ->
     add "counterexample length mismatch: full=%d reduced=%d" f g
   | _ -> ());
   List.rev !e
-
-let ok ?allow_longer_ce r = errors ?allow_longer_ce r = []
 
 let pp ppf r =
   let shrink =

@@ -36,12 +36,8 @@ val run :
 
 (** Mismatch descriptions; [[]] means the cross-check passed.  A
     truncated full run is reported too: the check is vacuous then.
-    [allow_longer_ce] (default [false]) relaxes counterexample-length
-    equality to reduced >= full. *)
-val errors : ?allow_longer_ce:bool -> result -> string list
-
-(** [errors r = []]. *)
-val ok : ?allow_longer_ce:bool -> result -> bool
+    Counterexample lengths must be equal. *)
+val errors : result -> string list
 
 val pp : result Fmt.t
 (** One-line rendering: state/transition counts for both runs and the

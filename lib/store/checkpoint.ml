@@ -7,7 +7,6 @@ type snapshot = {
   elapsed_s : float;
   best : (int * int * int) option;
   frontier : (int * int) list array;
-  covered : (int * string) list;
   config : Obs.Json.t;
   store : Tiered.t;
 }
@@ -64,7 +63,7 @@ let t0_name shard = Printf.sprintf "t0-%02d.seg" shard
 let snap_name seq = "snap-" ^ string_of_int seq
 
 let write ~dir ~seq ~config ~store ~states ~transitions ~deadlocks ~truncated ~elapsed_s ~best
-    ~frontier ~covered =
+    ~frontier =
   let rec mkdirs d =
     if not (Sys.file_exists d) then begin
       mkdirs (Filename.dirname d);
@@ -113,7 +112,6 @@ let write ~dir ~seq ~config ~store ~states ~transitions ~deadlocks ~truncated ~e
         ]
       :: !shards
   done;
-  let pair_list l f = Obs.Json.List (List.map f l) in
   let state =
     Obs.Json.Obj
       [
@@ -136,12 +134,11 @@ let write ~dir ~seq ~config ~store ~states ~transitions ~deadlocks ~truncated ~e
             (Array.to_list
                (Array.map
                   (fun tasks ->
-                    pair_list tasks (fun (fp, d) ->
-                        Obs.Json.List [ Obs.Json.Int fp; Obs.Json.Int d ]))
+                    Obs.Json.List
+                      (List.map
+                         (fun (fp, d) -> Obs.Json.List [ Obs.Json.Int fp; Obs.Json.Int d ])
+                         tasks))
                   frontier)) );
-        ( "covered",
-          pair_list covered (fun (p, l) ->
-              Obs.Json.List [ Obs.Json.Int p; Obs.Json.String l ]) );
         ("config", config);
         ("shards", Obs.Json.List !shards);
       ]
@@ -178,7 +175,9 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let manifest dir =
+(* The manifest's sequence number, echoed configuration and latest
+   snapshot directory. *)
+let read_manifest dir =
   let path = Filename.concat dir manifest_name in
   if not (Sys.file_exists path) then Error ("no " ^ manifest_name ^ " in " ^ dir)
   else
@@ -186,144 +185,119 @@ let manifest dir =
     | Error e -> Error ("bad manifest: " ^ e)
     | Ok j -> (
       match
-        (Option.bind (Obs.Json.member "seq" j) Obs.Json.to_int, Obs.Json.member "config" j)
+        ( Option.bind (Obs.Json.member "seq" j) Obs.Json.to_int,
+          Obs.Json.member "config" j,
+          Option.bind (Obs.Json.member "latest" j) Obs.Json.to_string_opt )
       with
-      | Some seq, Some config -> Ok (seq, config)
-      | _ -> Error "manifest missing seq/config")
+      | Some seq, Some config, Some latest -> Ok (seq, config, latest)
+      | _ -> Error "manifest missing seq/config/latest")
 
-let load ?shard_cap ?mem_budget ?spill_dir ?merge_fanout dir =
-  let ( let* ) = Result.bind in
-  let* _seq, _config = manifest dir in
-  let path = Filename.concat dir manifest_name in
-  let* j = Result.map_error (fun e -> "bad manifest: " ^ e) (Obs.Json.of_string (read_file path)) in
-  let* latest =
-    match Option.bind (Obs.Json.member "latest" j) Obs.Json.to_string_opt with
-    | Some l -> Ok l
-    | None -> Error "manifest missing latest"
-  in
+let manifest dir = Result.map (fun (seq, config, _) -> (seq, config)) (read_manifest dir)
+
+(* state.json is read fail-closed: every field [load] reads is required
+   and typed, and a malformed one is refused by name, never read as a
+   default.  The only nulls are the writer's own: [best] without a
+   violation and [tier0] for an empty shard.  Fields [load] does not read
+   are ignored. *)
+let ( let* ) = Result.bind
+
+let field ?(at = "") name conv j =
+  match Option.bind (Obs.Json.member name j) conv with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "state.json: missing or malformed %s%s" at name)
+
+let nullable conv = function Obs.Json.Null -> Some None | j -> Option.map Option.some (conv j)
+
+let list_of conv j =
+  Option.bind (Obs.Json.to_list j) (fun l ->
+      List.fold_right
+        (fun x acc -> match (conv x, acc) with Some v, Some vs -> Some (v :: vs) | _ -> None)
+        l (Some []))
+
+let int_pair j =
+  match Obs.Json.to_list j with
+  | Some [ a; b ] -> (
+    match (Obs.Json.to_int a, Obs.Json.to_int b) with Some a, Some b -> Some (a, b) | _ -> None)
+  | _ -> None
+
+let violation b =
+  let int name = Option.bind (Obs.Json.member name b) Obs.Json.to_int in
+  match (int "depth", int "fp", int "inv") with
+  | Some d, Some fp, Some i -> Some (d, fp, i)
+  | _ -> None
+
+(* One shard's restore arguments: distinct, next_seq, tier-0 segment
+   name, live segment names. *)
+let shard_fields i sh =
+  let at = Printf.sprintf "shards[%d]." i in
+  let* distinct = field ~at "distinct" Obs.Json.to_int sh in
+  let* next_seq = field ~at "next_seq" Obs.Json.to_int sh in
+  let* tier0 = field ~at "tier0" (nullable Obs.Json.to_string_opt) sh in
+  let* segs = field ~at "segs" (list_of Obs.Json.to_string_opt) sh in
+  Ok (distinct, next_seq, tier0, segs)
+
+let load ?mem_budget ?spill_dir dir =
+  let* _, _, latest = read_manifest dir in
   let sdir = Filename.concat dir latest in
   let spath = Filename.concat sdir "state.json" in
   if not (Sys.file_exists spath) then Error ("snapshot " ^ latest ^ " has no state.json")
   else
     let* st = Result.map_error (fun e -> "bad state.json: " ^ e) (Obs.Json.of_string (read_file spath)) in
-    let int_field name =
-      match Option.bind (Obs.Json.member name st) Obs.Json.to_int with
-      | Some v -> Ok v
-      | None -> Error ("state.json missing " ^ name)
-    in
-    let* seq = int_field "seq" in
-    let* states = int_field "states" in
-    let* transitions = int_field "transitions" in
-    let* deadlocks = int_field "deadlocks" in
-    let truncated =
-      Option.value ~default:false (Option.bind (Obs.Json.member "truncated" st) Obs.Json.to_bool)
-    in
-    let elapsed_s =
-      Option.value ~default:0. (Option.bind (Obs.Json.member "elapsed_s" st) Obs.Json.to_float)
-    in
-    let best =
-      match Obs.Json.member "best" st with
-      | Some (Obs.Json.Obj _ as b) -> (
-        match
-          ( Option.bind (Obs.Json.member "depth" b) Obs.Json.to_int,
-            Option.bind (Obs.Json.member "fp" b) Obs.Json.to_int,
-            Option.bind (Obs.Json.member "inv" b) Obs.Json.to_int )
-        with
-        | Some d, Some fp, Some i -> Some (d, fp, i)
-        | _ -> None)
-      | _ -> None
-    in
-    let* frontier =
-      match Option.bind (Obs.Json.member "frontier" st) Obs.Json.to_list with
-      | None -> Error "state.json missing frontier"
-      | Some lists ->
-        let parse_tasks l =
-          match Obs.Json.to_list l with
-          | None -> []
-          | Some tasks ->
-            List.filter_map
-              (fun tj ->
-                match Obs.Json.to_list tj with
-                | Some [ fpj; dj ] -> (
-                  match (Obs.Json.to_int fpj, Obs.Json.to_int dj) with
-                  | Some fp, Some d -> Some (fp, d)
-                  | _ -> None)
-                | _ -> None)
-              tasks
-        in
-        Ok (Array.of_list (List.map parse_tasks lists))
-    in
-    let covered =
-      match Option.bind (Obs.Json.member "covered" st) Obs.Json.to_list with
-      | None -> []
-      | Some pairs ->
-        List.filter_map
-          (fun pj ->
-            match Obs.Json.to_list pj with
-            | Some [ p; l ] -> (
-              match (Obs.Json.to_int p, Obs.Json.to_string_opt l) with
-              | Some p, Some l -> Some (p, l)
-              | _ -> None)
-            | _ -> None)
-          pairs
-    in
-    let config = Option.value ~default:Obs.Json.Null (Obs.Json.member "config" st) in
-    let* shard_list =
-      match Option.bind (Obs.Json.member "shards" st) Obs.Json.to_list with
-      | Some l when List.length l = Tiered.n_shards -> Ok l
-      | Some l ->
+    let* seq = field "seq" Obs.Json.to_int st in
+    let* states = field "states" Obs.Json.to_int st in
+    let* transitions = field "transitions" Obs.Json.to_int st in
+    let* deadlocks = field "deadlocks" Obs.Json.to_int st in
+    let* truncated = field "truncated" Obs.Json.to_bool st in
+    let* elapsed_s = field "elapsed_s" Obs.Json.to_float st in
+    let* best = field "best" (nullable violation) st in
+    let* frontier = field "frontier" (list_of (list_of int_pair)) st in
+    let* config = field "config" Option.some st in
+    let* shard_list = field "shards" Obs.Json.to_list st in
+    let* () =
+      if List.length shard_list = Tiered.n_shards then Ok ()
+      else
         Error
-          (Printf.sprintf "state.json has %d shards, expected %d" (List.length l)
+          (Printf.sprintf "state.json has %d shards, expected %d" (List.length shard_list)
              Tiered.n_shards)
-      | None -> Error "state.json missing shards"
     in
-    let store = Tiered.create ?shard_cap ?mem_budget ?spill_dir ?merge_fanout () in
-    let has_segs =
-      List.exists
-        (fun sh ->
-          match Option.bind (Obs.Json.member "segs" sh) Obs.Json.to_list with
-          | Some (_ :: _) -> true
-          | _ -> false)
-        shard_list
+    let rec shards i = function
+      | [] -> Ok []
+      | sh :: rest ->
+        let* s = shard_fields i sh in
+        let* rest = shards (i + 1) rest in
+        Ok (s :: rest)
     in
-    let live_dir = if has_segs then Some (Tiered.ensure_spill_dir store) else None in
+    let* shards = shards 0 shard_list in
+    let store = Tiered.create ?mem_budget ?spill_dir () in
+    let live_dir =
+      if List.exists (fun (_, _, _, segs) -> segs <> []) shards then
+        Some (Tiered.ensure_spill_dir store)
+      else None
+    in
     try
       List.iteri
-        (fun shard sh ->
-          let distinct =
-            Option.value ~default:0 (Option.bind (Obs.Json.member "distinct" sh) Obs.Json.to_int)
-          in
-          let next_seq =
-            Option.value ~default:0 (Option.bind (Obs.Json.member "next_seq" sh) Obs.Json.to_int)
-          in
+        (fun shard (distinct, next_seq, tier0, seg_names) ->
           let tier0 =
-            match Option.bind (Obs.Json.member "tier0" sh) Obs.Json.to_string_opt with
+            match tier0 with
             | None -> [||]
             | Some name -> Segment.entries (Segment.load (Filename.concat sdir name))
           in
           let segs =
-            match Option.bind (Obs.Json.member "segs" sh) Obs.Json.to_list with
-            | None -> []
-            | Some names ->
-              List.filter_map
-                (fun nj ->
-                  Option.map
-                    (fun name ->
-                      let live =
-                        match live_dir with
-                        | Some d ->
-                          let dst = Filename.concat d name in
-                          if not (Sys.file_exists dst) then
-                            link_or_copy (Filename.concat sdir name) dst;
-                          dst
-                        | None -> Filename.concat sdir name
-                      in
-                      Segment.load live)
-                    (Obs.Json.to_string_opt nj))
-                names
+            List.map
+              (fun name ->
+                let live =
+                  match live_dir with
+                  | Some d ->
+                    let dst = Filename.concat d name in
+                    if not (Sys.file_exists dst) then link_or_copy (Filename.concat sdir name) dst;
+                    dst
+                  | None -> Filename.concat sdir name
+                in
+                Segment.load live)
+              seg_names
           in
           Tiered.restore_shard store ~shard ~distinct ~next_seq ~tier0 ~segs)
-        shard_list;
+        shards;
       Ok
         {
           seq;
@@ -333,8 +307,7 @@ let load ?shard_cap ?mem_budget ?spill_dir ?merge_fanout dir =
           truncated;
           elapsed_s;
           best;
-          frontier;
-          covered;
+          frontier = Array.of_list frontier;
           config;
           store;
         }

@@ -9,8 +9,7 @@
     with the counters, the best-violation cell, the frontier (as
     (fingerprint, depth) pairs per worker — states are replayed from
     parent chains at resume, because CIMP systems embed closures and
-    cannot be marshalled), the coverage set, and the tool configuration
-    echoed verbatim.
+    cannot be marshalled), and the tool configuration echoed verbatim.
 
     Atomicity protocol: everything is written into a [tmp-snap]
     directory and fsynced, the directory is renamed to [snap-N], and
@@ -28,7 +27,6 @@ type snapshot = {
   elapsed_s : float;  (** exploration seconds before the snapshot *)
   best : (int * int * int) option;  (** best violation: depth, fp, invariant index *)
   frontier : (int * int) list array;  (** (fp, depth) tasks per worker *)
-  covered : (int * string) list;  (** coverage pairs when tracking was on *)
   config : Obs.Json.t;  (** tool configuration, echoed verbatim *)
   store : Tiered.t;  (** the rebuilt store (populated on {!load} only) *)
 }
@@ -46,7 +44,6 @@ val write :
   elapsed_s:float ->
   best:(int * int * int) option ->
   frontier:(int * int) list array ->
-  covered:(int * string) list ->
   unit
 
 (** Latest complete snapshot's sequence number and echoed configuration,
@@ -57,11 +54,12 @@ val manifest : string -> (int * Obs.Json.t, string) result
 (** Load the latest complete snapshot.  The store is rebuilt with the
     given parameters (normally those echoed in the manifest config);
     snapshot segments are hard-linked into the live spill directory, so
-    later merges can never destroy the snapshot's own files. *)
-val load :
-  ?shard_cap:int ->
-  ?mem_budget:int ->
-  ?spill_dir:string ->
-  ?merge_fanout:int ->
-  string ->
-  (snapshot, string) result
+    later merges can never destroy the snapshot's own files.
+
+    [state.json] is read fail-closed: every field [load] reads is required
+    and typed, and any other shape returns [Error] naming the field (e.g.
+    [truncated], [best], [frontier], [shards[3].next_seq]) instead of
+    being read as a default.  The only nulls accepted are those {!write}
+    writes: [best] when there is no violation and [tier0] for an empty
+    shard.  Fields [load] does not read are ignored. *)
+val load : ?mem_budget:int -> ?spill_dir:string -> string -> (snapshot, string) result

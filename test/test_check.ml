@@ -280,22 +280,6 @@ let test_par_violation_same_name_and_length () =
   check_both "not-three" (fun sys -> (System.proc sys 0).Com.data <> 3) 1;
   check_both "not-five" (fun sys -> (System.proc sys 0).Com.data <> 5) 3
 
-let test_par_coverage_matches_seq () =
-  let sc = Core.Scenario.make ~label:"par-cov" ~n_refs:2 ~shape:"single" ~max_mut_ops:1 () in
-  let sys () = (Core.Scenario.model sc).Core.Model.system in
-  let seq =
-    (Check.Explore.run ~track_coverage:true ~invariants:[] (sys ())).Check.Explore.covered
-  in
-  List.iter
-    (fun jobs ->
-      let par =
-        (Check.Par_explore.run ~jobs ~track_coverage:true ~invariants:[] (sys ()))
-          .Check.Explore.covered
-      in
-      Alcotest.(check bool) (Fmt.str "same covered set, same order at jobs=%d" jobs) true
-        (seq = par))
-    [ 1; 4 ]
-
 (* -- work-stealing seen-set and termination-detection edge cases ------------ *)
 
 (* Satellite audit companion: the 70%-load doubling path runs entirely
@@ -531,7 +515,6 @@ let suite =
       test_par_matches_seq_gc_scenario;
     Alcotest.test_case "par violation: same invariant, same shortest length" `Quick
       test_par_violation_same_name_and_length;
-    Alcotest.test_case "par coverage matches sequential" `Quick test_par_coverage_matches_seq;
     Alcotest.test_case "seen shard resize hammer" `Quick test_seen_resize_hammer;
     Alcotest.test_case "par violation at the root" `Quick test_par_violation_at_root;
     Alcotest.test_case "par empty frontier after reduction collapse" `Quick

@@ -10,12 +10,15 @@ type com = (int, int, int) Com.t
 
 let mkcfg (c : com) data = Com.make [ c ] data
 
-let tau_targets cfg = List.map snd (Com.tau_steps cfg)
+(* The tau offers of a configuration, in offer order. *)
+let taus cfg = List.filter_map (function Com.Tau (l, c) -> Some (l, c) | _ -> None) (Com.offers cfg)
+
+let tau_targets cfg = List.map snd (taus cfg)
 let datas cfgs = List.map (fun (c : (int, int, int) Com.config) -> c.Com.data) cfgs
 
 let test_skip () =
   let cfg = mkcfg (Com.Skip "a") 7 in
-  match Com.tau_steps cfg with
+  match taus cfg with
   | [ ("a", cfg') ] ->
     Alcotest.(check bool) "terminated" true (Com.terminated cfg');
     Alcotest.(check int) "data unchanged" 7 cfg'.Com.data
@@ -28,14 +31,14 @@ let test_local_op_nondet () =
 
 let test_local_op_blocked () =
   let c : com = Com.Local_op ("a", fun _ -> []) in
-  Alcotest.(check int) "no successors" 0 (List.length (Com.tau_steps (mkcfg c 0)))
+  Alcotest.(check int) "no successors" 0 (List.length (taus (mkcfg c 0)))
 
 let test_seq_normalisation () =
   (* Fig. 7's frame-stack rule: (c1 ;; c2) . cs steps as c1 . c2 . cs. *)
   let c = Com.seq [ Com.Skip "a"; Com.Skip "b"; Com.Skip "c" ] in
   let cfg = mkcfg c 0 in
   Alcotest.(check (list string)) "label spine" [ "a"; "b"; "c" ] (Com.stack_labels cfg.Com.stack);
-  match Com.tau_steps cfg with
+  match taus cfg with
   | [ ("a", cfg') ] ->
     Alcotest.(check (list string)) "after one step" [ "b"; "c" ] (Com.stack_labels cfg'.Com.stack)
   | _ -> Alcotest.fail "expected one step"
@@ -43,10 +46,10 @@ let test_seq_normalisation () =
 let test_if_branches () =
   let c : com = Com.If ("i", (fun s -> s > 0), Com.Skip "t", Com.Skip "f") in
   let head cfg = List.hd (Com.stack_labels cfg.Com.stack) in
-  (match Com.tau_steps (mkcfg c 1) with
+  (match taus (mkcfg c 1) with
   | [ ("i", cfg') ] -> Alcotest.(check string) "then" "t" (head cfg')
   | _ -> Alcotest.fail "if must step");
-  match Com.tau_steps (mkcfg c 0) with
+  match taus (mkcfg c 0) with
   | [ ("i", cfg') ] -> Alcotest.(check string) "else" "f" (head cfg')
   | _ -> Alcotest.fail "if must step"
 
@@ -56,7 +59,7 @@ let test_while_unfolds () =
     if n > 20 then Alcotest.fail "while did not terminate"
     else if Com.terminated cfg then cfg.Com.data
     else
-      match Com.tau_steps cfg with
+      match taus cfg with
       | [ (_, cfg') ] -> drive cfg' (n + 1)
       | _ -> Alcotest.fail "deterministic loop expected"
   in
@@ -69,25 +72,27 @@ let test_choose_external () =
     Com.Choose
       [ Com.Local_op ("a", fun s -> [ s + 10 ]); Com.Local_op ("b", fun s -> [ s + 20 ]) ]
   in
-  let steps = Com.tau_steps (mkcfg c 0) in
+  let steps = taus (mkcfg c 0) in
   Alcotest.(check int) "two offers" 2 (List.length steps);
-  Alcotest.(check (list int)) "both branches" [ 10; 20 ] (List.sort compare (datas (List.map snd steps)))
+  Alcotest.(check (list int)) "both branches" [ 10; 20 ] (List.sort compare (datas (List.map snd steps)));
+  Alcotest.(check (list string)) "offers in branch order" [ "a"; "b" ] (List.map fst steps);
+  Alcotest.(check (list int)) "successors in branch order" [ 10; 20 ] (datas (List.map snd steps))
 
 let test_choose_blocked_branch () =
   let c : com =
     Com.Choose [ Com.Local_op ("a", fun _ -> []); Com.Local_op ("b", fun s -> [ s + 1 ]) ]
   in
-  Alcotest.(check int) "only enabled branch offers" 1 (List.length (Com.tau_steps (mkcfg c 0)))
+  Alcotest.(check int) "only enabled branch offers" 1 (List.length (taus (mkcfg c 0)))
 
 let test_loop_transparent () =
   (* Loop unfolds without consuming a step: the first step comes from the
      body. *)
   let c : com = Com.Loop (Com.Local_op ("body", fun s -> [ s + 1 ])) in
-  match Com.tau_steps (mkcfg c 0) with
+  match taus (mkcfg c 0) with
   | [ ("body", cfg') ] ->
     Alcotest.(check int) "body ran" 1 cfg'.Com.data;
     (* and the loop restores itself as the continuation *)
-    (match Com.tau_steps cfg' with
+    (match taus cfg' with
     | [ ("body", cfg'') ] -> Alcotest.(check int) "second iteration" 2 cfg''.Com.data
     | _ -> Alcotest.fail "loop must offer the body again")
   | _ -> Alcotest.fail "loop must step via its body"
@@ -113,18 +118,21 @@ let responder : com =
   Com.Response ("resp", fun alpha s -> [ (s + alpha, alpha + 1) ])
 
 let test_request_offer () =
-  match Com.requests (mkcfg requester 21) with
-  | [ ("req", alpha, k) ] ->
+  match Com.offers (mkcfg requester 21) with
+  | [ Com.Req ("req", alpha, k) ] ->
     Alcotest.(check int) "alpha from state" 42 alpha;
     let cfg' = k 5 in
     Alcotest.(check int) "reply applied" 26 cfg'.Com.data
   | _ -> Alcotest.fail "one request offer expected"
 
 let test_response_offer () =
-  match Com.responses 42 (mkcfg responder 1) with
-  | [ ("resp", cfg', beta) ] ->
-    Alcotest.(check int) "responder state" 43 cfg'.Com.data;
-    Alcotest.(check int) "beta" 43 beta
+  match Com.offers (mkcfg responder 1) with
+  | [ Com.Resp ("resp", respond) ] -> (
+    match respond 42 with
+    | [ (cfg', beta) ] ->
+      Alcotest.(check int) "responder state" 43 cfg'.Com.data;
+      Alcotest.(check int) "beta" 43 beta
+    | _ -> Alcotest.fail "one response successor expected")
   | _ -> Alcotest.fail "one response offer expected"
 
 let test_system_rendezvous () =
@@ -150,13 +158,16 @@ let test_system_interleaving_union () =
   Alcotest.(check int) "1 + 2 interleavings" 3 (List.length (System.steps sys))
 
 let test_rendezvous_preserves_third_party () =
-  let bystander : com = Com.Skip "by" in
+  let bystander : com = Com.Choose [ Com.Skip "by"; Com.Skip "by2" ] in
   let sys =
     System.make [| "p"; "q"; "r" |] [| mkcfg requester 21; mkcfg responder 1; mkcfg bystander 99 |]
   in
-  let rendezvous =
-    List.filter (function System.Rendezvous _, _ -> true | _ -> false) (System.steps sys)
-  in
+  let steps = System.steps sys in
+  (* grouped by acting process in pid order, each group last offer first:
+     the random walker draws an index into this list *)
+  Alcotest.(check (list string)) "every event, in order" [ "p: req <-> q: resp"; "r: by2"; "r: by" ]
+    (List.map (fun (ev, _) -> Fmt.str "%a" (System.pp_event [| "p"; "q"; "r" |]) ev) steps);
+  let rendezvous = List.filter (function System.Rendezvous _, _ -> true | _ -> false) steps in
   List.iter
     (fun (_, sys') -> Alcotest.(check int) "bystander untouched" 99 (System.proc sys' 2).Com.data)
     rendezvous;

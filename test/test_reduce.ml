@@ -250,10 +250,6 @@ let test_crosscheck_flags_mismatches () =
     (count { ok with Reduce.Crosscheck.reduced_states = 101 } > 0);
   Alcotest.(check bool) "longer counterexample flagged" true
     (count { ok with Reduce.Crosscheck.reduced_ce_length = Some 9 } > 0);
-  Alcotest.(check bool) "longer counterexample tolerated when relaxed" true
-    (Reduce.Crosscheck.errors ~allow_longer_ce:true
-       { ok with Reduce.Crosscheck.reduced_ce_length = Some 9 }
-    = []);
   Alcotest.(check bool) "shorter counterexample never tolerated" true
     (count { ok with Reduce.Crosscheck.reduced_ce_length = Some 5 } > 0);
   Alcotest.(check bool) "vacuous (truncated full) run flagged" true

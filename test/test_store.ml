@@ -391,6 +391,101 @@ let test_resume_model_mismatch_refused () =
         ignore (Check.Par_explore.run ~jobs:1 ~normal_form:false ~resume:snap ~invariants:[] other)));
   rm_rf dir
 
+(* A snapshot is read fail-closed: corrupting any one field [load] reads
+   must make it refuse the snapshot and name that field, never read the
+   field as a default.  The snapshot is a real mid-run one (non-empty
+   frontier), copied aside at the first expansion after it is published. *)
+let rec copy_tree src dst =
+  if Sys.is_directory src then begin
+    (try Unix.mkdir dst 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    Array.iter (fun f -> copy_tree (Filename.concat src f) (Filename.concat dst f)) (Sys.readdir src)
+  end
+  else
+    Out_channel.with_open_bin dst (fun oc ->
+        Out_channel.output_string oc (In_channel.with_open_bin src In_channel.input_all))
+
+let test_malformed_snapshot_refused () =
+  let dir = tmp_dir "malformed-run" and mid = tmp_dir "malformed-mid" in
+  let copied = ref false in
+  let hooks =
+    {
+      Check.Par_explore.no_hooks with
+      on_expand =
+        (fun ~worker:_ ~depth:_ ->
+          if (not !copied) && Sys.file_exists (Filename.concat dir "MANIFEST.json") then begin
+            copied := true;
+            copy_tree dir mid
+          end);
+    }
+  in
+  ignore
+    (Check.Par_explore.run ~jobs:1 ~normal_form:false ~hooks ~checkpoint:(dir, 200)
+       ~invariants:[] (two_counters ()));
+  Alcotest.(check bool) "a mid-run snapshot was copied" true !copied;
+  (match Store.Checkpoint.load mid with
+  | Error msg -> Alcotest.failf "uncorrupted snapshot: %s" msg
+  | Ok snap ->
+    Alcotest.(check bool) "mid-run: frontier non-empty" true
+      (Array.exists (fun l -> l <> []) snap.Store.Checkpoint.frontier));
+  let state_json d =
+    match Store.Checkpoint.manifest d with
+    | Error msg -> Alcotest.failf "manifest: %s" msg
+    | Ok (seq, _) -> Filename.concat (Filename.concat d (Fmt.str "snap-%d" seq)) "state.json"
+  in
+  let st =
+    match Obs.Json.of_string (In_channel.with_open_bin (state_json mid) In_channel.input_all) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "state.json: %s" e
+  in
+  let get name = Option.get (Obs.Json.member name st) in
+  let set name v = function
+    | Obs.Json.Obj kvs -> Obs.Json.Obj (List.map (fun (k, x) -> if k = name then (k, v) else (k, x)) kvs)
+    | j -> j
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  let bad_task =
+    match Obs.Json.to_list (get "frontier") with
+    | Some workers ->
+      Obs.Json.List
+        (List.map
+           (fun w ->
+             match Obs.Json.to_list w with
+             | Some (Obs.Json.List [ fp; _ ] :: rest) -> Obs.Json.List (Obs.Json.List [ fp ] :: rest)
+             | _ -> w)
+           workers)
+    | None -> Alcotest.fail "frontier is not a list"
+  in
+  let bad_shard =
+    match Obs.Json.to_list (get "shards") with
+    | Some shards ->
+      Obs.Json.List
+        (List.mapi (fun i sh -> if i = 5 then set "next_seq" (Obs.Json.String "1") sh else sh) shards)
+    | None -> Alcotest.fail "shards is not a list"
+  in
+  List.iter
+    (fun (field, corrupted) ->
+      let bad = tmp_dir ("malformed-" ^ field) in
+      copy_tree mid bad;
+      Out_channel.with_open_bin (state_json bad) (fun oc ->
+          Out_channel.output_string oc (Obs.Json.to_string (corrupted st)));
+      (match Store.Checkpoint.load bad with
+      | Ok _ -> Alcotest.failf "a corrupted %s was accepted" field
+      | Error msg ->
+        Alcotest.(check bool) (Fmt.str "refusal names %s (%s)" field msg) true (contains msg field));
+      rm_rf bad)
+    [
+      ("frontier", set "frontier" bad_task);
+      ("best", set "best" (Obs.Json.Obj [ ("depth", Obs.Json.Int 3) ]));
+      ("next_seq", set "shards" bad_shard);
+      ("truncated", set "truncated" (Obs.Json.Int 0));
+    ];
+  rm_rf dir;
+  rm_rf mid
+
 let suite =
   [
     Alcotest.test_case "varint round-trip over the 63-bit range" `Quick test_varint_roundtrip;
@@ -407,4 +502,6 @@ let suite =
       test_crash_mid_checkpoint_recovery;
     Alcotest.test_case "resume against the wrong model is refused" `Quick
       test_resume_model_mismatch_refused;
+    Alcotest.test_case "malformed snapshot fields are refused by name" `Quick
+      test_malformed_snapshot_refused;
   ]
