@@ -1161,9 +1161,14 @@ let harness_cmd =
       co_interval trace_out obs =
     let tracer = Obs.Tracing.resolve ?out:trace_out ~domains:(muts + 1) () in
     let s =
-      Runtime.Harness.run ~n_muts:muts ~n_slots:slots ~n_fields:fields ~duration
-        ~barriers:(not no_barriers) ~seed ~workload ~trace_pause ~obs ~tracer
-        ~latency:(not no_latency) ~co_interval_ns:co_interval ()
+      (* sizes the harness cannot run are a one-line error, as in [model_of] *)
+      try
+        Runtime.Harness.run ~n_muts:muts ~n_slots:slots ~n_fields:fields ~duration
+          ~barriers:(not no_barriers) ~seed ~workload ~trace_pause ~obs ~tracer
+          ~latency:(not no_latency) ~co_interval_ns:co_interval ()
+      with Invalid_argument msg ->
+        Fmt.epr "gcmodel: %s@." msg;
+        exit 1
     in
     Fmt.pr "%a@." Runtime.Harness.pp_stats s;
     close_trace tracer trace_out;

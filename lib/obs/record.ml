@@ -93,7 +93,7 @@ let runtime_heartbeat =
 let harness =
   declare "harness" "`gcmodel harness` (`Runtime.Harness`)"
     "n_muts duration_s barriers cycles ops allocs frees cas_attempts cas_wins \
-     barrier_fast_path hs_rounds latency live_at_end violation"
+     barrier_fast_path hs_rounds root_audits latency live_at_end violation"
     "End-of-run totals, verdict and `latency` section of the concrete runtime."
 
 (* -- the drivers -------------------------------------------------------------- *)

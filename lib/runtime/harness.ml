@@ -16,6 +16,7 @@ type stats = {
   hs_rounds : int;
   live_at_end : int;
   alloc_stalls : int;
+  root_audits : int;
   latency : Obs.Json.t;
     (* the structured latency section (Rshared.latency_json): handshake
        round/ack, barrier slow path, allocation and stall, and per-phase
@@ -25,9 +26,10 @@ type stats = {
 
 let pp_stats ppf s =
   Fmt.pf ppf
-    "cycles=%d ops=%d allocs=%d frees=%d cas=%d/%d fastpath=%d hs=%d live=%d stalls=%d %s"
+    "cycles=%d ops=%d allocs=%d frees=%d cas=%d/%d fastpath=%d hs=%d live=%d stalls=%d \
+     root_audits=%d %s"
     s.cycles s.ops s.allocs s.frees s.cas_wins s.cas_attempts s.barrier_fast_path s.hs_rounds
-    s.live_at_end s.alloc_stalls
+    s.live_at_end s.alloc_stalls s.root_audits
     (match s.violation with None -> "SAFE" | Some m -> "UNSAFE: " ^ m)
 
 (* Reachability over the concrete heap (single-threaded, run only when the
@@ -63,6 +65,11 @@ let run ?(n_muts = 2) ?(n_slots = 256) ?(n_fields = 2) ?(duration = 0.5) ?(barri
     ?(seed = 42) ?(workload = Rmutator.Uniform) ?(trace_pause = 0.)
     ?(obs = Obs.Reporter.null) ?(tracer = Obs.Tracing.null) ?(latency = true)
     ?(co_interval_ns = 0) () =
+  if n_fields < 1 then invalid_arg (Fmt.str "Harness.run: n_fields = %d, needs at least 1" n_fields);
+  if n_slots < n_muts then
+    invalid_arg
+      (Fmt.str "Harness.run: n_slots = %d, needs at least n_muts = %d (one seed root each)"
+         n_slots n_muts);
   let sh =
     Rshared.make ~trace_pause ~obs ~tracer ~latency ~co_interval_ns ~n_slots ~n_fields
       ~n_muts ()
@@ -105,7 +112,7 @@ let run ?(n_muts = 2) ?(n_slots = 256) ?(n_fields = 2) ?(duration = 0.5) ?(barri
             if lane_on then
               Obs.Tracing.span_args tracer ~dom:(mut_lane i) ~name:n_mutator_span ~start_ns:t0_ns
                 ~stop_ns:(Obs.Tracing.now tracer)
-                ~args:[ ("ops", Obs.Json.Int m.Rmutator.ops) ]))
+                ~args:[ ("ops", Obs.Json.Int (Rmutator.ops m)) ]))
       mutators
   in
   let gc_domain = Domain.spawn (fun () -> Rcollector.run sh) in
@@ -122,7 +129,7 @@ let run ?(n_muts = 2) ?(n_slots = 256) ?(n_fields = 2) ?(duration = 0.5) ?(barri
   let stats =
     {
       cycles = Atomic.get sh.Rshared.cycles;
-      ops = List.fold_left (fun n (m : Rmutator.t) -> n + m.Rmutator.ops) 0 mutators;
+      ops = List.fold_left (fun n m -> n + Rmutator.ops m) 0 mutators;
       allocs = Atomic.get sh.Rshared.heap.Rheap.allocs;
       frees = Atomic.get sh.Rshared.heap.Rheap.frees;
       cas_attempts = Atomic.get sh.Rshared.cas_attempts;
@@ -131,6 +138,7 @@ let run ?(n_muts = 2) ?(n_slots = 256) ?(n_fields = 2) ?(duration = 0.5) ?(barri
       hs_rounds = Obs.Metrics.acount sh.Rshared.hs_rounds;
       live_at_end = Rheap.live_count sh.Rshared.heap;
       alloc_stalls = Atomic.get sh.Rshared.lat.Rshared.alloc_stalls;
+      root_audits = List.fold_left (fun n m -> n + Rmutator.root_audits m) 0 mutators;
       latency = Rshared.latency_json sh;
       violation;
     }
@@ -149,6 +157,7 @@ let run ?(n_muts = 2) ?(n_slots = 256) ?(n_fields = 2) ?(duration = 0.5) ?(barri
         ("cas_wins", Obs.Json.Int stats.cas_wins);
         ("barrier_fast_path", Obs.Json.Int stats.barrier_fast_path);
         ("hs_rounds", Obs.Json.Int stats.hs_rounds);
+        ("root_audits", Obs.Json.Int stats.root_audits);
         ("latency", stats.latency);
         ("live_at_end", Obs.Json.Int stats.live_at_end);
         ( "violation",

@@ -14,6 +14,9 @@ type stats = {
   hs_rounds : int;  (** handshake rounds completed by the collector *)
   live_at_end : int;
   alloc_stalls : int;  (** free-list-empty episodes across all mutators *)
+  root_audits : int;
+      (** full root scans, summed over the mutators: how often a safe
+          point's audit could not be amortised ({!Rmutator.root_audits}) *)
   latency : Obs.Json.t;
       (** structured latency section: handshake round and per-mutator ack
           percentiles, barrier slow-path, allocation and stall-wait
@@ -58,4 +61,6 @@ val run :
     counts) and the harness a final [harness] record.  When
     [tracer] is live (create it with [n_muts + 1] lanes), lane 0 carries
     the collector's handshake-round, mark, sweep and gc-cycle spans and
-    lanes 1..n_muts one whole-lifetime span per mutator domain. *)
+    lanes 1..n_muts one whole-lifetime span per mutator domain.
+    @raise Invalid_argument naming the value when [n_fields < 1] or
+    [n_slots < n_muts] (each mutator is seeded with one root). *)

@@ -24,6 +24,10 @@ type t = {
   free_lock : Mutex.t;
   mutable free_list : rf list;
   allocs : int Atomic.t;  (* statistics *)
+  frees_begun : int Atomic.t;
+    (* [free] bumps this before it clears the allocation flag and [frees]
+       after it bumps the epoch: equal counters mean no free is under way,
+       which is what lets a mutator skip re-auditing roots it has checked *)
   frees : int Atomic.t;
 }
 
@@ -38,6 +42,7 @@ let make ~n_slots ~n_fields =
     free_lock = Mutex.create ();
     free_list = List.init n_slots (fun i -> i);
     allocs = Atomic.make 0;
+    frees_begun = Atomic.make 0;
     frees = Atomic.make 0;
   }
 
@@ -75,6 +80,7 @@ let alloc h ~mark =
 let epoch h r = Atomic.get h.epochs.(r)
 
 let free h r =
+  Atomic.incr h.frees_begun;
   Atomic.set h.allocated.(r) false;
   Atomic.incr h.epochs.(r);
   Mutex.lock h.free_lock;

@@ -21,7 +21,8 @@ type t = {
   free_lock : Mutex.t;
   mutable free_list : rf list;
   allocs : int Atomic.t;
-  frees : int Atomic.t;
+  frees_begun : int Atomic.t;  (** frees that have begun: bumped first in {!free} *)
+  frees : int Atomic.t;  (** frees that have finished: bumped last in {!free} *)
 }
 
 val make : n_slots:int -> n_fields:int -> t
@@ -41,5 +42,10 @@ val alloc : t -> mark:bool -> rf
     fields, publish.  Returns [null] on exhaustion. *)
 
 val free : t -> rf -> unit
+(** Fig. 2 line 44: bump [frees_begun], clear the allocation flag, bump
+    the slot's epoch, push the slot on the free list, bump [frees].  So
+    [frees_begun = frees] at an instant means no free is under way then,
+    and every free that ever began has finished. *)
+
 val domain : t -> rf list
 val live_count : t -> int

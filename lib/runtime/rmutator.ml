@@ -6,11 +6,15 @@
    model: [poll] is only called between operations.
 
    Safety validation mirrors the headline theorem from the mutator's seat:
-   every root carries the slot epoch observed when it was adopted, and at
-   every GC-safe point the mutator asserts that each of its roots still
-   denotes a live object with that epoch — an object freed (or freed and
-   reused: the epoch catches the ABA case) while rooted is precisely a
-   valid_refs_inv violation, reported via [Unsafe]. *)
+   every root carries the slot epoch observed when it was adopted, and a
+   root whose object was freed (or freed and reused: the epoch catches the
+   ABA case) is precisely a valid_refs_inv violation, reported via
+   [Unsafe].  The audit's contract: each safe point reports exactly what a
+   full scan of the roots would report if it ran at the instant the safe
+   point reads [Rheap.frees_begun].  So a safe point rescans every root
+   only when a free has begun since the last full scan, and otherwise
+   checks just the roots adopted since the previous safe point (DESIGN.md
+   §13, "Root audit"). *)
 
 open Rshared
 
@@ -19,7 +23,14 @@ exception Unsafe of string
 type t = {
   id : int;
   sh : Rshared.t;
-  mutable roots : (Rheap.rf * int) list;  (* reference, adoption epoch *)
+  mutable roots : Rheap.rf list;  (* newest first *)
+  rooted : bool array;  (* per slot: is it in [roots] *)
+  adopted_epoch : int array;  (* per rooted slot: its epoch when adopted *)
+  mutable fresh : Rheap.rf list;  (* adopted since the previous safe point *)
+  mutable audited_frees : int;
+    (* [Rheap.frees] as read just before the last full scan; -1 before
+       the first, so the first safe point scans *)
+  mutable root_audits : int;  (* full scans done *)
   mutable wm : Rheap.rf list;  (* private work-list *)
   barriers : bool;  (* ablation switch for the barrier-overhead bench *)
   mutable ops : int;  (* statistics *)
@@ -31,16 +42,34 @@ type t = {
 }
 
 let make ?(barriers = true) sh id ~roots =
-  {
-    id;
-    sh;
-    roots = List.map (fun r -> (r, Rheap.epoch sh.heap r)) roots;
-    wm = [];
-    barriers;
-    ops = 0;
-    saw_get_roots = false;
-    stall_since_ns = -1;
-  }
+  if List.mem Rheap.null roots then invalid_arg "Rmutator.make: null root";
+  let n_slots = sh.heap.Rheap.n_slots in
+  let t =
+    {
+      id;
+      sh;
+      roots;
+      rooted = Array.make n_slots false;
+      adopted_epoch = Array.make n_slots 0;
+      fresh = [];
+      audited_frees = -1;
+      root_audits = 0;
+      wm = [];
+      barriers;
+      ops = 0;
+      saw_get_roots = false;
+      stall_since_ns = -1;
+    }
+  in
+  List.iter
+    (fun r ->
+      t.rooted.(r) <- true;
+      t.adopted_epoch.(r) <- Rheap.epoch sh.heap r)
+    roots;
+  t
+
+let ops t = t.ops
+let root_audits t = t.root_audits
 
 let unsafe t fmt =
   Fmt.kstr
@@ -48,20 +77,38 @@ let unsafe t fmt =
       raise (Unsafe (Printf.sprintf "mutator %d (cycle %d): %s" t.id (Atomic.get t.sh.cycles) msg)))
     fmt
 
-let root_refs t = List.map fst t.roots
+let root_refs t = t.roots
+
+let check_root t r =
+  if not (Rheap.is_allocated t.sh.heap r) then unsafe t "rooted reference %d was freed" r
+  else if Rheap.epoch t.sh.heap r <> t.adopted_epoch.(r) then
+    unsafe t "rooted reference %d was freed and reused" r
 
 (* The headline check, from this mutator's perspective: all roots denote
-   live, un-recycled objects. *)
+   live, un-recycled objects.  Equal counters mean no free has begun
+   since the last full scan started, so every root checked since then is
+   as it was, and the fresh roots, a prefix of [roots], are all that is
+   left to check.  The scan keeps [frees], read before it starts: a free
+   that straddles the scan then leaves [frees_begun] ahead, and the next
+   safe point scans again. *)
 let validate_roots t =
-  List.iter
-    (fun (r, e) ->
-      if not (Rheap.is_allocated t.sh.heap r) then unsafe t "rooted reference %d was freed" r
-      else if Rheap.epoch t.sh.heap r <> e then unsafe t "rooted reference %d was freed and reused" r)
-    t.roots
+  let heap = t.sh.heap in
+  if Atomic.get heap.Rheap.frees_begun <> t.audited_frees then begin
+    let frees = Atomic.get heap.Rheap.frees in
+    t.root_audits <- t.root_audits + 1;
+    List.iter (check_root t) t.roots;
+    t.audited_frees <- frees
+  end
+  else List.iter (fun r -> if t.rooted.(r) then check_root t r) t.fresh;
+  t.fresh <- []
 
 let adopt t r =
-  if r <> Rheap.null && not (List.mem_assoc r t.roots) then
-    t.roots <- (r, Rheap.epoch t.sh.heap r) :: t.roots
+  if r <> Rheap.null && not t.rooted.(r) then begin
+    t.rooted.(r) <- true;
+    t.adopted_epoch.(r) <- Rheap.epoch t.sh.heap r;
+    t.roots <- r :: t.roots;
+    t.fresh <- r :: t.fresh
+  end
 
 (* The mutator's side of the soft handshakes (Fig. 2's at-m blocks).
    The ack latency — collector's request publish to this mutator's slot
@@ -76,7 +123,7 @@ let poll t =
     | Hs_none | Hs_nop -> ()
     | Hs_get_roots ->
       (* lines 17-20: mark own roots into the private work-list, transfer *)
-      List.iter (fun (r, _) -> t.wm <- mark t.sh r t.wm) t.roots;
+      List.iter (fun r -> t.wm <- mark t.sh r t.wm) t.roots;
       transfer t.sh t.wm;
       t.wm <- [];
       t.saw_get_roots <- true
@@ -139,7 +186,10 @@ let alloc t =
   r
 
 let discard t r =
-  t.roots <- List.filter (fun (x, _) -> x <> r) t.roots;
+  if r <> Rheap.null && t.rooted.(r) then begin
+    t.rooted.(r) <- false;
+    t.roots <- List.filter (fun x -> x <> r) t.roots
+  end;
   t.ops <- t.ops + 1
 
 (* One random operation over the current roots. *)
@@ -172,7 +222,7 @@ let random_op t rng =
    tail and the adopted nodes survive; without it the collector never sees
    them, the sweep frees them while rooted, and [validate_roots] faults. *)
 
-let anchor t = fst (List.nth t.roots (List.length t.roots - 1))
+let anchor t = List.nth t.roots (List.length t.roots - 1)
 
 (* A GC-safe point inside the workload driver. *)
 let safe_point t =
@@ -218,8 +268,9 @@ let list_round t rng =
     safe_point t;
     Domain.cpu_relax ()
   done;
-  (* release *)
-  t.roots <- [ List.nth t.roots (List.length t.roots - 1) ]
+  (* release every root but the anchor *)
+  List.iter (fun r -> if r <> a then t.rooted.(r) <- false) t.roots;
+  t.roots <- [ a ]
 
 type workload = Uniform | Lists
 

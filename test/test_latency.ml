@@ -226,7 +226,13 @@ let test_runtime_latency_section_and_heartbeat () =
            (match j with Some j -> Obs.Json.to_string j | None -> "missing"));
   (match List.assoc_opt "hs_ack_p99_ns" last with
   | Some (Obs.Json.List l) -> Alcotest.(check int) "ack tail per mutator" 2 (List.length l)
-  | _ -> Alcotest.fail "heartbeat lacks hs_ack_p99_ns")
+  | _ -> Alcotest.fail "heartbeat lacks hs_ack_p99_ns");
+  (* the full root scans the mutators' safe points did *)
+  match records_of_event "harness" (dump ()) with
+  | [ h ] ->
+    Alcotest.(check int) "root_audits == stats" stats.Runtime.Harness.root_audits
+      (positive_int h "root_audits")
+  | hs -> Alcotest.failf "%d harness records" (List.length hs)
 
 let test_dashboard_runtime_panel () =
   let buf = Buffer.create 512 in

@@ -107,6 +107,104 @@ let test_floating_garbage_two_cycles () =
   Alcotest.(check bool) "a survives" true (H.is_allocated h a);
   Alcotest.(check bool) "b collected within two cycles" false (H.is_allocated h b)
 
+(* -- the root audit, on one domain with no collector -------------------------- *)
+
+(* A mutator holding one fresh object, [a]. *)
+let solo () =
+  let sh = Sh.make ~latency:false ~n_slots:8 ~n_fields:1 ~n_muts:1 () in
+  let a = H.alloc sh.Sh.heap ~mark:(Atomic.get sh.Sh.f_a) in
+  (sh.Sh.heap, M.make sh 0 ~roots:[ a ], a)
+
+let check_unsafe what expected f =
+  match f () with
+  | () -> Alcotest.failf "%s: no report" what
+  | exception M.Unsafe msg -> Alcotest.(check string) what expected msg
+
+let freed r = Printf.sprintf "mutator 0 (cycle 0): rooted reference %d was freed" r
+
+let test_audit_freed_root () =
+  let h, m, a = solo () in
+  M.safe_point m;
+  H.free h a;
+  check_unsafe "freed root" (freed a) (fun () -> M.safe_point m)
+
+let test_audit_freed_and_reused () =
+  let h, m, a = solo () in
+  M.safe_point m;
+  H.free h a;
+  Alcotest.(check int) "slot reused" a (H.alloc h ~mark:false);
+  check_unsafe "reused root" (freed a ^ " and reused") (fun () -> M.safe_point m)
+
+let test_audit_dangling_load () =
+  let h, m, a = solo () in
+  let b = H.alloc h ~mark:false in
+  H.set_field h a 0 b;
+  H.free h b;
+  M.safe_point m;
+  let audits = M.root_audits m in
+  Alcotest.(check int) "load adopts the freed slot" b (M.load m a 0);
+  check_unsafe "adopted after its free" (freed b) (fun () -> M.safe_point m);
+  Alcotest.(check int) "reported without a full scan" audits (M.root_audits m)
+
+(* A free that straddles a full scan: it has begun when the scan checks
+   the root, and finishes after.  The scan must leave the counters
+   unequal, so the next safe point scans again and sees the free. *)
+let test_audit_straddling_free () =
+  let h, m, a = solo () in
+  M.safe_point m;
+  Atomic.incr h.H.frees_begun;
+  M.safe_point m;
+  Atomic.set h.H.allocated.(a) false;
+  Atomic.incr h.H.epochs.(a);
+  Atomic.incr h.H.frees;
+  check_unsafe "free finished after the scan" (freed a) (fun () -> M.safe_point m)
+
+let test_audit_count () =
+  let h, m, _ = solo () in
+  M.safe_point m;
+  let n = M.root_audits m in
+  Alcotest.(check int) "the first safe point scans" 1 n;
+  ignore (M.alloc m);
+  M.safe_point m;
+  Alcotest.(check int) "no free since: no scan" n (M.root_audits m);
+  H.free h (H.alloc h ~mark:false);
+  M.safe_point m;
+  Alcotest.(check int) "a free since: one scan" (n + 1) (M.root_audits m);
+  M.safe_point m;
+  Alcotest.(check int) "then none" (n + 1) (M.root_audits m)
+
+let test_root_set () =
+  let h, m, a = solo () in
+  let b = H.alloc h ~mark:false in
+  H.set_field h a 0 b;
+  ignore (M.load m a 0);
+  ignore (M.load m a 0);
+  Alcotest.(check (list int)) "one entry per reference" [ b; a ] (M.root_refs m);
+  M.discard m b;
+  Alcotest.(check (list int)) "discarded" [ a ] (M.root_refs m);
+  ignore (M.load m a 0);
+  Alcotest.(check (list int)) "re-adopted" [ b; a ] (M.root_refs m);
+  let c = M.alloc m in
+  Alcotest.(check (list int)) "newest first" [ c; b; a ] (M.root_refs m);
+  M.discard m c;
+  H.free h c;
+  (* a discarded root is no longer audited: this safe point passes *)
+  M.safe_point m;
+  let sh = Sh.make ~latency:false ~n_slots:4 ~n_fields:1 ~n_muts:1 () in
+  Alcotest.(check (list int)) "make keeps the given order" [ 2; 0 ]
+    (M.root_refs (M.make sh 0 ~roots:[ 2; 0 ]))
+
+let test_refusals () =
+  Alcotest.check_raises "a seed root per mutator"
+    (Invalid_argument "Harness.run: n_slots = 2, needs at least n_muts = 3 (one seed root each)")
+    (fun () -> ignore (Runtime.Harness.run ~n_muts:3 ~n_slots:2 ()));
+  Alcotest.check_raises "a field to pick"
+    (Invalid_argument "Harness.run: n_fields = 0, needs at least 1") (fun () ->
+      ignore (Runtime.Harness.run ~n_fields:0 ()));
+  let sh = Sh.make ~latency:false ~n_slots:4 ~n_fields:1 ~n_muts:1 () in
+  Alcotest.check_raises "no null root" (Invalid_argument "Rmutator.make: null root") (fun () ->
+      ignore (M.make sh 0 ~roots:[ H.null ]))
+
 let test_stress_uniform_safe () =
   let s = Runtime.Harness.run ~n_muts:2 ~n_slots:64 ~duration:0.3 () in
   Alcotest.(check (option string)) "safe" None s.Runtime.Harness.violation;
@@ -145,4 +243,12 @@ let suite =
     Alcotest.test_case "stress: uniform workload is safe" `Quick test_stress_uniform_safe;
     Alcotest.test_case "stress: adversarial lists are safe" `Quick test_stress_lists_safe;
     Alcotest.test_case "stress: no barriers faults" `Slow test_stress_no_barriers_faults;
+    Alcotest.test_case "audit: a freed root is reported" `Quick test_audit_freed_root;
+    Alcotest.test_case "audit: a freed and reused root is reported" `Quick
+      test_audit_freed_and_reused;
+    Alcotest.test_case "audit: a dangling load is reported" `Quick test_audit_dangling_load;
+    Alcotest.test_case "audit: a free that straddles a scan" `Quick test_audit_straddling_free;
+    Alcotest.test_case "audit: full scans only after a free" `Quick test_audit_count;
+    Alcotest.test_case "root set: one entry, re-adoption, newest first" `Quick test_root_set;
+    Alcotest.test_case "harness and make refuse what they cannot run" `Quick test_refusals;
   ]
