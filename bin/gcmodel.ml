@@ -268,42 +268,56 @@ let run_config_json (raw : raw_cfg) ~shape ~safety_only ~max_states ~jobs ~reduc
       ("checkpoint_every", Obs.Json.Int checkpoint_every);
     ]
 
-let run_config_parse json =
-  let open Obs.Json in
-  let int_field name d =
-    match Option.bind (member name json) to_int with Some v -> v | None -> d
+(* The run configuration is read fail-closed: every field a command reads
+   must be present and typed (only [mutant] and [mem_budget] may be
+   null), and a refusal names the field.  The flags hold the only
+   defaults. *)
+let ( let* ) = Result.bind
+
+let config_field json name conv =
+  match Option.bind (Obs.Json.member name json) conv with
+  | Some v -> Ok v
+  | None -> Error (Fmt.str "run configuration: missing or malformed %s" name)
+
+let nullable conv = function Obs.Json.Null -> Some None | j -> Option.map Option.some (conv j)
+
+(* the instance: model flags, shape and invariant selection *)
+let instance_of_config json =
+  let int name = config_field json name Obs.Json.to_int in
+  let* muts = int "muts" in
+  let* refs = int "refs" in
+  let* fields = int "fields" in
+  let* buf = int "buf" in
+  let* cycles = int "cycles" in
+  let* ops = int "ops" in
+  let* variant =
+    config_field json "variant" (fun j ->
+        Option.bind (Obs.Json.to_string_opt j) (fun s ->
+            Option.map (fun _ -> s) (Core.Variants.by_name s)))
   in
-  let str_field name d =
-    match Option.bind (member name json) to_string_opt with Some s -> s | None -> d
+  let* no_ops =
+    config_field json "disable" (fun j ->
+        Option.bind (Obs.Json.to_list j) (fun l ->
+            let names = List.filter_map Obs.Json.to_string_opt l in
+            if List.compare_lengths names l = 0 then Some names else None))
   in
-  let raw =
-    {
-      muts = int_field "muts" 1;
-      refs = int_field "refs" 3;
-      fields = int_field "fields" 1;
-      buf = int_field "buf" 1;
-      cycles = int_field "cycles" 1;
-      ops = int_field "ops" 2;
-      variant = str_field "variant" "paper";
-      no_ops =
-        (match Option.bind (member "disable" json) to_list with
-        | Some l -> List.filter_map to_string_opt l
-        | None -> []);
-      mutant = Option.bind (member "mutant" json) to_string_opt;
-    }
+  let* mutant = config_field json "mutant" (nullable Obs.Json.to_string_opt) in
+  let* shape = config_field json "shape" Obs.Json.to_string_opt in
+  let* safety_only = config_field json "safety_only" Obs.Json.to_bool in
+  Ok ({ muts; refs; fields; buf; cycles; ops; variant; no_ops; mutant }, shape, safety_only)
+
+(* the remaining explore flags, which resume continues with *)
+let run_flags_of_config json =
+  let int name = config_field json name Obs.Json.to_int in
+  let* max_states = int "max_states" in
+  let* jobs = int "jobs" in
+  let* reduce =
+    config_field json "reduce" (fun j ->
+        Option.bind (Obs.Json.to_string_opt j) (fun s -> Result.to_option (Reduce.Mode.of_string s)))
   in
-  let reduce =
-    match Reduce.Mode.of_string (str_field "reduce" "all") with Ok m -> m | Error _ -> Reduce.Mode.All
-  in
-  let mem_budget = Option.bind (member "mem_budget" json) to_int in
-  ( raw,
-    str_field "shape" "single",
-    (match Option.bind (member "safety_only" json) to_bool with Some b -> b | None -> false),
-    int_field "max_states" 10_000_000,
-    int_field "jobs" 1,
-    reduce,
-    mem_budget,
-    int_field "checkpoint_every" 50_000 )
+  let* mem_budget = config_field json "mem_budget" (nullable Obs.Json.to_int) in
+  let* checkpoint_every = int "checkpoint_every" in
+  Ok (max_states, jobs, reduce, mem_budget, checkpoint_every)
 
 (* A shape that does not exist or does not fit --refs is a one-line
    error, not an uncaught exception. *)
@@ -481,23 +495,17 @@ let resume_cmd =
       Fmt.epr "gcmodel resume: %s@." msg;
       exit 1
     in
-    let config =
-      match Store.Checkpoint.manifest dir with
-      | Error msg -> fail msg
-      | Ok (_seq, config) -> config
-    in
-    let raw, shape, safety_only, max_states, cfg_jobs, reduce, mem_budget, checkpoint_every =
-      run_config_parse config
+    let ok = function Ok v -> v | Error msg -> fail msg in
+    let config = snd (ok (Store.Checkpoint.manifest dir)) in
+    let raw, shape, safety_only = ok (instance_of_config config) in
+    let max_states, cfg_jobs, reduce, mem_budget, checkpoint_every =
+      ok (run_flags_of_config config)
     in
     let jobs = Option.value jobs_override ~default:cfg_jobs in
-    let cv = resolve_cfg raw in
+    let cv = try resolve_cfg raw with Failure msg -> fail msg in
     let cfg, v = cv in
     let model = model_of cv shape in
-    let snap =
-      match Store.Checkpoint.load ?mem_budget dir with
-      | Error msg -> fail msg
-      | Ok snap -> snap
-    in
+    let snap = ok (Store.Checkpoint.load ?mem_budget dir) in
     Fmt.pr
       "resuming variant=%s shape=%s muts=%d refs=%d jobs=%d reduce=%a: snapshot %d (%d states, \
        frontier %d)@."
@@ -506,10 +514,14 @@ let resume_cmd =
       (Array.fold_left (fun acc l -> acc + List.length l) 0 snap.Store.Checkpoint.frontier);
     let reducer = Core.Reduction.reducer cfg reduce in
     let tracer = Obs.Tracing.resolve ?out:trace_out ~domains:(max 1 jobs) () in
+    (* a snapshot of another model, or a frontier state the model cannot
+       replay, is refused in one line *)
     let o =
-      Check.Par_explore.run ~jobs ~max_states ~obs ~tracer ?reducer ?mem_budget
-        ~checkpoint:(dir, checkpoint_every) ~resume:snap ~run_config:config
-        ~invariants:(invariants_of cfg safety_only) model.Core.Model.system
+      try
+        Check.Par_explore.run ~jobs ~max_states ~obs ~tracer ?reducer ?mem_budget
+          ~checkpoint:(dir, checkpoint_every) ~resume:snap ~run_config:config
+          ~invariants:(invariants_of cfg safety_only) model.Core.Model.system
+      with Invalid_argument msg -> fail msg
     in
     Fmt.pr "%a@." Check.Explore.pp_outcome o;
     report cfg obs o.Check.Explore.violation;
@@ -544,13 +556,17 @@ let recheck_cmd =
       (* rebuild the instance from the embedded run configuration, as
          resume does from checkpoint manifests; the reduction mode comes
          from the header field the certificate binds *)
-      let raw, shape, safety_only, _, _, _, _, _ = run_config_parse h.Certify.Certificate.run_config in
+      let raw, shape, safety_only =
+        match instance_of_config h.Certify.Certificate.run_config with
+        | Ok instance -> instance
+        | Error msg -> fail msg
+      in
       let reduce =
         match Reduce.Mode.of_string h.Certify.Certificate.reduce with
         | Ok m -> m
         | Error e -> fail (Fmt.str "header field \"reduce\": %s" e)
       in
-      let cv = resolve_cfg raw in
+      let cv = try resolve_cfg raw with Failure msg -> fail msg in
       let cfg, v = cv in
       let model = model_of cv shape in
       let reducer = Core.Reduction.reducer cfg reduce in
@@ -656,167 +672,15 @@ let crosscheck_cmd =
     Fmt.pr "cross-checking variant=%s shape=%s muts=%d refs=%d cycles=%d ops=%d reduce=%a@."
       v.Core.Variants.name shape cfg.Core.Config.n_muts cfg.Core.Config.n_refs
       cfg.Core.Config.max_cycles cfg.Core.Config.max_mut_ops Reduce.Mode.pp reduce;
-    let reducer = Option.get (Core.Reduction.reducer cfg reduce) in
     let r =
-      Reduce.Crosscheck.run ~max_states ~obs ~reducer
+      Reduce.Crosscheck.run ~max_states ~obs ~jobs ?mem_budget
+        ~reducer:(Option.get (Core.Reduction.reducer cfg reduce))
         ~invariants:(invariants_of cfg safety_only) model.Core.Model.system
     in
     Fmt.pr "%a@." Reduce.Crosscheck.pp r;
-    (* the jobs leg holds the engine to the exact reference runs above,
-       at one worker and at N: verdict, violated invariant and
-       counterexample length must match the unreduced reference, both
-       unreduced and under the reducer; on clean, untruncated runs the
-       state and transition counts must match too (a fingerprint
-       collision then shows as a count mismatch).  Reduced counts are
-       compared at one worker only: at N the symmetry reduction's class
-       representatives depend on the schedule (DESIGN.md §8) *)
-    let jobs_errors =
-      let invariants = invariants_of cfg safety_only in
-      let verdict = function
-        | None -> "clean"
-        | Some (broken, n) -> Fmt.str "violates %s, counterexample length %d" broken n
-      in
-      let base =
-        verdict
-          (match (r.Reduce.Crosscheck.full_violation, r.Reduce.Crosscheck.full_ce_length) with
-          | Some broken, Some n -> Some (broken, n)
-          | _ -> None)
-      in
-      let reference_closed =
-        not (r.Reduce.Crosscheck.full_truncated || r.Reduce.Crosscheck.reduced_truncated)
-      in
-      let leg j ?reducer label reference =
-        let o =
-          Check.Par_explore.run ~jobs:j ~max_states ?reducer ~invariants model.Core.Model.system
-        in
-        let v =
-          verdict
-            (Option.map
-               (fun tr -> (tr.Check.Trace.broken, Check.Trace.length tr))
-               o.Check.Explore.violation)
-        in
-        let counts = (o.Check.Explore.states, o.Check.Explore.transitions) in
-        let counted =
-          v = "clean" && reference_closed && (not o.Check.Explore.truncated)
-          && (j = 1 || reducer = None)
-        in
-        if v <> base then [ Fmt.str "jobs=%d %s: %s, but reference: %s" j label v base ]
-        else if counted && counts <> reference then
-          [
-            Fmt.str "jobs=%d %s: %d states, %d transitions, but reference: %d, %d" j label
-              (fst counts) (snd counts) (fst reference) (snd reference);
-          ]
-        else begin
-          Fmt.pr "jobs equivalence OK (jobs=%d, %s)%s@." j label
-            (if counted then Fmt.str ": %d states, %d transitions" (fst counts) (snd counts)
-             else "");
-          []
-        end
-      in
-      List.concat_map
-        (fun j ->
-          let unreduced =
-            leg j "unreduced"
-              (r.Reduce.Crosscheck.full_states, r.Reduce.Crosscheck.full_transitions)
-          in
-          unreduced
-          @ leg j ~reducer "reduced"
-              (r.Reduce.Crosscheck.reduced_states, r.Reduce.Crosscheck.reduced_transitions))
-        (List.sort_uniq compare [ 1; max 1 jobs ])
-    in
-    (* --mem-budget B extends the obligation to the tiered store: a
-       forced-spill run (most states on disk) and a checkpoint/resume
-       round-trip must both report the all-RAM verdict, violated
-       invariant, counterexample length and (clean runs) state count *)
-    let store_errors =
-      match mem_budget with
-      | None -> []
-      | Some budget ->
-        let invariants = invariants_of cfg safety_only in
-        let signature (o : _ Check.Explore.outcome) =
-          match o.Check.Explore.violation with
-          | None -> Fmt.str "clean, %d states" o.Check.Explore.states
-          | Some tr ->
-            Fmt.str "violates %s, counterexample length %d" tr.Check.Trace.broken
-              (Check.Trace.length tr)
-        in
-        let base =
-          Check.Par_explore.run ~jobs:1 ~max_states ~invariants model.Core.Model.system
-        in
-        let base_sig = signature base in
-        let spill_legs =
-          List.concat_map
-            (fun j ->
-              let o =
-                Check.Par_explore.run ~jobs:j ~max_states ~mem_budget:budget ~invariants
-                  model.Core.Model.system
-              in
-              let s = signature o in
-              if s = base_sig then begin
-                Fmt.pr "spill equivalence OK (jobs=%d, budget=%d): %s@." j budget s;
-                []
-              end
-              else
-                [
-                  Fmt.str "spill jobs=%d budget=%d: %s, but all-RAM: %s" j budget s base_sig;
-                ])
-            [ 1; 4 ]
-        in
-        let resume_leg =
-          let dir =
-            Filename.concat (Filename.get_temp_dir_name ())
-              (Fmt.str "gcmodel-crosscheck-ckpt-%d" (Unix.getpid ()))
-          in
-          let o =
-            Check.Par_explore.run ~jobs:1 ~max_states ~mem_budget:budget
-              ~checkpoint:(dir, 500) ~invariants model.Core.Model.system
-          in
-          let errs =
-            match Store.Checkpoint.load ~mem_budget:budget dir with
-            | Error msg -> [ Fmt.str "resume: cannot load checkpoint: %s" msg ]
-            | Ok snap ->
-              let r =
-                Check.Par_explore.run ~jobs:1 ~max_states ~mem_budget:budget ~resume:snap
-                  ~invariants model.Core.Model.system
-              in
-              let so = signature o and sr = signature r in
-              if so = base_sig && sr = base_sig then begin
-                Fmt.pr "resume equivalence OK (budget=%d, snapshot %d): %s@." budget
-                  snap.Store.Checkpoint.seq sr;
-                []
-              end
-              else
-                [
-                  Fmt.str "resume budget=%d: checkpointed %s, resumed %s, but all-RAM: %s"
-                    budget so sr base_sig;
-                ]
-          in
-          (try
-             let rec rm p =
-               if Sys.is_directory p then begin
-                 Array.iter (fun f -> rm (Filename.concat p f)) (Sys.readdir p);
-                 Unix.rmdir p
-               end
-               else Sys.remove p
-             in
-             if Sys.file_exists dir then rm dir
-           with Sys_error _ | Unix.Unix_error _ -> ());
-          errs
-        in
-        spill_legs @ resume_leg
-    in
-    (* the cross-check aggregates outcomes but keeps no trace; regenerate
-       the reduced counterexample (deterministic) if a report was asked for *)
-    (match explain with
-    | None -> ()
-    | Some _ ->
-      let o =
-        Check.Par_explore.run ~max_states ~reducer
-          ~invariants:(invariants_of cfg safety_only) model.Core.Model.system
-      in
-      explain_violation ~html:explain ~obs cfg o.Check.Explore.violation);
+    explain_violation ~html:explain ~obs cfg r.Reduce.Crosscheck.counterexample;
     Obs.Reporter.close obs;
-    match Reduce.Crosscheck.errors r @ jobs_errors @ store_errors with
+    match Reduce.Crosscheck.errors r with
     | [] -> Fmt.pr "cross-check OK@."
     | errs ->
       List.iter (Fmt.epr "cross-check FAILED: %s@.") errs;
@@ -832,8 +696,8 @@ let crosscheck_cmd =
           counterexample length, and on clean runs the same state and transition counts \
           (reduced counts at 1 domain only). \
           With --mem-budget B, also verify a forced-spill run (tiered store under budget B, \
-          at 1 and 4 domains) and a checkpoint/resume round-trip report the all-RAM verdict \
-          and state count. Exits 1 on mismatch.")
+          at 1 and 4 domains) and a resume from a mid-run checkpoint report the all-RAM \
+          verdict and counts. Exits 1 on mismatch.")
     Term.(
       const run $ cfg_term $ shape_term $ safety_only $ max_states $ jobs
       $ reduce_term ~default:"all" $ mem_budget_term $ explain_file $ obs_term)

@@ -331,24 +331,23 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
     ignore (Atomic.fetch_and_add pending (List.length tasks));
     Deque.push_list deques.(w) tasks
   in
+  (* forward replay of a recorded (fingerprint, event) chain by the shared
+     {!Explore.replay_chain} (same-label successors disambiguated by the
+     recorded fingerprint) *)
+  let replay_from start chain =
+    Explore.replay_chain
+      ~norm:(fun s -> canon (norm s))
+      ~matches:(fun s' fp' -> Fingerprint.hash (fp_of s') = fp')
+      start chain
+  in
   let reconstruct fp broken =
-    (* chain of (fingerprint, event) from the root to [fp], replayed
-       forward by the shared {!Explore.replay_chain} (same-label
-       successors disambiguated by the recorded fingerprint) *)
     let rec back fp acc =
       match Store.Tiered.find seen fp with
       | Some (parent, ev) when parent <> 0 ->
         back parent ((fp, Store.Event_codec.decode codec ev) :: acc)
       | _ -> acc
     in
-    let chain = back fp [] in
-    let steps =
-      Explore.replay_chain
-        ~norm:(fun s -> canon (norm s))
-        ~matches:(fun s' fp' -> Fingerprint.hash (fp_of s') = fp')
-        initial chain
-    in
-    { Trace.initial; steps; broken }
+    { Trace.initial; steps = replay_from initial (back fp []); broken }
   in
   (* -- checkpoint rendezvous ---------------------------------------------
 
@@ -675,39 +674,40 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
     publish 0 [ (fp0, initial, 0) ]
   | Some snap ->
     (* frontier states were snapshotted as (fingerprint, depth) only;
-       rebuild each by memoized parent-chain replay — the trusted
-       counterexample mechanism — and redistribute round-robin *)
+       rebuild each by replaying its parent chain from the nearest
+       memoized ancestor — the counterexample replay — and redistribute
+       round-robin *)
     if Store.Tiered.find seen fp0 = None then
       invalid_arg "Par_explore.run: checkpoint does not match this model configuration";
     let cache = Hashtbl.create 4096 in
     Hashtbl.add cache fp0 initial;
-    let rec state_of fp =
-      match Hashtbl.find_opt cache fp with
-      | Some s -> s
-      | None -> (
-        match Store.Tiered.find seen fp with
-        | Some (parent, code) when parent <> 0 -> (
-          let psys = state_of parent in
-          let ev = Store.Event_codec.decode codec code in
-          match
-            List.find_map
-              (fun (e, s') ->
-                if e = ev then begin
-                  let s' = canon (norm s') in
-                  if Fingerprint.hash (fp_of s') = fp then Some s' else None
-                end
-                else None)
-              (Cimp.System.steps psys)
-          with
-          | Some s ->
-            Hashtbl.add cache fp s;
-            s
-          | None ->
-            invalid_arg
-              "Par_explore.run: cannot replay a checkpointed frontier state (model mismatch?)")
-        | _ ->
-          invalid_arg "Par_explore.run: frontier fingerprint missing from the checkpoint store"
-      )
+    let cannot_replay () =
+      invalid_arg "Par_explore.run: cannot replay a checkpointed frontier state (model mismatch?)"
+    in
+    let state_of fp =
+      let rec back fp chain =
+        match Hashtbl.find_opt cache fp with
+        | Some s -> (s, chain)
+        | None -> (
+          match Store.Tiered.find seen fp with
+          | Some (parent, code) when parent <> 0 -> (
+            (* an event code past this model's label table is another
+               model's *)
+            match Store.Event_codec.decode codec code with
+            | ev -> back parent ((fp, ev) :: chain)
+            | exception Invalid_argument _ -> cannot_replay ())
+          | _ ->
+            invalid_arg "Par_explore.run: frontier fingerprint missing from the checkpoint store")
+      in
+      let start, chain = back fp [] in
+      let steps = replay_from start chain in
+      (* replay stops short at the first step it cannot match *)
+      if List.compare_lengths steps chain <> 0 then cannot_replay ();
+      List.fold_left2
+        (fun _ (fp, _) step ->
+          Hashtbl.replace cache fp step.Trace.state;
+          step.Trace.state)
+        start chain steps
     in
     let i = ref 0 in
     Array.iter

@@ -63,13 +63,13 @@ let random_walk ?(seed = 42) ?(steps = 50_000) ?(jobs = 1) ?safety_only ?obs
   Check.Random_walk.swarm ~jobs ~seed ~steps ?obs ?reducer
     ~invariants:(invariants ?safety_only sc) (model sc).Model.system
 
-(* Reduced-vs-unreduced soundness cross-check on one scenario. *)
-let crosscheck ?max_states ?safety_only ?obs ?(reduce = Reduce.Mode.All) sc =
+(* The soundness cross-check, every leg, on one scenario. *)
+let crosscheck ?max_states ?safety_only ?obs ?(reduce = Reduce.Mode.All) ?jobs ?mem_budget sc =
   match Reduction.reducer sc.cfg reduce with
   | None -> invalid_arg "Scenario.crosscheck: reduce=none has nothing to cross-check"
   | Some reducer ->
-    Reduce.Crosscheck.run ?max_states ?obs ~reducer ~invariants:(invariants ?safety_only sc)
-      (model sc).Model.system
+    Reduce.Crosscheck.run ?max_states ?obs ?jobs ?mem_budget ~reducer
+      ~invariants:(invariants ?safety_only sc) (model sc).Model.system
 
 (* -- Presets --------------------------------------------------------------- *)
 

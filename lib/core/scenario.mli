@@ -59,16 +59,19 @@ val random_walk :
   t ->
   (Types.msg, Types.value, State.t) Check.Random_walk.outcome
 
-(** Reduced-vs-unreduced soundness cross-check ({!Reduce.Crosscheck})
-    on one scenario.  [reduce] defaults to {!Reduce.Mode.All}.
+(** The soundness cross-check ({!Reduce.Crosscheck.run}, every leg) on
+    one scenario.  [reduce] defaults to {!Reduce.Mode.All}; [jobs] and
+    [mem_budget] pass through.
     @raise Invalid_argument on [reduce = None_]. *)
 val crosscheck :
   ?max_states:int ->
   ?safety_only:bool ->
   ?obs:Obs.Reporter.t ->
   ?reduce:Reduce.Mode.t ->
+  ?jobs:int ->
+  ?mem_budget:int ->
   t ->
-  Reduce.Crosscheck.result
+  (Types.msg, Types.value, State.t) Reduce.Crosscheck.result
 
 (** {1 Presets} *)
 

@@ -300,22 +300,23 @@ let test_misfit_shapes_rejected () =
   Alcotest.(check (option string)) "shared fits 3 refs" None (misfit_message 3 "shared");
   Alcotest.(check (option string)) "fig1 fits 4 refs" None (misfit_message 4 "fig1")
 
+(* Run the built gcmodel.exe: its exit code and stderr lines. *)
+let run_gcmodel args =
+  let build_dir = Filename.dirname (Filename.dirname Sys.executable_name) in
+  let gcmodel = Filename.concat (Filename.concat build_dir "bin") "gcmodel.exe" in
+  let err = Filename.temp_file "gcmodel" ".err" in
+  let code = Sys.command (Filename.quote_command gcmodel ~stdout:Filename.null ~stderr:err args) in
+  let lines = In_channel.with_open_text err In_channel.input_lines in
+  Sys.remove err;
+  (code, lines)
+
 (* The command line turns the rejection into one line on stderr and a
    non-zero exit, for `explore --shape shared --refs 2` and
    `--shape fig1 --refs 2` alike. *)
 let test_cli_misfit_shapes () =
-  let build_dir = Filename.dirname (Filename.dirname Sys.executable_name) in
-  let gcmodel = Filename.concat (Filename.concat build_dir "bin") "gcmodel.exe" in
   List.iter
     (fun (shape, needs) ->
-      let err = Filename.temp_file "gcmodel" ".err" in
-      let code =
-        Sys.command
-          (Filename.quote_command gcmodel ~stdout:Filename.null ~stderr:err
-             [ "explore"; "--shape"; shape; "--refs"; "2" ])
-      in
-      let lines = In_channel.with_open_text err In_channel.input_lines in
-      Sys.remove err;
+      let code, lines = run_gcmodel [ "explore"; "--shape"; shape; "--refs"; "2" ] in
       Alcotest.(check bool) (shape ^ ": non-zero exit") true (code <> 0);
       Alcotest.(check (list string)) (shape ^ ": one-line error")
         [
@@ -324,6 +325,46 @@ let test_cli_misfit_shapes () =
         ]
         lines)
     [ ("shared", 3); ("fig1", 4) ]
+
+(* `resume` reads the checkpoint's run configuration fail-closed: a
+   mistyped or unknown field is refused in one line naming it, with exit
+   1, never read as a default; the untouched checkpoint still resumes. *)
+let test_cli_resume_config_refused () =
+  let dir = Test_certify.fresh_dir () in
+  Fun.protect ~finally:(fun () -> Test_certify.rm_rf dir) @@ fun () ->
+  let code, _ =
+    run_gcmodel [ "explore"; "--refs"; "2"; "--ops"; "1"; "--reduce"; "none"; "--checkpoint"; dir ]
+  in
+  Alcotest.(check int) "checkpointed explore" 0 code;
+  let manifest = Filename.concat dir "MANIFEST.json" in
+  let original = In_channel.with_open_bin manifest In_channel.input_all in
+  let write s = Out_channel.with_open_bin manifest (fun oc -> Out_channel.output_string oc s) in
+  let replace ~sub ~by s =
+    let n = String.length sub in
+    let rec at i =
+      if i + n > String.length s then Alcotest.failf "%s not in the manifest" sub
+      else if String.sub s i n = sub then i
+      else at (i + 1)
+    in
+    let i = at 0 in
+    String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+  in
+  List.iter
+    (fun (field, sub, by) ->
+      write (replace ~sub ~by original);
+      let code, lines = run_gcmodel [ "resume"; dir ] in
+      Alcotest.(check int) (field ^ ": exit 1") 1 code;
+      Alcotest.(check (list string)) (field ^ ": one line naming the field")
+        [ "gcmodel resume: run configuration: missing or malformed " ^ field ]
+        lines)
+    [
+      ("safety_only", {|"safety_only":false|}, {|"safety_only":"yes"|});
+      ("variant", {|"variant":"paper"|}, {|"variant":"papr"|});
+      ("variant", {|"variant":"paper",|}, "");
+    ];
+  write original;
+  Alcotest.(check (pair int (list string))) "the untouched checkpoint resumes" (0, [])
+    (run_gcmodel [ "resume"; dir ])
 
 let test_hp_mapping () =
   Alcotest.(check bool) "nop1 -> Idle" true (hp_of_hs Hs_nop1 = Hp_idle);
@@ -367,4 +408,6 @@ let suite =
     Alcotest.test_case "handshake-phase mapping" `Quick test_hp_mapping;
     Alcotest.test_case "shapes that do not fit are rejected" `Quick test_misfit_shapes_rejected;
     Alcotest.test_case "gcmodel refuses misfit shapes in one line" `Quick test_cli_misfit_shapes;
+    Alcotest.test_case "gcmodel resume refuses a malformed run configuration" `Quick
+      test_cli_resume_config_refused;
   ]

@@ -215,47 +215,112 @@ let test_crosscheck_two_mutators () =
   Alcotest.(check (list string)) "no mismatches" [] (Reduce.Crosscheck.errors r);
   (* the headline acceptance number: >= 50% of distinct states saved *)
   Alcotest.(check bool) "saves at least half the states" true
-    (2 * r.Reduce.Crosscheck.reduced_states <= r.Reduce.Crosscheck.full_states)
+    (2 * r.Reduce.Crosscheck.reduced.Reduce.Crosscheck.states
+    <= r.Reduce.Crosscheck.full.Reduce.Crosscheck.states)
+
+(* Every leg at jobs 2 under an 8 KiB budget (most states spill): the
+   harness must run them all, and the resume leg must have rebuilt a
+   frontier from its mid-run snapshot. *)
+let every_leg_agrees r =
+  Alcotest.(check (list string)) "no mismatches" [] (Reduce.Crosscheck.errors r);
+  Alcotest.(check (list string)) "every leg ran"
+    [
+      "jobs=1 unreduced";
+      "jobs=1 reduced";
+      "jobs=2 unreduced";
+      "jobs=2 reduced";
+      "spill jobs=1 budget=8192";
+      "spill jobs=4 budget=8192";
+      "resume budget=8192";
+    ]
+    (List.map Reduce.Crosscheck.leg_name r.Reduce.Crosscheck.legs);
+  match List.rev r.Reduce.Crosscheck.legs with
+  | { Reduce.Crosscheck.kind = Resume { frontier; _ }; _ } :: _ ->
+    Alcotest.(check bool) "the resume leg rebuilt frontier states" true (frontier > 0)
+  | _ -> Alcotest.fail "no resume leg"
+
+let test_crosscheck_clean () =
+  let sc = Core.Scenario.make ~label:"crosscheck" ~n_refs:2 ~shape:"single" ~max_mut_ops:1 () in
+  let r = Core.Scenario.crosscheck ~jobs:2 ~mem_budget:8192 sc in
+  every_leg_agrees r;
+  Alcotest.(check bool) "clean" true (r.Reduce.Crosscheck.full.Reduce.Crosscheck.violation = None)
 
 let test_crosscheck_violation () =
-  let r = Core.Scenario.crosscheck ~safety_only:true (witness "no-deletion-barrier") in
-  Alcotest.(check (list string)) "no mismatches" [] (Reduce.Crosscheck.errors r);
-  Alcotest.(check bool) "found the violation" true (r.Reduce.Crosscheck.full_violation <> None)
+  let r =
+    Core.Scenario.crosscheck ~safety_only:true ~jobs:2 ~mem_budget:8192
+      (witness "no-deletion-barrier")
+  in
+  every_leg_agrees r;
+  Alcotest.(check bool) "found the violation" true
+    (r.Reduce.Crosscheck.full.Reduce.Crosscheck.violation <> None);
+  Alcotest.(check bool) "kept the reduced counterexample" true
+    (r.Reduce.Crosscheck.counterexample <> None)
 
 let test_crosscheck_flags_mismatches () =
   (* the harness itself: fabricated disagreements must be reported *)
+  let open Reduce.Crosscheck in
+  let full = { violation = Some ("inv", 7); states = 100; transitions = 300; truncated = false } in
   let ok =
     {
-      Reduce.Crosscheck.reduce = "all";
-      full_states = 100;
-      reduced_states = 40;
-      full_transitions = 300;
-      reduced_transitions = 100;
-      full_truncated = false;
-      reduced_truncated = false;
-      full_violation = Some "inv";
-      reduced_violation = Some "inv";
-      full_ce_length = Some 7;
-      reduced_ce_length = Some 7;
-      elapsed = 0.;
+      reduce = "all";
+      full;
+      reduced = { full with states = 40; transitions = 100 };
+      legs = [];
+      aborted = [];
+      counterexample = None;
     }
   in
-  Alcotest.(check (list string)) "clean result passes" [] (Reduce.Crosscheck.errors ok);
-  let count r = List.length (Reduce.Crosscheck.errors r) in
+  Alcotest.(check (list string)) "clean result passes" [] (errors ok);
+  let count r = List.length (errors r) in
+  let reduced s = { ok with reduced = s } in
   Alcotest.(check bool) "verdict mismatch flagged" true
-    (count { ok with Reduce.Crosscheck.reduced_violation = None } > 0);
+    (count (reduced { ok.reduced with violation = None }) > 0);
   Alcotest.(check bool) "different invariant flagged" true
-    (count { ok with Reduce.Crosscheck.reduced_violation = Some "other" } > 0);
+    (count (reduced { ok.reduced with violation = Some ("other", 7) }) > 0);
   Alcotest.(check bool) "state blow-up flagged" true
-    (count { ok with Reduce.Crosscheck.reduced_states = 101 } > 0);
+    (count (reduced { ok.reduced with states = 101 }) > 0);
   Alcotest.(check bool) "longer counterexample flagged" true
-    (count { ok with Reduce.Crosscheck.reduced_ce_length = Some 9 } > 0);
+    (count (reduced { ok.reduced with violation = Some ("inv", 9) }) > 0);
   Alcotest.(check bool) "shorter counterexample never tolerated" true
-    (count { ok with Reduce.Crosscheck.reduced_ce_length = Some 5 } > 0);
+    (count (reduced { ok.reduced with violation = Some ("inv", 5) }) > 0);
   Alcotest.(check bool) "vacuous (truncated full) run flagged" true
-    (count { ok with Reduce.Crosscheck.full_truncated = true } > 0);
+    (count { ok with full = { full with truncated = true } } > 0);
   Alcotest.(check bool) "truncated reduced run flagged" true
-    (count { ok with Reduce.Crosscheck.reduced_truncated = true } > 0)
+    (count (reduced { ok.reduced with truncated = true }) > 0);
+  (* legs, against a clean, closed reference pair *)
+  let clean =
+    { ok with full = { full with violation = None }; reduced = { ok.reduced with violation = None } }
+  in
+  let leg kind jobs signature = { kind; jobs; signature } in
+  let with_legs legs = { clean with legs } in
+  let engine reduced = Engine { reduced } in
+  Alcotest.(check (list string)) "agreeing legs pass" []
+    (errors
+       (with_legs
+          [
+            leg (engine false) 1 clean.full;
+            leg (engine true) 1 clean.reduced;
+            leg (engine false) 2 clean.full;
+            leg (Spill { budget = 8192 }) 4 clean.full;
+            leg (Resume { budget = 8192; snapshot = 1; frontier = 5 }) 1 clean.full;
+          ]));
+  Alcotest.(check (list string)) "reduced counts at 2 workers are not compared" []
+    (errors (with_legs [ leg (engine true) 2 { clean.reduced with states = 41; transitions = 99 } ]));
+  let mismatched = errors (with_legs [ leg (engine false) 2 { clean.full with states = 99 } ]) in
+  Alcotest.(check bool)
+    (Fmt.str "a mismatching engine leg is reported by name (%a)" Fmt.(Dump.list string) mismatched)
+    true
+    (List.exists (String.starts_with ~prefix:"jobs=2 unreduced:") mismatched);
+  Alcotest.(check bool) "reduced counts at 1 worker are compared" true
+    (count (with_legs [ leg (engine true) 1 { clean.reduced with transitions = 101 } ]) > 0);
+  Alcotest.(check bool) "a leg's verdict is compared at any jobs" true
+    (count (with_legs [ leg (engine true) 2 { clean.reduced with violation = Some ("inv", 3) } ])
+    > 0);
+  Alcotest.(check bool) "a resume leg with an empty frontier flagged" true
+    (count (with_legs [ leg (Resume { budget = 8192; snapshot = 1; frontier = 0 }) 1 clean.full ])
+    > 0);
+  Alcotest.(check (list string)) "an aborted leg is reported" [ "resume: no snapshot" ]
+    (errors { clean with aborted = [ "resume: no snapshot" ] })
 
 let test_reducer_counters () =
   (* the observability counters move when the reducers do *)
@@ -322,7 +387,9 @@ let suite =
     Alcotest.test_case "differential: deep buffers" `Slow test_diff_deep_buffers;
     Alcotest.test_case "differential: ablation witnesses" `Quick test_diff_witnesses;
     Alcotest.test_case "crosscheck: two mutators, >= 50% saved" `Slow test_crosscheck_two_mutators;
-    Alcotest.test_case "crosscheck: violating instance" `Quick test_crosscheck_violation;
+    Alcotest.test_case "crosscheck: every leg agrees on a clean instance" `Quick
+      test_crosscheck_clean;
+    Alcotest.test_case "crosscheck: violating instance" `Slow test_crosscheck_violation;
     Alcotest.test_case "crosscheck: harness flags mismatches" `Quick test_crosscheck_flags_mismatches;
     Alcotest.test_case "reducer: counters move" `Quick test_reducer_counters;
     Alcotest.test_case "reducer: sequential and parallel agree" `Slow test_sequential_parallel_agree;

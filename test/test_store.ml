@@ -205,17 +205,15 @@ let two_counters () =
 
 let bad_sum sys = (System.proc sys 0).Com.data + (System.proc sys 1).Com.data <> 51
 
-let signature (o : _ Check.Explore.outcome) =
-  ( (match o.Check.Explore.violation with
-    | None -> ("clean", 0)
-    | Some tr -> (tr.Check.Trace.broken, Check.Trace.length tr)),
-    o.Check.Explore.states,
-    o.Check.Explore.transitions )
+(* the violated invariant and counterexample length, as the cross-check
+   harness compares them *)
+let violation o = (Reduce.Crosscheck.signature o).Reduce.Crosscheck.violation
+let verdict = Alcotest.(option (pair string int))
 
 let test_forced_spill_equivalence () =
   let invariants = [ ("not-51", bad_sum) ] in
   let all_ram = Check.Explore.run ~normal_form:false ~invariants (two_counters ()) in
-  let base, _, _ = signature all_ram in
+  let base = violation all_ram in
   List.iter
     (fun jobs ->
       let dir = tmp_dir (Fmt.str "spill%d" jobs) in
@@ -226,10 +224,9 @@ let test_forced_spill_equivalence () =
       (* on a violating instance the states-at-stop count is traversal-order
          dependent; the deterministic contract is invariant + shortest-CE
          length (exact counts are pinned on the clean instance below) *)
-      let v, _, _ = signature o in
-      Alcotest.(check (pair string int))
+      Alcotest.check verdict
         (Fmt.str "spilled run matches all-RAM at jobs=%d" jobs)
-        base v;
+        base (violation o);
       rm_rf dir)
     [ 1; 4 ];
   (* same equivalence on a clean (violation-free) instance, where state
@@ -267,8 +264,7 @@ let test_checkpoint_resume_equivalence () =
     Check.Par_explore.run ~jobs:2 ~normal_form:false ~checkpoint:(dir, 300) ~invariants
       (two_counters ())
   in
-  (let (v, _, _) = signature uninterrupted and (v', _, _) = signature o in
-   Alcotest.(check (pair string int)) "checkpointed run unaffected" v v');
+  Alcotest.check verdict "checkpointed run unaffected" (violation uninterrupted) (violation o);
   (match Store.Checkpoint.manifest dir with
   | Error msg -> Alcotest.failf "manifest: %s" msg
   | Ok (seq, _) -> Alcotest.(check bool) "snapshots were written" true (seq >= 1));
@@ -278,8 +274,7 @@ let test_checkpoint_resume_equivalence () =
     let r =
       Check.Par_explore.run ~jobs:2 ~normal_form:false ~resume:snap ~invariants (two_counters ())
     in
-    let (v, _, _) = signature uninterrupted and (v', _, _) = signature r in
-    Alcotest.(check (pair string int)) "resumed verdict + CE length" v v');
+    Alcotest.check verdict "resumed verdict + CE length" (violation uninterrupted) (violation r));
   rm_rf dir
 
 (* A mid-run snapshot (not the final one): checkpoint with a tiny
