@@ -62,12 +62,20 @@ let raw_cfg_term =
   in
   const mk $ muts $ refs $ fields $ buf $ cycles $ ops $ variant $ no_ops $ mutant
 
+(* A flag value the model cannot take (an unknown variant, --disable op,
+   --mutant, shape, process or operator family, or a shape that does not
+   fit --refs) is one line on stderr and exit 1, not an uncaught
+   exception. *)
+let refuse msg =
+  Fmt.epr "gcmodel: %s@." msg;
+  exit 1
+
 let resolve_cfg { muts; refs; fields; buf; cycles; ops; variant; no_ops; mutant } =
   let build muts refs fields buf cycles ops variant no_ops mutant =
     let v =
       match Core.Variants.by_name variant with
       | Some v -> v
-      | None -> Fmt.failwith "unknown variant %s" variant
+      | None -> refuse (Fmt.str "unknown variant %s (see gcmodel variants)" variant)
     in
     let cfg =
       v.Core.Variants.tweak
@@ -88,7 +96,7 @@ let resolve_cfg { muts; refs; fields; buf; cycles; ops; variant; no_ops; mutant 
       | "alloc" -> { cfg with Core.Config.mut_alloc = false }
       | "discard" -> { cfg with Core.Config.mut_discard = false }
       | "mfence" -> { cfg with Core.Config.mut_mfence = false }
-      | s -> Fmt.failwith "unknown op %s" s
+      | s -> refuse (Fmt.str "unknown --disable op %s (expected load, store, alloc, discard, mfence)" s)
     in
     let cfg = List.fold_left (fun c n -> dis n c) cfg no_ops in
     let cfg =
@@ -100,7 +108,7 @@ let resolve_cfg { muts; refs; fields; buf; cycles; ops; variant; no_ops; mutant 
           let vname = String.sub name 8 (String.length name - 8) in
           match Core.Variants.by_name vname with
           | Some v -> v.Core.Variants.tweak cfg
-          | None -> Fmt.failwith "unknown variant mutant %s" name)
+          | None -> refuse (Fmt.str "unknown variant mutant %s" name))
         | false -> (
           (* resolve against the instance, falling back to a site-rich
              configuration: arming a mutation whose site is absent is a
@@ -123,7 +131,7 @@ let resolve_cfg { muts; refs; fields; buf; cycles; ops; variant; no_ops; mutant 
             | None -> Mutate.Operators.by_name fat name
           with
           | Some m -> Mutate.Operators.tweak m cfg
-          | None -> Fmt.failwith "unknown mutant %s (see `gcmodel campaign --list`)" name))
+          | None -> refuse (Fmt.str "unknown mutant %s (see gcmodel campaign --list)" name)))
     in
     (cfg, v)
   in
@@ -319,13 +327,7 @@ let run_flags_of_config json =
   let* checkpoint_every = int "checkpoint_every" in
   Ok (max_states, jobs, reduce, mem_budget, checkpoint_every)
 
-(* A shape that does not exist or does not fit --refs is a one-line
-   error, not an uncaught exception. *)
 let model_of (cfg, _v) shape =
-  let refuse msg =
-    Fmt.epr "gcmodel: %s@." msg;
-    exit 1
-  in
   match
     Gcheap.Shapes.by_name ~n_refs:cfg.Core.Config.n_refs ~n_fields:cfg.Core.Config.n_fields shape
   with
@@ -393,9 +395,18 @@ let certificate_term =
            re-running the explorer — with $(b,gcmodel recheck) $(docv).  Refused (exit 1) \
            on truncated or violating runs.  See docs/CERTIFICATES.md.")
 
+(* A disk failure (a spill, merge, snapshot or certificate write) is one
+   line naming the path, and exit 1. *)
+let io_failure_refused cmd f =
+  try f ()
+  with Sys_error msg ->
+    Fmt.epr "gcmodel %s: %s@." cmd msg;
+    exit 1
+
 let explore_cmd =
   let run raw shape safety_only max_states jobs reduce mem_budget spill_dir checkpoint
       checkpoint_every certificate explain trace_out obs =
+    io_failure_refused "explore" @@ fun () ->
     let cv = resolve_cfg raw in
     let cfg, v = cv in
     let model = model_of cv shape in
@@ -491,6 +502,7 @@ let resume_cmd =
           ~doc:"Worker domains (default: the interrupted run's setting from the manifest).")
   in
   let run dir jobs_override explain trace_out obs =
+    io_failure_refused "resume" @@ fun () ->
     let fail msg =
       Fmt.epr "gcmodel resume: %s@." msg;
       exit 1
@@ -502,7 +514,7 @@ let resume_cmd =
       ok (run_flags_of_config config)
     in
     let jobs = Option.value jobs_override ~default:cfg_jobs in
-    let cv = try resolve_cfg raw with Failure msg -> fail msg in
+    let cv = resolve_cfg raw in
     let cfg, v = cv in
     let model = model_of cv shape in
     let snap = ok (Store.Checkpoint.load ?mem_budget dir) in
@@ -566,7 +578,7 @@ let recheck_cmd =
         | Ok m -> m
         | Error e -> fail (Fmt.str "header field \"reduce\": %s" e)
       in
-      let cv = try resolve_cfg raw with Failure msg -> fail msg in
+      let cv = resolve_cfg raw in
       let cfg, v = cv in
       let model = model_of cv shape in
       let reducer = Core.Reduction.reducer cfg reduce in
@@ -665,10 +677,8 @@ let walk_cmd =
 let crosscheck_cmd =
   let run cv shape safety_only max_states jobs reduce mem_budget explain obs =
     let cfg, v = cv in
+    if reduce = Reduce.Mode.None_ then refuse "crosscheck needs --reduce sym, por or all, not none";
     let model = model_of cv shape in
-    (match reduce with
-    | Reduce.Mode.None_ -> Fmt.failwith "crosscheck needs --reduce=sym|por|all, not none"
-    | _ -> ());
     Fmt.pr "cross-checking variant=%s shape=%s muts=%d refs=%d cycles=%d ops=%d reduce=%a@."
       v.Core.Variants.name shape cfg.Core.Config.n_muts cfg.Core.Config.n_refs
       cfg.Core.Config.max_cycles cfg.Core.Config.max_mut_ops Reduce.Mode.pp reduce;
@@ -820,7 +830,7 @@ let program_cmd =
       | "gc" -> List.nth programs Core.Config.pid_gc
       | "sys" -> List.nth programs (Core.Config.pid_sys cfg)
       | "mut" | "mut0" -> List.nth programs (Core.Config.pid_mut cfg 0)
-      | s -> Fmt.failwith "unknown process %s (expected gc, mut, sys)" s
+      | s -> refuse (Fmt.str "unknown process %s (expected gc, mut, sys)" s)
     in
     Fmt.pr "%a@." Cimp.Pretty.pp com
   in
@@ -884,7 +894,9 @@ let campaign_cmd =
   let run operators budget muts jobs reduce out html stubs certificates list_only obs =
     let known = Mutate.Operators.families @ [ "variant" ] in
     List.iter
-      (fun f -> if not (List.mem f known) then Fmt.failwith "unknown operator family %s" f)
+      (fun f ->
+        if not (List.mem f known) then
+          refuse (Fmt.str "unknown operator family %s (expected %s)" f (String.concat ", " known)))
       operators;
     let mutants =
       let all = Mutate.Campaign.default_mutants ~muts () in
@@ -920,7 +932,7 @@ let campaign_cmd =
       (match stubs with
       | None -> ()
       | Some dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+        Store.Fs.mkdirs dir;
         List.iter
           (fun (e : Mutate.Campaign.entry) ->
             match e.Mutate.Campaign.classification with
@@ -962,7 +974,7 @@ let campaign_cmd =
 let doc_cmd =
   let dir = Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR") in
   let run dir =
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    Store.Fs.mkdirs dir;
     List.iter
       (fun (name, md) ->
         let path = Filename.concat dir name in

@@ -112,23 +112,14 @@ let header_of_json json =
     }
 
 let write_header ~dir h =
-  let path = header_path dir in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc (Obs.Json.to_string_pretty (header_to_json h));
-  output_char oc '\n';
-  close_out oc;
-  Sys.rename tmp path
+  Store.Fs.publish_file (header_path dir) (Obs.Json.to_string_pretty (header_to_json h) ^ "\n")
 
 let read_header dir =
   let path = header_path dir in
   if not (Sys.file_exists path) then
     Error (Printf.sprintf "%s: no certificate header (%s missing)" dir header_file)
   else
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Obs.Json.of_string s with
+    match Obs.Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
     | Error e -> Error (Printf.sprintf "%s: unparsable header: %s" header_file e)
     | Ok json -> (
       match header_of_json json with

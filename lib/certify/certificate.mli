@@ -55,7 +55,8 @@ val header_of_json : Obs.Json.t -> (header, string) result
 (** Total: [Error] names the first missing or ill-typed field. *)
 
 val write_header : dir:string -> header -> unit
-(** Atomic (write-then-rename) emission of [CERT.json] into [dir]. *)
+(** Publish [CERT.json] into [dir] by {!Store.Fs.publish_file}: written
+    to [CERT.json.tmp], fsynced, renamed into place, [dir] fsynced. *)
 
 val read_header : string -> (header, string) result
 (** Read and parse [dir]'s header; rejects a wrong {!format_tag}. *)

@@ -196,12 +196,8 @@ let validate ?(normal_form = true) ~reducer ~invariants ~config_hash ~dir initia
       failf "header field \"max_depth\" is %d but the BFS frontier closed at depth %d"
         h.Certificate.max_depth !max_depth;
     let table_bytes =
-      try
-        let ic = open_in_bin (Certificate.table_path dir) in
-        let sz = in_channel_length ic in
-        close_in ic;
-        sz
-      with _ -> 0
+      try Int64.to_int (In_channel.with_open_bin (Certificate.table_path dir) In_channel.length)
+      with Sys_error _ -> 0
     in
     Ok
       ( h,

@@ -9,17 +9,12 @@
    schedules at the symmetry reduction's local-automorphism boundary, so
    their callers certify with a second, one-worker run.
 
-   [write] emits table.seg (one globally sorted segment) and then
-   CERT.json binding the configuration hash, reduction mode, invariant
-   catalogue, obligations and the table digest.  The header is written
-   last so a crash mid-write never leaves a certificate that parses: no
-   CERT.json, no certificate. *)
-
-let rec mkdirs dir =
-  if not (Sys.file_exists dir) then begin
-    mkdirs (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-  end
+   [write] emits table.seg (one globally sorted segment), fsyncs it, and
+   then publishes CERT.json binding the configuration hash, reduction
+   mode, invariant catalogue, obligations and the table digest
+   (Store.Fs.publish: fsynced, renamed into place, directory fsynced).
+   The header comes last so a crash mid-write never leaves a certificate
+   that parses: no CERT.json, no certificate. *)
 
 let of_store store =
   let tbl = Hashtbl.create (max 1024 (Store.Tiered.count store)) in
@@ -89,10 +84,10 @@ let write ~dir ~config_hash ~reduce ~invariant_names ~run_config ~max_depth entr
     in
     match roots with
     | [ root ] ->
-      mkdirs dir;
-      ignore
-        (Store.Segment.write ~path:(Certificate.table_path dir) ~shard:0 ~seq:0 ~max_depth
-           entries);
+      Store.Fs.mkdirs dir;
+      let table = Certificate.table_path dir in
+      ignore (Store.Segment.write ~path:table ~shard:0 ~seq:0 ~max_depth entries);
+      Store.Fs.fsync table;
       let h =
         {
           Certificate.format = Certificate.format_tag;

@@ -44,7 +44,8 @@ val write :
   max_depth:int ->
   Store.Segment.entry array ->
   (Certificate.header, string) result
-(** Emit [table.seg] then [CERT.json] into [dir] (created if missing).
-    The header is written last, so a crash mid-write never leaves a
-    parsable certificate.  [Error] on an empty table or a table without
-    a unique depth-0 root entry. *)
+(** Emit [table.seg] and fsync it, then publish [CERT.json]
+    ({!Certificate.write_header}) into [dir] (created if missing).  The
+    header is published last, so a crash at any step never leaves a
+    parsable certificate that does not validate.  [Error] on an empty
+    table or a table without a unique depth-0 root entry. *)

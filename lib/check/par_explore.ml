@@ -217,6 +217,12 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
     | Some snap -> snap.Store.Checkpoint.store
     | None -> Store.Tiered.create ?mem_budget ?spill_dir ()
   in
+  (* the store's own temporary spill directory goes when the run ends,
+     returning or raising, after [on_store] has read the store; only the
+     path is held, so the store stays collectable once [on_store] is
+     done with it *)
+  let temp = Store.Tiered.temp_dir seen in
+  Fun.protect ~finally:(fun () -> Option.iter Store.Fs.rm_rf temp) @@ fun () ->
   let inv_names = Array.of_list (List.map fst invariants) in
   if Array.length inv_names > Store.Tiered.max_violation_index + 1 then
     invalid_arg "Par_explore: too many invariants to pack";
@@ -322,6 +328,11 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
      publication included) completes, so pending = 0 observed by any
      worker means the exploration is quiescent and can never wake up. *)
   let pending = Atomic.make 0 in
+  (* the first exception a worker raises (a disk fault in a spill, merge,
+     probe or snapshot write): every worker leaves its loop or spin at
+     the next check, and [run] re-raises it once the pool has joined *)
+  let failure = Atomic.make None in
+  let failed () = Option.is_some (Atomic.get failure) in
   (* worker-indexed so each domain owns its instrumentation arrays *)
   let ivs = Array.init jobs (fun _ -> Inv_stats.make ~obs invariants) in
   let fp0 = Fingerprint.hash (fp_of initial) in
@@ -395,7 +406,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
     if w > 0 && Atomic.get ckpt_req then begin
       let gen = Atomic.get ckpt_gen in
       Atomic.incr ckpt_arrived;
-      while Atomic.get ckpt_req && Atomic.get ckpt_gen = gen do
+      while Atomic.get ckpt_req && Atomic.get ckpt_gen = gen && not (failed ()) do
         Domain.cpu_relax ()
       done;
       Atomic.decr ckpt_arrived
@@ -414,7 +425,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
           let quiescent = ref false in
           while not (!parked || !quiescent) do
             if Atomic.get ckpt_arrived >= jobs - 1 then parked := true
-            else if Atomic.get pending = 0 then quiescent := true
+            else if Atomic.get pending = 0 || failed () then quiescent := true
             else Domain.cpu_relax ()
           done;
           if !parked then do_snapshot dir;
@@ -595,13 +606,14 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
     let backoff = ref 0 in
     let rec main () =
       maybe_checkpoint w;
-      match Deque.pop_batch own pop_batch_size with
-      | [] -> idle ()
-      | tasks ->
-        let t0 = Obs.Clock.monotonic_ns () in
-        List.iter process tasks;
-        busy_ns.(w) <- busy_ns.(w) + (Obs.Clock.monotonic_ns () - t0);
-        main ()
+      if not (failed ()) then
+        match Deque.pop_batch own pop_batch_size with
+        | [] -> idle ()
+        | tasks ->
+          let t0 = Obs.Clock.monotonic_ns () in
+          List.iter process tasks;
+          busy_ns.(w) <- busy_ns.(w) + (Obs.Clock.monotonic_ns () - t0);
+          main ()
     and idle () =
       flush_span ();
       hooks.on_idle ~worker:w;
@@ -635,7 +647,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
           let t_probe = Obs.Clock.monotonic_ns () in
           let p = Atomic.get pending in
           hooks.on_probe ~worker:w ~pending:p;
-          if p = 0 then begin
+          if p = 0 || failed () then begin
             (* quiescent: no published task anywhere, and new tasks are
                only published by task expansions, so none can appear *)
             let now = Obs.Clock.monotonic_ns () in
@@ -718,9 +730,16 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
             incr i)
           tasks)
       snap.Store.Checkpoint.frontier);
-  let doms = Array.init (jobs - 1) (fun j -> Domain.spawn (worker (j + 1))) in
-  worker 0 ();
+  let guarded w () =
+    try worker w ()
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (Atomic.compare_and_set failure None (Some (e, bt)))
+  in
+  let doms = Array.init (jobs - 1) (fun j -> Domain.spawn (guarded (j + 1))) in
+  guarded 0 ();
   Array.iter Domain.join doms;
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) (Atomic.get failure);
   (* a final snapshot (frontier empty) makes resume-after-completion
      report the finished verdict instead of failing *)
   (match ckpt with Some (dir, _) -> do_snapshot dir | None -> ());

@@ -80,14 +80,21 @@ val max_jobs : int
     - [max_states] may overshoot by the successors in flight (at most one
       expansion batch per worker) before every worker observes the cap.
 
+    Failure: an exception in any worker (a disk fault in a spill, merge,
+    segment probe or snapshot write, or a raising hook) stops every
+    worker at its next batch or spin; [run] re-raises the first one once
+    the pool has joined.
+
     @param hooks scheduler observation hooks for tests
            (default {!no_hooks}).
     @param mem_budget resident-byte budget for the seen-set
            ({!Store.Tiered.create}); shards crossing their slice of it
            freeze into on-disk segments.  Absent, everything stays in
            RAM.
-    @param spill_dir directory for segment files (default: a fresh
-           temporary directory, removed contents excepted).
+    @param spill_dir directory for segment files, never removed
+           (default: a fresh temporary directory, removed when [run]
+           returns or raises, after [on_store]; likewise the temporary
+           directory of a [resume] snapshot's store).
     @param checkpoint [(dir, every)]: snapshot the full exploration state
            into [dir] (atomically, {!Store.Checkpoint.write}) every
            [every] newly inserted states, and once more after the run

@@ -68,13 +68,6 @@ let emit obs ~reduce ~elapsed full reduced =
   Obs.Reporter.emit obs Obs.Record.crosscheck
     ((("reduce", String reduce) :: List.concat_map pair fields) @ [ ("elapsed_s", Float elapsed) ])
 
-let rec rm_rf p =
-  if Sys.is_directory p then begin
-    Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
-    Unix.rmdir p
-  end
-  else Sys.remove p
-
 exception Snapshot_published
 
 let run ?max_states ?normal_form ?(obs = Obs.Reporter.null) ?(jobs = 1) ?mem_budget ~reducer
@@ -133,8 +126,8 @@ let run ?max_states ?normal_form ?(obs = Obs.Reporter.null) ?(jobs = 1) ?mem_bud
     match mem_budget with
     | None -> ([], [])
     | Some budget -> (
-      let root = Filename.temp_dir "gcmodel-crosscheck-" "" in
-      Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
+      let root = Store.Fs.temp_dir "gcmodel-crosscheck" in
+      Fun.protect ~finally:(fun () -> Store.Fs.rm_rf root) @@ fun () ->
       let spill jobs =
         let spill_dir = Filename.concat root (Fmt.str "spill-%d" jobs) in
         let o = engine ~mem_budget:budget ~spill_dir jobs in

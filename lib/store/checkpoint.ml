@@ -13,67 +13,16 @@ type snapshot = {
 
 let manifest_name = "MANIFEST.json"
 
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let link_or_copy src dst =
-  try Unix.link src dst
-  with Unix.Unix_error _ ->
-    let ic = open_in_bin src in
-    let oc = open_out_bin dst in
-    Fun.protect
-      ~finally:(fun () ->
-        close_in_noerr ic;
-        close_out_noerr oc)
-      (fun () ->
-        let buf = Bytes.create 65536 in
-        let rec go () =
-          let n = input ic buf 0 (Bytes.length buf) in
-          if n > 0 then begin
-            output oc buf 0 n;
-            go ()
-          end
-        in
-        go ();
-        flush oc;
-        Unix.fsync (Unix.descr_of_out_channel oc))
-
-let fsync_path path =
-  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-  | fd ->
-    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc contents;
-      flush oc;
-      Unix.fsync (Unix.descr_of_out_channel oc))
-
 let t0_name shard = Printf.sprintf "t0-%02d.seg" shard
 
 let snap_name seq = "snap-" ^ string_of_int seq
 
 let write ~dir ~seq ~config ~store ~states ~transitions ~deadlocks ~truncated ~elapsed_s ~best
     ~frontier =
-  let rec mkdirs d =
-    if not (Sys.file_exists d) then begin
-      mkdirs (Filename.dirname d);
-      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  mkdirs dir;
+  Fs.mkdirs dir;
   let tmp = Filename.concat dir "tmp-snap" in
-  rm_rf tmp;
-  Unix.mkdir tmp 0o755;
+  Fs.rm_rf tmp;
+  Fs.mkdirs tmp;
   let shards = ref [] in
   for shard = Tiered.n_shards - 1 downto 0 do
     let entries = Tiered.tier0_dump store ~shard in
@@ -97,7 +46,7 @@ let write ~dir ~seq ~config ~store ~states ~transitions ~deadlocks ~truncated ~e
         (fun seg ->
           let name = Filename.basename (Segment.path seg) in
           let dst = Filename.concat tmp name in
-          if not (Sys.file_exists dst) then link_or_copy (Segment.path seg) dst;
+          if not (Sys.file_exists dst) then Fs.link (Segment.path seg) dst;
           Obs.Json.String name)
         segs
     in
@@ -143,12 +92,11 @@ let write ~dir ~seq ~config ~store ~states ~transitions ~deadlocks ~truncated ~e
         ("shards", Obs.Json.List !shards);
       ]
   in
-  write_file (Filename.concat tmp "state.json") (Obs.Json.to_string state);
-  fsync_path tmp;
+  Fs.write (Filename.concat tmp "state.json") (fun oc ->
+      output_string oc (Obs.Json.to_string state));
   let final = Filename.concat dir (snap_name seq) in
-  rm_rf final;
-  Unix.rename tmp final;
-  fsync_path dir;
+  Fs.rm_rf final;
+  Fs.publish tmp final;
   let manifest =
     Obs.Json.Obj
       [
@@ -158,22 +106,15 @@ let write ~dir ~seq ~config ~store ~states ~transitions ~deadlocks ~truncated ~e
         ("config", config);
       ]
   in
-  let mtmp = Filename.concat dir "MANIFEST.tmp" in
-  write_file mtmp (Obs.Json.to_string manifest);
-  Unix.rename mtmp (Filename.concat dir manifest_name);
-  fsync_path dir;
+  Fs.publish_file (Filename.concat dir manifest_name) (Obs.Json.to_string manifest);
   (* superseded snapshots: best-effort garbage collection *)
   Array.iter
     (fun e ->
       if e <> snap_name seq && String.length e > 5 && String.sub e 0 5 = "snap-" then
-        rm_rf (Filename.concat dir e))
+        Fs.rm_rf (Filename.concat dir e))
     (Sys.readdir dir)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* The manifest's sequence number, echoed configuration and latest
    snapshot directory. *)
@@ -269,12 +210,12 @@ let load ?mem_budget ?spill_dir dir =
     in
     let* shards = shards 0 shard_list in
     let store = Tiered.create ?mem_budget ?spill_dir () in
-    let live_dir =
-      if List.exists (fun (_, _, _, segs) -> segs <> []) shards then
-        Some (Tiered.ensure_spill_dir store)
-      else None
-    in
-    try
+    match
+      let live_dir =
+        if List.exists (fun (_, _, _, segs) -> segs <> []) shards then
+          Some (Tiered.ensure_spill_dir store)
+        else None
+      in
       List.iteri
         (fun shard (distinct, next_seq, tier0, seg_names) ->
           let tier0 =
@@ -289,7 +230,7 @@ let load ?mem_budget ?spill_dir dir =
                   match live_dir with
                   | Some d ->
                     let dst = Filename.concat d name in
-                    if not (Sys.file_exists dst) then link_or_copy (Filename.concat sdir name) dst;
+                    if not (Sys.file_exists dst) then Fs.link (Filename.concat sdir name) dst;
                     dst
                   | None -> Filename.concat sdir name
                 in
@@ -297,7 +238,9 @@ let load ?mem_budget ?spill_dir dir =
               seg_names
           in
           Tiered.restore_shard store ~shard ~distinct ~next_seq ~tier0 ~segs)
-        shards;
+        shards
+    with
+    | () ->
       Ok
         {
           seq;
@@ -311,6 +254,8 @@ let load ?mem_budget ?spill_dir dir =
           config;
           store;
         }
-    with
-    | Sys_error e -> Error ("snapshot load failed: " ^ e)
-    | Failure e -> Error ("snapshot load failed: " ^ e)
+    | exception e -> (
+      Option.iter Fs.rm_rf (Tiered.temp_dir store);
+      match e with
+      | Sys_error msg | Failure msg -> Error ("snapshot load failed: " ^ msg)
+      | e -> raise e)

@@ -3,20 +3,22 @@
     A checkpoint directory holds numbered snapshots [snap-N] plus a
     [MANIFEST.json] naming the latest complete one.  A snapshot is
     self-contained: every live segment hard-linked in (segments are
-    immutable and fsynced at freeze time, so a link is a durable copy;
-    falls back to a byte copy across filesystems), the tier-0 contents
-    of every shard dumped as per-shard segment files, and a [state.json]
-    with the counters, the best-violation cell, the frontier (as
-    (fingerprint, depth) pairs per worker — states are replayed from
-    parent chains at resume, because CIMP systems embed closures and
-    cannot be marshalled), and the tool configuration echoed verbatim.
+    immutable, so a link is a copy; falls back to a byte copy across
+    filesystems), the tier-0 contents of every shard dumped as per-shard
+    segment files, and a [state.json] with the counters, the
+    best-violation cell, the frontier (as (fingerprint, depth) pairs per
+    worker — states are replayed from parent chains at resume, because
+    CIMP systems embed closures and cannot be marshalled), and the tool
+    configuration echoed verbatim.
 
     Atomicity protocol: everything is written into a [tmp-snap]
-    directory and fsynced, the directory is renamed to [snap-N], and
-    only then is [MANIFEST.json] replaced (write-tmp + rename, fsync).
-    A crash at any point leaves the manifest naming the previous
-    complete snapshot; stale [tmp-snap] and superseded [snap-K]
-    directories are garbage-collected on the next write. *)
+    directory, which {!Fs.publish} makes durable as [snap-N] (every file
+    in it fsynced, the directory renamed, the parent fsynced); only then
+    is [MANIFEST.json] published the same way from [MANIFEST.json.tmp].
+    A crash at any step leaves the manifest naming a complete snapshot
+    (the previous one until the manifest's rename); stale [tmp-snap] and
+    superseded [snap-K] directories are garbage-collected on the next
+    write. *)
 
 type snapshot = {
   seq : int;  (** this snapshot's sequence number *)
@@ -54,7 +56,10 @@ val manifest : string -> (int * Obs.Json.t, string) result
 (** Load the latest complete snapshot.  The store is rebuilt with the
     given parameters (normally those echoed in the manifest config);
     snapshot segments are hard-linked into the live spill directory, so
-    later merges can never destroy the snapshot's own files.
+    later merges can never destroy the snapshot's own files.  Without a
+    [spill_dir] that directory is the store's own temporary one:
+    [Check.Par_explore.run] removes it when a resumed run ends, and
+    [load] itself when it refuses the snapshot.
 
     [state.json] is read fail-closed: every field [load] reads is required
     and typed, and any other shape returns [Error] naming the field (e.g.

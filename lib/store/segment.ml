@@ -66,16 +66,11 @@ let write ~path ~shard ~seq ~max_depth entries =
   Codec.add_varint header (Buffer.length data);
   let hlen = Buffer.create Codec.max_varint_bytes in
   Codec.add_varint hlen (Buffer.length header);
-  let oc = open_out_bin path in
-  output_string oc magic;
-  Buffer.output_buffer oc hlen;
-  Buffer.output_buffer oc header;
-  Buffer.output_buffer oc data;
-  flush oc;
-  (* spilled entries must survive a crash once a checkpoint hard-links
-     the segment, so pay the fsync at freeze time *)
-  Unix.fsync (Unix.descr_of_out_channel oc);
-  close_out oc;
+  Fs.write path (fun oc ->
+      output_string oc magic;
+      Buffer.output_buffer oc hlen;
+      Buffer.output_buffer oc header;
+      Buffer.output_buffer oc data);
   let data_pos = String.length magic + Buffer.length hlen + Buffer.length header in
   {
     path;
@@ -102,10 +97,7 @@ let read_varint_ic ic =
   !v
 
 let load path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
+  In_channel.with_open_bin path (fun ic ->
       let m = really_input_string ic (String.length magic) in
       if m <> magic then failwith ("Segment.load: bad magic in " ^ path);
       let hlen = read_varint_ic ic in
@@ -163,17 +155,18 @@ let decode_block buf count f =
     go := f { fp; parent; event; meta }
   done
 
+(* [len] bytes of the file at [path] from offset [pos] *)
+let read_at path pos len =
+  let buf = Bytes.create len in
+  In_channel.with_open_bin path (fun ic ->
+      seek_in ic pos;
+      really_input ic buf 0 len);
+  buf
+
 let read_block t b =
   let off = t.index_off.(b) in
   let next = if b + 1 < Array.length t.index_off then t.index_off.(b + 1) else t.data_len in
-  let buf = Bytes.create (next - off) in
-  let ic = open_in_bin t.path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      seek_in ic (t.data_pos + off);
-      really_input ic buf 0 (next - off));
-  buf
+  read_at t.path (t.data_pos + off) (next - off)
 
 let block_count t b = min block_size (t.n - (b * block_size))
 
@@ -202,13 +195,7 @@ let find t fp =
 
 let iter t f =
   if t.n > 0 then begin
-    let data = Bytes.create t.data_len in
-    let ic = open_in_bin t.path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        seek_in ic t.data_pos;
-        really_input ic data 0 t.data_len);
+    let data = read_at t.path t.data_pos t.data_len in
     for b = 0 to Array.length t.index_off - 1 do
       let off = t.index_off.(b) in
       let next = if b + 1 < Array.length t.index_off then t.index_off.(b + 1) else t.data_len in

@@ -51,8 +51,9 @@ val mem_bytes : t -> int
 
 (** [write ~path ~shard ~seq ~max_depth entries] writes a segment from
     entries sorted by [fp] ascending (raises [Invalid_argument] if not,
-    or if a meta word exceeds 32 bits), fsyncs it, and returns the open
-    (resident-parts-loaded) handle. *)
+    or if a meta word exceeds 32 bits) and returns the open
+    (resident-parts-loaded) handle.  It is not fsynced: a checkpoint or
+    certificate that publishes the file fsyncs it ({!Fs.publish}). *)
 val write : path:string -> shard:int -> seq:int -> max_depth:int -> entry array -> t
 
 (** Load the resident parts of an existing segment file. *)

@@ -102,6 +102,7 @@ type t = {
   shard_budget : int;  (* bytes of tier-0 occupancy that trigger a freeze *)
   merge_fanout : int;
   mutable dir : string option;
+  mutable temp : bool;  (* [dir] is this store's own temporary directory *)
   mutable hooks : hooks;
   mutable timed : bool;  (* pay clock reads around spill/merge/probe *)
 }
@@ -113,43 +114,19 @@ let make_arr cap =
 
 let default_shard_cap = 1024
 
-let temp_counter = Atomic.make 0
-
-let fresh_temp_dir () =
-  let base = Filename.get_temp_dir_name () in
-  let rec go () =
-    let d =
-      Filename.concat base
-        (Printf.sprintf "gcstore-%d-%d" (Unix.getpid ()) (Atomic.fetch_and_add temp_counter 1))
-    in
-    match Unix.mkdir d 0o700 with
-    | () -> d
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> go ()
-  in
-  go ()
-
-let rec mkdirs d =
-  if not (Sys.file_exists d) then begin
-    mkdirs (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let create ?(shard_cap = default_shard_cap) ?(mem_budget = 0) ?spill_dir ?(merge_fanout = 8) ()
     =
   if shard_cap <= 0 || shard_cap land (shard_cap - 1) <> 0 then
     invalid_arg "Tiered.create: shard_cap must be a power of two";
   if merge_fanout < 2 then invalid_arg "Tiered.create: merge_fanout must be >= 2";
-  let dir =
-    if mem_budget > 0 then begin
-      match spill_dir with
-      | Some d ->
-        mkdirs d;
-        Some d
-      | None -> Some (fresh_temp_dir ())
-    end
-    else (* keep an explicit dir so checkpoints of all-RAM runs can
-            still attach resumed segments *)
-      spill_dir
+  (* an all-RAM store keeps an explicit dir, so a resumed checkpoint
+     can still attach its segments there *)
+  let dir, temp =
+    match spill_dir with
+    | Some d ->
+      if mem_budget > 0 then Fs.mkdirs d;
+      (Some d, false)
+    | None -> if mem_budget > 0 then (Some (Fs.temp_dir "gcstore"), true) else (None, false)
   in
   (* freeze when measured occupancy (entries x entry_bytes) crosses the
      shard's slice of the budget; the floor keeps degenerate budgets
@@ -183,6 +160,7 @@ let create ?(shard_cap = default_shard_cap) ?(mem_budget = 0) ?spill_dir ?(merge
     shard_budget;
     merge_fanout;
     dir;
+    temp;
     hooks = no_hooks;
     timed = false;
   }
@@ -191,16 +169,18 @@ let set_hooks t hooks =
   t.hooks <- hooks;
   t.timed <- true
 
-let spill_dir t = t.dir
 let mem_budget t = t.budget
 
 let ensure_spill_dir t =
   match t.dir with
   | Some d -> d
   | None ->
-    let d = fresh_temp_dir () in
+    let d = Fs.temp_dir "gcstore" in
     t.dir <- Some d;
+    t.temp <- true;
     d
+
+let temp_dir t = if t.temp then t.dir else None
 
 let shard (t : t) fp = t.shards.(fp land (n_shards - 1))
 
@@ -312,7 +292,7 @@ let merge_locked t s =
   in
   s.segs <- [ merged ];
   s.merges <- s.merges + 1;
-  List.iter (fun seg -> try Sys.remove (Segment.path seg) with Sys_error _ -> ()) old;
+  List.iter (fun seg -> Fs.rm_rf (Segment.path seg)) old;
   if t.timed then
     t.hooks.on_merge ~shard:s.id ~segments:n_old ~entries:!n_kept ~start_ns
       ~stop_ns:(Obs.Clock.monotonic_ns ())
@@ -370,11 +350,19 @@ let seg_find t s fp =
   in
   go s.segs
 
+(* The operations below run under the shard lock.  A disk step (segment
+   probe, spill, merge) may raise; the lock is released before the
+   exception goes on, so the other workers are not left waiting on it. *)
+let release s e =
+  let bt = Printexc.get_raw_backtrace () in
+  Obs.Contention.unlock s.lock;
+  Printexc.raise_with_backtrace e bt
+
 let add t fp ~parent ~event ~depth =
   let s = shard t fp in
   Obs.Contention.lock s.lock;
-  let i = probe s.keys (Bigarray.Array1.dim s.keys) fp in
-  let r =
+  match
+    let i = probe s.keys (Bigarray.Array1.dim s.keys) fp in
     if Bigarray.Array1.unsafe_get s.keys i = fp then begin
       let m = Bigarray.Array1.unsafe_get s.meta i in
       if depth < m land depth_mask then begin
@@ -403,35 +391,40 @@ let add t fp ~parent ~event ~depth =
         maybe_spill t s;
         Fresh
     end
-  in
-  Obs.Contention.unlock s.lock;
-  r
+  with
+  | r ->
+    Obs.Contention.unlock s.lock;
+    r
+  | exception e -> release s e
 
 let mark_violation t fp idx =
   let s = shard t fp in
   Obs.Contention.lock s.lock;
-  let i = probe s.keys (Bigarray.Array1.dim s.keys) fp in
-  if Bigarray.Array1.unsafe_get s.keys i = fp then begin
-    let m = Bigarray.Array1.unsafe_get s.meta i in
-    Bigarray.Array1.unsafe_set s.meta i
-      ((m land lnot (viol_mask lsl viol_shift)) lor ((idx + 1) lsl viol_shift))
-  end
-  else begin
-    match seg_find t s fp with
-    | Some e ->
-      let m = ram_of_meta32 e.Segment.meta in
-      tier0_insert s fp ~parent:e.Segment.parent ~event:e.Segment.event
-        ~meta:((m land lnot (viol_mask lsl viol_shift)) lor ((idx + 1) lsl viol_shift));
-      maybe_spill t s
-    | None -> ()
-  end;
-  Obs.Contention.unlock s.lock
+  match
+    let i = probe s.keys (Bigarray.Array1.dim s.keys) fp in
+    if Bigarray.Array1.unsafe_get s.keys i = fp then begin
+      let m = Bigarray.Array1.unsafe_get s.meta i in
+      Bigarray.Array1.unsafe_set s.meta i
+        ((m land lnot (viol_mask lsl viol_shift)) lor ((idx + 1) lsl viol_shift))
+    end
+    else begin
+      match seg_find t s fp with
+      | Some e ->
+        let m = ram_of_meta32 e.Segment.meta in
+        tier0_insert s fp ~parent:e.Segment.parent ~event:e.Segment.event
+          ~meta:((m land lnot (viol_mask lsl viol_shift)) lor ((idx + 1) lsl viol_shift));
+        maybe_spill t s
+      | None -> ()
+    end
+  with
+  | () -> Obs.Contention.unlock s.lock
+  | exception e -> release s e
 
 let begin_expand t fp ~depth =
   let s = shard t fp in
   Obs.Contention.lock s.lock;
-  let i = probe s.keys (Bigarray.Array1.dim s.keys) fp in
-  let r =
+  match
+    let i = probe s.keys (Bigarray.Array1.dim s.keys) fp in
     if Bigarray.Array1.unsafe_get s.keys i = fp then begin
       let m = Bigarray.Array1.unsafe_get s.meta i in
       let d = m land depth_mask in
@@ -457,39 +450,45 @@ let begin_expand t fp ~depth =
         else `Again d
       | None -> `Stale
     end
-  in
-  Obs.Contention.unlock s.lock;
-  r
+  with
+  | r ->
+    Obs.Contention.unlock s.lock;
+    r
+  | exception e -> release s e
 
 let find t fp =
   let s = shard t fp in
   Obs.Contention.lock s.lock;
-  let i = probe s.keys (Bigarray.Array1.dim s.keys) fp in
-  let r =
+  match
+    let i = probe s.keys (Bigarray.Array1.dim s.keys) fp in
     if Bigarray.Array1.unsafe_get s.keys i = fp then
       Some (Bigarray.Array1.unsafe_get s.parents i, s.events.(i))
     else
       match seg_find t s fp with
       | Some e -> Some (e.Segment.parent, e.Segment.event)
       | None -> None
-  in
-  Obs.Contention.unlock s.lock;
-  r
+  with
+  | r ->
+    Obs.Contention.unlock s.lock;
+    r
+  | exception e -> release s e
 
 let depth_of t fp =
   let s = shard t fp in
   Obs.Contention.lock s.lock;
-  let i = probe s.keys (Bigarray.Array1.dim s.keys) fp in
-  let r =
+  match
+    let i = probe s.keys (Bigarray.Array1.dim s.keys) fp in
     if Bigarray.Array1.unsafe_get s.keys i = fp then
       Some (Bigarray.Array1.unsafe_get s.meta i land depth_mask)
     else
       match seg_find t s fp with
       | Some e -> Some (ram_of_meta32 e.Segment.meta land depth_mask)
       | None -> None
-  in
-  Obs.Contention.unlock s.lock;
-  r
+  with
+  | r ->
+    Obs.Contention.unlock s.lock;
+    r
+  | exception e -> release s e
 
 let count t = Array.fold_left (fun acc s -> acc + s.distinct) 0 t.shards
 let capacity t = Array.fold_left (fun acc s -> acc + Bigarray.Array1.dim s.keys) 0 t.shards

@@ -80,18 +80,16 @@ val max_violation_index : int
 (** [create ()] is the all-RAM store (bit-for-bit the old seen-set).
     [mem_budget] (bytes, > 0) arms spilling: each shard freezes when its
     occupancy reaches [mem_budget / n_shards] (with a small floor).
-    Segments go to [spill_dir] (created if missing; a fresh temp
-    directory when omitted).  [shard_cap] is the initial (and
-    post-freeze) slots per shard, a power of two. *)
+    Segments go to [spill_dir] (created if missing; a fresh temporary
+    [gcstore-*] directory when omitted, see {!temp_dir}).
+    [shard_cap] is the initial (and post-freeze) slots per shard, a
+    power of two. *)
 val create :
   ?shard_cap:int -> ?mem_budget:int -> ?spill_dir:string -> ?merge_fanout:int -> unit -> t
 
 val set_hooks : t -> hooks -> unit
 (** Install observation hooks (replacing {!no_hooks}); call before
     concurrent use begins. *)
-
-(** The armed spill directory, if any. *)
-val spill_dir : t -> string option
 
 val mem_budget : t -> int
 (** The armed resident-byte budget, 0 when spilling is off. *)
@@ -184,6 +182,13 @@ val restore_shard :
   segs:Segment.t list ->
   unit
 
-(** The spill directory, creating a fresh temp directory on demand when
-    the store was created without one. *)
+(** The spill directory, creating a fresh temporary directory on demand
+    when the store was created without one. *)
 val ensure_spill_dir : t -> string
+
+val temp_dir : t -> string option
+(** The store's own temporary spill directory, if it made one; a
+    [spill_dir] given to {!create} is never one.  Whoever ends the
+    store's use removes it ({!Fs.rm_rf}); segments a checkpoint linked
+    survive under the snapshot's names.  Holding the path rather than
+    the store lets the store be collected before that. *)

@@ -15,21 +15,6 @@ let initial () = (Core.Scenario.model sc).Core.Model.system
 let reducer_of mode = Core.Reduction.reducer cfg mode
 let run_config = Obs.Json.Obj [ ("test", Obs.Json.String "cert-test") ]
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "gccert-test-%d-%d" (Unix.getpid ()) !n)
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
 let contains ~sub s =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -63,8 +48,8 @@ let validate ?(hash = config_hash) ~mode dir =
 (* -- Round-trips: jobs 1/4 x reduce none/all -------------------------------- *)
 
 let round_trip ~jobs ~mode () =
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Store.Fs.temp_dir "gccert-test" in
+  Fun.protect ~finally:(fun () -> Store.Fs.rm_rf dir) @@ fun () ->
   let h = make_cert ~jobs ~mode dir in
   let h', st = ok_or_fail "validate" (validate ~mode dir) in
   Alcotest.(check int) "validated exactly the header's states" h.Certify.Certificate.states
@@ -98,8 +83,8 @@ let pinned ~n_muts ~mode ~config ~root_fp ~digest ~states ~max_depth () =
   Alcotest.(check bool) "run closed without violation" true
     ((not o.Check.Explore.truncated) && o.Check.Explore.violation = None);
   let entries, max_depth' = ok_or_fail "certifying run" table in
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Store.Fs.temp_dir "gccert-test" in
+  Fun.protect ~finally:(fun () -> Store.Fs.rm_rf dir) @@ fun () ->
   let h =
     ok_or_fail "write"
       (Certify.Writer.write ~dir ~config_hash:(Core.Config.hash cfg)
@@ -115,8 +100,8 @@ let pinned ~n_muts ~mode ~config ~root_fp ~digest ~states ~max_depth () =
 (* A wrong reduction mode at validation time is a header mismatch, not a
    crash: the certificate asserts closure of the *reduced* relation. *)
 let test_mode_is_part_of_the_claim () =
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Store.Fs.temp_dir "gccert-test" in
+  Fun.protect ~finally:(fun () -> Store.Fs.rm_rf dir) @@ fun () ->
   let _h = make_cert ~jobs:1 ~mode:Reduce.Mode.All dir in
   match validate ~mode:Reduce.Mode.None_ dir with
   | Ok _ -> Alcotest.fail "validated under the wrong reduction mode"
@@ -127,8 +112,8 @@ let test_mode_is_part_of_the_claim () =
 (* -- Determinism: jobs 1 and 4 emit byte-identical tables ------------------ *)
 
 let test_producers_agree_bytewise () =
-  let da = fresh_dir () and db = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf da; rm_rf db) @@ fun () ->
+  let da = Store.Fs.temp_dir "gccert-test" and db = Store.Fs.temp_dir "gccert-test" in
+  Fun.protect ~finally:(fun () -> Store.Fs.rm_rf da; Store.Fs.rm_rf db) @@ fun () ->
   let ha = make_cert ~jobs:1 ~mode:Reduce.Mode.All da in
   let hb = make_cert ~jobs:4 ~mode:Reduce.Mode.All db in
   Alcotest.(check string) "table digests agree at jobs 1 and 4"
@@ -137,8 +122,8 @@ let test_producers_agree_bytewise () =
   Alcotest.(check bool) "certdiff sees identical certificates" true (Certify.Diff.identical d)
 
 let test_certdiff_reports_differences () =
-  let da = fresh_dir () and db = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf da; rm_rf db) @@ fun () ->
+  let da = Store.Fs.temp_dir "gccert-test" and db = Store.Fs.temp_dir "gccert-test" in
+  Fun.protect ~finally:(fun () -> Store.Fs.rm_rf da; Store.Fs.rm_rf db) @@ fun () ->
   let _ = make_cert ~jobs:1 ~mode:Reduce.Mode.All da in
   let _ = make_cert ~jobs:1 ~mode:Reduce.Mode.None_ db in
   let d = ok_or_fail "certdiff" (Certify.Diff.run da db) in
@@ -151,8 +136,8 @@ let test_certdiff_reports_differences () =
       offender ------------------------------------------------------------- *)
 
 let with_cert f () =
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Store.Fs.temp_dir "gccert-test" in
+  Fun.protect ~finally:(fun () -> Store.Fs.rm_rf dir) @@ fun () ->
   let h = make_cert ~jobs:1 ~mode:Reduce.Mode.All dir in
   f dir h
 
@@ -241,12 +226,44 @@ let test_dropped_entry =
     };
   expect_fail ~what:"dropped entry" ~subs:[ "closure miss" ] dir
 
+(* -- A fault at every step of a certificate write fails closed: the
+      directory holds no header (no certificate) or one that validates -- *)
+
+let test_every_write_step_fails_closed () =
+  let mode = Reduce.Mode.All in
+  let _, table = Certify.Writer.explore ?reducer:(reducer_of mode) ~invariants (initial ()) in
+  let entries, max_depth = ok_or_fail "certifying run" table in
+  let write dir =
+    Certify.Writer.write ~dir ~config_hash ~reduce:(Reduce.Mode.to_string mode)
+      ~invariant_names:(List.map fst invariants) ~run_config ~max_depth entries
+  in
+  let root = Store.Fs.temp_dir "gccert-test" in
+  Fun.protect ~finally:(fun () -> Store.Fs.rm_rf root) @@ fun () ->
+  let steps = Atomic.make 0 in
+  ignore
+    (ok_or_fail "write"
+       (Test_store.with_hook (fun _ -> Atomic.incr steps) (fun () ->
+            write (Filename.concat root "whole"))));
+  let refused = ref 0 and validated = ref 0 in
+  for k = 0 to Atomic.get steps - 1 do
+    let dir = Filename.concat root (string_of_int k) in
+    Test_store.raises_injected (Printf.sprintf "fault at write step %d" k) (fun () ->
+        Test_store.with_hook (Test_store.fail_nth k) (fun () -> write dir));
+    match Certify.Certificate.read_header dir with
+    | Error _ -> incr refused
+    | Ok _ ->
+      ignore (ok_or_fail (Printf.sprintf "validate after a fault at step %d" k) (validate ~mode dir));
+      incr validated
+  done;
+  Alcotest.(check bool) "faults before the header's rename leave no certificate" true (!refused > 0);
+  Alcotest.(check bool) "a fault after it leaves a valid one" true (!validated > 0)
+
 (* -- Survivor certificates: a campaign closes an equivalent mutant by
       certificate, and recheck accepts every certificate it writes ------- *)
 
 let test_campaign_survivor_certificates () =
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Store.Fs.temp_dir "gccert-test" in
+  Fun.protect ~finally:(fun () -> Store.Fs.rm_rf dir) @@ fun () ->
   let m =
     match Mutate.Operators.by_name cfg "drop-fence:mut:hs-load-fence" with
     | Some op -> Mutate.Campaign.of_operator op
@@ -319,6 +336,8 @@ let suite =
     Alcotest.test_case "tamper: dropped obligation" `Quick test_dropped_obligation;
     Alcotest.test_case "tamper: wrong-config header" `Quick test_wrong_config_header;
     Alcotest.test_case "tamper: dropped entry behind a valid digest" `Quick test_dropped_entry;
+    Alcotest.test_case "every step of a certificate write fails closed" `Quick
+      test_every_write_step_fails_closed;
     Alcotest.test_case "campaign survivor certificates recheck" `Quick
       test_campaign_survivor_certificates;
   ]

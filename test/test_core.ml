@@ -312,7 +312,9 @@ let run_gcmodel args =
 
 (* The command line turns the rejection into one line on stderr and a
    non-zero exit, for `explore --shape shared --refs 2` and
-   `--shape fig1 --refs 2` alike. *)
+   `--shape fig1 --refs 2` alike.  So it does for every other flag value
+   the model cannot take, naming the value, and for a disk failure,
+   naming the path; each exits 1. *)
 let test_cli_misfit_shapes () =
   List.iter
     (fun (shape, needs) ->
@@ -324,14 +326,46 @@ let test_cli_misfit_shapes () =
             "gcmodel: Model.make: shape %s needs %d refs, but the configuration has 2" shape needs;
         ]
         lines)
-    [ ("shared", 3); ("fig1", 4) ]
+    [ ("shared", 3); ("fig1", 4) ];
+  let contains ~sub s =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  let refused args bad =
+    let what = String.concat " " args in
+    match run_gcmodel args with
+    | 1, [ line ] ->
+      Alcotest.(check bool) (Printf.sprintf "%s: %S names %s" what line bad) true
+        (contains ~sub:bad line)
+    | code, lines ->
+      Alcotest.failf "%s: exit %d with %d stderr lines, expected exit 1 and one line" what code
+        (List.length lines)
+  in
+  List.iter
+    (fun (args, bad) -> refused args bad)
+    [
+      ([ "explore"; "--variant"; "papr" ], "papr");
+      ([ "walk"; "--disable"; "lod" ], "lod");
+      ([ "explore"; "--mutant"; "nope" ], "nope");
+      ([ "crosscheck"; "--reduce"; "none" ], "none");
+      ([ "program"; "bogus" ], "bogus");
+      ([ "campaign"; "--operators"; "bogus" ], "bogus");
+    ];
+  (* a spill directory under a regular file cannot be created *)
+  let file = Filename.temp_file "gcmodel" ".file" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  let spill = Filename.concat file "spill" in
+  refused
+    [ "explore"; "--refs"; "2"; "--ops"; "1"; "--mem-budget"; "8k"; "--spill-dir"; spill ]
+    spill
 
 (* `resume` reads the checkpoint's run configuration fail-closed: a
    mistyped or unknown field is refused in one line naming it, with exit
    1, never read as a default; the untouched checkpoint still resumes. *)
 let test_cli_resume_config_refused () =
-  let dir = Test_certify.fresh_dir () in
-  Fun.protect ~finally:(fun () -> Test_certify.rm_rf dir) @@ fun () ->
+  let dir = Store.Fs.temp_dir "gcmodel-cli" in
+  Fun.protect ~finally:(fun () -> Store.Fs.rm_rf dir) @@ fun () ->
   let code, _ =
     run_gcmodel [ "explore"; "--refs"; "2"; "--ops"; "1"; "--reduce"; "none"; "--checkpoint"; dir ]
   in

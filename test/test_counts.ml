@@ -99,8 +99,8 @@ let test_closure () =
 
 let test_recheck () =
   let cfg = closure_cfg in
-  let dir = Test_certify.fresh_dir () in
-  Fun.protect ~finally:(fun () -> Test_certify.rm_rf dir) @@ fun () ->
+  let dir = Store.Fs.temp_dir "gccounts-test" in
+  Fun.protect ~finally:(fun () -> Store.Fs.rm_rf dir) @@ fun () ->
   let invariants = invariants_of cfg in
   let _, table = Certify.Writer.explore ~reducer:(reducer_all cfg) ~invariants (system cfg) in
   let entries, max_depth = Test_certify.ok_or_fail "certificate table" table in

@@ -371,9 +371,9 @@ let test_records_all_emitted () =
   let system = (Core.Scenario.model sc).Core.Model.system in
   let invariants = Core.Scenario.invariants sc in
   let reducer = Core.Reduction.reducer sc.Core.Scenario.cfg Reduce.Mode.All in
-  let dir = Test_certify.fresh_dir () in
+  let dir = Store.Fs.temp_dir "gcobs-test" in
   let obs, dump = Obs.Reporter.memory () in
-  Fun.protect ~finally:(fun () -> Test_certify.rm_rf dir) (fun () ->
+  Fun.protect ~finally:(fun () -> Store.Fs.rm_rf dir) (fun () ->
       ignore
         (Check.Par_explore.run ~jobs:2 ~obs ?reducer ~heartbeat_every:200
            ~checkpoint:(dir, 500) ~invariants system));

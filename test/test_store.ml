@@ -2,31 +2,17 @@
    totality on the 63-bit range, Bloom-filter soundness, segment
    round-trips, spill equivalence against the all-RAM checker, merges
    under concurrent inserts, and checkpoint/resume — including recovery
-   from a crash that left half-written snapshot debris behind. *)
+   from a crash that left half-written snapshot debris behind and from a
+   fault injected at every file step of a snapshot write, the
+   publication order of snapshots and certificates, a disk fault that
+   must stop a two-worker run, and temporary directories that must not
+   outlive their run. *)
 
 open Cimp
 
 type com = (int, int, int) Com.t
 
 let proc c data = Com.make [ c ] data
-
-let tmp_dir =
-  let n = ref 0 in
-  fun tag ->
-    incr n;
-    let d =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Fmt.str "test-store-%s-%d-%d" tag (Unix.getpid ()) !n)
-    in
-    (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
-
-let rec rm_rf p =
-  if Sys.is_directory p then begin
-    Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
-    Unix.rmdir p
-  end
-  else Sys.remove p
 
 (* -- codec ------------------------------------------------------------------- *)
 
@@ -88,7 +74,7 @@ let test_bloom_no_false_negatives () =
 (* -- segment ----------------------------------------------------------------- *)
 
 let test_segment_roundtrip () =
-  let dir = tmp_dir "seg" in
+  let dir = Store.Fs.temp_dir "test-store-seg" in
   let n = 2_000 in
   (* adversarial fingerprints: dense positives, negatives (rendezvous
      kind bit), and extremes — sorted by plain int order as the store
@@ -151,7 +137,7 @@ let test_segment_roundtrip () =
     "iter in fingerprint order"
     (Array.to_list (Array.map (fun (e : Store.Segment.entry) -> e.Store.Segment.fp) entries))
     (List.rev !seen);
-  rm_rf dir
+  Store.Fs.rm_rf dir
 
 (* -- tiered store under concurrent inserts ----------------------------------- *)
 
@@ -159,7 +145,7 @@ let test_segment_roundtrip () =
    enough to force repeated freezes and merges mid-insert, then verify
    every key is present exactly once with its best depth. *)
 let test_merge_under_concurrent_inserts () =
-  let dir = tmp_dir "merge" in
+  let dir = Store.Fs.temp_dir "test-store-merge" in
   let seen = Store.Tiered.create ~shard_cap:64 ~mem_budget:(64 * Store.Tiered.entry_bytes * Store.Tiered.n_shards) ~spill_dir:dir ~merge_fanout:3 () in
   let n_doms = 4 and per_dom = 4_000 in
   let key d i = ((i * 2654435761) lxor (d lsl 58)) lor 1 in
@@ -187,7 +173,7 @@ let test_merge_under_concurrent_inserts () =
         if dep <> i then Alcotest.failf "key %d depth %d, expected %d" (key d i) dep i
     done
   done;
-  rm_rf dir
+  Store.Fs.rm_rf dir
 
 (* -- spill equivalence against the all-RAM checker ---------------------------- *)
 
@@ -197,9 +183,9 @@ let test_merge_under_concurrent_inserts () =
    verdict, invariant, counterexample length and state count must all
    match the all-RAM run ([depth] deliberately unchecked: a spilled
    entry's stale deep copy may overstate it). *)
-let two_counters () =
+let two_counters ?(bound = 40) () =
   let p : com =
-    Com.While (("w" : Cimp.Label.t), (fun s -> s < 40), Com.Local_op ("step", fun s -> [ s + 1; s + 2 ]))
+    Com.While (("w" : Cimp.Label.t), (fun s -> s < bound), Com.Local_op ("step", fun s -> [ s + 1; s + 2 ]))
   in
   System.make [| "p"; "q" |] [| proc p 0; proc p 0 |]
 
@@ -216,7 +202,7 @@ let test_forced_spill_equivalence () =
   let base = violation all_ram in
   List.iter
     (fun jobs ->
-      let dir = tmp_dir (Fmt.str "spill%d" jobs) in
+      let dir = Store.Fs.temp_dir (Fmt.str "test-store-spill%d" jobs) in
       let o =
         Check.Par_explore.run ~jobs ~normal_form:false ~mem_budget:(48 * 1024)
           ~spill_dir:dir ~invariants (two_counters ())
@@ -227,7 +213,7 @@ let test_forced_spill_equivalence () =
       Alcotest.check verdict
         (Fmt.str "spilled run matches all-RAM at jobs=%d" jobs)
         base (violation o);
-      rm_rf dir)
+      Store.Fs.rm_rf dir)
     [ 1; 4 ];
   (* same equivalence on a clean (violation-free) instance, where state
      counts are exactly comparable, plus proof that most states spilled *)
@@ -236,7 +222,7 @@ let test_forced_spill_equivalence () =
   in
   let sys () = System.make [| "p"; "q" |] [| proc p 0; proc p 0 |] in
   let seq = Check.Explore.run ~normal_form:false ~invariants:[] (sys ()) in
-  let dir = tmp_dir "spill-clean" in
+  let dir = Store.Fs.temp_dir "test-store-spill-clean" in
   let o =
     Check.Par_explore.run ~jobs:2 ~normal_form:false
       ~mem_budget:(Store.Tiered.n_shards * 20 * Store.Tiered.entry_bytes) ~spill_dir:dir
@@ -246,7 +232,7 @@ let test_forced_spill_equivalence () =
   Alcotest.(check int) "clean transitions" seq.Check.Explore.transitions o.Check.Explore.transitions;
   Alcotest.(check int) "clean deadlocks" seq.Check.Explore.deadlocks o.Check.Explore.deadlocks;
   Alcotest.(check bool) "clean verdict" true (o.Check.Explore.violation = None);
-  rm_rf dir
+  Store.Fs.rm_rf dir
 
 (* -- checkpoint / resume ------------------------------------------------------ *)
 
@@ -259,7 +245,7 @@ let test_checkpoint_resume_equivalence () =
   let uninterrupted =
     Check.Par_explore.run ~jobs:2 ~normal_form:false ~invariants (two_counters ())
   in
-  let dir = tmp_dir "ckpt" in
+  let dir = Store.Fs.temp_dir "test-store-ckpt" in
   let o =
     Check.Par_explore.run ~jobs:2 ~normal_form:false ~checkpoint:(dir, 300) ~invariants
       (two_counters ())
@@ -275,7 +261,7 @@ let test_checkpoint_resume_equivalence () =
       Check.Par_explore.run ~jobs:2 ~normal_form:false ~resume:snap ~invariants (two_counters ())
     in
     Alcotest.check verdict "resumed verdict + CE length" (violation uninterrupted) (violation r));
-  rm_rf dir
+  Store.Fs.rm_rf dir
 
 (* A mid-run snapshot (not the final one): checkpoint with a tiny
    interval, grab the first snapshot as soon as the manifest appears by
@@ -286,7 +272,7 @@ let test_resume_from_mid_run_snapshot () =
   let uninterrupted =
     Check.Explore.run ~normal_form:false ~invariants:[] (two_counters ())
   in
-  let dir = tmp_dir "midrun" in
+  let dir = Store.Fs.temp_dir "test-store-midrun" in
   let snap_holder = ref None in
   let grabber =
     Domain.spawn (fun () ->
@@ -326,14 +312,72 @@ let test_resume_from_mid_run_snapshot () =
     Alcotest.(check bool) "clean" true (r.Check.Explore.violation = None));
   Alcotest.(check int) "checkpointed run itself is right" uninterrupted.Check.Explore.states
     full.Check.Explore.states;
-  rm_rf dir
+  Store.Fs.rm_rf dir
 
-(* Crash recovery: a half-written snapshot (tmp-snap debris, torn
-   MANIFEST.tmp) must be invisible — load still returns the last
-   complete snapshot, and the next checkpointed run garbage-collects the
-   debris. *)
+(* -- faults through the file layer ---------------------------------------------
+
+   Store.Fs calls a hook before every step; these helpers count the steps
+   and fail one of them with the error a failing disk raises. *)
+
+let with_hook hook f =
+  Store.Fs.set_hook hook;
+  Fun.protect ~finally:(fun () -> Store.Fs.set_hook ignore) f
+
+let injected_msg = "injected fault"
+let injected = Sys_error injected_msg
+
+(* fails the [n]th step (from 0) that [p] accepts; domain-safe *)
+let fail_nth ?(p = fun _ -> true) n =
+  let seen = Atomic.make 0 in
+  fun step -> if p step && Atomic.fetch_and_add seen 1 = n then raise injected
+
+(* a hook recording every step, and the steps recorded so far in order *)
+let step_log () =
+  let m = Mutex.create () and log = ref [] in
+  ((fun step -> Mutex.protect m (fun () -> log := step :: !log)), fun () -> List.rev !log)
+
+let raises_injected what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: the run returned" what
+  | exception Sys_error msg when msg = injected_msg -> ()
+
+(* The fault loops write hundreds of snapshots, and their fsyncs are
+   nearly all of the cost (the faults come from the hook, not the disk),
+   so they run on tmpfs where the host has one. *)
+let on_tmpfs f =
+  let saved = Filename.get_temp_dir_name () in
+  if Sys.file_exists "/dev/shm" && Sys.is_directory "/dev/shm" then
+    Filename.set_temp_dir_name "/dev/shm";
+  Fun.protect ~finally:(fun () -> Filename.set_temp_dir_name saved) f
+
+let under dir path = path = dir || String.starts_with ~prefix:(dir ^ "/") path
+
+(* the path a step creates, changes or removes *)
+let target = function
+  | Store.Fs.Mkdir p | Write p | Fsync p | Remove p -> p
+  | Rename (_, p) | Link (_, p) -> p
+
+let pp_step ppf step =
+  let name =
+    match step with
+    | Store.Fs.Mkdir _ -> "mkdir"
+    | Write _ -> "write"
+    | Fsync _ -> "fsync"
+    | Rename _ -> "rename to"
+    | Link _ -> "link to"
+    | Remove _ -> "remove"
+  in
+  Fmt.pf ppf "%s %s" name (target step)
+
+(* Crash recovery.  A half-written snapshot (tmp-snap debris, a torn
+   manifest) must be invisible — load still returns the last complete
+   snapshot, and the next checkpointed run garbage-collects the debris.
+   Then a fault at every step of a budgeted run's second snapshot write:
+   load must return the first snapshot if the fault came before the
+   manifest's rename and the second after it, and resuming it must reach
+   the uninterrupted run's counts. *)
 let test_crash_mid_checkpoint_recovery () =
-  let dir = tmp_dir "crash" in
+  let dir = Store.Fs.temp_dir "test-store-crash" in
   let o =
     Check.Par_explore.run ~jobs:1 ~normal_form:false ~checkpoint:(dir, 500) ~invariants:[]
       (two_counters ())
@@ -343,7 +387,7 @@ let test_crash_mid_checkpoint_recovery () =
   Unix.mkdir tmp 0o755;
   Out_channel.with_open_bin (Filename.concat tmp "state.json") (fun oc ->
       Out_channel.output_string oc "{\"schema\":1,\"truncat");
-  Out_channel.with_open_bin (Filename.concat dir "MANIFEST.tmp") (fun oc ->
+  Out_channel.with_open_bin (Filename.concat dir "MANIFEST.json.tmp") (fun oc ->
       Out_channel.output_string oc "{\"schema\":1,\"latest\":\"snap-99");
   (match Store.Checkpoint.load dir with
   | Error msg -> Alcotest.failf "load after simulated crash: %s" msg
@@ -364,12 +408,261 @@ let test_crash_mid_checkpoint_recovery () =
   in
   ignore dir2_run;
   Alcotest.(check bool) "tmp-snap swept" false (Sys.file_exists tmp);
-  rm_rf dir
+  Store.Fs.rm_rf dir;
+  (* every step of the second snapshot write *)
+  on_tmpfs @@ fun () ->
+  let bound = 14 in
+  let reference = Check.Explore.run ~normal_form:false ~invariants:[] (two_counters ~bound ()) in
+  let budget = Store.Tiered.n_shards * 16 * Store.Tiered.entry_bytes in
+  let run root =
+    Check.Par_explore.run ~jobs:1 ~normal_form:false ~mem_budget:budget
+      ~spill_dir:(Filename.concat root "spill")
+      ~checkpoint:(Filename.concat root "ckpt", 2 * reference.Check.Explore.states / 5)
+      ~invariants:[] (two_counters ~bound ())
+  in
+  let root = Store.Fs.temp_dir "test-store-steps" in
+  let log, logged = step_log () in
+  ignore (with_hook log (fun () -> run root));
+  let steps = Array.of_list (logged ()) in
+  let ckpt = Filename.concat root "ckpt" in
+  Store.Fs.rm_rf root;
+  let find_from i p =
+    let rec go i = if i >= Array.length steps || p steps.(i) then i else go (i + 1) in
+    go i
+  in
+  let is_tmp_mkdir = ( = ) (Store.Fs.Mkdir (Filename.concat ckpt "tmp-snap")) in
+  let first = find_from (find_from 0 is_tmp_mkdir + 1) is_tmp_mkdir in
+  (* at one worker nothing else runs while a snapshot is written *)
+  let stop = find_from first (fun s -> not (under ckpt (target s))) in
+  let published =
+    find_from first (function
+      | Store.Fs.Rename (_, dst) -> dst = Filename.concat ckpt "MANIFEST.json"
+      | _ -> false)
+  in
+  Alcotest.(check bool) "a second snapshot write with a manifest rename" true
+    (first < published && published < stop);
+  Alcotest.(check bool) "it links spilled segments" true
+    (Array.exists (function Store.Fs.Link _ -> true | _ -> false) (Array.sub steps first (stop - first)));
+  for k = first to stop - 1 do
+    let root = Store.Fs.temp_dir "test-store-step" in
+    let what = Fmt.str "fault at step %d (%a)" k pp_step steps.(k) in
+    raises_injected what (fun () -> with_hook (fail_nth k) (fun () -> run root));
+    (match Store.Checkpoint.load ~mem_budget:budget (Filename.concat root "ckpt") with
+    | Error msg -> Alcotest.failf "%s: load: %s" what msg
+    | Ok snap ->
+      Alcotest.(check int) (what ^ ": snapshot") (if k <= published then 1 else 2)
+        snap.Store.Checkpoint.seq;
+      let r =
+        Check.Par_explore.run ~jobs:1 ~normal_form:false ~resume:snap ~invariants:[]
+          (two_counters ~bound ())
+      in
+      Alcotest.(check (pair int int)) (what ^ ": resumed counts")
+        (reference.Check.Explore.states, reference.Check.Explore.transitions)
+        (r.Check.Explore.states, r.Check.Explore.transitions));
+    Store.Fs.rm_rf root
+  done
+
+(* Publication order, over the step log of one snapshot write and one
+   certificate write.  Each rename publishes the files written under its
+   source (the renamed file, or every file of the renamed directory) and
+   those written next to its target (a certificate's table.seg): each is
+   fsynced after its last write and before the rename, a renamed
+   directory too, and the target's directory is fsynced after the rename
+   and before the next one. *)
+let check_publication_order what steps =
+  let steps = Array.of_list steps in
+  let n = Array.length steps in
+  let indices p = List.filter (fun i -> p steps.(i)) (List.init n Fun.id) in
+  let renames = indices (function Store.Fs.Rename _ -> true | _ -> false) in
+  Alcotest.(check bool) (what ^ ": publishes by rename") true (renames <> []);
+  let fsynced path ~after ~before =
+    List.exists (fun i -> after < i && i < before && steps.(i) = Store.Fs.Fsync path) (List.init n Fun.id)
+  in
+  List.iteri
+    (fun r i ->
+      match steps.(i) with
+      | Store.Fs.Rename (src, dst) ->
+        let next = Option.value (List.nth_opt renames (r + 1)) ~default:n in
+        let written =
+          List.sort_uniq compare
+            (List.filter_map
+               (fun j ->
+                 match steps.(j) with
+                 | (Store.Fs.Write p | Link (_, p))
+                   when j < i && (under src p || Filename.dirname p = Filename.dirname dst) ->
+                   Some p
+                 | _ -> None)
+               (List.init n Fun.id))
+        in
+        let last_write p =
+          List.fold_left max (-1)
+            (indices (function Store.Fs.Write q | Link (_, q) -> q = p | _ -> false))
+        in
+        Alcotest.(check bool) (Fmt.str "%s: %s publishes files" what dst) true (written <> []);
+        List.iter
+          (fun p ->
+            Alcotest.(check bool)
+              (Fmt.str "%s: %s fsynced before it is published as %s" what p dst)
+              true
+              (fsynced p ~after:(last_write p) ~before:i))
+          written;
+        if List.exists (fun p -> p <> src && under src p) written then
+          Alcotest.(check bool) (Fmt.str "%s: directory %s fsynced before its rename" what src)
+            true
+            (fsynced src ~after:(List.fold_left max (-1) (List.map last_write written)) ~before:i);
+        Alcotest.(check bool)
+          (Fmt.str "%s: %s's directory fsynced after the rename" what dst)
+          true
+          (fsynced (Filename.dirname dst) ~after:i ~before:next)
+      | _ -> ())
+    renames
+
+let test_publication_order () =
+  let root = Store.Fs.temp_dir "test-store-order" in
+  Fun.protect ~finally:(fun () -> Store.Fs.rm_rf root) @@ fun () ->
+  let store =
+    Store.Tiered.create
+      ~mem_budget:(Store.Tiered.n_shards * 16 * Store.Tiered.entry_bytes)
+      ~spill_dir:(Filename.concat root "spill") ()
+  in
+  for i = 1 to 4_000 do
+    ignore (Store.Tiered.add store ((i * 2654435761) lor 1) ~parent:0 ~event:0 ~depth:1)
+  done;
+  let log, logged = step_log () in
+  with_hook log (fun () ->
+      Store.Checkpoint.write ~dir:(Filename.concat root "ckpt") ~seq:1 ~config:Obs.Json.Null
+        ~store ~states:4_000 ~transitions:0 ~deadlocks:0 ~truncated:false ~elapsed_s:0.
+        ~best:None ~frontier:[||]);
+  let snapshot = logged () in
+  Alcotest.(check bool) "the snapshot links spilled segments" true
+    (List.exists (function Store.Fs.Link _ -> true | _ -> false) snapshot);
+  check_publication_order "snapshot" snapshot;
+  let entries =
+    Array.init 100 (fun i ->
+        {
+          Store.Segment.fp = i + 1;
+          parent = 0;
+          event = 0;
+          meta = Store.Tiered.meta32_make ~depth:(min i 1) ~violation:(-1);
+        })
+  in
+  let log, logged = step_log () in
+  (match
+     with_hook log (fun () ->
+         Certify.Writer.write ~dir:(Filename.concat root "cert") ~config_hash:"order"
+           ~reduce:"none" ~invariant_names:[] ~run_config:Obs.Json.Null ~max_depth:1 entries)
+   with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "certificate write: %s" msg);
+  check_publication_order "certificate" (logged ())
+
+(* A worker whose disk step fails stops the whole pool: a failed spill
+   write, and separately a failed snapshot write at the checkpoint
+   rendezvous, make a two-worker run raise the injected error instead of
+   leaving the other worker spinning. *)
+let test_disk_fault_stops_the_pool () =
+  let root = Store.Fs.temp_dir "test-store-fault" in
+  Fun.protect ~finally:(fun () -> Store.Fs.rm_rf root) @@ fun () ->
+  let spill = Filename.concat root "spill" and ckpt = Filename.concat root "ckpt" in
+  let write_in dir = function Store.Fs.Write p -> under dir p | _ -> false in
+  raises_injected "a failed spill write" (fun () ->
+      with_hook (fail_nth ~p:(write_in spill) 3) (fun () ->
+          Check.Par_explore.run ~jobs:2 ~normal_form:false
+            ~mem_budget:(Store.Tiered.n_shards * 20 * Store.Tiered.entry_bytes) ~spill_dir:spill
+            ~invariants:[] (two_counters ())));
+  raises_injected "a failed snapshot write" (fun () ->
+      with_hook (fail_nth ~p:(write_in ckpt) 0) (fun () ->
+          Check.Par_explore.run ~jobs:2 ~normal_form:false ~checkpoint:(ckpt, 300) ~invariants:[]
+            (two_counters ())))
+
+(* No temporary directory outlives its run.  With the temp dir pointed at
+   an empty directory, a budgeted run (which fsyncs nothing: no
+   checkpoint publishes its segments), a run that raises mid-spill, and
+   a resume of a budgeted checkpoint each leave it empty; an explicit
+   spill directory stays. *)
+let test_no_temp_dir_outlives_its_run () =
+  let kept = Store.Fs.temp_dir "test-store-kept" and tmp = Store.Fs.temp_dir "test-store-tmp" in
+  let saved = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name tmp;
+  Fun.protect ~finally:(fun () ->
+      Filename.set_temp_dir_name saved;
+      Store.Fs.rm_rf kept;
+      Store.Fs.rm_rf tmp)
+  @@ fun () ->
+  let left () = Array.to_list (Sys.readdir tmp) in
+  let empty what = Alcotest.(check (list string)) (what ^ " leaves the temp dir empty") [] (left ()) in
+  let budget = Store.Tiered.n_shards * 20 * Store.Tiered.entry_bytes in
+  let run ?spill_dir ?checkpoint ?resume () =
+    Check.Par_explore.run ~jobs:2 ~normal_form:false ~mem_budget:budget ?spill_dir ?checkpoint
+      ?resume ~invariants:[] (two_counters ())
+  in
+  let log, logged = step_log () in
+  ignore (with_hook log (fun () -> run ()));
+  let is_write = function Store.Fs.Write _ -> true | _ -> false in
+  Alcotest.(check bool) "the budgeted run spilled" true (List.exists is_write (logged ()));
+  Alcotest.(check bool) "and fsynced nothing" false
+    (List.exists (function Store.Fs.Fsync _ -> true | _ -> false) (logged ()));
+  empty "a budgeted run";
+  raises_injected "a run failing mid-spill" (fun () ->
+      with_hook (fail_nth ~p:is_write 3) (fun () -> run ()));
+  empty "a run that raised mid-spill";
+  let ckpt = Filename.concat kept "ckpt" in
+  ignore (run ~checkpoint:(ckpt, 300) ());
+  empty "a checkpointed budgeted run";
+  (match Store.Checkpoint.load ~mem_budget:budget ckpt with
+  | Error msg -> Alcotest.failf "load: %s" msg
+  | Ok snap ->
+    Alcotest.(check bool) "the loaded store has its own temp dir" true (left () <> []);
+    ignore (run ~resume:snap ()));
+  empty "a resume of a budgeted checkpoint";
+  let spill = Filename.concat kept "spill" in
+  ignore (run ~spill_dir:spill ());
+  Alcotest.(check bool) "an explicit spill dir stays, with its segments" true
+    (Sys.readdir spill <> [||])
+
+(* A snapshot keeps its segments when a later run spills into the same
+   directory: writes replace a file instead of rewriting it in place, so
+   the snapshot's hard links keep their bytes and it still resumes. *)
+let test_snapshot_survives_spill_dir_reuse () =
+  let root = Store.Fs.temp_dir "test-store-reuse" in
+  Fun.protect ~finally:(fun () -> Store.Fs.rm_rf root) @@ fun () ->
+  let spill = Filename.concat root "spill" and ckpt = Filename.concat root "ckpt" in
+  let budget = Store.Tiered.n_shards * 16 * Store.Tiered.entry_bytes in
+  let reference = Check.Explore.run ~normal_form:false ~invariants:[] (two_counters ~bound:20 ()) in
+  (* stop at the first expansion after the first snapshot is published *)
+  let stop ~worker:_ ~depth:_ =
+    if Sys.file_exists (Filename.concat ckpt "MANIFEST.json") then raise Exit
+  in
+  (match
+     Check.Par_explore.run ~jobs:1 ~normal_form:false ~mem_budget:budget ~spill_dir:spill
+       ~hooks:{ Check.Par_explore.no_hooks with on_expand = stop }
+       ~checkpoint:(ckpt, reference.Check.Explore.states / 2)
+       ~invariants:[] (two_counters ~bound:20 ())
+   with
+  | _ -> Alcotest.fail "the run closed before its first snapshot"
+  | exception Exit -> ());
+  (* another model spills under the same segment names *)
+  let p : com =
+    Com.While (("w" : Cimp.Label.t), (fun s -> s < 30), Com.Local_op ("step", fun s -> [ s + 1; s + 3 ]))
+  in
+  ignore
+    (Check.Par_explore.run ~jobs:1 ~normal_form:false ~mem_budget:budget ~spill_dir:spill
+       ~invariants:[] (System.make [| "p"; "q" |] [| proc p 0; proc p 0 |]));
+  match Store.Checkpoint.load ~mem_budget:budget ckpt with
+  | Error msg -> Alcotest.failf "load: %s" msg
+  | Ok snap ->
+    let r =
+      Check.Par_explore.run ~jobs:1 ~normal_form:false ~resume:snap ~invariants:[]
+        (two_counters ~bound:20 ())
+    in
+    Alcotest.(check (pair int int)) "the snapshot resumes to the uninterrupted counts"
+      (reference.Check.Explore.states, reference.Check.Explore.transitions)
+      (r.Check.Explore.states, r.Check.Explore.transitions)
 
 (* Resuming against the wrong model must be refused, not silently
    diverge. *)
 let test_resume_model_mismatch_refused () =
-  let dir = tmp_dir "mismatch" in
+  let dir = Store.Fs.temp_dir "test-store-mismatch" in
   ignore
     (Check.Par_explore.run ~jobs:1 ~normal_form:false ~checkpoint:(dir, 100) ~invariants:[]
        (two_counters ()));
@@ -384,7 +677,7 @@ let test_resume_model_mismatch_refused () =
       (Invalid_argument "Par_explore.run: checkpoint does not match this model configuration")
       (fun () ->
         ignore (Check.Par_explore.run ~jobs:1 ~normal_form:false ~resume:snap ~invariants:[] other)));
-  rm_rf dir
+  Store.Fs.rm_rf dir
 
 (* A snapshot is read fail-closed: corrupting any one field [load] reads
    must make it refuse the snapshot and name that field, never read the
@@ -400,7 +693,7 @@ let rec copy_tree src dst =
         Out_channel.output_string oc (In_channel.with_open_bin src In_channel.input_all))
 
 let test_malformed_snapshot_refused () =
-  let dir = tmp_dir "malformed-run" and mid = tmp_dir "malformed-mid" in
+  let dir = Store.Fs.temp_dir "test-store-malformed-run" and mid = Store.Fs.temp_dir "test-store-malformed-mid" in
   let copied = ref false in
   let hooks =
     {
@@ -463,7 +756,7 @@ let test_malformed_snapshot_refused () =
   in
   List.iter
     (fun (field, corrupted) ->
-      let bad = tmp_dir ("malformed-" ^ field) in
+      let bad = Store.Fs.temp_dir ("test-store-malformed-" ^ field) in
       copy_tree mid bad;
       Out_channel.with_open_bin (state_json bad) (fun oc ->
           Out_channel.output_string oc (Obs.Json.to_string (corrupted st)));
@@ -471,15 +764,15 @@ let test_malformed_snapshot_refused () =
       | Ok _ -> Alcotest.failf "a corrupted %s was accepted" field
       | Error msg ->
         Alcotest.(check bool) (Fmt.str "refusal names %s (%s)" field msg) true (contains msg field));
-      rm_rf bad)
+      Store.Fs.rm_rf bad)
     [
       ("frontier", set "frontier" bad_task);
       ("best", set "best" (Obs.Json.Obj [ ("depth", Obs.Json.Int 3) ]));
       ("next_seq", set "shards" bad_shard);
       ("truncated", set "truncated" (Obs.Json.Int 0));
     ];
-  rm_rf dir;
-  rm_rf mid
+  Store.Fs.rm_rf dir;
+  Store.Fs.rm_rf mid
 
 let suite =
   [
@@ -495,6 +788,14 @@ let suite =
     Alcotest.test_case "resume from a mid-run snapshot" `Slow test_resume_from_mid_run_snapshot;
     Alcotest.test_case "crash mid-checkpoint leaves last snapshot loadable" `Quick
       test_crash_mid_checkpoint_recovery;
+    Alcotest.test_case "published files are fsynced before their rename" `Quick
+      test_publication_order;
+    Alcotest.test_case "a disk fault stops a two-worker run" `Quick
+      test_disk_fault_stops_the_pool;
+    Alcotest.test_case "no temporary directory outlives its run" `Quick
+      test_no_temp_dir_outlives_its_run;
+    Alcotest.test_case "a snapshot survives its spill directory's reuse" `Quick
+      test_snapshot_survives_spill_dir_reuse;
     Alcotest.test_case "resume against the wrong model is refused" `Quick
       test_resume_model_mismatch_refused;
     Alcotest.test_case "malformed snapshot fields are refused by name" `Quick
