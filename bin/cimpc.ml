@@ -17,6 +17,12 @@ let read_file path =
   close_in ic;
   s
 
+(* a source the tool cannot find (an unknown example, a missing file) is
+   one line on stderr and exit 1, not an uncaught exception *)
+let refuse msg =
+  Fmt.epr "cimpc: %s@." msg;
+  exit 1
+
 let source_term =
   let file = Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE") in
   let example =
@@ -24,12 +30,12 @@ let source_term =
   in
   let get file example =
     match (file, example) with
-    | Some f, None -> read_file f
+    | Some f, None -> ( try read_file f with Sys_error msg -> refuse msg)
     | None, Some e -> (
       match Cimp_lang.Examples.by_name e with
       | Some (_, src, _) -> src
-      | None -> Fmt.failwith "unknown example %s" e)
-    | _ -> Fmt.failwith "give exactly one of FILE or --example"
+      | None -> refuse (Fmt.str "unknown example %s (see cimpc examples)" e))
+    | _ -> refuse "give exactly one of FILE or --example"
   in
   Term.(const get $ file $ example)
 
@@ -57,12 +63,6 @@ let obs_term =
   in
   Term.(term_result' (const resolve $ spec))
 
-let reduce_term =
-  let doc = "State-space reduction: none, sym, por or all (surface programs support none only)." in
-  let env = Cmd.Env.info "RELAXING_REDUCE" ~doc:"Default reduction mode." in
-  let spec = Arg.(value & opt string "none" & info [ "reduce" ] ~env ~docv:"MODE" ~doc) in
-  Term.(term_result' (const Reduce.Mode.of_string $ spec))
-
 let run_cmd =
   let max_states =
     Arg.(value & opt int 1_000_000 & info [ "max-states" ] ~doc:"State cap.")
@@ -74,17 +74,11 @@ let run_cmd =
       & info [ "jobs"; "j" ]
           ~doc:"Worker domains for the work-stealing BFS (1 = one worker, exact BFS order).")
   in
-  let run src max_states jobs reduce obs =
+  (* Surface-language systems carry no reduction spec (no symmetry
+     classes, and user-chosen labels could collide with the POR policy's
+     "...fence" convention), so they are always checked unreduced. *)
+  let run src max_states jobs obs =
     let sys = Cimp_lang.Compile.of_source src in
-    (* Surface-language systems carry no reduction spec (no symmetry
-       classes, and user-chosen labels could collide with the POR
-       policy's "...fence" convention), so anything but none degrades
-       to unreduced checking — loudly, not silently. *)
-    (match reduce with
-    | Reduce.Mode.None_ -> ()
-    | m ->
-      Fmt.epr "warning: --reduce=%a is not available for surface programs; running unreduced@."
-        Reduce.Mode.pp m);
     let o =
       Check.Par_explore.run ~jobs ~max_states ~obs
         ~invariants:[ ("assertions", Cimp_lang.Compile.assertions_hold) ]
@@ -100,7 +94,7 @@ let run_cmd =
     | None -> Obs.Reporter.close obs
   in
   Cmd.v (Cmd.info "run" ~doc:"Explore the compiled system, checking asserts.")
-    Term.(const run $ source_term $ max_states $ jobs $ reduce_term $ obs_term)
+    Term.(const run $ source_term $ max_states $ jobs $ obs_term)
 
 let examples_cmd =
   let run () =

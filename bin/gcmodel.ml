@@ -276,56 +276,44 @@ let run_config_json (raw : raw_cfg) ~shape ~safety_only ~max_states ~jobs ~reduc
       ("checkpoint_every", Obs.Json.Int checkpoint_every);
     ]
 
-(* The run configuration is read fail-closed: every field a command reads
-   must be present and typed (only [mutant] and [mem_budget] may be
-   null), and a refusal names the field.  The flags hold the only
-   defaults. *)
-let ( let* ) = Result.bind
-
-let config_field json name conv =
-  match Option.bind (Obs.Json.member name json) conv with
-  | Some v -> Ok v
-  | None -> Error (Fmt.str "run configuration: missing or malformed %s" name)
-
-let nullable conv = function Obs.Json.Null -> Some None | j -> Option.map Option.some (conv j)
-
-(* the instance: model flags, shape and invariant selection *)
-let instance_of_config json =
-  let int name = config_field json name Obs.Json.to_int in
-  let* muts = int "muts" in
-  let* refs = int "refs" in
-  let* fields = int "fields" in
-  let* buf = int "buf" in
-  let* cycles = int "cycles" in
-  let* ops = int "ops" in
-  let* variant =
-    config_field json "variant" (fun j ->
-        Option.bind (Obs.Json.to_string_opt j) (fun s ->
-            Option.map (fun _ -> s) (Core.Variants.by_name s)))
-  in
-  let* no_ops =
-    config_field json "disable" (fun j ->
-        Option.bind (Obs.Json.to_list j) (fun l ->
-            let names = List.filter_map Obs.Json.to_string_opt l in
-            if List.compare_lengths names l = 0 then Some names else None))
-  in
-  let* mutant = config_field json "mutant" (nullable Obs.Json.to_string_opt) in
-  let* shape = config_field json "shape" Obs.Json.to_string_opt in
-  let* safety_only = config_field json "safety_only" Obs.Json.to_bool in
-  Ok ({ muts; refs; fields; buf; cycles; ops; variant; no_ops; mutant }, shape, safety_only)
+(* The run configuration is read fail-closed through Obs.Json.Decode:
+   every field a command reads must be present and typed (only [mutant]
+   and [mem_budget] may be null), and a refusal names the field.  The
+   flags hold the only defaults.  First, the instance: model flags,
+   shape and invariant selection. *)
+let instance_of_config =
+  Obs.Json.Decode.(
+    run "run configuration" (fun c ->
+        let muts = int (field "muts" c) in
+        let refs = int (field "refs" c) in
+        let fields = int (field "fields" c) in
+        let buf = int (field "buf" c) in
+        let cycles = int (field "cycles" c) in
+        let ops = int (field "ops" c) in
+        let variant =
+          let v = field "variant" c in
+          let name = string v in
+          if Core.Variants.by_name name = None then malformed v else name
+        in
+        let no_ops = list string (field "disable" c) in
+        let mutant = nullable string (field "mutant" c) in
+        let shape = string (field "shape" c) in
+        let safety_only = bool (field "safety_only" c) in
+        ({ muts; refs; fields; buf; cycles; ops; variant; no_ops; mutant }, shape, safety_only)))
 
 (* the remaining explore flags, which resume continues with *)
-let run_flags_of_config json =
-  let int name = config_field json name Obs.Json.to_int in
-  let* max_states = int "max_states" in
-  let* jobs = int "jobs" in
-  let* reduce =
-    config_field json "reduce" (fun j ->
-        Option.bind (Obs.Json.to_string_opt j) (fun s -> Result.to_option (Reduce.Mode.of_string s)))
-  in
-  let* mem_budget = config_field json "mem_budget" (nullable Obs.Json.to_int) in
-  let* checkpoint_every = int "checkpoint_every" in
-  Ok (max_states, jobs, reduce, mem_budget, checkpoint_every)
+let run_flags_of_config =
+  Obs.Json.Decode.(
+    run "run configuration" (fun c ->
+        let max_states = int (field "max_states" c) in
+        let jobs = int (field "jobs" c) in
+        let reduce =
+          let r = field "reduce" c in
+          match Reduce.Mode.of_string (string r) with Ok m -> m | Error _ -> malformed r
+        in
+        let mem_budget = nullable int (field "mem_budget" c) in
+        let checkpoint_every = int (field "checkpoint_every" c) in
+        (max_states, jobs, reduce, mem_budget, checkpoint_every)))
 
 let model_of (cfg, _v) shape =
   match
@@ -742,7 +730,9 @@ let explain_cmd =
           Fmt.epr "gcmodel explain: %s@." msg;
           exit 1
         in
-        let raw = In_channel.with_open_bin path In_channel.input_all in
+        let raw =
+          try In_channel.with_open_bin path In_channel.input_all with Sys_error msg -> fail msg
+        in
         let json =
           match Obs.Json.of_string raw with
           | Error msg -> fail (Fmt.str "%s: not JSON: %s" path msg)
@@ -751,7 +741,7 @@ let explain_cmd =
             (match List.assoc_opt "trace" fields with Some t -> t | None -> j)
           | Ok j -> j
         in
-        (match Explain.Replay.import_and_replay model.Core.Model.system json with
+        (match Check.Trace.import model.Core.Model.system json with
         | Ok tr -> tr
         | Error msg -> fail (Fmt.str "%s: %s" path msg))
       | None ->

@@ -42,7 +42,10 @@ let run names verbose obs =
         (fun n ->
           match List.find_opt (fun (t : Tso.Litmus.test) -> t.Tso.Litmus.name = n) Tso.Catalog.all with
           | Some t -> t
-          | None -> Fmt.failwith "unknown test %s" n)
+          | None ->
+            let known = List.map (fun (t : Tso.Litmus.test) -> t.Tso.Litmus.name) Tso.Catalog.all in
+            Fmt.epr "litmus: unknown test %s (the catalogue: %s)@." n (String.concat ", " known);
+            exit 1)
         names
   in
   let verdicts = List.map Tso.Litmus.run tests in

@@ -69,47 +69,34 @@ let header_to_json h =
       ("config", h.run_config);
     ]
 
-let header_of_json json =
-  let open Obs.Json in
-  let str name =
-    match Option.bind (member name json) to_string_opt with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "header field %S missing or not a string" name)
-  in
-  let int name =
-    match Option.bind (member name json) to_int with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "header field %S missing or not an integer" name)
-  in
-  let str_list name =
-    match Option.bind (member name json) to_list with
-    | Some l -> Ok (List.filter_map to_string_opt l)
-    | None -> Error (Printf.sprintf "header field %S missing or not a list" name)
-  in
-  let ( let* ) = Result.bind in
-  let* format = str "format" in
-  let* config_hash = str "config_hash" in
-  let* reduce = str "reduce" in
-  let* invariants = str_list "invariants" in
-  let* obligations = str_list "obligations" in
-  let* root_fp = int "root_fp" in
-  let* states = int "states" in
-  let* max_depth = int "max_depth" in
-  let* table_digest = str "table_digest" in
-  let run_config = Option.value (member "config" json) ~default:Null in
-  Ok
-    {
-      format;
-      config_hash;
-      reduce;
-      invariants;
-      obligations;
-      root_fp;
-      states;
-      max_depth;
-      table_digest;
-      run_config;
-    }
+(* Every field is required and typed, every list element a string; the
+   run configuration is opaque here (gcmodel reads it) but must be
+   present, and may be null. *)
+let header_of_json =
+  Obs.Json.Decode.(
+    run header_file (fun h ->
+        let format = string (field "format" h) in
+        let config_hash = string (field "config_hash" h) in
+        let reduce = string (field "reduce" h) in
+        let invariants = list string (field "invariants" h) in
+        let obligations = list string (field "obligations" h) in
+        let root_fp = int (field "root_fp" h) in
+        let states = int (field "states" h) in
+        let max_depth = int (field "max_depth" h) in
+        let table_digest = string (field "table_digest" h) in
+        let run_config = json (field "config" h) in
+        {
+          format;
+          config_hash;
+          reduce;
+          invariants;
+          obligations;
+          root_fp;
+          states;
+          max_depth;
+          table_digest;
+          run_config;
+        }))
 
 let write_header ~dir h =
   Store.Fs.publish_file (header_path dir) (Obs.Json.to_string_pretty (header_to_json h) ^ "\n")
@@ -123,7 +110,7 @@ let read_header dir =
     | Error e -> Error (Printf.sprintf "%s: unparsable header: %s" header_file e)
     | Ok json -> (
       match header_of_json json with
-      | Error e -> Error (Printf.sprintf "%s: %s" header_file e)
+      | Error _ as e -> e
       | Ok h ->
         if h.format <> format_tag then
           Error
@@ -149,7 +136,6 @@ let load_table ~expected_digest dir =
             (corrupt or tampered table)"
            table_file expected_digest actual)
     else
-      match Store.Segment.load path with
-      | seg -> Ok (Store.Segment.entries seg)
-      | exception e ->
-        Error (Printf.sprintf "%s: undecodable segment: %s" table_file (Printexc.to_string e))
+      match Store.Segment.entries (Store.Segment.load path) with
+      | entries -> Ok entries
+      | exception Sys_error msg -> Error msg

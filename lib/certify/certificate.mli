@@ -48,18 +48,17 @@ type header = {
           instance, as [gcmodel resume] does from checkpoint manifests *)
 }
 
-val header_to_json : header -> Obs.Json.t
-(** The header as the JSON object [CERT.json] holds. *)
-
-val header_of_json : Obs.Json.t -> (header, string) result
-(** Total: [Error] names the first missing or ill-typed field. *)
-
 val write_header : dir:string -> header -> unit
 (** Publish [CERT.json] into [dir] by {!Store.Fs.publish_file}: written
     to [CERT.json.tmp], fsynced, renamed into place, [dir] fsynced. *)
 
 val read_header : string -> (header, string) result
-(** Read and parse [dir]'s header; rejects a wrong {!format_tag}. *)
+(** Read [dir]'s header through {!Obs.Json.Decode}: every field is
+    required and typed and every list element decoded, so [Error
+    "CERT.json: missing or malformed PATH"] names the first value that
+    is not (e.g. [obligations[4]]).  [config] must be present; its value
+    is opaque here and may be [null].  A wrong {!format_tag} is
+    refused. *)
 
 val digest_table : string -> string
 (** MD5 (hex) of [dir]'s table file bytes. *)

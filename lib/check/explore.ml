@@ -7,9 +7,9 @@
    by enumeration, and it additionally produces a shortest counterexample
    schedule when an invariant fails.
 
-   This module holds the outcome type, its rendering and the replay helper
-   the engine (Par_explore) shares, plus [run], the exact reference BFS,
-   the only loop that records coverage. *)
+   This module holds the outcome type and its rendering, which the engine
+   (Par_explore) shares, plus [run], the exact reference BFS, the only
+   loop that records coverage. *)
 
 type ('a, 'v, 's) outcome = {
   states : int;  (* distinct states visited *)
@@ -58,32 +58,6 @@ let coverage_gaps sys ~covered =
   done;
   sort_coverage !gaps
 
-(* Forward replay of a recorded transition chain, shared by the
-   reference BFS's and the engine's counterexample reconstruction.
-   An event alone does not determine the successor (a Local_op may offer
-   several successors under one label), so each step also matches the
-   recorded key — a structural fingerprint here, a compact int hash in
-   the engine — of the state it must land in. *)
-let replay_chain ~norm ~matches initial chain =
-  let rec replay sys chain acc =
-    match chain with
-    | [] -> List.rev acc
-    | (key, ev) :: rest -> (
-      let next =
-        List.find_map
-          (fun (e, s') ->
-            if e = ev then
-              let s' = norm s' in
-              if matches s' key then Some s' else None
-            else None)
-          (Cimp.System.steps sys)
-      in
-      match next with
-      | Some s' -> replay s' rest ({ Trace.event = ev; state = s' } :: acc)
-      | None -> List.rev acc (* unreachable: the chain records real transitions *))
-  in
-  replay initial chain []
-
 (* The exact reference BFS.  [invariants] are (name, predicate) pairs
    checked at every state, including the initial one.  Stops at the first
    violation (BFS order makes it a shortest one).  The production engine
@@ -129,7 +103,7 @@ let run ?(max_states = 1_000_000) ?(normal_form = true) ?(track_coverage = false
   let check_state = (Inv_stats.plain invariants).Inv_stats.check in
   let reconstruct fp broken =
     (* Walk parent pointers back to the root, then replay the recorded
-       events forward from [initial] via [replay_chain]; cost is
+       events forward from [initial] ({!Trace.replay}); cost is
        O(depth * branching). *)
     let rec back fp acc =
       match Fingerprint.Table.find_opt parent fp with
@@ -141,13 +115,14 @@ let run ?(max_states = 1_000_000) ?(normal_form = true) ?(track_coverage = false
        recorded events were generated from them, so later steps must
        re-take the same path (fingerprints are canon-invariant) *)
     let initial = canon initial in
-    let steps =
-      replay_chain
+    match
+      Trace.replay
         ~norm:(fun s -> canon (norm s))
-        ~matches:(fun s' fp' -> Fingerprint.equal (fp_of s') fp')
+        ~lands:(fun s' fp' -> Fingerprint.equal (fp_of s') fp')
         initial chain
-    in
-    { Trace.initial; steps; broken }
+    with
+    | Ok steps -> { Trace.initial; steps; broken }
+    | Error _ -> invalid_arg "Explore.run: the counterexample's recorded chain does not replay"
   in
   let enqueue ~from_fp ~event ~d sys =
     let fp = fp_of sys in

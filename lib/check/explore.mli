@@ -6,7 +6,7 @@
     shortest counterexample schedule when an invariant fails.  This module
     holds the outcome type and the helpers the engine ({!Par_explore})
     shares, plus {!run}, the exact reference BFS the engine is checked
-    against. *)
+    against.  Both rebuild counterexamples with {!Trace.replay}. *)
 
 type ('a, 'v, 's) outcome = {
   states : int;  (** distinct states visited *)
@@ -34,24 +34,6 @@ val pp_outcome : ('a, 'v, 's) outcome Fmt.t
     programs) and an outcome's [covered] list. *)
 val coverage_gaps :
   ('a, 'v, 's) Cimp.System.t -> covered:(int * Cimp.Label.t) list -> (int * Cimp.Label.t) list
-
-(** [replay_chain ~norm ~matches initial chain] re-executes a recorded
-    transition chain — (key, event) pairs from the root — forward from
-    [initial], returning the trace steps.  An event alone does not
-    determine the successor (a [Local_op] may offer several successors
-    under one label), so each step also requires [matches state key] on
-    the state it lands in; [key] is a structural fingerprint in the
-    reference BFS and a compact int hash in the engine.  Shared by both
-    loops' counterexample reconstruction and by
-    checkpoint resume (which rebuilds frontier states from parent
-    chains, because CIMP systems embed closures and cannot be
-    marshalled). *)
-val replay_chain :
-  norm:(('a, 'v, 's) Cimp.System.t -> ('a, 'v, 's) Cimp.System.t) ->
-  matches:(('a, 'v, 's) Cimp.System.t -> 'k -> bool) ->
-  ('a, 'v, 's) Cimp.System.t ->
-  ('k * Cimp.System.event) list ->
-  ('a, 'v, 's) Trace.step list
 
 (** [run ~invariants initial] explores from [initial] — the exact
     reference BFS.  Invariants are (name, predicate) pairs checked at

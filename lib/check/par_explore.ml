@@ -342,14 +342,21 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
     ignore (Atomic.fetch_and_add pending (List.length tasks));
     Deque.push_list deques.(w) tasks
   in
-  (* forward replay of a recorded (fingerprint, event) chain by the shared
-     {!Explore.replay_chain} (same-label successors disambiguated by the
-     recorded fingerprint) *)
-  let replay_from start chain =
-    Explore.replay_chain
-      ~norm:(fun s -> canon (norm s))
-      ~matches:(fun s' fp' -> Fingerprint.hash (fp_of s') = fp')
-      start chain
+  (* forward replay of a recorded (fingerprint, event) chain
+     ({!Trace.replay}: same-label successors disambiguated by the
+     recorded fingerprint); [what] names the chain in the refusal *)
+  let cannot_replay what =
+    invalid_arg (Fmt.str "Par_explore.run: cannot replay %s (model mismatch?)" what)
+  in
+  let replay_from ~what start chain =
+    match
+      Trace.replay
+        ~norm:(fun s -> canon (norm s))
+        ~lands:(fun s' fp' -> Fingerprint.hash (fp_of s') = fp')
+        start chain
+    with
+    | Ok steps -> steps
+    | Error _ -> cannot_replay what
   in
   let reconstruct fp broken =
     let rec back fp acc =
@@ -358,7 +365,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
         back parent ((fp, Store.Event_codec.decode codec ev) :: acc)
       | _ -> acc
     in
-    { Trace.initial; steps = replay_from initial (back fp []); broken }
+    { Trace.initial; steps = replay_from ~what:"the counterexample" initial (back fp []); broken }
   in
   (* -- checkpoint rendezvous ---------------------------------------------
 
@@ -693,9 +700,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
       invalid_arg "Par_explore.run: checkpoint does not match this model configuration";
     let cache = Hashtbl.create 4096 in
     Hashtbl.add cache fp0 initial;
-    let cannot_replay () =
-      invalid_arg "Par_explore.run: cannot replay a checkpointed frontier state (model mismatch?)"
-    in
+    let what = "a checkpointed frontier state" in
     let state_of fp =
       let rec back fp chain =
         match Hashtbl.find_opt cache fp with
@@ -707,14 +712,12 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
                model's *)
             match Store.Event_codec.decode codec code with
             | ev -> back parent ((fp, ev) :: chain)
-            | exception Invalid_argument _ -> cannot_replay ())
+            | exception Invalid_argument _ -> cannot_replay what)
           | _ ->
             invalid_arg "Par_explore.run: frontier fingerprint missing from the checkpoint store")
       in
       let start, chain = back fp [] in
-      let steps = replay_from start chain in
-      (* replay stops short at the first step it cannot match *)
-      if List.compare_lengths steps chain <> 0 then cannot_replay ();
+      let steps = replay_from ~what start chain in
       List.fold_left2
         (fun _ (fp, _) step ->
           Hashtbl.replace cache fp step.Trace.state;

@@ -17,10 +17,12 @@ let pp_outcome ppf o =
     (match o.violation with None -> "all invariants hold" | Some t -> "VIOLATION: " ^ t.Trace.broken)
     o.elapsed
 
-let run ?(seed = 42) ?(steps = 100_000) ?(max_run_length = 5_000) ?(normal_form = true)
-    ?(trace_tail = 1000) ?(obs = Obs.Reporter.null) ?(tracer = Obs.Tracing.null)
-    ?(heartbeat_every = 20_000) ?(should_stop = fun () -> false) ?domain ?reducer ~invariants
-    initial =
+(* a walk restarts from the root after this many steps *)
+let max_run_length = 5_000
+
+let run ?(seed = 42) ?(steps = 100_000) ?(normal_form = true) ?(trace_tail = 1000)
+    ?(obs = Obs.Reporter.null) ?(tracer = Obs.Tracing.null) ?(heartbeat_every = 20_000)
+    ?(should_stop = fun () -> false) ?domain ?reducer ~invariants initial =
   let domain_field = match domain with None -> [] | Some d -> [ ("domain", Obs.Json.Int d) ] in
   (* one tracer lane per walker, indexed by the swarm domain (lane 0 for a
      solo walk): a span per heartbeat interval of stepping, plus one rich
@@ -207,13 +209,13 @@ let run ?(seed = 42) ?(steps = 100_000) ?(max_run_length = 5_000) ?(normal_form 
 
 let derive_seed seed k = seed lxor ((k + 1) * 0x9E3779B1)
 
-let swarm ?(jobs = 1) ?(seed = 42) ?(steps = 100_000) ?(max_run_length = 5_000)
-    ?(normal_form = true) ?(trace_tail = 1000) ?(obs = Obs.Reporter.null)
-    ?(tracer = Obs.Tracing.null) ?(heartbeat_every = 20_000) ?reducer ~invariants initial =
+let swarm ?(jobs = 1) ?(seed = 42) ?(steps = 100_000) ?(normal_form = true) ?(trace_tail = 1000)
+    ?(obs = Obs.Reporter.null) ?(tracer = Obs.Tracing.null) ?(heartbeat_every = 20_000) ?reducer
+    ~invariants initial =
   let jobs = max 1 (min jobs 64) in
   if jobs = 1 then
-    run ~seed ~steps ~max_run_length ~normal_form ~trace_tail ~obs ~tracer ~heartbeat_every
-      ?reducer ~invariants initial
+    run ~seed ~steps ~normal_form ~trace_tail ~obs ~tracer ~heartbeat_every ?reducer ~invariants
+      initial
   else begin
     let t0 = Unix.gettimeofday () in
     let stop = Atomic.make false in
@@ -223,9 +225,8 @@ let swarm ?(jobs = 1) ?(seed = 42) ?(steps = 100_000) ?(max_run_length = 5_000)
     let budget k = (steps / jobs) + if k < steps mod jobs then 1 else 0 in
     let worker k () =
       let o =
-        run ~seed:(derive_seed seed k) ~steps:(budget k) ~max_run_length ~normal_form
-          ~trace_tail ~obs ~tracer ~heartbeat_every ~should_stop ~domain:k ?reducer ~invariants
-          initial
+        run ~seed:(derive_seed seed k) ~steps:(budget k) ~normal_form ~trace_tail ~obs ~tracer
+          ~heartbeat_every ~should_stop ~domain:k ?reducer ~invariants initial
       in
       if o.violation <> None then Atomic.set stop true;
       o

@@ -16,9 +16,9 @@ val pp_outcome : ('a, 'v, 's) outcome Fmt.t
     wall time, verdict). *)
 
 (** [run ~invariants initial] walks until [steps] scheduled steps have been
-    taken or an invariant fails.  Deterministic in [seed].
+    taken or an invariant fails, restarting from [initial] at a dead end
+    and after 5,000 steps in one walk.  Deterministic in [seed].
 
-    @param max_run_length restart after this many steps in one walk
     @param normal_form as in {!Explore.run}
     @param trace_tail retain at most this many trailing steps of the
            current walk for the counterexample (default 1000; memory for
@@ -47,7 +47,6 @@ val pp_outcome : ('a, 'v, 's) outcome Fmt.t
 val run :
   ?seed:int ->
   ?steps:int ->
-  ?max_run_length:int ->
   ?normal_form:bool ->
   ?trace_tail:int ->
   ?obs:Obs.Reporter.t ->
@@ -73,7 +72,6 @@ val swarm :
   ?jobs:int ->
   ?seed:int ->
   ?steps:int ->
-  ?max_run_length:int ->
   ?normal_form:bool ->
   ?trace_tail:int ->
   ?obs:Obs.Reporter.t ->

@@ -37,21 +37,22 @@ let event_to_json = function
         ("resp_label", Obs.Json.String resp_label);
       ]
 
-let event_of_json j =
-  let str k = Option.bind (Obs.Json.member k j) Obs.Json.to_string_opt in
-  let int k = Option.bind (Obs.Json.member k j) Obs.Json.to_int in
-  match str "kind" with
-  | Some "tau" -> (
-    match (int "pid", str "label") with
-    | Some p, Some l -> Ok (Cimp.System.Tau (p, l))
-    | _ -> Error "tau event missing pid/label")
-  | Some "rendezvous" -> (
-    match (int "requester", str "req_label", int "responder", str "resp_label") with
-    | Some requester, Some req_label, Some responder, Some resp_label ->
-      Ok (Cimp.System.Rendezvous { requester; req_label; responder; resp_label })
-    | _ -> Error "rendezvous event missing a field")
-  | Some k -> Error ("unknown event kind " ^ k)
-  | None -> Error "event without a kind"
+let event_of_value =
+  Obs.Json.Decode.(
+    fun e ->
+      let kind = field "kind" e in
+      match string kind with
+      | "tau" ->
+        let pid = int (field "pid" e) in
+        let label = string (field "label" e) in
+        Cimp.System.Tau (pid, label)
+      | "rendezvous" ->
+        let requester = int (field "requester" e) in
+        let req_label = string (field "req_label" e) in
+        let responder = int (field "responder" e) in
+        let resp_label = string (field "resp_label" e) in
+        Cimp.System.Rendezvous { requester; req_label; responder; resp_label }
+      | _ -> malformed kind)
 
 let to_json tr =
   let names =
@@ -66,18 +67,12 @@ let to_json tr =
       ("schedule", Obs.Json.List (List.map (fun s -> event_to_json s.event) tr.steps));
     ]
 
-let schedule_of_json j =
-  match (Option.bind (Obs.Json.member "broken" j) Obs.Json.to_string_opt,
-         Option.bind (Obs.Json.member "schedule" j) Obs.Json.to_list) with
-  | Some broken, Some events ->
-    let rec parse acc = function
-      | [] -> Ok (broken, List.rev acc)
-      | e :: rest -> (
-        match event_of_json e with Ok ev -> parse (ev :: acc) rest | Error msg -> Error msg)
-    in
-    parse [] events
-  | None, _ -> Error "trace JSON missing \"broken\""
-  | _, None -> Error "trace JSON missing \"schedule\""
+let schedule_of_json =
+  Obs.Json.Decode.(
+    run "trace" (fun t ->
+        let broken = string (field "broken" t) in
+        let schedule = list event_of_value (field "schedule" t) in
+        (broken, schedule)))
 
 (* -- import validation ------------------------------------------------------
 
@@ -133,13 +128,57 @@ let validate_events sys events =
   in
   go 1 events
 
+(* -- replay ---------------------------------------------------------------------
+
+   One event does not always pin down one successor (a [sys:dequeue] is
+   offered once per buffering process, a Local_op may offer several
+   successors under one label), hence the backtracking. *)
+
+let replay ~norm ~lands start chain =
+  let deepest = ref 0 in
+  let rec go sys depth acc = function
+    | [] -> Some (List.rev acc)
+    | (key, ev) :: rest ->
+      let fired = ref false in
+      let found =
+        List.find_map
+          (fun (ev', sys') ->
+            if ev' <> ev then None
+            else
+              let sys' = norm sys' in
+              if not (lands sys' key) then None
+              else begin
+                fired := true;
+                go sys' (depth + 1) ({ event = ev; state = sys' } :: acc) rest
+              end)
+          (Cimp.System.steps sys)
+      in
+      if not !fired then deepest := max !deepest depth;
+      found
+  in
+  match go start 0 [] chain with Some steps -> Ok steps | None -> Error !deepest
+
+(* Imported schedules were recorded on normal forms (the checkers'
+   default), so they are replayed through [Cimp.System.normalize]. *)
 let import sys j =
-  match schedule_of_json j with
-  | Error _ as e -> e
-  | Ok (broken, events) -> (
-    match validate_events sys events with
-    | Ok () -> Ok (broken, events)
-    | Error msg -> Error msg)
+  let ( let* ) = Result.bind in
+  let* broken, events = schedule_of_json j in
+  let* () = validate_events sys events in
+  let initial = Cimp.System.normalize sys in
+  match
+    replay ~norm:Cimp.System.normalize
+      ~lands:(fun _ () -> true)
+      initial
+      (List.map (fun ev -> ((), ev)) events)
+  with
+  | Ok steps -> Ok { initial; steps; broken }
+  | Error i ->
+    let names = Array.init (Cimp.System.n_procs initial) (Cimp.System.name initial) in
+    Error
+      (Fmt.str
+         "replay diverged: event %d of %d (%a) is not enabled in the replayed state — the \
+          trace was recorded on a different system or without normalization"
+         (i + 1) (List.length events) (Cimp.System.pp_event names) (List.nth events i))
 
 (* Render just the event schedule; state dumps are the callers' business
    (they know the data-state type). *)

@@ -33,27 +33,43 @@ val event_to_json : Cimp.System.event -> Obs.Json.t
 (** One schedule entry: [{"tau": pid, "label"}] or
     [{"rendezvous": ...}] — the unit {!to_json} composes. *)
 
-val event_of_json : Obs.Json.t -> (Cimp.System.event, string) result
-(** Parse one schedule entry back; [Error] names the malformed field. *)
-
 (** [{"broken"; "length"; "names"; "schedule"}] — see README
     "Observability" for the schema. *)
 val to_json : ('a, 'v, 's) t -> Obs.Json.t
 
 (** Parse back what {!to_json} wrote: the violated invariant's name and
-    the event schedule.  No cross-checking against any system — prefer
-    {!import} when the target system is at hand. *)
+    the event schedule, fail-closed through {!Obs.Json.Decode} ([Error
+    "trace: missing or malformed schedule[3].req_label"]); [names] and
+    [length] are not read.  No cross-checking against any system —
+    prefer {!import} when the target system is at hand. *)
 val schedule_of_json : Obs.Json.t -> (string * Cimp.System.event list, string) result
 
-(** [validate_events sys events] checks every event's pids and labels
-    against [sys]'s processes and programs, so a stale trace from a
-    different instance (other [--muts] count, other variant, disabled
-    ops) is rejected with a diagnosis instead of replaying into a
-    confusing failure deep inside the model.  [sys] must be the pristine
-    initial system: its frame stacks still hold the complete programs. *)
-val validate_events :
-  ('a, 'v, 's) Cimp.System.t -> Cimp.System.event list -> (unit, string) result
+(** {1 Replay} *)
 
-(** {!schedule_of_json} followed by {!validate_events} against [sys]. *)
-val import :
-  ('a, 'v, 's) Cimp.System.t -> Obs.Json.t -> (string * Cimp.System.event list, string) result
+(** [replay ~norm ~lands start chain] re-runs a recorded schedule from
+    [start], rebuilding the states it passed through: the one replay, for
+    counterexamples, a resumed frontier and imported traces.  [chain]
+    pairs each event with the key the recorder kept for the state it
+    produced (a fingerprint, or [()]).  A backtracking search tries, in
+    {!Cimp.System.steps} order, the successors that fire each event and
+    whose [norm]al form satisfies [lands state key], and returns the
+    first path through the whole chain.  Otherwise [Error i]: no branch
+    could fire event [i] (from 0), the deepest reached.  A schedule that
+    cannot be replayed is an error, never a shorter trace. *)
+val replay :
+  norm:(('a, 'v, 's) Cimp.System.t -> ('a, 'v, 's) Cimp.System.t) ->
+  lands:(('a, 'v, 's) Cimp.System.t -> 'k -> bool) ->
+  ('a, 'v, 's) Cimp.System.t ->
+  ('k * Cimp.System.event) list ->
+  (('a, 'v, 's) step list, int) result
+
+(** [import sys json] rebuilds an exported counterexample:
+    {!schedule_of_json}; then every event's pids and labels are checked
+    against [sys], the pristine initial system (its frame stacks still
+    hold the complete programs), so a stale trace from another instance
+    (other [--muts], variant or disabled ops) is refused naming the
+    event; then {!replay} from [sys]'s normal form through
+    {!Cimp.System.normalize} (the checkers record normal forms), refusing
+    a schedule that does not replay as [replay diverged: event N of M
+    (EVENT) ...]. *)
+val import : ('a, 'v, 's) Cimp.System.t -> Obs.Json.t -> (('a, 'v, 's) t, string) result

@@ -1,7 +1,7 @@
 (* Counterexample forensics reports.
 
    [analyze] replays nothing itself — it takes a complete trace (from a
-   checker or from Replay), captures a snapshot of every intermediate
+   checker or from Check.Trace.import), captures a snapshot of every intermediate
    state, and diffs consecutive snapshots into per-step semantic changes.
    Three renderers share the analysis:
 

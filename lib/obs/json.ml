@@ -298,5 +298,41 @@ let to_float = function
   | _ -> None
 
 let to_string_opt = function String s -> Some s | _ -> None
-let to_bool = function Bool v -> Some v | _ -> None
-let to_list = function List vs -> Some vs | _ -> None
+
+(* -- fail-closed decoding ----------------------------------------------------- *)
+
+module Decode = struct
+  type value = { path : string; json : t }
+
+  exception Malformed of string
+
+  let malformed v = raise (Malformed v.path)
+
+  let run doc read json =
+    match read { path = ""; json } with
+    | x -> Ok x
+    | exception Malformed path -> Error (Printf.sprintf "%s: missing or malformed %s" doc path)
+
+  (* a member of a value that is not an object: a nested value is
+     malformed itself; at the root, the member is what is missing *)
+  let field k v =
+    let path = if v.path = "" then k else v.path ^ "." ^ k in
+    match v.json with
+    | Obj kvs -> (
+      match List.assoc_opt k kvs with Some json -> { path; json } | None -> raise (Malformed path))
+    | _ when v.path <> "" -> malformed v
+    | _ -> raise (Malformed path)
+
+  let int v = match v.json with Int n -> n | _ -> malformed v
+  let float v = match v.json with Float f -> f | Int n -> float_of_int n | _ -> malformed v
+  let bool v = match v.json with Bool b -> b | _ -> malformed v
+  let string v = match v.json with String s -> s | _ -> malformed v
+
+  let list read v =
+    match v.json with
+    | List vs -> List.mapi (fun i json -> read { path = Printf.sprintf "%s[%d]" v.path i; json }) vs
+    | _ -> malformed v
+
+  let nullable read v = match v.json with Null -> None | _ -> Some (read v)
+  let json v = v.json
+end

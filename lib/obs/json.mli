@@ -40,5 +40,45 @@ val to_int : t -> int option
 val to_float : t -> float option
 
 val to_string_opt : t -> string option
-val to_bool : t -> bool option
-val to_list : t -> t list option
+
+(** {1 Fail-closed decoding}
+
+    The one way back in for every JSON document a run writes.  A reader
+    is a function over [Decode.value]s, which carry the path they were
+    read at: every field it reads is required, every list element is
+    decoded, and the first missing or ill-typed value ends the read
+    naming its path (e.g. [shards[5].next_seq]).  Fields it never asks
+    for are ignored. *)
+module Decode : sig
+  type value
+
+  (** [run doc read j] applies [read] to [j]; [Error "DOC: missing or
+      malformed PATH"] names the first value [read] could not take.  The
+      accessors below may only be called inside [read]. *)
+  val run : string -> (value -> 'a) -> t -> ('a, string) result
+
+  (** A required member.  On a value that is not an object, that value's
+      path is named (at the root, the member's). *)
+  val field : string -> value -> value
+
+  val int : value -> int
+
+  (** Accepts [Int] too, as [to_float] does. *)
+  val float : value -> float
+
+  val bool : value -> bool
+  val string : value -> string
+
+  (** Every element decoded, at paths [PATH[i]]. *)
+  val list : (value -> 'a) -> value -> 'a list
+
+  (** [null] is [None]; anything else must decode. *)
+  val nullable : (value -> 'a) -> value -> 'a option
+
+  (** The raw value of a field kept opaque (it must still be present). *)
+  val json : value -> t
+
+  (** Refuse a value that decodes but is not one the reader accepts (an
+      unknown name, a list of the wrong length), naming its path. *)
+  val malformed : value -> 'a
+end

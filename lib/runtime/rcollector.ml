@@ -210,7 +210,7 @@ let run sh =
     if observing then begin
       let now = Obs.Clock.monotonic_ns () in
       let dt_ns = now - !last_hb in
-      if dt_ns >= sh.hb_every_ns then begin
+      if dt_ns >= hb_every_ns then begin
         emit_heartbeat sh ~dt_ns ~allocs0:!last_allocs;
         last_hb := now;
         last_allocs := Atomic.get sh.heap.Rheap.allocs

@@ -74,7 +74,6 @@ type t = {
        mark/sweep stages, whole cycles), lanes 1..n_muts the mutators' *)
   hs_rounds : Obs.Metrics.acounter;  (* handshake rounds completed *)
   lat : lat;
-  hb_every_ns : int;  (* min interval between runtime-heartbeat records *)
 }
 
 let make_lat ~latency ~co_interval_ns ~n_muts =
@@ -102,8 +101,7 @@ let make_lat ~latency ~co_interval_ns ~n_muts =
   }
 
 let make ?(trace_pause = 0.) ?(obs = Obs.Reporter.null) ?(tracer = Obs.Tracing.null)
-    ?(latency = true) ?(co_interval_ns = 0) ?(heartbeat_every_s = 0.1) ~n_slots
-    ~n_fields ~n_muts () =
+    ?(latency = true) ?(co_interval_ns = 0) ~n_slots ~n_fields ~n_muts () =
   {
     heap = Rheap.make ~n_slots ~n_fields;
     trace_pause;
@@ -123,8 +121,10 @@ let make ?(trace_pause = 0.) ?(obs = Obs.Reporter.null) ?(tracer = Obs.Tracing.n
     tracer;
     hs_rounds = Obs.Metrics.acounter ();
     lat = make_lat ~latency ~co_interval_ns ~n_muts;
-    hb_every_ns = int_of_float (heartbeat_every_s *. 1e9);
   }
+
+(* min interval between runtime-heartbeat records: 0.1 s *)
+let hb_every_ns = 100_000_000
 
 let n_muts sh = Array.length sh.hs_req
 

@@ -56,5 +56,8 @@ let write b t =
 let read b pos =
   let k, pos = Codec.get_varint b pos in
   let len, pos = Codec.get_varint b pos in
+  (* [mem] indexes [bits] unchecked through [mask]: only a filter
+     [create] could have made is accepted *)
+  if k <> k_probes || len < 8 || len land (len - 1) <> 0 then invalid_arg "Bloom.read";
   let bits = Bytes.sub b pos len in
   ({ k; mask = (len * 8) - 1; bits }, pos + len)

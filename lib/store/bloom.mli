@@ -28,5 +28,6 @@ val bytes : t -> int
 val write : Buffer.t -> t -> unit
 
 (** [read b pos] parses a filter back; returns it and the position just
-    past it. *)
+    past it.  Raises [Invalid_argument] on bytes {!write} cannot have
+    produced (a probe count or size no filter has). *)
 val read : Bytes.t -> int -> t * int

@@ -7,7 +7,6 @@ type snapshot = {
   elapsed_s : float;
   best : (int * int * int) option;
   frontier : (int * int) list array;
-  config : Obs.Json.t;
   store : Tiered.t;
 }
 
@@ -116,66 +115,27 @@ let write ~dir ~seq ~config ~store ~states ~transitions ~deadlocks ~truncated ~e
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+let ( let* ) = Result.bind
+
 (* The manifest's sequence number, echoed configuration and latest
    snapshot directory. *)
 let read_manifest dir =
   let path = Filename.concat dir manifest_name in
   if not (Sys.file_exists path) then Error ("no " ^ manifest_name ^ " in " ^ dir)
   else
-    match Obs.Json.of_string (read_file path) with
-    | Error e -> Error ("bad manifest: " ^ e)
-    | Ok j -> (
-      match
-        ( Option.bind (Obs.Json.member "seq" j) Obs.Json.to_int,
-          Obs.Json.member "config" j,
-          Option.bind (Obs.Json.member "latest" j) Obs.Json.to_string_opt )
-      with
-      | Some seq, Some config, Some latest -> Ok (seq, config, latest)
-      | _ -> Error "manifest missing seq/config/latest")
+    let* j =
+      Result.map_error (fun e -> "bad manifest: " ^ e) (Obs.Json.of_string (read_file path))
+    in
+    Obs.Json.Decode.(
+      run manifest_name
+        (fun m ->
+          let seq = int (field "seq" m) in
+          let config = json (field "config" m) in
+          let latest = string (field "latest" m) in
+          (seq, config, latest))
+        j)
 
 let manifest dir = Result.map (fun (seq, config, _) -> (seq, config)) (read_manifest dir)
-
-(* state.json is read fail-closed: every field [load] reads is required
-   and typed, and a malformed one is refused by name, never read as a
-   default.  The only nulls are the writer's own: [best] without a
-   violation and [tier0] for an empty shard.  Fields [load] does not read
-   are ignored. *)
-let ( let* ) = Result.bind
-
-let field ?(at = "") name conv j =
-  match Option.bind (Obs.Json.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "state.json: missing or malformed %s%s" at name)
-
-let nullable conv = function Obs.Json.Null -> Some None | j -> Option.map Option.some (conv j)
-
-let list_of conv j =
-  Option.bind (Obs.Json.to_list j) (fun l ->
-      List.fold_right
-        (fun x acc -> match (conv x, acc) with Some v, Some vs -> Some (v :: vs) | _ -> None)
-        l (Some []))
-
-let int_pair j =
-  match Obs.Json.to_list j with
-  | Some [ a; b ] -> (
-    match (Obs.Json.to_int a, Obs.Json.to_int b) with Some a, Some b -> Some (a, b) | _ -> None)
-  | _ -> None
-
-let violation b =
-  let int name = Option.bind (Obs.Json.member name b) Obs.Json.to_int in
-  match (int "depth", int "fp", int "inv") with
-  | Some d, Some fp, Some i -> Some (d, fp, i)
-  | _ -> None
-
-(* One shard's restore arguments: distinct, next_seq, tier-0 segment
-   name, live segment names. *)
-let shard_fields i sh =
-  let at = Printf.sprintf "shards[%d]." i in
-  let* distinct = field ~at "distinct" Obs.Json.to_int sh in
-  let* next_seq = field ~at "next_seq" Obs.Json.to_int sh in
-  let* tier0 = field ~at "tier0" (nullable Obs.Json.to_string_opt) sh in
-  let* segs = field ~at "segs" (list_of Obs.Json.to_string_opt) sh in
-  Ok (distinct, next_seq, tier0, segs)
 
 let load ?mem_budget ?spill_dir dir =
   let* _, _, latest = read_manifest dir in
@@ -184,31 +144,54 @@ let load ?mem_budget ?spill_dir dir =
   if not (Sys.file_exists spath) then Error ("snapshot " ^ latest ^ " has no state.json")
   else
     let* st = Result.map_error (fun e -> "bad state.json: " ^ e) (Obs.Json.of_string (read_file spath)) in
-    let* seq = field "seq" Obs.Json.to_int st in
-    let* states = field "states" Obs.Json.to_int st in
-    let* transitions = field "transitions" Obs.Json.to_int st in
-    let* deadlocks = field "deadlocks" Obs.Json.to_int st in
-    let* truncated = field "truncated" Obs.Json.to_bool st in
-    let* elapsed_s = field "elapsed_s" Obs.Json.to_float st in
-    let* best = field "best" (nullable violation) st in
-    let* frontier = field "frontier" (list_of (list_of int_pair)) st in
-    let* config = field "config" Option.some st in
-    let* shard_list = field "shards" Obs.Json.to_list st in
+    (* state.json is read fail-closed: every field [load] reads is
+       required and typed.  The only nulls are the writer's own: [best]
+       without a violation and [tier0] for an empty shard. *)
+    let* shards, snapshot =
+      Obs.Json.Decode.(
+        run "state.json" (fun st ->
+            let seq = int (field "seq" st) in
+            let states = int (field "states" st) in
+            let transitions = int (field "transitions" st) in
+            let deadlocks = int (field "deadlocks" st) in
+            let truncated = bool (field "truncated" st) in
+            let elapsed_s = float (field "elapsed_s" st) in
+            let best =
+              nullable
+                (fun b ->
+                  let depth = int (field "depth" b) in
+                  let fp = int (field "fp" b) in
+                  let inv = int (field "inv" b) in
+                  (depth, fp, inv))
+                (field "best" st)
+            in
+            let task t = match list int t with [ fp; d ] -> (fp, d) | _ -> malformed t in
+            let frontier = Array.of_list (list (list task) (field "frontier" st)) in
+            (* per shard: distinct, next_seq, tier-0 segment name, live
+               segment names *)
+            let shards =
+              list
+                (fun sh ->
+                  let distinct = int (field "distinct" sh) in
+                  let next_seq = int (field "next_seq" sh) in
+                  let tier0 = nullable string (field "tier0" sh) in
+                  let segs = list string (field "segs" sh) in
+                  (distinct, next_seq, tier0, segs))
+                (field "shards" st)
+            in
+            ( shards,
+              fun store ->
+                { seq; states; transitions; deadlocks; truncated; elapsed_s; best; frontier; store }
+            )))
+        st
+    in
     let* () =
-      if List.length shard_list = Tiered.n_shards then Ok ()
+      if List.length shards = Tiered.n_shards then Ok ()
       else
         Error
-          (Printf.sprintf "state.json has %d shards, expected %d" (List.length shard_list)
+          (Printf.sprintf "state.json has %d shards, expected %d" (List.length shards)
              Tiered.n_shards)
     in
-    let rec shards i = function
-      | [] -> Ok []
-      | sh :: rest ->
-        let* s = shard_fields i sh in
-        let* rest = shards (i + 1) rest in
-        Ok (s :: rest)
-    in
-    let* shards = shards 0 shard_list in
     let store = Tiered.create ?mem_budget ?spill_dir () in
     match
       let live_dir =
@@ -223,39 +206,25 @@ let load ?mem_budget ?spill_dir dir =
             | None -> [||]
             | Some name -> Segment.entries (Segment.load (Filename.concat sdir name))
           in
+          (* loaded from the snapshot, so a damaged file is named there *)
           let segs =
             List.map
               (fun name ->
-                let live =
-                  match live_dir with
-                  | Some d ->
-                    let dst = Filename.concat d name in
-                    if not (Sys.file_exists dst) then Fs.link (Filename.concat sdir name) dst;
-                    dst
-                  | None -> Filename.concat sdir name
-                in
-                Segment.load live)
+                let seg = Segment.load (Filename.concat sdir name) in
+                match live_dir with
+                | Some d ->
+                  let dst = Filename.concat d name in
+                  if not (Sys.file_exists dst) then Fs.link (Segment.path seg) dst;
+                  Segment.with_path seg dst
+                | None -> seg)
               seg_names
           in
           Tiered.restore_shard store ~shard ~distinct ~next_seq ~tier0 ~segs)
         shards
     with
-    | () ->
-      Ok
-        {
-          seq;
-          states;
-          transitions;
-          deadlocks;
-          truncated;
-          elapsed_s;
-          best;
-          frontier = Array.of_list frontier;
-          config;
-          store;
-        }
+    | () -> Ok (snapshot store)
     | exception e -> (
       Option.iter Fs.rm_rf (Tiered.temp_dir store);
       match e with
-      | Sys_error msg | Failure msg -> Error ("snapshot load failed: " ^ msg)
+      | Sys_error msg -> Error ("snapshot load failed: " ^ msg)
       | e -> raise e)

@@ -29,7 +29,6 @@ type snapshot = {
   elapsed_s : float;  (** exploration seconds before the snapshot *)
   best : (int * int * int) option;  (** best violation: depth, fp, invariant index *)
   frontier : (int * int) list array;  (** (fp, depth) tasks per worker *)
-  config : Obs.Json.t;  (** tool configuration, echoed verbatim *)
   store : Tiered.t;  (** the rebuilt store (populated on {!load} only) *)
 }
 
@@ -50,7 +49,9 @@ val write :
 
 (** Latest complete snapshot's sequence number and echoed configuration,
     without loading the store (so a resuming tool can rebuild the model
-    first). *)
+    first).  [MANIFEST.json] is read fail-closed like [state.json]
+    below: [seq], [latest] and [config] (opaque, but present) are
+    required. *)
 val manifest : string -> (int * Obs.Json.t, string) result
 
 (** Load the latest complete snapshot.  The store is rebuilt with the
@@ -61,10 +62,15 @@ val manifest : string -> (int * Obs.Json.t, string) result
     [Check.Par_explore.run] removes it when a resumed run ends, and
     [load] itself when it refuses the snapshot.
 
-    [state.json] is read fail-closed: every field [load] reads is required
-    and typed, and any other shape returns [Error] naming the field (e.g.
-    [truncated], [best], [frontier], [shards[3].next_seq]) instead of
-    being read as a default.  The only nulls accepted are those {!write}
+    [state.json] is read fail-closed through {!Obs.Json.Decode}: every
+    field [load] reads is required and typed, every list element is
+    decoded, and any other shape returns [Error "state.json: missing or
+    malformed PATH"] naming the first bad value (e.g. [truncated],
+    [best.fp], [frontier[0][3]], [shards[3].next_seq]) instead of being
+    read as a default.  The only nulls accepted are those {!write}
     writes: [best] when there is no violation and [tier0] for an empty
-    shard.  Fields [load] does not read are ignored. *)
+    shard.  [schema] and [config] (the manifest's is the one read) are
+    not read.  A tier-0
+    dump or live segment that is truncated or does not decode returns
+    [Error] naming the snapshot's file ({!Segment.load}). *)
 val load : ?mem_budget:int -> ?spill_dir:string -> string -> (snapshot, string) result

@@ -18,6 +18,7 @@ let magic = "GCSEG001"
 let block_size = 256
 
 let path t = t.path
+let with_path t path = { t with path }
 let shard t = t.shard
 let seq t = t.seq
 let length t = t.n
@@ -86,6 +87,11 @@ let write ~path ~shard ~seq ~max_depth entries =
     disk_bytes = data_pos + Buffer.length data;
   }
 
+(* Every read fails closed: a short read or bytes that do not decode
+   (a truncated or overwritten file) raise [Sys_error] naming the file,
+   as an I/O failure does, never [End_of_file] or [Invalid_argument]. *)
+let corrupt path = raise (Sys_error (path ^ ": truncated or corrupt segment"))
+
 let read_varint_ic ic =
   let v = ref 0 and shift = ref 0 and continue = ref true in
   while !continue do
@@ -98,58 +104,70 @@ let read_varint_ic ic =
 
 let load path =
   In_channel.with_open_bin path (fun ic ->
-      let m = really_input_string ic (String.length magic) in
-      if m <> magic then failwith ("Segment.load: bad magic in " ^ path);
-      let hlen = read_varint_ic ic in
-      let header = Bytes.create hlen in
-      really_input ic header 0 hlen;
-      let data_pos = pos_in ic in
-      let pos = 0 in
-      let shard, pos = Codec.get_varint header pos in
-      let seq, pos = Codec.get_varint header pos in
-      let n, pos = Codec.get_varint header pos in
-      let max_depth, pos = Codec.get_varint header pos in
-      let bloom, pos = Bloom.read header pos in
-      let n_blocks, pos = Codec.get_varint header pos in
-      let index_fp = Array.make (max 1 n_blocks) 0 in
-      let index_off = Array.make (max 1 n_blocks) 0 in
-      let pos = ref pos in
-      for b = 0 to n_blocks - 1 do
-        let fp, p = Codec.get_varint header !pos in
-        let off, p = Codec.get_varint header p in
-        index_fp.(b) <- fp;
-        index_off.(b) <- off;
-        pos := p
-      done;
-      let data_len, _ = Codec.get_varint header !pos in
-      {
-        path;
-        shard;
-        seq;
-        n;
-        max_depth;
-        bloom;
-        index_fp;
-        index_off;
-        data_pos;
-        data_len;
-        disk_bytes = data_pos + data_len;
-      })
+      let file_len = in_channel_length ic in
+      (* sizes are checked against the file before anything is
+         allocated, so corrupt bytes cannot ask for a huge buffer *)
+      let check ok = if not ok then corrupt path in
+      try
+        let m = really_input_string ic (String.length magic) in
+        check (m = magic);
+        let hlen = read_varint_ic ic in
+        check (hlen >= 0 && hlen <= file_len - pos_in ic);
+        let header = Bytes.create hlen in
+        really_input ic header 0 hlen;
+        let data_pos = pos_in ic in
+        let pos = 0 in
+        let shard, pos = Codec.get_varint header pos in
+        let seq, pos = Codec.get_varint header pos in
+        let n, pos = Codec.get_varint header pos in
+        let max_depth, pos = Codec.get_varint header pos in
+        let bloom, pos = Bloom.read header pos in
+        let n_blocks, pos = Codec.get_varint header pos in
+        check (n >= 0 && n_blocks = (n + block_size - 1) / block_size && n_blocks <= hlen);
+        let index_fp = Array.make (max 1 n_blocks) 0 in
+        let index_off = Array.make (max 1 n_blocks) 0 in
+        let pos = ref pos in
+        for b = 0 to n_blocks - 1 do
+          let fp, p = Codec.get_varint header !pos in
+          let off, p = Codec.get_varint header p in
+          check (if b = 0 then off = 0 else off > index_off.(b - 1));
+          index_fp.(b) <- fp;
+          index_off.(b) <- off;
+          pos := p
+        done;
+        let data_len, _ = Codec.get_varint header !pos in
+        check (data_len = file_len - data_pos);
+        check (n_blocks = 0 || index_off.(n_blocks - 1) < data_len);
+        {
+          path;
+          shard;
+          seq;
+          n;
+          max_depth;
+          bloom;
+          index_fp;
+          index_off;
+          data_pos;
+          data_len;
+          disk_bytes = data_pos + data_len;
+        }
+      with End_of_file | Invalid_argument _ -> corrupt path)
 
 (* Decode the [count] entries of the block stored in [buf], calling [f]
    on each; stops early when [f] returns false. *)
-let decode_block buf count f =
+let decode_block path buf count f =
+  let get pos = try Codec.get_varint buf pos with Invalid_argument _ -> corrupt path in
   let pos = ref 0 in
   let prev = ref 0 in
   let i = ref 0 in
   let go = ref true in
   while !go && !i < count do
-    let d, p = Codec.get_varint buf !pos in
+    let d, p = get !pos in
     let fp = if !i = 0 then d else !prev + d in
     prev := fp;
-    let parent, p = Codec.get_varint buf p in
-    let event, p = Codec.get_varint buf p in
-    let meta, p = Codec.get_varint buf p in
+    let parent, p = get p in
+    let event, p = get p in
+    let meta, p = get p in
     pos := p;
     incr i;
     go := f { fp; parent; event; meta }
@@ -160,7 +178,7 @@ let read_at path pos len =
   let buf = Bytes.create len in
   In_channel.with_open_bin path (fun ic ->
       seek_in ic pos;
-      really_input ic buf 0 len);
+      try really_input ic buf 0 len with End_of_file -> corrupt path);
   buf
 
 let read_block t b =
@@ -184,7 +202,7 @@ let find t fp =
     done;
     let buf = read_block t !lo in
     let found = ref None in
-    decode_block buf (block_count t !lo) (fun e ->
+    decode_block t.path buf (block_count t !lo) (fun e ->
         if e.fp = fp then begin
           found := Some e;
           false
@@ -199,7 +217,7 @@ let iter t f =
     for b = 0 to Array.length t.index_off - 1 do
       let off = t.index_off.(b) in
       let next = if b + 1 < Array.length t.index_off then t.index_off.(b + 1) else t.data_len in
-      decode_block (Bytes.sub data off (next - off)) (block_count t b) (fun e ->
+      decode_block t.path (Bytes.sub data off (next - off)) (block_count t b) (fun e ->
           f e;
           true)
     done

@@ -31,6 +31,10 @@ type t
 val path : t -> string
 (** The segment's file path. *)
 
+val with_path : t -> string -> t
+(** The same segment read through another name of its file (a hard link
+    to it), without reading the file again. *)
+
 val shard : t -> int
 (** The store shard this segment was frozen from. *)
 
@@ -56,7 +60,15 @@ val mem_bytes : t -> int
     certificate that publishes the file fsyncs it ({!Fs.publish}). *)
 val write : path:string -> shard:int -> seq:int -> max_depth:int -> entry array -> t
 
-(** Load the resident parts of an existing segment file. *)
+(** Load the resident parts of an existing segment file.
+
+    Every read of a segment ([load], and the block reads of {!find} and
+    {!iter}) fails closed: a short read or bytes that do not decode
+    raise [Sys_error "PATH: truncated or corrupt segment"], the error an
+    I/O failure raises, so callers that refuse I/O failures refuse a
+    damaged segment too.  [load] checks the header's sizes and block
+    index against the file length, so truncation anywhere in the file
+    is caught when it is loaded. *)
 val load : string -> t
 
 (** Bloom-only test: definitive [false], [true] with ~1% false

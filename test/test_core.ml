@@ -300,12 +300,13 @@ let test_misfit_shapes_rejected () =
   Alcotest.(check (option string)) "shared fits 3 refs" None (misfit_message 3 "shared");
   Alcotest.(check (option string)) "fig1 fits 4 refs" None (misfit_message 4 "fig1")
 
-(* Run the built gcmodel.exe: its exit code and stderr lines. *)
-let run_gcmodel args =
+(* Run a built tool of bin/ (gcmodel.exe by default): its exit code and
+   stderr lines. *)
+let run_tool ?(exe = "gcmodel.exe") args =
   let build_dir = Filename.dirname (Filename.dirname Sys.executable_name) in
-  let gcmodel = Filename.concat (Filename.concat build_dir "bin") "gcmodel.exe" in
+  let tool = Filename.concat (Filename.concat build_dir "bin") exe in
   let err = Filename.temp_file "gcmodel" ".err" in
-  let code = Sys.command (Filename.quote_command gcmodel ~stdout:Filename.null ~stderr:err args) in
+  let code = Sys.command (Filename.quote_command tool ~stdout:Filename.null ~stderr:err args) in
   let lines = In_channel.with_open_text err In_channel.input_lines in
   Sys.remove err;
   (code, lines)
@@ -314,11 +315,12 @@ let run_gcmodel args =
    non-zero exit, for `explore --shape shared --refs 2` and
    `--shape fig1 --refs 2` alike.  So it does for every other flag value
    the model cannot take, naming the value, and for a disk failure,
-   naming the path; each exits 1. *)
+   naming the path; each exits 1.  cimpc and litmus refuse an unknown
+   example, source file or test the same way. *)
 let test_cli_misfit_shapes () =
   List.iter
     (fun (shape, needs) ->
-      let code, lines = run_gcmodel [ "explore"; "--shape"; shape; "--refs"; "2" ] in
+      let code, lines = run_tool [ "explore"; "--shape"; shape; "--refs"; "2" ] in
       Alcotest.(check bool) (shape ^ ": non-zero exit") true (code <> 0);
       Alcotest.(check (list string)) (shape ^ ": one-line error")
         [
@@ -332,9 +334,9 @@ let test_cli_misfit_shapes () =
     let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
     at 0
   in
-  let refused args bad =
+  let refused ?exe args bad =
     let what = String.concat " " args in
-    match run_gcmodel args with
+    match run_tool ?exe args with
     | 1, [ line ] ->
       Alcotest.(check bool) (Printf.sprintf "%s: %S names %s" what line bad) true
         (contains ~sub:bad line)
@@ -351,7 +353,11 @@ let test_cli_misfit_shapes () =
       ([ "crosscheck"; "--reduce"; "none" ], "none");
       ([ "program"; "bogus" ], "bogus");
       ([ "campaign"; "--operators"; "bogus" ], "bogus");
+      ([ "explain"; "--trace"; "/nonexistent/trace.json" ], "/nonexistent/trace.json");
     ];
+  refused ~exe:"cimpc.exe" [ "run"; "-e"; "nope" ] "nope";
+  refused ~exe:"cimpc.exe" [ "check"; "/nonexistent/p.cimp" ] "/nonexistent/p.cimp";
+  refused ~exe:"litmus_main.exe" [ "NOPE" ] "NOPE";
   (* a spill directory under a regular file cannot be created *)
   let file = Filename.temp_file "gcmodel" ".file" in
   Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
@@ -367,7 +373,7 @@ let test_cli_resume_config_refused () =
   let dir = Store.Fs.temp_dir "gcmodel-cli" in
   Fun.protect ~finally:(fun () -> Store.Fs.rm_rf dir) @@ fun () ->
   let code, _ =
-    run_gcmodel [ "explore"; "--refs"; "2"; "--ops"; "1"; "--reduce"; "none"; "--checkpoint"; dir ]
+    run_tool [ "explore"; "--refs"; "2"; "--ops"; "1"; "--reduce"; "none"; "--checkpoint"; dir ]
   in
   Alcotest.(check int) "checkpointed explore" 0 code;
   let manifest = Filename.concat dir "MANIFEST.json" in
@@ -386,7 +392,7 @@ let test_cli_resume_config_refused () =
   List.iter
     (fun (field, sub, by) ->
       write (replace ~sub ~by original);
-      let code, lines = run_gcmodel [ "resume"; dir ] in
+      let code, lines = run_tool [ "resume"; dir ] in
       Alcotest.(check int) (field ^ ": exit 1") 1 code;
       Alcotest.(check (list string)) (field ^ ": one line naming the field")
         [ "gcmodel resume: run configuration: missing or malformed " ^ field ]
@@ -398,7 +404,7 @@ let test_cli_resume_config_refused () =
     ];
   write original;
   Alcotest.(check (pair int (list string))) "the untouched checkpoint resumes" (0, [])
-    (run_gcmodel [ "resume"; dir ])
+    (run_tool [ "resume"; dir ])
 
 let test_hp_mapping () =
   Alcotest.(check bool) "nop1 -> Idle" true (hp_of_hs Hs_nop1 = Hp_idle);

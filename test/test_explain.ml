@@ -54,9 +54,9 @@ let test_import_validates_labels () =
   let json = Check.Trace.to_json tr in
   let right = (Core.Scenario.model sc).Core.Model.system in
   (match Check.Trace.import right json with
-  | Ok (broken, events) ->
-    Alcotest.(check string) "broken survives roundtrip" tr.Check.Trace.broken broken;
-    Alcotest.(check int) "schedule length" (Check.Trace.length tr) (List.length events)
+  | Ok tr' ->
+    Alcotest.(check string) "broken survives roundtrip" tr.Check.Trace.broken tr'.Check.Trace.broken;
+    Alcotest.(check int) "schedule length" (Check.Trace.length tr) (Check.Trace.length tr')
   | Error msg -> Alcotest.fail ("import against the recording system failed: " ^ msg));
   (* a different instance must be rejected with a diagnosis, not replayed
      into a confusing failure deep in the model *)
@@ -64,14 +64,32 @@ let test_import_validates_labels () =
     Core.Scenario.make ~label:"other" ~n_muts:2 ~n_refs:2 ~shape:"single" ~max_mut_ops:1 ()
   in
   let wrong = (Core.Scenario.model other).Core.Model.system in
-  match Check.Trace.import wrong json with
+  (match Check.Trace.import wrong json with
   | Ok _ -> Alcotest.fail "import accepted a trace from a different system"
   | Error msg ->
     Alcotest.(check bool)
       ("diagnosis mentions the mismatch: " ^ msg)
       true
       (contains ~sub:"different system" msg
-       || contains ~sub:"different instance" msg)
+       || contains ~sub:"different instance" msg));
+  (* a schedule of valid events that does not replay is refused, never
+     cut short: here the recorded one, backwards *)
+  let reversed =
+    match json with
+    | Obs.Json.Obj kvs ->
+      Obs.Json.Obj
+        (List.map
+           (function
+             | "schedule", Obs.Json.List evs -> ("schedule", Obs.Json.List (List.rev evs))
+             | kv -> kv)
+           kvs)
+    | j -> j
+  in
+  match Check.Trace.import right reversed with
+  | Ok _ -> Alcotest.fail "a reversed schedule replayed"
+  | Error msg ->
+    Alcotest.(check bool) ("refused as a divergence: " ^ msg) true
+      (has_prefix ~prefix:"replay diverged: event " msg)
 
 (* -- replay determinism -------------------------------------------------------- *)
 
@@ -81,7 +99,7 @@ let test_explain_deterministic () =
   let json = Check.Trace.to_json tr in
   let replayed () =
     let initial = (Core.Scenario.model sc).Core.Model.system in
-    match Explain.Replay.import_and_replay initial json with
+    match Check.Trace.import initial json with
     | Ok tr' -> tr'
     | Error msg -> Alcotest.fail ("replay failed: " ^ msg)
   in

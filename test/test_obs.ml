@@ -142,8 +142,13 @@ let test_reporter_spec_parsing () =
 
 let test_event_json_roundtrip () =
   let check_event ev =
-    match Check.Trace.event_of_json (Check.Trace.event_to_json ev) with
-    | Ok ev' -> Alcotest.(check bool) "event survives the round-trip" true (ev = ev')
+    let trace =
+      Obs.Json.Obj
+        [ ("broken", Obs.Json.String "inv"); ("schedule", Obs.Json.List [ Check.Trace.event_to_json ev ]) ]
+    in
+    match Check.Trace.schedule_of_json trace with
+    | Ok (_, [ ev' ]) -> Alcotest.(check bool) "event survives the round-trip" true (ev = ev')
+    | Ok _ -> Alcotest.fail "one event in, not one out"
     | Error msg -> Alcotest.fail msg
   in
   check_event (System.Tau (0, "mark"));

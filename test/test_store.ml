@@ -5,8 +5,9 @@
    from a crash that left half-written snapshot debris behind and from a
    fault injected at every file step of a snapshot write, the
    publication order of snapshots and certificates, a disk fault that
-   must stop a two-worker run, and temporary directories that must not
-   outlive their run. *)
+   must stop a two-worker run, temporary directories that must not
+   outlive their run, damaged segments, and every JSON document a run
+   writes, each refused by path when any field is missing or mistyped. *)
 
 open Cimp
 
@@ -679,10 +680,6 @@ let test_resume_model_mismatch_refused () =
         ignore (Check.Par_explore.run ~jobs:1 ~normal_form:false ~resume:snap ~invariants:[] other)));
   Store.Fs.rm_rf dir
 
-(* A snapshot is read fail-closed: corrupting any one field [load] reads
-   must make it refuse the snapshot and name that field, never read the
-   field as a default.  The snapshot is a real mid-run one (non-empty
-   frontier), copied aside at the first expansion after it is published. *)
 let rec copy_tree src dst =
   if Sys.is_directory src then begin
     (try Unix.mkdir dst 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
@@ -692,8 +689,20 @@ let rec copy_tree src dst =
     Out_channel.with_open_bin dst (fun oc ->
         Out_channel.output_string oc (In_channel.with_open_bin src In_channel.input_all))
 
-let test_malformed_snapshot_refused () =
-  let dir = Store.Fs.temp_dir "test-store-malformed-run" and mid = Store.Fs.temp_dir "test-store-malformed-mid" in
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+let parse what s =
+  match Obs.Json.of_string s with Ok j -> j | Error e -> Alcotest.failf "%s: %s" what e
+
+(* the smallest budget: 16 entries a shard *)
+let floor_budget = Store.Tiered.n_shards * 16 * Store.Tiered.entry_bytes
+
+(* A copy of a budgeted run's first snapshot, taken at the first
+   expansion after it is published: a mid-run snapshot, with a non-empty
+   frontier and live segments. *)
+let mid_run_snapshot name =
+  let dir = Store.Fs.temp_dir (name ^ "-run") and mid = Store.Fs.temp_dir name in
   let copied = ref false in
   let hooks =
     {
@@ -707,72 +716,270 @@ let test_malformed_snapshot_refused () =
     }
   in
   ignore
-    (Check.Par_explore.run ~jobs:1 ~normal_form:false ~hooks ~checkpoint:(dir, 200)
+    (Check.Par_explore.run ~jobs:1 ~normal_form:false ~hooks ~mem_budget:floor_budget
+       ~checkpoint:(dir, 1200)
        ~invariants:[] (two_counters ()));
+  Store.Fs.rm_rf dir;
   Alcotest.(check bool) "a mid-run snapshot was copied" true !copied;
-  (match Store.Checkpoint.load mid with
-  | Error msg -> Alcotest.failf "uncorrupted snapshot: %s" msg
-  | Ok snap ->
-    Alcotest.(check bool) "mid-run: frontier non-empty" true
-      (Array.exists (fun l -> l <> []) snap.Store.Checkpoint.frontier));
-  let state_json d =
-    match Store.Checkpoint.manifest d with
-    | Error msg -> Alcotest.failf "manifest: %s" msg
-    | Ok (seq, _) -> Filename.concat (Filename.concat d (Fmt.str "snap-%d" seq)) "state.json"
+  mid
+
+(* the directory of [dir]'s latest snapshot *)
+let latest_snap dir =
+  match Store.Checkpoint.manifest dir with
+  | Error msg -> Alcotest.failf "manifest: %s" msg
+  | Ok (seq, _) -> Filename.concat dir (Fmt.str "snap-%d" seq)
+
+(* [load] that releases the temporary store directory of a snapshot it
+   accepts *)
+let load_snapshot dir =
+  Result.map
+    (fun snap -> Option.iter Store.Fs.rm_rf (Store.Tiered.temp_dir snap.Store.Checkpoint.store))
+    (Store.Checkpoint.load dir)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* Segments fail closed.  A snapshot whose tier-0 dump or live segment is
+   truncated (in its header or its data), or has header bytes
+   overwritten, is refused by [load] naming the file; a budgeted run whose spilled segments are truncated
+   under it raises the Sys_error of an I/O failure, naming a segment. *)
+let test_damaged_segments_refused () =
+  let mid = mid_run_snapshot "test-store-damaged" in
+  let spill = Store.Fs.temp_dir "test-store-damaged-spill" in
+  Fun.protect ~finally:(fun () ->
+      Store.Fs.rm_rf mid;
+      Store.Fs.rm_rf spill)
+  @@ fun () ->
+  let snap = latest_snap mid in
+  let first prefix =
+    let names = List.sort compare (Array.to_list (Sys.readdir snap)) in
+    match List.find_opt (String.starts_with ~prefix) names with
+    | Some name -> name
+    | None -> Alcotest.failf "no %s segment in the snapshot" prefix
   in
-  let st =
-    match Obs.Json.of_string (In_channel.with_open_bin (state_json mid) In_channel.input_all) with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "state.json: %s" e
-  in
-  let get name = Option.get (Obs.Json.member name st) in
-  let set name v = function
-    | Obs.Json.Obj kvs -> Obs.Json.Obj (List.map (fun (k, x) -> if k = name then (k, v) else (k, x)) kvs)
-    | j -> j
-  in
-  let contains s sub =
-    let n = String.length sub in
-    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
-    at 0
-  in
-  let bad_task =
-    match Obs.Json.to_list (get "frontier") with
-    | Some workers ->
-      Obs.Json.List
-        (List.map
-           (fun w ->
-             match Obs.Json.to_list w with
-             | Some (Obs.Json.List [ fp; _ ] :: rest) -> Obs.Json.List (Obs.Json.List [ fp ] :: rest)
-             | _ -> w)
-           workers)
-    | None -> Alcotest.fail "frontier is not a list"
-  in
-  let bad_shard =
-    match Obs.Json.to_list (get "shards") with
-    | Some shards ->
-      Obs.Json.List
-        (List.mapi (fun i sh -> if i = 5 then set "next_seq" (Obs.Json.String "1") sh else sh) shards)
-    | None -> Alcotest.fail "shards is not a list"
+  let damages =
+    [
+      ("truncated to 10 bytes", fun s -> String.sub s 0 10);
+      ("without its last byte", fun s -> String.sub s 0 (String.length s - 1));
+      ( "with bytes 9-11 overwritten",
+        fun s -> String.sub s 0 9 ^ "\xff\xff\xff" ^ String.sub s 12 (String.length s - 12) );
+    ]
   in
   List.iter
-    (fun (field, corrupted) ->
-      let bad = Store.Fs.temp_dir ("test-store-malformed-" ^ field) in
-      copy_tree mid bad;
-      Out_channel.with_open_bin (state_json bad) (fun oc ->
-          Out_channel.output_string oc (Obs.Json.to_string (corrupted st)));
-      (match Store.Checkpoint.load bad with
-      | Ok _ -> Alcotest.failf "a corrupted %s was accepted" field
+    (fun name ->
+      let path = Filename.concat snap name in
+      let original = read_file path in
+      List.iter
+        (fun (what, damage) ->
+          write_file path (damage original);
+          let loaded = load_snapshot mid in
+          write_file path original;
+          match loaded with
+          | Ok () -> Alcotest.failf "a snapshot with %s %s was loaded" name what
+          | Error msg ->
+            Alcotest.(check bool) (Fmt.str "%s %s: %S names it" name what msg) true (contains msg path))
+        damages)
+    [ first "t0-"; first "shard" ];
+  Alcotest.(check (result unit string)) "the undamaged snapshot loads" (Ok ()) (load_snapshot mid);
+  let truncated = ref [] in
+  let on_expand ~worker:_ ~depth:_ =
+    if !truncated = [] then begin
+      truncated :=
+        List.filter (fun f -> Filename.check_suffix f ".seg") (Array.to_list (Sys.readdir spill));
+      List.iter (fun f -> Unix.truncate (Filename.concat spill f) 10) !truncated
+    end
+  in
+  match
+    Check.Par_explore.run ~jobs:1 ~normal_form:false ~mem_budget:floor_budget ~spill_dir:spill
+      ~hooks:{ Check.Par_explore.no_hooks with on_expand } ~invariants:[] (two_counters ())
+  with
+  | _ -> Alcotest.failf "the run finished on %d truncated segments" (List.length !truncated)
+  | exception Sys_error msg ->
+    Alcotest.(check bool) (Fmt.str "%S names a truncated segment" msg) true
+      (List.exists
+         (fun f -> msg = Filename.concat spill f ^ ": truncated or corrupt segment")
+         !truncated)
+
+(* [doc] with member [k] set to [v] *)
+let set k v = function
+  | Obs.Json.Obj kvs -> Obs.Json.Obj (List.map (fun (k', x) -> (k', if k' = k then v else x)) kvs)
+  | j -> j
+
+(* -- every run document is read fail-closed -------------------------------------
+
+   Every way a reader can be handed a bad document: for each object field
+   the document without it, and for each leaf (a scalar or an empty list,
+   list elements included) the document with the leaf replaced by a
+   value of another JSON type; never [null], so a nullable leaf is
+   refused too.  Paths are spelt as Obs.Json.Decode names them.  [skip]
+   lists the fields a reader ignores by design, [opaque] those it
+   requires but does not look into. *)
+let mutations ~skip ~opaque doc =
+  let join path k = if path = "" then k else path ^ "." ^ k in
+  let rec go path j rebuild acc =
+    match j with
+    | Obs.Json.Obj (_ :: _ as kvs) ->
+      List.fold_left
+        (fun acc (k, v) ->
+          let p = join path k in
+          if List.mem p skip then acc
+          else
+            let acc = (p, rebuild (Obs.Json.Obj (List.remove_assoc k kvs))) :: acc in
+            if List.mem p opaque then acc else go p v (fun v' -> rebuild (set k v' j)) acc)
+        acc kvs
+    | Obs.Json.List (_ :: _ as vs) ->
+      snd
+        (List.fold_left
+           (fun (i, acc) v ->
+             ( i + 1,
+               go (Fmt.str "%s[%d]" path i) v
+                 (fun v' -> rebuild (Obs.Json.List (List.mapi (fun i' x -> if i' = i then v' else x) vs)))
+                 acc ))
+           (0, acc) vs)
+    | Obs.Json.Null -> (path, rebuild (Obs.Json.Bool true)) :: acc
+    | Obs.Json.Bool _ -> (path, rebuild (Obs.Json.Int 1)) :: acc
+    | Obs.Json.Int _ | Obs.Json.Float _ -> (path, rebuild (Obs.Json.String "x")) :: acc
+    | Obs.Json.String _ | Obs.Json.List [] | Obs.Json.Obj [] -> (path, rebuild (Obs.Json.Int 7)) :: acc
+  in
+  List.rev (go "" doc Fun.id [])
+
+(* [read] hands a document to its reader: [Error] is the refusal's
+   message.  The untouched document must read (last: reading it may
+   advance the run it belongs to), and every mutation, plus the [extra]
+   (path, document) pairs, must be refused naming its path as
+   "DOC: missing or malformed PATH". *)
+let refused_by_path ?(extra = []) ~doc ~skip ~opaque ~read json =
+  let cases = mutations ~skip ~opaque json @ extra in
+  List.iter
+    (fun (path, bad) ->
+      let expected = Fmt.str "%s: missing or malformed %s" doc path in
+      match read bad with
+      | Ok () -> Alcotest.failf "%s: a malformed %s was accepted" doc path
       | Error msg ->
-        Alcotest.(check bool) (Fmt.str "refusal names %s (%s)" field msg) true (contains msg field));
-      Store.Fs.rm_rf bad)
-    [
-      ("frontier", set "frontier" bad_task);
-      ("best", set "best" (Obs.Json.Obj [ ("depth", Obs.Json.Int 3) ]));
-      ("next_seq", set "shards" bad_shard);
-      ("truncated", set "truncated" (Obs.Json.Int 0));
-    ];
-  Store.Fs.rm_rf dir;
-  Store.Fs.rm_rf mid
+        if not (String.ends_with ~suffix:expected msg) then
+          Alcotest.failf "%s: the refusal %S does not name %s" doc msg path)
+    cases;
+  (match read json with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s: the untouched document is refused: %s" doc msg);
+  List.length cases
+
+let test_run_documents_refused_by_path () =
+  let checked = ref [] in
+  let count doc n = checked := (doc, n) :: !checked in
+  (* MANIFEST.json and state.json of a budgeted mid-run snapshot, and
+     state.json of a violating run's final snapshot (its [best] cell
+     set); both files are rewritten in place and read by [load] *)
+  let mid = mid_run_snapshot "test-store-documents" in
+  let violating = Store.Fs.temp_dir "test-store-documents-best" in
+  Fun.protect ~finally:(fun () ->
+      Store.Fs.rm_rf mid;
+      Store.Fs.rm_rf violating)
+  @@ fun () ->
+  ignore
+    (Check.Par_explore.run ~jobs:1 ~normal_form:false ~checkpoint:(violating, 100_000)
+       ~invariants:[ ("not-51", bad_sum) ] (two_counters ()));
+  (* [path] of checkpoint [dir] holds [json] while [dir] loads *)
+  let rewritten dir path json =
+    let original = read_file path in
+    write_file path (Obs.Json.to_string json);
+    Fun.protect ~finally:(fun () -> write_file path original) (fun () -> load_snapshot dir)
+  in
+  let manifest = Filename.concat mid "MANIFEST.json" in
+  count "MANIFEST.json"
+    (refused_by_path ~doc:"MANIFEST.json" ~skip:[ "schema" ] ~opaque:[ "config" ]
+       ~read:(rewritten mid manifest) (parse manifest (read_file manifest)));
+  let state dir = Filename.concat (latest_snap dir) "state.json" in
+  let mid_state = parse "state.json" (read_file (state mid)) in
+  let field k = function Obs.Json.Obj kvs -> List.assoc k kvs | _ -> Alcotest.fail k in
+  let has_segments =
+    match field "shards" mid_state with
+    | Obs.Json.List shards -> List.exists (fun sh -> field "segs" sh <> Obs.Json.List []) shards
+    | _ -> false
+  in
+  Alcotest.(check bool) "the mid-run snapshot has live segments" true has_segments;
+  (* a frontier task that is not an [fp, depth] pair *)
+  let short_task =
+    match field "frontier" mid_state with
+    | Obs.Json.List workers -> (
+      match List.find_index (fun w -> w <> Obs.Json.List []) workers with
+      | None -> Alcotest.fail "the mid-run snapshot has an empty frontier"
+      | Some w ->
+        let cut = function
+          | Obs.Json.List (Obs.Json.List (fp :: _) :: rest) ->
+            Obs.Json.List (Obs.Json.List [ fp ] :: rest)
+          | j -> j
+        in
+        let workers = List.mapi (fun i x -> if i = w then cut x else x) workers in
+        (Fmt.str "frontier[%d][0]" w, set "frontier" (Obs.Json.List workers) mid_state))
+    | _ -> Alcotest.fail "frontier is not a list"
+  in
+  count "state.json (mid-run)"
+    (refused_by_path ~doc:"state.json" ~skip:[ "schema"; "config" ] ~opaque:[] ~extra:[ short_task ]
+       ~read:(rewritten mid (state mid)) mid_state);
+  let final_state = parse "state.json" (read_file (state violating)) in
+  Alcotest.(check bool) "the violating run's snapshot has a best cell" true
+    (field "best" final_state <> Obs.Json.Null);
+  count "state.json (violation)"
+    (refused_by_path ~doc:"state.json" ~skip:[ "schema"; "config" ] ~opaque:[]
+       ~read:(rewritten violating (state violating)) final_state);
+  (* CERT.json, read by [read_header] *)
+  let cert = Store.Fs.temp_dir "test-store-documents-cert" in
+  Fun.protect ~finally:(fun () -> Store.Fs.rm_rf cert) @@ fun () ->
+  Alcotest.(check (pair int (list string))) "certifying explore" (0, [])
+    (Test_core.run_tool [ "explore"; "--refs"; "2"; "--ops"; "1"; "--certificate"; cert ]);
+  let header = Certify.Certificate.header_path cert in
+  count "CERT.json"
+    (refused_by_path ~doc:"CERT.json" ~skip:[] ~opaque:[ "config" ]
+       ~read:(fun j ->
+         write_file header (Obs.Json.to_string_pretty j);
+         Result.map ignore (Certify.Certificate.read_header cert))
+       (parse header (read_file header)));
+  (* the run configuration, read as `gcmodel resume` reads it: one
+     stderr line and exit 1 on a refusal *)
+  let ckpt = Store.Fs.temp_dir "test-store-documents-config" in
+  Fun.protect ~finally:(fun () -> Store.Fs.rm_rf ckpt) @@ fun () ->
+  Alcotest.(check (pair int (list string))) "checkpointed explore" (0, [])
+    (Test_core.run_tool
+       [ "explore"; "--refs"; "2"; "--ops"; "1"; "--reduce"; "none"; "--disable"; "mfence";
+         "--checkpoint"; ckpt ]);
+  let manifest = Filename.concat ckpt "MANIFEST.json" in
+  let manifest_json = parse manifest (read_file manifest) in
+  count "run configuration"
+    (refused_by_path ~doc:"run configuration" ~skip:[] ~opaque:[]
+       ~read:(fun config ->
+         write_file manifest (Obs.Json.to_string (set "config" config manifest_json));
+         match Test_core.run_tool [ "resume"; ckpt ] with
+         | 0, [] -> Ok ()
+         | 1, [ line ] when String.starts_with ~prefix:"gcmodel resume: " line ->
+           Error (String.sub line 16 (String.length line - 16))
+         | code, lines -> Alcotest.failf "resume: exit %d, stderr %a" code Fmt.(Dump.list string) lines)
+       (field "config" manifest_json));
+  (* an exported trace, read by [Check.Trace.import] *)
+  let sc =
+    Core.Scenario.with_variant
+      (Option.get (Core.Variants.by_name "alloc-white"))
+      (Core.Scenario.make ~label:"documents" ~n_muts:2 ~n_refs:2 ~shape:"single" ())
+  in
+  let sys = (Core.Scenario.model sc).Core.Model.system in
+  let walk =
+    Check.Random_walk.run ~seed:42 ~steps:200_000 ~invariants:(Core.Scenario.invariants sc) sys
+  in
+  let tr =
+    match walk.Check.Random_walk.violation with
+    | Some tr -> tr
+    | None -> Alcotest.fail "the alloc-white walk found no violation"
+  in
+  count "trace"
+    (refused_by_path ~doc:"trace" ~skip:[ "names"; "length" ] ~opaque:[]
+       ~read:(fun j -> Result.map ignore (Check.Trace.import sys j))
+       (Check.Trace.to_json tr));
+  List.iter
+    (fun (doc, n) ->
+      Alcotest.(check bool) (Fmt.str "%s: %d malformed documents refused" doc n) true (n > 0))
+    !checked
 
 let suite =
   [
@@ -798,6 +1005,7 @@ let suite =
       test_snapshot_survives_spill_dir_reuse;
     Alcotest.test_case "resume against the wrong model is refused" `Quick
       test_resume_model_mismatch_refused;
-    Alcotest.test_case "malformed snapshot fields are refused by name" `Quick
-      test_malformed_snapshot_refused;
+    Alcotest.test_case "every run document is refused by path" `Quick
+      test_run_documents_refused_by_path;
+    Alcotest.test_case "damaged segments are refused" `Quick test_damaged_segments_refused;
   ]
