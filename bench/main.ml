@@ -165,9 +165,9 @@ let fig8_tests () =
 let fig9_tests () =
   [
     Test.make ~name:"litmus-SB-tso"
-      (Staged.stage (fun () -> ignore (Tso.Litmus.outcomes ~mode:Tso.Machine.TSO Tso.Catalog.sb)));
+      (Staged.stage (fun () -> ignore (Tso.Litmus.outcomes ~mode:Core.Config.TSO Tso.Catalog.sb)));
     Test.make ~name:"litmus-SB-sc"
-      (Staged.stage (fun () -> ignore (Tso.Litmus.outcomes ~mode:Tso.Machine.SC Tso.Catalog.sb)));
+      (Staged.stage (fun () -> ignore (Tso.Litmus.outcomes ~mode:Core.Config.SC Tso.Catalog.sb)));
   ]
 
 (* Fig. 10: checker throughput on the GC model — exhaustive closure of a

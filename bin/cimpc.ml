@@ -30,28 +30,36 @@ let source_term =
   in
   let get file example =
     match (file, example) with
-    | Some f, None -> ( try read_file f with Sys_error msg -> refuse msg)
+    | Some f, None -> ( try (f, read_file f) with Sys_error msg -> refuse msg)
     | None, Some e -> (
       match Cimp_lang.Examples.by_name e with
-      | Some (_, src, _) -> src
+      | Some (_, src, _) -> (e, src)
       | None -> refuse (Fmt.str "unknown example %s (see cimpc examples)" e))
     | _ -> refuse "give exactly one of FILE or --example"
   in
   Term.(const get $ file $ example)
 
+(* a malformed source is refused the same way, naming it and, for lexer
+   and parser errors, the position *)
+let parse (name, src) =
+  try Cimp_lang.Parser.program src
+  with Cimp_lang.Lexer.Error (msg, { line; col }) | Cimp_lang.Parser.Error (msg, { line; col }) ->
+    refuse (Fmt.str "%s:%d:%d: %s" name line col msg)
+
+(* run [f], which typechecks [prog] first, refusing a type error *)
+let typed (name, _) f prog =
+  try f prog with Cimp_lang.Typecheck.Error msg -> refuse (Fmt.str "%s: %s" name msg)
+
 let check_cmd =
-  let run src =
-    let prog = Cimp_lang.Parser.program src in
-    let chans = Cimp_lang.Typecheck.program prog in
+  let run source =
+    let prog = parse source in
+    let chans = typed source Cimp_lang.Typecheck.program prog in
     Fmt.pr "ok: %d processes, %d channels@." (List.length prog) (List.length chans)
   in
   Cmd.v (Cmd.info "check" ~doc:"Parse and typecheck.") Term.(const run $ source_term)
 
 let pp_cmd =
-  let run src =
-    let prog = Cimp_lang.Parser.program src in
-    Fmt.pr "%a@." Cimp_lang.Ast.pp_program prog
-  in
+  let run source = Fmt.pr "%a@." Cimp_lang.Ast.pp_program (parse source) in
   Cmd.v (Cmd.info "pp" ~doc:"Parse and pretty-print.") Term.(const run $ source_term)
 
 let obs_term =
@@ -77,8 +85,8 @@ let run_cmd =
   (* Surface-language systems carry no reduction spec (no symmetry
      classes, and user-chosen labels could collide with the POR policy's
      "...fence" convention), so they are always checked unreduced. *)
-  let run src max_states jobs obs =
-    let sys = Cimp_lang.Compile.of_source src in
+  let run source max_states jobs obs =
+    let sys = typed source Cimp_lang.Compile.system (parse source) in
     let o =
       Check.Par_explore.run ~jobs ~max_states ~obs
         ~invariants:[ ("assertions", Cimp_lang.Compile.assertions_hold) ]

@@ -741,7 +741,17 @@ let explain_cmd =
             (match List.assoc_opt "trace" fields with Some t -> t | None -> j)
           | Ok j -> j
         in
-        (match Check.Trace.import model.Core.Model.system json with
+        (* the verdict is checked, not trusted: the broken invariant must be
+           in the catalogue and fail on the replayed final state *)
+        let checked (tr : _ Check.Trace.t) =
+          match Core.Invariants.find cfg tr.broken with
+          | None -> Error (Fmt.str "invariant %s is not in this configuration's catalogue" tr.broken)
+          | Some i when i.Core.Invariants.check (Check.Trace.final tr) ->
+            let n = Check.Trace.length tr in
+            Error (Fmt.str "invariant %s holds after the %d replayed steps" tr.broken n)
+          | Some _ -> Ok tr
+        in
+        (match Result.bind (Check.Trace.import model.Core.Model.system json) checked with
         | Ok tr -> tr
         | Error msg -> fail (Fmt.str "%s: %s" path msg))
       | None ->

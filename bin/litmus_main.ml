@@ -1,8 +1,9 @@
 (* litmus — run the x86-TSO litmus catalogue (experiment E9).
 
-   With no arguments, runs every test under both the TSO machine and the
-   SC baseline and checks the published classifications.  With test names,
-   runs just those and prints their full outcome sets. *)
+   Every test runs as CIMP clients of the collector's own Sys process
+   (Fig. 9), in its TSO mode and in the SC baseline, and is checked against
+   its published classification.  With no arguments, runs the whole
+   catalogue; with test names, just those.  -v prints full outcome sets. *)
 
 open Cmdliner
 
@@ -78,5 +79,5 @@ let run names verbose obs =
   end
 
 let () =
-  let info = Cmd.info "litmus" ~doc:"x86-TSO litmus tests against the TSO and SC machines." in
+  let info = Cmd.info "litmus" ~doc:"x86-TSO litmus tests on the collector's Sys process." in
   exit (Cmd.eval' (Cmd.v info Term.(const run $ names $ verbose $ obs_term)))

@@ -1,7 +1,8 @@
-(* x86-TSO litmus tour: run the classic tests on the machine the model is
-   built on, show the relaxed behaviours TSO admits beyond SC, and how
-   MFENCE / LOCK'd instructions tame them — the mechanisms behind the
-   collector's handshake fences and marking CAS (Section 2.4).
+(* x86-TSO litmus tour: run the classic tests as clients of the Sys process
+   the collector model is checked on (Fig. 9), show the relaxed behaviours
+   TSO admits beyond SC, and how MFENCE / LOCK'd instructions tame them —
+   the mechanisms behind the collector's handshake fences and marking CAS
+   (Section 2.4).
 
      dune exec examples/tso_litmus.exe *)
 

@@ -21,16 +21,21 @@ type mutation =
   | Swap_mark_loads of string  (* this mark expansion: load flag before f_M *)
   | Alloc_color_off  (* allocate with the opposite of the allocation color *)
 
+(* The memory system the Sys process implements. *)
+type memory =
+  | TSO  (* x86-TSO: per-process FIFO store buffers (Fig. 9) *)
+  | SC  (* every store commits at once: the SC baseline *)
+  | PSO
+    (* extension: partial store order — buffers are per-location FIFO only,
+       stores to different locations may commit out of order (first step
+       toward the ARM/POWER models of Section 4) *)
+
 type t = {
   n_muts : int;
   n_refs : int;
   n_fields : int;
   buf_bound : int;  (* TSO store-buffer capacity (paper: unbounded) *)
-  sc_memory : bool;  (* commit stores immediately: the SC baseline *)
-  pso_memory : bool;
-    (* extension: partial store order — buffers are per-location FIFO only,
-       stores to different locations may commit out of order (first step
-       toward the ARM/POWER models of Section 4) *)
+  memory : memory;
   deletion_barrier : bool;  (* Fig. 6 line 8: the snapshot barrier *)
   insertion_barrier : bool;  (* Fig. 6 line 9: the incremental-update barrier *)
   insertion_skip_after_roots : bool;
@@ -61,8 +66,7 @@ let default =
     n_refs = 3;
     n_fields = 1;
     buf_bound = 2;
-    sc_memory = false;
-    pso_memory = false;
+    memory = TSO;
     deletion_barrier = true;
     insertion_barrier = true;
     insertion_skip_after_roots = false;
@@ -92,15 +96,15 @@ let mutation_name = function
    headers (lib/certify).  The record is destructured exhaustively —
    without a wildcard — so adding a field breaks this function at
    compile time instead of silently hashing configurations that differ
-   in the new field to the same string. *)
+   in the new field to the same string.  The memory mode renders as two
+   flags, [sc=] and [pso=], the form stored certificate headers hash. *)
 let describe cfg =
   let {
     n_muts;
     n_refs;
     n_fields;
     buf_bound;
-    sc_memory;
-    pso_memory;
+    memory;
     deletion_barrier;
     insertion_barrier;
     insertion_skip_after_roots;
@@ -126,8 +130,8 @@ let describe cfg =
       Printf.sprintf "refs=%d" n_refs;
       Printf.sprintf "fields=%d" n_fields;
       Printf.sprintf "buf=%d" buf_bound;
-      "sc=" ^ b sc_memory;
-      "pso=" ^ b pso_memory;
+      "sc=" ^ b (memory = SC);
+      "pso=" ^ b (memory = PSO);
       "del=" ^ b deletion_barrier;
       "ins=" ^ b insertion_barrier;
       "o2=" ^ b insertion_skip_after_roots;

@@ -27,15 +27,20 @@ type mutation =
           lines 2-3 reversed) *)
   | Alloc_color_off  (** allocate with the opposite of the allocation color *)
 
+(** The memory system the Sys process implements. *)
+type memory =
+  | TSO  (** x86-TSO: per-process FIFO store buffers (Fig. 9) *)
+  | SC  (** every store commits at once: the SC baseline *)
+  | PSO
+      (** extension: partial store order — per-location FIFO only (first
+          step toward ARM/POWER, Section 4) *)
+
 type t = {
   n_muts : int;
   n_refs : int;
   n_fields : int;
   buf_bound : int;  (** TSO store-buffer capacity (the paper leaves it unspecified) *)
-  sc_memory : bool;  (** commit stores immediately: the SC baseline *)
-  pso_memory : bool;
-      (** extension: partial store order — per-location FIFO only (first
-          step toward ARM/POWER, Section 4) *)
+  memory : memory;
   deletion_barrier : bool;  (** Fig. 6: the snapshot barrier *)
   insertion_barrier : bool;  (** Fig. 6: the incremental-update barrier *)
   insertion_skip_after_roots : bool;
@@ -65,7 +70,9 @@ val describe : t -> string
     e.g. ["muts=2;refs=2;...;mutation=-"].  Destructures the record
     exhaustively, so adding a field without extending the serialization
     is a compile error — the property certificate soundness rests on:
-    two configurations with equal [describe] build the same model. *)
+    two configurations with equal [describe] build the same model.  The
+    memory mode renders as the pair [sc=0;pso=0] (TSO), [sc=1;pso=0] or
+    [sc=0;pso=1]. *)
 
 val hash : t -> string
 (** Hex digest of {!describe}; the [config_hash] bound into certificate

@@ -147,7 +147,7 @@ let spec cfg : (Types.msg, Types.value, State.t) Reduce.Symmetry.spec =
         | L_mut m ->
           let m' = canon_mut spine h m in
           if m' == m then d else L_mut m'
-        | L_sys _ -> d);
+        | L_sys _ | L_regs _ -> d);
     key =
       (fun sys ~pid ~spine ~canon ->
         let sd = Model.sys_data sys cfg in
@@ -167,7 +167,7 @@ let spec cfg : (Types.msg, Types.value, State.t) Reduce.Symmetry.spec =
       (fun sys -> not (String.ends_with ~suffix:":signal" (head_of sys Config.pid_gc)));
     rename_shared =
       (fun ~perm ~pid:_ d ->
-        match d with L_sys sd -> L_sys (rename_sys ~perm sd) | L_gc _ | L_mut _ -> d);
+        match d with L_sys sd -> L_sys (rename_sys ~perm sd) | L_gc _ | L_mut _ | L_regs _ -> d);
   }
 
 (* -- the POR policy ---------------------------------------------------------

@@ -103,12 +103,15 @@ type sys_data = {
   s_dangling : bool;  (* ghost: a memory access hit a freed cell *)
 }
 
-type t = L_gc of gc_data | L_mut of mut_data | L_sys of sys_data
+(* [L_regs] holds a litmus client's registers (lib/tso); it comes last so
+   the others keep the block tags that fingerprints and certificates hash. *)
+type t = L_gc of gc_data | L_mut of mut_data | L_sys of sys_data | L_regs of int list
 
 (* Partial projections; misuse is a programming error in the model. *)
 let gc = function L_gc d -> d | _ -> invalid_arg "State.gc"
 let mut = function L_mut d -> d | _ -> invalid_arg "State.mut"
 let sys = function L_sys d -> d | _ -> invalid_arg "State.sys"
+let regs = function L_regs r -> r | _ -> invalid_arg "State.regs"
 
 let map_gc f = function L_gc d -> L_gc (f d) | _ -> invalid_arg "State.map_gc"
 let map_mut f = function L_mut d -> L_mut (f d) | _ -> invalid_arg "State.map_mut"

@@ -15,18 +15,23 @@ open State
 
 type com = (msg, value, State.t) Cimp.Com.t
 
-(* Apply a write for process p: buffered under TSO, immediate under the SC
-   ablation.  [ghg] optionally sets p's ghost honorary grey in the same
-   step (the Fig. 5 marking store). *)
+(* Commit a write to memory, recording a dangling commit. *)
+let commit sd w =
+  let mem', ok = do_write sd.s_mem w in
+  { sd with s_mem = mem'; s_dangling = sd.s_dangling || not ok }
+
+(* Apply a write for process p: buffered under TSO and PSO; under the SC
+   baseline committed at once, so, like any commit, only while no other
+   process holds the lock.  [ghg] optionally sets p's ghost honorary grey
+   in the same step (the Fig. 5 marking store). *)
 let apply_write cfg sd p w ~ghg =
   let sd = match ghg with None -> sd | Some r -> set_ghg sd p (Some r) in
-  if cfg.Config.sc_memory then begin
-    let mem', ok = do_write sd.s_mem w in
-    Some { sd with s_mem = mem'; s_dangling = sd.s_dangling || not ok }
-  end
-  else if List.length (buf_of sd p) < cfg.Config.buf_bound then
-    Some (set_buf sd p (buf_of sd p @ [ w ]))
-  else None (* buffer full: requester waits (bounded-buffer discipline) *)
+  match cfg.Config.memory with
+  | Config.SC -> if not_blocked sd p then Some (commit sd w) else None
+  | Config.TSO | Config.PSO ->
+    if List.length (buf_of sd p) < cfg.Config.buf_bound then
+      Some (set_buf sd p (buf_of sd p @ [ w ]))
+    else None (* buffer full: requester waits (bounded-buffer discipline) *)
 
 let respond cfg ((p, req) : msg) (s : State.t) : (State.t * value) list =
   let sd = sys s in
@@ -108,26 +113,22 @@ let respond cfg ((p, req) : msg) (s : State.t) : (State.t * value) list =
 let dequeue cfg (s : State.t) : State.t list =
   let sd = sys s in
   let commits = ref [] in
-  let commit p w rest =
-    let mem', ok = do_write sd.s_mem w in
-    commits :=
-      L_sys (set_buf { sd with s_mem = mem'; s_dangling = sd.s_dangling || not ok } p rest)
-      :: !commits
-  in
+  let commit_from p w rest = commits := L_sys (set_buf (commit sd w) p rest) :: !commits in
   for p = 0 to Config.n_software cfg - 1 do
     if not_blocked sd p then begin
       let buf = buf_of sd p in
-      if cfg.Config.pso_memory then
+      match cfg.Config.memory with
+      | Config.PSO ->
         List.iteri
           (fun i w ->
             let loc = loc_of_write w in
             let older_same =
               List.exists (fun w' -> loc_of_write w' = loc) (List.filteri (fun j _ -> j < i) buf)
             in
-            if not older_same then commit p w (List.filteri (fun j _ -> j <> i) buf))
+            if not older_same then commit_from p w (List.filteri (fun j _ -> j <> i) buf))
           buf
-      else
-        match buf with w :: rest -> commit p w rest | [] -> ()
+      | Config.TSO | Config.SC -> (
+        match buf with w :: rest -> commit_from p w rest | [] -> ())
     end
   done;
   !commits

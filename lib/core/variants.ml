@@ -82,7 +82,7 @@ let sc_memory =
     name = "sc-memory";
     description = "sequentially consistent memory (every store commits at once): the SC baseline";
     expectation = Safe;
-    tweak = (fun c -> { c with Config.sc_memory = true });
+    tweak = (fun c -> { c with Config.memory = Config.SC });
   }
 
 let pso_memory =
@@ -92,7 +92,7 @@ let pso_memory =
       "extension: partial store order (per-location FIFO only) — does the collector survive \
        the first weakening toward ARM/POWER with its existing fences and CAS?";
     expectation = Conjectured_safe;  (* an open question; the checker reports *)
-    tweak = (fun c -> { c with Config.pso_memory = true });
+    tweak = (fun c -> { c with Config.memory = Config.PSO });
   }
 
 (* Section 4, Observations. *)

@@ -1,6 +1,6 @@
 (** The classic litmus tests with their published x86-TSO classifications
-    (Sewell et al., CACM 2010).  Experiment E9 runs all of them under both
-    machines and checks every classification. *)
+    (Sewell et al., CACM 2010).  Experiment E9 runs all of them on the Sys
+    process in its TSO and SC modes and checks every classification. *)
 
 (** store buffering (Dekker): TSO's signature relaxation *)
 val sb : Litmus.test
@@ -37,12 +37,7 @@ val run_all : unit -> Litmus.verdict list
 
 (** {1 PSO probes (extension, experiment E13)} *)
 
-val pso_observes : Litmus.test -> bool
-(** Is the test's target outcome reachable under the PSO machine? *)
-
-val pso_expectations : (Litmus.test * bool) list
-(** Expected PSO classifications: MP and 2+2W become observable, SB stays
-    observable, CoRR (coherence) and fenced SB stay forbidden. *)
-
 val run_pso : unit -> (string * bool * bool) list
-(** (name, expected-observable, observed) per probe. *)
+(** (name, expected-observable, observed) per probe, on the Sys process in
+    PSO mode: MP and 2+2W become observable, SB stays observable, CoRR
+    (coherence) and fenced SB stay forbidden. *)

@@ -1,17 +1,20 @@
-(** Litmus-test harness: architecture-level thread programs, exhaustive
-    enumeration of final-state observations under TSO and SC, and
-    verdicts against the published x86-TSO classifications (experiment
-    E9). *)
+(** Litmus-test harness: architecture-level thread programs run as CIMP
+    clients of the collector's Sys process ({!Core.Sysproc}), exhaustive
+    enumeration of final-state observations under its TSO, SC and PSO
+    modes, and verdicts against the published x86-TSO classifications
+    (experiment E9). *)
+
+type addr = int
+type reg = int
+type tid = int
 
 type instr =
-  | Ld of Machine.reg * Machine.addr
-  | St of Machine.addr * Machine.operand
+  | Ld of reg * addr
+  | St of addr * int
   | Mf
-  | Xchg of Machine.reg * Machine.addr * Machine.operand
-      (** LOCK XCHG: expands to Lock/Load/Store/Unlock *)
-
-val compile_instr : instr -> Machine.micro list
-val compile_thread : instr list -> Machine.micro array
+  | Xchg of reg * addr * int
+      (** LOCK XCHG: Lock/Read/Write/Unlock requests, as Fig. 9 treats a
+          LOCK'd CMPXCHG *)
 
 type test = {
   name : string;
@@ -19,16 +22,18 @@ type test = {
   mem_size : int;
   n_regs : int;
   threads : instr list list;
-  observed_regs : (Machine.tid * Machine.reg) list;
-  observed_mem : Machine.addr list;
+  observed_regs : (tid * reg) list;
+  observed_mem : addr list;
   target : int list;  (** the candidate relaxed outcome *)
   allowed_tso : bool;  (** published classification under x86-TSO *)
   allowed_sc : bool;
 }
 
-val outcomes : ?mode:Machine.mode -> test -> int list list * int
-(** Exhaustively enumerate the final-state observations; also returns the
-    number of distinct machine states explored. *)
+val outcomes : ?mode:Core.Config.memory -> test -> int list list * int
+(** Exhaustively enumerate the final-state observations (default mode
+    TSO); also returns the number of distinct states explored.  A
+    location is a field of one heap object and a stored value a
+    reference, so values must stay below {!Gcheap.Heap.max_refs}. *)
 
 type verdict = {
   test : test;

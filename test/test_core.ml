@@ -16,7 +16,7 @@ let sd0 () = Core.Model.initial_sys_data cfg shape
 let sys_of sd = St.L_sys sd
 
 (* Run one response and project the new sys data and value. *)
-let respond sd req ~from =
+let respond ?(cfg = cfg) sd req ~from =
   match Core.Sysproc.respond cfg (from, req) (sys_of sd) with
   | [ (St.L_sys sd', v) ] -> (sd', v)
   | [] -> Alcotest.fail "request unexpectedly blocked"
@@ -80,12 +80,70 @@ let test_lock_blocks_other_commits () =
     (List.length (Core.Sysproc.dequeue cfg (sys_of sd)))
 
 let test_sc_memory_commits_at_once () =
-  let cfg_sc = { cfg with Cfg.sc_memory = true } in
+  let cfg_sc = { cfg with Cfg.memory = Cfg.SC } in
   match Core.Sysproc.respond cfg_sc (mut0, Req_write (W_mark (0, true))) (sys_of (sd0 ())) with
   | [ (St.L_sys sd', V_unit) ] ->
     Alcotest.(check (option bool)) "visible" (Some true) (Gcheap.Heap.mark sd'.St.s_mem.St.heap 0);
     Alcotest.(check int) "no buffering" 0 (List.length (St.buf_of sd' mut0))
   | _ -> Alcotest.fail "single response expected"
+
+(* An SC store commits at once, so like a commit it waits while another
+   process holds the lock: a LOCK'd exchange stays atomic. *)
+let test_sc_write_waits_for_lock () =
+  let cfg_sc = { cfg with Cfg.memory = Cfg.SC } in
+  let sd, _ = respond (sd0 ()) Req_lock ~from:mut0 in
+  let write = Req_write (W_mark (0, true)) in
+  Alcotest.(check int) "blocked while mut0 holds the lock" 0
+    (List.length (Core.Sysproc.respond cfg_sc (mut1, write) (sys_of sd)));
+  Alcotest.(check int) "the holder writes" 1
+    (List.length (Core.Sysproc.respond cfg_sc (mut0, write) (sys_of sd)))
+
+let field_write v = W_field (0, 0, Some v)
+
+let test_forwarding_newest_wins () =
+  let sd, _ = respond (sd0 ()) (Req_write (field_write 1)) ~from:mut0 in
+  let sd, _ = respond sd (Req_write (field_write 2)) ~from:mut0 in
+  let _, v = respond sd (Req_read (L_field (0, 0))) ~from:mut0 in
+  Alcotest.(check bool) "newest buffered write wins" true (v = V_ref (Some 2))
+
+(* The commits Sys offers for a buffer of three writes: two to field 0.f0,
+   then one to f_A. *)
+let commits mode =
+  let cfg = { cfg with Cfg.memory = mode; buf_bound = 3 } in
+  let sd =
+    List.fold_left
+      (fun sd w -> fst (respond ~cfg sd (Req_write w) ~from:mut0))
+      (sd0 ())
+      [ field_write 1; field_write 2; W_fA true ]
+  in
+  List.map
+    (fun s ->
+      let m = (St.sys s).St.s_mem in
+      (Gcheap.Heap.field m.St.heap 0 0, m.St.fA))
+    (Core.Sysproc.dequeue cfg (sys_of sd))
+
+let test_fifo_commit_order () =
+  Alcotest.(check (list (pair (option int) bool))) "TSO commits only the oldest write"
+    [ (Some 1, false) ] (commits Cfg.TSO)
+
+let test_pso_commit_order () =
+  Alcotest.(check (list (pair (option int) bool)))
+    "PSO may commit f_A early, never the newer write to 0.f0"
+    [ (None, true); (Some 1, false) ]
+    (List.sort compare (commits Cfg.PSO))
+
+(* The memory mode renders as two flags, the form that configuration
+   hashes and stored certificate headers hash. *)
+let test_memory_modes_describe () =
+  List.iter
+    (fun (name, sc, pso) ->
+      let v = Option.get (Core.Variants.by_name name) in
+      Alcotest.(check string) name
+        (Printf.sprintf
+           "muts=1;refs=3;fields=1;buf=2;sc=%d;pso=%d;del=1;ins=1;o2=0;allocw=0;hsf=1;o1=0;cas=1;load=1;store=1;alloc=1;discard=1;mfence=1;cycles=0;ops=0;mutation=-"
+           sc pso)
+        (Cfg.describe (v.Core.Variants.tweak Cfg.default)))
+    [ ("paper", 0, 0); ("sc-memory", 1, 0); ("pso-memory", 0, 1) ]
 
 let test_dangling_access_flagged () =
   let sd, v = respond (sd0 ()) (Req_read (L_mark 2)) ~from:mut0 in
@@ -300,6 +358,17 @@ let test_misfit_shapes_rejected () =
   Alcotest.(check (option string)) "shared fits 3 refs" None (misfit_message 3 "shared");
   Alcotest.(check (option string)) "fig1 fits 4 refs" None (misfit_message 4 "fig1")
 
+(* [s] with its first [sub] replaced by [by]. *)
+let replace ~sub ~by s =
+  let n = String.length sub in
+  let rec at i =
+    if i + n > String.length s then Alcotest.failf "%s not found" sub
+    else if String.sub s i n = sub then i
+    else at (i + 1)
+  in
+  let i = at 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
 (* Run a built tool of bin/ (gcmodel.exe by default): its exit code and
    stderr lines. *)
 let run_tool ?(exe = "gcmodel.exe") args =
@@ -358,6 +427,46 @@ let test_cli_misfit_shapes () =
   refused ~exe:"cimpc.exe" [ "run"; "-e"; "nope" ] "nope";
   refused ~exe:"cimpc.exe" [ "check"; "/nonexistent/p.cimp" ] "/nonexistent/p.cimp";
   refused ~exe:"litmus_main.exe" [ "NOPE" ] "NOPE";
+  let with_file ext text f =
+    let file = Filename.temp_file "gcmodel" ext in
+    Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+    Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc text);
+    f file
+  in
+  (* a malformed source names the file, and the position where lexing or
+     parsing stopped; pp does not typecheck *)
+  List.iter
+    (fun (text, cmds, where) ->
+      with_file ".cimp" text (fun file ->
+          List.iter (fun cmd -> refused ~exe:"cimpc.exe" [ cmd; file ] (file ^ where)) cmds))
+    [
+      ("process p { var x := ; }\n", [ "check"; "pp"; "run" ], ":1:22: expected expression");
+      ("process p { var x := 1 $ }\n", [ "check"; "pp"; "run" ], ":1:24: unexpected character");
+      ("process p { var x := true; x := x + 1; }\n", [ "check"; "run" ], ": expected int");
+    ];
+  (* explain --trace checks the verdict it replays: the invariant must be
+     in the catalogue and fail on the final state *)
+  let explain file = [ "explain"; "--muts"; "2"; "--refs"; "2"; "--variant"; "no-cas"; "--trace"; file ] in
+  with_file ".json" {|{"broken":"x","schedule":[]}|} (fun file ->
+      refused (explain file) (file ^ ": invariant x is not in"));
+  with_file ".jsonl" "" (fun obs ->
+      let code, _ =
+        run_tool
+          [ "walk"; "--muts"; "2"; "--refs"; "2"; "--steps"; "200000"; "--variant"; "no-cas"; "--obs=json:" ^ obs ]
+      in
+      Alcotest.(check int) "no-cas walk" 0 code;
+      let record =
+        List.find
+          (contains ~sub:{|"event":"violation"|})
+          (In_channel.with_open_bin obs In_channel.input_lines)
+      in
+      with_file ".json" record (fun file ->
+          Alcotest.(check int) "the recorded verdict replays" 0 (fst (run_tool (explain file))));
+      let forged =
+        replace ~sub:{|"broken":"valid_W_inv"|} ~by:{|"broken":"valid_refs_inv"|} record
+      in
+      with_file ".json" forged (fun file ->
+          refused (explain file) (file ^ ": invariant valid_refs_inv holds after the 173")));
   (* a spill directory under a regular file cannot be created *)
   let file = Filename.temp_file "gcmodel" ".file" in
   Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
@@ -379,16 +488,6 @@ let test_cli_resume_config_refused () =
   let manifest = Filename.concat dir "MANIFEST.json" in
   let original = In_channel.with_open_bin manifest In_channel.input_all in
   let write s = Out_channel.with_open_bin manifest (fun oc -> Out_channel.output_string oc s) in
-  let replace ~sub ~by s =
-    let n = String.length sub in
-    let rec at i =
-      if i + n > String.length s then Alcotest.failf "%s not in the manifest" sub
-      else if String.sub s i n = sub then i
-      else at (i + 1)
-    in
-    let i = at 0 in
-    String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
-  in
   List.iter
     (fun (field, sub, by) ->
       write (replace ~sub ~by original);
@@ -427,6 +526,11 @@ let suite =
     Alcotest.test_case "lock protocol (Fig. 9)" `Quick test_lock_protocol;
     Alcotest.test_case "lock blocks other commits" `Quick test_lock_blocks_other_commits;
     Alcotest.test_case "SC ablation commits at once" `Quick test_sc_memory_commits_at_once;
+    Alcotest.test_case "SC writes wait for another's lock" `Quick test_sc_write_waits_for_lock;
+    Alcotest.test_case "forwarding: newest store wins" `Quick test_forwarding_newest_wins;
+    Alcotest.test_case "buffers commit in FIFO order" `Quick test_fifo_commit_order;
+    Alcotest.test_case "PSO commits per-location FIFO" `Quick test_pso_commit_order;
+    Alcotest.test_case "memory modes keep their describe" `Quick test_memory_modes_describe;
     Alcotest.test_case "dangling access is flagged" `Quick test_dangling_access_flagged;
     Alcotest.test_case "allocation is nondeterministic over free refs" `Quick test_alloc_nondet_over_free_refs;
     Alcotest.test_case "allocation returns NULL when full" `Quick test_alloc_full_heap_returns_null;

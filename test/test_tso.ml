@@ -1,117 +1,31 @@
-(* Tests for the x86-TSO machine (Fig. 9 / Sewell et al.): store-buffer
-   FIFO discipline, forwarding, fences, the machine lock, and the litmus
-   catalogue's published classifications. *)
+(* Tests for the litmus harness over the collector's Sys process (Fig. 9):
+   the catalogue's published classifications, the PSO probes, the
+   atomicity of LOCK XCHG in every memory mode, and random-program
+   properties that relate the three modes to each other. *)
 
-module M = Tso.Machine
 module L = Tso.Litmus
+module Cfg = Core.Config
 
 let x = 0
 let y = 1
+let modes = [ ("TSO", Cfg.TSO); ("SC", Cfg.SC); ("PSO", Cfg.PSO) ]
 
-(* Drive a single-thread machine deterministically: prefer Exec over
-   Commit so the buffer fills, then drain. *)
-let rec exec_all st =
-  match List.find_opt (function M.Exec _, _ -> true | _ -> false) (M.steps st) with
-  | Some (_, st') -> exec_all st'
-  | None -> st
+let outcomes mode test = fst (L.outcomes ~mode test)
 
-let rec drain st =
-  match List.find_opt (function M.Commit _, _ -> true | _ -> false) (M.steps st) with
-  | Some (_, st') -> drain st'
-  | None -> st
-
-let test_buffered_store_invisible () =
-  let code = [| M.Store (x, M.Imm 1) |] in
-  let st = exec_all (M.initial ~mem_size:2 ~n_regs:1 [ code ]) in
-  Alcotest.(check int) "memory unchanged before commit" 0 (List.nth (M.mem_of st) x);
-  let st = drain st in
-  Alcotest.(check int) "visible after commit" 1 (List.nth (M.mem_of st) x)
-
-let test_forwarding () =
-  (* a thread reads its own buffered store *)
-  let code = [| M.Store (x, M.Imm 5); M.Load (0, x) |] in
-  let st = exec_all (M.initial ~mem_size:2 ~n_regs:1 [ code ]) in
-  Alcotest.(check int) "forwarded value" 5 (List.nth (List.hd (M.regs_of st)) 0);
-  Alcotest.(check int) "memory still stale" 0 (List.nth (M.mem_of st) x)
-
-let test_forwarding_newest_wins () =
-  let code = [| M.Store (x, M.Imm 1); M.Store (x, M.Imm 2); M.Load (0, x) |] in
-  let st = exec_all (M.initial ~mem_size:2 ~n_regs:1 [ code ]) in
-  Alcotest.(check int) "newest buffered store wins" 2 (List.nth (List.hd (M.regs_of st)) 0)
-
-let test_fifo_commit_order () =
-  let code = [| M.Store (x, M.Imm 1); M.Store (y, M.Imm 2) |] in
-  let st = exec_all (M.initial ~mem_size:2 ~n_regs:1 [ code ]) in
-  (* first commit must be the store to x *)
-  match List.find_opt (function M.Commit _, _ -> true | _ -> false) (M.steps st) with
-  | Some (_, st') ->
-    Alcotest.(check int) "x committed first" 1 (List.nth (M.mem_of st') x);
-    Alcotest.(check int) "y still buffered" 0 (List.nth (M.mem_of st') y)
-  | None -> Alcotest.fail "commit expected"
-
-let test_mfence_blocks_until_drained () =
-  let code = [| M.Store (x, M.Imm 1); M.Mfence; M.Load (0, y) |] in
-  let st = exec_all (M.initial ~mem_size:2 ~n_regs:1 [ code ]) in
-  (* exec_all stopped at the fence: pc = 1, buffer non-empty *)
-  Alcotest.(check int) "memory after forced drain" 1 (List.nth (M.mem_of (drain st)) x);
-  let st' = exec_all (drain st) in
-  Alcotest.(check bool) "fence passes after drain" true (M.final (drain st'))
-
-let test_lock_blocks_other_reads () =
-  let t0 = [| M.Lock; M.Store (x, M.Imm 1); M.Unlock |] in
-  let t1 = [| M.Load (0, x) |] in
-  let st = M.initial ~mem_size:2 ~n_regs:1 [ t0; t1 ] in
-  (* t0 takes the lock *)
-  let st =
-    match List.find_opt (function M.Exec (0, _), _ -> true | _ -> false) (M.steps st) with
-    | Some (_, st') -> st'
-    | None -> Alcotest.fail "t0 must be able to lock"
-  in
-  Alcotest.(check bool) "t1's load is blocked" false
-    (List.exists (function M.Exec (1, _), _ -> true | _ -> false) (M.steps st))
-
-let test_unlock_requires_empty_buffer () =
-  let t0 = [| M.Lock; M.Store (x, M.Imm 1); M.Unlock |] in
-  let st = M.initial ~mem_size:2 ~n_regs:1 [ t0 ] in
-  let take_exec st =
-    match List.find_opt (function M.Exec _, _ -> true | _ -> false) (M.steps st) with
-    | Some (_, st') -> st'
-    | None -> st
-  in
-  let st = take_exec st (* lock *) in
-  let st = take_exec st (* buffered store *) in
-  (* unlock is not enabled until the buffer drains *)
-  Alcotest.(check bool) "unlock blocked" true
-    (List.for_all (function M.Exec _, _ -> false | _ -> true) (M.steps st));
-  let st = drain st in
-  let st = take_exec st (* unlock *) in
-  Alcotest.(check bool) "done" true (M.final (drain st))
-
-let test_sc_mode_commits_immediately () =
-  let code = [| M.Store (x, M.Imm 1) |] in
-  let st = M.initial ~mode:M.SC ~mem_size:2 ~n_regs:1 [ code ] in
-  match M.steps st with
-  | [ (M.Exec (0, 0), st') ] ->
-    Alcotest.(check int) "store visible at once" 1 (List.nth (M.mem_of st') x)
-  | _ -> Alcotest.fail "single step expected"
-
-let test_jump_if_eq () =
-  (* r0 := mem[x]; if r0 = 0 jump back to the load (spin until x set) *)
-  let spin = [| M.Load (0, x); M.Jump_if_eq (0, 0, -1); M.Store (y, M.Imm 1) |] in
-  let setter = [| M.Store (x, M.Imm 1) |] in
-  let st = M.initial ~mem_size:2 ~n_regs:1 [ spin; setter ] in
-  (* exhaustive exploration must find a final state with y = 1 *)
-  let seen = Hashtbl.create 128 in
-  let found = ref false in
-  let rec go st =
-    if not (Hashtbl.mem seen st) then begin
-      Hashtbl.add seen st ();
-      if M.final st && List.nth (M.mem_of st) y = 1 then found := true;
-      List.iter (fun (_, st') -> go st') (M.steps st)
-    end
-  in
-  go st;
-  Alcotest.(check bool) "spin loop completes" true !found
+(* A test observing every register of every thread and both locations. *)
+let observing_all threads =
+  {
+    L.name = "gen";
+    description = "";
+    mem_size = 2;
+    n_regs = 2;
+    threads;
+    observed_regs = List.concat (List.mapi (fun t _ -> [ (t, 0); (t, 1) ]) threads);
+    observed_mem = [ x; y ];
+    target = [];
+    allowed_tso = false;
+    allowed_sc = false;
+  }
 
 (* -- Litmus catalogue ------------------------------------------------------ *)
 
@@ -132,8 +46,8 @@ let test_sb_outcome_sets () =
     (List.for_all (fun o -> List.mem o v.L.tso_outcomes) v.L.sc_outcomes)
 
 let test_tso_explores_more_states () =
-  let _, tso = L.outcomes ~mode:M.TSO Tso.Catalog.sb in
-  let _, sc = L.outcomes ~mode:M.SC Tso.Catalog.sb in
+  let _, tso = L.outcomes ~mode:Cfg.TSO Tso.Catalog.sb in
+  let _, sc = L.outcomes ~mode:Cfg.SC Tso.Catalog.sb in
   Alcotest.(check bool) "TSO state space larger" true (tso > sc)
 
 let test_pso_classifications () =
@@ -144,22 +58,22 @@ let test_pso_classifications () =
 
 let test_pso_mp_details () =
   (* the PSO-only outcome: the message arrives before the data *)
-  let outcomes, _ = L.outcomes ~mode:M.PSO Tso.Catalog.mp in
-  Alcotest.(check bool) "stale read reachable" true (List.mem [ 1; 0 ] outcomes);
+  Alcotest.(check bool) "stale read reachable" true
+    (List.mem [ 1; 0 ] (outcomes Cfg.PSO Tso.Catalog.mp));
   (* and TSO forbids exactly that one *)
-  let tso_outcomes, _ = L.outcomes ~mode:M.TSO Tso.Catalog.mp in
-  Alcotest.(check bool) "but not under TSO" false (List.mem [ 1; 0 ] tso_outcomes)
+  Alcotest.(check bool) "but not under TSO" false
+    (List.mem [ 1; 0 ] (outcomes Cfg.TSO Tso.Catalog.mp))
 
 let test_xchg_is_atomic () =
   (* two racing LOCK XCHGs on one cell: exactly one thread observes 0 *)
-  let t r = [ L.Xchg (r, x, M.Imm 1) ] in
+  let t = [ L.Xchg (0, x, 1) ] in
   let test =
     {
       L.name = "xchg-race";
       description = "racing atomic exchanges";
       mem_size = 1;
       n_regs = 1;
-      threads = [ t 0; t 0 ];
+      threads = [ t; t ];
       observed_regs = [ (0, 0); (1, 0) ];
       observed_mem = [ x ];
       target = [ 0; 0; 1 ];
@@ -167,62 +81,103 @@ let test_xchg_is_atomic () =
       allowed_sc = false;
     }
   in
-  let outcomes, _ = L.outcomes ~mode:M.TSO test in
-  Alcotest.(check (list (list int))) "exactly one winner" [ [ 0; 1; 1 ]; [ 1; 0; 1 ] ] outcomes
+  Alcotest.(check (list (list int))) "exactly one winner" [ [ 0; 1; 1 ]; [ 1; 0; 1 ] ]
+    (outcomes Cfg.TSO test)
 
-(* qcheck: in any reachable final state of a single-threaded program, TSO
-   and SC agree (TSO relaxations need concurrency to be observable). *)
-let arbitrary_program =
+(* [XCHG r0,x,1] || [x := 2]: the plain store lands wholly before or
+   wholly after the exchange, in every mode.  (0,1) — the store slipping
+   in between the exchange's read and write — is what x86 forbids, and
+   SC mode forbids it only because its stores wait for the lock. *)
+let test_xchg_vs_store () =
+  let test =
+    {
+      L.name = "xchg+st";
+      description = "a LOCK XCHG racing a plain store";
+      mem_size = 1;
+      n_regs = 1;
+      threads = [ [ L.Xchg (0, x, 1) ]; [ L.St (x, 2) ] ];
+      observed_regs = [ (0, 0) ];
+      observed_mem = [ x ];
+      target = [ 0; 1 ];
+      allowed_tso = false;
+      allowed_sc = false;
+    }
+  in
+  List.iter
+    (fun (name, mode) ->
+      Alcotest.(check (list (list int))) name [ [ 0; 2 ]; [ 2; 1 ] ] (outcomes mode test))
+    modes
+
+(* -- Random programs ------------------------------------------------------- *)
+
+(* 1-4 instructions over two locations: loads, stores of 1-3, MFENCE and
+   LOCK XCHG. *)
+let gen_thread =
   let open QCheck.Gen in
   let instr =
     frequency
       [
-        (3, map2 (fun a v -> L.St (a, M.Imm v)) (int_bound 1) (int_range 1 3));
+        (3, map2 (fun a v -> L.St (a, v)) (int_bound 1) (int_range 1 3));
         (3, map2 (fun r a -> L.Ld (r, a)) (int_bound 1) (int_bound 1));
         (1, return L.Mf);
-        (1, map2 (fun r a -> L.Xchg (r, a, M.Imm 9)) (int_bound 1) (int_bound 1));
+        (1, map3 (fun r a v -> L.Xchg (r, a, v)) (int_bound 1) (int_bound 1) (int_range 1 3));
       ]
   in
-  QCheck.make
-    ~print:(fun p -> Printf.sprintf "<%d instrs>" (List.length p))
-    (list_size (int_bound 6) instr)
+  list_size (int_range 1 4) instr
 
-let prop_single_thread_tso_is_sc =
-  QCheck.Test.make ~name:"single-threaded TSO = SC" ~count:100 arbitrary_program (fun prog ->
-      let test =
-        {
-          L.name = "gen";
-          description = "";
-          mem_size = 2;
-          n_regs = 2;
-          threads = [ prog ];
-          observed_regs = [ (0, 0); (0, 1) ];
-          observed_mem = [ 0; 1 ];
-          target = [];
-          allowed_tso = false;
-          allowed_sc = false;
-        }
-      in
-      let tso, _ = L.outcomes ~mode:M.TSO test in
-      let sc, _ = L.outcomes ~mode:M.SC test in
-      tso = sc)
+let pp_instr = function
+  | L.Ld (r, a) -> Printf.sprintf "r%d:=[%d]" r a
+  | L.St (a, v) -> Printf.sprintf "[%d]:=%d" a v
+  | L.Mf -> "mfence"
+  | L.Xchg (r, a, v) -> Printf.sprintf "xchg(r%d,[%d],%d)" r a v
+
+let program gen =
+  QCheck.make
+    ~print:(fun threads ->
+      String.concat " || "
+        (List.map (fun th -> "[" ^ String.concat "; " (List.map pp_instr th) ^ "]") threads))
+    ~shrink:QCheck.Shrink.(list_elems list_spine)
+    gen
+
+let concurrent = program QCheck.Gen.(int_range 2 3 >>= fun n -> list_repeat n gen_thread)
+let single = program QCheck.Gen.(map (fun th -> [ th ]) gen_thread)
+let subset a b = List.for_all (fun o -> List.mem o b) a
+
+(* (a) each mode admits every behaviour of the stronger one. *)
+let prop_modes_nest =
+  QCheck.Test.make ~name:"SC outcomes <= TSO outcomes <= PSO outcomes" ~count:300 concurrent
+    (fun threads ->
+      let test = observing_all threads in
+      let sc = outcomes Cfg.SC test
+      and tso = outcomes Cfg.TSO test
+      and pso = outcomes Cfg.PSO test in
+      subset sc tso && subset tso pso)
+
+(* (b) an MFENCE after every store leaves nothing for a buffer to reorder. *)
+let prop_fenced_modes_agree =
+  QCheck.Test.make ~name:"fenced stores: TSO = SC = PSO" ~count:300 concurrent (fun threads ->
+      let fence = List.concat_map (function L.St _ as i -> [ i; L.Mf ] | i -> [ i ]) in
+      let test = observing_all (List.map fence threads) in
+      let tso = outcomes Cfg.TSO test in
+      outcomes Cfg.SC test = tso && outcomes Cfg.PSO test = tso)
+
+(* (c) relaxations need concurrency to be observable. *)
+let prop_single_thread_modes_agree =
+  QCheck.Test.make ~name:"one thread: TSO = SC = PSO" ~count:300 single (fun threads ->
+      let test = observing_all threads in
+      let tso = outcomes Cfg.TSO test in
+      outcomes Cfg.SC test = tso && outcomes Cfg.PSO test = tso)
 
 let suite =
   [
-    Alcotest.test_case "buffered stores are locally invisible" `Quick test_buffered_store_invisible;
-    Alcotest.test_case "store-buffer forwarding" `Quick test_forwarding;
-    Alcotest.test_case "forwarding: newest store wins" `Quick test_forwarding_newest_wins;
-    Alcotest.test_case "buffers commit in FIFO order" `Quick test_fifo_commit_order;
-    Alcotest.test_case "mfence waits for the buffer" `Quick test_mfence_blocks_until_drained;
-    Alcotest.test_case "the machine lock blocks other readers" `Quick test_lock_blocks_other_reads;
-    Alcotest.test_case "unlock needs an empty buffer" `Quick test_unlock_requires_empty_buffer;
-    Alcotest.test_case "SC mode commits immediately" `Quick test_sc_mode_commits_immediately;
-    Alcotest.test_case "conditional branch (spin loop)" `Quick test_jump_if_eq;
     Alcotest.test_case "litmus catalogue matches x86-TSO" `Quick test_catalogue_classifications;
     Alcotest.test_case "SB outcome sets (3 vs 4)" `Quick test_sb_outcome_sets;
     Alcotest.test_case "TSO reaches more states than SC" `Quick test_tso_explores_more_states;
     Alcotest.test_case "PSO probe classifications" `Quick test_pso_classifications;
     Alcotest.test_case "PSO admits MP's stale read; TSO does not" `Quick test_pso_mp_details;
     Alcotest.test_case "LOCK XCHG is atomic" `Quick test_xchg_is_atomic;
-    QCheck_alcotest.to_alcotest prop_single_thread_tso_is_sc;
+    Alcotest.test_case "LOCK XCHG vs a plain store, every mode" `Quick test_xchg_vs_store;
+    QCheck_alcotest.to_alcotest prop_modes_nest;
+    QCheck_alcotest.to_alcotest prop_fenced_modes_agree;
+    QCheck_alcotest.to_alcotest prop_single_thread_modes_agree;
   ]
