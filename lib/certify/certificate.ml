@@ -4,7 +4,7 @@
 
    A certificate is a directory of two files:
 
-     CERT.json   the header: format tag, configuration binding
+     CERT.json   the header: format tag (GCCERT002), configuration binding
                  (config_hash + the verbatim run configuration), reduction
                  mode, the invariant catalogue in evaluation order, the
                  closure obligations the validator must discharge, the
@@ -22,7 +22,7 @@
    consistently tampered certificate still fails closure, depth or
    verdict revalidation.  DESIGN.md records the argument. *)
 
-let format_tag = "GCCERT001"
+let format_tag = "GCCERT002"
 let header_file = "CERT.json"
 let table_file = "table.seg"
 let header_path dir = Filename.concat dir header_file

@@ -9,8 +9,9 @@
     claim semantically). *)
 
 val format_tag : string
-(** ["GCCERT001"] — bound into every header; {!read_header} refuses any
-    other value. *)
+(** ["GCCERT002"] — bound into every header; {!read_header} refuses any
+    other value, GCCERT001 included (its fingerprints mixed label
+    characters, not label hashes, so none of them would match). *)
 
 val header_file : string
 (** ["CERT.json"]. *)

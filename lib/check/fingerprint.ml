@@ -7,10 +7,12 @@
    The pair is the key for the explorer's seen-set.
 
    Hashing is a compact structural fingerprint: an FNV-1a-style mix over
-   the label spine and a traversal of the data representation, computed
-   once when the fingerprint is built ([of_system] or [of_parts]) and
-   cached.  Its values are stored in certificate tables (GCCERT001) and
-   checkpoints, so the mix sequence below is a file format: changing it
+   the label spine, one word per label (the hash [Cimp.Label.v] computed
+   when the program was built), and a traversal of the data
+   representation, computed once when the fingerprint is built
+   ([of_system] or [of_parts]) and cached.  Its values are stored in
+   certificate tables (GCCERT002) and checkpoints (schema 2), so the mix
+   sequence below, and the label hash, are a file format: changing either
    invalidates every stored fingerprint.  It replaces the former
    [Hashtbl.hash_param 64 256] polymorphic hash, which (a) re-walked the
    whole value on every probe, (b) truncated deep states at its
@@ -33,7 +35,8 @@ let fnv_prime = 0x100000001b3
 let mix h x = (h lxor x) * fnv_prime
 
 (* A closure-free loop over the characters, so the accumulator stays in
-   a register: labels are most of the bytes a control spine mixes. *)
+   a register.  Strings in data payloads only: a label is mixed as its
+   hash, which is this mix of its name from a fixed seed. *)
 let mix_string h s =
   let h = ref (mix h (String.length s)) in
   for i = 0 to String.length s - 1 do
@@ -81,7 +84,8 @@ and mix_block h o =
    walk above and the polymorphic [compare], never re-projected. *)
 let of_parts ~control ~data : t =
   let h =
-    List.fold_left (fun h spine -> List.fold_left mix_string (mix h 13) spine)
+    List.fold_left
+      (fun h spine -> List.fold_left (fun h l -> mix h (Cimp.Label.hash l)) (mix h 13) spine)
       0xcbf29ce484222 control
   in
   let h = List.fold_left mix_obj (mix h 17) data in

@@ -6,18 +6,18 @@
     GC model is — then structural comparison is sound.
 
     Each fingerprint caches a compact word-sized structural hash (an
-    FNV-1a-style mix over the label spine and the data representation,
-    never 0), computed once when it is built, by {!of_system} or
-    {!of_parts}.  It replaces the former polymorphic
+    FNV-1a-style mix over the label spine, one word per label, and the
+    data representation, never 0), computed once when it is built, by
+    {!of_system} or {!of_parts}.  It replaces the former polymorphic
     [Hashtbl.hash_param] hash and is strong enough to key the parallel
     explorer's seen-set on its own: collisions occur with probability
     about [n^2 / 2^63] for [n] states.
 
-    The hash values are part of the GCCERT001 certificate table and the
-    checkpoint formats (both store them), so changing the mix is a format
-    change: every stored certificate and checkpoint would stop matching.
-    Tests pin literal values of both the mix and whole certificate
-    headers. *)
+    The hash values are part of the GCCERT002 certificate table and the
+    schema-2 checkpoint formats (both store them), so changing the mix, or
+    {!Cimp.Label.hash}, is a format change: every stored certificate and
+    checkpoint would stop matching.  Tests pin literal values of the mix,
+    the label hash and whole certificate headers. *)
 
 type t
 

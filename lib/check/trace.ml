@@ -26,31 +26,36 @@ let final tr =
 let event_to_json = function
   | Cimp.System.Tau (p, l) ->
     Obs.Json.Obj
-      [ ("kind", Obs.Json.String "tau"); ("pid", Obs.Json.Int p); ("label", Obs.Json.String l) ]
+      [
+        ("kind", Obs.Json.String "tau");
+        ("pid", Obs.Json.Int p);
+        ("label", Obs.Json.String (Cimp.Label.name l));
+      ]
   | Cimp.System.Rendezvous { requester; req_label; responder; resp_label } ->
     Obs.Json.Obj
       [
         ("kind", Obs.Json.String "rendezvous");
         ("requester", Obs.Json.Int requester);
-        ("req_label", Obs.Json.String req_label);
+        ("req_label", Obs.Json.String (Cimp.Label.name req_label));
         ("responder", Obs.Json.Int responder);
-        ("resp_label", Obs.Json.String resp_label);
+        ("resp_label", Obs.Json.String (Cimp.Label.name resp_label));
       ]
 
 let event_of_value =
   Obs.Json.Decode.(
     fun e ->
+      let label v = Cimp.Label.v (string v) in
       let kind = field "kind" e in
       match string kind with
       | "tau" ->
         let pid = int (field "pid" e) in
-        let label = string (field "label" e) in
+        let label = label (field "label" e) in
         Cimp.System.Tau (pid, label)
       | "rendezvous" ->
         let requester = int (field "requester" e) in
-        let req_label = string (field "req_label" e) in
+        let req_label = label (field "req_label" e) in
         let responder = int (field "responder" e) in
-        let resp_label = string (field "resp_label" e) in
+        let resp_label = label (field "resp_label" e) in
         Cimp.System.Rendezvous { requester; req_label; responder; resp_label }
       | _ -> malformed kind)
 
@@ -108,7 +113,7 @@ let validate_events sys events =
         (Fmt.str
            "event %d: label %S is not a label of process %d (%S) — the trace was recorded \
             on a different system (check --muts/--variant/--disable)"
-           i l p (Cimp.System.name sys p))
+           i (Cimp.Label.name l) p (Cimp.System.name sys p))
   in
   let ( let* ) = Result.bind in
   let check_event i = function

@@ -35,7 +35,9 @@ let skip l = Skip l
 let seq cs = match cs with [] -> invalid_arg "Com.seq: empty" | c :: cs -> List.fold_left (fun a b -> Seq (a, b)) c cs
 let assign l f = Local_op (l, fun s -> [ f s ])
 let guard l p = Local_op (l, fun s -> if p s then [ s ] else [])
-let if_ l p c = If (l, p, c, Skip (l ^ ":endif"))
+let if_ l p c = If (l, p, c, Skip (Label.v (Label.name l ^ ":endif")))
+
+let empty_choice = Label.v "<empty-choice>"
 
 (* The leftmost-leaf label of a command: the location of the next atomic
    action to execute if this command is at the head of the stack. *)
@@ -43,7 +45,7 @@ let rec head_label = function
   | Skip l | Local_op (l, _) | Request (l, _, _) | Response (l, _) | If (l, _, _, _) | While (l, _, _) -> l
   | Seq (a, _) -> head_label a
   | Loop c -> head_label c
-  | Choose [] -> "<empty-choice>"
+  | Choose [] -> empty_choice
   | Choose (c :: _) -> head_label c
 
 (* All labels occurring in a command, for the uniqueness check. *)
@@ -58,12 +60,15 @@ let labels com =
   in
   go [] com
 
-(* Check that no label occurs twice; returns the duplicates. *)
+(* Check that no label occurs twice; returns the duplicates.  The table
+   hashes with the hash each label carries. *)
+module Label_tbl = Hashtbl.Make (Label)
+
 let duplicate_labels com =
-  let tbl = Hashtbl.create 64 in
+  let tbl = Label_tbl.create 64 in
   let dups = ref [] in
   let record l =
-    if Hashtbl.mem tbl l then dups := l :: !dups else Hashtbl.add tbl l ()
+    if Label_tbl.mem tbl l then dups := l :: !dups else Label_tbl.add tbl l ()
   in
   List.iter record (labels com);
   List.sort_uniq Label.compare !dups

@@ -4,18 +4,30 @@
    Labels serve two purposes: they anchor the [at p l] local assertions of
    Section 3.2, and they let the model checker fingerprint control state
    without inspecting the (closure-bearing) command syntax.  Labels must be
-   unique within a program; [Cimp.Com.check_labels] enforces this. *)
+   unique within a program; [Cimp.Com.duplicate_labels] enforces this.
 
-type t = string
+   A label is built once, when its program is, and carries a hash of its
+   name so that the checker mixes one word per label rather than every
+   character.  The name is the first field, so polymorphic [compare]
+   orders labels by name, as it ordered the strings they used to be. *)
 
-let compare = String.compare
-let equal = String.equal
-let pp = Fmt.string
+type t = { name : string; hash : int }
 
-(* A small generator for machine-made labels, used when expanding a template
-   (e.g. the [mark] code sequence) several times within one program. *)
-let fresh_counter = ref 0
+(* The FNV-1a mix of [Check.Fingerprint], over the name's length and
+   bytes, from a fixed seed: a pure function of the name. *)
+let fnv_prime = 0x100000001b3
+let mix h x = (h lxor x) * fnv_prime
 
-let fresh prefix =
-  incr fresh_counter;
-  Printf.sprintf "%s#%d" prefix !fresh_counter
+let hash_name s =
+  let h = ref (mix 0xcbf29ce484222 (String.length s)) in
+  for i = 0 to String.length s - 1 do
+    h := mix !h (Char.code (String.unsafe_get s i))
+  done;
+  !h
+
+let v name = { name; hash = hash_name name }
+let name l = l.name
+let hash l = l.hash
+let equal a b = a == b || (a.hash = b.hash && String.equal a.name b.name)
+let compare a b = String.compare a.name b.name
+let pp ppf l = Fmt.string ppf l.name

@@ -3,15 +3,34 @@
     Every CIMP command carries a label, written [{l}] in the paper (Fig. 7).
     Labels anchor the paper's [at p l] local assertions and let the model
     checker fingerprint control state; they must be unique within a
-    process's program. *)
+    process's program.
 
-type t = string
+    A label is its name plus a 63-bit hash of that name, computed once by
+    {!v} when a program is built.  [Check.Fingerprint] mixes the hash, one
+    word per label, so the hash is part of the certificate and checkpoint
+    formats: it is a pure function of the name (the FNV-1a mix over the
+    name's length and bytes, from a fixed seed), the same in every process
+    and build.
+
+    The name is the representation's first field and the hash is a
+    function of it, so polymorphic [Stdlib.compare] orders labels exactly
+    as {!compare} does, by name.  [Reduce.Symmetry]'s sort key and
+    [Check.Fingerprint.equal] compare spines polymorphically and rely on
+    this. *)
+
+type t
+
+val v : string -> t
+(** [v name] builds the label [name]; build it once per program, not once
+    per state. *)
+
+val name : t -> string
+val hash : t -> int
+
+val equal : t -> t -> bool
+(** Hash first, then name. *)
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
-val pp : t Fmt.t
+(** By name, as [String.compare]. *)
 
-(** [fresh prefix] generates a label that is unique for the lifetime of the
-    process (a global counter), for expanding code templates several times
-    within one program. *)
-val fresh : string -> t
+val pp : t Fmt.t

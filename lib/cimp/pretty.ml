@@ -8,14 +8,14 @@
 open Com
 
 let rec pp ppf = function
-  | Skip l -> Fmt.pf ppf "{%s} skip" l
-  | Local_op (l, _) -> Fmt.pf ppf "{%s} localop" l
-  | Request (l, _, _) -> Fmt.pf ppf "{%s} request" l
-  | Response (l, _) -> Fmt.pf ppf "{%s} response" l
+  | Skip l -> Fmt.pf ppf "{%a} skip" Label.pp l
+  | Local_op (l, _) -> Fmt.pf ppf "{%a} localop" Label.pp l
+  | Request (l, _, _) -> Fmt.pf ppf "{%a} request" Label.pp l
+  | Response (l, _) -> Fmt.pf ppf "{%a} response" Label.pp l
   | Seq (a, b) -> Fmt.pf ppf "@[<v>%a;;@,%a@]" pp a pp b
   | If (l, _, a, b) ->
-    Fmt.pf ppf "@[<v2>{%s} if ... then@,%a@]@,@[<v2>else@,%a@]" l pp a pp b
-  | While (l, _, c) -> Fmt.pf ppf "@[<v2>{%s} while ... do@,%a@]" l pp c
+    Fmt.pf ppf "@[<v2>{%a} if ... then@,%a@]@,@[<v2>else@,%a@]" Label.pp l pp a pp b
+  | While (l, _, c) -> Fmt.pf ppf "@[<v2>{%a} while ... do@,%a@]" Label.pp l pp c
   | Loop c -> Fmt.pf ppf "@[<v2>loop@,%a@]" pp c
   | Choose cs ->
     Fmt.pf ppf "@[<v2>choose@,%a@]" (Fmt.list ~sep:(Fmt.any "@,[] ") pp) cs

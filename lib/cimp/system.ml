@@ -36,9 +36,10 @@ let event_pids = function
   | Rendezvous { requester; responder; _ } -> [ requester; responder ]
 
 let pp_event names ppf = function
-  | Tau (p, l) -> Fmt.pf ppf "%s: %s" names.(p) l
+  | Tau (p, l) -> Fmt.pf ppf "%s: %a" names.(p) Label.pp l
   | Rendezvous { requester; req_label; responder; resp_label } ->
-    Fmt.pf ppf "%s: %s <-> %s: %s" names.(requester) req_label names.(responder) resp_label
+    Fmt.pf ppf "%s: %a <-> %s: %a" names.(requester) Label.pp req_label names.(responder) Label.pp
+      resp_label
 
 let make names procs =
   if Array.length names <> Array.length procs then invalid_arg "System.make: length mismatch";

@@ -59,7 +59,7 @@ let compile_process (p : Ast.process) : com =
   let counter = ref 0 in
   let fresh what =
     incr counter;
-    Printf.sprintf "%s:%d:%s" p.Ast.name !counter what
+    Cimp.Label.v (Printf.sprintf "%s:%d:%s" p.Ast.name !counter what)
   in
   let rec stmt : Ast.stmt -> com = function
     | Ast.S_skip -> Cimp.Com.Skip (fresh "skip")

@@ -34,9 +34,10 @@ let handshake cfg (h : hs) =
     | Hs_get_roots -> "hs-roots"
     | Hs_get_work -> "hs-work"
   in
-  let l n = "gc:" ^ tag ^ ":" ^ n in
+  let l n = Cimp.Label.v ("gc:" ^ tag ^ ":" ^ n) in
   let fence lbl =
-    if cfg.Config.handshake_fences && not (Config.fence_dropped cfg lbl) then req lbl Req_mfence
+    if cfg.Config.handshake_fences && not (Config.fence_dropped cfg (Cimp.Label.name lbl)) then
+      req lbl Req_mfence
     else Skip lbl
   in
   (* The [skip-hs-wait] mutation signals the round but rushes past the
@@ -74,7 +75,7 @@ let handshake cfg (h : hs) =
     ]
 
 let process cfg : (msg, value, State.t) Cimp.Com.t =
-  let l n = "gc:" ^ n in
+  let l n = Cimp.Label.v ("gc:" ^ n) in
   let wl_empty lbl =
     Request
       (lbl, (fun _ -> (pid, Req_wl_empty)), fun v s -> map_gc (fun d -> { d with g_w_empty = expect_bool v }) s)

@@ -127,7 +127,9 @@ let rec occurs_from s sub i = occurs_at s sub i || (i < String.length s && occur
 
 (* Control inside an in-flight deletion barrier, whose loaded register
    holds the reference being deleted. *)
-let deleting lbl = occurs_at lbl "mut:bar-del" 0 || occurs_at lbl "mut:del-target" 0
+let deleting lbl =
+  let s = Cimp.Label.name lbl in
+  occurs_at s "mut:bar-del" 0 || occurs_at s "mut:del-target" 0
 
 (* The extended root set of Section 3.2: mutator roots, grey references
    (work-lists and ghost honorary greys), references pending in TSO store
@@ -210,8 +212,9 @@ let no_dangling cfg =
 (* Fig. 2 lines 41-44: when the collector is about to free [ref], the
    object is white and unreachable. *)
 let free_only_garbage cfg =
+  let at_free = Cimp.Label.v "gc:free" in
   let check sys =
-    if not (Cimp.System.at sys Config.pid_gc "gc:free") then true
+    if not (Cimp.System.at sys Config.pid_gc at_free) then true
     else begin
       let sd = Model.sys_data sys cfg in
       match (Model.gc_data sys).g_ref with
@@ -433,7 +436,9 @@ let tso_ownership cfg =
               (Fmt.str "mutator %d" m))
           (List.init cfg.Config.n_muts Fun.id))
 
-let cas_section_label lbl = occurs_from lbl ":cas-" 0 || occurs_from lbl ":unlock" 0
+let cas_section_label lbl =
+  let s = Cimp.Label.name lbl in
+  occurs_from s ":cas-" 0 || occurs_from s ":unlock" 0
 
 let tso_lock_scope cfg =
   let in_cas_section sys p =
@@ -462,7 +467,7 @@ let tso_lock_scope cfg =
             (Fmt.str "process %d holds the TSO lock while at %a, outside any CAS section" p
                Fmt.(Dump.list string)
                (if p < Cimp.System.n_procs sys then
-                  Cimp.Com.at_labels (Cimp.System.proc sys p)
+                  List.map Cimp.Label.name (Cimp.Com.at_labels (Cimp.System.proc sys p))
                 else []));
         ])
 

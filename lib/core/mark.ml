@@ -47,7 +47,8 @@ let mut_lens =
   }
 
 let code cfg ~pid ~prefix (lens : lens) : (msg, value, State.t) Cimp.Com.t =
-  let l n = prefix ^ ":" ^ n in
+  let prefix = Cimp.Label.name prefix in
+  let l n = Cimp.Label.v (prefix ^ ":" ^ n) in
   let regs = lens.get in
   let the_ref s =
     match (regs s).mk_ref with Some r -> r | None -> invalid_arg "Mark.code: no target"

@@ -16,15 +16,12 @@ type sys = (msg, value, State.t) Cimp.System.t
 type t = { cfg : Config.t; shape : Gcheap.Shapes.t; system : sys }
 
 let programs cfg =
-  let coms =
-    [ Collector.process cfg ]
-    @ List.init cfg.Config.n_muts (fun m -> Mutator.process cfg m)
-    @ [ Sysproc.process cfg ]
-  in
-  coms
+  [ Collector.process cfg ]
+  @ List.init cfg.Config.n_muts (fun m -> Mutator.process cfg m)
+  @ [ Sysproc.process cfg ]
 
 (* Labels must be unique within each process for control fingerprinting. *)
-let validate_labels cfg =
+let check_labels cfg coms =
   List.iteri
     (fun p com ->
       match Cimp.Com.duplicate_labels com with
@@ -32,9 +29,9 @@ let validate_labels cfg =
       | dups ->
         invalid_arg
           (Fmt.str "Model: duplicate labels in %s: %a" (Config.proc_name cfg p)
-             Fmt.(list ~sep:comma string)
+             Fmt.(list ~sep:comma Cimp.Label.pp)
              dups))
-    (programs cfg)
+    coms
 
 let initial_sys_data cfg (shape : Gcheap.Shapes.t) =
   let n_soft = Config.n_software cfg in
@@ -77,13 +74,13 @@ let check_fits cfg (shape : Gcheap.Shapes.t) =
 
 let make cfg (shape : Gcheap.Shapes.t) : t =
   check_fits cfg shape;
-  validate_labels cfg;
+  let coms = programs cfg in
+  check_labels cfg coms;
   let data p =
     if p = Config.pid_gc then State.L_gc State.gc_data0
     else if p = Config.pid_sys cfg then State.L_sys (initial_sys_data cfg shape)
     else State.L_mut (State.mut_data0 (Gcheap.Shapes.roots_for shape (p - 1)))
   in
-  let coms = programs cfg in
   let procs = Array.of_list (List.mapi (fun p com -> Cimp.Com.make [ com ] (data p)) coms) in
   let names = Array.init (Config.n_procs cfg) (Config.proc_name cfg) in
   { cfg; shape; system = Cimp.System.make names procs }
@@ -97,4 +94,6 @@ let mut_data (sys : sys) cfg m =
 
 (* Is process p's control inside a label whose name starts with [prefix]? *)
 let at_prefix (sys : sys) p prefix =
-  Cimp.Com.exists_at (String.starts_with ~prefix) (Cimp.System.proc sys p)
+  Cimp.Com.exists_at
+    (fun l -> String.starts_with ~prefix (Cimp.Label.name l))
+    (Cimp.System.proc sys p)

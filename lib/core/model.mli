@@ -20,7 +20,6 @@ val make : Config.t -> Gcheap.Shapes.t -> t
     reference masks require ({!Gcheap.Heap}). *)
 
 val programs : Config.t -> (Types.msg, Types.value, State.t) Cimp.Com.t list
-val validate_labels : Config.t -> unit
 val initial_sys_data : Config.t -> Gcheap.Shapes.t -> State.sys_data
 
 (** {1 Projections} *)

@@ -22,7 +22,7 @@ let expect_hs = function V_hs (h, b) -> (h, b) | _ -> invalid_arg "Mutator: expe
 (* [m] is the mutator index; its pid is 1 + m. *)
 let process cfg m : (msg, value, State.t) Cimp.Com.t =
   let pid = Config.pid_mut cfg m in
-  let l n = "mut:" ^ n in
+  let l n = Cimp.Label.v ("mut:" ^ n) in
   (* Operation budget for bounded exhaustive runs (Config.max_mut_ops).
      Handshaking is always free; heap operations spend budget. *)
   let budget_ok d = cfg.Config.max_mut_ops = 0 || d.m_ops < cfg.Config.max_mut_ops in
@@ -197,7 +197,8 @@ let process cfg m : (msg, value, State.t) Cimp.Com.t =
      and lower the bit.  get-roots marks and transfers the roots
      (Fig. 2 lines 16-20); get-work transfers the work-list (lines 32-34). *)
   let fence lbl =
-    if cfg.Config.handshake_fences && not (Config.fence_dropped cfg lbl) then req lbl Req_mfence
+    if cfg.Config.handshake_fences && not (Config.fence_dropped cfg (Cimp.Label.name lbl)) then
+      req lbl Req_mfence
     else Skip lbl
   in
   let mark_roots =

@@ -22,17 +22,20 @@
 open Types
 open State
 
-(* The current label of process [p]: the head label of its top frame. *)
+(* The name of process [p]'s current label: the head label of its top
+   frame. *)
 let head_of sys p =
-  match (Cimp.System.proc sys p).Cimp.Com.stack with [] -> "" | c :: _ -> Cimp.Com.head_label c
+  match (Cimp.System.proc sys p).Cimp.Com.stack with
+  | [] -> ""
+  | c :: _ -> Cimp.Label.name (Cimp.Com.head_label c)
 
 (* -- register liveness ------------------------------------------------------
 
    [canon_mut]/[canon_gc] null dead registers, returning the argument
    physically unchanged when no rule fires (Symmetry counts a state as
-   "nulled" via [!=]).  [spine] is the process's label spine, [h] its
-   head (current) label.  The tests are typed (no polymorphic compare):
-   they run on every fingerprinted state. *)
+   "nulled" via [!=]).  [spine] is the process's label spine, [h] the
+   name of its head (current) label.  The tests are typed (no polymorphic
+   compare): they run on every fingerprinted state. *)
 
 let is_mark_regs0 r =
   Option.is_none r.mk_ref && (not r.mk_fM) && (not r.mk_flag) && r.mk_phase = Ph_idle
@@ -43,7 +46,9 @@ let canon_mut spine h (d : mut_data) =
      whose first branch is the handshake) every op-scratch register is
      dead: each op writes its own scratch before reading it.  m_roots,
      m_ops and m_rooted genuinely carry across ops and stay. *)
-  let at_op_loop = match spine with [ l ] -> String.equal l "mut:hs-read" | _ -> false in
+  let at_op_loop =
+    match spine with [ l ] -> String.equal (Cimp.Label.name l) "mut:hs-read" | _ -> false
+  in
   let d =
     if
       at_op_loop
@@ -139,7 +144,7 @@ let spec cfg : (Types.msg, Types.value, State.t) Reduce.Symmetry.spec =
     Reduce.Symmetry.sym_pids = List.init cfg.Config.n_muts (Config.pid_mut cfg);
     canon_local =
       (fun _sys ~pid:_ ~spine d ->
-        let h = match spine with [] -> "" | l :: _ -> l in
+        let h = match spine with [] -> "" | l :: _ -> Cimp.Label.name l in
         match d with
         | L_gc g ->
           let g' = canon_gc h g in
@@ -184,7 +189,8 @@ let por_policy =
   {
     Reduce.Por.deferrable =
       (function
-      | Cimp.System.Rendezvous { req_label; _ } -> String.ends_with ~suffix:"fence" req_label
+      | Cimp.System.Rendezvous { req_label; _ } ->
+        String.ends_with ~suffix:"fence" (Cimp.Label.name req_label)
       | Cimp.System.Tau _ -> false);
   }
 

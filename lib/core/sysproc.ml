@@ -137,6 +137,6 @@ let process cfg : com =
   Cimp.Com.Loop
     (Cimp.Com.Choose
        [
-         Cimp.Com.Response ("sys:respond", respond cfg);
-         Cimp.Com.Local_op ("sys:dequeue", dequeue cfg);
+         Cimp.Com.Response (Cimp.Label.v "sys:respond", respond cfg);
+         Cimp.Com.Local_op (Cimp.Label.v "sys:dequeue", dequeue cfg);
        ])

@@ -79,7 +79,9 @@ let label_tags l =
   @ (if contains_sub l ":cas-" || contains_sub l "cas-" then [ "#cas" ] else [])
   @ if l = "sys:dequeue" then [ "#flush" ] else []
 
-let tagged l = String.concat " " (l :: label_tags l)
+let tagged l =
+  let l = Cimp.Label.name l in
+  String.concat " " (l :: label_tags l)
 
 let clamp width s = if String.length s <= width then s else String.sub s 0 (width - 1) ^ "~"
 

@@ -89,7 +89,7 @@ let capture cfg ~step system =
     dangling = sd.s_dangling;
     at =
       List.init (Cimp.System.n_procs system) (fun p ->
-          (p, Cimp.Com.at_labels (Cimp.System.proc system p)));
+          (p, List.map Cimp.Label.name (Cimp.Com.at_labels (Cimp.System.proc system p))));
   }
 
 let color_of t r = List.assoc_opt r t.colors

@@ -12,9 +12,19 @@ type snapshot = {
 
 let manifest_name = "MANIFEST.json"
 
+(* Schema 2: fingerprints mix one hash per label (schema 1's mixed label
+   characters, so none of its stored fingerprints would match), and
+   state.json names each segment file with its MD5. *)
+let schema = 2
+
 let t0_name shard = Printf.sprintf "t0-%02d.seg" shard
 
 let snap_name seq = "snap-" ^ string_of_int seq
+
+(* A segment file as state.json names it: its name in the snapshot and
+   its MD5, which [load] checks before decoding it. *)
+let seg_file name seg =
+  Obs.Json.Obj [ ("name", Obs.Json.String name); ("md5", Obs.Json.String (Segment.digest seg)) ]
 
 let write ~dir ~seq ~config ~store ~states ~transitions ~deadlocks ~truncated ~elapsed_s ~best
     ~frontier =
@@ -34,9 +44,8 @@ let write ~dir ~seq ~config ~store ~states ~transitions ~deadlocks ~truncated ~e
             0 entries
         in
         let name = t0_name shard in
-        ignore
-          (Segment.write ~path:(Filename.concat tmp name) ~shard ~seq:0 ~max_depth entries);
-        Obs.Json.String name
+        seg_file name
+          (Segment.write ~path:(Filename.concat tmp name) ~shard ~seq:0 ~max_depth entries)
       end
     in
     let segs = Tiered.segments_of store ~shard in
@@ -46,7 +55,7 @@ let write ~dir ~seq ~config ~store ~states ~transitions ~deadlocks ~truncated ~e
           let name = Filename.basename (Segment.path seg) in
           let dst = Filename.concat tmp name in
           if not (Sys.file_exists dst) then Fs.link (Segment.path seg) dst;
-          Obs.Json.String name)
+          seg_file name seg)
         segs
     in
     let distinct, next_seq = Tiered.shard_meta store ~shard in
@@ -63,7 +72,7 @@ let write ~dir ~seq ~config ~store ~states ~transitions ~deadlocks ~truncated ~e
   let state =
     Obs.Json.Obj
       [
-        ("schema", Obs.Json.Int 1);
+        ("schema", Obs.Json.Int schema);
         ("seq", Obs.Json.Int seq);
         ("states", Obs.Json.Int states);
         ("transitions", Obs.Json.Int transitions);
@@ -99,7 +108,7 @@ let write ~dir ~seq ~config ~store ~states ~transitions ~deadlocks ~truncated ~e
   let manifest =
     Obs.Json.Obj
       [
-        ("schema", Obs.Json.Int 1);
+        ("schema", Obs.Json.Int schema);
         ("latest", Obs.Json.String (snap_name seq));
         ("seq", Obs.Json.Int seq);
         ("config", config);
@@ -117,6 +126,13 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let ( let* ) = Result.bind
 
+(* A document of another schema is refused by name before anything else
+   in it is read. *)
+let check_schema doc j =
+  let* found = Obs.Json.Decode.(run doc (fun d -> int (field "schema" d)) j) in
+  if found = schema then Ok ()
+  else Error (Printf.sprintf "%s: schema %d, expected %d" doc found schema)
+
 (* The manifest's sequence number, echoed configuration and latest
    snapshot directory. *)
 let read_manifest dir =
@@ -126,6 +142,7 @@ let read_manifest dir =
     let* j =
       Result.map_error (fun e -> "bad manifest: " ^ e) (Obs.Json.of_string (read_file path))
     in
+    let* () = check_schema manifest_name j in
     Obs.Json.Decode.(
       run manifest_name
         (fun m ->
@@ -144,6 +161,7 @@ let load ?mem_budget ?spill_dir dir =
   if not (Sys.file_exists spath) then Error ("snapshot " ^ latest ^ " has no state.json")
   else
     let* st = Result.map_error (fun e -> "bad state.json: " ^ e) (Obs.Json.of_string (read_file spath)) in
+    let* () = check_schema "state.json" st in
     (* state.json is read fail-closed: every field [load] reads is
        required and typed.  The only nulls are the writer's own: [best]
        without a violation and [tier0] for an empty shard. *)
@@ -167,15 +185,20 @@ let load ?mem_budget ?spill_dir dir =
             in
             let task t = match list int t with [ fp; d ] -> (fp, d) | _ -> malformed t in
             let frontier = Array.of_list (list (list task) (field "frontier" st)) in
-            (* per shard: distinct, next_seq, tier-0 segment name, live
-               segment names *)
+            (* per shard: distinct, next_seq, tier-0 segment file, live
+               segment files, each as (name, md5) *)
+            let file f =
+              let name = string (field "name" f) in
+              let md5 = string (field "md5" f) in
+              (name, md5)
+            in
             let shards =
               list
                 (fun sh ->
                   let distinct = int (field "distinct" sh) in
                   let next_seq = int (field "next_seq" sh) in
-                  let tier0 = nullable string (field "tier0" sh) in
-                  let segs = list string (field "segs" sh) in
+                  let tier0 = nullable file (field "tier0" sh) in
+                  let segs = list file (field "segs" sh) in
                   (distinct, next_seq, tier0, segs))
                 (field "shards" st)
             in
@@ -201,16 +224,13 @@ let load ?mem_budget ?spill_dir dir =
       in
       List.iteri
         (fun shard (distinct, next_seq, tier0, seg_names) ->
-          let tier0 =
-            match tier0 with
-            | None -> [||]
-            | Some name -> Segment.entries (Segment.load (Filename.concat sdir name))
-          in
+          let load_seg (name, digest) = Segment.load ~digest (Filename.concat sdir name) in
+          let tier0 = match tier0 with None -> [||] | Some f -> Segment.entries (load_seg f) in
           (* loaded from the snapshot, so a damaged file is named there *)
           let segs =
             List.map
-              (fun name ->
-                let seg = Segment.load (Filename.concat sdir name) in
+              (fun ((name, _) as f) ->
+                let seg = load_seg f in
                 match live_dir with
                 | Some d ->
                   let dst = Filename.concat d name in

@@ -6,7 +6,7 @@
     immutable, so a link is a copy; falls back to a byte copy across
     filesystems), the tier-0 contents of every shard dumped as per-shard
     segment files, and a [state.json] with the counters, the
-    best-violation cell, the frontier (as (fingerprint, depth) pairs per
+    best-violation cell, each segment file's name and MD5, the frontier (as (fingerprint, depth) pairs per
     worker — states are replayed from parent chains at resume, because
     CIMP systems embed closures and cannot be marshalled), and the tool
     configuration echoed verbatim.
@@ -50,8 +50,11 @@ val write :
 (** Latest complete snapshot's sequence number and echoed configuration,
     without loading the store (so a resuming tool can rebuild the model
     first).  [MANIFEST.json] is read fail-closed like [state.json]
-    below: [seq], [latest] and [config] (opaque, but present) are
-    required. *)
+    below: [schema], [seq], [latest] and [config] (opaque, but present)
+    are required, and a schema other than 2 returns [Error
+    "MANIFEST.json: schema N, expected 2"] (schema-1 snapshots hold
+    fingerprints that mixed label characters, which no run now
+    produces). *)
 val manifest : string -> (int * Obs.Json.t, string) result
 
 (** Load the latest complete snapshot.  The store is rebuilt with the
@@ -69,8 +72,10 @@ val manifest : string -> (int * Obs.Json.t, string) result
     [best.fp], [frontier[0][3]], [shards[3].next_seq]) instead of being
     read as a default.  The only nulls accepted are those {!write}
     writes: [best] when there is no violation and [tier0] for an empty
-    shard.  [schema] and [config] (the manifest's is the one read) are
-    not read.  A tier-0
-    dump or live segment that is truncated or does not decode returns
-    [Error] naming the snapshot's file ({!Segment.load}). *)
+    shard.  [schema] must be 2, as in the manifest; [config] (the
+    manifest's is the one read) is not read.  Every tier-0 dump and live
+    segment is checked against the MD5 [state.json] records for it before
+    it is decoded: a mismatch returns [Error] naming the snapshot's file
+    (["PATH: segment digest mismatch"]), and so does a file that is
+    truncated or does not decode ({!Segment.load}). *)
 val load : ?mem_budget:int -> ?spill_dir:string -> string -> (snapshot, string) result

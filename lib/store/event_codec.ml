@@ -1,17 +1,21 @@
 let label_bits = 20
 let pid_bits = 10
 
-type t = { ids : (Cimp.Label.t, int) Hashtbl.t; labels : Cimp.Label.t array }
+(* Keyed on the hash each label carries, so encoding a transition hashes
+   no string. *)
+module Ids = Hashtbl.Make (Cimp.Label)
+
+type t = { ids : int Ids.t; labels : Cimp.Label.t array }
 
 let of_system sys =
-  let ids = Hashtbl.create 256 in
+  let ids = Ids.create 256 in
   let rev = ref [] in
   let n = ref 0 in
   for p = 0 to Cimp.System.n_procs sys - 1 do
     List.iter
       (fun l ->
-        if not (Hashtbl.mem ids l) then begin
-          Hashtbl.add ids l !n;
+        if not (Ids.mem ids l) then begin
+          Ids.add ids l !n;
           rev := l :: !rev;
           incr n
         end)
@@ -23,9 +27,9 @@ let of_system sys =
   { ids; labels = Array.of_list (List.rev !rev) }
 
 let label_id t l =
-  match Hashtbl.find_opt t.ids l with
+  match Ids.find_opt t.ids l with
   | Some i -> i
-  | None -> invalid_arg ("Event_codec: label not in the initial program: " ^ l)
+  | None -> invalid_arg ("Event_codec: label not in the initial program: " ^ Cimp.Label.name l)
 
 let encode t = function
   | Cimp.System.Tau (p, l) -> (p lsl label_bits) lor label_id t l

@@ -12,6 +12,8 @@ type t = {
   data_pos : int;  (* file offset of the data region *)
   data_len : int;
   disk_bytes : int;
+  mutable digest : string option;
+      (* MD5 (hex) of the file, once a checkpoint has needed it *)
 }
 
 let magic = "GCSEG001"
@@ -24,6 +26,16 @@ let seq t = t.seq
 let length t = t.n
 let max_depth t = t.max_depth
 let disk_bytes t = t.disk_bytes
+
+(* A segment's file never changes once written, so its digest is
+   computed at most once, and only for a checkpoint. *)
+let digest t =
+  match t.digest with
+  | Some d -> d
+  | None ->
+    let d = Digest.to_hex (Digest.file t.path) in
+    t.digest <- Some d;
+    d
 
 let mem_bytes t =
   Bloom.bytes t.bloom + (2 * 8 * Array.length t.index_fp) + 96 (* record + headers *)
@@ -85,6 +97,7 @@ let write ~path ~shard ~seq ~max_depth entries =
     data_pos;
     data_len = Buffer.length data;
     disk_bytes = data_pos + Buffer.length data;
+    digest = None;
   }
 
 (* Every read fails closed: a short read or bytes that do not decode
@@ -102,7 +115,12 @@ let read_varint_ic ic =
   done;
   !v
 
-let load path =
+let load ?digest path =
+  Option.iter
+    (fun d ->
+      if Digest.to_hex (Digest.file path) <> d then
+        raise (Sys_error (path ^ ": segment digest mismatch")))
+    digest;
   In_channel.with_open_bin path (fun ic ->
       let file_len = in_channel_length ic in
       (* sizes are checked against the file before anything is
@@ -150,6 +168,7 @@ let load path =
           data_pos;
           data_len;
           disk_bytes = data_pos + data_len;
+          digest;
         }
       with End_of_file | Invalid_argument _ -> corrupt path)
 

@@ -50,6 +50,11 @@ val max_depth : t -> int
 (** On-disk file size in bytes. *)
 val disk_bytes : t -> int
 
+(** MD5 (hex) of the segment's file, as {!Checkpoint} records it.  A
+    segment is immutable once written, so this is computed on first use
+    and cached; a segment loaded with [~digest] starts with it cached. *)
+val digest : t -> string
+
 (** Resident footprint (Bloom filter + block index) in bytes. *)
 val mem_bytes : t -> int
 
@@ -68,8 +73,13 @@ val write : path:string -> shard:int -> seq:int -> max_depth:int -> entry array 
     I/O failure raises, so callers that refuse I/O failures refuse a
     damaged segment too.  [load] checks the header's sizes and block
     index against the file length, so truncation anywhere in the file
-    is caught when it is loaded. *)
-val load : string -> t
+    is caught when it is loaded.
+
+    With [~digest], the file's MD5 is checked first: a mismatch raises
+    [Sys_error "PATH: segment digest mismatch"] before anything is
+    decoded, which catches damage that still decodes (a flipped bit
+    inside a block). *)
+val load : ?digest:string -> string -> t
 
 (** Bloom-only test: definitive [false], [true] with ~1% false
     positives.  Exposed so the tiered store can count Bloom rejections

@@ -45,7 +45,9 @@ let decode = function V_ref r -> Option.value r ~default:0 | _ -> invalid_arg "L
 (* Thread [t] as a CIMP client: one request per access, and a LOCK XCHG
    as Lock/Read/Write/Unlock, Fig. 9's treatment of a LOCK'd CMPXCHG. *)
 let client t instrs =
-  let req i kind m k = Cimp.Com.Request (Fmt.str "t%d:%d:%s" t i kind, (fun _ -> (t, m)), k) in
+  let req i kind m k =
+    Cimp.Com.Request (Cimp.Label.v (Fmt.str "t%d:%d:%s" t i kind), (fun _ -> (t, m)), k)
+  in
   let ack _ s = s in
   let set r v = List.mapi (fun j x -> if j = r then decode v else x) in
   let load r v s = Core.State.L_regs (set r v (Core.State.regs s)) in

@@ -10,7 +10,7 @@ let proc c data = Com.make [ c ] data
 
 (* A diamond: two independent one-step processes => exactly 4 states. *)
 let diamond () =
-  let p : com = Com.Local_op ("p", fun s -> [ s + 1 ]) in
+  let p : com = Com.Local_op (Label.v "p", fun s -> [ s + 1 ]) in
   System.make [| "p"; "q" |] [| proc p 0; proc p 0 |]
 
 let test_exact_state_count () =
@@ -28,7 +28,7 @@ let test_normal_form_collapses_diamond () =
 
 let test_truncation () =
   (* an unbounded counter never closes *)
-  let p : com = Com.Loop (Com.Local_op ("inc", fun s -> [ s + 1; s + 2 ])) in
+  let p : com = Com.Loop (Com.Local_op (Label.v "inc", fun s -> [ s + 1; s + 2 ])) in
   let sys = System.make [| "p" |] [| proc p 0 |] in
   let o = Check.Explore.run ~max_states:50 ~invariants:[] sys in
   Alcotest.(check bool) "truncated" true o.Check.Explore.truncated;
@@ -37,7 +37,7 @@ let test_truncation () =
 let test_shortest_counterexample () =
   (* two routes to the bad value: length 3 (via +1 steps) and length 1
      (via +3); BFS must return the short one *)
-  let p : com = Com.Loop (Com.Local_op ("step", fun s -> [ s + 1; s + 3 ])) in
+  let p : com = Com.Loop (Com.Local_op (Label.v "step", fun s -> [ s + 1; s + 3 ])) in
   let sys = System.make [| "p" |] [| proc p 0 |] in
   let o =
     Check.Explore.run ~invariants:[ ("not-three", fun sys -> (System.proc sys 0).Com.data <> 3) ] sys
@@ -53,9 +53,9 @@ let test_trace_replays () =
   let p : com =
     Com.seq
       [
-        Com.Local_op ("a", fun s -> [ s + 1 ]);
-        Com.Local_op ("b", fun s -> [ s * 2 ]);
-        Com.Local_op ("c", fun s -> [ s + 5 ]);
+        Com.Local_op (Label.v "a", fun s -> [ s + 1 ]);
+        Com.Local_op (Label.v "b", fun s -> [ s * 2 ]);
+        Com.Local_op (Label.v "c", fun s -> [ s + 5 ]);
       ]
   in
   let sys = System.make [| "p" |] [| proc p 3 |] in
@@ -71,7 +71,7 @@ let test_trace_replays () =
     let labels =
       List.map
         (fun (s : _ Check.Trace.step) ->
-          match s.Check.Trace.event with System.Tau (_, l) -> l | _ -> "?")
+          match s.Check.Trace.event with System.Tau (_, l) -> Label.name l | _ -> "?")
         tr.Check.Trace.steps
     in
     Alcotest.(check (list string)) "schedule order" [ "a"; "b"; "c" ] labels
@@ -85,7 +85,7 @@ let test_initial_state_checked () =
   | None -> Alcotest.fail "initial state must be checked"
 
 let test_random_walk_finds_violation () =
-  let p : com = Com.Loop (Com.Local_op ("step", fun s -> [ s + 1; s + 2 ])) in
+  let p : com = Com.Loop (Com.Local_op (Label.v "step", fun s -> [ s + 1; s + 2 ])) in
   let sys = System.make [| "p" |] [| proc p 0 |] in
   let o =
     Check.Random_walk.run ~steps:1_000
@@ -100,7 +100,7 @@ let test_random_walk_finds_violation () =
   Alcotest.(check bool) "steps counted" true (o.Check.Random_walk.steps_taken > 0)
 
 let test_random_walk_deterministic_seed () =
-  let p : com = Com.Loop (Com.Local_op ("step", fun s -> [ s + 1; s + 2 ])) in
+  let p : com = Com.Loop (Com.Local_op (Label.v "step", fun s -> [ s + 1; s + 2 ])) in
   let sys () = System.make [| "p" |] [| proc p 0 |] in
   let run seed =
     (Check.Random_walk.run ~seed ~steps:100 ~invariants:[] (sys ())).Check.Random_walk.steps_taken
@@ -124,7 +124,7 @@ let test_fingerprints () =
 let test_fingerprint_hashes_distinct_and_stable () =
   (* vary data only *)
   let data_sys v : (int, int, int) System.t =
-    System.make [| "p" |] [| proc (Com.Local_op ("x", fun s -> [ s ])) v |]
+    System.make [| "p" |] [| proc (Com.Local_op (Label.v "x", fun s -> [ s ])) v |]
   in
   (* vary control only (the label spine) *)
   let control_sys l : (int, int, int) System.t =
@@ -132,7 +132,8 @@ let test_fingerprint_hashes_distinct_and_stable () =
   in
   let fps =
     List.init 128 (fun v -> Check.Fingerprint.of_system (data_sys v))
-    @ List.init 128 (fun i -> Check.Fingerprint.of_system (control_sys ("l" ^ string_of_int i)))
+    @ List.init 128 (fun i ->
+          Check.Fingerprint.of_system (control_sys (Label.v ("l" ^ string_of_int i))))
   in
   let distinct l = List.length (List.sort_uniq compare l) = List.length l in
   Alcotest.(check bool) "new hash: 256 distinct systems, 256 distinct fingerprints" true
@@ -159,7 +160,10 @@ let test_fingerprint_hashes_distinct_and_stable () =
    every branch of the data walk and the control spine. *)
 let test_fingerprint_mix_pinned () =
   let o = Stdlib.Obj.repr in
-  let hash ~control ~data = Check.Fingerprint.hash (Check.Fingerprint.of_parts ~control ~data) in
+  let hash ~control ~data =
+    Check.Fingerprint.hash
+      (Check.Fingerprint.of_parts ~control:(List.map (List.map Label.v) control) ~data)
+  in
   List.iter
     (fun (name, control, data, expected) ->
       Alcotest.(check int) name expected (hash ~control ~data))
@@ -186,11 +190,21 @@ let test_fingerprint_mix_pinned () =
       ( "multi-label spines",
         [ [ "gc:mark:loop"; "gc:outer" ]; []; [ "mut:hs-read"; "mut:op"; "top" ] ],
         [],
-        393948273107870058 );
+        -708084758999165368 );
       ( "spines and data",
         [ [ "a"; "" ]; [ "bcdefghijk" ] ],
         [ o 1; o (Some "x"); o [ 1.5 ] ],
-        -4211228051672505397 );
+        2873276622092698797 );
+    ];
+  (* a spine mixes one word per label, its hash, so the label hash is
+     part of the format too *)
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check int) ("label hash " ^ name) expected (Label.hash (Label.v name)))
+    [
+      ("", -2455880126034321466);
+      ("a", -2404116067321578552);
+      ("mut:hs-read", 1199268353952638969);
     ];
   let rejects name v =
     match hash ~control:[] ~data:[ v ] with
@@ -210,7 +224,7 @@ let test_fingerprint_mix_pinned () =
    on every count. *)
 let bounded_counter () : (int, int, int) System.t =
   let p : com =
-    Com.While (("w" : Cimp.Label.t), (fun s -> s < 40), Com.Local_op ("step", fun s -> [ s + 1; s + 2 ]))
+    Com.While (Label.v "w", (fun s -> s < 40), Com.Local_op (Label.v "step", fun s -> [ s + 1; s + 2 ]))
   in
   System.make [| "p" |] [| proc p 0 |]
 
@@ -257,7 +271,7 @@ let test_par_violation_same_name_and_length () =
      reference's invariant and a shortest trace of the same length, at
      depth 1 and at depth 3 *)
   let sys () : (int, int, int) System.t =
-    let p : com = Com.Loop (Com.Local_op ("step", fun s -> [ s + 1; s + 3 ])) in
+    let p : com = Com.Loop (Com.Local_op (Label.v "step", fun s -> [ s + 1; s + 3 ])) in
     System.make [| "p" |] [| proc p 0 |]
   in
   let check_both name pred expected_len =
@@ -378,7 +392,7 @@ let test_par_empty_frontier_after_reduction () =
    counts must still be exactly sequential. *)
 let test_par_chain_starved_workers () =
   let p : com =
-    Com.While (("w" : Cimp.Label.t), (fun s -> s < 30), Com.Local_op ("step", fun s -> [ s + 1 ]))
+    Com.While (Label.v "w", (fun s -> s < 30), Com.Local_op (Label.v "step", fun s -> [ s + 1 ]))
   in
   let sys () = System.make [| "p" |] [| proc p 0 |] in
   let seq = Check.Explore.run ~normal_form:false ~invariants:[] (sys ()) in
@@ -458,7 +472,7 @@ let test_par_jobs_equivalence_with_reduce () =
 (* -- the random-walk swarm -------------------------------------------------- *)
 
 let test_swarm_finds_violation () =
-  let p : com = Com.Loop (Com.Local_op ("step", fun s -> [ s + 1; s + 2 ])) in
+  let p : com = Com.Loop (Com.Local_op (Label.v "step", fun s -> [ s + 1; s + 2 ])) in
   let sys = System.make [| "p" |] [| proc p 0 |] in
   let o =
     Check.Random_walk.swarm ~jobs:3 ~steps:3_000
@@ -474,7 +488,7 @@ let test_swarm_finds_violation () =
 let test_swarm_deterministic_totals () =
   (* without a violation every domain consumes exactly its budget share,
      so aggregate counters are deterministic in (seed, jobs) *)
-  let p : com = Com.Loop (Com.Local_op ("step", fun s -> [ s + 1; s + 2 ])) in
+  let p : com = Com.Loop (Com.Local_op (Label.v "step", fun s -> [ s + 1; s + 2 ])) in
   let sys () = System.make [| "p" |] [| proc p 0 |] in
   let run () = Check.Random_walk.swarm ~jobs:3 ~seed:7 ~steps:100 ~invariants:[] (sys ()) in
   let a = run () and b = run () in
@@ -489,11 +503,35 @@ let prop_explore_counts_reachable_values =
   QCheck.Test.make ~name:"explorer visits each reachable value once" ~count:50
     QCheck.(pair (int_range 1 3) (int_range 1 3))
     (fun (a, b) ->
-      let p : com = Com.Local_op ("x", fun s -> [ s + a; s + b ]) in
+      let p : com = Com.Local_op (Label.v "x", fun s -> [ s + a; s + b ]) in
       let sys = System.make [| "p" |] [| proc p 0 |] in
       let o = Check.Explore.run ~normal_form:false ~invariants:[] sys in
       let expected = if a = b then 2 else 3 in
       o.Check.Explore.states = expected)
+
+(* qcheck: polymorphic compare orders labels as [String.compare] orders
+   their names (the symmetry sort key and [Fingerprint.equal] compare
+   spines polymorphically).  Names are drawn from a small alphabet so that
+   equal names, shared prefixes and the empty name are common. *)
+let prop_label_compare_is_name_order =
+  let name = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; ':'; '-' ]) (int_bound 6)) in
+  let names =
+    QCheck.Gen.(
+      name >>= fun a ->
+      oneof
+        [
+          map (fun b -> (a, b)) name;
+          map (fun n -> (a, String.sub a 0 (min n (String.length a)))) (int_bound 6);
+          return ("", a);
+          return (a, a);
+        ])
+  in
+  QCheck.Test.make ~name:"label compare is name order" ~count:1000
+    (QCheck.make ~print:QCheck.Print.(pair string string) names)
+    (fun (a, b) ->
+      let sign c = Int.compare c 0 in
+      sign (Stdlib.compare (Label.v a) (Label.v b)) = sign (String.compare a b)
+      && sign (Stdlib.compare (Label.v b) (Label.v a)) = sign (String.compare b a))
 
 let suite =
   [
@@ -528,4 +566,5 @@ let suite =
     Alcotest.test_case "swarm totals are (seed, jobs)-deterministic" `Quick
       test_swarm_deterministic_totals;
     QCheck_alcotest.to_alcotest prop_explore_counts_reachable_values;
+    QCheck_alcotest.to_alcotest prop_label_compare_is_name_order;
   ]

@@ -10,14 +10,17 @@ type com = (int, int, int) Com.t
 
 let mkcfg (c : com) data = Com.make [ c ] data
 
-(* The tau offers of a configuration, in offer order. *)
-let taus cfg = List.filter_map (function Com.Tau (l, c) -> Some (l, c) | _ -> None) (Com.offers cfg)
+(* The tau offers of a configuration, in offer order, by label name. *)
+let taus cfg =
+  List.filter_map (function Com.Tau (l, c) -> Some (Label.name l, c) | _ -> None) (Com.offers cfg)
+
+let names = List.map Label.name
 
 let tau_targets cfg = List.map snd (taus cfg)
 let datas cfgs = List.map (fun (c : (int, int, int) Com.config) -> c.Com.data) cfgs
 
 let test_skip () =
-  let cfg = mkcfg (Com.Skip "a") 7 in
+  let cfg = mkcfg (Com.Skip (Label.v "a")) 7 in
   match taus cfg with
   | [ ("a", cfg') ] ->
     Alcotest.(check bool) "terminated" true (Com.terminated cfg');
@@ -25,27 +28,27 @@ let test_skip () =
   | _ -> Alcotest.fail "skip must have exactly one tau step"
 
 let test_local_op_nondet () =
-  let c : com = Com.Local_op ("a", fun s -> [ s + 1; s + 2; s + 3 ]) in
+  let c : com = Com.Local_op (Label.v "a", fun s -> [ s + 1; s + 2; s + 3 ]) in
   let cfg = mkcfg c 0 in
   Alcotest.(check (list int)) "three successors" [ 1; 2; 3 ] (datas (tau_targets cfg))
 
 let test_local_op_blocked () =
-  let c : com = Com.Local_op ("a", fun _ -> []) in
+  let c : com = Com.Local_op (Label.v "a", fun _ -> []) in
   Alcotest.(check int) "no successors" 0 (List.length (taus (mkcfg c 0)))
 
 let test_seq_normalisation () =
   (* Fig. 7's frame-stack rule: (c1 ;; c2) . cs steps as c1 . c2 . cs. *)
-  let c = Com.seq [ Com.Skip "a"; Com.Skip "b"; Com.Skip "c" ] in
+  let c = Com.seq [ Com.Skip (Label.v "a"); Com.Skip (Label.v "b"); Com.Skip (Label.v "c") ] in
   let cfg = mkcfg c 0 in
-  Alcotest.(check (list string)) "label spine" [ "a"; "b"; "c" ] (Com.stack_labels cfg.Com.stack);
+  Alcotest.(check (list string)) "label spine" [ "a"; "b"; "c" ] (names (Com.stack_labels cfg.Com.stack));
   match taus cfg with
   | [ ("a", cfg') ] ->
-    Alcotest.(check (list string)) "after one step" [ "b"; "c" ] (Com.stack_labels cfg'.Com.stack)
+    Alcotest.(check (list string)) "after one step" [ "b"; "c" ] (names (Com.stack_labels cfg'.Com.stack))
   | _ -> Alcotest.fail "expected one step"
 
 let test_if_branches () =
-  let c : com = Com.If ("i", (fun s -> s > 0), Com.Skip "t", Com.Skip "f") in
-  let head cfg = List.hd (Com.stack_labels cfg.Com.stack) in
+  let c : com = Com.If (Label.v "i", (fun s -> s > 0), Com.Skip (Label.v "t"), Com.Skip (Label.v "f")) in
+  let head cfg = List.hd (names (Com.stack_labels cfg.Com.stack)) in
   (match taus (mkcfg c 1) with
   | [ ("i", cfg') ] -> Alcotest.(check string) "then" "t" (head cfg')
   | _ -> Alcotest.fail "if must step");
@@ -54,7 +57,9 @@ let test_if_branches () =
   | _ -> Alcotest.fail "if must step"
 
 let test_while_unfolds () =
-  let c : com = Com.While ("w", (fun s -> s < 2), Com.Local_op ("inc", fun s -> [ s + 1 ])) in
+  let c : com =
+    Com.While (Label.v "w", (fun s -> s < 2), Com.Local_op (Label.v "inc", fun s -> [ s + 1 ]))
+  in
   let rec drive cfg n =
     if n > 20 then Alcotest.fail "while did not terminate"
     else if Com.terminated cfg then cfg.Com.data
@@ -70,7 +75,7 @@ let test_choose_external () =
      only when a branch acts. *)
   let c : com =
     Com.Choose
-      [ Com.Local_op ("a", fun s -> [ s + 10 ]); Com.Local_op ("b", fun s -> [ s + 20 ]) ]
+      [ Com.Local_op (Label.v "a", fun s -> [ s + 10 ]); Com.Local_op (Label.v "b", fun s -> [ s + 20 ]) ]
   in
   let steps = taus (mkcfg c 0) in
   Alcotest.(check int) "two offers" 2 (List.length steps);
@@ -80,14 +85,14 @@ let test_choose_external () =
 
 let test_choose_blocked_branch () =
   let c : com =
-    Com.Choose [ Com.Local_op ("a", fun _ -> []); Com.Local_op ("b", fun s -> [ s + 1 ]) ]
+    Com.Choose [ Com.Local_op (Label.v "a", fun _ -> []); Com.Local_op (Label.v "b", fun s -> [ s + 1 ]) ]
   in
   Alcotest.(check int) "only enabled branch offers" 1 (List.length (taus (mkcfg c 0)))
 
 let test_loop_transparent () =
   (* Loop unfolds without consuming a step: the first step comes from the
      body. *)
-  let c : com = Com.Loop (Com.Local_op ("body", fun s -> [ s + 1 ])) in
+  let c : com = Com.Loop (Com.Local_op (Label.v "body", fun s -> [ s + 1 ])) in
   match taus (mkcfg c 0) with
   | [ ("body", cfg') ] ->
     Alcotest.(check int) "body ran" 1 cfg'.Com.data;
@@ -98,28 +103,32 @@ let test_loop_transparent () =
   | _ -> Alcotest.fail "loop must step via its body"
 
 let test_labels_and_duplicates () =
-  let c = Com.seq [ Com.Skip "a"; Com.Skip "b"; Com.Skip "a" ] in
-  Alcotest.(check (list string)) "dup found" [ "a" ] (Com.duplicate_labels c);
-  let c' = Com.seq [ Com.Skip "a"; Com.Skip "b" ] in
-  Alcotest.(check (list string)) "no dups" [] (Com.duplicate_labels c')
+  let c = Com.seq [ Com.Skip (Label.v "a"); Com.Skip (Label.v "b"); Com.Skip (Label.v "a") ] in
+  Alcotest.(check (list string)) "dup found" [ "a" ] (names (Com.duplicate_labels c));
+  let c' = Com.seq [ Com.Skip (Label.v "a"); Com.Skip (Label.v "b") ] in
+  Alcotest.(check (list string)) "no dups" [] (names (Com.duplicate_labels c'))
 
 let test_at_labels_choose () =
   let c : com =
-    Com.Choose [ Com.Skip "a"; Com.If ("i", (fun _ -> true), Com.Skip "t", Com.Skip "f") ]
+    Com.Choose
+      [
+        Com.Skip (Label.v "a");
+        Com.If (Label.v "i", (fun _ -> true), Com.Skip (Label.v "t"), Com.Skip (Label.v "f"));
+      ]
   in
-  Alcotest.(check (list string)) "all branch heads" [ "a"; "i" ] (Com.at_labels (mkcfg c 0))
+  Alcotest.(check (list string)) "all branch heads" [ "a"; "i" ] (names (Com.at_labels (mkcfg c 0)))
 
 (* -- Rendezvous (Fig. 7 last two rules; Fig. 8 second rule) ---------------- *)
 
 let requester : com =
-  Com.Request ("req", (fun s -> s * 2), fun v s -> s + v)
+  Com.Request (Label.v "req", (fun s -> s * 2), fun v s -> s + v)
 
 let responder : com =
-  Com.Response ("resp", fun alpha s -> [ (s + alpha, alpha + 1) ])
+  Com.Response (Label.v "resp", fun alpha s -> [ (s + alpha, alpha + 1) ])
 
 let test_request_offer () =
   match Com.offers (mkcfg requester 21) with
-  | [ Com.Req ("req", alpha, k) ] ->
+  | [ Com.Req (l, alpha, k) ] when Label.name l = "req" ->
     Alcotest.(check int) "alpha from state" 42 alpha;
     let cfg' = k 5 in
     Alcotest.(check int) "reply applied" 26 cfg'.Com.data
@@ -127,7 +136,7 @@ let test_request_offer () =
 
 let test_response_offer () =
   match Com.offers (mkcfg responder 1) with
-  | [ Com.Resp ("resp", respond) ] -> (
+  | [ Com.Resp (l, respond) ] when Label.name l = "resp" -> (
     match respond 42 with
     | [ (cfg', beta) ] ->
       Alcotest.(check int) "responder state" 43 cfg'.Com.data;
@@ -152,13 +161,13 @@ let test_system_no_self_rendezvous () =
 let test_system_interleaving_union () =
   (* First rule of Fig. 8: the system's tau steps are the union over
      processes. *)
-  let p : com = Com.Local_op ("p", fun s -> [ s + 1 ]) in
-  let q : com = Com.Local_op ("q", fun s -> [ s + 1; s + 2 ]) in
+  let p : com = Com.Local_op (Label.v "p", fun s -> [ s + 1 ]) in
+  let q : com = Com.Local_op (Label.v "q", fun s -> [ s + 1; s + 2 ]) in
   let sys = System.make [| "p"; "q" |] [| mkcfg p 0; mkcfg q 0 |] in
   Alcotest.(check int) "1 + 2 interleavings" 3 (List.length (System.steps sys))
 
 let test_rendezvous_preserves_third_party () =
-  let bystander : com = Com.Choose [ Com.Skip "by"; Com.Skip "by2" ] in
+  let bystander : com = Com.Choose [ Com.Skip (Label.v "by"); Com.Skip (Label.v "by2") ] in
   let sys =
     System.make [| "p"; "q"; "r" |] [| mkcfg requester 21; mkcfg responder 1; mkcfg bystander 99 |]
   in
@@ -176,31 +185,36 @@ let test_rendezvous_preserves_third_party () =
 (* -- Definite-tau normal form --------------------------------------------- *)
 
 let test_definite_tau_chain () =
-  let c = Com.seq [ Com.Skip "a"; Com.Local_op ("b", fun s -> [ s + 1 ]); Com.Skip "c" ] in
+  let c =
+    Com.seq
+      [ Com.Skip (Label.v "a"); Com.Local_op (Label.v "b", fun s -> [ s + 1 ]); Com.Skip (Label.v "c") ]
+  in
   let sys = System.make [| "p" |] [| mkcfg c 0 |] in
   let sys' = System.normalize sys in
   Alcotest.(check bool) "fully collapsed" true (Com.terminated (System.proc sys' 0));
   Alcotest.(check int) "effects applied" 1 (System.proc sys' 0).Com.data
 
 let test_definite_tau_stops_at_choose () =
-  let c = Com.seq [ Com.Skip "a"; Com.Choose [ Com.Skip "x"; Com.Skip "y" ] ] in
+  let c =
+    Com.seq [ Com.Skip (Label.v "a"); Com.Choose [ Com.Skip (Label.v "x"); Com.Skip (Label.v "y") ] ]
+  in
   let sys = System.normalize (System.make [| "p" |] [| mkcfg c 0 |]) in
   Alcotest.(check (list string)) "choice not committed" [ "x"; "y" ]
-    (Com.at_labels (System.proc sys 0))
+    (names (Com.at_labels (System.proc sys 0)))
 
 let test_definite_tau_stops_at_nondet () =
-  let c : com = Com.Local_op ("n", fun s -> [ s + 1; s + 2 ]) in
+  let c : com = Com.Local_op (Label.v "n", fun s -> [ s + 1; s + 2 ]) in
   let sys = System.normalize (System.make [| "p" |] [| mkcfg c 0 |]) in
   Alcotest.(check int) "nondet op retained" 0 (System.proc sys 0).Com.data
 
 let test_definite_tau_stops_at_request () =
-  let c = Com.seq [ Com.Skip "a"; requester ] in
+  let c = Com.seq [ Com.Skip (Label.v "a"); requester ] in
   let sys = System.normalize (System.make [| "p" |] [| mkcfg c 5 |]) in
   Alcotest.(check (list string)) "parked at the request" [ "req" ]
-    (Com.at_labels (System.proc sys 0))
+    (names (Com.at_labels (System.proc sys 0)))
 
 let test_control_fingerprint_distinguishes () =
-  let c = Com.seq [ Com.Skip "a"; Com.Skip "b" ] in
+  let c = Com.seq [ Com.Skip (Label.v "a"); Com.Skip (Label.v "b") ] in
   let sys0 = System.make [| "p" |] [| mkcfg c 0 |] in
   let sys1 =
     match System.steps sys0 with [ (_, s) ] -> s | _ -> Alcotest.fail "one step"

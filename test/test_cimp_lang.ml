@@ -145,7 +145,7 @@ let test_compile_labels_unique () =
           Alcotest.(check (list string))
             (name ^ ": unique labels in " ^ p.A.name)
             []
-            (Cimp.Com.duplicate_labels (C.compile_process p)))
+            (List.map Cimp.Label.name (Cimp.Com.duplicate_labels (C.compile_process p))))
         prog)
     Cimp_lang.Examples.all
 

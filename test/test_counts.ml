@@ -119,7 +119,7 @@ let test_recheck () =
   in
   let _, st = Test_certify.ok_or_fail "validate" res in
   Alcotest.(check int) "validated states" states st.Certify.Recheck.states;
-  Alcotest.(check int) "table.seg bytes" 989_139 st.Certify.Recheck.table_bytes;
+  Alcotest.(check int) "table.seg bytes" 989_143 st.Certify.Recheck.table_bytes;
   closure_counts c reducer;
   check_words ~bound:1_952. words
 

@@ -151,19 +151,24 @@ let test_event_json_roundtrip () =
     | Ok _ -> Alcotest.fail "one event in, not one out"
     | Error msg -> Alcotest.fail msg
   in
-  check_event (System.Tau (0, "mark"));
+  check_event (System.Tau (0, Label.v "mark"));
   check_event
     (System.Rendezvous
-       { requester = 1; req_label = "req-read"; responder = 0; resp_label = "serve-read" })
+       {
+         requester = 1;
+         req_label = Label.v "req-read";
+         responder = 0;
+         resp_label = Label.v "serve-read";
+       })
 
 let test_trace_json_roundtrip () =
   (* a deterministic 3-step violation gives a non-trivial schedule *)
   let p : com =
     Com.seq
       [
-        Com.Local_op ("a", fun s -> [ s + 1 ]);
-        Com.Local_op ("b", fun s -> [ s * 2 ]);
-        Com.Local_op ("c", fun s -> [ s + 5 ]);
+        Com.Local_op (Label.v "a", fun s -> [ s + 1 ]);
+        Com.Local_op (Label.v "b", fun s -> [ s * 2 ]);
+        Com.Local_op (Label.v "c", fun s -> [ s + 5 ]);
       ]
   in
   let sys = System.make [| "p" |] [| proc p 3 |] in
@@ -230,7 +235,7 @@ let test_explore_per_invariant_evals () =
 
 let test_explore_jsonl_stream () =
   let path = Filename.temp_file "obs_explore" ".jsonl" in
-  let p : com = Com.Loop (Com.Local_op ("inc", fun s -> [ s + 1; s + 2 ])) in
+  let p : com = Com.Loop (Com.Local_op (Label.v "inc", fun s -> [ s + 1; s + 2 ])) in
   let sys = System.make [| "p" |] [| proc p 0 |] in
   let obs = Obs.Reporter.jsonl path in
   let o =
@@ -258,26 +263,27 @@ let test_explore_jsonl_stream () =
 let test_coverage_sorted_and_gaps () =
   let p : com =
     Com.If
-      ( "branch",
+      ( Label.v "branch",
         (fun s -> s = 0),
-        Com.assign "then" (fun s -> s + 1),
-        Com.assign "else" (fun s -> s - 1) )
+        Com.assign (Label.v "then") (fun s -> s + 1),
+        Com.assign (Label.v "else") (fun s -> s - 1) )
   in
   let sys = System.make [| "p" |] [| proc p 0 |] in
   let o = Check.Explore.run ~normal_form:false ~track_coverage:true ~invariants:[] sys in
+  let names = List.map (fun (p, l) -> (p, Label.name l)) in
   Alcotest.(check (list (pair int string)))
     "covered is sorted and complete"
     [ (0, "branch"); (0, "then") ]
-    o.Check.Explore.covered;
+    (names o.Check.Explore.covered);
   Alcotest.(check (list (pair int string)))
     "the dead branch is the one gap"
     [ (0, "else") ]
-    (Check.Explore.coverage_gaps sys ~covered:o.Check.Explore.covered)
+    (names (Check.Explore.coverage_gaps sys ~covered:o.Check.Explore.covered))
 
 let test_random_walk_trace_tail () =
   (* single deterministic path to a violation at depth 500; only the last
      [trace_tail] steps must be retained *)
-  let p : com = Com.Loop (Com.Local_op ("step", fun s -> [ s + 1 ])) in
+  let p : com = Com.Loop (Com.Local_op (Label.v "step", fun s -> [ s + 1 ])) in
   let sys = System.make [| "p" |] [| proc p 0 |] in
   let o =
     Check.Random_walk.run ~normal_form:false ~steps:10_000 ~trace_tail:10
@@ -297,9 +303,9 @@ let test_random_walk_counts_restarts () =
   let p : com =
     Com.seq
       [
-        Com.assign "a" (fun s -> s + 1);
-        Com.assign "b" (fun s -> s + 1);
-        Com.assign "c" (fun s -> s + 1);
+        Com.assign (Label.v "a") (fun s -> s + 1);
+        Com.assign (Label.v "b") (fun s -> s + 1);
+        Com.assign (Label.v "c") (fun s -> s + 1);
       ]
   in
   let sys = System.make [| "p" |] [| proc p 0 |] in

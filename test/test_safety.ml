@@ -138,7 +138,8 @@ let test_label_coverage () =
   List.iteri
     (fun p com ->
       let missing =
-        List.filter (fun l -> not (List.mem l (fired p))) (expected_labels com)
+        List.map Cimp.Label.name
+          (List.filter (fun l -> not (List.mem l (fired p))) (expected_labels com))
       in
       (* the gc's cycle budget means hs-work rounds may not always occur; no
          other location may be dead *)

@@ -186,7 +186,7 @@ let test_merge_under_concurrent_inserts () =
    entry's stale deep copy may overstate it). *)
 let two_counters ?(bound = 40) () =
   let p : com =
-    Com.While (("w" : Cimp.Label.t), (fun s -> s < bound), Com.Local_op ("step", fun s -> [ s + 1; s + 2 ]))
+    Com.While (Label.v "w", (fun s -> s < bound), Com.Local_op (Label.v "step", fun s -> [ s + 1; s + 2 ]))
   in
   System.make [| "p"; "q" |] [| proc p 0; proc p 0 |]
 
@@ -219,7 +219,7 @@ let test_forced_spill_equivalence () =
   (* same equivalence on a clean (violation-free) instance, where state
      counts are exactly comparable, plus proof that most states spilled *)
   let p : com =
-    Com.While (("w" : Cimp.Label.t), (fun s -> s < 60), Com.Local_op ("step", fun s -> [ s + 1; s + 3 ]))
+    Com.While (Label.v "w", (fun s -> s < 60), Com.Local_op (Label.v "step", fun s -> [ s + 1; s + 3 ]))
   in
   let sys () = System.make [| "p"; "q" |] [| proc p 0; proc p 0 |] in
   let seq = Check.Explore.run ~normal_form:false ~invariants:[] (sys ()) in
@@ -644,7 +644,7 @@ let test_snapshot_survives_spill_dir_reuse () =
   | exception Exit -> ());
   (* another model spills under the same segment names *)
   let p : com =
-    Com.While (("w" : Cimp.Label.t), (fun s -> s < 30), Com.Local_op ("step", fun s -> [ s + 1; s + 3 ]))
+    Com.While (Label.v "w", (fun s -> s < 30), Com.Local_op (Label.v "step", fun s -> [ s + 1; s + 3 ]))
   in
   ignore
     (Check.Par_explore.run ~jobs:1 ~normal_form:false ~mem_budget:budget ~spill_dir:spill
@@ -671,7 +671,7 @@ let test_resume_model_mismatch_refused () =
   | Error msg -> Alcotest.failf "load: %s" msg
   | Ok snap ->
     let other =
-      let p : com = Com.Local_op ("p", fun s -> [ s + 1 ]) in
+      let p : com = Com.Local_op (Label.v "p", fun s -> [ s + 1 ]) in
       System.make [| "solo" |] [| proc p 100 |]
     in
     Alcotest.check_raises "mismatched model refused"
@@ -742,9 +742,12 @@ let contains s sub =
   at 0
 
 (* Segments fail closed.  A snapshot whose tier-0 dump or live segment is
-   truncated (in its header or its data), or has header bytes
-   overwritten, is refused by [load] naming the file; a budgeted run whose spilled segments are truncated
-   under it raises the Sys_error of an I/O failure, naming a segment. *)
+   truncated (in its header or its data), has header bytes overwritten,
+   or has one bit flipped near its end (damage that still decodes, and
+   that a resume would otherwise explore from as if it were the model's),
+   is refused by [load] naming the file; a budgeted run whose spilled
+   segments are truncated under it raises the Sys_error of an I/O
+   failure, naming a segment. *)
 let test_damaged_segments_refused () =
   let mid = mid_run_snapshot "test-store-damaged" in
   let spill = Store.Fs.temp_dir "test-store-damaged-spill" in
@@ -765,6 +768,11 @@ let test_damaged_segments_refused () =
       ("without its last byte", fun s -> String.sub s 0 (String.length s - 1));
       ( "with bytes 9-11 overwritten",
         fun s -> String.sub s 0 9 ^ "\xff\xff\xff" ^ String.sub s 12 (String.length s - 12) );
+      ( "with a bit flipped 3 bytes before its end",
+        fun s ->
+          let b = Bytes.of_string s and i = String.length s - 3 in
+          Bytes.set b i (Char.chr (Char.code s.[i] lxor 0x01));
+          Bytes.to_string b );
     ]
   in
   List.iter
@@ -779,7 +787,11 @@ let test_damaged_segments_refused () =
           match loaded with
           | Ok () -> Alcotest.failf "a snapshot with %s %s was loaded" name what
           | Error msg ->
-            Alcotest.(check bool) (Fmt.str "%s %s: %S names it" name what msg) true (contains msg path))
+            Alcotest.(check bool) (Fmt.str "%s %s: %S names it" name what msg) true (contains msg path);
+            Alcotest.(check string)
+              (Fmt.str "%s %s: refused by its digest, before decoding" name what)
+              ("snapshot load failed: " ^ path ^ ": segment digest mismatch")
+              msg)
         damages)
     [ first "t0-"; first "shard" ];
   Alcotest.(check (result unit string)) "the undamaged snapshot loads" (Ok ()) (load_snapshot mid);
@@ -806,6 +818,38 @@ let test_damaged_segments_refused () =
 let set k v = function
   | Obs.Json.Obj kvs -> Obs.Json.Obj (List.map (fun (k', x) -> (k', if k' = k then v else x)) kvs)
   | j -> j
+
+(* A checkpoint of an older schema is refused by name.  Schema 1 stored
+   fingerprints that mixed label characters, which no run produces now,
+   so its frontier could not be found in its own store.  Its manifest,
+   and a state.json behind a current manifest, are each refused naming
+   the document and the schema found; `gcmodel resume` prints that as one
+   line and exits 1. *)
+let test_old_schema_refused () =
+  let ckpt = Store.Fs.temp_dir "test-store-schema" in
+  Fun.protect ~finally:(fun () -> Store.Fs.rm_rf ckpt) @@ fun () ->
+  Alcotest.(check (pair int (list string))) "checkpointed explore" (0, [])
+    (Test_core.run_tool
+       [ "explore"; "--refs"; "2"; "--ops"; "1"; "--reduce"; "none"; "--checkpoint"; ckpt ]);
+  let schema_1 path f =
+    let original = read_file path in
+    write_file path (Obs.Json.to_string (set "schema" (Obs.Json.Int 1) (parse path original)));
+    Fun.protect ~finally:(fun () -> write_file path original) f
+  in
+  let manifest = Filename.concat ckpt "MANIFEST.json" in
+  let state = Filename.concat (latest_snap ckpt) "state.json" in
+  List.iter
+    (fun (doc, path) ->
+      let refusal = doc ^ ": schema 1, expected 2" in
+      schema_1 path (fun () ->
+          Alcotest.(check (result unit string)) (doc ^ ": load refuses schema 1") (Error refusal)
+            (load_snapshot ckpt);
+          Alcotest.(check (pair int (list string))) (doc ^ ": resume refuses schema 1")
+            (1, [ "gcmodel resume: " ^ refusal ])
+            (Test_core.run_tool [ "resume"; ckpt ])))
+    [ ("MANIFEST.json", manifest); ("state.json", state) ];
+  Alcotest.(check (pair int (list string))) "the untouched checkpoint resumes" (0, [])
+    (Test_core.run_tool [ "resume"; ckpt ])
 
 (* -- every run document is read fail-closed -------------------------------------
 
@@ -889,7 +933,7 @@ let test_run_documents_refused_by_path () =
   in
   let manifest = Filename.concat mid "MANIFEST.json" in
   count "MANIFEST.json"
-    (refused_by_path ~doc:"MANIFEST.json" ~skip:[ "schema" ] ~opaque:[ "config" ]
+    (refused_by_path ~doc:"MANIFEST.json" ~skip:[] ~opaque:[ "config" ]
        ~read:(rewritten mid manifest) (parse manifest (read_file manifest)));
   let state dir = Filename.concat (latest_snap dir) "state.json" in
   let mid_state = parse "state.json" (read_file (state mid)) in
@@ -917,13 +961,13 @@ let test_run_documents_refused_by_path () =
     | _ -> Alcotest.fail "frontier is not a list"
   in
   count "state.json (mid-run)"
-    (refused_by_path ~doc:"state.json" ~skip:[ "schema"; "config" ] ~opaque:[] ~extra:[ short_task ]
+    (refused_by_path ~doc:"state.json" ~skip:[ "config" ] ~opaque:[] ~extra:[ short_task ]
        ~read:(rewritten mid (state mid)) mid_state);
   let final_state = parse "state.json" (read_file (state violating)) in
   Alcotest.(check bool) "the violating run's snapshot has a best cell" true
     (field "best" final_state <> Obs.Json.Null);
   count "state.json (violation)"
-    (refused_by_path ~doc:"state.json" ~skip:[ "schema"; "config" ] ~opaque:[]
+    (refused_by_path ~doc:"state.json" ~skip:[ "config" ] ~opaque:[]
        ~read:(rewritten violating (state violating)) final_state);
   (* CERT.json, read by [read_header] *)
   let cert = Store.Fs.temp_dir "test-store-documents-cert" in
@@ -1008,4 +1052,5 @@ let suite =
     Alcotest.test_case "every run document is refused by path" `Quick
       test_run_documents_refused_by_path;
     Alcotest.test_case "damaged segments are refused" `Quick test_damaged_segments_refused;
+    Alcotest.test_case "checkpoints of an older schema are refused" `Quick test_old_schema_refused;
   ]

@@ -219,9 +219,9 @@ let test_par_explore_steal_span () =
   let open Cimp in
   let p : (int, int, int) Com.t =
     Com.While
-      ( ("w" : Cimp.Label.t),
+      ( Cimp.Label.v "w",
         (fun s -> s < 400),
-        Com.Local_op ("step", fun s -> List.init 16 (fun i -> s + i + 1)) )
+        Com.Local_op (Cimp.Label.v "step", fun s -> List.init 16 (fun i -> s + i + 1)) )
   in
   let sys () = System.make [| "p" |] [| Com.make [ p ] 0 |] in
   let stole = Atomic.make false in
