@@ -17,9 +17,9 @@
    [Hashtbl.hash_param 64 256] polymorphic hash, which (a) re-walked the
    whole value on every probe, (b) truncated deep states at its
    meaningful-node budget, and (c) folded to 30 bits.  The structural mix
-   fills a native word (63 bits on 64-bit platforms, presented as a
-   non-zero int64), so it can key the parallel explorer's sharded
-   seen-set directly, with collision probability ~ n^2 / 2^63. *)
+   fills a native word (63 bits on 64-bit platforms, never 0), so it can
+   key the parallel explorer's sharded seen-set directly, with collision
+   probability ~ n^2 / 2^63. *)
 
 type t = {
   fp : int;  (* compact structural fingerprint; never 0 *)
@@ -107,11 +107,6 @@ let equal (a : t) (b : t) =
   a.fp = b.fp && Stdlib.compare (a.control, a.data) (b.control, b.data) = 0
 
 let hash (a : t) = a.fp
-let fp64 (a : t) = Int64.of_int a.fp
-
-(* The pre-PR polymorphic hash, kept for regression comparison (tests
-   assert both hashes separate distinct small systems). *)
-let hash_poly (a : t) = Hashtbl.hash_param 64 256 (a.control, a.data)
 
 module Table = Hashtbl.Make (struct
   type nonrec t = t

@@ -8,8 +8,7 @@
     Each fingerprint caches a compact word-sized structural hash (an
     FNV-1a-style mix over the label spine, one word per label, and the
     data representation, never 0), computed once when it is built, by
-    {!of_system} or {!of_parts}.  It replaces the former polymorphic
-    [Hashtbl.hash_param] hash and is strong enough to key the parallel
+    {!of_system} or {!of_parts}.  It is strong enough to key the parallel
     explorer's seen-set on its own: collisions occur with probability
     about [n^2 / 2^63] for [n] states.
 
@@ -42,13 +41,6 @@ val equal : t -> t -> bool
 
 (** The compact structural fingerprint as a native int (never 0). *)
 val hash : t -> int
-
-(** The same fingerprint presented as a non-zero int64. *)
-val fp64 : t -> int64
-
-(** The pre-existing polymorphic hash ([Hashtbl.hash_param 64 256]), kept
-    so tests can compare collision/determinism behaviour of both hashes. *)
-val hash_poly : t -> int
 
 (** Hash tables keyed by fingerprint ({!hash} for hashing, {!equal} for
     collision resolution) — the reference BFS's exact seen-set. *)

@@ -16,8 +16,9 @@
 
    - [canon_state] maps a state to the *executable* canonical
      representative the checker expands in its place (for the GC model:
-     dead registers nulled; pid permutation is fingerprint-only because
-     CIMP commands embed pids in closures).  It must preserve the
+     dead registers nulled; the pid permutation stays fingerprint-only:
+     a permuted state runs, but expanding the sorted representative
+     instead would move the reduced counts).  It must preserve the
      fingerprint ([fingerprint (canon_state s) = fingerprint s]) and be
      behaviour-equivalent modulo the fingerprint: successors of the
      representative must cover the same canonical classes as successors

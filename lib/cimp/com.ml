@@ -22,7 +22,7 @@ type ('a, 'v, 's) t =
   | Skip of Label.t
   | Local_op of Label.t * ('s -> 's list)
   | Request of Label.t * ('s -> 'a) * ('v -> 's -> 's)
-  | Response of Label.t * ('a -> 's -> ('s * 'v) list)
+  | Response of Label.t * (int -> 'a -> 's -> ('s * 'v) list)  (* the requester's pid first *)
   | Seq of ('a, 'v, 's) t * ('a, 'v, 's) t
   | If of Label.t * ('s -> bool) * ('a, 'v, 's) t * ('a, 'v, 's) t
   | While of Label.t * ('s -> bool) * ('a, 'v, 's) t
@@ -124,7 +124,7 @@ let terminated { stack; _ } = stack = []
 type ('a, 'v, 's) offer =
   | Tau of Label.t * ('a, 'v, 's) config
   | Req of Label.t * 'a * ('v -> ('a, 'v, 's) config)
-  | Resp of Label.t * ('a -> (('a, 'v, 's) config * 'v) list)
+  | Resp of Label.t * (int -> 'a -> (('a, 'v, 's) config * 'v) list)
 
 (* The stack with Seq and Loop unfolded at its head: the Fig. 7 contexts
    in which every step is taken.  Loop re-pushes itself as the
@@ -138,10 +138,11 @@ let rec unfold = function
 (* Everything a process can do next, in branch order.  Guard evaluation
    (If/While) is one atomic step, as in the Isabelle semantics.  A REQUEST
    offers alpha, a function of the local state (Fig. 7 third rule), and a
-   continuation awaiting beta; a RESPONSE offers, for any alpha, its
-   successors with the beta sent back (last rule).  An external choice
-   offers the union of its branches and commits only when one acts, which
-   is what lets Fig. 9's Sys process respond and dequeue at once. *)
+   continuation awaiting beta; a RESPONSE offers, for any requester and
+   alpha, its successors with the beta sent back (last rule).  An
+   external choice offers the union of its branches and commits only when
+   one acts, which is what lets Fig. 9's Sys process respond and dequeue
+   at once. *)
 let offers { stack; data } =
   let rec go stack tail =
     match unfold stack with
@@ -155,7 +156,7 @@ let offers { stack; data } =
     | Request (l, act, apply) :: rest ->
       Req (l, act data, fun v -> make rest (apply v data)) :: tail
     | Response (l, f) :: rest ->
-      Resp (l, fun alpha -> List.map (fun (d, v) -> (make rest d, v)) (f alpha data)) :: tail
+      Resp (l, fun p alpha -> List.map (fun (d, v) -> (make rest d, v)) (f p alpha data)) :: tail
     | Choose cs :: rest -> List.fold_right (fun c tail -> go (c :: rest) tail) cs tail
     | (Seq _ | Loop _) :: _ -> assert false (* unfolded *)
   in

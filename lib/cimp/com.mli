@@ -19,9 +19,11 @@ type ('a, 'v, 's) t =
   | Request of Label.t * ('s -> 'a) * ('v -> 's -> 's)
       (** REQUEST act val: offer the message [act s]; on rendezvous, apply
           the responder's value to the local state *)
-  | Response of Label.t * ('a -> 's -> ('s * 'v) list)
+  | Response of Label.t * (int -> 'a -> 's -> ('s * 'v) list)
       (** RESPONSE act: accept a message, non-deterministically choose a
-          successor state and reply value; an empty list refuses *)
+          successor state and reply value; an empty list refuses.  The
+          first argument is the requester's pid: Fig. 8's rendezvous rule
+          names the requester, so no message has to carry it *)
   | Seq of ('a, 'v, 's) t * ('a, 'v, 's) t  (** sequential composition *)
   | If of Label.t * ('s -> bool) * ('a, 'v, 's) t * ('a, 'v, 's) t
       (** guard evaluation takes one atomic step *)
@@ -94,9 +96,9 @@ type ('a, 'v, 's) offer =
   | Tau of Label.t * ('a, 'v, 's) config  (** a local or control step, and its successor *)
   | Req of Label.t * 'a * ('v -> ('a, 'v, 's) config)
       (** a REQUEST: the message, and the continuation awaiting the reply *)
-  | Resp of Label.t * ('a -> (('a, 'v, 's) config * 'v) list)
-      (** a RESPONSE: for a message, each successor with the value sent
-          back; [[]] refuses it *)
+  | Resp of Label.t * (int -> 'a -> (('a, 'v, 's) config * 'v) list)
+      (** a RESPONSE: for a requester's pid and its message, each
+          successor with the value sent back; [[]] refuses it *)
 
 (** Every offer, in branch order; a [Local_op]'s successors come in the
     order its function lists them. *)

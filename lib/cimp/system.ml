@@ -65,8 +65,10 @@ let set2 sys p cfg_p q cfg_q =
 
    First rule of Fig. 8: any process takes a tau step.  Second rule:
    a requester p and a distinct responder q synchronise; p's REQUEST
-   computes alpha from p's state, q's RESPONSE non-deterministically picks a
-   successor state and a value beta, and p's continuation absorbs beta.
+   computes alpha from p's state, q's RESPONSE, told that p is asking,
+   non-deterministically picks a successor state and a value beta, and
+   p's continuation absorbs beta.  The rule names the requester, so this
+   is the one place process identity is decided.
    Each process's offers are read once, and a request is paired with the
    response offers already in hand. *)
 let steps sys =
@@ -88,7 +90,7 @@ let steps sys =
                     let ev = Rendezvous { requester = p; req_label; responder = q; resp_label } in
                     List.iter
                       (fun (cfg_q', beta) -> acc := (ev, set2 sys p (k beta) q cfg_q') :: !acc)
-                      (respond alpha)
+                      (respond p alpha)
                   | _ -> ())
                 offers.(q)
           done

@@ -34,12 +34,13 @@ val proc : ('a, 'v, 's) t -> pid -> ('a, 'v, 's) Com.config
 val name : ('a, 'v, 's) t -> pid -> string
 
 (** All successors: every process's tau steps (first rule of Fig. 8) and
-    every requester/responder pairing (second rule), reading each
-    process's {!Com.offers} once.  The order is a contract, since the
-    random walker draws an index into it: grouped by acting process (a
-    rendezvous's requester) in ascending pid, each group is, reversed,
-    the process's taus in offer order, then its rendezvous by request,
-    responder pid, response offer and responder successor. *)
+    every requester/responder pairing (second rule), whose response is
+    handed the requester's pid, reading each process's {!Com.offers}
+    once.  The order is a contract, since the random walker draws an
+    index into it: grouped by acting process (a rendezvous's requester)
+    in ascending pid, each group is, reversed, the process's taus in
+    offer order, then its rendezvous by request, responder pid, response
+    offer and responder successor. *)
 val steps : ('a, 'v, 's) t -> (event * ('a, 'v, 's) t) list
 
 (** The paper's [at p l]: does control of process [p] reside at label [l]? *)

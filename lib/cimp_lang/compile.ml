@@ -79,7 +79,7 @@ let compile_process (p : Ast.process) : com =
     | Ast.S_recv (ch, x, reply_expr) ->
       Cimp.Com.Response
         ( fresh ("recv-" ^ ch),
-          fun (ch', payload) env ->
+          fun _ (ch', payload) env ->
             if ch' <> ch then []
             else begin
               let env' = set env x payload in

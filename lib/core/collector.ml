@@ -11,13 +11,11 @@ open Types
 open State
 open Cimp.Com
 
-let pid = Config.pid_gc
-
 let expect_bool = function V_bool b -> b | _ -> invalid_arg "Collector: expected V_bool"
 let expect_ref = function V_ref r -> r | _ -> invalid_arg "Collector: expected V_ref"
 let expect_refs = function V_refs rs -> rs | _ -> invalid_arg "Collector: expected V_refs"
 
-let req l r = Request (l, (fun _ -> (pid, r)), fun _ s -> s)
+let req l r = Request (l, (fun _ -> r), fun _ s -> s)
 
 (* One round of soft handshakes (Fig. 4): optional store fence, announce the
    round type, raise every mutator's bit in order, poll until all bits
@@ -53,7 +51,7 @@ let handshake cfg (h : hs) =
               (fun s -> (gc s).g_any_pending),
               Request
                 ( l "poll",
-                  (fun _ -> (pid, Req_hs_poll)),
+                  (fun _ -> Req_hs_poll),
                   fun v s -> map_gc (fun d -> { d with g_any_pending = expect_bool v }) s ) );
         ]
   in
@@ -67,22 +65,22 @@ let handshake cfg (h : hs) =
           (fun s -> (gc s).g_hs_m < cfg.Config.n_muts),
           seq
             [
-              Request (l "signal", (fun s -> (pid, Req_hs_set (gc s).g_hs_m)), fun _ s -> s);
+              Request (l "signal", (fun s -> Req_hs_set (gc s).g_hs_m), fun _ s -> s);
               assign (l "m++") (map_gc (fun d -> { d with g_hs_m = d.g_hs_m + 1 }));
             ] );
       wait;
       fence (l "load-fence");
     ]
 
-let process cfg : (msg, value, State.t) Cimp.Com.t =
+let process cfg : (req, value, State.t) Cimp.Com.t =
   let l n = Cimp.Label.v ("gc:" ^ n) in
   let wl_empty lbl =
     Request
-      (lbl, (fun _ -> (pid, Req_wl_empty)), fun v s -> map_gc (fun d -> { d with g_w_empty = expect_bool v }) s)
+      (lbl, (fun _ -> Req_wl_empty), fun v s -> map_gc (fun d -> { d with g_w_empty = expect_bool v }) s)
   in
   let wl_pick lbl =
     Request
-      (lbl, (fun _ -> (pid, Req_wl_pick)), fun v s -> map_gc (fun d -> { d with g_src = expect_ref v }) s)
+      (lbl, (fun _ -> Req_wl_pick), fun v s -> map_gc (fun d -> { d with g_src = expect_ref v }) s)
   in
   let the_src s = match (gc s).g_src with Some r -> r | None -> invalid_arg "Collector: no src" in
   (* Scan one grey object: mark the target of each of its fields in turn,
@@ -98,13 +96,13 @@ let process cfg : (msg, value, State.t) Cimp.Com.t =
               [
                 Request
                   ( l "load-field",
-                    (fun s -> (pid, Req_read (L_field (the_src s, (gc s).g_fld)))),
+                    (fun s -> Req_read (L_field (the_src s, (gc s).g_fld))),
                     fun v s ->
                       map_gc (fun d -> { d with g_mark = { d.g_mark with mk_ref = expect_ref v } }) s );
-                Mark.code cfg ~pid ~prefix:(l "mark") Mark.gc_lens;
+                Mark.code cfg ~prefix:(l "mark") Mark.gc_lens;
                 assign (l "fld++") (map_gc (fun d -> { d with g_fld = d.g_fld + 1 }));
               ] );
-        Request (l "blacken", (fun s -> (pid, Req_wl_remove (the_src s))), fun _ s -> s);
+        Request (l "blacken", (fun s -> Req_wl_remove (the_src s)), fun _ s -> s);
       ]
   in
   (* Fig. 2 lines 24-34: drain W, then a termination handshake; repeat while
@@ -135,7 +133,7 @@ let process cfg : (msg, value, State.t) Cimp.Com.t =
         req (l "phase-sweep") (Req_write (W_phase Ph_sweep));
         Request
           ( l "snapshot",
-            (fun _ -> (pid, Req_heap_snapshot)),
+            (fun _ -> Req_heap_snapshot),
             fun v s -> map_gc (fun d -> { d with g_sweep = expect_refs v }) s );
         While
           ( l "sweep-loop",
@@ -148,12 +146,12 @@ let process cfg : (msg, value, State.t) Cimp.Com.t =
                     | [] -> invalid_arg "Collector: empty sweep list"));
                 Request
                   ( l "sweep-load-flag",
-                    (fun s -> (pid, Req_read (L_mark (Option.get (gc s).g_ref)))),
+                    (fun s -> Req_read (L_mark (Option.get (gc s).g_ref))),
                     fun v s -> map_gc (fun d -> { d with g_flag = expect_bool v }) s );
                 If
                   ( l "sweep-test",
                     (fun s -> (gc s).g_flag <> (gc s).g_fM),
-                    Request (l "free", (fun s -> (pid, Req_free (Option.get (gc s).g_ref))), fun _ s -> s),
+                    Request (l "free", (fun s -> Req_free (Option.get (gc s).g_ref)), fun _ s -> s),
                     Skip (l "sweep-live") );
               ] );
       ]
@@ -166,21 +164,21 @@ let process cfg : (msg, value, State.t) Cimp.Com.t =
     if cfg.Config.skip_init_handshakes then
       [
         assign (l "flip-fM") (map_gc (fun d -> { d with g_fM = not d.g_fM }));
-        Request (l "write-fM", (fun s -> (pid, Req_write (W_fM (gc s).g_fM))), fun _ s -> s);
+        Request (l "write-fM", (fun s -> Req_write (W_fM (gc s).g_fM)), fun _ s -> s);
         req (l "phase-init") (Req_write (W_phase Ph_init));
         req (l "phase-mark") (Req_write (W_phase Ph_mark));
-        Request (l "write-fA", (fun s -> (pid, Req_write (W_fA (gc s).g_fM))), fun _ s -> s);
+        Request (l "write-fA", (fun s -> Req_write (W_fA (gc s).g_fM)), fun _ s -> s);
         handshake cfg Hs_nop4;
       ]
     else
       [
         assign (l "flip-fM") (map_gc (fun d -> { d with g_fM = not d.g_fM }));
-        Request (l "write-fM", (fun s -> (pid, Req_write (W_fM (gc s).g_fM))), fun _ s -> s);
+        Request (l "write-fM", (fun s -> Req_write (W_fM (gc s).g_fM)), fun _ s -> s);
         handshake cfg Hs_nop2;
         req (l "phase-init") (Req_write (W_phase Ph_init));
         handshake cfg Hs_nop3;
         req (l "phase-mark") (Req_write (W_phase Ph_mark));
-        Request (l "write-fA", (fun s -> (pid, Req_write (W_fA (gc s).g_fM))), fun _ s -> s);
+        Request (l "write-fA", (fun s -> Req_write (W_fA (gc s).g_fM)), fun _ s -> s);
         handshake cfg Hs_nop4;
       ]
   in

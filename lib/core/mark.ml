@@ -46,7 +46,7 @@ let mut_lens =
     set = (fun r s -> map_mut (fun d -> { d with m_mark = r }) s);
   }
 
-let code cfg ~pid ~prefix (lens : lens) : (msg, value, State.t) Cimp.Com.t =
+let code cfg ~prefix (lens : lens) : (req, value, State.t) Cimp.Com.t =
   let prefix = Cimp.Label.name prefix in
   let l n = Cimp.Label.v (prefix ^ ":" ^ n) in
   let regs = lens.get in
@@ -58,19 +58,19 @@ let code cfg ~pid ~prefix (lens : lens) : (msg, value, State.t) Cimp.Com.t =
   let load_fM =
     Request
       ( l "load-fM",
-        (fun _ -> (pid, Req_read L_fM)),
+        (fun _ -> Req_read L_fM),
         fun v s -> lens.set { (regs s) with mk_fM = expect_bool v } s )
   in
   let load_flag lbl =
     Request
       ( lbl,
-        (fun s -> (pid, Req_read (L_mark (the_ref s)))),
+        (fun s -> Req_read (L_mark (the_ref s))),
         fun v s -> lens.set { (regs s) with mk_flag = expect_bool v } s )
   in
   let load_phase =
     Request
       ( l "load-phase",
-        (fun _ -> (pid, Req_read L_phase)),
+        (fun _ -> Req_read L_phase),
         fun v s -> lens.set { (regs s) with mk_phase = expect_phase v } s )
   in
   let unmarked s = (regs s).mk_flag <> (regs s).mk_fM in
@@ -79,14 +79,12 @@ let code cfg ~pid ~prefix (lens : lens) : (msg, value, State.t) Cimp.Com.t =
     (* line 8 + its ghost annotation, one rendezvous *)
     Request
       ( l "cas-store",
-        (fun s -> (pid, Req_write_ghg (W_mark (the_ref s, (regs s).mk_fM), the_ref s))),
+        (fun s -> Req_write_ghg (W_mark (the_ref s, (regs s).mk_fM), the_ref s)),
         fun _ s -> s )
   in
-  let wl_add =
-    Request (l "wl-add", (fun s -> (pid, Req_wl_add (the_ref s))), fun _ s -> s)
-  in
-  let lock = Request (l "lock", (fun _ -> (pid, Req_lock)), fun _ s -> s) in
-  let unlock = Request (l "unlock", (fun _ -> (pid, Req_unlock)), fun _ s -> s) in
+  let wl_add = Request (l "wl-add", (fun s -> Req_wl_add (the_ref s)), fun _ s -> s) in
+  let lock = Request (l "lock", (fun _ -> Req_lock), fun _ s -> s) in
+  let unlock = Request (l "unlock", (fun _ -> Req_unlock), fun _ s -> s) in
   let cas_core =
     seq
       [

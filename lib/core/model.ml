@@ -11,20 +11,22 @@
 
 open Types
 
-type sys = (msg, value, State.t) Cimp.System.t
+type sys = (req, value, State.t) Cimp.System.t
 
 type t = { cfg : Config.t; shape : Gcheap.Shapes.t; system : sys }
 
+(* No request names its sender, so every mutator slot runs one program. *)
 let programs cfg =
-  [ Collector.process cfg ]
-  @ List.init cfg.Config.n_muts (fun m -> Mutator.process cfg m)
-  @ [ Sysproc.process cfg ]
+  let mutator = Mutator.process cfg in
+  [ Collector.process cfg ] @ List.init cfg.Config.n_muts (fun _ -> mutator) @ [ Sysproc.process cfg ]
 
-(* Labels must be unique within each process for control fingerprinting. *)
+(* Labels must be unique within each process for control fingerprinting;
+   a program shared by several slots is checked once. *)
 let check_labels cfg coms =
   List.iteri
     (fun p com ->
-      match Cimp.Com.duplicate_labels com with
+      let shared = List.exists (( == ) com) (List.filteri (fun q _ -> q < p) coms) in
+      match if shared then [] else Cimp.Com.duplicate_labels com with
       | [] -> ()
       | dups ->
         invalid_arg
@@ -73,6 +75,12 @@ let check_fits cfg (shape : Gcheap.Shapes.t) =
          shape.Gcheap.Shapes.name needed n)
 
 let make cfg (shape : Gcheap.Shapes.t) : t =
+  (* a store buffer that holds nothing blocks every write, and objects with
+     no field leave no pointer to store: every invariant would hold vacuously *)
+  List.iter
+    (fun (what, n) ->
+      if n < 1 then invalid_arg (Fmt.str "Model.make: %s = %d, needs at least 1" what n))
+    [ ("buf_bound", cfg.Config.buf_bound); ("n_fields", cfg.Config.n_fields) ];
   check_fits cfg shape;
   let coms = programs cfg in
   check_labels cfg coms;

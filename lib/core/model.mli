@@ -7,19 +7,23 @@
     phase = Idle, buffers and work-lists empty, the handshake ghosts
     recording a just-completed termination round. *)
 
-type sys = (Types.msg, Types.value, State.t) Cimp.System.t
+type sys = (Types.req, Types.value, State.t) Cimp.System.t
 
 type t = { cfg : Config.t; shape : Gcheap.Shapes.t; system : sys }
 
 val make : Config.t -> Gcheap.Shapes.t -> t
-(** @raise Invalid_argument if the shape refers to a reference outside
+(** @raise Invalid_argument if [buf_bound] or [n_fields] is below 1 (the
+    message names the field), if the shape refers to a reference outside
     [[0, n_refs)] (the message names the shape and the refs it needs), if
     its size otherwise disagrees with the configuration, or if a process
     program has duplicate labels.  Every reference of every reachable
     state then lies inside the universe, which the invariant layer's
     reference masks require ({!Gcheap.Heap}). *)
 
-val programs : Config.t -> (Types.msg, Types.value, State.t) Cimp.Com.t list
+val programs : Config.t -> (Types.req, Types.value, State.t) Cimp.Com.t list
+(** The programs by pid: the collector, then one mutator program, built
+    once and shared by every mutator slot, then Sys. *)
+
 val initial_sys_data : Config.t -> Gcheap.Shapes.t -> State.sys_data
 
 (** {1 Projections} *)

@@ -19,15 +19,17 @@ let expect_bool = function V_bool b -> b | _ -> invalid_arg "Mutator: expected V
 let expect_ref = function V_ref r -> r | _ -> invalid_arg "Mutator: expected V_ref"
 let expect_hs = function V_hs (h, b) -> (h, b) | _ -> invalid_arg "Mutator: expected V_hs"
 
-(* [m] is the mutator index; its pid is 1 + m. *)
-let process cfg m : (msg, value, State.t) Cimp.Com.t =
-  let pid = Config.pid_mut cfg m in
+(* One program for every mutator slot: Sys learns which mutator asks
+   from the rendezvous, so no request names it. *)
+let process cfg : (req, value, State.t) Cimp.Com.t =
   let l n = Cimp.Label.v ("mut:" ^ n) in
   (* Operation budget for bounded exhaustive runs (Config.max_mut_ops).
      Handshaking is always free; heap operations spend budget. *)
   let budget_ok d = cfg.Config.max_mut_ops = 0 || d.m_ops < cfg.Config.max_mut_ops in
   let spend d = if cfg.Config.max_mut_ops = 0 then d else { d with m_ops = d.m_ops + 1 } in
-  let req lbl r = Request (lbl, (fun _ -> (pid, r)), fun _ s -> s) in
+  let req lbl r = Request (lbl, (fun _ -> r), fun _ s -> s) in
+  (* the field an op picked: m_src.m_fld *)
+  let read_picked s = Req_read (L_field (Option.get (mut s).m_src, (mut s).m_fld)) in
   let set_mark_target lbl target =
     assign lbl (fun s -> map_mut (fun d -> { d with m_mark = { d.m_mark with mk_ref = target (mut s) } }) s)
   in
@@ -52,9 +54,7 @@ let process cfg m : (msg, value, State.t) Cimp.Com.t =
                   d.m_roots );
         Request
           ( l "load-field",
-            (fun s ->
-              let d = mut s in
-              (pid, Req_read (L_field (Option.get d.m_src, d.m_fld)))),
+            read_picked,
             fun v s ->
               map_mut
                 (fun d ->
@@ -77,7 +77,7 @@ let process cfg m : (msg, value, State.t) Cimp.Com.t =
       seq
         [
           set_mark_target (l "del-target") (fun d -> d.m_loaded);
-          Mark.code cfg ~pid ~prefix:(l "bar-del") Mark.mut_lens;
+          Mark.code cfg ~prefix:(l "bar-del") Mark.mut_lens;
         ]
     else Skip (l "no-del-barrier")
   in
@@ -87,7 +87,7 @@ let process cfg m : (msg, value, State.t) Cimp.Com.t =
         seq
           [
             set_mark_target (l "ins-target") (fun d -> d.m_dst);
-            Mark.code cfg ~pid ~prefix:(l "bar-ins") Mark.mut_lens;
+            Mark.code cfg ~prefix:(l "bar-ins") Mark.mut_lens;
           ]
       in
       if cfg.Config.insertion_skip_after_roots then
@@ -124,9 +124,7 @@ let process cfg m : (msg, value, State.t) Cimp.Com.t =
     let load_old =
       Request
         ( l "store-load-old",
-          (fun s ->
-            let d = mut s in
-            (pid, Req_read (L_field (Option.get d.m_src, d.m_fld)))),
+          read_picked,
           fun v s -> map_mut (fun d -> { d with m_loaded = expect_ref v }) s )
     in
     let write =
@@ -134,7 +132,7 @@ let process cfg m : (msg, value, State.t) Cimp.Com.t =
         ( l "store-write",
           (fun s ->
             let d = mut s in
-            (pid, Req_write (W_field (Option.get d.m_src, d.m_fld, d.m_dst)))),
+            Req_write (W_field (Option.get d.m_src, d.m_fld, d.m_dst))),
           fun _ s -> s )
     in
     seq
@@ -154,14 +152,14 @@ let process cfg m : (msg, value, State.t) Cimp.Com.t =
             if budget_ok d then [ map_mut spend s ] else []);
         Request
           ( l "alloc-load-fA",
-            (fun _ -> (pid, Req_read L_fA)),
+            (fun _ -> Req_read L_fA),
             fun v s -> map_mut (fun d -> { d with m_fA = expect_bool v }) s );
         Request
           ( l "alloc",
             (fun s ->
               let d = mut s in
               let color = if cfg.Config.alloc_white then not d.m_fA else d.m_fA in
-              (pid, Req_alloc (if Config.alloc_flipped cfg then not color else color))),
+              Req_alloc (if Config.alloc_flipped cfg then not color else color)),
             fun v s ->
               map_mut
                 (fun d ->
@@ -214,7 +212,7 @@ let process cfg m : (msg, value, State.t) Cimp.Com.t =
                     match d.m_todo with
                     | r :: rest -> { d with m_mark = { d.m_mark with mk_ref = Some r }; m_todo = rest }
                     | [] -> invalid_arg "Mutator: empty todo"));
-                Mark.code cfg ~pid ~prefix:(l "root-mark") Mark.mut_lens;
+                Mark.code cfg ~prefix:(l "root-mark") Mark.mut_lens;
               ] );
       ]
   in
@@ -248,7 +246,7 @@ let process cfg m : (msg, value, State.t) Cimp.Com.t =
       [
         Request
           ( l "hs-read",
-            (fun _ -> (pid, Req_hs_read)),
+            (fun _ -> Req_hs_read),
             fun v s ->
               let h, b = expect_hs v in
               map_mut (fun d -> { d with m_hs_type = h; m_hs_pending = b }) s );

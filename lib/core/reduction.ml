@@ -139,7 +139,7 @@ let rename_sys ~perm sd =
 
 (* -- the symmetry spec ------------------------------------------------------ *)
 
-let spec cfg : (Types.msg, Types.value, State.t) Reduce.Symmetry.spec =
+let spec cfg : (Types.req, Types.value, State.t) Reduce.Symmetry.spec =
   {
     Reduce.Symmetry.sym_pids = List.init cfg.Config.n_muts (Config.pid_mut cfg);
     canon_local =
@@ -197,7 +197,7 @@ let por_policy =
 (* -- reducer assembly ------------------------------------------------------- *)
 
 let reducer cfg (mode : Reduce.Mode.t) :
-    (Types.msg, Types.value, State.t) Check.Reducer.t option =
+    (Types.req, Types.value, State.t) Check.Reducer.t option =
   match mode with
   | None_ -> None
   | (Sym | Por | All) as mode ->
@@ -244,25 +244,3 @@ let reducer cfg (mode : Reduce.Mode.t) :
         reg_nulled;
         deferred;
       }
-
-(* -- test helper ------------------------------------------------------------
-
-   Concretely permute the mutators of [sys] by [perm_m] (mutator index
-   to mutator index): process slots move, and the per-pid slices of the
-   Sys data move with them.  The result is *fingerprintable but not
-   executable* — commands embed pids inside request closures, which are
-   not rewritten.  The symmetry property test checks canonical
-   fingerprints are invariant under this. *)
-
-let permute_muts cfg sys perm_m =
-  let n = Cimp.System.n_procs sys in
-  let nm = cfg.Config.n_muts in
-  let perm p = if p >= 1 && p <= nm then 1 + perm_m (p - 1) else p in
-  let inv = Array.make n 0 in
-  for p = 0 to n - 1 do
-    inv.(perm p) <- p
-  done;
-  let names = Array.init n (Cimp.System.name sys) in
-  let procs = Array.init n (fun q -> Cimp.System.proc sys inv.(q)) in
-  let sys' = Cimp.System.make names procs in
-  Cimp.System.map_data sys' (Config.pid_sys cfg) (map_sys (rename_sys ~perm))

@@ -10,7 +10,7 @@
     (control spine, canonicalized local data, per-pid Sys slices);
     permutation is skipped inside the handshake signal loop, the one
     window where the collector addresses mutators by index. *)
-val spec : Config.t -> (Types.msg, Types.value, State.t) Reduce.Symmetry.spec
+val spec : Config.t -> (Types.req, Types.value, State.t) Reduce.Symmetry.spec
 
 (** Deferrable transitions are exactly the mfence rendezvous ("...fence"
     request labels). *)
@@ -19,10 +19,4 @@ val por_policy : Reduce.Por.policy
 (** [reducer cfg mode]: the checker hook for [mode]; [None] for
     {!Reduce.Mode.None_} (bit-for-bit unreduced checking). *)
 val reducer :
-  Config.t -> Reduce.Mode.t -> (Types.msg, Types.value, State.t) Check.Reducer.t option
-
-(** Test helper: concretely permute the mutators by a mutator-index
-    permutation, moving the per-pid slices of the Sys data along.  The
-    result is fingerprintable but {e not} executable (request closures
-    embed pids). *)
-val permute_muts : Config.t -> Model.sys -> (int -> int) -> Model.sys
+  Config.t -> Reduce.Mode.t -> (Types.req, Types.value, State.t) Check.Reducer.t option

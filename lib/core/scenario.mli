@@ -47,7 +47,7 @@ val explore :
   ?obs:Obs.Reporter.t ->
   ?reduce:Reduce.Mode.t ->
   t ->
-  (Types.msg, Types.value, State.t) Check.Explore.outcome
+  (Types.req, Types.value, State.t) Check.Explore.outcome
 
 val random_walk :
   ?seed:int ->
@@ -57,7 +57,7 @@ val random_walk :
   ?obs:Obs.Reporter.t ->
   ?reduce:Reduce.Mode.t ->
   t ->
-  (Types.msg, Types.value, State.t) Check.Random_walk.outcome
+  (Types.req, Types.value, State.t) Check.Random_walk.outcome
 
 (** The soundness cross-check ({!Reduce.Crosscheck.run}, every leg) on
     one scenario.  [reduce] defaults to {!Reduce.Mode.All}; [jobs] and
@@ -71,7 +71,7 @@ val crosscheck :
   ?jobs:int ->
   ?mem_budget:int ->
   t ->
-  (Types.msg, Types.value, State.t) Reduce.Crosscheck.result
+  (Types.req, Types.value, State.t) Reduce.Crosscheck.result
 
 (** {1 Presets} *)
 

@@ -13,7 +13,7 @@
 open Types
 open State
 
-type com = (msg, value, State.t) Cimp.Com.t
+type com = (req, value, State.t) Cimp.Com.t
 
 (* Commit a write to memory, recording a dangling commit. *)
 let commit sd w =
@@ -33,7 +33,8 @@ let apply_write cfg sd p w ~ghg =
       Some (set_buf sd p (buf_of sd p @ [ w ]))
     else None (* buffer full: requester waits (bounded-buffer discipline) *)
 
-let respond cfg ((p, req) : msg) (s : State.t) : (State.t * value) list =
+(* Answer [req] from process [p], whom the rendezvous names. *)
+let respond cfg p req (s : State.t) : (State.t * value) list =
   let sd = sys s in
   let ret sd' v = [ (L_sys sd', v) ] in
   let blocked = not (not_blocked sd p) in

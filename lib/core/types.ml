@@ -105,8 +105,10 @@ type value =
   | V_refs of rf list
   | V_hs of hs * bool  (* handshake type, pending? *)
 
-(* Requests to the Sys process.  The requester's pid is part of the
-   message, as in Fig. 9 where requests are pairs (p, ro-...). *)
+(* Requests to the Sys process.  Fig. 9's requests are pairs (p, ro-...);
+   here the rendezvous rule hands Sys the requester's pid (Cimp.Com's
+   Response), so a request names no process and every mutator runs one
+   program. *)
 type req =
   | Req_read of loc
   | Req_write of write
@@ -130,8 +132,6 @@ type req =
        caller's ghost_honorary_grey in one step, as the Isabelle model
        attaches the ghost assignment to the store *)
   | Req_heap_snapshot  (* collector sweep: V_refs(domain of heap) *)
-
-type msg = int * req  (* requester pid, request *)
 
 let pp_req ppf = function
   | Req_read l -> Fmt.pf ppf "read %a" pp_loc l

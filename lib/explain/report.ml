@@ -15,7 +15,7 @@
    config — no clocks, no randomness — so explaining the same trace twice
    yields byte-identical reports (tested). *)
 
-type trace = (Core.Types.msg, Core.Types.value, Core.State.t) Check.Trace.t
+type trace = (Core.Types.req, Core.Types.value, Core.State.t) Check.Trace.t
 
 type step_diff = {
   index : int;  (* 1-based step number *)

@@ -6,7 +6,7 @@
     the trace and the config — no clocks, no randomness — so explaining
     the same trace twice yields byte-identical output. *)
 
-type trace = (Core.Types.msg, Core.Types.value, Core.State.t) Check.Trace.t
+type trace = (Core.Types.req, Core.Types.value, Core.State.t) Check.Trace.t
 
 type step_diff = {
   index : int;  (** 1-based step number *)

@@ -13,14 +13,15 @@
    before being overwritten, and no invariant reads them there), merging
    states that differ only in dead-register junk.
 
-   Both are fingerprint-level only: the checker keeps exploring the
-   concrete state it reached, so canonical states are never executed —
-   which is what makes the scheme applicable to CIMP states whose
-   commands embed closures (pids are baked into request closures, so a
-   permuted state could not be built as an executable system anyway).
-   The canonical representative is assembled as (control spines, data
-   payloads) and hashed with Check.Fingerprint.of_parts, which uses the
-   exact mix of of_system. *)
+   The sort is fingerprint-level only: the checker expands the state it
+   reached with its dead registers nulled ([canon_state]), not the sorted
+   representative.  That representative is assembled as (control spines,
+   data payloads) and hashed with Check.Fingerprint.of_parts, which uses
+   the exact mix of of_system.  A permuted state is nonetheless an
+   ordinary runnable system: the symmetric processes run one program and
+   learn who asks from the rendezvous, not from a pid in their commands,
+   so [permute] builds it, and the property tests execute it to check
+   that the permutation is an automorphism. *)
 
 type ('a, 'v, 's) spec = {
   sym_pids : Cimp.System.pid list;
@@ -45,23 +46,21 @@ type ('a, 'v, 's) spec = {
          model's handshake signal loop iterates mutators in index order,
          so states inside that window are excluded.) *)
   rename_shared : perm:(Cimp.System.pid -> Cimp.System.pid) -> pid:Cimp.System.pid -> 's -> 's;
-      (* apply the pid renaming to one (canonicalized) data payload:
-         per-process slices of shared state move with the permutation;
-         identity for payloads that mention no pids, and structurally the
-         identity under the identity permutation (which is therefore
-         never applied) *)
+      (* apply the pid renaming to one data payload: per-process slices
+         of shared state move with the permutation; identity for payloads
+         that mention no pids, and structurally the identity under the
+         identity permutation (which the fingerprint therefore never
+         applies) *)
 }
 
 let spine_of sys p = Cimp.Com.stack_labels (Cimp.System.proc sys p).Cimp.Com.stack
 
 (* Executable canonical representative: every process's local data with
-   its dead registers nulled, pids untouched.  Unlike the permuted state
-   assembled inside [canonical_fingerprint] (pure hash fodder — commands
-   embed pids in closures, so it could never run), the nulled state is an
-   ordinary runnable system, which lets the checkers expand it in place
-   of whichever concrete state they happened to reach first.  Physically
-   unchanged when no nulling rule fires, and idempotent (nulling rules
-   test against the null value, so a second pass fires nothing). *)
+   its dead registers nulled, pids untouched, which the checkers expand
+   in place of whichever concrete state they happened to reach first.
+   Physically unchanged when no nulling rule fires, and idempotent
+   (nulling rules test against the null value, so a second pass fires
+   nothing). *)
 let canon_state spec sys =
   let n = Cimp.System.n_procs sys in
   let out = ref sys in
@@ -73,6 +72,23 @@ let canon_state spec sys =
     if c != d then out := Cimp.System.map_data !out p (fun _ -> c)
   done;
   !out
+
+(* The system with process p moved to slot [perm p] and every payload
+   renamed as the canonical fingerprint renames it.  Slot names stay. *)
+let permute spec perm sys =
+  let n = Cimp.System.n_procs sys in
+  let src = Array.make n (-1) in
+  for p = 0 to n - 1 do
+    let q = perm p in
+    if (if List.mem p spec.sym_pids then not (List.mem q spec.sym_pids) else q <> p) || src.(q) >= 0
+    then invalid_arg (Fmt.str "Symmetry.permute: pid %d -> %d" p q);
+    src.(q) <- p
+  done;
+  let slot q =
+    let c = Cimp.System.proc sys src.(q) in
+    { c with Cimp.Com.data = spec.rename_shared ~perm ~pid:q c.Cimp.Com.data }
+  in
+  Cimp.System.make (Array.init n (Cimp.System.name sys)) (Array.init n slot)
 
 (* All permutations of a list, for the property tests.  The chosen
    element is removed by position, so repeated elements are kept. *)

@@ -3,10 +3,10 @@
     Interchangeable processes are sorted into a canonical order by a
     structural key; local registers that are dead at the current control
     point are nulled.  The sort happens only in the fingerprint the
-    checker dedups on (permuted states embed closures, so they could not
-    be executed); the nulling additionally yields an {e executable}
+    checker dedups on; the nulling additionally yields an executable
     representative ({!canon_state}) that the checkers expand per fresh
-    class, making the visited class set scheduling-independent.
+    class.  A permuted state is executable too ({!permute}): the property
+    tests run it to check the premises below.
 
     Soundness requires: the symmetric processes run the same program,
     the invariants are invariant under the permutation, [permute_ok]
@@ -38,10 +38,11 @@ type ('a, 'v, 's) spec = {
           and every per-process slice of shared state *)
   permute_ok : ('a, 'v, 's) Cimp.System.t -> bool;
   rename_shared : perm:(Cimp.System.pid -> Cimp.System.pid) -> pid:Cimp.System.pid -> 's -> 's;
-      (** move per-process slices of shared state along the permutation;
-          identity for payloads that mention no pids.  Only called when
-          the sort moved a process: under the identity permutation it
-          must be structurally the identity, and is skipped *)
+      (** [rename_shared ~perm ~pid d]: move the per-process slices of
+          shared state in [d], the payload that lands in slot [pid],
+          along the permutation; identity for payloads that mention no
+          pids.  Under the identity permutation it must be structurally
+          the identity, and the fingerprint skips it *)
 }
 
 (** [canon_state spec sys]: the executable canonical representative —
@@ -49,6 +50,14 @@ type ('a, 'v, 's) spec = {
     Physically equal to [sys] when no nulling rule fires; idempotent;
     preserves {!canonical_fingerprint}. *)
 val canon_state : ('a, 'v, 's) spec -> ('a, 'v, 's) Cimp.System.t -> ('a, 'v, 's) Cimp.System.t
+
+(** [permute spec perm sys]: the runnable system with process [p] in
+    slot [perm p] and each payload renamed by [spec.rename_shared], as in
+    {!canonical_fingerprint}; slot names stay.
+    @raise Invalid_argument unless [perm] permutes [spec.sym_pids] and
+    fixes every other pid. *)
+val permute :
+  ('a, 'v, 's) spec -> (int -> int) -> ('a, 'v, 's) Cimp.System.t -> ('a, 'v, 's) Cimp.System.t
 
 (** All permutations of a list, by position: a list of length [n] has
     [n!] of them, repeated elements included (property tests; factorial

@@ -43,10 +43,11 @@ let encode v = if v = 0 then None else Some v
 let decode = function V_ref r -> Option.value r ~default:0 | _ -> invalid_arg "Litmus.decode"
 
 (* Thread [t] as a CIMP client: one request per access, and a LOCK XCHG
-   as Lock/Read/Write/Unlock, Fig. 9's treatment of a LOCK'd CMPXCHG. *)
+   as Lock/Read/Write/Unlock, Fig. 9's treatment of a LOCK'd CMPXCHG.
+   Thread t runs in slot t, which the rendezvous hands to Sys. *)
 let client t instrs =
   let req i kind m k =
-    Cimp.Com.Request (Cimp.Label.v (Fmt.str "t%d:%d:%s" t i kind), (fun _ -> (t, m)), k)
+    Cimp.Com.Request (Cimp.Label.v (Fmt.str "t%d:%d:%s" t i kind), (fun _ -> m), k)
   in
   let ack _ s = s in
   let set r v = List.mapi (fun j x -> if j = r then decode v else x) in

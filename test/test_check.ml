@@ -117,10 +117,10 @@ let test_fingerprints () =
       (Check.Fingerprint.equal fp0 (Check.Fingerprint.of_system sys1))
   | [] -> Alcotest.fail "diamond must step"
 
-(* Collision/determinism discipline for both the compact structural hash
-   and the retained polymorphic one: distinct small systems must get
-   distinct fingerprints, and recomputing from a freshly built equal
-   system must reproduce them exactly. *)
+(* Collision/determinism discipline for the compact structural hash:
+   distinct small systems must get distinct fingerprints, and
+   recomputing from a freshly built equal system must reproduce them
+   exactly. *)
 let test_fingerprint_hashes_distinct_and_stable () =
   (* vary data only *)
   let data_sys v : (int, int, int) System.t =
@@ -135,21 +135,14 @@ let test_fingerprint_hashes_distinct_and_stable () =
     @ List.init 128 (fun i ->
           Check.Fingerprint.of_system (control_sys (Label.v ("l" ^ string_of_int i))))
   in
-  let distinct l = List.length (List.sort_uniq compare l) = List.length l in
-  Alcotest.(check bool) "new hash: 256 distinct systems, 256 distinct fingerprints" true
-    (distinct (List.map Check.Fingerprint.fp64 fps));
-  Alcotest.(check bool) "old hash: distinct on the same family" true
-    (distinct (List.map Check.Fingerprint.hash_poly fps));
-  Alcotest.(check bool) "fp64 is never zero" true
-    (List.for_all (fun fp -> Check.Fingerprint.fp64 fp <> 0L) fps);
-  (* stability: a rebuilt equal system reproduces both hashes *)
+  let hashes = List.map Check.Fingerprint.hash fps in
+  Alcotest.(check bool) "256 distinct systems, 256 distinct fingerprints" true
+    (List.length (List.sort_uniq compare hashes) = List.length hashes);
+  Alcotest.(check bool) "hash is never zero" true (List.for_all (fun h -> h <> 0) hashes);
+  (* stability: a rebuilt equal system reproduces the hash *)
   List.iteri
     (fun v fp ->
       let fp' = Check.Fingerprint.of_system (data_sys v) in
-      Alcotest.(check int64) "fp64 stable across rebuilds" (Check.Fingerprint.fp64 fp)
-        (Check.Fingerprint.fp64 fp');
-      Alcotest.(check int) "hash_poly stable across rebuilds" (Check.Fingerprint.hash_poly fp)
-        (Check.Fingerprint.hash_poly fp');
       Alcotest.(check int) "hash stable across rebuilds" (Check.Fingerprint.hash fp)
         (Check.Fingerprint.hash fp'))
     (List.filteri (fun i _ -> i < 128) fps)

@@ -124,7 +124,7 @@ let requester : com =
   Com.Request (Label.v "req", (fun s -> s * 2), fun v s -> s + v)
 
 let responder : com =
-  Com.Response (Label.v "resp", fun alpha s -> [ (s + alpha, alpha + 1) ])
+  Com.Response (Label.v "resp", fun _ alpha s -> [ (s + alpha, alpha + 1) ])
 
 let test_request_offer () =
   match Com.offers (mkcfg requester 21) with
@@ -137,7 +137,7 @@ let test_request_offer () =
 let test_response_offer () =
   match Com.offers (mkcfg responder 1) with
   | [ Com.Resp (l, respond) ] when Label.name l = "resp" -> (
-    match respond 42 with
+    match respond 0 42 with
     | [ (cfg', beta) ] ->
       Alcotest.(check int) "responder state" 43 cfg'.Com.data;
       Alcotest.(check int) "beta" 43 beta
@@ -152,6 +152,24 @@ let test_system_rendezvous () =
     Alcotest.(check int) "p after" (21 + 43) (System.proc sys' 0).Com.data;
     Alcotest.(check int) "q after" (1 + 42) (System.proc sys' 1).Com.data
   | l -> Alcotest.fail (Printf.sprintf "expected one rendezvous, got %d steps" (List.length l))
+
+(* Fig. 8's rule names the requester: a responder that answers with the
+   pid it is handed gives each of two requesters its own pid. *)
+let test_responder_learns_requester () =
+  let whoami : com = Com.Response (Label.v "whoami", fun p _ s -> [ (s, p) ]) in
+  let asker : com = Com.Request (Label.v "ask", (fun _ -> 0), fun v _ -> v) in
+  let sys =
+    System.make [| "r"; "p"; "q" |] [| mkcfg whoami 0; mkcfg asker (-1); mkcfg asker (-1) |]
+  in
+  let answers =
+    List.map
+      (function
+        | System.Rendezvous { requester; responder = 0; _ }, sys' ->
+          (requester, (System.proc sys' requester).Com.data)
+        | _ -> Alcotest.fail "only rendezvous with the responder expected")
+      (System.steps sys)
+  in
+  Alcotest.(check (list (pair int int))) "each requester gets its own pid" [ (1, 1); (2, 2) ] answers
 
 let test_system_no_self_rendezvous () =
   let both = Com.Choose [ requester; responder ] in
@@ -238,6 +256,7 @@ let suite =
     Alcotest.test_case "request computes alpha, applies beta" `Quick test_request_offer;
     Alcotest.test_case "response consumes alpha, returns beta" `Quick test_response_offer;
     Alcotest.test_case "system rendezvous (Fig. 8)" `Quick test_system_rendezvous;
+    Alcotest.test_case "the responder learns the requester" `Quick test_responder_learns_requester;
     Alcotest.test_case "no self-rendezvous" `Quick test_system_no_self_rendezvous;
     Alcotest.test_case "interleaving is the union of process steps" `Quick test_system_interleaving_union;
     Alcotest.test_case "rendezvous preserves bystanders" `Quick test_rendezvous_preserves_third_party;

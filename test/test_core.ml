@@ -17,12 +17,12 @@ let sys_of sd = St.L_sys sd
 
 (* Run one response and project the new sys data and value. *)
 let respond ?(cfg = cfg) sd req ~from =
-  match Core.Sysproc.respond cfg (from, req) (sys_of sd) with
+  match Core.Sysproc.respond cfg from req (sys_of sd) with
   | [ (St.L_sys sd', v) ] -> (sd', v)
   | [] -> Alcotest.fail "request unexpectedly blocked"
   | _ -> Alcotest.fail "expected a single deterministic response"
 
-let blocked sd req ~from = Core.Sysproc.respond cfg (from, req) (sys_of sd) = []
+let blocked sd req ~from = Core.Sysproc.respond cfg from req (sys_of sd) = []
 
 let gc = Cfg.pid_gc
 let mut0 = Cfg.pid_mut cfg 0
@@ -81,7 +81,7 @@ let test_lock_blocks_other_commits () =
 
 let test_sc_memory_commits_at_once () =
   let cfg_sc = { cfg with Cfg.memory = Cfg.SC } in
-  match Core.Sysproc.respond cfg_sc (mut0, Req_write (W_mark (0, true))) (sys_of (sd0 ())) with
+  match Core.Sysproc.respond cfg_sc mut0 (Req_write (W_mark (0, true))) (sys_of (sd0 ())) with
   | [ (St.L_sys sd', V_unit) ] ->
     Alcotest.(check (option bool)) "visible" (Some true) (Gcheap.Heap.mark sd'.St.s_mem.St.heap 0);
     Alcotest.(check int) "no buffering" 0 (List.length (St.buf_of sd' mut0))
@@ -94,9 +94,9 @@ let test_sc_write_waits_for_lock () =
   let sd, _ = respond (sd0 ()) Req_lock ~from:mut0 in
   let write = Req_write (W_mark (0, true)) in
   Alcotest.(check int) "blocked while mut0 holds the lock" 0
-    (List.length (Core.Sysproc.respond cfg_sc (mut1, write) (sys_of sd)));
+    (List.length (Core.Sysproc.respond cfg_sc mut1 write (sys_of sd)));
   Alcotest.(check int) "the holder writes" 1
-    (List.length (Core.Sysproc.respond cfg_sc (mut0, write) (sys_of sd)))
+    (List.length (Core.Sysproc.respond cfg_sc mut0 write (sys_of sd)))
 
 let field_write v = W_field (0, 0, Some v)
 
@@ -154,7 +154,7 @@ let test_dangling_access_flagged () =
 
 let test_alloc_nondet_over_free_refs () =
   let sd = sd0 () in
-  let succs = Core.Sysproc.respond cfg (mut0, Req_alloc true) (sys_of sd) in
+  let succs = Core.Sysproc.respond cfg mut0 (Req_alloc true) (sys_of sd) in
   (* refs 1 and 2 are free in the "single" shape *)
   Alcotest.(check int) "one successor per free ref" 2 (List.length succs);
   List.iter
@@ -193,7 +193,7 @@ let test_wl_transfer_is_atomic_union () =
 
 let test_wl_pick_nondet_no_removal () =
   let sd = St.set_wl (sd0 ()) gc [ 1; 2 ] in
-  let succs = Core.Sysproc.respond cfg (gc, Req_wl_pick) (sys_of sd) in
+  let succs = Core.Sysproc.respond cfg gc Req_wl_pick (sys_of sd) in
   Alcotest.(check int) "one pick per grey" 2 (List.length succs);
   List.iter
     (fun (s, _) ->
@@ -309,6 +309,17 @@ let test_model_builds_for_all_variants () =
         (Cimp.System.n_procs m.Core.Model.system))
     Core.Variants.all
 
+(* No request names its sender, so the mutator program is built once and
+   every mutator slot runs it. *)
+let test_mutators_share_one_program () =
+  let c = { cfg with Cfg.n_muts = 3 } in
+  let sys = (Core.Model.make c shape).Core.Model.system in
+  let head p = List.hd (Cimp.System.proc sys p).Cimp.Com.stack in
+  let mut m = head (Cfg.pid_mut c m) in
+  Alcotest.(check bool) "mut1 runs mut0's program" true (mut 1 == mut 0);
+  Alcotest.(check bool) "mut2 runs mut0's program" true (mut 2 == mut 0);
+  Alcotest.(check bool) "the collector runs its own" false (head Cfg.pid_gc == mut 0)
+
 let test_initial_invariants_hold_on_all_shapes () =
   List.iter
     (fun (s : Gcheap.Shapes.t) ->
@@ -423,6 +434,8 @@ let test_cli_misfit_shapes () =
       ([ "program"; "bogus" ], "bogus");
       ([ "campaign"; "--operators"; "bogus" ], "bogus");
       ([ "explain"; "--trace"; "/nonexistent/trace.json" ], "/nonexistent/trace.json");
+      ([ "explore"; "--buf"; "0" ], "buf");
+      ([ "walk"; "--fields"; "0" ], "fields");
     ];
   refused ~exe:"cimpc.exe" [ "run"; "-e"; "nope" ] "nope";
   refused ~exe:"cimpc.exe" [ "check"; "/nonexistent/p.cimp" ] "/nonexistent/p.cimp";
@@ -547,6 +560,7 @@ let suite =
     Alcotest.test_case "grey protection" `Quick test_grey_protection_in_colours;
     Alcotest.test_case "buffered deletions respect FIFO overrides" `Quick test_buffered_deletions_with_overrides;
     Alcotest.test_case "every variant assembles" `Quick test_model_builds_for_all_variants;
+    Alcotest.test_case "every mutator slot runs one program" `Quick test_mutators_share_one_program;
     Alcotest.test_case "initial states satisfy the catalogue" `Quick test_initial_invariants_hold_on_all_shapes;
     Alcotest.test_case "dangling roots violate valid_refs_inv" `Quick test_dangling_root_caught;
     Alcotest.test_case "handshake-phase mapping" `Quick test_hp_mapping;

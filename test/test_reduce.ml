@@ -64,14 +64,21 @@ let test_permutations_repeats () =
 
 (* -- Symmetry: canonical fingerprint is a permutation invariant ------------ *)
 
+let sym_scenario n_muts =
+  Core.Scenario.make ~label:"sym-prop" ~n_muts ~n_refs:2 ~shape:"single" ~max_mut_ops:1 ()
+
+(* A permutation [pi] of the mutator indices as a pid map, identity off
+   the symmetric pids. *)
+let pid_perm spec pi =
+  let sym = Array.of_list spec.Reduce.Symmetry.sym_pids and pi = Array.of_list pi in
+  fun p -> match Array.find_index (( = ) p) sym with Some m -> sym.(pi.(m)) | None -> p
+
 (* For every reachable state outside the handshake signal window and every
    permutation pi of the mutator indices, the canonical fingerprint of the
-   state and of its concrete pi-image coincide — this is exactly what makes
+   state and of its pi-image coincide — this is exactly what makes
    dedup-by-canonical-fingerprint collapse the orbit. *)
 let sym_invariance n_muts () =
-  let sc =
-    Core.Scenario.make ~label:"sym-prop" ~n_muts ~n_refs:2 ~shape:"single" ~max_mut_ops:1 ()
-  in
+  let sc = sym_scenario n_muts in
   let cfg = sc.Core.Scenario.cfg in
   let spec = Core.Reduction.spec cfg in
   let canon_fp s =
@@ -98,7 +105,7 @@ let sym_invariance n_muts () =
          if moved then incr permuted);
         List.iter
           (fun p ->
-            let s' = Core.Reduction.permute_muts cfg s (fun m -> List.nth p m) in
+            let s' = Reduce.Symmetry.permute spec (pid_perm spec p) s in
             if not (Check.Fingerprint.equal fp (canon_fp s')) then
               Alcotest.fail
                 (Fmt.str "canonical fingerprint not invariant under %a"
@@ -113,6 +120,110 @@ let sym_invariance n_muts () =
 
 let test_sym_invariance_2 () = sym_invariance 2 ()
 let test_sym_invariance_3 () = sym_invariance 3 ()
+
+(* -- Symmetry: a mutator permutation is an automorphism -------------------- *)
+
+let rename_event perm = function
+  | Cimp.System.Tau (p, l) -> Cimp.System.Tau (perm p, l)
+  | Cimp.System.Rendezvous r ->
+    Cimp.System.Rendezvous { r with requester = perm r.requester; responder = perm r.responder }
+
+(* Does [xs] equal [ys] as a multiset under [same]? *)
+let same_multiset same xs ys =
+  let rec remove x = function
+    | [] -> None
+    | y :: ys -> if same x y then Some ys else Option.map (List.cons y) (remove x ys)
+  in
+  let rec go xs ys =
+    match xs with
+    | [] -> ys = []
+    | x :: xs -> ( match remove x ys with Some ys -> go xs ys | None -> false)
+  in
+  go xs ys
+
+(* The premises the symmetry reduction rests on, executed rather than
+   argued, for every reachable state of the sample and every
+   non-identity permutation pi of the mutators:
+   P1 (where [permute_ok] holds) the pi-image of a state has exactly the
+      pi-images of its transitions: the same events with renamed pids,
+      to the permuted successors;
+   P2 (where [permute_ok] holds) every invariant gives the pi-image the
+      verdict it gives the state;
+   P3 (every state) the canonical fingerprint is the plain fingerprint of
+      a runnable orbit member, some permutation of [canon_state].
+   Inside the signal window P1 must fail somewhere, or [permute_ok]
+   would exclude states for nothing. *)
+let sym_automorphism n_muts ~limit () =
+  let sc = sym_scenario n_muts in
+  let cfg = sc.Core.Scenario.cfg in
+  let spec = Core.Reduction.spec cfg in
+  let invariants = Core.Invariants.all cfg in
+  let all_perms = Reduce.Symmetry.permutations (List.init n_muts Fun.id) in
+  let perms = List.filter (fun pi -> pi <> List.init n_muts Fun.id) all_perms in
+  let fp s = Check.Fingerprint.of_system (Cimp.System.normalize s) in
+  let same (e, f) (e', f') = e = e' && Check.Fingerprint.equal f f' in
+  let outside = ref 0 and edges = ref 0 and inside = ref 0 and inside_failed = ref 0 in
+  let pp_pi = Fmt.(brackets (list ~sep:semi int)) in
+  let states = collect ~limit sc in
+  let refused perm =
+    match Reduce.Symmetry.permute spec perm (List.hd states) with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "permute refuses to move the collector" true
+    (refused (fun p -> if p < 2 then 1 - p else p));
+  Alcotest.(check bool) "permute refuses a map that is not one-to-one" true
+    (refused (fun p -> if p = 2 then 1 else p));
+  List.iter
+    (fun s ->
+      let ok = spec.Reduce.Symmetry.permute_ok s in
+      let succs = Cimp.System.steps s in
+      List.iter
+        (fun pi ->
+          let perm = pid_perm spec pi in
+          let t = Reduce.Symmetry.permute spec perm s in
+          let expected =
+            List.map
+              (fun (e, s') -> (rename_event perm e, fp (Reduce.Symmetry.permute spec perm s')))
+              succs
+          in
+          let actual = List.map (fun (e, t') -> (e, fp t')) (Cimp.System.steps t) in
+          let p1 = same_multiset same expected actual in
+          if ok then begin
+            incr outside;
+            edges := !edges + List.length expected;
+            if not p1 then Alcotest.failf "P1: transitions not permuted by %a" pp_pi pi;
+            List.iter
+              (fun (i : Core.Invariants.t) ->
+                if i.check s <> i.check t then
+                  Alcotest.failf "P2: %s tells a state from its image under %a" i.name pp_pi pi)
+              invariants
+          end
+          else begin
+            incr inside;
+            if not p1 then incr inside_failed
+          end)
+        perms;
+      let canon, _, _ = Reduce.Symmetry.canonical_fingerprint spec s in
+      let rep = Reduce.Symmetry.canon_state spec s in
+      if
+        not
+          (List.exists
+             (fun pi ->
+               Check.Fingerprint.equal canon
+                 (Check.Fingerprint.of_system (Reduce.Symmetry.permute spec (pid_perm spec pi) rep)))
+             all_perms)
+      then Alcotest.fail "P3: a canonical fingerprint belongs to no runnable orbit member")
+    states;
+  Alcotest.(check bool)
+    (Fmt.str "P1/P2 covered >= 1000 pairs outside the window (%d, %d edges)" !outside !edges)
+    true (!outside >= 1_000);
+  Alcotest.(check bool)
+    (Fmt.str "P1 fails inside the window (%d of %d pairs)" !inside_failed !inside)
+    true (!inside_failed > 0)
+
+let test_sym_automorphism_2 () = sym_automorphism 2 ~limit:4_000 ()
+let test_sym_automorphism_3 () = sym_automorphism 3 ~limit:3_000 ()
 
 (* -- POR: deferrable transitions commute on reachable states --------------- *)
 
@@ -377,6 +488,10 @@ let suite =
     Alcotest.test_case "permutations: repeated elements kept" `Quick test_permutations_repeats;
     Alcotest.test_case "sym: canonical fp invariant (2 mutators)" `Quick test_sym_invariance_2;
     Alcotest.test_case "sym: canonical fp invariant (3 mutators)" `Quick test_sym_invariance_3;
+    Alcotest.test_case "sym: mutator permutation is an automorphism (2 mutators)" `Quick
+      test_sym_automorphism_2;
+    Alcotest.test_case "sym: mutator permutation is an automorphism (3 mutators)" `Quick
+      test_sym_automorphism_3;
     Alcotest.test_case "por: deferred fences commute (oracle)" `Quick test_por_commutation;
     Alcotest.test_case "por: disjointness matches footprints" `Quick test_disjoint_footprints;
     Alcotest.test_case "differential: baseline" `Slow test_diff_baseline;
