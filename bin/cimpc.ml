@@ -76,11 +76,20 @@ let run_cmd =
     Arg.(value & opt int 1_000_000 & info [ "max-states" ] ~doc:"State cap.")
   in
   let jobs =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "jobs"; "j" ]
-          ~doc:"Worker domains for the work-stealing BFS (1 = one worker, exact BFS order).")
+    let check jobs =
+      if jobs < 1 || jobs > Check.Par_explore.max_jobs then
+        refuse (Fmt.str "--jobs %d is outside 1..%d" jobs Check.Par_explore.max_jobs);
+      jobs
+    in
+    Term.(
+      const check
+      $ Arg.(
+          value
+          & opt int 1
+          & info [ "jobs"; "j" ]
+              ~doc:
+                "Worker domains for the work-stealing BFS, 1 to 64 (1 = one worker, exact BFS \
+                 order)."))
   in
   (* Surface-language systems carry no reduction spec (no symmetry
      classes, and user-chosen labels could collide with the POR policy's

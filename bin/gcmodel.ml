@@ -187,14 +187,23 @@ let safety_only =
 let max_states =
   Arg.(value & opt int 10_000_000 & info [ "max-states" ] ~doc:"State cap for exploration.")
 
+(* A --jobs outside 1..64 is refused like any flag value the model
+   cannot take: one line, exit 1. *)
+let check_jobs jobs =
+  if jobs < 1 || jobs > Check.Par_explore.max_jobs then
+    refuse (Fmt.str "--jobs %d is outside 1..%d" jobs Check.Par_explore.max_jobs);
+  jobs
+
 let jobs =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "jobs"; "j" ]
-        ~doc:
-          "Worker domains for the work-stealing BFS (explore, crosscheck) or the random-walk \
-           swarm (walk).  1 (the default) runs one worker on the calling domain.")
+  Term.(
+    const check_jobs
+    $ Arg.(
+        value
+        & opt int 1
+        & info [ "jobs"; "j" ]
+            ~doc:
+              "Worker domains for the work-stealing BFS (explore, crosscheck) or the random-walk \
+               swarm (walk), 1 to 64.  1 (the default) runs one worker on the calling domain."))
 
 (* -- tiered store / checkpoint flags (lib/store) ----------------------------- *)
 
@@ -245,11 +254,17 @@ let checkpoint_term =
            an interrupted run with $(b,gcmodel resume) $(docv).")
 
 let checkpoint_every_term =
-  Arg.(
-    value
-    & opt int 50_000
-    & info [ "checkpoint-every" ] ~docv:"N"
-        ~doc:"States between checkpoints (with $(b,--checkpoint); default 50000).")
+  let check every =
+    if every < 1 then refuse (Fmt.str "--checkpoint-every %d is below 1" every);
+    every
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value
+        & opt int 50_000
+        & info [ "checkpoint-every" ] ~docv:"N"
+            ~doc:"States between checkpoints, at least 1 (with $(b,--checkpoint); default 50000)."))
 
 (* everything needed to rebuild the instance and flags at resume *)
 let run_config_json (raw : raw_cfg) ~shape ~safety_only ~max_states ~jobs ~reduce ~mem_budget
@@ -306,13 +321,17 @@ let run_flags_of_config =
   Obs.Json.Decode.(
     run "run configuration" (fun c ->
         let max_states = int (field "max_states" c) in
-        let jobs = int (field "jobs" c) in
+        let within lo ?(hi = max_int) v =
+          let n = int v in
+          if n < lo || n > hi then malformed v else n
+        in
+        let jobs = within 1 ~hi:Check.Par_explore.max_jobs (field "jobs" c) in
         let reduce =
           let r = field "reduce" c in
           match Reduce.Mode.of_string (string r) with Ok m -> m | Error _ -> malformed r
         in
         let mem_budget = nullable int (field "mem_budget" c) in
-        let checkpoint_every = int (field "checkpoint_every" c) in
+        let checkpoint_every = within 1 (field "checkpoint_every" c) in
         (max_states, jobs, reduce, mem_budget, checkpoint_every)))
 
 let model_of (cfg, _v) shape =
@@ -404,7 +423,7 @@ let explore_cmd =
       Fmt.(option (fmt " mem-budget=%d"))
       mem_budget;
     let reducer = Core.Reduction.reducer cfg reduce in
-    let tracer = Obs.Tracing.resolve ?out:trace_out ~domains:(max 1 jobs) () in
+    let tracer = Obs.Tracing.resolve ?out:trace_out ~domains:jobs () in
     let run_config =
       run_config_json raw ~shape ~safety_only ~max_states ~jobs ~reduce ~mem_budget
         ~checkpoint_every
@@ -413,7 +432,7 @@ let explore_cmd =
     let checkpoint = Option.map (fun dir -> (dir, checkpoint_every)) checkpoint in
     (* at jobs = 1 the certifying run is the verdict run *)
     let o, table =
-      if certificate <> None && jobs <= 1 then
+      if certificate <> None && jobs = 1 then
         let o, table =
           Certify.Writer.explore ~max_states ~obs ~tracer ?reducer ?mem_budget ?spill_dir
             ?checkpoint ~run_config ~invariants model.Core.Model.system
@@ -483,11 +502,15 @@ let resume_cmd =
       & info [] ~docv:"DIR" ~doc:"Checkpoint directory written by $(b,explore --checkpoint).")
   in
   let jobs_override =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ]
-          ~doc:"Worker domains (default: the interrupted run's setting from the manifest).")
+    Term.(
+      const (Option.map check_jobs)
+      $ Arg.(
+          value
+          & opt (some int) None
+          & info [ "jobs"; "j" ]
+              ~doc:
+                "Worker domains, 1 to 64 (default: the interrupted run's setting from the \
+                 manifest)."))
   in
   let run dir jobs_override explain trace_out obs =
     io_failure_refused "resume" @@ fun () ->
@@ -513,7 +536,7 @@ let resume_cmd =
       Reduce.Mode.pp reduce snap.Store.Checkpoint.seq snap.Store.Checkpoint.states
       (Array.fold_left (fun acc l -> acc + List.length l) 0 snap.Store.Checkpoint.frontier);
     let reducer = Core.Reduction.reducer cfg reduce in
-    let tracer = Obs.Tracing.resolve ?out:trace_out ~domains:(max 1 jobs) () in
+    let tracer = Obs.Tracing.resolve ?out:trace_out ~domains:jobs () in
     (* a snapshot of another model, or a frontier state the model cannot
        replay, is refused in one line *)
     let o =
@@ -646,7 +669,7 @@ let walk_cmd =
     Fmt.pr "random walk variant=%s shape=%s steps=%d seed=%d jobs=%d reduce=%a@."
       v.Core.Variants.name shape steps seed jobs Reduce.Mode.pp reduce;
     let reducer = Core.Reduction.reducer cfg reduce in
-    let tracer = Obs.Tracing.resolve ?out:trace_out ~domains:(max 1 jobs) () in
+    let tracer = Obs.Tracing.resolve ?out:trace_out ~domains:jobs () in
     let o =
       Check.Random_walk.swarm ~jobs ~seed ~steps ~obs ~tracer ?reducer
         ~invariants:(invariants_of cfg safety_only) model.Core.Model.system

@@ -61,10 +61,10 @@ let run dir_a dir_b =
     end
     else begin
       let a = ea.(!i) and b = eb.(!j) in
-      let da = Store.Tiered.meta32_depth a.Store.Segment.meta
-      and db = Store.Tiered.meta32_depth b.Store.Segment.meta in
-      let va = Store.Tiered.meta32_violation a.Store.Segment.meta
-      and vb = Store.Tiered.meta32_violation b.Store.Segment.meta in
+      let da = Store.Segment.depth a.Store.Segment.meta
+      and db = Store.Segment.depth b.Store.Segment.meta in
+      let va = Store.Segment.violation a.Store.Segment.meta
+      and vb = Store.Segment.violation b.Store.Segment.meta in
       if da <> db || va <> vb then begin
         incr changed;
         note "~ %s depth %d->%d verdict %d->%d" (fp_hex a.Store.Segment.fp) da db va vb

@@ -117,8 +117,8 @@ let validate ?(normal_form = true) ~reducer ~invariants ~config_hash ~dir initia
   in
   let t0 = Obs.Clock.monotonic_ns () in
   let fps = Array.map (fun e -> e.Store.Segment.fp) entries in
-  let depth_of i = Store.Tiered.meta32_depth entries.(i).Store.Segment.meta in
-  let viol_of i = Store.Tiered.meta32_violation entries.(i).Store.Segment.meta in
+  let depth_of i = Store.Segment.depth entries.(i).Store.Segment.meta in
+  let viol_of i = Store.Segment.violation entries.(i).Store.Segment.meta in
   let norm s = if normal_form then Cimp.System.normalize s else s in
   let canon s = Check.Reducer.canon_of reducer s in
   let fp_of s = Check.Fingerprint.hash (Check.Reducer.fp_of reducer s) in

@@ -1,13 +1,14 @@
 (* Certificate emission.
 
    One table source: [explore] runs the engine with one worker and
-   [of_store] dumps its tiered seen-set (tier-0 shards plus any spilled
-   segments, min-depth / or-expanded merged per fingerprint).  The
-   one-worker pool is a FIFO BFS, so the stored depth stamps are BFS
-   distances and the dump already is the canonical table.  Runs at
-   jobs > 1 cannot be dumped: their visited class set can differ across
-   schedules at the symmetry reduction's local-automorphism boundary, so
-   their callers certify with a second, one-worker run.
+   [of_store] maps its tiered seen-set's newest-wins view
+   (Store.Tiered.iter: tier-0 shards plus any spilled segments, one copy
+   per fingerprint) to table entries.  The one-worker pool is a FIFO
+   BFS, so the stored depth stamps are BFS distances and the dump
+   already is the canonical table.  Runs at jobs > 1 cannot be dumped:
+   their visited class set can differ across schedules at the symmetry
+   reduction's local-automorphism boundary, so their callers certify
+   with a second, one-worker run.
 
    [write] emits table.seg (one globally sorted segment), fsyncs it, and
    then publishes CERT.json binding the configuration hash, reduction
@@ -17,45 +18,23 @@
    that parses: no CERT.json, no certificate. *)
 
 let of_store store =
-  let tbl = Hashtbl.create (max 1024 (Store.Tiered.count store)) in
-  let add (e : Store.Segment.entry) =
-    let d = Store.Tiered.meta32_depth e.meta in
-    let v = Store.Tiered.meta32_violation e.meta in
-    let x = Store.Tiered.meta32_expanded e.meta in
-    match Hashtbl.find_opt tbl e.fp with
-    | None -> Hashtbl.replace tbl e.fp (d, v, x)
-    | Some (d0, v0, x0) -> Hashtbl.replace tbl e.fp (min d d0, max v v0, x || x0)
+  let exception Uncertifiable of string in
+  let refuse (e : Store.Segment.entry) why =
+    raise (Uncertifiable (Printf.sprintf "state 0x%x %s" (e.fp land max_int) why))
   in
-  for shard = 0 to Store.Tiered.n_shards - 1 do
-    Array.iter add (Store.Tiered.tier0_dump store ~shard);
-    List.iter (fun seg -> Store.Segment.iter seg add) (Store.Tiered.segments_of store ~shard)
-  done;
-  let bad = ref None in
-  let acc = ref [] in
-  Hashtbl.iter
-    (fun fp (d, v, x) ->
-      if v >= 0 && !bad = None then
-        bad := Some (Printf.sprintf "state 0x%x records a violation verdict" (fp land max_int));
-      if (not x) && !bad = None then
-        bad :=
-          Some
-            (Printf.sprintf "state 0x%x was never expanded — the run is truncated"
-               (fp land max_int));
-      acc :=
-        { Store.Segment.fp; parent = 0; event = 0; meta = Store.Tiered.meta32_make ~depth:d ~violation:v }
-        :: !acc)
-    tbl;
-  match !bad with
-  | Some msg -> Error msg
-  | None ->
-    let entries = Array.of_list !acc in
-    Array.sort (fun a b -> compare a.Store.Segment.fp b.Store.Segment.fp) entries;
-    let max_depth =
-      Array.fold_left
-        (fun m e -> max m (Store.Tiered.meta32_depth e.Store.Segment.meta))
-        0 entries
-    in
-    Ok (entries, max_depth)
+  let rows = ref [] in
+  match
+    Store.Tiered.iter store (fun e ->
+        if Store.Segment.violation e.meta >= 0 then refuse e "records a violation verdict";
+        if not (Store.Segment.expanded e.meta) then
+          refuse e "was never expanded — the run is truncated";
+        rows := { e with parent = 0; event = 0 } :: !rows)
+  with
+  | exception Uncertifiable msg -> Error msg
+  | () ->
+    let table = Array.of_list !rows in
+    Array.sort (fun (a : Store.Segment.entry) b -> compare a.fp b.fp) table;
+    Ok (table, Store.Tiered.max_depth store)
 
 let refusal (o : _ Check.Explore.outcome) =
   if o.truncated then Some "run truncated (state cap reached)"
@@ -79,14 +58,13 @@ let write ~dir ~config_hash ~reduce ~invariant_names ~run_config ~max_depth entr
   else begin
     (* the root is the unique depth-0 entry of a single-root BFS *)
     let roots =
-      Array.to_list entries
-      |> List.filter (fun e -> Store.Tiered.meta32_depth e.Store.Segment.meta = 0)
+      Array.to_list entries |> List.filter (fun e -> Store.Segment.depth e.Store.Segment.meta = 0)
     in
     match roots with
     | [ root ] ->
       Store.Fs.mkdirs dir;
       let table = Certificate.table_path dir in
-      ignore (Store.Segment.write ~path:table ~shard:0 ~seq:0 ~max_depth entries);
+      ignore (Store.Segment.write ~path:table ~shard:0 ~seq:0 entries);
       Store.Fs.fsync table;
       let h =
         {

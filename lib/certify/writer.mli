@@ -2,9 +2,9 @@
     certificate directory ({!Certificate}). *)
 
 val of_store : Store.Tiered.t -> (Store.Segment.entry array * int, string) result
-(** Dump the engine's tiered seen-set — tier-0 shards merged with any
-    spilled segments, min-depth per fingerprint — into a certificate
-    table (sorted, parent/event zeroed) with its max depth.  Only valid
+(** The engine's tiered seen-set as a certificate table: its
+    newest-wins view ({!Store.Tiered.iter}), sorted, parent and event
+    zeroed, with its max depth ({!Store.Tiered.max_depth}).  Only valid
     after a one-worker run ({!Check.Par_explore.run} at [jobs = 1], a
     FIFO BFS), whose depth stamps are BFS distances and whose visited
     class set does not depend on a schedule; {!explore} is that run.

@@ -54,9 +54,10 @@
    BFS's for every [jobs] (every reachable state is inserted exactly
    once, and transitions/deadlocks are counted only on a state's first
    expansion; re-expansions triggered by depth improvement recount
-   nothing).  Spilling preserves all of that except that [depth] may
-   overstate when a spilled entry is later depth-improved (the stale deep
-   copy remains on disk until a merge).  On a violating run the verdict,
+   nothing).  Spilling preserves all of that, [depth] included: the store
+   reports the largest stamp among each state's newest copies, so a
+   stale deeper copy of a depth-improved state left in a segment until a
+   merge does not count.  On a violating run the verdict,
    the violated invariant and the counterexample length are deterministic
    across [jobs] (minimal depth, smallest fingerprint as tie-break);
    state counts of violating runs are not comparable because the frontier
@@ -199,7 +200,14 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
     ?(tracer = Obs.Tracing.null) ?(heartbeat_every = 20_000) ?(hooks = no_hooks) ?reducer
     ?mem_budget ?spill_dir ?checkpoint ?resume ?on_store ?(run_config = Obs.Json.Null) ~invariants
     initial =
-  let jobs = max 1 (min jobs max_jobs) in
+  if jobs < 1 || jobs > max_jobs then
+    invalid_arg (Printf.sprintf "Par_explore.run: jobs = %d, expected 1..%d" jobs max_jobs);
+  Option.iter
+    (fun (_, every) ->
+      if every < 1 then
+        invalid_arg
+          (Printf.sprintf "Par_explore.run: checkpoint every %d states, expected >= 1" every))
+    checkpoint;
   let t0_ns = Obs.Clock.monotonic_ns () in
   let base_elapsed =
     match resume with Some s -> s.Store.Checkpoint.elapsed_s | None -> 0.
@@ -224,7 +232,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
   let temp = Store.Tiered.temp_dir seen in
   Fun.protect ~finally:(fun () -> Option.iter Store.Fs.rm_rf temp) @@ fun () ->
   let inv_names = Array.of_list (List.map fst invariants) in
-  if Array.length inv_names > Store.Tiered.max_violation_index + 1 then
+  if Array.length inv_names > Store.Segment.max_violation + 1 then
     invalid_arg "Par_explore: too many invariants to pack";
   let inv_index =
     let tbl = Hashtbl.create 16 in
@@ -378,7 +386,6 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
      If the coordinator observes pending = 0 while gathering the pool
      it aborts (workers may already be exiting through quiescence; the
      post-join final snapshot covers that case). *)
-  let ckpt = Option.map (fun (dir, every) -> (dir, max 1 every)) checkpoint in
   let ckpt_req = Atomic.make false in
   let ckpt_arrived = Atomic.make 0 in
   let ckpt_gen = Atomic.make 0 in
@@ -420,7 +427,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
     end
   in
   let maybe_checkpoint w =
-    match ckpt with
+    match checkpoint with
     | None -> ()
     | Some (dir, every) ->
       if w > 0 then ckpt_wait w
@@ -745,7 +752,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
   Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) (Atomic.get failure);
   (* a final snapshot (frontier empty) makes resume-after-completion
      report the finished verdict instead of failing *)
-  (match ckpt with Some (dir, _) -> do_snapshot dir | None -> ());
+  (match checkpoint with Some (dir, _) -> do_snapshot dir | None -> ());
   let elapsed = base_elapsed +. Obs.Clock.elapsed_s ~since:t0_ns in
   let violation =
     if Atomic.get best_depth = max_int then None

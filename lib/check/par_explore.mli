@@ -52,7 +52,8 @@ val max_jobs : int
     fixed-size arrays of this length. *)
 
 (** [run ~jobs ~invariants initial] explores [initial] across [jobs]
-    worker domains (default 1, capped at {!max_jobs}), checking the
+    worker domains (default 1; [Invalid_argument] outside 1..{!max_jobs},
+    as for a checkpoint interval below 1), checking the
     (name, predicate) [invariants] at every state, the initial one
     included.  One worker expands states in exact BFS order.  The seen
     set keys on the 63-bit {!Fingerprint.hash}: distinct states collide
@@ -67,9 +68,8 @@ val max_jobs : int
       expansion (depth-improvement re-expansions recount nothing).
       Under a symmetry reducer this holds at one worker; at several the
       class representatives, and so the counts, depend on the schedule.
-      One caveat under [mem_budget]: [depth] may overstate when a
-      spilled entry is later depth-improved (the stale deeper copy
-      persists on disk until a merge rewrites it);
+      It holds under [mem_budget] too, [depth] included
+      ({!Store.Tiered.max_depth} reads each state's newest copy);
     - a violating run reports a violation of minimal depth; among
       equal-depth violations the smallest fingerprint wins, so the
       verdict, the violated invariant and the counterexample length are

@@ -212,7 +212,9 @@ let derive_seed seed k = seed lxor ((k + 1) * 0x9E3779B1)
 let swarm ?(jobs = 1) ?(seed = 42) ?(steps = 100_000) ?(normal_form = true) ?(trace_tail = 1000)
     ?(obs = Obs.Reporter.null) ?(tracer = Obs.Tracing.null) ?(heartbeat_every = 20_000) ?reducer
     ~invariants initial =
-  let jobs = max 1 (min jobs 64) in
+  if jobs < 1 || jobs > Par_explore.max_jobs then
+    invalid_arg
+      (Printf.sprintf "Random_walk.swarm: jobs = %d, expected 1..%d" jobs Par_explore.max_jobs);
   if jobs = 1 then
     run ~seed ~steps ~normal_form ~trace_tail ~obs ~tracer ~heartbeat_every ?reducer ~invariants
       initial

@@ -67,7 +67,8 @@ val run :
     flag the other domains poll every step; the lowest-indexed finder's
     trace is returned.  The swarm's own [outcome] record carries [jobs]
     and the walkers' summed [steps], [runs] and [dead_end_restarts].
-    [jobs <= 1] delegates to {!run}; [jobs] is capped at 64. *)
+    [jobs = 1] delegates to {!run}; [jobs] outside 1..64
+    ({!Par_explore.max_jobs}) raises [Invalid_argument]. *)
 val swarm :
   ?jobs:int ->
   ?seed:int ->

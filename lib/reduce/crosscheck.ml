@@ -15,6 +15,7 @@ type signature = {
   violation : (string * int) option;
   states : int;
   transitions : int;
+  depth : int;
   truncated : bool;
 }
 
@@ -26,6 +27,7 @@ let signature (o : _ Check.Explore.outcome) =
         o.Check.Explore.violation;
     states = o.Check.Explore.states;
     transitions = o.Check.Explore.transitions;
+    depth = o.Check.Explore.depth;
     truncated = o.Check.Explore.truncated;
   }
 
@@ -143,9 +145,9 @@ let run ?max_states ?normal_form ?(obs = Obs.Reporter.null) ?(jobs = 1) ?mem_bud
 
 let closed_clean s = s.violation = None && not s.truncated
 
-(* The reference a leg's counts are held to, if any: the one with the
-   same reduction, when clean and closed; reduced legs at one worker
-   only (DESIGN.md §8's count-wobble rule). *)
+(* The reference a leg's counts and depth are held to, if any: the one
+   with the same reduction, when clean and closed; reduced legs at one
+   worker only (DESIGN.md §8's count-wobble rule). *)
 let counts_reference r l =
   match l.kind with
   | Engine { reduced = true } ->
@@ -164,10 +166,14 @@ let check r l =
   match (counts, l.kind) with
   | _ when s.violation <> r.full.violation ->
     Error (Fmt.str "%s: %a, but reference: %a" name pp_signature s pp_signature r.full)
-  | Some c, _ when (s.states, s.transitions, s.truncated) <> (c.states, c.transitions, false) ->
+  | Some c, _
+    when (s.states, s.transitions, s.depth, s.truncated)
+         <> (c.states, c.transitions, c.depth, false) ->
     Error
-      (Fmt.str "%s: %d states, %d transitions%s, but reference: %d, %d" name s.states
-         s.transitions (if s.truncated then " (truncated)" else "") c.states c.transitions)
+      (Fmt.str "%s: %d states, %d transitions, depth %d%s, but reference: %d, %d, depth %d" name
+         s.states s.transitions s.depth
+         (if s.truncated then " (truncated)" else "")
+         c.states c.transitions c.depth)
   | _, Resume { frontier = 0; snapshot; _ } ->
     Error (Fmt.str "%s: snapshot %d has an empty frontier, nothing to resume" name snapshot)
   | _, Engine { reduced } ->

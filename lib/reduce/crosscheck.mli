@@ -7,14 +7,16 @@
     violation and close, and the reduced run must visit no more states.
     Every leg must report the unreduced reference's violation; when the
     reference is clean and closed, also the state and transition counts
-    of the reference with the same reduction — except reduced legs at
-    several workers, whose symmetry class representatives (and so
-    counts) depend on the schedule (DESIGN.md §8). *)
+    and the depth of the reference with the same reduction — except
+    reduced legs at several workers, whose symmetry class
+    representatives (and so counts) depend on the schedule (DESIGN.md
+    §8). *)
 
 type signature = {
   violation : (string * int) option;  (** invariant and counterexample length *)
   states : int;
   transitions : int;
+  depth : int;  (** BFS depth reached *)
   truncated : bool;
 }
 

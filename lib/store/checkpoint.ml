@@ -37,16 +37,9 @@ let write ~dir ~seq ~config ~store ~states ~transitions ~deadlocks ~truncated ~e
     let entries = Tiered.tier0_dump store ~shard in
     let t0 =
       if Array.length entries = 0 then Obs.Json.Null
-      else begin
-        let max_depth =
-          Array.fold_left
-            (fun acc (e : Segment.entry) -> max acc (Tiered.meta32_depth e.meta))
-            0 entries
-        in
+      else
         let name = t0_name shard in
-        seg_file name
-          (Segment.write ~path:(Filename.concat tmp name) ~shard ~seq:0 ~max_depth entries)
-      end
+        seg_file name (Segment.write ~path:(Filename.concat tmp name) ~shard ~seq:0 entries)
     in
     let segs = Tiered.segments_of store ~shard in
     let seg_names =

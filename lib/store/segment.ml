@@ -1,5 +1,24 @@
 type entry = { fp : int; parent : int; event : int; meta : int }
 
+(* The entry word packs, from bit 0: depth stamp (23 bits), violated
+   invariant index + 1 (8 bits, 0 for none), expanded bit (bit 31).
+   2^23 BFS levels is far past anything an explicit-state run reaches. *)
+let depth_mask = (1 lsl 23) - 1
+let viol_shift = 23
+let viol_mask = 0xFF
+let expanded_bit = 1 lsl 31
+let max_violation = viol_mask - 2
+
+let depth w = w land depth_mask
+let violation w = ((w lsr viol_shift) land viol_mask) - 1
+let expanded w = w land expanded_bit <> 0
+
+let word ~depth ~violation ~expanded =
+  if depth < 0 || depth > depth_mask then invalid_arg "Segment.word: depth stamp out of range";
+  if violation < -1 || violation > max_violation then
+    invalid_arg "Segment.word: violation index out of range";
+  depth lor ((violation + 1) lsl viol_shift) lor (if expanded then expanded_bit else 0)
+
 type t = {
   path : string;
   shard : int;
@@ -40,7 +59,7 @@ let digest t =
 let mem_bytes t =
   Bloom.bytes t.bloom + (2 * 8 * Array.length t.index_fp) + 96 (* record + headers *)
 
-let write ~path ~shard ~seq ~max_depth entries =
+let write ~path ~shard ~seq entries =
   let n = Array.length entries in
   let bloom = Bloom.create ~expected:n in
   let data = Buffer.create (32 * n) in
@@ -48,11 +67,13 @@ let write ~path ~shard ~seq ~max_depth entries =
   let index_fp = Array.make (max 1 n_blocks) 0 in
   let index_off = Array.make (max 1 n_blocks) 0 in
   let prev = ref 0 in
+  let max_depth = ref 0 in
   Array.iteri
     (fun i e ->
       if e.fp = 0 then invalid_arg "Segment.write: zero fingerprint";
       if i > 0 && e.fp <= !prev then invalid_arg "Segment.write: entries not sorted";
       if e.meta land 0xFFFFFFFF <> e.meta then invalid_arg "Segment.write: meta exceeds 32 bits";
+      max_depth := max !max_depth (depth e.meta);
       Bloom.add bloom e.fp;
       if i mod block_size = 0 then begin
         index_fp.(i / block_size) <- e.fp;
@@ -69,7 +90,7 @@ let write ~path ~shard ~seq ~max_depth entries =
   Codec.add_varint header shard;
   Codec.add_varint header seq;
   Codec.add_varint header n;
-  Codec.add_varint header max_depth;
+  Codec.add_varint header !max_depth;
   Bloom.write header bloom;
   Codec.add_varint header n_blocks;
   for b = 0 to n_blocks - 1 do
@@ -90,7 +111,7 @@ let write ~path ~shard ~seq ~max_depth entries =
     shard;
     seq;
     n;
-    max_depth;
+    max_depth = !max_depth;
     bloom;
     index_fp = Array.sub index_fp 0 n_blocks;
     index_off = Array.sub index_off 0 n_blocks;

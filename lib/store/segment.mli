@@ -10,9 +10,9 @@
     segments without exhausting descriptors.
 
     Layout: magic "GCSEG001", a varint header length, then the header
-    (shard, seq, entry count, max depth, Bloom filter, block index as
-    (first fingerprint, data offset) pairs, data length), then the data
-    blocks.  All multi-byte integers are {!Codec} varints over the
+    (shard, seq, entry count, the largest depth stamp among the entries,
+    Bloom filter, block index as (first fingerprint, data offset) pairs,
+    data length), then the data blocks.  All multi-byte integers are {!Codec} varints over the
     63-bit pattern, so negative fingerprints and packed events
     round-trip.  Within a block the first fingerprint is absolute and
     the rest are deltas from their predecessor (sorted, so the delta is
@@ -23,8 +23,35 @@ type entry = {
   fp : int;  (** fingerprint, never 0 *)
   parent : int;  (** parent fingerprint, 0 for the root *)
   event : int;  (** packed generating event *)
-  meta : int;  (** packed meta word; must fit 32 bits *)
+  meta : int;  (** the entry word ({!word}) *)
 }
+
+(** {1 The entry word}
+
+    One 32-bit word per entry carries, from bit 0, the depth stamp (23
+    bits), the violated invariant's index + 1 (8 bits, 0 for none) and
+    the expanded bit (bit 31).  Every reader and writer of entries goes
+    through these functions: segments, snapshots and certificate tables
+    on disk, and the tiered store's tier 0, which keeps the same word in
+    RAM. *)
+
+val max_violation : int
+(** Largest violated-invariant index a word can carry (253). *)
+
+val word : depth:int -> violation:int -> expanded:bool -> int
+(** Pack a word; [violation] is an index, [-1] for none.  Raises
+    [Invalid_argument] if the depth is outside [0, 2^23 - 1] or the
+    violation outside [-1, max_violation]. *)
+
+val depth : int -> int
+(** The depth stamp of a word. *)
+
+val violation : int -> int
+(** The violated-invariant index of a word, [-1] if none. *)
+
+val expanded : int -> bool
+(** The expanded bit of a word: the state's successors were generated
+    (a closed run has it set on every entry). *)
 
 type t
 
@@ -44,7 +71,8 @@ val seq : t -> int
 val length : t -> int
 (** Number of entries. *)
 
-(** Largest depth recorded in any entry's meta word at write time. *)
+(** Largest depth stamp among the entries, which {!write} derives and
+    the header records. *)
 val max_depth : t -> int
 
 (** On-disk file size in bytes. *)
@@ -58,12 +86,12 @@ val digest : t -> string
 (** Resident footprint (Bloom filter + block index) in bytes. *)
 val mem_bytes : t -> int
 
-(** [write ~path ~shard ~seq ~max_depth entries] writes a segment from
-    entries sorted by [fp] ascending (raises [Invalid_argument] if not,
-    or if a meta word exceeds 32 bits) and returns the open
-    (resident-parts-loaded) handle.  It is not fsynced: a checkpoint or
-    certificate that publishes the file fsyncs it ({!Fs.publish}). *)
-val write : path:string -> shard:int -> seq:int -> max_depth:int -> entry array -> t
+(** [write ~path ~shard ~seq entries] writes a segment from entries
+    sorted by [fp] ascending (raises [Invalid_argument] if not, or if a
+    word exceeds 32 bits) and returns the open (resident-parts-loaded)
+    handle.  It is not fsynced: a checkpoint or certificate that
+    publishes the file fsyncs it ({!Fs.publish}). *)
+val write : path:string -> shard:int -> seq:int -> entry array -> t
 
 (** Load the resident parts of an existing segment file.
 

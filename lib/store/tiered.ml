@@ -5,43 +5,12 @@
    same shard concurrently and an insert can never land in a table a
    concurrent resize is about to discard.
 
-   The RAM meta word packs, from bit 0: depth stamp (40 bits), violated
-   invariant index + 1 (16 bits), expanded bit (bit 56).  The segment
-   meta word is narrower — depth (23 bits), violation (8 bits), expanded
-   (bit 31) — so spilling guards both widths; 2^23 BFS depth is far past
-   anything an explicit-state run reaches. *)
+   A tier-0 slot's meta word is the segment entry word ({!Segment.word}),
+   so entries move between RAM and disk unchanged. *)
 
 let n_shards = 64
 let shard_bits = 6 (* log2 n_shards *)
 let entry_bytes = 32 (* 4 words: key, parent, event, meta *)
-let depth_bits = 40
-let depth_mask = (1 lsl depth_bits) - 1
-let viol_bits = 16
-let viol_shift = depth_bits
-let viol_mask = (1 lsl viol_bits) - 1
-let expanded_bit = 1 lsl (depth_bits + viol_bits)
-
-(* segment (32-bit) meta layout *)
-let d32_bits = 23
-let d32_mask = (1 lsl d32_bits) - 1
-let v32_shift = d32_bits
-let v32_mask = 0xFF
-let x32_bit = 1 lsl 31
-
-(* bounded by the 8-bit violation slot of the segment layout *)
-let max_violation_index = v32_mask - 2
-
-let meta32_of_ram m =
-  let d = m land depth_mask in
-  let v = (m lsr viol_shift) land viol_mask in
-  if d > d32_mask then invalid_arg "Tiered: depth stamp too large to spill";
-  if v > v32_mask then invalid_arg "Tiered: violation index too large to spill";
-  d lor (v lsl v32_shift) lor (if m land expanded_bit <> 0 then x32_bit else 0)
-
-let ram_of_meta32 m =
-  m land d32_mask
-  lor (((m lsr v32_shift) land v32_mask) lsl viol_shift)
-  lor (if m land x32_bit <> 0 then expanded_bit else 0)
 
 type add_result = Fresh | Improved of int | Stale
 
@@ -112,6 +81,7 @@ let make_arr cap =
   Bigarray.Array1.fill a 0;
   a
 
+let no_copy = { Segment.fp = 0; parent = 0; event = 0; meta = 0 }
 let default_shard_cap = 1024
 
 let create ?(shard_cap = default_shard_cap) ?(mem_budget = 0) ?spill_dir ?(merge_fanout = 8) ()
@@ -234,9 +204,9 @@ let tier0_insert s fp ~parent ~event ~meta =
 let seg_path t s seq =
   Filename.concat (ensure_spill_dir t) (Printf.sprintf "shard%02d-%06d.seg" s.id seq)
 
-(* Sorted tier-0 contents with segment-layout meta words; caller locks. *)
+(* Sorted tier-0 contents; caller locks. *)
 let dump_locked s =
-  let arr = Array.make s.count { Segment.fp = 0; parent = 0; event = 0; meta = 0 } in
+  let arr = Array.make s.count no_copy in
   let j = ref 0 in
   for i = 0 to Bigarray.Array1.dim s.keys - 1 do
     let k = Bigarray.Array1.unsafe_get s.keys i in
@@ -246,7 +216,7 @@ let dump_locked s =
           Segment.fp = k;
           parent = Bigarray.Array1.unsafe_get s.parents i;
           event = s.events.(i);
-          meta = meta32_of_ram (Bigarray.Array1.unsafe_get s.meta i);
+          meta = Bigarray.Array1.unsafe_get s.meta i;
         };
       incr j
     end
@@ -254,58 +224,58 @@ let dump_locked s =
   Array.sort (fun (a : Segment.entry) b -> compare a.fp b.fp) arr;
   arr
 
-let seg_max_depth entries =
-  Array.fold_left (fun acc (e : Segment.entry) -> max acc (e.meta land d32_mask)) 0 entries
+(* The newest-wins view of a shard with segments, read under its lock or
+   from a quiescent store.  Tier 0 and the segments, newest first, are
+   concatenated and stably sorted, so each fingerprint's first copy is
+   its newest: every stored fingerprint once, ascending.  Transient
+   memory is one shard's entries, 1/64 of the store. *)
+let newest s =
+  let all = Array.concat (dump_locked s :: List.map Segment.entries s.segs) in
+  Array.stable_sort (fun (a : Segment.entry) b -> compare a.fp b.fp) all;
+  let n = ref 0 in
+  Array.iter
+    (fun (e : Segment.entry) ->
+      if !n = 0 || all.(!n - 1).fp <> e.fp then begin
+        all.(!n) <- e;
+        incr n
+      end)
+    all;
+  Array.sub all 0 !n
 
+(* [f fp parent event word] once per fingerprint of shard [s], with its
+   newest copy.  A shard without segments is read in place, in slot
+   order. *)
+let view s f =
+  if s.segs = [] then
+    for i = 0 to Bigarray.Array1.dim s.keys - 1 do
+      let k = Bigarray.Array1.unsafe_get s.keys i in
+      if k <> 0 then
+        f k (Bigarray.Array1.unsafe_get s.parents i) s.events.(i)
+          (Bigarray.Array1.unsafe_get s.meta i)
+    done
+  else Array.iter (fun (e : Segment.entry) -> f e.fp e.parent e.event e.meta) (newest s)
+
+(* Called right after a freeze, so tier 0 is empty and the view is the
+   segments' newest copies. *)
 let merge_locked t s =
   let start_ns = if t.timed then Obs.Clock.monotonic_ns () else 0 in
   let old = s.segs in
-  let n_old = List.length old in
-  (* rank 0 = newest; on duplicate fingerprints the lowest rank (the
-     shadow-updated copy) wins.  Transient memory is one shard's disk
-     entries — 1/64 of the spilled total. *)
-  let all =
-    List.concat (List.mapi (fun r seg -> List.map (fun e -> (e, r)) (Array.to_list (Segment.entries seg))) old)
-  in
-  let arr = Array.of_list all in
-  Array.sort
-    (fun ((a : Segment.entry), ra) ((b : Segment.entry), rb) ->
-      match compare a.fp b.fp with 0 -> compare ra rb | c -> c)
-    arr;
-  let kept = ref [] in
-  let n_kept = ref 0 in
-  Array.iter
-    (fun ((e : Segment.entry), _) ->
-      match !kept with
-      | (prev : Segment.entry) :: _ when prev.fp = e.fp -> ()
-      | _ ->
-        kept := e :: !kept;
-        incr n_kept)
-    arr;
-  let entries = Array.make !n_kept { Segment.fp = 0; parent = 0; event = 0; meta = 0 } in
-  List.iteri (fun i e -> entries.(!n_kept - 1 - i) <- e) !kept;
+  let entries = newest s in
   let seq = s.next_seq in
   s.next_seq <- seq + 1;
-  let merged =
-    Segment.write ~path:(seg_path t s seq) ~shard:s.id ~seq ~max_depth:(seg_max_depth entries)
-      entries
-  in
-  s.segs <- [ merged ];
+  s.segs <- [ Segment.write ~path:(seg_path t s seq) ~shard:s.id ~seq entries ];
   s.merges <- s.merges + 1;
   List.iter (fun seg -> Fs.rm_rf (Segment.path seg)) old;
   if t.timed then
-    t.hooks.on_merge ~shard:s.id ~segments:n_old ~entries:!n_kept ~start_ns
-      ~stop_ns:(Obs.Clock.monotonic_ns ())
+    t.hooks.on_merge ~shard:s.id ~segments:(List.length old) ~entries:(Array.length entries)
+      ~start_ns ~stop_ns:(Obs.Clock.monotonic_ns ())
 
 let freeze_locked t s =
   let start_ns = if t.timed then Obs.Clock.monotonic_ns () else 0 in
   let entries = dump_locked s in
   let seq = s.next_seq in
   s.next_seq <- seq + 1;
-  let seg =
-    Segment.write ~path:(seg_path t s seq) ~shard:s.id ~seq ~max_depth:(seg_max_depth entries)
-      entries
-  in
+  let seg = Segment.write ~path:(seg_path t s seq) ~shard:s.id ~seq entries in
   s.segs <- seg :: s.segs;
   s.spills <- s.spills + 1;
   s.spilled_entries <- s.spilled_entries + Array.length entries;
@@ -350,145 +320,111 @@ let seg_find t s fp =
   in
   go s.segs
 
-(* The operations below run under the shard lock.  A disk step (segment
-   probe, spill, merge) may raise; the lock is released before the
-   exception goes on, so the other workers are not left waiting on it. *)
+(* -- the one access path ------------------------------------------------------
+
+   [add], [mark_violation], [begin_expand] and [find] each run one
+   operation on a fingerprint's newest copy, through [access]: lock the
+   shard, probe tier 0, then the segments newest first, and run the
+   operation on what was found.  A disk step (segment probe, spill,
+   merge) may raise; the lock is released before the exception goes on,
+   so the other workers are not left waiting on it.  The operations are
+   closed functions of ints, so the all-RAM path allocates nothing.
+
+   An operation sees the copy as [at]: a tier-0 slot (>= 0), [on_disk]
+   with the copy in [copy], or [absent]. *)
+
+let on_disk = -1
+let absent = -2
+
 let release s e =
   let bt = Printexc.get_raw_backtrace () in
   Obs.Contention.unlock s.lock;
   Printexc.raise_with_backtrace e bt
 
-let add t fp ~parent ~event ~depth =
+let access t fp op a b c =
   let s = shard t fp in
   Obs.Contention.lock s.lock;
   match
     let i = probe s.keys (Bigarray.Array1.dim s.keys) fp in
-    if Bigarray.Array1.unsafe_get s.keys i = fp then begin
-      let m = Bigarray.Array1.unsafe_get s.meta i in
-      if depth < m land depth_mask then begin
-        Bigarray.Array1.unsafe_set s.meta i ((m land lnot depth_mask) lor depth);
-        Bigarray.Array1.unsafe_set s.parents i parent;
-        s.events.(i) <- event;
-        Improved (((m lsr viol_shift) land viol_mask) - 1)
-      end
-      else Stale
-    end
-    else begin
-      match seg_find t s fp with
-      | Some e ->
-        let m = ram_of_meta32 e.Segment.meta in
-        if depth < m land depth_mask then begin
-          (* shadow-insert the improved copy; tier 0 is consulted first,
-             so the stale disk copy is dead until a merge collects it *)
-          tier0_insert s fp ~parent ~event ~meta:((m land lnot depth_mask) lor depth);
-          maybe_spill t s;
-          Improved (((m lsr viol_shift) land viol_mask) - 1)
-        end
-        else Stale
-      | None ->
-        tier0_insert s fp ~parent ~event ~meta:depth;
-        s.distinct <- s.distinct + 1;
-        maybe_spill t s;
-        Fresh
-    end
-  with
-  | r ->
-    Obs.Contention.unlock s.lock;
-    r
-  | exception e -> release s e
-
-let mark_violation t fp idx =
-  let s = shard t fp in
-  Obs.Contention.lock s.lock;
-  match
-    let i = probe s.keys (Bigarray.Array1.dim s.keys) fp in
-    if Bigarray.Array1.unsafe_get s.keys i = fp then begin
-      let m = Bigarray.Array1.unsafe_get s.meta i in
-      Bigarray.Array1.unsafe_set s.meta i
-        ((m land lnot (viol_mask lsl viol_shift)) lor ((idx + 1) lsl viol_shift))
-    end
-    else begin
-      match seg_find t s fp with
-      | Some e ->
-        let m = ram_of_meta32 e.Segment.meta in
-        tier0_insert s fp ~parent:e.Segment.parent ~event:e.Segment.event
-          ~meta:((m land lnot (viol_mask lsl viol_shift)) lor ((idx + 1) lsl viol_shift));
-        maybe_spill t s
-      | None -> ()
-    end
-  with
-  | () -> Obs.Contention.unlock s.lock
-  | exception e -> release s e
-
-let begin_expand t fp ~depth =
-  let s = shard t fp in
-  Obs.Contention.lock s.lock;
-  match
-    let i = probe s.keys (Bigarray.Array1.dim s.keys) fp in
-    if Bigarray.Array1.unsafe_get s.keys i = fp then begin
-      let m = Bigarray.Array1.unsafe_get s.meta i in
-      let d = m land depth_mask in
-      if d < depth then `Stale
-      else if m land expanded_bit = 0 then begin
-        Bigarray.Array1.unsafe_set s.meta i (m lor expanded_bit);
-        `First d
-      end
-      else `Again d
-    end
-    else begin
-      match seg_find t s fp with
-      | Some e ->
-        let m = ram_of_meta32 e.Segment.meta in
-        let d = m land depth_mask in
-        if d < depth then `Stale
-        else if m land expanded_bit = 0 then begin
-          tier0_insert s fp ~parent:e.Segment.parent ~event:e.Segment.event
-            ~meta:(m lor expanded_bit);
-          maybe_spill t s;
-          `First d
-        end
-        else `Again d
-      | None -> `Stale
-    end
-  with
-  | r ->
-    Obs.Contention.unlock s.lock;
-    r
-  | exception e -> release s e
-
-let find t fp =
-  let s = shard t fp in
-  Obs.Contention.lock s.lock;
-  match
-    let i = probe s.keys (Bigarray.Array1.dim s.keys) fp in
-    if Bigarray.Array1.unsafe_get s.keys i = fp then
-      Some (Bigarray.Array1.unsafe_get s.parents i, s.events.(i))
+    if Bigarray.Array1.unsafe_get s.keys i = fp then op t s fp i no_copy a b c
     else
       match seg_find t s fp with
-      | Some e -> Some (e.Segment.parent, e.Segment.event)
-      | None -> None
+      | Some e -> op t s fp on_disk e a b c
+      | None -> op t s fp absent no_copy a b c
   with
   | r ->
     Obs.Contention.unlock s.lock;
     r
   | exception e -> release s e
 
-let depth_of t fp =
-  let s = shard t fp in
-  Obs.Contention.lock s.lock;
-  match
-    let i = probe s.keys (Bigarray.Array1.dim s.keys) fp in
-    if Bigarray.Array1.unsafe_get s.keys i = fp then
-      Some (Bigarray.Array1.unsafe_get s.meta i land depth_mask)
-    else
-      match seg_find t s fp with
-      | Some e -> Some (ram_of_meta32 e.Segment.meta land depth_mask)
-      | None -> None
-  with
-  | r ->
-    Obs.Contention.unlock s.lock;
-    r
-  | exception e -> release s e
+let word_at s at (copy : Segment.entry) =
+  if at >= 0 then Bigarray.Array1.unsafe_get s.meta at else copy.meta
+
+let parent_at s at (copy : Segment.entry) =
+  if at >= 0 then Bigarray.Array1.unsafe_get s.parents at else copy.parent
+
+let event_at s at (copy : Segment.entry) = if at >= 0 then s.events.(at) else copy.event
+
+(* Replace the newest copy: in place in tier 0, or by a shadow copy
+   there, which every read consults first, so the disk copy is dead
+   until a merge drops it. *)
+let rewrite t s fp at ~parent ~event ~meta =
+  if at >= 0 then begin
+    Bigarray.Array1.unsafe_set s.meta at meta;
+    Bigarray.Array1.unsafe_set s.parents at parent;
+    s.events.(at) <- event
+  end
+  else begin
+    tier0_insert s fp ~parent ~event ~meta;
+    maybe_spill t s
+  end
+
+let add_op t s fp at copy parent event depth =
+  if at = absent then begin
+    tier0_insert s fp ~parent ~event ~meta:(Segment.word ~depth ~violation:(-1) ~expanded:false);
+    s.distinct <- s.distinct + 1;
+    maybe_spill t s;
+    Fresh
+  end
+  else
+    let m = word_at s at copy in
+    if depth < Segment.depth m then begin
+      let v = Segment.violation m in
+      rewrite t s fp at ~parent ~event
+        ~meta:(Segment.word ~depth ~violation:v ~expanded:(Segment.expanded m));
+      Improved v
+    end
+    else Stale
+
+let add t fp ~parent ~event ~depth = access t fp add_op parent event depth
+
+let mark_op t s fp at copy idx _ _ =
+  if at <> absent then
+    let m = word_at s at copy in
+    rewrite t s fp at ~parent:(parent_at s at copy) ~event:(event_at s at copy)
+      ~meta:(Segment.word ~depth:(Segment.depth m) ~violation:idx ~expanded:(Segment.expanded m))
+
+let mark_violation t fp idx = access t fp mark_op idx 0 0
+
+let expand_op t s fp at copy depth _ _ =
+  if at = absent then `Stale
+  else
+    let m = word_at s at copy in
+    let d = Segment.depth m in
+    if d < depth then `Stale
+    else if Segment.expanded m then `Again d
+    else begin
+      rewrite t s fp at ~parent:(parent_at s at copy) ~event:(event_at s at copy)
+        ~meta:(Segment.word ~depth:d ~violation:(Segment.violation m) ~expanded:true);
+      `First d
+    end
+
+let begin_expand t fp ~depth = access t fp expand_op depth 0 0
+
+let find_op _ s _ at copy _ _ _ =
+  if at = absent then None else Some (parent_at s at copy, event_at s at copy)
+
+let find t fp = access t fp find_op 0 0 0
 
 let count t = Array.fold_left (fun acc s -> acc + s.distinct) 0 t.shards
 let capacity t = Array.fold_left (fun acc s -> acc + Bigarray.Array1.dim s.keys) 0 t.shards
@@ -497,13 +433,16 @@ let max_depth t =
   let best = ref 0 in
   Array.iter
     (fun s ->
-      for i = 0 to Bigarray.Array1.dim s.keys - 1 do
-        if Bigarray.Array1.unsafe_get s.keys i <> 0 then
-          best := max !best (Bigarray.Array1.unsafe_get s.meta i land depth_mask)
-      done;
-      List.iter (fun seg -> best := max !best (Segment.max_depth seg)) s.segs)
+      view s (fun _ _ _ w ->
+          let d = Segment.depth w in
+          if d > !best then best := d))
     t.shards;
   !best
+
+let iter t f =
+  Array.iter
+    (fun s -> view s (fun fp parent event meta -> f { Segment.fp; parent; event; meta }))
+    t.shards
 
 let locks t = Array.map (fun s -> s.lock) t.shards
 let resident_bytes t = Array.fold_left (fun acc s -> acc + (s.count * entry_bytes)) 0 t.shards
@@ -548,15 +487,6 @@ let stats t =
 
 (* -- checkpoint support ---------------------------------------------------- *)
 
-let meta32_depth m = m land d32_mask
-let meta32_violation m = ((m lsr v32_shift) land v32_mask) - 1
-let meta32_expanded m = m land x32_bit <> 0
-let meta32_make ~depth ~violation =
-  if depth > d32_mask then invalid_arg "Tiered.meta32_make: depth too large";
-  if violation > max_violation_index then
-    invalid_arg "Tiered.meta32_make: violation index too large";
-  (depth land d32_mask) lor ((violation + 1) lsl v32_shift) lor x32_bit
-
 let tier0_dump t ~shard =
   let s = t.shards.(shard) in
   Obs.Contention.with_lock s.lock (fun () -> dump_locked s)
@@ -574,7 +504,7 @@ let restore_shard t ~shard ~distinct ~next_seq ~tier0 ~segs =
   Obs.Contention.with_lock s.lock (fun () ->
       Array.iter
         (fun (e : Segment.entry) ->
-          tier0_insert s e.fp ~parent:e.parent ~event:e.event ~meta:(ram_of_meta32 e.meta))
+          tier0_insert s e.fp ~parent:e.parent ~event:e.event ~meta:e.meta)
         tier0;
       s.segs <- segs;
       s.distinct <- distinct;

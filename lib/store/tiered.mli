@@ -4,12 +4,12 @@
     Tier 0 is the sharded open-addressing table the parallel explorer
     has always used — 64 independently-locked shards over unboxed int
     bigarrays, four words (32 bytes) per state: fingerprint, parent
-    fingerprint, packed event, and a meta word (depth stamp |
-    violated-invariant index | expanded bit).  Every operation,
-    including the 70%-load doubling, runs entirely under the owning
-    shard's mutex, so the lost-insert resize race is impossible by
-    construction (the multi-domain hammer test drives dozens of
-    concurrent resizes on one shard).
+    fingerprint, packed event, and the segment entry word
+    ({!Segment.word}: depth stamp | violated-invariant index | expanded
+    bit).  Every operation, including the 70%-load doubling, runs
+    entirely under the owning shard's mutex, so the lost-insert resize
+    race is impossible by construction (the multi-domain hammer test
+    drives dozens of concurrent resizes on one shard).
 
     With a [mem_budget], a shard whose measured occupancy
     (entries x {!entry_bytes}) crosses its slice of the budget freezes
@@ -17,20 +17,17 @@
     resident Bloom filter, and its tier-0 table is reset.  Membership
     stays exact: a tier-0 miss consults each segment's Bloom filter
     (RAM) and pays a single-block disk read only on the rare positive,
-    so a fresh insert is never misclassified.  When a shard accumulates
-    [merge_fanout] segments they are merged into one (newest copy of a
-    fingerprint wins), bounding lookup fan-out at the cost of a
-    sequential rewrite.
+    so a fresh insert is never misclassified.
 
     Mutation of a disk-resident entry (depth improvement, first
     expansion, violation marking) shadow-inserts the updated copy into
-    tier 0; lookups consult tier 0 first and segments newest-first, so
-    the newest copy always wins, and merges deduplicate the stale ones.
-    Consequence: {!max_depth} may overstate the true BFS eccentricity
-    after a depth improvement of a spilled entry (the deep stale copy is
-    still on disk); verdict, invariant, counterexample length and state
-    counts are unaffected, which is what the equivalence crosscheck
-    pins. *)
+    tier 0, so a fingerprint may have several copies.  One rule says
+    which is current, the newest-wins view: tier 0 first, then the
+    segments newest first.  {!add}, {!mark_violation}, {!begin_expand}
+    and {!find} probe in that order; the merge of [merge_fanout]
+    segments into one, {!max_depth} and {!iter} read the shard's view,
+    which for a shard with no segments is tier 0 read in place.  So
+    {!max_depth} is exact under any budget. *)
 
 type t
 
@@ -73,10 +70,6 @@ val n_shards : int
 (** Bytes per tier-0 entry (4 words). *)
 val entry_bytes : int
 
-(** Largest violated-invariant index the meta words can carry (bounded
-    by the 8-bit slot of the segment meta word). *)
-val max_violation_index : int
-
 (** [create ()] is the all-RAM store (bit-for-bit the old seen-set).
     [mem_budget] (bytes, > 0) arms spilling: each shard freezes when its
     occupancy reaches [mem_budget / n_shards] (with a small floor).
@@ -98,11 +91,13 @@ val mem_budget : t -> int
     tier, [Improved v] if present with a larger depth stamp (the triple
     is rewritten, shadow-inserting if the copy was on disk; [v] is the
     entry's violated-invariant index, -1 if none), [Stale] otherwise.
-    [fp] must be non-zero. *)
+    [fp] must be non-zero; [depth] must fit the entry word
+    ({!Segment.word}). *)
 val add : t -> int -> parent:int -> event:int -> depth:int -> add_result
 
-(** Record that [fp] violates invariant [idx] (kept in the meta word so
-    a later depth improvement can re-offer the violation). *)
+(** Record that [fp] violates invariant [idx] (at most
+    {!Segment.max_violation}; kept in the entry word so a later depth
+    improvement can re-offer the violation). *)
 val mark_violation : t -> int -> int -> unit
 
 (** A task's claim to expand [fp] at stamp [depth]: [`Stale] when the
@@ -114,18 +109,11 @@ val begin_expand : t -> int -> depth:int -> [ `Stale | `First of int | `Again of
 (** [(parent, packed event)] of a present fingerprint. *)
 val find : t -> int -> (int * int) option
 
-val depth_of : t -> int -> int option
-(** Current depth stamp of a present fingerprint. *)
-
 (** Distinct states stored (both tiers; shadow copies not counted). *)
 val count : t -> int
 
 (** Total tier-0 slots across shards. *)
 val capacity : t -> int
-
-(** Largest depth stamp on record; may overstate after a depth
-    improvement of a spilled entry (see above). *)
-val max_depth : t -> int
 
 val locks : t -> Obs.Contention.lock array
 (** The per-shard instrumented locks, for contention attribution. *)
@@ -140,29 +128,23 @@ val resident_bytes_per_shard : t -> int array
 val stats : t -> stats
 (** Racy counter snapshot ({!type:stats}); exact once quiescent. *)
 
+(** {1 The whole store} — callers must guarantee quiescence (all
+    workers parked or joined); these read the shards without locking. *)
+
+(** Largest depth stamp among the stored fingerprints' newest copies. *)
+val max_depth : t -> int
+
+val iter : t -> (Segment.entry -> unit) -> unit
+(** [iter t f] calls [f] once per stored fingerprint with its newest
+    copy, shard by shard: ascending fingerprints within a shard that has
+    segments, slot order within one that has none.  [f] must not call
+    back into the store. *)
+
 (** {1 Checkpoint support} — callers must guarantee quiescence (all
     workers parked); these take the shard locks but snapshot multi-shard
     state non-atomically. *)
 
-(** Depth stamp carried by a segment-layout (32-bit) meta word. *)
-val meta32_depth : int -> int
-
-val meta32_violation : int -> int
-(** Violated-invariant index carried by a segment-layout meta word, [-1]
-    if the state violates no invariant (the slot stores [index + 1]). *)
-
-val meta32_expanded : int -> bool
-(** Expanded bit of a segment-layout meta word: the state's successors
-    were generated (a closed run has it set on every entry). *)
-
-val meta32_make : depth:int -> violation:int -> int
-(** Pack a segment-layout meta word with the expanded bit set, for
-    certificate writers that synthesize entries outside any store
-    ([violation] is an index, [-1] for none).  Raises [Invalid_argument]
-    if either field overflows its slot. *)
-
-(** Tier-0 contents of one shard, sorted by fingerprint, meta packed to
-    the 32-bit segment layout. *)
+(** Tier-0 contents of one shard, sorted by fingerprint. *)
 val tier0_dump : t -> shard:int -> Segment.entry array
 
 (** Live segments of one shard, newest first. *)
@@ -171,8 +153,8 @@ val segments_of : t -> shard:int -> Segment.t list
 (** [(distinct, next_seq)] of one shard. *)
 val shard_meta : t -> shard:int -> int * int
 
-(** Rebuild one shard from a snapshot: [tier0] raw entries (segment meta
-    layout) are re-inserted, [segs] (newest first) attached as-is. *)
+(** Rebuild one shard from a snapshot: [tier0] entries are re-inserted,
+    [segs] (newest first) attached as-is. *)
 val restore_shard :
   t ->
   shard:int ->

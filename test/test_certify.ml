@@ -219,27 +219,17 @@ let test_dropped_entry =
   let entries = Store.Segment.entries (Store.Segment.load table) in
   (* drop the deepest entry: never the root, and its parent's closure
      check must regenerate it *)
+  let depth (e : Store.Segment.entry) = Store.Segment.depth e.meta in
   let victim = ref 0 in
-  Array.iteri
-    (fun i e ->
-      if
-        Store.Tiered.meta32_depth e.Store.Segment.meta
-        > Store.Tiered.meta32_depth entries.(!victim).Store.Segment.meta
-      then victim := i)
-    entries;
+  Array.iteri (fun i e -> if depth e > depth entries.(!victim) then victim := i) entries;
   let kept = Array.of_list (List.filteri (fun i _ -> i <> !victim) (Array.to_list entries)) in
-  let max_depth =
-    Array.fold_left
-      (fun d e -> max d (Store.Tiered.meta32_depth e.Store.Segment.meta))
-      0 kept
-  in
   Sys.remove table;
-  let (_ : Store.Segment.t) = Store.Segment.write ~path:table ~shard:0 ~seq:0 ~max_depth kept in
+  let seg = Store.Segment.write ~path:table ~shard:0 ~seq:0 kept in
   Certify.Certificate.write_header ~dir
     {
       h with
       Certify.Certificate.states = Array.length kept;
-      max_depth;
+      max_depth = Store.Segment.max_depth seg;
       table_digest = Certify.Certificate.digest_table dir;
     };
   expect_fail ~what:"dropped entry" ~subs:[ "closure miss" ] dir

@@ -394,8 +394,9 @@ let run_tool ?(exe = "gcmodel.exe") args =
 (* The command line turns the rejection into one line on stderr and a
    non-zero exit, for `explore --shape shared --refs 2` and
    `--shape fig1 --refs 2` alike.  So it does for every other flag value
-   the model cannot take, naming the value, and for a disk failure,
-   naming the path; each exits 1.  cimpc and litmus refuse an unknown
+   the model cannot take, naming the value, for a --jobs outside 1..64
+   or a --checkpoint-every below 1, naming the flag, and for a disk
+   failure, naming the path; each exits 1.  cimpc and litmus refuse an unknown
    example, source file or test the same way. *)
 let test_cli_misfit_shapes () =
   List.iter
@@ -436,7 +437,15 @@ let test_cli_misfit_shapes () =
       ([ "explain"; "--trace"; "/nonexistent/trace.json" ], "/nonexistent/trace.json");
       ([ "explore"; "--buf"; "0" ], "buf");
       ([ "walk"; "--fields"; "0" ], "fields");
+      ([ "explore"; "--jobs"; "0" ], "--jobs");
+      ([ "explore"; "--jobs"; "65" ], "--jobs");
+      ([ "walk"; "--jobs"; "0" ], "--jobs");
+      ([ "crosscheck"; "--jobs"; "65" ], "--jobs");
+      ([ "resume"; "/nonexistent"; "--jobs"; "0" ], "--jobs");
+      ([ "campaign"; "--jobs"; "100" ], "--jobs");
+      ([ "explore"; "--checkpoint-every"; "0" ], "--checkpoint-every");
     ];
+  refused ~exe:"cimpc.exe" [ "run"; "-e"; "counter-race"; "--jobs"; "0" ] "--jobs";
   refused ~exe:"cimpc.exe" [ "run"; "-e"; "nope" ] "nope";
   refused ~exe:"cimpc.exe" [ "check"; "/nonexistent/p.cimp" ] "/nonexistent/p.cimp";
   refused ~exe:"litmus_main.exe" [ "NOPE" ] "NOPE";
@@ -513,6 +522,8 @@ let test_cli_resume_config_refused () =
       ("safety_only", {|"safety_only":false|}, {|"safety_only":"yes"|});
       ("variant", {|"variant":"paper"|}, {|"variant":"papr"|});
       ("variant", {|"variant":"paper",|}, "");
+      ("jobs", {|"jobs":1|}, {|"jobs":65|});
+      ("checkpoint_every", {|"checkpoint_every":50000|}, {|"checkpoint_every":0|});
     ];
   write original;
   Alcotest.(check (pair int (list string))) "the untouched checkpoint resumes" (0, [])

@@ -7,8 +7,10 @@
 let witness name = Core.Scenario.witness_for (Option.get (Core.Variants.by_name name))
 
 (* Collect up to [limit] distinct reachable normal-form states by BFS —
-   raw material for the property tests below. *)
-let collect ?(limit = 4_000) sc =
+   raw material for the property tests below — then the new states along
+   [walks] seeded random walks of 150 steps from the root, which reach
+   deeper than a BFS prefix of the same size. *)
+let collect ?(limit = 4_000) ?(walks = 0) sc =
   let sys0 = Cimp.System.normalize (Core.Scenario.model sc).Core.Model.system in
   let seen = Check.Fingerprint.Table.create 1024 in
   let q = Queue.create () in
@@ -25,6 +27,18 @@ let collect ?(limit = 4_000) sc =
   while (not (Queue.is_empty q)) && Check.Fingerprint.Table.length seen < limit do
     let s = Queue.pop q in
     List.iter (fun (_e, s') -> visit (Cimp.System.normalize s')) (Cimp.System.steps s)
+  done;
+  let rng = Random.State.make [| 42 |] in
+  for _ = 1 to walks do
+    let s = ref sys0 in
+    for _ = 1 to 150 do
+      match Cimp.System.steps !s with
+      | [] -> ()
+      | succs ->
+        let _, s' = List.nth succs (Random.State.int rng (List.length succs)) in
+        s := Cimp.System.normalize s';
+        visit !s
+    done
   done;
   List.rev !out
 
@@ -152,7 +166,10 @@ let same_multiset same xs ys =
    P3 (every state) the canonical fingerprint is the plain fingerprint of
       a runnable orbit member, some permutation of [canon_state].
    Inside the signal window P1 must fail somewhere, or [permute_ok]
-   would exclude states for nothing. *)
+   would exclude states for nothing.  Outside it the sample must offer
+   [mut:hs-done] edges, the one step that writes the per-mutator
+   handshake slice [s_hs_mut_hs]: a BFS prefix at three mutators holds
+   none, so the random walks' deeper states supply them. *)
 let sym_automorphism n_muts ~limit () =
   let sc = sym_scenario n_muts in
   let cfg = sc.Core.Scenario.cfg in
@@ -163,8 +180,13 @@ let sym_automorphism n_muts ~limit () =
   let fp s = Check.Fingerprint.of_system (Cimp.System.normalize s) in
   let same (e, f) (e', f') = e = e' && Check.Fingerprint.equal f f' in
   let outside = ref 0 and edges = ref 0 and inside = ref 0 and inside_failed = ref 0 in
+  let hs_done = ref 0 in
+  let is_hs_done = function
+    | Cimp.System.Rendezvous { req_label; _ } -> Cimp.Label.name req_label = "mut:hs-done"
+    | Cimp.System.Tau _ -> false
+  in
   let pp_pi = Fmt.(brackets (list ~sep:semi int)) in
-  let states = collect ~limit sc in
+  let states = collect ~limit ~walks:20 sc in
   let refused perm =
     match Reduce.Symmetry.permute spec perm (List.hd states) with
     | _ -> false
@@ -192,6 +214,7 @@ let sym_automorphism n_muts ~limit () =
           if ok then begin
             incr outside;
             edges := !edges + List.length expected;
+            hs_done := !hs_done + List.length (List.filter (fun (e, _) -> is_hs_done e) succs);
             if not p1 then Alcotest.failf "P1: transitions not permuted by %a" pp_pi pi;
             List.iter
               (fun (i : Core.Invariants.t) ->
@@ -218,6 +241,9 @@ let sym_automorphism n_muts ~limit () =
   Alcotest.(check bool)
     (Fmt.str "P1/P2 covered >= 1000 pairs outside the window (%d, %d edges)" !outside !edges)
     true (!outside >= 1_000);
+  Alcotest.(check bool)
+    (Fmt.str "P1 covered >= 100 mut:hs-done edges outside the window (%d)" !hs_done)
+    true (!hs_done >= 100);
   Alcotest.(check bool)
     (Fmt.str "P1 fails inside the window (%d of %d pairs)" !inside_failed !inside)
     true (!inside_failed > 0)
@@ -370,7 +396,9 @@ let test_crosscheck_violation () =
 let test_crosscheck_flags_mismatches () =
   (* the harness itself: fabricated disagreements must be reported *)
   let open Reduce.Crosscheck in
-  let full = { violation = Some ("inv", 7); states = 100; transitions = 300; truncated = false } in
+  let full =
+    { violation = Some ("inv", 7); states = 100; transitions = 300; depth = 12; truncated = false }
+  in
   let ok =
     {
       reduce = "all";
@@ -416,7 +444,21 @@ let test_crosscheck_flags_mismatches () =
             leg (Resume { budget = 8192; snapshot = 1; frontier = 5 }) 1 clean.full;
           ]));
   Alcotest.(check (list string)) "reduced counts at 2 workers are not compared" []
-    (errors (with_legs [ leg (engine true) 2 { clean.reduced with states = 41; transitions = 99 } ]));
+    (errors
+       (with_legs
+          [
+            leg (engine true) 2 { clean.reduced with states = 41; transitions = 99; depth = 13 };
+          ]));
+  List.iter
+    (fun (kind, jobs) ->
+      let l = leg kind jobs { clean.full with depth = 13 } in
+      Alcotest.(check bool) (leg_name l ^ ": a wrong depth flagged") true
+        (count (with_legs [ l ]) > 0))
+    [
+      (engine false, 2);
+      (Spill { budget = 8192 }, 4);
+      (Resume { budget = 8192; snapshot = 1; frontier = 5 }, 1);
+    ];
   let mismatched = errors (with_legs [ leg (engine false) 2 { clean.full with states = 99 } ]) in
   Alcotest.(check bool)
     (Fmt.str "a mismatching engine leg is reported by name (%a)" Fmt.(Dump.list string) mismatched)

@@ -103,13 +103,29 @@ let test_segment_roundtrip () =
       fps
   in
   let path = Filename.concat dir "t.seg" in
-  let seg = Store.Segment.write ~path ~shard:3 ~seq:7 ~max_depth:42 entries in
+  let seg = Store.Segment.write ~path ~shard:3 ~seq:7 entries in
   Alcotest.(check int) "length" (Array.length entries) (Store.Segment.length seg);
   (* reload from disk and probe every entry through the Bloom + index path *)
   let seg = Store.Segment.load path in
   Alcotest.(check int) "shard" 3 (Store.Segment.shard seg);
   Alcotest.(check int) "seq" 7 (Store.Segment.seq seg);
-  Alcotest.(check int) "max_depth" 42 (Store.Segment.max_depth seg);
+  Alcotest.(check int) "max_depth: the entries' largest depth stamp"
+    (Array.fold_left
+       (fun d (e : Store.Segment.entry) -> max d (Store.Segment.depth e.meta))
+       0 entries)
+    (Store.Segment.max_depth seg);
+  (* the entry word: each field round-trips at its widest, and a value
+     outside its slot is refused *)
+  let deepest = (1 lsl 23) - 1 and worst = Store.Segment.max_violation in
+  let w = Store.Segment.word ~depth:deepest ~violation:worst ~expanded:true in
+  Alcotest.(check (triple int int bool)) "entry word fields" (deepest, worst, true)
+    (Store.Segment.depth w, Store.Segment.violation w, Store.Segment.expanded w);
+  List.iter
+    (fun (depth, violation) ->
+      match Store.Segment.word ~depth ~violation ~expanded:false with
+      | _ -> Alcotest.failf "word accepted depth %d, violation %d" depth violation
+      | exception Invalid_argument _ -> ())
+    [ (deepest + 1, -1); (-1, -1); (0, worst + 1); (0, -2) ];
   Array.iter
     (fun (e : Store.Segment.entry) ->
       Alcotest.(check bool) "bloom sees it" true (Store.Segment.maybe seg e.Store.Segment.fp);
@@ -166,24 +182,164 @@ let test_merge_under_concurrent_inserts () =
   let st = Store.Tiered.stats seen in
   Alcotest.(check bool) "spills happened" true (st.Store.Tiered.spills > 0);
   Alcotest.(check bool) "merges happened" true (st.Store.Tiered.merges > 0);
+  let depths = Hashtbl.create (n_doms * per_dom) in
+  Store.Tiered.iter seen (fun e ->
+      if Hashtbl.mem depths e.fp then Alcotest.failf "key %d viewed twice" e.fp;
+      Hashtbl.replace depths e.fp (Store.Segment.depth e.meta));
   for d = 0 to n_doms - 1 do
     for i = 1 to per_dom do
-      match Store.Tiered.depth_of seen (key d i) with
+      match Hashtbl.find_opt depths (key d i) with
       | None -> Alcotest.failf "lost key %d after spill/merge" (key d i)
       | Some dep ->
         if dep <> i then Alcotest.failf "key %d depth %d, expected %d" (key d i) dep i
     done
   done;
+  Alcotest.(check int) "max_depth" per_dom (Store.Tiered.max_depth seen);
   Store.Fs.rm_rf dir
+
+(* -- the store against a reference table --------------------------------------- *)
+
+(* Model-based: the same random calls go to a Store.Tiered and to a
+   reference Hashtbl, under a budget and fanout small enough that shards
+   spill and merge throughout.  Adds are fresh, improving or stale as
+   their random depths fall; marks and expansion claims hit keys present
+   or absent, on disk or in tier 0.  Every call must answer as the
+   reference does, and at the end the newest-wins view ({!Store.Tiered.iter})
+   must equal the reference entry by entry, with [count] and [max_depth]
+   to match.  On several domains each owns its keys, which share four
+   shards, so spills and merges interleave across domains. *)
+
+type op = Add of int * int | Mark of int * int | Expand of int * int
+
+type model_entry = {
+  mutable m_depth : int;
+  mutable m_viol : int;
+  mutable m_expanded : bool;
+  mutable m_parent : int;
+}
+
+let n_model_keys = 240
+
+(* keys of domain [d]: four shards (low bits), never 0 *)
+let model_key d i = (((d * 1_000) + i) lsl 6) lor (i land 3)
+
+let gen_op =
+  QCheck.Gen.(
+    let key = int_range 1 n_model_keys in
+    frequency
+      [
+        (6, map2 (fun i d -> Add (i, d)) key (int_bound 1_000));
+        (1, map2 (fun i v -> Mark (i, v)) key (int_bound 5));
+        (3, map2 (fun i d -> Expand (i, d)) key (int_bound 1_000));
+      ])
+
+(* One domain's calls against the store and its own reference; the first
+   disagreement, if any. *)
+let run_model store tbl d ops =
+  let key i = model_key d i in
+  let step op =
+    match op with
+    | Add (i, depth) ->
+      let parent = depth + 1 in
+      let want =
+        match Hashtbl.find_opt tbl (key i) with
+        | None ->
+          Hashtbl.replace tbl (key i)
+            { m_depth = depth; m_viol = -1; m_expanded = false; m_parent = parent };
+          Store.Tiered.Fresh
+        | Some r when depth < r.m_depth ->
+          r.m_depth <- depth;
+          r.m_parent <- parent;
+          Store.Tiered.Improved r.m_viol
+        | Some _ -> Store.Tiered.Stale
+      in
+      Store.Tiered.add store (key i) ~parent ~event:(-parent) ~depth = want
+    | Mark (i, v) ->
+      Option.iter (fun r -> r.m_viol <- v) (Hashtbl.find_opt tbl (key i));
+      Store.Tiered.mark_violation store (key i) v;
+      true
+    | Expand (i, depth) ->
+      let want =
+        match Hashtbl.find_opt tbl (key i) with
+        | Some r when r.m_depth >= depth ->
+          if r.m_expanded then `Again r.m_depth
+          else begin
+            r.m_expanded <- true;
+            `First r.m_depth
+          end
+        | _ -> `Stale
+      in
+      Store.Tiered.begin_expand store (key i) ~depth = want
+  in
+  List.find_index (fun op -> not (step op)) ops
+
+let store_model ~domains =
+  let print runs =
+    Fmt.str "%d domain(s), %a calls" domains Fmt.(list ~sep:comma int) (List.map List.length runs)
+  in
+  QCheck.Test.make ~count:25
+    ~name:
+      (Fmt.str "tiered store vs a reference table, %d domain%s" domains
+         (if domains = 1 then "" else "s"))
+    (QCheck.make ~print
+       QCheck.Gen.(list_repeat domains (list_size (int_range 400 1_000) gen_op)))
+    (fun runs ->
+      let dir = Store.Fs.temp_dir "test-store-model" in
+      Fun.protect ~finally:(fun () -> Store.Fs.rm_rf dir) @@ fun () ->
+      let store =
+        Store.Tiered.create ~shard_cap:16
+          ~mem_budget:(Store.Tiered.n_shards * 16 * Store.Tiered.entry_bytes)
+          ~spill_dir:dir ~merge_fanout:3 ()
+      in
+      let tbls = List.map (fun _ -> Hashtbl.create 64) runs in
+      let go d (tbl, ops) () = run_model store tbl d ops in
+      let outcomes =
+        match List.combine tbls runs with
+        | [ one ] -> [ go 0 one () ]
+        | many -> List.map Domain.join (List.mapi (fun d r -> Domain.spawn (go d r)) many)
+      in
+      List.iteri
+        (fun d o ->
+          Option.iter
+            (QCheck.Test.fail_reportf "domain %d: call %d answered unlike the reference" d)
+            o)
+        outcomes;
+      let view = Hashtbl.create 256 in
+      Store.Tiered.iter store (fun e ->
+          if Hashtbl.mem view e.fp then QCheck.Test.fail_reportf "key %d viewed twice" e.fp;
+          Hashtbl.replace view e.fp e);
+      let want = List.concat_map (fun tbl -> List.of_seq (Hashtbl.to_seq tbl)) tbls in
+      List.iter
+        (fun (k, r) ->
+          match Hashtbl.find_opt view k with
+          | None -> QCheck.Test.fail_reportf "key %d missing from the view" k
+          | Some (e : Store.Segment.entry) ->
+            let depth = Store.Segment.depth e.meta and viol = Store.Segment.violation e.meta in
+            let expanded = Store.Segment.expanded e.meta in
+            if
+              (depth, viol, expanded, e.parent, e.event)
+              <> (r.m_depth, r.m_viol, r.m_expanded, r.m_parent, -r.m_parent)
+            then
+              QCheck.Test.fail_reportf "key %d: depth %d, verdict %d, expanded %b; want %d, %d, %b"
+                k depth viol expanded r.m_depth r.m_viol r.m_expanded)
+        want;
+      let n = List.length want in
+      let deepest = List.fold_left (fun m (_, r) -> max m r.m_depth) 0 want in
+      let got = (Hashtbl.length view, Store.Tiered.count store, Store.Tiered.max_depth store) in
+      if got <> (n, n, deepest) then begin
+        let v, c, m = got in
+        QCheck.Test.fail_reportf
+          "view %d entries, count %d, max_depth %d; reference %d, max depth %d" v c m n deepest
+      end;
+      (Store.Tiered.stats store).merges > 0 || QCheck.Test.fail_report "no merge happened")
 
 (* -- spill equivalence against the all-RAM checker ---------------------------- *)
 
 (* Two interleaving counters with a violation: enough states to spill
    heavily under a tiny budget, a violation whose shortest trace the
-   spilled run must still find.  The store keeps membership exact, so
-   verdict, invariant, counterexample length and state count must all
-   match the all-RAM run ([depth] deliberately unchecked: a spilled
-   entry's stale deep copy may overstate it). *)
+   spilled run must still find.  The store keeps membership exact and
+   reads each entry's newest copy, so verdict, invariant, counterexample
+   length, state count and depth must all match the all-RAM run. *)
 let two_counters ?(bound = 40) () =
   let p : com =
     Com.While (Label.v "w", (fun s -> s < bound), Com.Local_op (Label.v "step", fun s -> [ s + 1; s + 2 ]))
@@ -232,6 +388,7 @@ let test_forced_spill_equivalence () =
   Alcotest.(check int) "clean states" seq.Check.Explore.states o.Check.Explore.states;
   Alcotest.(check int) "clean transitions" seq.Check.Explore.transitions o.Check.Explore.transitions;
   Alcotest.(check int) "clean deadlocks" seq.Check.Explore.deadlocks o.Check.Explore.deadlocks;
+  Alcotest.(check int) "clean depth" seq.Check.Explore.depth o.Check.Explore.depth;
   Alcotest.(check bool) "clean verdict" true (o.Check.Explore.violation = None);
   Store.Fs.rm_rf dir
 
@@ -310,6 +467,7 @@ let test_resume_from_mid_run_snapshot () =
       uninterrupted.Check.Explore.states r.Check.Explore.states;
     Alcotest.(check int) "transitions" uninterrupted.Check.Explore.transitions
       r.Check.Explore.transitions;
+    Alcotest.(check int) "depth" uninterrupted.Check.Explore.depth r.Check.Explore.depth;
     Alcotest.(check bool) "clean" true (r.Check.Explore.violation = None));
   Alcotest.(check int) "checkpointed run itself is right" uninterrupted.Check.Explore.states
     full.Check.Explore.states;
@@ -544,7 +702,7 @@ let test_publication_order () =
           Store.Segment.fp = i + 1;
           parent = 0;
           event = 0;
-          meta = Store.Tiered.meta32_make ~depth:(min i 1) ~violation:(-1);
+          meta = Store.Segment.word ~depth:(min i 1) ~violation:(-1) ~expanded:true;
         })
   in
   let log, logged = step_log () in
@@ -1033,6 +1191,8 @@ let suite =
     Alcotest.test_case "segment write -> bloom -> lookup round-trip" `Quick test_segment_roundtrip;
     Alcotest.test_case "merge correctness under concurrent inserts" `Slow
       test_merge_under_concurrent_inserts;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |]) (store_model ~domains:1);
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |]) (store_model ~domains:4);
     Alcotest.test_case "forced-spill equivalence vs all-RAM" `Slow test_forced_spill_equivalence;
     Alcotest.test_case "checkpoint -> load -> resume equivalence" `Slow
       test_checkpoint_resume_equivalence;
