@@ -89,6 +89,8 @@ let resolve_cfg { muts; refs; fields; buf; cycles; ops; variant; no_ops; mutant 
           max_mut_ops = ops;
         }
     in
+    (* out-of-range bounds are refused before a mutant or shape is built *)
+    (try Core.Model.check_bounds cfg with Invalid_argument msg -> refuse msg);
     let dis name cfg =
       match name with
       | "load" -> { cfg with Core.Config.mut_load = false }
@@ -187,8 +189,13 @@ let safety_only =
 let max_states =
   Arg.(value & opt int 10_000_000 & info [ "max-states" ] ~doc:"State cap for exploration.")
 
-(* A --jobs outside 1..64 is refused like any flag value the model
-   cannot take: one line, exit 1. *)
+(* A count flag below its least value is refused like any flag value the
+   model cannot take: one line naming the flag, exit 1. *)
+let at_least least flag n =
+  if n < least then refuse (Fmt.str "%s %d is below %d" flag n least);
+  n
+
+(* So is a --jobs outside 1..64. *)
 let check_jobs jobs =
   if jobs < 1 || jobs > Check.Par_explore.max_jobs then
     refuse (Fmt.str "--jobs %d is outside 1..%d" jobs Check.Par_explore.max_jobs);
@@ -254,12 +261,8 @@ let checkpoint_term =
            an interrupted run with $(b,gcmodel resume) $(docv).")
 
 let checkpoint_every_term =
-  let check every =
-    if every < 1 then refuse (Fmt.str "--checkpoint-every %d is below 1" every);
-    every
-  in
   Term.(
-    const check
+    const (at_least 1 "--checkpoint-every")
     $ Arg.(
         value
         & opt int 50_000
@@ -291,6 +294,11 @@ let run_config_json (raw : raw_cfg) ~shape ~safety_only ~max_states ~jobs ~reduc
       ("checkpoint_every", Obs.Json.Int checkpoint_every);
     ]
 
+(* an int field no less than [lo] and no more than [hi] *)
+let within lo ?(hi = max_int) v =
+  let n = Obs.Json.Decode.int v in
+  if n < lo || n > hi then Obs.Json.Decode.malformed v else n
+
 (* The run configuration is read fail-closed through Obs.Json.Decode:
    every field a command reads must be present and typed (only [mutant]
    and [mem_budget] may be null), and a refusal names the field.  The
@@ -299,12 +307,13 @@ let run_config_json (raw : raw_cfg) ~shape ~safety_only ~max_states ~jobs ~reduc
 let instance_of_config =
   Obs.Json.Decode.(
     run "run configuration" (fun c ->
-        let muts = int (field "muts" c) in
-        let refs = int (field "refs" c) in
-        let fields = int (field "fields" c) in
-        let buf = int (field "buf" c) in
-        let cycles = int (field "cycles" c) in
-        let ops = int (field "ops" c) in
+        (* the bounds of [Core.Model.check_bounds] *)
+        let muts = within 0 (field "muts" c) in
+        let refs = within 0 (field "refs" c) in
+        let fields = within 1 (field "fields" c) in
+        let buf = within 1 (field "buf" c) in
+        let cycles = within 0 (field "cycles" c) in
+        let ops = within 0 (field "ops" c) in
         let variant =
           let v = field "variant" c in
           let name = string v in
@@ -321,10 +330,6 @@ let run_flags_of_config =
   Obs.Json.Decode.(
     run "run configuration" (fun c ->
         let max_states = int (field "max_states" c) in
-        let within lo ?(hi = max_int) v =
-          let n = int v in
-          if n < lo || n > hi then malformed v else n
-        in
         let jobs = within 1 ~hi:Check.Par_explore.max_jobs (field "jobs" c) in
         let reduce =
           let r = field "reduce" c in
@@ -661,7 +666,11 @@ let certdiff_cmd =
     Term.(const run $ dir_a $ dir_b)
 
 let walk_cmd =
-  let steps = Arg.(value & opt int 100_000 & info [ "steps" ] ~doc:"Scheduled steps.") in
+  let steps =
+    Term.(
+      const (at_least 0 "--steps")
+      $ Arg.(value & opt int 100_000 & info [ "steps" ] ~doc:"Scheduled steps, at least 0."))
+  in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.") in
   let run cv shape safety_only steps seed jobs reduce explain trace_out obs =
     let cfg, v = cv in
@@ -875,10 +884,18 @@ let campaign_cmd =
              variant (the hand-written ablations).  Default: all of them.")
   in
   let budget =
-    Arg.(value & opt int 300_000 & info [ "budget" ] ~doc:"State cap per mutant/scenario run.")
+    Term.(
+      const (at_least 1 "--budget")
+      $ Arg.(
+          value & opt int 300_000
+          & info [ "budget" ] ~doc:"State cap per mutant/scenario run, at least 1."))
   in
   let muts =
-    Arg.(value & opt int 1 & info [ "muts" ] ~doc:"Mutators in the campaign scenarios.")
+    Term.(
+      const (at_least 1 "--muts")
+      $ Arg.(
+          value & opt int 1
+          & info [ "muts" ] ~doc:"Mutators in the campaign scenarios, at least 1."))
   in
   let out =
     Arg.(
@@ -1016,7 +1033,11 @@ let doc_cmd =
 (* -- concrete runtime stress harness (lib/runtime) --------------------------- *)
 
 let harness_cmd =
-  let muts = Arg.(value & opt int 2 & info [ "muts" ] ~doc:"Mutator domains.") in
+  let muts =
+    Term.(
+      const (at_least 0 "--muts")
+      $ Arg.(value & opt int 2 & info [ "muts" ] ~doc:"Mutator domains, at least 0."))
+  in
   let slots = Arg.(value & opt int 256 & info [ "slots" ] ~doc:"Heap slots.") in
   let fields = Arg.(value & opt int 2 & info [ "fields" ] ~doc:"Fields per object.") in
   let duration =

@@ -120,9 +120,14 @@ let read_header dir =
 
 let digest_table dir = Digest.to_hex (Digest.file (table_path dir))
 
+type table = { fps : int array; metas : int array }
+
 (* Load the table, digest-checked first so a bit flip or truncation is
    reported as corruption (naming table.seg) rather than as a spurious
-   semantic failure from the decoder. *)
+   semantic failure from the decoder.  Only fingerprints and meta words
+   are kept (parent and event are zero in a certificate), in two flat
+   int arrays, so a validation holds no per-entry block in the major
+   heap. *)
 let load_table ~expected_digest dir =
   let path = table_path dir in
   if not (Sys.file_exists path) then
@@ -136,6 +141,16 @@ let load_table ~expected_digest dir =
             (corrupt or tampered table)"
            table_file expected_digest actual)
     else
-      match Store.Segment.entries (Store.Segment.load path) with
-      | entries -> Ok entries
+      match
+        let seg = Store.Segment.load path in
+        let n = Store.Segment.length seg in
+        let fps = Array.make n 0 and metas = Array.make n 0 in
+        let i = ref 0 in
+        Store.Segment.iter seg (fun e ->
+            fps.(!i) <- e.Store.Segment.fp;
+            metas.(!i) <- e.Store.Segment.meta;
+            incr i);
+        { fps; metas }
+      with
+      | table -> Ok table
       | exception Sys_error msg -> Error msg

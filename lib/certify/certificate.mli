@@ -64,8 +64,14 @@ val read_header : string -> (header, string) result
 val digest_table : string -> string
 (** MD5 (hex) of [dir]'s table file bytes. *)
 
-val load_table :
-  expected_digest:string -> string -> (Store.Segment.entry array, string) result
+(** A loaded table: fingerprints in file order (ascending in a
+    well-formed certificate; {!Recheck.validate} checks it) and, at the
+    same index, each one's meta word ({!Store.Segment.depth},
+    {!Store.Segment.violation}).  A certificate's parent and event
+    fields are zero and are not kept. *)
+type table = { fps : int array; metas : int array }
+
+val load_table : expected_digest:string -> string -> (table, string) result
 (** Digest-check then decode [dir]'s table.  The digest is compared
     before any decoding, so corruption (bit flips, truncation) is
     reported as a [table.seg] digest mismatch, not a decoder error. *)

@@ -37,9 +37,10 @@ let run dir_a dir_b =
   let ( let* ) = Result.bind in
   let* ha = Certificate.read_header dir_a in
   let* hb = Certificate.read_header dir_b in
-  let* ea = Certificate.load_table ~expected_digest:ha.Certificate.table_digest dir_a in
-  let* eb = Certificate.load_table ~expected_digest:hb.Certificate.table_digest dir_b in
-  let na = Array.length ea and nb = Array.length eb in
+  let* ta = Certificate.load_table ~expected_digest:ha.Certificate.table_digest dir_a in
+  let* tb = Certificate.load_table ~expected_digest:hb.Certificate.table_digest dir_b in
+  let fa = ta.Certificate.fps and fb = tb.Certificate.fps in
+  let na = Array.length fa and nb = Array.length fb in
   let only_a = ref 0 and only_b = ref 0 and changed = ref 0 in
   let examples = ref [] in
   let note fmt =
@@ -49,25 +50,23 @@ let run dir_a dir_b =
   in
   let i = ref 0 and j = ref 0 in
   while !i < na || !j < nb do
-    if !j >= nb || (!i < na && ea.(!i).Store.Segment.fp < eb.(!j).Store.Segment.fp) then begin
+    if !j >= nb || (!i < na && fa.(!i) < fb.(!j)) then begin
       incr only_a;
-      note "- %s (only in A)" (fp_hex ea.(!i).Store.Segment.fp);
+      note "- %s (only in A)" (fp_hex fa.(!i));
       incr i
     end
-    else if !i >= na || eb.(!j).Store.Segment.fp < ea.(!i).Store.Segment.fp then begin
+    else if !i >= na || fb.(!j) < fa.(!i) then begin
       incr only_b;
-      note "+ %s (only in B)" (fp_hex eb.(!j).Store.Segment.fp);
+      note "+ %s (only in B)" (fp_hex fb.(!j));
       incr j
     end
     else begin
-      let a = ea.(!i) and b = eb.(!j) in
-      let da = Store.Segment.depth a.Store.Segment.meta
-      and db = Store.Segment.depth b.Store.Segment.meta in
-      let va = Store.Segment.violation a.Store.Segment.meta
-      and vb = Store.Segment.violation b.Store.Segment.meta in
+      let ma = ta.Certificate.metas.(!i) and mb = tb.Certificate.metas.(!j) in
+      let da = Store.Segment.depth ma and db = Store.Segment.depth mb in
+      let va = Store.Segment.violation ma and vb = Store.Segment.violation mb in
       if da <> db || va <> vb then begin
         incr changed;
-        note "~ %s depth %d->%d verdict %d->%d" (fp_hex a.Store.Segment.fp) da db va vb
+        note "~ %s depth %d->%d verdict %d->%d" (fp_hex fa.(!i)) da db va vb
       end;
       incr i;
       incr j

@@ -106,8 +106,10 @@ let validate ?(normal_form = true) ~reducer ~invariants ~config_hash ~dir initia
            Certificate.header_file h.Certificate.reduce rname)
     else Ok ()
   in
-  let* entries = Certificate.load_table ~expected_digest:h.Certificate.table_digest dir in
-  let n = Array.length entries in
+  let* { Certificate.fps; metas } =
+    Certificate.load_table ~expected_digest:h.Certificate.table_digest dir
+  in
+  let n = Array.length fps in
   let* () =
     if n <> h.Certificate.states then
       Error
@@ -116,9 +118,8 @@ let validate ?(normal_form = true) ~reducer ~invariants ~config_hash ~dir initia
     else Ok ()
   in
   let t0 = Obs.Clock.monotonic_ns () in
-  let fps = Array.map (fun e -> e.Store.Segment.fp) entries in
-  let depth_of i = Store.Segment.depth entries.(i).Store.Segment.meta in
-  let viol_of i = Store.Segment.violation entries.(i).Store.Segment.meta in
+  let depth_of i = Store.Segment.depth metas.(i) in
+  let viol_of i = Store.Segment.violation metas.(i) in
   let norm s = if normal_form then Cimp.System.normalize s else s in
   let canon s = Check.Reducer.canon_of reducer s in
   let fp_of s = Check.Fingerprint.hash (Check.Reducer.fp_of reducer s) in

@@ -86,7 +86,7 @@ let run ?(max_states = 1_000_000) ?(normal_form = true) ?(track_coverage = false
         Hashtbl.replace coverage (responder, resp_label) ()
     end
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.monotonic_ns () in
   let seen = Fingerprint.Table.create 65536 in
   (* Parent pointers for trace reconstruction: fingerprint + event only;
      counterexamples are rebuilt by bounded replay (walk the fingerprint
@@ -100,7 +100,7 @@ let run ?(max_states = 1_000_000) ?(normal_form = true) ?(track_coverage = false
   let depth = ref 0 in
   let truncated = ref false in
   let violation = ref None in
-  let check_state = (Inv_stats.plain invariants).Inv_stats.check in
+  let invariants = Profile.create ~live:false invariants in
   let reconstruct fp broken =
     (* Walk parent pointers back to the root, then replay the recorded
        events forward from [initial] ({!Trace.replay}); cost is
@@ -140,9 +140,9 @@ let run ?(max_states = 1_000_000) ?(normal_form = true) ?(track_coverage = false
       (match !violation with
       | Some _ -> ()
       | None -> (
-        match check_state sys with
-        | Some name -> violation := Some (reconstruct fp name)
-        | None -> ()));
+        match Profile.check invariants sys with
+        | -1 -> ()
+        | i -> violation := Some (reconstruct fp (Profile.name invariants i))));
       Queue.add (fp, sys, d) q
     end
   in
@@ -176,6 +176,6 @@ let run ?(max_states = 1_000_000) ?(normal_form = true) ?(track_coverage = false
     deadlocks = !deadlocks;
     truncated = !truncated;
     violation = !violation;
-    elapsed = Unix.gettimeofday () -. t0;
+    elapsed = Obs.Clock.elapsed_s ~since:t0;
     covered = sort_coverage (Hashtbl.fold (fun k () acc -> k :: acc) coverage []);
   }

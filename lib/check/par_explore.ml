@@ -49,20 +49,8 @@
    rebuilt at resume by parent-chain replay with a memo cache, exactly
    the mechanism counterexample reconstruction already trusts.
 
-   Determinism: on a non-truncated run with no violation, {states,
-   transitions, depth, deadlocks} are equal to the reference
-   BFS's for every [jobs] (every reachable state is inserted exactly
-   once, and transitions/deadlocks are counted only on a state's first
-   expansion; re-expansions triggered by depth improvement recount
-   nothing).  Spilling preserves all of that, [depth] included: the store
-   reports the largest stamp among each state's newest copies, so a
-   stale deeper copy of a depth-improved state left in a segment until a
-   merge does not count.  On a violating run the verdict,
-   the violated invariant and the counterexample length are deterministic
-   across [jobs] (minimal depth, smallest fingerprint as tie-break);
-   state counts of violating runs are not comparable because the frontier
-   below the violating depth is finished and pruning races with
-   discovery. *)
+   Determinism against the reference BFS, and where it stops: the
+   contract on [run] in par_explore.mli. *)
 
 type ('a, 'v, 's) outcome = ('a, 'v, 's) Explore.outcome
 
@@ -180,20 +168,6 @@ end
 let max_jobs = 64
 let pop_batch_size = 8
 
-(* Per-worker phase slots, summed into the profile record and laid out
-   as the sub-spans of each traced [expand] span: cumulative nanoseconds
-   per expansion phase (successor generation, normalization,
-   fingerprinting, seen-set insert, invariants, deque push), then the
-   successor-generation and fingerprint call counts. *)
-let ph_succ = 0
-let ph_norm = 1
-let ph_fp = 2
-let ph_ins = 3
-let ph_inv = 4
-let ph_push = 5
-let ph_succ_calls = 6
-let ph_fp_calls = 7
-
 let int_list a = Obs.Json.List (Array.to_list (Array.map (fun v -> Obs.Json.Int v) a))
 
 let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.Reporter.null)
@@ -231,23 +205,15 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
      done with it *)
   let temp = Store.Tiered.temp_dir seen in
   Fun.protect ~finally:(fun () -> Option.iter Store.Fs.rm_rf temp) @@ fun () ->
-  let inv_names = Array.of_list (List.map fst invariants) in
-  if Array.length inv_names > Store.Segment.max_violation + 1 then
+  if List.length invariants > Store.Segment.max_violation + 1 then
     invalid_arg "Par_explore: too many invariants to pack";
-  let inv_index =
-    let tbl = Hashtbl.create 16 in
-    Array.iteri (fun i name -> if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name i) inv_names;
-    fun name -> match Hashtbl.find_opt tbl name with Some i -> i | None -> 0
-  in
-  (* phase timing per state is only paid when a trace is being recorded
-     or a reporter is attached (for the profile record); per-worker
-     busy/idle accounting (two clock reads per batch, one per idle
-     episode) is always on, so the scaling-detail record is available to
-     any obs sink *)
+  (* a worker's profile is live, with a clock pair around every layer
+     call, only when a trace is being recorded or a reporter is attached
+     (for the profile record); per-worker busy/idle accounting (two
+     clock reads per batch, one per idle episode) is always on, so the
+     scaling-detail record is available to any obs sink *)
   let tr_on = Obs.Tracing.enabled tracer && Obs.Tracing.lanes tracer >= jobs in
-  let profiling = Obs.Reporter.enabled obs in
-  let timing = tr_on || profiling in
-  let gc0 = Gc.quick_stat () in
+  let live = tr_on || Obs.Reporter.enabled obs in
   let n_expand = if tr_on then Obs.Tracing.intern tracer "expand" else 0 in
   let n_succ = if tr_on then Obs.Tracing.intern tracer "successor-gen" else 0 in
   let n_fp = if tr_on then Obs.Tracing.intern tracer "normalize+fingerprint" else 0 in
@@ -268,28 +234,21 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
      store, on whichever worker triggered them; a domain-local worker
      id routes them into that worker's single-writer lane *)
   let dls_worker = Domain.DLS.new_key (fun () -> -1) in
+  let store_span name args ~start_ns ~stop_ns =
+    let w = Domain.DLS.get dls_worker in
+    if w >= 0 then Obs.Tracing.span_args tracer ~dom:w ~name ~start_ns ~stop_ns ~args
+  in
   if tr_on then
     Store.Tiered.set_hooks seen
       {
         Store.Tiered.on_spill =
-          (fun ~shard:_ ~entries ~bytes ~start_ns ~stop_ns ->
-            let w = Domain.DLS.get dls_worker in
-            if w >= 0 then
-              Obs.Tracing.span_args tracer ~dom:w ~name:n_spill ~start_ns ~stop_ns
-                ~args:[ ("entries", Obs.Json.Int entries); ("bytes", Obs.Json.Int bytes) ]);
+          (fun ~shard:_ ~entries ~bytes ->
+            store_span n_spill [ ("entries", Obs.Json.Int entries); ("bytes", Obs.Json.Int bytes) ]);
         on_merge =
-          (fun ~shard:_ ~segments ~entries ~start_ns ~stop_ns ->
-            let w = Domain.DLS.get dls_worker in
-            if w >= 0 then
-              Obs.Tracing.span_args tracer ~dom:w ~name:n_merge ~start_ns ~stop_ns
-                ~args:
-                  [ ("segments", Obs.Json.Int segments); ("entries", Obs.Json.Int entries) ]);
-        on_disk_probe =
-          (fun ~shard:_ ~hit ~start_ns ~stop_ns ->
-            let w = Domain.DLS.get dls_worker in
-            if w >= 0 then
-              Obs.Tracing.span_args tracer ~dom:w ~name:n_disk ~start_ns ~stop_ns
-                ~args:[ ("hit", Obs.Json.Bool hit) ]);
+          (fun ~shard:_ ~segments ~entries ->
+            store_span n_merge
+              [ ("segments", Obs.Json.Int segments); ("entries", Obs.Json.Int entries) ]);
+        on_disk_probe = (fun ~shard:_ ~hit -> store_span n_disk [ ("hit", Obs.Json.Bool hit) ]);
       };
   let busy_ns = Array.make jobs 0 in
   let idle_ns = Array.make jobs 0 in
@@ -297,7 +256,6 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
   let steal_fails = Array.make jobs 0 in
   let stolen_tasks = Array.make jobs 0 in
   let term_probes = Array.make jobs 0 in
-  let phases = Array.make jobs [||] in
   let resume_int f = match resume with Some s -> f s | None -> 0 in
   let states = Atomic.make (resume_int (fun s -> s.Store.Checkpoint.states)) in
   let transitions = Atomic.make (resume_int (fun s -> s.Store.Checkpoint.transitions)) in
@@ -342,7 +300,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
   let failure = Atomic.make None in
   let failed () = Option.is_some (Atomic.get failure) in
   (* worker-indexed so each domain owns its instrumentation arrays *)
-  let ivs = Array.init jobs (fun _ -> Inv_stats.make ~obs invariants) in
+  let profiles = Array.init jobs (fun _ -> Profile.create ~live invariants) in
   let fp0 = Fingerprint.hash (fp_of initial) in
   let dummy_task = (fp0, initial, 0) in
   let deques = Array.init jobs (fun _ -> Deque.create ~dummy:dummy_task) in
@@ -458,51 +416,54 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
      coordinator involvement. *)
   let worker w () =
     Domain.DLS.set dls_worker w;
-    let iv = ivs.(w) in
     let own = deques.(w) in
-    (* cumulative phase slots (see [ph_succ]); every heartbeat interval
-       and when the worker goes idle, the growth since the last flush is
-       laid out as one [expand] span with the phase children back to
-       back inside it *)
-    let ph = Array.make (ph_fp_calls + 1) 0 in
-    phases.(w) <- ph;
-    let laid = Array.make (ph_push + 1) 0 in
+    (* the worker's layers, wrapped once: bare functions unless its
+       profile is live *)
+    let prof = profiles.(w) in
+    let succs_of = Profile.wrap prof Successors (Reducer.succs_of reducer) in
+    let norm = Profile.wrap prof Normalise norm in
+    let hash = Profile.wrap prof Fingerprint (fun sys -> Fingerprint.hash (fp_of sys)) in
+    let insert =
+      Profile.wrap4 prof Insert (fun fp' parent event depth ->
+          Store.Tiered.add seen fp' ~parent ~event:(Store.Event_codec.encode codec event) ~depth)
+    in
+    let check = Profile.check prof in
+    let push = Profile.wrap prof Push (publish w) in
+    (* every heartbeat interval and when the worker goes idle, the layers'
+       growth since the last flush is laid out as one [expand] span with
+       the layer children back to back inside it *)
+    let sub_spans =
+      [|
+        (n_succ, [ Profile.Successors ]);
+        (n_fp, [ Normalise; Fingerprint ]);
+        (n_ins, [ Insert ]);
+        (n_inv, [ Invariants ]);
+        (n_push, [ Push ]);
+      |]
+    in
+    let laid = Array.make (Array.length sub_spans) 0 in
     let span_start = ref (Obs.Clock.monotonic_ns ()) in
     let span_states = ref 0 in
     let expanded = ref 0 in
     let hb_expanded = ref 0 in
     let hb_time = ref !span_start in
-    let timed slot f =
-      if timing then begin
-        let t = Obs.Clock.monotonic_ns () in
-        let r = f () in
-        ph.(slot) <- ph.(slot) + (Obs.Clock.monotonic_ns () - t);
-        r
-      end
-      else f ()
-    in
     let flush_span () =
       if tr_on && !span_states > 0 then begin
         let stop = Obs.Clock.monotonic_ns () in
         Obs.Tracing.span_args tracer ~dom:w ~name:n_expand ~start_ns:!span_start ~stop_ns:stop
           ~args:[ ("states", Obs.Json.Int !span_states) ];
         let cursor = ref !span_start in
-        List.iter
-          (fun (name, slots) ->
-            let ns = List.fold_left (fun acc i -> acc + ph.(i) - laid.(i)) 0 slots in
-            List.iter (fun i -> laid.(i) <- ph.(i)) slots;
+        Array.iteri
+          (fun k (name, layers) ->
+            let total = List.fold_left (fun acc l -> acc + Profile.ns prof l) 0 layers in
+            let ns = total - laid.(k) in
+            laid.(k) <- total;
             if ns > 0 then begin
               Obs.Tracing.span_between tracer ~dom:w ~name ~start_ns:!cursor
                 ~stop_ns:(!cursor + ns);
               cursor := !cursor + ns
             end)
-          [
-            (n_succ, [ ph_succ ]);
-            (n_fp, [ ph_norm; ph_fp ]);
-            (n_ins, [ ph_ins ]);
-            (n_inv, [ ph_inv ]);
-            (n_push, [ ph_push ]);
-          ];
+          sub_spans;
         span_states := 0
       end;
       span_start := Obs.Clock.monotonic_ns ()
@@ -511,7 +472,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
       if !expanded - !hb_expanded >= heartbeat_every then begin
         let now_ns = Obs.Clock.monotonic_ns () in
         if Obs.Reporter.enabled obs then begin
-          let interval = float_of_int (now_ns - !hb_time) *. 1e-9 in
+          let interval = Obs.Clock.ns_to_s (now_ns - !hb_time) in
           let rate =
             if interval > 0. then float_of_int (!expanded - !hb_expanded) /. interval else 0.
           in
@@ -548,30 +509,22 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
         if (not (Atomic.get truncated)) && d < Atomic.get best_depth then begin
           let first = match claim with `First _ -> true | `Again _ -> false in
           hooks.on_expand ~worker:w ~depth:d;
-          let succs = timed ph_succ (fun () -> Reducer.succs_of reducer sys) in
-          ph.(ph_succ_calls) <- ph.(ph_succ_calls) + 1;
+          let succs = succs_of sys in
           if succs = [] && first then Atomic.incr deadlocks;
           let out = ref [] in
           List.iter
             (fun (event, sys') ->
               if Atomic.get states < max_states then begin
                 if first then Atomic.incr transitions;
-                let sys' = timed ph_norm (fun () -> norm sys') in
-                let fp' = timed ph_fp (fun () -> Fingerprint.hash (fp_of sys')) in
-                ph.(ph_fp_calls) <- ph.(ph_fp_calls) + 1;
+                let sys' = norm sys' in
+                let fp' = hash sys' in
                 let d' = d + 1 in
                 (* depth > best can neither beat the violation nor lie on
                    a minimal chain (ancestors of minimal violations stay
                    strictly below best); depth = best must still be
                    inserted and checked for the fingerprint tie-break *)
                 if d' <= Atomic.get best_depth then begin
-                  let added =
-                    timed ph_ins (fun () ->
-                        Store.Tiered.add seen fp' ~parent:fp
-                          ~event:(Store.Event_codec.encode codec event)
-                          ~depth:d')
-                  in
-                  match added with
+                  match insert fp' fp event d' with
                   | Store.Tiered.Fresh ->
                     let n = Atomic.fetch_and_add states 1 + 1 in
                     if n >= max_states then Atomic.set truncated true;
@@ -579,12 +532,11 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
                        of the fresh class (canonicalization is paid
                        once per class, not per generated successor) *)
                     let sys' = canon sys' in
-                    (match timed ph_inv (fun () -> iv.Inv_stats.check sys') with
-                    | Some name ->
-                      let idx = inv_index name in
+                    let idx = check sys' in
+                    if idx >= 0 then begin
                       Store.Tiered.mark_violation seen fp' idx;
                       offer ~depth:d' ~fp:fp' ~inv:idx
-                    | None -> ());
+                    end;
                     if d' < Atomic.get best_depth then out := (fp', sys', d') :: !out
                   | Store.Tiered.Improved viol ->
                     if viol >= 0 then offer ~depth:d' ~fp:fp' ~inv:viol;
@@ -594,7 +546,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
               end
               else Atomic.set truncated true)
             succs;
-          if !out <> [] then timed ph_push (fun () -> publish w (List.rev !out));
+          if !out <> [] then push (List.rev !out);
           incr expanded;
           incr span_states;
           heartbeat ()
@@ -691,12 +643,11 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
   | None ->
     ignore (Store.Tiered.add seen fp0 ~parent:0 ~event:0 ~depth:0);
     Atomic.set states 1;
-    (match ivs.(0).Inv_stats.check initial with
-    | Some name ->
-      let idx = inv_index name in
+    let idx = Profile.check profiles.(0) initial in
+    if idx >= 0 then begin
       Store.Tiered.mark_violation seen fp0 idx;
       offer ~depth:0 ~fp:fp0 ~inv:idx
-    | None -> ());
+    end;
     publish 0 [ (fp0, initial, 0) ]
   | Some snap ->
     (* frontier states were snapshotted as (fingerprint, depth) only;
@@ -756,58 +707,26 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
   let elapsed = base_elapsed +. Obs.Clock.elapsed_s ~since:t0_ns in
   let violation =
     if Atomic.get best_depth = max_int then None
-    else Some (reconstruct !best_fp inv_names.(!best_inv))
+    else Some (reconstruct !best_fp (Profile.name profiles.(0) !best_inv))
   in
   let depth =
     if violation = None then Store.Tiered.max_depth seen else Atomic.get best_depth
   in
   let first_violation = Option.map (fun tr -> tr.Trace.broken) violation in
-  Array.iter (fun iv -> iv.Inv_stats.report obs ~first_violation) ivs;
+  (* the per-run records, once from the workers' merged profiles *)
+  let prof = Profile.merge (Array.to_list profiles) in
+  Profile.report_invariants obs ~first_violation prof;
   let states = Atomic.get states in
   let transitions = Atomic.get transitions in
   Reducer.report obs ~checker:"par-explore" reducer ~states ~transitions ~elapsed;
   let deadlocks = Atomic.get deadlocks in
   let truncated = Atomic.get truncated in
   if Obs.Reporter.enabled obs then begin
-    (* per-phase attribution summed over the workers; [other_s] is the
-       rest of their busy time (canonicalization, deque traffic), so idle
-       and stealing time stay out of it *)
-    let gc1 = Gc.quick_stat () in
-    let sum slot = Array.fold_left (fun acc p -> acc + p.(slot)) 0 phases in
-    let secs slot = float_of_int (sum slot) *. 1e-9 in
-    let inv_evals, inv_s =
-      Array.fold_left
-        (fun (n, t) iv ->
-          let n', t' = iv.Inv_stats.totals () in
-          (n + n', t +. t'))
-        (0, 0.) ivs
-    in
-    let busy_s = float_of_int (Array.fold_left ( + ) 0 busy_ns) *. 1e-9 in
-    let succ_s = secs ph_succ and norm_s = secs ph_norm and fp_s = secs ph_fp in
-    let ins_s = secs ph_ins in
-    Obs.Reporter.emit obs Obs.Record.profile
-      [
-        ("checker", Obs.Json.String "par-explore");
-        ("states", Obs.Json.Int states);
-        ("transitions", Obs.Json.Int transitions);
-        ("elapsed_s", Obs.Json.Float elapsed);
-        ("succ_gen_s", Obs.Json.Float succ_s);
-        ("succ_gen_calls", Obs.Json.Int (sum ph_succ_calls));
-        ("normalize_s", Obs.Json.Float norm_s);
-        ("fingerprint_s", Obs.Json.Float fp_s);
-        ("fingerprint_calls", Obs.Json.Int (sum ph_fp_calls));
-        ("seen_insert_s", Obs.Json.Float ins_s);
-        ("invariant_s", Obs.Json.Float inv_s);
-        ("invariant_evals", Obs.Json.Int inv_evals);
-        ( "other_s",
-          Obs.Json.Float (Float.max 0. (busy_s -. succ_s -. norm_s -. fp_s -. ins_s -. inv_s)) );
-        ("minor_words", Obs.Json.Float (gc1.Gc.minor_words -. gc0.Gc.minor_words));
-        ("promoted_words", Obs.Json.Float (gc1.Gc.promoted_words -. gc0.Gc.promoted_words));
-        ("major_words", Obs.Json.Float (gc1.Gc.major_words -. gc0.Gc.major_words));
-        ("minor_collections", Obs.Json.Int (gc1.Gc.minor_collections - gc0.Gc.minor_collections));
-        ("major_collections", Obs.Json.Int (gc1.Gc.major_collections - gc0.Gc.major_collections));
-        ("heap_words", Obs.Json.Int gc1.Gc.heap_words);
-      ];
+    (* [other_s] is the rest of the workers' busy time (canonicalization,
+       deque traffic), so idle and stealing time stay out of it *)
+    Profile.report obs ~checker:"par-explore" ~states ~transitions ~elapsed
+      ~busy_s:(Obs.Clock.ns_to_s (Array.fold_left ( + ) 0 busy_ns))
+      prof;
     let rate = if elapsed > 0. then float_of_int states /. elapsed else 0. in
     Obs.Reporter.emit obs Obs.Record.outcome_explore
       [
@@ -828,8 +747,8 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
     (* contention attribution + Amdahl decomposition of this run *)
     let lock_stats, shard_wait_s = Obs.Contention.shard_summary (Store.Tiered.locks seen) in
     let _, deque_wait_s = Obs.Contention.shard_summary (Deque.locks deques) in
-    let ns_s a = Array.map (fun ns -> float_of_int ns *. 1e-9) a in
-    let busy_s = ns_s busy_ns and idle_s = ns_s idle_ns in
+    let busy_s = Array.map Obs.Clock.ns_to_s busy_ns in
+    let idle_s = Array.map Obs.Clock.ns_to_s idle_ns in
     let isum a = Array.fold_left ( + ) 0 a in
     let est = Obs.Contention.estimate ~jobs ~wall_s:elapsed ~busy_per_domain:busy_s in
     let flist a = Obs.Json.List (Array.to_list (Array.map (fun v -> Obs.Json.Float v) a)) in
@@ -852,13 +771,11 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
           ("termination_probes", Obs.Json.Int (isum term_probes));
           ("lock_acquires", Obs.Json.Int lock_stats.Obs.Contention.acquires);
           ("lock_contended", Obs.Json.Int lock_stats.Obs.Contention.contended);
-          ( "lock_wait_s",
-            Obs.Json.Float (float_of_int lock_stats.Obs.Contention.wait_ns *. 1e-9) );
+          ("lock_wait_s", Obs.Json.Float (Obs.Clock.ns_to_s lock_stats.Obs.Contention.wait_ns));
           ( "lock_max_wait_s",
-            Obs.Json.Float (float_of_int lock_stats.Obs.Contention.max_wait_ns *. 1e-9) );
+            Obs.Json.Float (Obs.Clock.ns_to_s lock_stats.Obs.Contention.max_wait_ns) );
           ("shard_wait_s", flist shard_wait_s);
-          ( "deque_wait_s",
-            Obs.Json.Float (Array.fold_left ( +. ) 0. deque_wait_s) );
+          ("deque_wait_s", Obs.Json.Float (Array.fold_left ( +. ) 0. deque_wait_s));
           (* tiered-store spill attribution *)
           ("mem_budget", Obs.Json.Int (Store.Tiered.mem_budget seen));
           ("bytes_resident", Obs.Json.Int st.Store.Tiered.resident_bytes);

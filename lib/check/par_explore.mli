@@ -117,25 +117,21 @@ val max_jobs : int
     [max_states] (default 1,000,000), [normal_form] and [reducer] are as
     in {!Explore.run}; the outcome's [covered] is always empty (coverage
     comes from the reference BFS only).  [heartbeat_every] (default
-    20,000) counts each worker's expansions.  When [obs] is
-    enabled, each worker emits its own [heartbeat] records tagged with a
-    [domain] index (the [frontier] field reports the pending-task count)
-    carrying store occupancy ([bytes_resident], [mem_budget],
-    [segments], [spilled_states], and [bytes_resident_per_shard]), each
-    worker reports its own per-[invariant] records (aggregate across
-    domains for totals), a reducer adds a [reduction] record,
-    and the run ends with a [profile] record (per-phase wall time and
-    call counts summed over the workers, [seen_insert_s] the seen-set
-    insert, [other_s] the rest of their busy time, and GC deltas), an
-    [outcome] record (with [jobs]), and a [scaling-detail] record:
-    per-domain busy and idle seconds, steal / failed-steal / stolen-task
-    / termination-probe counters, seen-set shard lock contention
-    (acquires, contended acquires, per-shard wait), deque lock wait, the
-    Amdahl serial-fraction estimate ({!Obs.Contention.estimate}), and
-    the tiered-store counters (resident/peak/disk bytes, spills, merges,
-    segments, spilled entries, disk probe and Bloom statistics).  Each
-    checkpoint also emits a [checkpoint] record ([seq], [states],
-    [frontier], [dir]).  {!Obs.Record} declares every field.
+    20,000) counts each worker's expansions.  When [obs] is enabled,
+    each worker emits its own [heartbeat] records tagged with a
+    [domain] index ([frontier] is the pending-task count) carrying
+    store occupancy ([bytes_resident], [mem_budget], [segments],
+    [spilled_states], [bytes_resident_per_shard]).  The per-run records
+    are written once, whatever [jobs] is, from the workers' merged
+    {!Profile}s and the pool's counters: one [invariant] record per
+    invariant, a [reduction] record with a reducer, the [profile] record
+    ([other_s] is the rest of the workers' busy time), the [outcome]
+    record (with [jobs]) and the [scaling-detail] record: per-domain
+    busy and idle seconds, steal / failed-steal / stolen-task /
+    termination-probe counters, shard and deque lock contention, the
+    Amdahl serial-fraction estimate ({!Obs.Contention.estimate}) and the
+    tiered-store counters.  Each checkpoint also emits a [checkpoint]
+    record.  {!Obs.Record} declares every field.
 
     When [tracer] is live with at least [jobs] lanes, each worker's own
     lane (single-writer discipline, no coordinator involvement) carries

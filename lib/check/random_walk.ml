@@ -20,9 +20,31 @@ let pp_outcome ppf o =
 (* a walk restarts from the root after this many steps *)
 let max_run_length = 5_000
 
-let run ?(seed = 42) ?(steps = 100_000) ?(normal_form = true) ?(trace_tail = 1000)
-    ?(obs = Obs.Reporter.null) ?(tracer = Obs.Tracing.null) ?(heartbeat_every = 20_000)
-    ?(should_stop = fun () -> false) ?domain ?reducer ~invariants initial =
+let broken o = Option.map (fun tr -> tr.Trace.broken) o.violation
+
+(* An [outcome] record: a walker's ([tag] is its [domain], if any) or a
+   swarm's ([tag] is [jobs]). *)
+let report_outcome obs ~checker tag o =
+  if Obs.Reporter.enabled obs then
+    Obs.Reporter.emit obs Obs.Record.outcome_walk
+      ((("checker", Obs.Json.String checker) :: tag)
+      @ [
+          ("steps", Obs.Json.Int o.steps_taken);
+          ("runs", Obs.Json.Int o.runs);
+          ("dead_end_restarts", Obs.Json.Int o.restarts);
+          ( "violation",
+            match broken o with None -> Obs.Json.Null | Some name -> Obs.Json.String name );
+          ("elapsed_s", Obs.Json.Float o.elapsed);
+          ( "steps_per_sec",
+            Obs.Json.Float
+              (if o.elapsed > 0. then float_of_int o.steps_taken /. o.elapsed else 0.) );
+        ])
+
+(* One walker.  It writes its own heartbeat, profile and outcome records
+   (tagged with [domain] in a swarm) and returns its outcome with its
+   profile; the per-run records are the swarm's. *)
+let walker ~normal_form ~trace_tail ~obs ~tracer ~heartbeat_every ~reducer ~invariants initial
+    ~seed ~steps ~should_stop ?domain () =
   let domain_field = match domain with None -> [] | Some d -> [ ("domain", Obs.Json.Int d) ] in
   (* one tracer lane per walker, indexed by the swarm domain (lane 0 for a
      solo walk): a span per heartbeat interval of stepping, plus one rich
@@ -38,28 +60,17 @@ let run ?(seed = 42) ?(steps = 100_000) ?(normal_form = true) ?(trace_tail = 100
   let tr_taken = ref 0 in
   let tr_start = ref tr_t0 in
   let trace_tail = max 1 trace_tail in
-  let t0 = Unix.gettimeofday () in
-  (* per-phase wall-time attribution for the "profile" record (no
-     fingerprinting here: the walk keeps no seen-set) *)
-  let profiling = Obs.Reporter.enabled obs in
-  let gc0 = Gc.quick_stat () in
-  let succ_s = ref 0. and succ_calls = ref 0 in
-  let norm_s = ref 0. and norm_calls = ref 0 in
-  let timed acc calls f =
-    if profiling then begin
-      let t = Unix.gettimeofday () in
-      let r = f () in
-      acc := !acc +. (Unix.gettimeofday () -. t);
-      incr calls;
-      r
-    end
-    else f ()
+  let t0 = Obs.Clock.monotonic_ns () in
+  (* the layers, wrapped once; only the profile record reads them (the
+     walk keeps no seen-set, so it has no fingerprint or insert layer) *)
+  let prof = Profile.create ~live:(Obs.Reporter.enabled obs) invariants in
+  let succs_of = Profile.wrap prof Successors (Reducer.succs_of reducer) in
+  let norm =
+    Profile.wrap prof Normalise (if normal_form then Cimp.System.normalize else Fun.id)
   in
-  let norm sys = if normal_form then Cimp.System.normalize sys else sys in
+  let check = Profile.check prof in
   let initial = norm initial in
   let rng = Random.State.make [| seed |] in
-  let iv = Inv_stats.make ~obs invariants in
-  let check_state = iv.Inv_stats.check in
   let violation = ref None in
   let taken = ref 0 in
   let runs = ref 0 in
@@ -68,8 +79,8 @@ let run ?(seed = 42) ?(steps = 100_000) ?(normal_form = true) ?(trace_tail = 100
   let hb_time = ref t0 in
   let heartbeat () =
     if Obs.Reporter.enabled obs && !taken - !hb_taken >= heartbeat_every then begin
-      let now = Unix.gettimeofday () in
-      let interval = now -. !hb_time in
+      let now = Obs.Clock.monotonic_ns () in
+      let interval = Obs.Clock.ns_to_s (now - !hb_time) in
       let rate =
         if interval > 0. then float_of_int (!taken - !hb_taken) /. interval else 0.
       in
@@ -95,9 +106,9 @@ let run ?(seed = 42) ?(steps = 100_000) ?(normal_form = true) ?(trace_tail = 100
       tr_start := now_ns
     end
   in
-  (match check_state initial with
-  | Some name -> violation := Some { Trace.initial; steps = []; broken = name }
-  | None -> ());
+  (match check initial with
+  | -1 -> ()
+  | i -> violation := Some { Trace.initial; steps = []; broken = Profile.name prof i });
   while !violation = None && !taken < steps && not (should_stop ()) do
     incr runs;
     let sys = ref initial in
@@ -112,14 +123,14 @@ let run ?(seed = 42) ?(steps = 100_000) ?(normal_form = true) ?(trace_tail = 100
       !continue && !violation = None && !taken < steps && !len < max_run_length
       && not (should_stop ())
     do
-      match timed succ_s succ_calls (fun () -> Reducer.succs_of reducer !sys) with
+      match succs_of !sys with
       | [] ->
         (* dead end; restart *)
         incr restarts;
         continue := false
       | succs ->
         let event, sys' = List.nth succs (Random.State.int rng (List.length succs)) in
-        let sys' = timed norm_s norm_calls (fun () -> norm sys') in
+        let sys' = norm sys' in
         sys := sys';
         incr taken;
         incr len;
@@ -130,14 +141,15 @@ let run ?(seed = 42) ?(steps = 100_000) ?(normal_form = true) ?(trace_tail = 100
           tail_len := trace_tail
         end;
         heartbeat ();
-        (match check_state sys' with
-        | Some name ->
+        (match check sys' with
+        | -1 -> ()
+        | bad ->
           let tail = List.filteri (fun i _ -> i < trace_tail) !rev_steps in
-          violation := Some { Trace.initial; steps = List.rev tail; broken = name }
-        | None -> ())
+          violation :=
+            Some { Trace.initial; steps = List.rev tail; broken = Profile.name prof bad })
     done
   done;
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = Obs.Clock.elapsed_s ~since:t0 in
   if tr_on then
     Obs.Tracing.span_args tracer ~dom:lane ~name:n_walk ~start_ns:tr_t0
       ~stop_ns:(Obs.Tracing.now tracer)
@@ -147,65 +159,25 @@ let run ?(seed = 42) ?(steps = 100_000) ?(normal_form = true) ?(trace_tail = 100
           ("runs", Obs.Json.Int !runs);
           ("dead_end_restarts", Obs.Json.Int !restarts);
         ];
-  let first_violation = Option.map (fun tr -> tr.Trace.broken) !violation in
-  iv.Inv_stats.report obs ~first_violation;
+  let o =
+    { steps_taken = !taken; runs = !runs; restarts = !restarts; violation = !violation; elapsed }
+  in
   (* the walk has no seen-set, so "states" is the steps taken *)
-  Reducer.report obs ~checker:"walk" reducer ~states:!taken ~transitions:!taken ~elapsed;
-  if profiling then begin
-    let inv_evals, inv_s = iv.Inv_stats.totals () in
-    let gc1 = Gc.quick_stat () in
-    let other = Float.max 0. (elapsed -. !succ_s -. !norm_s -. inv_s) in
-    Obs.Reporter.emit obs Obs.Record.profile
-      (("checker", Obs.Json.String "walk")
-       :: domain_field
-      @ [
-          ("states", Obs.Json.Int !taken);
-          ("transitions", Obs.Json.Int !taken);
-          ("elapsed_s", Obs.Json.Float elapsed);
-          ("succ_gen_s", Obs.Json.Float !succ_s);
-          ("succ_gen_calls", Obs.Json.Int !succ_calls);
-          ("normalize_s", Obs.Json.Float !norm_s);
-          ("fingerprint_s", Obs.Json.Float 0.);
-          ("fingerprint_calls", Obs.Json.Int 0);
-          ("seen_insert_s", Obs.Json.Float 0.);
-          ("invariant_s", Obs.Json.Float inv_s);
-          ("invariant_evals", Obs.Json.Int inv_evals);
-          ("other_s", Obs.Json.Float other);
-          ("minor_words", Obs.Json.Float (gc1.Gc.minor_words -. gc0.Gc.minor_words));
-          ("promoted_words", Obs.Json.Float (gc1.Gc.promoted_words -. gc0.Gc.promoted_words));
-          ("major_words", Obs.Json.Float (gc1.Gc.major_words -. gc0.Gc.major_words));
-          ( "minor_collections",
-            Obs.Json.Int (gc1.Gc.minor_collections - gc0.Gc.minor_collections) );
-          ( "major_collections",
-            Obs.Json.Int (gc1.Gc.major_collections - gc0.Gc.major_collections) );
-          ("heap_words", Obs.Json.Int gc1.Gc.heap_words);
-        ])
-  end;
-  if Obs.Reporter.enabled obs then
-    Obs.Reporter.emit obs Obs.Record.outcome_walk
-      (("checker", Obs.Json.String "walk")
-       :: domain_field
-      @ [
-          ("steps", Obs.Json.Int !taken);
-          ("runs", Obs.Json.Int !runs);
-          ("dead_end_restarts", Obs.Json.Int !restarts);
-          ( "violation",
-            match first_violation with
-            | None -> Obs.Json.Null
-            | Some name -> Obs.Json.String name );
-          ("elapsed_s", Obs.Json.Float elapsed);
-          ( "steps_per_sec",
-            Obs.Json.Float (if elapsed > 0. then float_of_int !taken /. elapsed else 0.) );
-        ]);
-  { steps_taken = !taken; runs = !runs; restarts = !restarts; violation = !violation; elapsed }
+  Profile.report obs ~checker:"walk" ?domain ~states:!taken ~transitions:!taken ~elapsed
+    ~busy_s:elapsed prof;
+  report_outcome obs ~checker:"walk" domain_field o;
+  (o, prof)
 
 (* -- the swarm --------------------------------------------------------------
 
    [jobs] domains walk the same root concurrently, each with a seed derived
    from the root seed and its domain index, so the swarm covers [jobs]
    independent schedule streams.  The first domain to find a violation
-   raises a shared stop flag that the others poll every step.  The
-   swarm's outcome record sums the walkers' counts after they join. *)
+   raises a shared stop flag that the others poll every step.  After the
+   walkers join, the swarm writes the per-run records from their summed
+   counts and merged profiles: one [invariant] record per invariant and,
+   under a reducer, the [reduction] record.  At [jobs = 1] the one walker
+   runs on the calling domain, untagged, and is the whole run. *)
 
 let derive_seed seed k = seed lxor ((k + 1) * 0x9E3779B1)
 
@@ -215,50 +187,50 @@ let swarm ?(jobs = 1) ?(seed = 42) ?(steps = 100_000) ?(normal_form = true) ?(tr
   if jobs < 1 || jobs > Par_explore.max_jobs then
     invalid_arg
       (Printf.sprintf "Random_walk.swarm: jobs = %d, expected 1..%d" jobs Par_explore.max_jobs);
-  if jobs = 1 then
-    run ~seed ~steps ~normal_form ~trace_tail ~obs ~tracer ~heartbeat_every ?reducer ~invariants
-      initial
-  else begin
-    let t0 = Unix.gettimeofday () in
-    let stop = Atomic.make false in
-    let should_stop () = Atomic.get stop in
-    (* split the step budget across domains; the first [steps mod jobs]
-       domains take the remainder, so the total is exactly [steps] *)
-    let budget k = (steps / jobs) + if k < steps mod jobs then 1 else 0 in
-    let worker k () =
-      let o =
-        run ~seed:(derive_seed seed k) ~steps:(budget k) ~normal_form ~trace_tail ~obs ~tracer
-          ~heartbeat_every ~should_stop ~domain:k ?reducer ~invariants initial
+  let walk =
+    walker ~normal_form ~trace_tail ~obs ~tracer ~heartbeat_every ~reducer ~invariants initial
+  in
+  let o, prof =
+    if jobs = 1 then walk ~seed ~steps ~should_stop:(fun () -> false) ()
+    else begin
+      let t0 = Obs.Clock.monotonic_ns () in
+      let stop = Atomic.make false in
+      let should_stop () = Atomic.get stop in
+      (* split the step budget across domains; the first [steps mod jobs]
+         domains take the remainder, so the total is exactly [steps] *)
+      let budget k = (steps / jobs) + if k < steps mod jobs then 1 else 0 in
+      let worker k () =
+        let ((o, _) as r) =
+          walk ~seed:(derive_seed seed k) ~steps:(budget k) ~should_stop ~domain:k ()
+        in
+        if o.violation <> None then Atomic.set stop true;
+        r
       in
-      if o.violation <> None then Atomic.set stop true;
-      o
-    in
-    let doms = Array.init (jobs - 1) (fun j -> Domain.spawn (worker (j + 1))) in
-    let o0 = worker 0 () in
-    let outcomes = o0 :: Array.to_list (Array.map Domain.join doms) in
-    (* lowest-domain-index winner; when no domain found one, None *)
-    let violation = List.find_map (fun o -> o.violation) outcomes in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    let total f = List.fold_left (fun n o -> n + f o) 0 outcomes in
-    let steps_taken = total (fun o -> o.steps_taken) in
-    let runs = total (fun o -> o.runs) in
-    let restarts = total (fun o -> o.restarts) in
-    if Obs.Reporter.enabled obs then begin
-      let rate = if elapsed > 0. then float_of_int steps_taken /. elapsed else 0. in
-      Obs.Reporter.emit obs Obs.Record.outcome_walk
-        [
-          ("checker", Obs.Json.String "walk-swarm");
-          ("jobs", Obs.Json.Int jobs);
-          ("steps", Obs.Json.Int steps_taken);
-          ("runs", Obs.Json.Int runs);
-          ("dead_end_restarts", Obs.Json.Int restarts);
-          ( "violation",
-            match violation with
-            | None -> Obs.Json.Null
-            | Some tr -> Obs.Json.String tr.Trace.broken );
-          ("elapsed_s", Obs.Json.Float elapsed);
-          ("steps_per_sec", Obs.Json.Float rate);
-        ]
-    end;
-    { steps_taken; runs; restarts; violation; elapsed }
-  end
+      let doms = Array.init (jobs - 1) (fun j -> Domain.spawn (worker (j + 1))) in
+      let r0 = worker 0 () in
+      let outcomes, profs = List.split (r0 :: Array.to_list (Array.map Domain.join doms)) in
+      let total f = List.fold_left (fun n o -> n + f o) 0 outcomes in
+      let o =
+        {
+          steps_taken = total (fun o -> o.steps_taken);
+          runs = total (fun o -> o.runs);
+          restarts = total (fun o -> o.restarts);
+          (* lowest-domain-index winner; when no domain found one, None *)
+          violation = List.find_map (fun o -> o.violation) outcomes;
+          elapsed = Obs.Clock.elapsed_s ~since:t0;
+        }
+      in
+      (o, Profile.merge profs)
+    end
+  in
+  let checker = if jobs = 1 then "walk" else "walk-swarm" in
+  Profile.report_invariants obs ~first_violation:(broken o) prof;
+  Reducer.report obs ~checker reducer ~states:o.steps_taken ~transitions:o.steps_taken
+    ~elapsed:o.elapsed;
+  if jobs > 1 then report_outcome obs ~checker [ ("jobs", Obs.Json.Int jobs) ] o;
+  o
+
+let run ?seed ?steps ?normal_form ?trace_tail ?obs ?tracer ?heartbeat_every ?reducer ~invariants
+    initial =
+  swarm ~jobs:1 ?seed ?steps ?normal_form ?trace_tail ?obs ?tracer ?heartbeat_every ?reducer
+    ~invariants initial

@@ -27,18 +27,14 @@ val pp_outcome : ('a, 'v, 's) outcome Fmt.t
            [trace_tail] steps — its [steps] then do not replay from
            [initial].
     @param obs observability reporter (default {!Obs.Reporter.null}):
-           [heartbeat] records every
-           [heartbeat_every] steps (steps/sec, runs, dead-end restarts,
-           GC words), per-[invariant] records, and a final [outcome]
-           record.
+           [heartbeat] records every [heartbeat_every] steps (steps/sec,
+           runs, dead-end restarts, GC words), then the [profile] and
+           [outcome] records, one [invariant] record per invariant and,
+           with a [reducer], one [reduction] record.
     @param tracer span tracer (default {!Obs.Tracing.null}).  When live,
-           the walk's lane (index [domain], or 0) carries one [walk-steps]
-           span per heartbeat interval and a [walk] span over the whole
-           call — per-domain timeline lanes under {!swarm}.
-    @param should_stop polled every step; the walk returns early when it
-           turns true (cooperative cancellation for {!swarm}).
-    @param domain tag emitted as a [domain] field on this walk's
-           heartbeat/outcome records (set by {!swarm}).
+           the walk's lane (0, or the walker's domain index under
+           {!swarm}) carries one [walk-steps] span per heartbeat interval
+           and a [walk] span over the whole call.
     @param reducer optional {!Reducer.t}: its successor function replaces
            {!Cimp.System.steps} (the walk has no seen-set, so the
            reducer's fingerprint is unused).  Note a partial-order-reduced
@@ -52,8 +48,6 @@ val run :
   ?obs:Obs.Reporter.t ->
   ?tracer:Obs.Tracing.t ->
   ?heartbeat_every:int ->
-  ?should_stop:(unit -> bool) ->
-  ?domain:int ->
   ?reducer:('a, 'v, 's) Reducer.t ->
   invariants:(string * (('a, 'v, 's) Cimp.System.t -> bool)) list ->
   ('a, 'v, 's) Cimp.System.t ->
@@ -65,8 +59,14 @@ val run :
     exactly [steps] when no violation occurs, so aggregate counters are
     deterministic in [seed]).  The first violation found raises a stop
     flag the other domains poll every step; the lowest-indexed finder's
-    trace is returned.  The swarm's own [outcome] record carries [jobs]
-    and the walkers' summed [steps], [runs] and [dead_end_restarts].
+    trace is returned.  Each walker writes its own [heartbeat],
+    [profile] and [outcome] records, tagged with its [domain]; the
+    per-run records are written once, after the join: one [invariant]
+    record per invariant from the walkers' merged profiles, with a
+    [reducer] one [reduction] record (the swarm's total steps and the
+    reducer's final counters), and the swarm's own [outcome] record,
+    carrying [jobs] and the walkers' summed [steps], [runs] and
+    [dead_end_restarts].
     [jobs = 1] delegates to {!run}; [jobs] outside 1..64
     ({!Par_explore.max_jobs}) raises [Invalid_argument]. *)
 val swarm :

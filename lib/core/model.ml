@@ -74,13 +74,28 @@ let check_fits cfg (shape : Gcheap.Shapes.t) =
       (Printf.sprintf "Model.make: shape %s needs %d refs, but the configuration has %d"
          shape.Gcheap.Shapes.name needed n)
 
-let make cfg (shape : Gcheap.Shapes.t) : t =
-  (* a store buffer that holds nothing blocks every write, and objects with
-     no field leave no pointer to store: every invariant would hold vacuously *)
+(* A store buffer that holds nothing blocks every write, and objects with
+   no field leave no pointer to store: every invariant would hold
+   vacuously.  A negative cycle or operation bound shrinks the model until
+   known-unsafe variants pass, and a negative count of mutators or refs
+   fails deep inside a shape or program constructor. *)
+let check_bounds cfg =
   List.iter
-    (fun (what, n) ->
-      if n < 1 then invalid_arg (Fmt.str "Model.make: %s = %d, needs at least 1" what n))
-    [ ("buf_bound", cfg.Config.buf_bound); ("n_fields", cfg.Config.n_fields) ];
+    (fun (what, n, least) ->
+      if n < least then
+        invalid_arg (Fmt.str "Model.make: %s = %d, needs at least %d" what n least))
+    Config.
+      [
+        ("n_muts", cfg.n_muts, 0);
+        ("n_refs", cfg.n_refs, 0);
+        ("n_fields", cfg.n_fields, 1);
+        ("buf_bound", cfg.buf_bound, 1);
+        ("max_cycles", cfg.max_cycles, 0);
+        ("max_mut_ops", cfg.max_mut_ops, 0);
+      ]
+
+let make cfg (shape : Gcheap.Shapes.t) : t =
+  check_bounds cfg;
   check_fits cfg shape;
   let coms = programs cfg in
   check_labels cfg coms;

@@ -11,14 +11,19 @@ type sys = (Types.req, Types.value, State.t) Cimp.System.t
 
 type t = { cfg : Config.t; shape : Gcheap.Shapes.t; system : sys }
 
+val check_bounds : Config.t -> unit
+(** @raise Invalid_argument, naming the field, if [n_muts], [n_refs],
+    [max_cycles] or [max_mut_ops] is negative, or [n_fields] or
+    [buf_bound] is below 1.  {!make} checks this first; a caller that
+    builds the shape from the configuration checks it before. *)
+
 val make : Config.t -> Gcheap.Shapes.t -> t
-(** @raise Invalid_argument if [buf_bound] or [n_fields] is below 1 (the
-    message names the field), if the shape refers to a reference outside
-    [[0, n_refs)] (the message names the shape and the refs it needs), if
-    its size otherwise disagrees with the configuration, or if a process
-    program has duplicate labels.  Every reference of every reachable
-    state then lies inside the universe, which the invariant layer's
-    reference masks require ({!Gcheap.Heap}). *)
+(** @raise Invalid_argument if {!check_bounds} does, if the shape refers
+    to a reference outside [[0, n_refs)] (the message names the shape and
+    the refs it needs), if its size otherwise disagrees with the
+    configuration, or if a process program has duplicate labels.  Every
+    reference of every reachable state then lies inside the universe,
+    which the invariant layer's reference masks require ({!Gcheap.Heap}). *)
 
 val programs : Config.t -> (Types.req, Types.value, State.t) Cimp.Com.t list
 (** The programs by pid: the collector, then one mutator program, built

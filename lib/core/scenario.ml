@@ -30,6 +30,7 @@ let make ?(n_muts = 1) ?(n_refs = 3) ?(n_fields = 1) ?(buf_bound = 1) ?(max_cycl
         mut_mfence;
       }
   in
+  Model.check_bounds cfg;
   let shape =
     match Gcheap.Shapes.by_name ~n_refs ~n_fields shape with
     | Some s -> s

@@ -23,7 +23,8 @@ val make :
   t
 (** Defaults: 1 mutator, 3 refs, 1 field, buffers of 1, 1 cycle, 2 ops,
     no spontaneous mutator MFENCE.
-    @raise Invalid_argument on an unknown shape name. *)
+    @raise Invalid_argument on an unknown shape name, or a bound
+    {!Model.check_bounds} refuses. *)
 
 val model : t -> Model.t
 

@@ -1,7 +1,7 @@
 (** HDR-style latency histograms: log-bucketed, concurrent, exact tails.
 
-    The reservoir histograms in {!Metrics} keep a uniform *sample*: past
-    capacity, a p99.9 is the p99.9 of 4096 survivors, and the one 80 ms
+    A reservoir histogram keeps a uniform *sample*: past capacity, a
+    p99.9 is the p99.9 of the few thousand survivors, and the one 80 ms
     handshake in ten million is overwhelmingly likely to have been
     evicted.  Latency observatories need the opposite bias — the tail
     must be exact at any volume.  This module trades value resolution

@@ -27,8 +27,9 @@ let heartbeat_walk =
     "Progress of one walk every `heartbeat_every` steps; swarm walkers add their `domain`."
 
 let invariant =
-  declare "invariant" "explorer / walker (`Check.Inv_stats`)" "name evals time_s violated"
-    "One per invariant at the end of a run: evaluations, time, and first-violation flag."
+  declare "invariant" "explorer / walker (`Check.Profile`)" "name evals time_s violated"
+    "One per invariant at the end of a run, whatever `--jobs` is: evaluations, time, and \
+     first-violation flag."
 
 let profile =
   declare "profile" "explorer (summed over workers) / walker" ~optional:"domain"
@@ -41,7 +42,7 @@ let profile =
 let reduction =
   declare "reduction" "explorer / walker, when `--reduce` is not `none`"
     "checker reduce states transitions sym_permuted reg_nulled deferred_transitions elapsed_s"
-    "What each reducer collapsed over a run."
+    "What the reducer collapsed over a run, once per run (a swarm's counts its total steps)."
 
 let outcome_explore =
   declare "outcome" "explorer (`Check.Par_explore`)"

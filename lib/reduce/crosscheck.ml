@@ -74,13 +74,13 @@ exception Snapshot_published
 
 let run ?max_states ?normal_form ?(obs = Obs.Reporter.null) ?(jobs = 1) ?mem_budget ~reducer
     ~invariants initial =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.monotonic_ns () in
   let reference ?reducer () =
     signature (Check.Explore.run ?max_states ?normal_form ?reducer ~invariants initial)
   in
   let full = reference () in
   let reduced = reference ~reducer () in
-  emit obs ~reduce:reducer.Check.Reducer.name ~elapsed:(Unix.gettimeofday () -. t0) full reduced;
+  emit obs ~reduce:reducer.Check.Reducer.name ~elapsed:(Obs.Clock.elapsed_s ~since:t0) full reduced;
   let engine ?reducer ?mem_budget ?spill_dir ?hooks ?checkpoint ?resume jobs =
     Check.Par_explore.run ~jobs ?max_states ?normal_form ?reducer ?mem_budget ?spill_dir ?hooks
       ?checkpoint ?resume ~invariants initial

@@ -309,8 +309,40 @@ let test_campaign_survivor_certificates () =
              ~invariants:(Core.Scenario.invariants sc') ~config_hash:(Core.Config.hash cfg') ~dir:d
              (Core.Scenario.model sc').Core.Model.system)
       in
-      Alcotest.(check bool) "the certificate covers states" true (st.Certify.Recheck.states > 0))
+      Alcotest.(check bool) "the certificate covers states" true (st.Certify.Recheck.states > 0);
+      (* `gcmodel recheck` rebuilds the mutated instance from the run
+         configuration the campaign embeds (Campaign.cert_run_config) *)
+      match Test_core.run_tool_output [ "recheck"; d ] with
+      | 0, out, [] ->
+        Alcotest.(check bool) (d ^ ": recheck: OK") true
+          (List.exists (fun l -> contains ~sub:"recheck: OK" l) out)
+      | code, _, err ->
+        Alcotest.failf "gcmodel recheck %s: exit %d: %s" d code (String.concat " | " err))
     certs
+
+(* A certificate whose run configuration carries an out-of-range bound is
+   refused by `gcmodel recheck` in one line naming the field, before any
+   model is built. *)
+let test_out_of_range_bound () =
+  let dir = Store.Fs.temp_dir "gccert-test" in
+  Fun.protect ~finally:(fun () -> Store.Fs.rm_rf dir) @@ fun () ->
+  Alcotest.(check (pair int (list string))) "certifying explore" (0, [])
+    (Test_core.run_tool [ "explore"; "--refs"; "2"; "--ops"; "1"; "--certificate"; dir ]);
+  let cert = Filename.concat dir "CERT.json" in
+  let original = In_channel.with_open_bin cert In_channel.input_all in
+  List.iter
+    (fun (field, by) ->
+      let forged = Test_core.replace ~sub:(Printf.sprintf {|"%s": 1,|} field) ~by original in
+      Out_channel.with_open_bin cert (fun oc -> Out_channel.output_string oc forged);
+      Alcotest.(check (pair int (list string))) (field ^ " is refused")
+        (1, [ "gcmodel recheck: FAILED — run configuration: missing or malformed " ^ field ])
+        (Test_core.run_tool [ "recheck"; dir ]))
+    [
+      ("cycles", {|"cycles": -1,|});
+      ("ops", {|"ops": -1,|});
+      ("muts", {|"muts": -1,|});
+      ("fields", {|"fields": 0,|});
+    ]
 
 let suite =
   [
@@ -349,4 +381,5 @@ let suite =
       test_every_write_step_fails_closed;
     Alcotest.test_case "campaign survivor certificates recheck" `Quick
       test_campaign_survivor_certificates;
+    Alcotest.test_case "recheck refuses an out-of-range bound" `Quick test_out_of_range_bound;
   ]

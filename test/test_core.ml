@@ -380,23 +380,32 @@ let replace ~sub ~by s =
   let i = at 0 in
   String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
 
-(* Run a built tool of bin/ (gcmodel.exe by default): its exit code and
-   stderr lines. *)
-let run_tool ?(exe = "gcmodel.exe") args =
+(* Run a built tool of bin/ (gcmodel.exe by default): its exit code,
+   stdout lines and stderr lines. *)
+let run_tool_output ?(exe = "gcmodel.exe") args =
   let build_dir = Filename.dirname (Filename.dirname Sys.executable_name) in
   let tool = Filename.concat (Filename.concat build_dir "bin") exe in
-  let err = Filename.temp_file "gcmodel" ".err" in
-  let code = Sys.command (Filename.quote_command tool ~stdout:Filename.null ~stderr:err args) in
-  let lines = In_channel.with_open_text err In_channel.input_lines in
+  let out = Filename.temp_file "gcmodel" ".out" and err = Filename.temp_file "gcmodel" ".err" in
+  let code = Sys.command (Filename.quote_command tool ~stdout:out ~stderr:err args) in
+  let lines file = In_channel.with_open_text file In_channel.input_lines in
+  let out_lines = lines out and err_lines = lines err in
+  Sys.remove out;
   Sys.remove err;
-  (code, lines)
+  (code, out_lines, err_lines)
+
+(* Its exit code and stderr lines. *)
+let run_tool ?exe args =
+  let code, _, err = run_tool_output ?exe args in
+  (code, err)
 
 (* The command line turns the rejection into one line on stderr and a
    non-zero exit, for `explore --shape shared --refs 2` and
    `--shape fig1 --refs 2` alike.  So it does for every other flag value
-   the model cannot take, naming the value, for a --jobs outside 1..64
-   or a --checkpoint-every below 1, naming the flag, and for a disk
-   failure, naming the path; each exits 1.  cimpc and litmus refuse an unknown
+   the model cannot take, naming the value or the bound's field, for a
+   --jobs outside 1..64, a --checkpoint-every below 1, a walk --steps or
+   harness --muts below 0 and a campaign --budget or --muts below 1,
+   naming the flag, and for a disk failure, naming the path; each exits
+   1.  cimpc and litmus refuse an unknown
    example, source file or test the same way. *)
 let test_cli_misfit_shapes () =
   List.iter
@@ -444,6 +453,21 @@ let test_cli_misfit_shapes () =
       ([ "resume"; "/nonexistent"; "--jobs"; "0" ], "--jobs");
       ([ "campaign"; "--jobs"; "100" ], "--jobs");
       ([ "explore"; "--checkpoint-every"; "0" ], "--checkpoint-every");
+      (* a negative bound would shrink the model until known-unsafe
+         variants pass, or fail inside a shape constructor *)
+      ([ "explore"; "--variant"; "no-deletion-barrier"; "--cycles=-1" ], "max_cycles");
+      ( [ "walk"; "--muts"; "2"; "--refs"; "2"; "--variant"; "no-cas"; "--cycles=-1" ],
+        "max_cycles" );
+      ( [ "explore"; "--variant"; "no-insertion-barrier"; "--refs"; "2"; "--ops=-1" ],
+        "max_mut_ops" );
+      ([ "explore"; "--muts=-1" ], "n_muts");
+      ([ "explore"; "--fields=-1" ], "n_fields");
+      ([ "explore"; "--refs=-2" ], "n_refs");
+      ([ "walk"; "--steps=-10" ], "--steps");
+      ([ "campaign"; "--budget=-1"; "--operators"; "variant" ], "--budget");
+      ([ "campaign"; "--budget=0" ], "--budget");
+      ([ "campaign"; "--muts=0" ], "--muts");
+      ([ "harness"; "--muts=-1" ], "--muts");
     ];
   refused ~exe:"cimpc.exe" [ "run"; "-e"; "counter-race"; "--jobs"; "0" ] "--jobs";
   refused ~exe:"cimpc.exe" [ "run"; "-e"; "nope" ] "nope";
@@ -524,6 +548,12 @@ let test_cli_resume_config_refused () =
       ("variant", {|"variant":"paper",|}, "");
       ("jobs", {|"jobs":1|}, {|"jobs":65|});
       ("checkpoint_every", {|"checkpoint_every":50000|}, {|"checkpoint_every":0|});
+      ("muts", {|"muts":1|}, {|"muts":-1|});
+      ("refs", {|"refs":2|}, {|"refs":-2|});
+      ("fields", {|"fields":1|}, {|"fields":0|});
+      ("buf", {|"buf":1|}, {|"buf":0|});
+      ("cycles", {|"cycles":1|}, {|"cycles":-1|});
+      ("ops", {|"ops":1|}, {|"ops":-1|});
     ];
   write original;
   Alcotest.(check (pair int (list string))) "the untouched checkpoint resumes" (0, [])

@@ -210,28 +210,93 @@ let int_field fields k =
   | None -> Alcotest.failf "field %s missing" k
 
 let test_explore_per_invariant_evals () =
-  (* ISSUE acceptance: on the baseline scenario, every invariant must be
-     evaluated at every visited state — eval counts == states *)
+  (* on the baseline scenario every invariant is evaluated at every
+     visited state, and the per-run records are written once whatever
+     the number of workers: one record per invariant, evals == states *)
+  let n_invariants = List.length (Core.Scenario.invariants Core.Scenario.baseline) in
+  List.iter
+    (fun jobs ->
+      let obs, dump = Obs.Reporter.memory () in
+      let o = Core.Scenario.explore ~jobs ~obs Core.Scenario.baseline in
+      Obs.Reporter.close obs;
+      let records = dump () in
+      let inv_records = records_of_event "invariant" records in
+      Alcotest.(check int)
+        (Fmt.str "jobs=%d: one record per invariant" jobs)
+        n_invariants (List.length inv_records);
+      List.iter
+        (fun fields ->
+          Alcotest.(check int)
+            (Fmt.str "jobs=%d: invariant %s evaluated at every state" jobs
+               (match List.assoc_opt "name" fields with
+               | Some (Obs.Json.String n) -> n
+               | _ -> "?"))
+            o.Check.Explore.states (int_field fields "evals"))
+        inv_records;
+      let outcomes = records_of_event "outcome" records in
+      Alcotest.(check int) (Fmt.str "jobs=%d: one outcome record" jobs) 1 (List.length outcomes);
+      Alcotest.(check int)
+        (Fmt.str "jobs=%d: outcome states agrees with the result" jobs)
+        o.Check.Explore.states
+        (int_field (List.hd outcomes) "states");
+      Alcotest.(check int)
+        (Fmt.str "jobs=%d: one profile record" jobs)
+        1
+        (List.length (records_of_event "profile" records)))
+    [ 1; 2; 4 ]
+
+(* A swarm writes its per-run records once: one [invariant] record per
+   invariant, evaluated at every step, and one [reduction] record with
+   the swarm's total steps and the shared reducer's counters after the
+   join; each walker keeps its own [profile] and [outcome] records,
+   tagged with its domain. *)
+let test_swarm_records_once () =
+  let sc = Core.Scenario.make ~label:"swarm" ~n_refs:2 ~shape:"single" ~max_mut_ops:1 () in
+  let invariants = Core.Scenario.invariants sc in
+  let reducer = Option.get (Core.Reduction.reducer sc.Core.Scenario.cfg Reduce.Mode.All) in
   let obs, dump = Obs.Reporter.memory () in
-  let o = Core.Scenario.explore ~obs Core.Scenario.baseline in
+  let o =
+    Check.Random_walk.swarm ~jobs:3 ~steps:3_000 ~obs ~reducer ~invariants
+      (Core.Scenario.model sc).Core.Model.system
+  in
   Obs.Reporter.close obs;
   let records = dump () in
-  let n_invariants = List.length (Core.Scenario.invariants Core.Scenario.baseline) in
+  Alcotest.(check bool) "no violation" true (o.Check.Random_walk.violation = None);
   let inv_records = records_of_event "invariant" records in
-  Alcotest.(check int) "one record per invariant" n_invariants (List.length inv_records);
+  Alcotest.(check int) "one record per invariant" (List.length invariants)
+    (List.length inv_records);
+  (* the root is checked by each walker, and every step once *)
   List.iter
     (fun fields ->
-      Alcotest.(check int)
-        (Fmt.str "invariant %s evaluated at every state"
-           (match List.assoc_opt "name" fields with
-           | Some (Obs.Json.String n) -> n
-           | _ -> "?"))
-        o.Check.Explore.states (int_field fields "evals"))
+      Alcotest.(check int) "evals: every step and each walker's root" (3_000 + 3)
+        (int_field fields "evals"))
     inv_records;
-  let outcomes = records_of_event "outcome" records in
-  Alcotest.(check int) "exactly one outcome record" 1 (List.length outcomes);
-  Alcotest.(check int) "outcome states agrees with the result" o.Check.Explore.states
-    (int_field (List.hd outcomes) "states")
+  (match records_of_event "reduction" records with
+  | [ r ] ->
+    Alcotest.(check int) "reduction states: the swarm's total steps"
+      o.Check.Random_walk.steps_taken (int_field r "states");
+    List.iter
+      (fun (field, counter) ->
+        Alcotest.(check int) (field ^ ": the reducer's after the join") (Atomic.get counter)
+          (int_field r field))
+      Check.Reducer.
+        [
+          ("sym_permuted", reducer.sym_permuted);
+          ("reg_nulled", reducer.reg_nulled);
+          ("deferred_transitions", reducer.deferred);
+        ]
+  | l -> Alcotest.failf "expected one reduction record, got %d" (List.length l));
+  let domains event =
+    List.sort compare
+      (List.filter_map
+         (fun fields ->
+           if List.mem_assoc "domain" fields then Some (int_field fields "domain") else None)
+         (records_of_event event records))
+  in
+  Alcotest.(check (list int)) "one profile record per walker" [ 0; 1; 2 ] (domains "profile");
+  Alcotest.(check (list int)) "one outcome record per walker" [ 0; 1; 2 ] (domains "outcome");
+  Alcotest.(check int) "and the swarm's outcome" 4
+    (List.length (records_of_event "outcome" records))
 
 let test_explore_jsonl_stream () =
   let path = Filename.temp_file "obs_explore" ".jsonl" in
@@ -428,6 +493,7 @@ let suite =
     Alcotest.test_case "records: every declaration is emitted" `Quick test_records_all_emitted;
     Alcotest.test_case "explore: per-invariant evals == states (baseline)" `Quick
       test_explore_per_invariant_evals;
+    Alcotest.test_case "swarm: per-run records are written once" `Quick test_swarm_records_once;
     Alcotest.test_case "explore: JSONL stream is well-formed" `Quick test_explore_jsonl_stream;
     Alcotest.test_case "explore: coverage sorted, gaps found" `Quick
       test_coverage_sorted_and_gaps;
