@@ -22,17 +22,21 @@ let of_store store =
   let refuse (e : Store.Segment.entry) why =
     raise (Uncertifiable (Printf.sprintf "state 0x%x %s" (e.fp land max_int) why))
   in
-  let rows = ref [] in
+  (* the view holds [count] entries, one per distinct state *)
+  let table =
+    Array.make (Store.Tiered.count store) { Store.Segment.fp = 0; parent = 0; event = 0; meta = 0 }
+  in
+  let rows = ref 0 in
   match
     Store.Tiered.iter store (fun e ->
         if Store.Segment.violation e.meta >= 0 then refuse e "records a violation verdict";
         if not (Store.Segment.expanded e.meta) then
           refuse e "was never expanded — the run is truncated";
-        rows := { e with parent = 0; event = 0 } :: !rows)
+        table.(!rows) <- { e with parent = 0; event = 0 };
+        incr rows)
   with
   | exception Uncertifiable msg -> Error msg
   | () ->
-    let table = Array.of_list !rows in
     Array.sort (fun (a : Store.Segment.entry) b -> compare a.fp b.fp) table;
     Ok (table, Store.Tiered.max_depth store)
 

@@ -4,27 +4,32 @@
    themselves carry closures and cannot be compared); data states must be
    canonical plain OCaml data — everything in the GC model is ints, bools,
    lists, options and flat variants — so structural comparison is sound.
-   The pair is the key for the explorer's seen-set.
+   The pair is the structural key: [equal] compares it, so the reference
+   BFS's seen-set is exact.
 
    Hashing is a compact structural fingerprint: an FNV-1a-style mix over
    the label spine, one word per label (the hash [Cimp.Label.v] computed
    when the program was built), and a traversal of the data
-   representation, computed once when the fingerprint is built
-   ([of_system] or [of_parts]) and cached.  Its values are stored in
-   certificate tables (GCCERT002) and checkpoints (schema 2), so the mix
-   sequence below, and the label hash, are a file format: changing either
-   invalidates every stored fingerprint.  It replaces the former
-   [Hashtbl.hash_param 64 256] polymorphic hash, which (a) re-walked the
-   whole value on every probe, (b) truncated deep states at its
-   meaningful-node budget, and (c) folded to 30 bits.  The structural mix
-   fills a native word (63 bits on 64-bit platforms, never 0), so it can
-   key the parallel explorer's sharded seen-set directly, with collision
-   probability ~ n^2 / 2^63. *)
+   representation, computed once when the fingerprint is built and
+   cached.  The mix reads each slot's spine straight from its frame
+   stack and each payload in place, so building a fingerprint allocates
+   only the record and the closure that rebuilds the key: the checking
+   engine and the validator read only the hash, and the (spine list,
+   payload list) key is built when [equal] asks for it.  Its values are
+   stored in certificate tables (GCCERT002) and checkpoints (schema 2),
+   so the mix sequence below, and the label hash, are a file format:
+   changing either invalidates every stored fingerprint.  It replaces the
+   former [Hashtbl.hash_param 64 256] polymorphic hash, which (a)
+   re-walked the whole value on every probe, (b) truncated deep states at
+   its meaningful-node budget, and (c) folded to 30 bits.  The structural
+   mix fills a native word (63 bits on 64-bit platforms, never 0), so it
+   can key the parallel explorer's sharded seen-set directly, with
+   collision probability ~ n^2 / 2^63. *)
 
 type t = {
   fp : int;  (* compact structural fingerprint; never 0 *)
-  control : Cimp.Label.t list list;
-  data : Stdlib.Obj.t list;
+  key : unit -> Cimp.Label.t list list * Stdlib.Obj.t list;
+      (* builds the (control spines, data payloads) pair the hash mixed *)
 }
 
 (* -- the structural mix ----------------------------------------------------- *)
@@ -79,6 +84,20 @@ and mix_block h o =
   else (* custom blocks (Int64.t etc.): content-hashed polymorphically *)
     mix (mix h 11) (Hashtbl.hash o)
 
+(* The mix sequence: a seed; per slot, the tag 13 then one word per
+   frame (the hash of its head label); the tag 17; per slot, the data
+   walk of its payload.  [of_parts] runs it over assembled lists,
+   [of_slots] over the slots in place; test_check pins its values and
+   test_reduce holds [of_slots] to [of_parts]. *)
+let seed = 0xcbf29ce484222
+
+let rec mix_frames h = function
+  | [] -> h
+  | c :: stack -> mix_frames (mix h (Cimp.Label.hash (Cimp.Com.head_label c))) stack
+
+(* 0 is the parallel seen-set's empty-slot sentinel *)
+let finish h = if h = 0 then 1 else h
+
 (* The data payloads are stashed as Obj.t to keep this module polymorphic in
    the system's state type; they are only ever consumed by the structural
    walk above and the polymorphic [compare], never re-projected. *)
@@ -86,25 +105,35 @@ let of_parts ~control ~data : t =
   let h =
     List.fold_left
       (fun h spine -> List.fold_left (fun h l -> mix h (Cimp.Label.hash l)) (mix h 13) spine)
-      0xcbf29ce484222 control
+      seed control
   in
   let h = List.fold_left mix_obj (mix h 17) data in
-  (* 0 is the parallel seen-set's empty-slot sentinel *)
-  let h = if h = 0 then 1 else h in
-  { fp = h; control; data }
+  { fp = finish h; key = (fun () -> (control, data)) }
+
+let of_slots ~n ~stack ~data : t =
+  let h = ref seed in
+  for q = 0 to n - 1 do
+    h := mix_frames (mix !h 13) (stack q)
+  done;
+  h := mix !h 17;
+  for q = 0 to n - 1 do
+    h := mix_obj !h (Stdlib.Obj.repr (data q))
+  done;
+  let key () =
+    ( List.init n (fun q -> Cimp.Com.stack_labels (stack q)),
+      List.init n (fun q -> Stdlib.Obj.repr (data q)) )
+  in
+  { fp = finish !h; key }
 
 let of_system (sys : ('a, 'v, 's) Cimp.System.t) : t =
-  let n = Cimp.System.n_procs sys in
-  let control = Cimp.System.control_fingerprint sys in
-  let data =
-    List.init n (fun p -> Stdlib.Obj.repr (Cimp.System.proc sys p).Cimp.Com.data)
-  in
-  of_parts ~control ~data
+  of_slots ~n:(Cimp.System.n_procs sys)
+    ~stack:(fun p -> (Cimp.System.proc sys p).Cimp.Com.stack)
+    ~data:(fun p -> (Cimp.System.proc sys p).Cimp.Com.data)
 
 (* Structural equality, with the cached fingerprint as a cheap negative
-   filter (equal structures always have equal fingerprints). *)
-let equal (a : t) (b : t) =
-  a.fp = b.fp && Stdlib.compare (a.control, a.data) (b.control, b.data) = 0
+   filter (equal structures always have equal fingerprints): only then
+   are the two keys built and compared. *)
+let equal (a : t) (b : t) = a.fp = b.fp && Stdlib.compare (a.key ()) (b.key ()) = 0
 
 let hash (a : t) = a.fp
 

@@ -718,7 +718,8 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(obs = Obs.
   Profile.report_invariants obs ~first_violation prof;
   let states = Atomic.get states in
   let transitions = Atomic.get transitions in
-  Reducer.report obs ~checker:"par-explore" reducer ~states ~transitions ~elapsed;
+  Reducer.report obs ~checker:"par-explore" ~fingerprints:true reducer ~states ~transitions
+    ~elapsed;
   let deadlocks = Atomic.get deadlocks in
   let truncated = Atomic.get truncated in
   if Obs.Reporter.enabled obs then begin

@@ -225,8 +225,8 @@ let swarm ?(jobs = 1) ?(seed = 42) ?(steps = 100_000) ?(normal_form = true) ?(tr
   in
   let checker = if jobs = 1 then "walk" else "walk-swarm" in
   Profile.report_invariants obs ~first_violation:(broken o) prof;
-  Reducer.report obs ~checker reducer ~states:o.steps_taken ~transitions:o.steps_taken
-    ~elapsed:o.elapsed;
+  Reducer.report obs ~checker ~fingerprints:false reducer ~states:o.steps_taken
+    ~transitions:o.steps_taken ~elapsed:o.elapsed;
   if jobs > 1 then report_outcome obs ~checker [ ("jobs", Obs.Json.Int jobs) ] o;
   o
 

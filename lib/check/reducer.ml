@@ -66,20 +66,31 @@ let canon_of reducer sys = match reducer with None -> sys | Some r -> r.canon_st
 let name_of = function None -> "none" | Some r -> r.name
 
 (* The "reduction" JSONL record: emitted once per checker run when a
-   reducer is active, next to the existing "outcome" record. *)
-let report obs ~checker reducer ~states ~transitions ~elapsed =
+   reducer is active, next to the existing "outcome" record.  The two
+   canonicalization counters are written only by checkers that call
+   [fingerprint]; a walk takes only [successors], so they would read 0. *)
+let report obs ~checker ~fingerprints reducer ~states ~transitions ~elapsed =
   match reducer with
   | None -> ()
   | Some r ->
     if Obs.Reporter.enabled obs then
+      let canonical =
+        if fingerprints then
+          [
+            ("sym_permuted", Obs.Json.Int (Atomic.get r.sym_permuted));
+            ("reg_nulled", Obs.Json.Int (Atomic.get r.reg_nulled));
+          ]
+        else []
+      in
       Obs.Reporter.emit obs Obs.Record.reduction
-        [
-          ("checker", Obs.Json.String checker);
-          ("reduce", Obs.Json.String r.name);
-          ("states", Obs.Json.Int states);
-          ("transitions", Obs.Json.Int transitions);
-          ("sym_permuted", Obs.Json.Int (Atomic.get r.sym_permuted));
-          ("reg_nulled", Obs.Json.Int (Atomic.get r.reg_nulled));
-          ("deferred_transitions", Obs.Json.Int (Atomic.get r.deferred));
-          ("elapsed_s", Obs.Json.Float elapsed);
-        ]
+        ([
+           ("checker", Obs.Json.String checker);
+           ("reduce", Obs.Json.String r.name);
+           ("states", Obs.Json.Int states);
+           ("transitions", Obs.Json.Int transitions);
+         ]
+        @ canonical
+        @ [
+            ("deferred_transitions", Obs.Json.Int (Atomic.get r.deferred));
+            ("elapsed_s", Obs.Json.Float elapsed);
+          ])

@@ -19,7 +19,11 @@
 type ('a, 'v, 's) t = {
   name : string;  (** "sym", "por", "all", ... — reported in JSONL records *)
   fingerprint : ('a, 'v, 's) Cimp.System.t -> Fingerprint.t;
-      (** canonical fingerprint used for seen-set dedup *)
+      (** canonical fingerprint used for seen-set dedup.  Called on every
+          generated successor; the parallel engine and the validator read
+          only its {!Fingerprint.hash}, so a reducer should mix it in place
+          ({!Fingerprint.of_slots}) and leave the structural key to be
+          built on demand *)
   successors :
     ('a, 'v, 's) Cimp.System.t -> (Cimp.System.event * ('a, 'v, 's) Cimp.System.t) list;
       (** the ample successor set: a subset of {!Cimp.System.steps} that
@@ -59,11 +63,14 @@ val canon_of :
 val name_of : ('a, 'v, 's) t option -> string
 
 (** Emit the "reduction" JSONL record (checker, reduce, states,
-    transitions, sym_permuted, reg_nulled, deferred_transitions,
-    elapsed_s).  No-op when [reducer] is [None] or the sink is null. *)
+    transitions, deferred_transitions, elapsed_s, and, when
+    [fingerprints] says the checker called the reducer's [fingerprint],
+    sym_permuted and reg_nulled).  No-op when [reducer] is [None] or the
+    sink is null. *)
 val report :
   Obs.Reporter.t ->
   checker:string ->
+  fingerprints:bool ->
   ('a, 'v, 's) t option ->
   states:int ->
   transitions:int ->

@@ -90,6 +90,18 @@ let make stack data = { stack = norm stack; data }
    identifies the control state; used by [Check.Fingerprint]. *)
 let stack_labels stack = List.map head_label stack
 
+(* [List.compare Label.compare] of two stacks' spines, read from the
+   frames without building either list. *)
+let rec compare_spines a b =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | c :: a, d :: b ->
+    let l = head_label c and l' = head_label d in
+    let k = if l == l' then 0 else Label.compare l l' in
+    if k <> 0 then k else compare_spines a b
+
 (* Labels at which control may take its next atomic action.  A [Choose]
    offers all of its alternatives; other commands offer their head.  This is
    the executable counterpart of the paper's [at p l] predicate. *)

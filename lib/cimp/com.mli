@@ -77,6 +77,10 @@ val make : ('a, 'v, 's) t list -> 's -> ('a, 'v, 's) config
     identifies the control state. *)
 val stack_labels : ('a, 'v, 's) t list -> Label.t list
 
+(** [compare_spines a b] = [List.compare Label.compare (stack_labels a)
+    (stack_labels b)], without building either spine. *)
+val compare_spines : ('a, 'v, 's) t list -> ('a, 'v, 's) t list -> int
+
 (** Labels at which control can take its next atomic action — the
     executable counterpart of the paper's [at p l] predicate.  A [Choose]
     contributes all of its branch heads. *)

@@ -14,9 +14,10 @@
 
     The name is the representation's first field and the hash is a
     function of it, so polymorphic [Stdlib.compare] orders labels exactly
-    as {!compare} does, by name.  [Reduce.Symmetry]'s sort key and
-    [Check.Fingerprint.equal] compare spines polymorphically and rely on
-    this. *)
+    as {!compare} does, by name.  [Check.Fingerprint.equal] compares
+    spines polymorphically, and the GC model's symmetry order compares
+    them with {!compare} ({!Com.compare_spines}) where the key tuple
+    it replaced compared them polymorphically; both rely on this. *)
 
 type t
 

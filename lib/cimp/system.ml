@@ -119,6 +119,21 @@ let map_data sys p f =
   let cfg = sys.procs.(p) in
   set1 sys p { cfg with Com.data = f cfg.Com.data }
 
+(* Every process's data replaced by [f p cfg], copying the process array
+   at most once, on the first payload [f] changes (by [!=]); [sys]
+   itself when it changes none. *)
+let rewrite_data sys f =
+  let procs = ref sys.procs in
+  for p = 0 to Array.length sys.procs - 1 do
+    let cfg = sys.procs.(p) in
+    let d = f p cfg in
+    if d != cfg.Com.data then begin
+      if !procs == sys.procs then procs := Array.copy sys.procs;
+      !procs.(p) <- { cfg with Com.data = d }
+    end
+  done;
+  if !procs == sys.procs then sys else { sys with procs = !procs }
+
 (* Control fingerprint: the label spine of every process's frame stack.
    With globally unique labels this characterises global control state. *)
 let control_fingerprint sys =

@@ -6,8 +6,10 @@
     definite-tau steps, which never rest in normal form.  See DESIGN.md
     "State-space reduction" for the full argument. *)
 
-(** The symmetry spec: mutator pids are interchangeable, sorted on
-    (control spine, canonicalized local data, per-pid Sys slices);
+(** The symmetry spec: mutator pids are interchangeable, ordered by a
+    typed comparator, lexicographic over (control spine, canonicalized
+    local data, store buffer, work-list, honorary grey, handshake
+    triple, lock bit) and equal to polymorphic [compare] on that tuple;
     permutation is skipped inside the handshake signal loop, the one
     window where the collector addresses mutators by index. *)
 val spec : Config.t -> (Types.req, Types.value, State.t) Reduce.Symmetry.spec

@@ -41,8 +41,10 @@ let profile =
 
 let reduction =
   declare "reduction" "explorer / walker, when `--reduce` is not `none`"
-    "checker reduce states transitions sym_permuted reg_nulled deferred_transitions elapsed_s"
-    "What the reducer collapsed over a run, once per run (a swarm's counts its total steps)."
+    ~optional:"sym_permuted reg_nulled"
+    "checker reduce states transitions deferred_transitions elapsed_s"
+    "What the reducer collapsed over a run, once per run (a swarm's counts its total steps); \
+     only explorers, which fingerprint states, report `sym_permuted` and `reg_nulled`."
 
 let outcome_explore =
   declare "outcome" "explorer (`Check.Par_explore`)"

@@ -41,33 +41,36 @@
 
 type policy = { deferrable : Cimp.System.event -> bool }
 
-module IntMap = Map.Make (Int)
+(* The successors of owner [p] at the front of a list grouped by owner,
+   dropped. *)
+let rec drop_owner p = function
+  | (e, _) :: rest when Cimp.System.event_owner e = p -> drop_owner p rest
+  | l -> l
+
+(* One scan of an owner-grouped successor list: every owner whose group
+   is one deferrable transition, reversed. *)
+let rec singletons policy picked = function
+  | [] -> picked
+  | ((e, _) as t) :: rest -> (
+    let p = Cimp.System.event_owner e in
+    match rest with
+    | (e', _) :: _ when Cimp.System.event_owner e' = p ->
+      singletons policy picked (drop_owner p rest)
+    | _ -> singletons policy (if policy.deferrable e then t :: picked else picked) rest)
 
 (* [ample policy succs] = (ample set, number of deferred transitions).
-   Takes the full successor list so callers can reuse it. *)
+   Takes the full successor list, grouped by owner in ascending pid as
+   [Cimp.System.steps] returns it, so callers can reuse it; the ample
+   set keeps that pid order, for determinism. *)
 let ample policy succs =
   match succs with
   | [] | [ _ ] -> (succs, 0)
-  | _ ->
-    let by_owner =
-      List.fold_left
-        (fun m ((e, _) as t) ->
-          let p = Cimp.System.event_owner e in
-          IntMap.update p (function None -> Some [ t ] | Some ts -> Some (t :: ts)) m)
-        IntMap.empty succs
-    in
-    (* every owner whose whole enabled set is one deferrable transition;
-       IntMap.bindings keeps the result in pid order, for determinism *)
-    let picked =
-      List.filter_map
-        (function
-          | _, [ ((e, _) as t) ] when policy.deferrable e -> Some t
-          | _ -> None)
-        (IntMap.bindings by_owner)
-    in
-    (match picked with
+  | _ -> (
+    match singletons policy [] succs with
     | [] -> (succs, 0)
-    | ts -> (ts, List.length succs - List.length ts))
+    | picked ->
+      let ts = List.rev picked in
+      (ts, List.length succs - List.length ts))
 
 (* The successor function for Check.Reducer, counting deferrals. *)
 let successors policy ~deferred sys =

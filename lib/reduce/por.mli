@@ -19,7 +19,9 @@
 type policy = { deferrable : Cimp.System.event -> bool }
 
 (** [ample policy succs] = (ample set, deferred count), given the full
-    successor list of a state. *)
+    successor list of a state as {!Cimp.System.steps} returns it: grouped
+    by owner ({!Cimp.System.event_owner}) in ascending pid.  One scan
+    finds the single-transition owners; the ample set keeps pid order. *)
 val ample :
   policy ->
   (Cimp.System.event * ('a, 'v, 's) Cimp.System.t) list ->

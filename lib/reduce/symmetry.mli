@@ -1,9 +1,9 @@
 (** Symmetry + register-liveness canonical fingerprints.
 
     Interchangeable processes are sorted into a canonical order by a
-    structural key; local registers that are dead at the current control
-    point are nulled.  The sort happens only in the fingerprint the
-    checker dedups on; the nulling additionally yields an executable
+    typed comparator; local registers that are dead at the current
+    control point are nulled.  The sort happens only in the fingerprint
+    the checker dedups on; the nulling additionally yields an executable
     representative ({!canon_state}) that the checkers expand per fresh
     class.  A permuted state is executable too ({!permute}): the property
     tests run it to check the premises below.
@@ -19,23 +19,24 @@
 type ('a, 'v, 's) spec = {
   sym_pids : Cimp.System.pid list;
   canon_local :
-    ('a, 'v, 's) Cimp.System.t -> pid:Cimp.System.pid -> spine:Cimp.Label.t list -> 's -> 's;
-      (** [canon_local sys ~pid ~spine d] nulls the dead registers of
-          process [pid]'s data [d].  [spine] is that process's label
-          spine ({!Cimp.Com.stack_labels} of its frame stack, head label
-          first), computed once by the caller and shared with [key] and
-          the fingerprint.  Must return [d] physically unchanged when no
-          rule fires; change is detected by [!=] *)
-  key :
     ('a, 'v, 's) Cimp.System.t ->
     pid:Cimp.System.pid ->
-    spine:Cimp.Label.t list ->
-    canon:'s ->
-    Stdlib.Obj.t;
-      (** [key sys ~pid ~spine ~canon]: structural sort key of symmetric
-          process [pid], given its label spine and its [canon_local]
-          data.  Must cover the control spine, the canonical local data,
-          and every per-process slice of shared state *)
+    stack:('a, 'v, 's) Cimp.Com.t list ->
+    's ->
+    's;
+      (** [canon_local sys ~pid ~stack d] nulls the dead registers of
+          process [pid]'s data [d].  [stack] is that process's frame
+          stack, whose head label is its current control point
+          ({!Cimp.Com.head_label}).  Must return [d] physically unchanged
+          when no rule fires; change is detected by [!=] *)
+  compare_pids :
+    ('a, 'v, 's) Cimp.System.t -> canon:'s array -> Cimp.System.pid -> Cimp.System.pid -> int;
+      (** [compare_pids sys ~canon p q] orders symmetric processes [p]
+          and [q], where [canon.(r)] is process [r]'s [canon_local]
+          data.  It must be a total preorder covering each process's
+          control spine ({!Cimp.Com.compare_spines}), its canonical
+          local data, and every per-process slice of shared state; the
+          canonical order sorts the symmetric pids by it, stably *)
   permute_ok : ('a, 'v, 's) Cimp.System.t -> bool;
   rename_shared : perm:(Cimp.System.pid -> Cimp.System.pid) -> pid:Cimp.System.pid -> 's -> 's;
       (** [rename_shared ~perm ~pid d]: move the per-process slices of
@@ -47,8 +48,9 @@ type ('a, 'v, 's) spec = {
 
 (** [canon_state spec sys]: the executable canonical representative —
     [sys] with every process's dead registers nulled, pids untouched.
-    Physically equal to [sys] when no nulling rule fires; idempotent;
-    preserves {!canonical_fingerprint}. *)
+    Physically equal to [sys] when no nulling rule fires, and copies the
+    process array at most once otherwise; idempotent; preserves
+    {!canonical_fingerprint}. *)
 val canon_state : ('a, 'v, 's) spec -> ('a, 'v, 's) Cimp.System.t -> ('a, 'v, 's) Cimp.System.t
 
 (** [permute spec perm sys]: the runnable system with process [p] in
@@ -67,7 +69,9 @@ val permutations : 'a list -> 'a list list
 (** [canonical_fingerprint spec sys] = [(fp, permuted, nulled)]: the
     fingerprint of the canonical representative, whether the sort moved
     any process, and whether any dead register was nulled.  Pure and
-    domain-safe (the checkers' workers call it concurrently); builds
-    each process's spine once per call. *)
+    domain-safe (the checkers' workers call it concurrently).  The
+    representative's spines and payloads are mixed in place
+    ({!Check.Fingerprint.of_slots}); no spine list is built unless the
+    fingerprint's key is compared. *)
 val canonical_fingerprint :
   ('a, 'v, 's) spec -> ('a, 'v, 's) Cimp.System.t -> Check.Fingerprint.t * bool * bool

@@ -10,9 +10,17 @@
 val add_varint : Buffer.t -> int -> unit
 (** Append one int's LEB128 bit-pattern encoding (1–9 bytes). *)
 
+val varint_size : int -> int
+(** The number of bytes {!add_varint} appends for an int. *)
+
 (** [get_varint b pos] decodes one varint at [pos]; returns the value and
     the position just past it. *)
 val get_varint : Bytes.t -> int -> int * int
+
+(** [read_varint b ~len pos] decodes one varint of the first [len] bytes
+    of [b] at [!pos] and advances [pos] past it, allocating nothing.
+    @raise Invalid_argument if the varint runs past [len] (or past [b]). *)
+val read_varint : Bytes.t -> len:int -> int ref -> int
 
 (** Upper bound on the encoded size of any int (9 bytes: ceil 63/7). *)
 val max_varint_bytes : int

@@ -59,15 +59,19 @@ let digest t =
 let mem_bytes t =
   Bloom.bytes t.bloom + (2 * 8 * Array.length t.index_fp) + 96 (* record + headers *)
 
+(* Two passes over the entries: the first checks them and lays out the
+   Bloom filter, the block index and the data region's length, which the
+   header carries; the second encodes the data region into the file
+   behind the header, a block at a time. *)
 let write ~path ~shard ~seq entries =
   let n = Array.length entries in
   let bloom = Bloom.create ~expected:n in
-  let data = Buffer.create (32 * n) in
   let n_blocks = (n + block_size - 1) / block_size in
-  let index_fp = Array.make (max 1 n_blocks) 0 in
-  let index_off = Array.make (max 1 n_blocks) 0 in
+  let index_fp = Array.make n_blocks 0 in
+  let index_off = Array.make n_blocks 0 in
   let prev = ref 0 in
   let max_depth = ref 0 in
+  let data_len = ref 0 in
   Array.iteri
     (fun i e ->
       if e.fp = 0 then invalid_arg "Segment.write: zero fingerprint";
@@ -77,14 +81,14 @@ let write ~path ~shard ~seq entries =
       Bloom.add bloom e.fp;
       if i mod block_size = 0 then begin
         index_fp.(i / block_size) <- e.fp;
-        index_off.(i / block_size) <- Buffer.length data;
-        Codec.add_varint data e.fp
+        index_off.(i / block_size) <- !data_len;
+        data_len := !data_len + Codec.varint_size e.fp
       end
-      else Codec.add_varint data (e.fp - !prev);
+      else data_len := !data_len + Codec.varint_size (e.fp - !prev);
       prev := e.fp;
-      Codec.add_varint data e.parent;
-      Codec.add_varint data e.event;
-      Codec.add_varint data e.meta)
+      data_len :=
+        !data_len + Codec.varint_size e.parent + Codec.varint_size e.event
+        + Codec.varint_size e.meta)
     entries;
   let header = Buffer.create 1024 in
   Codec.add_varint header shard;
@@ -97,14 +101,28 @@ let write ~path ~shard ~seq entries =
     Codec.add_varint header index_fp.(b);
     Codec.add_varint header index_off.(b)
   done;
-  Codec.add_varint header (Buffer.length data);
+  Codec.add_varint header !data_len;
   let hlen = Buffer.create Codec.max_varint_bytes in
   Codec.add_varint hlen (Buffer.length header);
+  (* one block at a time through one buffer *)
+  let block = Buffer.create 4096 in
   Fs.write path (fun oc ->
       output_string oc magic;
       Buffer.output_buffer oc hlen;
       Buffer.output_buffer oc header;
-      Buffer.output_buffer oc data);
+      Array.iteri
+        (fun i e ->
+          if i mod block_size = 0 then begin
+            Buffer.output_buffer oc block;
+            Buffer.clear block;
+            Codec.add_varint block e.fp
+          end
+          else Codec.add_varint block (e.fp - entries.(i - 1).fp);
+          Codec.add_varint block e.parent;
+          Codec.add_varint block e.event;
+          Codec.add_varint block e.meta)
+        entries;
+      Buffer.output_buffer oc block);
   let data_pos = String.length magic + Buffer.length hlen + Buffer.length header in
   {
     path;
@@ -113,11 +131,11 @@ let write ~path ~shard ~seq entries =
     n;
     max_depth = !max_depth;
     bloom;
-    index_fp = Array.sub index_fp 0 n_blocks;
-    index_off = Array.sub index_off 0 n_blocks;
+    index_fp;
+    index_off;
     data_pos;
-    data_len = Buffer.length data;
-    disk_bytes = data_pos + Buffer.length data;
+    data_len = !data_len;
+    disk_bytes = data_pos + !data_len;
     digest = None;
   }
 
@@ -193,22 +211,22 @@ let load ?digest path =
         }
       with End_of_file | Invalid_argument _ -> corrupt path)
 
-(* Decode the [count] entries of the block stored in [buf], calling [f]
-   on each; stops early when [f] returns false. *)
-let decode_block path buf count f =
-  let get pos = try Codec.get_varint buf pos with Invalid_argument _ -> corrupt path in
+(* Decode the [count] entries of the block held in the first [len]
+   bytes of [buf], calling [f] on each; stops early when [f] returns
+   false. *)
+let decode_block path buf len count f =
   let pos = ref 0 in
+  let get () = try Codec.read_varint buf ~len pos with Invalid_argument _ -> corrupt path in
   let prev = ref 0 in
   let i = ref 0 in
   let go = ref true in
   while !go && !i < count do
-    let d, p = get !pos in
+    let d = get () in
     let fp = if !i = 0 then d else !prev + d in
     prev := fp;
-    let parent, p = get p in
-    let event, p = get p in
-    let meta, p = get p in
-    pos := p;
+    let parent = get () in
+    let event = get () in
+    let meta = get () in
     incr i;
     go := f { fp; parent; event; meta }
   done
@@ -221,10 +239,12 @@ let read_at path pos len =
       try really_input ic buf 0 len with End_of_file -> corrupt path);
   buf
 
-let read_block t b =
-  let off = t.index_off.(b) in
+(* block [b]'s length in bytes *)
+let block_len t b =
   let next = if b + 1 < Array.length t.index_off then t.index_off.(b + 1) else t.data_len in
-  read_at t.path (t.data_pos + off) (next - off)
+  next - t.index_off.(b)
+
+let read_block t b = read_at t.path (t.data_pos + t.index_off.(b)) (block_len t b)
 
 let block_count t b = min block_size (t.n - (b * block_size))
 
@@ -242,7 +262,7 @@ let find t fp =
     done;
     let buf = read_block t !lo in
     let found = ref None in
-    decode_block t.path buf (block_count t !lo) (fun e ->
+    decode_block t.path buf (Bytes.length buf) (block_count t !lo) (fun e ->
         if e.fp = fp then begin
           found := Some e;
           false
@@ -251,16 +271,28 @@ let find t fp =
     !found
   end
 
+(* The blocks are contiguous from the start of the data region, so one
+   sequential pass reads them, each into the one buffer, which is as
+   long as the longest block. *)
 let iter t f =
   if t.n > 0 then begin
-    let data = read_at t.path t.data_pos t.data_len in
-    for b = 0 to Array.length t.index_off - 1 do
-      let off = t.index_off.(b) in
-      let next = if b + 1 < Array.length t.index_off then t.index_off.(b + 1) else t.data_len in
-      decode_block t.path (Bytes.sub data off (next - off)) (block_count t b) (fun e ->
-          f e;
-          true)
-    done
+    let n_blocks = Array.length t.index_off in
+    let longest = ref 0 in
+    for b = 0 to n_blocks - 1 do
+      longest := max !longest (block_len t b)
+    done;
+    let buf = Bytes.create !longest in
+    let each e =
+      f e;
+      true
+    in
+    In_channel.with_open_bin t.path (fun ic ->
+        seek_in ic t.data_pos;
+        for b = 0 to n_blocks - 1 do
+          let len = block_len t b in
+          (try really_input ic buf 0 len with End_of_file -> corrupt t.path);
+          decode_block t.path buf len (block_count t b) each
+        done)
   end
 
 let entries t =

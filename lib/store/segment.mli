@@ -117,8 +117,9 @@ val maybe : t -> int -> bool
 (** Exact membership probe: Bloom-gated single-block read. *)
 val find : t -> int -> entry option
 
-(** All entries in fingerprint order (one sequential read of the data
-    region). *)
+(** All entries in fingerprint order: one sequential pass over the data
+    region, a block at a time through one reused buffer, so a corrupt
+    block raises after [f] has seen the blocks before it. *)
 val iter : t -> (entry -> unit) -> unit
 
 val entries : t -> entry array

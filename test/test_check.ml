@@ -511,8 +511,9 @@ let prop_explore_counts_reachable_values =
       o.Check.Explore.states = expected)
 
 (* qcheck: polymorphic compare orders labels as [String.compare] orders
-   their names (the symmetry sort key and [Fingerprint.equal] compare
-   spines polymorphically).  Names are drawn from a small alphabet so that
+   their names ([Fingerprint.equal] compares spines polymorphically, and
+   the symmetry order by name, as its key-tuple oracle did
+   polymorphically).  Names are drawn from a small alphabet so that
    equal names, shared prefixes and the empty name are common. *)
 let prop_label_compare_is_name_order =
   let name = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; ':'; '-' ]) (int_bound 6)) in

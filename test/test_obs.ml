@@ -245,11 +245,42 @@ let test_explore_per_invariant_evals () =
         (List.length (records_of_event "profile" records)))
     [ 1; 2; 4 ]
 
+(* An explorer fingerprints every successor, so its [reduction] record
+   carries the reducer's three counters. *)
+let test_explore_reduction_record () =
+  let sc =
+    Core.Scenario.make ~label:"reduced" ~n_muts:2 ~n_refs:2 ~shape:"single" ~max_mut_ops:1 ()
+  in
+  let reducer = Option.get (Core.Reduction.reducer sc.Core.Scenario.cfg Reduce.Mode.All) in
+  let obs, dump = Obs.Reporter.memory () in
+  let o =
+    Check.Par_explore.run ~jobs:1 ~obs ~reducer ~invariants:(Core.Scenario.invariants sc)
+      (Core.Scenario.model sc).Core.Model.system
+  in
+  Obs.Reporter.close obs;
+  match records_of_event "reduction" (dump ()) with
+  | [ r ] ->
+    Alcotest.(check int) "states" o.Check.Explore.states (int_field r "states");
+    List.iter
+      (fun (field, counter) ->
+        Alcotest.(check int) (field ^ ": the reducer's") (Atomic.get counter) (int_field r field))
+      Check.Reducer.
+        [
+          ("sym_permuted", reducer.sym_permuted);
+          ("reg_nulled", reducer.reg_nulled);
+          ("deferred_transitions", reducer.deferred);
+        ];
+    Alcotest.(check bool) "the symmetry sort moved some state" true
+      (int_field r "sym_permuted" > 0)
+  | l -> Alcotest.failf "expected one reduction record, got %d" (List.length l)
+
 (* A swarm writes its per-run records once: one [invariant] record per
    invariant, evaluated at every step, and one [reduction] record with
-   the swarm's total steps and the shared reducer's counters after the
-   join; each walker keeps its own [profile] and [outcome] records,
-   tagged with its domain. *)
+   the swarm's total steps and the shared reducer's deferral counter
+   after the join (a walk never fingerprints, so the two
+   canonicalization counters are left out, not written as 0); each
+   walker keeps its own [profile] and [outcome] records, tagged with its
+   domain. *)
 let test_swarm_records_once () =
   let sc = Core.Scenario.make ~label:"swarm" ~n_refs:2 ~shape:"single" ~max_mut_ops:1 () in
   let invariants = Core.Scenario.invariants sc in
@@ -275,16 +306,14 @@ let test_swarm_records_once () =
   | [ r ] ->
     Alcotest.(check int) "reduction states: the swarm's total steps"
       o.Check.Random_walk.steps_taken (int_field r "states");
+    Alcotest.(check int) "deferred_transitions: the reducer's after the join"
+      (Atomic.get reducer.Check.Reducer.deferred)
+      (int_field r "deferred_transitions");
     List.iter
-      (fun (field, counter) ->
-        Alcotest.(check int) (field ^ ": the reducer's after the join") (Atomic.get counter)
-          (int_field r field))
-      Check.Reducer.
-        [
-          ("sym_permuted", reducer.sym_permuted);
-          ("reg_nulled", reducer.reg_nulled);
-          ("deferred_transitions", reducer.deferred);
-        ]
+      (fun field ->
+        Alcotest.(check bool) (field ^ ": omitted from a walk's record") false
+          (List.mem_assoc field r))
+      [ "sym_permuted"; "reg_nulled" ]
   | l -> Alcotest.failf "expected one reduction record, got %d" (List.length l));
   let domains event =
     List.sort compare
@@ -493,6 +522,8 @@ let suite =
     Alcotest.test_case "records: every declaration is emitted" `Quick test_records_all_emitted;
     Alcotest.test_case "explore: per-invariant evals == states (baseline)" `Quick
       test_explore_per_invariant_evals;
+    Alcotest.test_case "explore: the reduction record carries every counter" `Quick
+      test_explore_reduction_record;
     Alcotest.test_case "swarm: per-run records are written once" `Quick test_swarm_records_once;
     Alcotest.test_case "explore: JSONL stream is well-formed" `Quick test_explore_jsonl_stream;
     Alcotest.test_case "explore: coverage sorted, gaps found" `Quick
