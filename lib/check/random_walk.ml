@@ -20,11 +20,14 @@ let pp_outcome ppf o =
 (* a walk restarts from the root after this many steps *)
 let max_run_length = 5_000
 
-let broken o = Option.map (fun tr -> tr.Trace.broken) o.violation
+(* The run in which a walker broke an invariant: the index of the
+   successor it chose at each step from the root.  That is all a walker
+   keeps of a run, so no visited state outlives its successor. *)
+type found = { picks : int array; broken : string }
 
 (* An [outcome] record: a walker's ([tag] is its [domain], if any) or a
    swarm's ([tag] is [jobs]). *)
-let report_outcome obs ~checker tag o =
+let report_outcome obs ~checker tag ~broken o =
   if Obs.Reporter.enabled obs then
     Obs.Reporter.emit obs Obs.Record.outcome_walk
       ((("checker", Obs.Json.String checker) :: tag)
@@ -33,7 +36,7 @@ let report_outcome obs ~checker tag o =
           ("runs", Obs.Json.Int o.runs);
           ("dead_end_restarts", Obs.Json.Int o.restarts);
           ( "violation",
-            match broken o with None -> Obs.Json.Null | Some name -> Obs.Json.String name );
+            match broken with None -> Obs.Json.Null | Some name -> Obs.Json.String name );
           ("elapsed_s", Obs.Json.Float o.elapsed);
           ( "steps_per_sec",
             Obs.Json.Float
@@ -41,9 +44,10 @@ let report_outcome obs ~checker tag o =
         ])
 
 (* One walker.  It writes its own heartbeat, profile and outcome records
-   (tagged with [domain] in a swarm) and returns its outcome with its
-   profile; the per-run records are the swarm's. *)
-let walker ~normal_form ~trace_tail ~obs ~tracer ~heartbeat_every ~reducer ~invariants initial
+   (tagged with [domain] in a swarm) and returns its counts (with no
+   [violation]: the swarm rebuilds the trace from what it [found]) and
+   its profile; the per-run records are the swarm's. *)
+let walker ~normal_form ~obs ~tracer ~heartbeat_every ~reducer ~invariants initial
     ~seed ~steps ~should_stop ?domain () =
   let domain_field = match domain with None -> [] | Some d -> [ ("domain", Obs.Json.Int d) ] in
   (* one tracer lane per walker, indexed by the swarm domain (lane 0 for a
@@ -59,7 +63,6 @@ let walker ~normal_form ~trace_tail ~obs ~tracer ~heartbeat_every ~reducer ~inva
   let tr_t0 = Obs.Tracing.now tracer in
   let tr_taken = ref 0 in
   let tr_start = ref tr_t0 in
-  let trace_tail = max 1 trace_tail in
   let t0 = Obs.Clock.monotonic_ns () in
   (* the layers, wrapped once; only the profile record reads them (the
      walk keeps no seen-set, so it has no fingerprint or insert layer) *)
@@ -71,7 +74,9 @@ let walker ~normal_form ~trace_tail ~obs ~tracer ~heartbeat_every ~reducer ~inva
   let check = Profile.check prof in
   let initial = norm initial in
   let rng = Random.State.make [| seed |] in
-  let violation = ref None in
+  (* the current run's choices: one int per step, written in place *)
+  let picks = Array.make max_run_length 0 in
+  let found = ref None in
   let taken = ref 0 in
   let runs = ref 0 in
   let restarts = ref 0 in
@@ -108,19 +113,14 @@ let walker ~normal_form ~trace_tail ~obs ~tracer ~heartbeat_every ~reducer ~inva
   in
   (match check initial with
   | -1 -> ()
-  | i -> violation := Some { Trace.initial; steps = []; broken = Profile.name prof i });
-  while !violation = None && !taken < steps && not (should_stop ()) do
+  | i -> found := Some { picks = [||]; broken = Profile.name prof i });
+  while !found = None && !taken < steps && not (should_stop ()) do
     incr runs;
     let sys = ref initial in
     let len = ref 0 in
-    (* counterexample memory is bounded: keep only the newest [trace_tail]
-       (amortized: truncate on reaching twice that) of the walk, newest
-       first — deep walks would otherwise retain every intermediate state *)
-    let rev_steps = ref [] in
-    let tail_len = ref 0 in
     let continue = ref true in
     while
-      !continue && !violation = None && !taken < steps && !len < max_run_length
+      !continue && !found = None && !taken < steps && !len < max_run_length
       && not (should_stop ())
     do
       match succs_of !sys with
@@ -129,24 +129,16 @@ let walker ~normal_form ~trace_tail ~obs ~tracer ~heartbeat_every ~reducer ~inva
         incr restarts;
         continue := false
       | succs ->
-        let event, sys' = List.nth succs (Random.State.int rng (List.length succs)) in
-        let sys' = norm sys' in
+        let pick = Random.State.int rng (List.length succs) in
+        let sys' = norm (snd (List.nth succs pick)) in
         sys := sys';
+        picks.(!len) <- pick;
         incr taken;
         incr len;
-        rev_steps := { Trace.event; state = sys' } :: !rev_steps;
-        incr tail_len;
-        if !tail_len >= 2 * trace_tail then begin
-          rev_steps := List.filteri (fun i _ -> i < trace_tail) !rev_steps;
-          tail_len := trace_tail
-        end;
         heartbeat ();
         (match check sys' with
         | -1 -> ()
-        | bad ->
-          let tail = List.filteri (fun i _ -> i < trace_tail) !rev_steps in
-          violation :=
-            Some { Trace.initial; steps = List.rev tail; broken = Profile.name prof bad })
+        | bad -> found := Some { picks = Array.sub picks 0 !len; broken = Profile.name prof bad })
     done
   done;
   let elapsed = Obs.Clock.elapsed_s ~since:t0 in
@@ -159,14 +151,47 @@ let walker ~normal_form ~trace_tail ~obs ~tracer ~heartbeat_every ~reducer ~inva
           ("runs", Obs.Json.Int !runs);
           ("dead_end_restarts", Obs.Json.Int !restarts);
         ];
-  let o =
-    { steps_taken = !taken; runs = !runs; restarts = !restarts; violation = !violation; elapsed }
-  in
+  let o = { steps_taken = !taken; runs = !runs; restarts = !restarts; violation = None; elapsed } in
   (* the walk has no seen-set, so "states" is the steps taken *)
   Profile.report obs ~checker:"walk" ?domain ~states:!taken ~transitions:!taken ~elapsed
     ~busy_s:elapsed prof;
-  report_outcome obs ~checker:"walk" domain_field o;
-  (o, prof)
+  report_outcome obs ~checker:"walk" domain_field
+    ~broken:(Option.map (fun f -> f.broken) !found)
+    o;
+  (o, !found, prof)
+
+(* -- the counterexample ------------------------------------------------------
+
+   The finder's whole run is rebuilt after the join: from the normalized
+   root, take the successor the walker picked at each step, through the
+   walk's own successor function and normalization (unwrapped: the
+   rebuild is no part of the walk's profile).  It replays the indices
+   rather than the events through [Trace.replay], which fires events
+   against [Cimp.System.steps]:
+   - a walk computes no fingerprints, so a replay of events could not
+     tell apart successors that share an event (a [sys:dequeue] is
+     offered once per buffering process);
+   - under a reducer the walk sampled from the reducer's successor list,
+     not from [Cimp.System.steps].
+   The reducer's counters are put back as the walk left them, so its
+   [reduction] record counts the walk's steps alone. *)
+let rebuild ~normal_form ~reducer initial { picks; broken } =
+  let norm = if normal_form then Cimp.System.normalize else Fun.id in
+  let counters =
+    match reducer with
+    | None -> []
+    | Some r -> Reducer.[ r.sym_permuted; r.reg_nulled; r.deferred ]
+  in
+  let saved = List.map Atomic.get counters in
+  let step (sys, rev_steps) pick =
+    let event, sys' = List.nth (Reducer.succs_of reducer sys) pick in
+    let sys' = norm sys' in
+    (sys', { Trace.event; state = sys' } :: rev_steps)
+  in
+  let initial = norm initial in
+  let _, rev_steps = Array.fold_left step (initial, []) picks in
+  List.iter2 Atomic.set counters saved;
+  { Trace.initial; steps = List.rev rev_steps; broken }
 
 (* -- the swarm --------------------------------------------------------------
 
@@ -181,16 +206,14 @@ let walker ~normal_form ~trace_tail ~obs ~tracer ~heartbeat_every ~reducer ~inva
 
 let derive_seed seed k = seed lxor ((k + 1) * 0x9E3779B1)
 
-let swarm ?(jobs = 1) ?(seed = 42) ?(steps = 100_000) ?(normal_form = true) ?(trace_tail = 1000)
+let swarm ?(jobs = 1) ?(seed = 42) ?(steps = 100_000) ?(normal_form = true)
     ?(obs = Obs.Reporter.null) ?(tracer = Obs.Tracing.null) ?(heartbeat_every = 20_000) ?reducer
     ~invariants initial =
   if jobs < 1 || jobs > Par_explore.max_jobs then
     invalid_arg
       (Printf.sprintf "Random_walk.swarm: jobs = %d, expected 1..%d" jobs Par_explore.max_jobs);
-  let walk =
-    walker ~normal_form ~trace_tail ~obs ~tracer ~heartbeat_every ~reducer ~invariants initial
-  in
-  let o, prof =
+  let walk = walker ~normal_form ~obs ~tracer ~heartbeat_every ~reducer ~invariants initial in
+  let o, found, prof =
     if jobs = 1 then walk ~seed ~steps ~should_stop:(fun () -> false) ()
     else begin
       let t0 = Obs.Clock.monotonic_ns () in
@@ -200,37 +223,39 @@ let swarm ?(jobs = 1) ?(seed = 42) ?(steps = 100_000) ?(normal_form = true) ?(tr
          domains take the remainder, so the total is exactly [steps] *)
       let budget k = (steps / jobs) + if k < steps mod jobs then 1 else 0 in
       let worker k () =
-        let ((o, _) as r) =
+        let ((_, found, _) as r) =
           walk ~seed:(derive_seed seed k) ~steps:(budget k) ~should_stop ~domain:k ()
         in
-        if o.violation <> None then Atomic.set stop true;
+        if found <> None then Atomic.set stop true;
         r
       in
       let doms = Array.init (jobs - 1) (fun j -> Domain.spawn (worker (j + 1))) in
-      let r0 = worker 0 () in
-      let outcomes, profs = List.split (r0 :: Array.to_list (Array.map Domain.join doms)) in
-      let total f = List.fold_left (fun n o -> n + f o) 0 outcomes in
+      let walked = worker 0 () :: Array.to_list (Array.map Domain.join doms) in
+      let total f = List.fold_left (fun n (o, _, _) -> n + f o) 0 walked in
       let o =
         {
           steps_taken = total (fun o -> o.steps_taken);
           runs = total (fun o -> o.runs);
           restarts = total (fun o -> o.restarts);
-          (* lowest-domain-index winner; when no domain found one, None *)
-          violation = List.find_map (fun o -> o.violation) outcomes;
+          violation = None;
           elapsed = Obs.Clock.elapsed_s ~since:t0;
         }
       in
-      (o, Profile.merge profs)
+      (* lowest-domain-index winner; when no domain found one, None *)
+      ( o,
+        List.find_map (fun (_, found, _) -> found) walked,
+        Profile.merge (List.map (fun (_, _, prof) -> prof) walked) )
     end
   in
+  let o = { o with violation = Option.map (rebuild ~normal_form ~reducer initial) found } in
+  let broken = Option.map (fun f -> f.broken) found in
   let checker = if jobs = 1 then "walk" else "walk-swarm" in
-  Profile.report_invariants obs ~first_violation:(broken o) prof;
+  Profile.report_invariants obs ~first_violation:broken prof;
   Reducer.report obs ~checker ~fingerprints:false reducer ~states:o.steps_taken
     ~transitions:o.steps_taken ~elapsed:o.elapsed;
-  if jobs > 1 then report_outcome obs ~checker [ ("jobs", Obs.Json.Int jobs) ] o;
+  if jobs > 1 then report_outcome obs ~checker [ ("jobs", Obs.Json.Int jobs) ] ~broken o;
   o
 
-let run ?seed ?steps ?normal_form ?trace_tail ?obs ?tracer ?heartbeat_every ?reducer ~invariants
-    initial =
-  swarm ~jobs:1 ?seed ?steps ?normal_form ?trace_tail ?obs ?tracer ?heartbeat_every ?reducer
-    ~invariants initial
+let run ?seed ?steps ?normal_form ?obs ?tracer ?heartbeat_every ?reducer ~invariants initial =
+  swarm ~jobs:1 ?seed ?steps ?normal_form ?obs ?tracer ?heartbeat_every ?reducer ~invariants
+    initial

@@ -19,13 +19,12 @@ val pp_outcome : ('a, 'v, 's) outcome Fmt.t
     taken or an invariant fails, restarting from [initial] at a dead end
     and after 5,000 steps in one walk.  Deterministic in [seed].
 
+    A walker keeps one int per step of its current run: the index of the
+    successor it chose.  On a violation the run is rebuilt from those
+    indices, so the [violation] trace is the whole run from [initial]'s
+    normal form, at most 5,000 steps, and its schedule replays.
+
     @param normal_form as in {!Explore.run}
-    @param trace_tail retain at most this many trailing steps of the
-           current walk for the counterexample (default 1000; memory for
-           deep walks is bounded by it).  A violation deeper than
-           [trace_tail] yields a trace holding only the final
-           [trace_tail] steps — its [steps] then do not replay from
-           [initial].
     @param obs observability reporter (default {!Obs.Reporter.null}):
            [heartbeat] records every [heartbeat_every] steps (steps/sec,
            runs, dead-end restarts, GC words), then the [profile] and
@@ -44,7 +43,6 @@ val run :
   ?seed:int ->
   ?steps:int ->
   ?normal_form:bool ->
-  ?trace_tail:int ->
   ?obs:Obs.Reporter.t ->
   ?tracer:Obs.Tracing.t ->
   ?heartbeat_every:int ->
@@ -59,14 +57,15 @@ val run :
     exactly [steps] when no violation occurs, so aggregate counters are
     deterministic in [seed]).  The first violation found raises a stop
     flag the other domains poll every step; the lowest-indexed finder's
-    trace is returned.  Each walker writes its own [heartbeat],
-    [profile] and [outcome] records, tagged with its [domain]; the
-    per-run records are written once, after the join: one [invariant]
-    record per invariant from the walkers' merged profiles, with a
-    [reducer] one [reduction] record (the swarm's total steps and the
-    reducer's final counters), and the swarm's own [outcome] record,
-    carrying [jobs] and the walkers' summed [steps], [runs] and
-    [dead_end_restarts].
+    run is rebuilt after the join and returned as the trace (the
+    rebuild leaves a [reducer]'s counters as the walk left them).  Each
+    walker writes its own [heartbeat], [profile] and [outcome] records,
+    tagged with its [domain]; the per-run records are written once,
+    after the join: one [invariant] record per invariant from the
+    walkers' merged profiles, with a [reducer] one [reduction] record
+    (the swarm's total steps and the reducer's final counters), and the
+    swarm's own [outcome] record, carrying [jobs] and the walkers'
+    summed [steps], [runs] and [dead_end_restarts].
     [jobs = 1] delegates to {!run}; [jobs] outside 1..64
     ({!Par_explore.max_jobs}) raises [Invalid_argument]. *)
 val swarm :
@@ -74,7 +73,6 @@ val swarm :
   ?seed:int ->
   ?steps:int ->
   ?normal_form:bool ->
-  ?trace_tail:int ->
   ?obs:Obs.Reporter.t ->
   ?tracer:Obs.Tracing.t ->
   ?heartbeat_every:int ->

@@ -374,23 +374,80 @@ let test_coverage_sorted_and_gaps () =
     [ (0, "else") ]
     (names (Check.Explore.coverage_gaps sys ~covered:o.Check.Explore.covered))
 
-let test_random_walk_trace_tail () =
-  (* single deterministic path to a violation at depth 500; only the last
-     [trace_tail] steps must be retained *)
+let test_random_walk_whole_run () =
+  (* a single deterministic path to a violation at [depth], within one
+     run (5,000 steps): the counterexample is the whole run from the
+     root, also past 1,000 steps, and its schedule replays onto the
+     offender *)
   let p : com = Com.Loop (Com.Local_op (Label.v "step", fun s -> [ s + 1 ])) in
   let sys = System.make [| "p" |] [| proc p 0 |] in
-  let o =
-    Check.Random_walk.run ~normal_form:false ~steps:10_000 ~trace_tail:10
-      ~invariants:[ ("below-500", fun sys -> (System.proc sys 0).Com.data < 500) ]
-      sys
+  let data sys = (System.proc sys 0).Com.data in
+  List.iter
+    (fun depth ->
+      let o =
+        Check.Random_walk.run ~normal_form:false ~steps:10_000
+          ~invariants:[ ("below", fun sys -> data sys < depth) ]
+          sys
+      in
+      match o.Check.Random_walk.violation with
+      | None -> Alcotest.failf "the walk must reach %d" depth
+      | Some tr ->
+        Alcotest.(check int) "the trace is the whole run" depth (Check.Trace.length tr);
+        Alcotest.(check int) "final state is the offender" depth (data (Check.Trace.final tr));
+        (match
+           Check.Trace.replay ~norm:Fun.id
+             ~lands:(fun _ () -> true)
+             tr.Check.Trace.initial
+             (List.map (fun s -> ((), s.Check.Trace.event)) tr.Check.Trace.steps)
+         with
+        | Error i -> Alcotest.failf "the schedule diverged at event %d" (i + 1)
+        | Ok steps ->
+          Alcotest.(check int) "the replay lands on the offender" depth
+            (data (Check.Trace.final { tr with Check.Trace.steps })));
+        Alcotest.(check int) "no dead ends on an infinite path" 0 o.Check.Random_walk.restarts)
+    [ 500; 1_500 ]
+
+(* The counterexample rebuild takes the finder's run through the
+   reducer's successor function again, but leaves the reducer's counters
+   as the walk left them: a second walk of the same seed, stopped
+   without invariants at the first walk's step count, ends on the same
+   [deferred], and the first walk's [reduction] record carries it. *)
+let test_walk_rebuild_keeps_counters () =
+  let v = Option.get (Core.Variants.by_name "no-cas") in
+  let cfg =
+    v.Core.Variants.tweak
+      {
+        Core.Config.default with
+        n_muts = 2;
+        n_refs = 2;
+        buf_bound = 1;
+        max_cycles = 1;
+        max_mut_ops = 2;
+      }
   in
-  match o.Check.Random_walk.violation with
-  | None -> Alcotest.fail "the walk must reach 500"
-  | Some tr ->
-    Alcotest.(check int) "trace bounded to the tail" 10 (Check.Trace.length tr);
-    Alcotest.(check int) "final state is the offender" 500
-      (System.proc (Check.Trace.final tr) 0).Com.data;
-    Alcotest.(check int) "no dead ends on an infinite path" 0 o.Check.Random_walk.restarts
+  let shape = Option.get (Gcheap.Shapes.by_name ~n_refs:2 ~n_fields:1 "single") in
+  let sys = (Core.Model.make cfg shape).Core.Model.system in
+  let invariants =
+    List.map (fun i -> (i.Core.Invariants.name, i.Core.Invariants.check)) (Core.Invariants.all cfg)
+  in
+  let reducer () = Option.get (Core.Reduction.reducer cfg Reduce.Mode.All) in
+  let first = reducer () and second = reducer () in
+  let obs, dump = Obs.Reporter.memory () in
+  let o = Check.Random_walk.run ~seed:42 ~steps:200_000 ~obs ~reducer:first ~invariants sys in
+  Obs.Reporter.close obs;
+  let steps = o.Check.Random_walk.steps_taken in
+  (match o.Check.Random_walk.violation with
+  | None -> Alcotest.fail "the no-cas walk must violate"
+  | Some tr -> Alcotest.(check int) "the trace is the one run" steps (Check.Trace.length tr));
+  ignore (Check.Random_walk.run ~seed:42 ~steps ~reducer:second ~invariants:[] sys);
+  let deferred (r : _ Check.Reducer.t) = Atomic.get r.deferred in
+  Alcotest.(check bool) "the walk deferred some transitions" true (deferred second > 0);
+  Alcotest.(check int) "deferred: the walk's alone" (deferred second) (deferred first);
+  match records_of_event "reduction" (dump ()) with
+  | [ r ] ->
+    Alcotest.(check int) "the record carries it" (deferred second)
+      (int_field r "deferred_transitions")
+  | l -> Alcotest.failf "expected one reduction record, got %d" (List.length l)
 
 let test_random_walk_counts_restarts () =
   (* a terminating program dead-ends every walk, forcing restarts *)
@@ -528,8 +585,10 @@ let suite =
     Alcotest.test_case "explore: JSONL stream is well-formed" `Quick test_explore_jsonl_stream;
     Alcotest.test_case "explore: coverage sorted, gaps found" `Quick
       test_coverage_sorted_and_gaps;
-    Alcotest.test_case "walk: counterexample memory bounded by trace_tail" `Quick
-      test_random_walk_trace_tail;
+    Alcotest.test_case "walk: the counterexample is the whole run from the root" `Quick
+      test_random_walk_whole_run;
+    Alcotest.test_case "walk: the rebuild leaves the reducer's counters" `Quick
+      test_walk_rebuild_keeps_counters;
     Alcotest.test_case "walk: dead-end restarts counted" `Quick test_random_walk_counts_restarts;
     Alcotest.test_case "harness: gc-cycle and harness records" `Quick test_harness_emits_records;
   ]
