@@ -4,7 +4,7 @@
 
    A certificate is a directory of two files:
 
-     CERT.json   the header: format tag (GCCERT002), configuration binding
+     CERT.json   the header: format tag (GCCERT003), configuration binding
                  (config_hash + the verbatim run configuration), reduction
                  mode, the invariant catalogue in evaluation order, the
                  closure obligations the validator must discharge, the
@@ -22,7 +22,10 @@
    consistently tampered certificate still fails closure, depth or
    verdict revalidation.  DESIGN.md records the argument. *)
 
-let format_tag = "GCCERT002"
+(* GCCERT003: a fingerprint mixes one hash per slot (GCCERT002's mixed
+   every slot's spine, then every payload, in one sequence), so no
+   earlier table's fingerprints would match. *)
+let format_tag = "GCCERT003"
 let header_file = "CERT.json"
 let table_file = "table.seg"
 let header_path dir = Filename.concat dir header_file

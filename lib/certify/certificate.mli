@@ -9,9 +9,11 @@
     claim semantically). *)
 
 val format_tag : string
-(** ["GCCERT002"] — bound into every header; {!read_header} refuses any
-    other value, GCCERT001 included (its fingerprints mixed label
-    characters, not label hashes, so none of them would match). *)
+(** ["GCCERT003"] — bound into every header; {!read_header} refuses any
+    other value.  Its fingerprints mix one hash per slot; GCCERT002's
+    mixed every slot's spine and then every payload in one sequence, and
+    GCCERT001's mixed label characters, not label hashes, so none of
+    theirs would match. *)
 
 val header_file : string
 (** ["CERT.json"]. *)

@@ -7,24 +7,26 @@
    The pair is the structural key: [equal] compares it, so the reference
    BFS's seen-set is exact.
 
-   Hashing is a compact structural fingerprint: an FNV-1a-style mix over
-   the label spine, one word per label (the hash [Cimp.Label.v] computed
-   when the program was built), and a traversal of the data
-   representation, computed once when the fingerprint is built and
-   cached.  The mix reads each slot's spine straight from its frame
-   stack and each payload in place, so building a fingerprint allocates
-   only the record and the closure that rebuilds the key: the checking
-   engine and the validator read only the hash, and the (spine list,
-   payload list) key is built when [equal] asks for it.  Its values are
-   stored in certificate tables (GCCERT002) and checkpoints (schema 2),
-   so the mix sequence below, and the label hash, are a file format:
-   changing either invalidates every stored fingerprint.  It replaces the
-   former [Hashtbl.hash_param 64 256] polymorphic hash, which (a)
-   re-walked the whole value on every probe, (b) truncated deep states at
-   its meaningful-node budget, and (c) folded to 30 bits.  The structural
-   mix fills a native word (63 bits on 64-bit platforms, never 0), so it
-   can key the parallel explorer's sharded seen-set directly, with
-   collision probability ~ n^2 / 2^63. *)
+   Hashing is a compact structural fingerprint built from one hash per
+   slot.  A slot's hash is an FNV-1a-style mix over its label spine, one
+   word per label (the hash [Cimp.Label.v] computed when the program was
+   built), and a traversal of its data representation; a fingerprint
+   mixes the slots' hashes in slot order.  A configuration memoises its
+   slot hash ([Cimp.Com.memo_hash]), and a step changes one or two
+   configurations while its successor shares the others with the parent,
+   so a successor re-mixes only the slots its step changed.  Building a
+   fingerprint allocates only the record and the closure that rebuilds
+   the key: the checking engine and the validator read only the hash,
+   and the (spine list, payload list) key is built when [equal] asks for
+   it.  Its values are stored in certificate tables (GCCERT003) and
+   checkpoints (schema 3), so the mix sequence below, and the label
+   hash, are a file format: changing either invalidates every stored
+   fingerprint.  It replaces the former [Hashtbl.hash_param 64 256]
+   polymorphic hash, which (a) re-walked the whole value on every probe,
+   (b) truncated deep states at its meaningful-node budget, and (c)
+   folded to 30 bits.  The structural mix fills a native word (63 bits
+   on 64-bit platforms, never 0), so it can key the parallel explorer's
+   sharded seen-set directly, with collision probability ~ n^2 / 2^63. *)
 
 type t = {
   fp : int;  (* compact structural fingerprint; never 0 *)
@@ -84,51 +86,57 @@ and mix_block h o =
   else (* custom blocks (Int64.t etc.): content-hashed polymorphically *)
     mix (mix h 11) (Hashtbl.hash o)
 
-(* The mix sequence: a seed; per slot, the tag 13 then one word per
-   frame (the hash of its head label); the tag 17; per slot, the data
-   walk of its payload.  [of_parts] runs it over assembled lists,
-   [of_slots] over the slots in place; test_check pins its values and
-   test_reduce holds [of_slots] to [of_parts]. *)
+(* The mix sequence.  A slot's hash is the seed, the tag 13, one word
+   per frame (the hash of its head label), the tag 17, then the data
+   walk of its payload, finished; a fingerprint is the seed mixed with
+   each slot's hash in slot order, finished.  [of_parts] runs it over
+   assembled lists, [of_system] over the slots in place; test_check
+   pins its values and test_reduce holds [of_system] and the canonical
+   fingerprint to [of_parts]. *)
 let seed = 0xcbf29ce484222
 
 let rec mix_frames h = function
   | [] -> h
   | c :: stack -> mix_frames (mix h (Cimp.Label.hash (Cimp.Com.head_label c))) stack
 
-(* 0 is the parallel seen-set's empty-slot sentinel *)
+(* 0 is the parallel seen-set's empty-slot sentinel, and a slot memo's
+   empty word *)
 let finish h = if h = 0 then 1 else h
+
+let fresh_slot_hash stack data =
+  finish (mix_obj (mix (mix_frames (mix seed 13) stack) 17) (Stdlib.Obj.repr data))
+
+let hash_config (c : _ Cimp.Com.config) = fresh_slot_hash c.Cimp.Com.stack c.Cimp.Com.data
+let slot_hash c = Cimp.Com.memo_hash c hash_config
+let mix_slot = mix
+let of_mix h ~key = { fp = finish h; key }
 
 (* The data payloads are stashed as Obj.t to keep this module polymorphic in
    the system's state type; they are only ever consumed by the structural
    walk above and the polymorphic [compare], never re-projected. *)
 let of_parts ~control ~data : t =
+  if List.compare_lengths control data <> 0 then
+    invalid_arg "Fingerprint.of_parts: one spine per payload";
   let h =
-    List.fold_left
-      (fun h spine -> List.fold_left (fun h l -> mix h (Cimp.Label.hash l)) (mix h 13) spine)
-      seed control
+    List.fold_left2
+      (fun h spine d ->
+        let s = List.fold_left (fun h l -> mix h (Cimp.Label.hash l)) (mix seed 13) spine in
+        mix h (finish (mix_obj (mix s 17) d)))
+      seed control data
   in
-  let h = List.fold_left mix_obj (mix h 17) data in
-  { fp = finish h; key = (fun () -> (control, data)) }
-
-let of_slots ~n ~stack ~data : t =
-  let h = ref seed in
-  for q = 0 to n - 1 do
-    h := mix_frames (mix !h 13) (stack q)
-  done;
-  h := mix !h 17;
-  for q = 0 to n - 1 do
-    h := mix_obj !h (Stdlib.Obj.repr (data q))
-  done;
-  let key () =
-    ( List.init n (fun q -> Cimp.Com.stack_labels (stack q)),
-      List.init n (fun q -> Stdlib.Obj.repr (data q)) )
-  in
-  { fp = finish !h; key }
+  of_mix h ~key:(fun () -> (control, data))
 
 let of_system (sys : ('a, 'v, 's) Cimp.System.t) : t =
-  of_slots ~n:(Cimp.System.n_procs sys)
-    ~stack:(fun p -> (Cimp.System.proc sys p).Cimp.Com.stack)
-    ~data:(fun p -> (Cimp.System.proc sys p).Cimp.Com.data)
+  let n = Cimp.System.n_procs sys in
+  let h = ref seed in
+  for p = 0 to n - 1 do
+    h := mix !h (slot_hash (Cimp.System.proc sys p))
+  done;
+  let key () =
+    ( List.init n (fun p -> Cimp.Com.stack_labels (Cimp.System.proc sys p).Cimp.Com.stack),
+      List.init n (fun p -> Stdlib.Obj.repr (Cimp.System.proc sys p).Cimp.Com.data) )
+  in
+  of_mix !h ~key
 
 (* Structural equality, with the cached fingerprint as a cheap negative
    filter (equal structures always have equal fingerprints): only then

@@ -21,9 +21,9 @@ type ('a, 'v, 's) t = {
   fingerprint : ('a, 'v, 's) Cimp.System.t -> Fingerprint.t;
       (** canonical fingerprint used for seen-set dedup.  Called on every
           generated successor; the parallel engine and the validator read
-          only its {!Fingerprint.hash}, so a reducer should mix it in place
-          ({!Fingerprint.of_slots}) and leave the structural key to be
-          built on demand *)
+          only its {!Fingerprint.hash}, so a reducer should mix it from
+          slot hashes ({!Fingerprint.slot_hash}, {!Fingerprint.of_mix})
+          and leave the structural key to be built on demand *)
   successors :
     ('a, 'v, 's) Cimp.System.t -> (Cimp.System.event * ('a, 'v, 's) Cimp.System.t) list;
       (** the ample successor set: a subset of {!Cimp.System.steps} that

@@ -75,7 +75,12 @@ let duplicate_labels com =
 
 (* -- Frame stacks and local configurations ------------------------------- *)
 
-type ('a, 'v, 's) config = { stack : ('a, 'v, 's) t list; data : 's }
+(* [memo] is 0 or the configuration's slot hash, which
+   Check.Fingerprint computes through [memo_hash] and never makes 0.
+   [make] and [with_data] are the only constructors (the record is
+   private outside), and both start the memo empty. *)
+type memo = int
+type ('a, 'v, 's) config = { stack : ('a, 'v, 's) t list; data : 's; mutable memo : memo }
 
 (* Canonical form: decompose Seq at the head of the stack.  Loop and Choose
    are left in place; [unfold] below enters them transparently when a step
@@ -84,7 +89,17 @@ let rec norm = function
   | Seq (a, b) :: rest -> norm (a :: b :: rest)
   | stack -> stack
 
-let make stack data = { stack = norm stack; data }
+let make stack data = { stack = norm stack; data; memo = 0 }
+let with_data cfg data = if data == cfg.data then cfg else { stack = cfg.stack; data; memo = 0 }
+
+(* Domains that fill one memo concurrently all store the same word. *)
+let memo_hash cfg f =
+  if cfg.memo <> 0 then cfg.memo
+  else begin
+    let h = f cfg in
+    cfg.memo <- h;
+    h
+  end
 
 (* The spine of head labels of each stack frame.  With unique labels this
    identifies the control state; used by [Check.Fingerprint]. *)
@@ -155,7 +170,7 @@ let rec unfold = function
    external choice offers the union of its branches and commits only when
    one acts, which is what lets Fig. 9's Sys process respond and dequeue
    at once. *)
-let offers { stack; data } =
+let offers { stack; data; _ } =
   let rec go stack tail =
     match unfold stack with
     | [] -> tail
@@ -182,13 +197,25 @@ let offers { stack; data } =
    conditions "in terms of atomic actions" (Section 3).  Heads under a
    Choose are never definite (stepping would commit the choice), and
    Local_ops with zero or several successors are genuine
-   blocking/non-determinism. *)
-let definite_tau { stack; data } =
-  match unfold stack with
-  | Skip _ :: rest -> Some (make rest data)
-  | If (_, p, a, b) :: rest -> Some (make ((if p data then a else b) :: rest) data)
-  | While (_, p, c) :: rest as whole ->
-    Some (if p data then make (c :: whole) data else make rest data)
-  | Local_op (_, f) :: rest -> ( match f data with [ d ] -> Some (make rest d) | _ -> None)
-  | (Choose _ | Request _ | Response _) :: _ | [] -> None
-  | (Seq _ | Loop _) :: _ -> assert false (* unfolded *)
+   blocking/non-determinism.  A process at rest waits on a request, a
+   response or a choice: [acts_externally] finds that head command
+   through Seq and Loop without unfolding them, so settled processes,
+   which [System.normalize] asks about on every successor, cost no
+   allocation. *)
+let rec acts_externally = function
+  | Seq (a, _) | Loop a -> acts_externally a
+  | Choose _ | Request _ | Response _ -> true
+  | Skip _ | Local_op _ | If _ | While _ -> false
+
+let definite_tau { stack; data; _ } =
+  match stack with
+  | c :: _ when not (acts_externally c) -> (
+    match unfold stack with
+    | Skip _ :: rest -> Some (make rest data)
+    | If (_, p, a, b) :: rest -> Some (make ((if p data then a else b) :: rest) data)
+    | While (_, p, c) :: rest as whole ->
+      Some (if p data then make (c :: whole) data else make rest data)
+    | Local_op (_, f) :: rest -> ( match f data with [ d ] -> Some (make rest d) | _ -> None)
+    | (Choose _ | Request _ | Response _) :: _ | [] -> None
+    | (Seq _ | Loop _) :: _ -> assert false (* unfolded *))
+  | _ -> None

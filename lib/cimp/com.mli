@@ -65,13 +65,43 @@ val duplicate_labels : ('a, 'v, 's) t -> Label.t list
 
 (** {1 Local configurations (frame stacks)} *)
 
+(** A configuration's memo word: empty, or its slot hash once
+    {!memo_hash} has filled it. *)
+type memo [@@immediate]
+
 (** A process's local state: a frame stack of commands paired with its
-    data state (Fig. 7, second rule). *)
-type ('a, 'v, 's) config = { stack : ('a, 'v, 's) t list; data : 's }
+    data state (Fig. 7, second rule), and one memo word.
+
+    The record is private: {!make} and {!with_data} are its only
+    constructors, and each starts a new configuration with an empty
+    memo, so no configuration carries a hash computed for another one's
+    stack and data. *)
+type ('a, 'v, 's) config = private {
+  stack : ('a, 'v, 's) t list;
+  data : 's;
+  mutable memo : memo;
+}
 
 (** [make stack data] builds a configuration in canonical form (no [Seq]
     at the head of the stack). *)
 val make : ('a, 'v, 's) t list -> 's -> ('a, 'v, 's) config
+
+(** [with_data c d] is [c] with its data replaced by [d]: [c] itself
+    when [d == c.data], otherwise a new configuration with an empty
+    memo. *)
+val with_data : ('a, 'v, 's) config -> 's -> ('a, 'v, 's) config
+
+(** [memo_hash c f] is [c]'s slot hash: the memoised word, or [f c]
+    stored there on first use.  [f] must be a pure function of
+    [c.stack] and [c.data] that never returns 0, the empty memo; its
+    only caller is [Check.Fingerprint.slot_hash], so the word has one
+    meaning.
+
+    Several domains may fill one memo at the same moment.  Each writes
+    the same immediate word, so the race is benign under OCaml 5's
+    memory model: a reader sees the empty memo, and computes the hash
+    again, or the hash. *)
+val memo_hash : ('a, 'v, 's) config -> (('a, 'v, 's) config -> int) -> int
 
 (** The spine of head labels of the stack frames; with unique labels this
     identifies the control state. *)
@@ -110,5 +140,8 @@ val offers : ('a, 'v, 's) config -> ('a, 'v, 's) offer list
 
 (** If the process's entire enabled behaviour is exactly one deterministic
     local/control step, its successor; such steps are unobservable by
-    other processes and may be executed eagerly ({!System.normalize}). *)
+    other processes and may be executed eagerly ({!System.normalize}).
+    A process whose next action is a request, a response or a choice is
+    refused from its head command, without unfolding its stack, so the
+    answer [None] allocates nothing there. *)
 val definite_tau : ('a, 'v, 's) config -> ('a, 'v, 's) config option

@@ -99,6 +99,23 @@ let steps sys =
   done;
   !acc
 
+(* [sys] with process [p]'s configuration replaced by [f env p cfg],
+   copying the process array at most once, on the first configuration
+   [f] changes (by [!=]); [sys] itself when it changes none.  [env] is
+   handed through so that each caller's [f] is a closed function, which
+   costs no allocation per call. *)
+let update_procs sys env f =
+  let procs = ref sys.procs in
+  for p = 0 to Array.length sys.procs - 1 do
+    let cfg = sys.procs.(p) in
+    let cfg' = f env p cfg in
+    if cfg' != cfg then begin
+      if !procs == sys.procs then procs := Array.copy sys.procs;
+      !procs.(p) <- cfg'
+    end
+  done;
+  if !procs == sys.procs then sys else { sys with procs = !procs }
+
 (* Normal form under definite local steps: run every process's definite tau
    steps to quiescence.  A definite tau reads and writes only its own
    process's configuration, so each process settles on its own.  States in
@@ -106,9 +123,9 @@ let steps sys =
    see Com.definite_tau for the soundness argument.  The checker explores
    normal forms only, which is the atomicity coarsening the paper's
    evaluation-context semantics licenses. *)
-let normalize sys =
-  let rec settle cfg = match Com.definite_tau cfg with Some cfg -> settle cfg | None -> cfg in
-  { sys with procs = Array.map settle sys.procs }
+let rec settle cfg = match Com.definite_tau cfg with Some cfg -> settle cfg | None -> cfg
+
+let normalize sys = update_procs sys () (fun () _ cfg -> settle cfg)
 
 (* The paper's [at p l]: does control of process p reside at label l? *)
 let at sys p l = Com.exists_at (Label.equal l) sys.procs.(p)
@@ -117,22 +134,11 @@ let at sys p l = Com.exists_at (Label.equal l) sys.procs.(p)
    experiment drivers; the step functions never need it). *)
 let map_data sys p f =
   let cfg = sys.procs.(p) in
-  set1 sys p { cfg with Com.data = f cfg.Com.data }
+  set1 sys p (Com.with_data cfg (f cfg.Com.data))
 
-(* Every process's data replaced by [f p cfg], copying the process array
-   at most once, on the first payload [f] changes (by [!=]); [sys]
-   itself when it changes none. *)
-let rewrite_data sys f =
-  let procs = ref sys.procs in
-  for p = 0 to Array.length sys.procs - 1 do
-    let cfg = sys.procs.(p) in
-    let d = f p cfg in
-    if d != cfg.Com.data then begin
-      if !procs == sys.procs then procs := Array.copy sys.procs;
-      !procs.(p) <- { cfg with Com.data = d }
-    end
-  done;
-  if !procs == sys.procs then sys else { sys with procs = !procs }
+(* Every process's data replaced by [f p cfg]; [Com.with_data] keeps a
+   configuration whose payload comes back physically unchanged. *)
+let rewrite_data sys f = update_procs sys f (fun f p cfg -> Com.with_data cfg (f p cfg))
 
 (* Control fingerprint: the label spine of every process's frame stack.
    With globally unique labels this characterises global control state. *)

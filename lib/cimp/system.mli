@@ -49,13 +49,13 @@ val steps : ('a, 'v, 's) t -> (event * ('a, 'v, 's) t) list
 val at : ('a, 'v, 's) t -> pid -> Label.t -> bool
 
 (** Surgical replacement of one process's data state (for tests and
-    experiment drivers). *)
+    experiment drivers), through {!Com.with_data}. *)
 val map_data : ('a, 'v, 's) t -> pid -> ('s -> 's) -> ('a, 'v, 's) t
 
 (** [rewrite_data sys f]: every process [p]'s data replaced by
-    [f p (proc sys p)].  The process array is copied at most once, and
-    [sys] itself is returned when [f] hands back every payload physically
-    unchanged. *)
+    [f p (proc sys p)], through {!Com.with_data}.  The process array is
+    copied at most once, and [sys] itself is returned when [f] hands
+    back every payload physically unchanged. *)
 val rewrite_data : ('a, 'v, 's) t -> (pid -> ('a, 'v, 's) Com.config -> 's) -> ('a, 'v, 's) t
 
 (** The label spine of every process's frame stack: the global control
@@ -67,5 +67,9 @@ val control_fingerprint : ('a, 'v, 's) t -> Label.t list list
     writes only its own configuration, so each process settles on its own.
     Sound for invariants that only observe states at atomic-action
     boundaries — the evaluation-context coarsening of the paper's
-    Section 3. *)
+    Section 3.
+
+    Returns [sys] itself when no process has a definite step, and
+    otherwise copies the process array once; a process that does not
+    move keeps its configuration, memo included. *)
 val normalize : ('a, 'v, 's) t -> ('a, 'v, 's) t

@@ -16,9 +16,11 @@
 
    The sort is fingerprint-level only: the checker expands the state it
    reached with its dead registers nulled ([canon_state]), not the sorted
-   representative.  That representative is hashed slot by slot with
-   Check.Fingerprint.of_slots, which uses the exact mix of of_system and
-   of_parts.  A permuted state is nonetheless an ordinary runnable
+   representative.  That representative's fingerprint mixes its slot
+   hashes in the sorted order, as of_system and of_parts mix theirs in
+   slot order, and takes each configuration's memoised slot hash where
+   nulling and renaming left its payload alone.  A permuted state is
+   nonetheless an ordinary runnable
    system: the symmetric processes run one program and learn who asks
    from the rendezvous, not from a pid in their commands, so [permute]
    builds it, and the property tests execute it to check that the
@@ -80,7 +82,7 @@ let permute spec perm sys =
   done;
   let slot q =
     let c = Cimp.System.proc sys src.(q) in
-    { c with Cimp.Com.data = spec.rename_shared ~perm ~pid:q c.Cimp.Com.data }
+    Cimp.Com.with_data c (spec.rename_shared ~perm ~pid:q c.Cimp.Com.data)
   in
   Cimp.System.make (Array.init n (Cimp.System.name sys)) (Array.init n slot)
 
@@ -113,16 +115,34 @@ let sorted_src spec sys canon n sym_pids =
   Array.iteri (fun i p -> src.(sym.(i)) <- p) order;
   src
 
+(* The hash of slot [q] of the representative: process [p]'s frame
+   stack with payload [d].  When [d] is [p]'s own payload, nothing was
+   nulled or renamed, and [p]'s memoised slot hash stands. *)
+let rep_slot_hash sys p d =
+  let cfg = Cimp.System.proc sys p in
+  if d == cfg.Cimp.Com.data then Check.Fingerprint.slot_hash cfg
+  else Check.Fingerprint.fresh_slot_hash cfg.Cimp.Com.stack d
+
+(* The representative's structural key: slot [q] holds process [src q]'s
+   spine and the payload [rep.(q)]. *)
+let rep_key sys src rep () =
+  let n = Array.length rep in
+  ( List.init n (fun q -> Cimp.Com.stack_labels (Cimp.System.proc sys (src q)).Cimp.Com.stack),
+    List.init n (fun q -> Stdlib.Obj.repr rep.(q)) )
+
 (* Canonical fingerprint of [sys] under [spec].  Returns the fingerprint
    plus whether the sort actually permuted anything and whether any
    register was nulled (for the reduction counters).
 
    Every checker worker calls this concurrently on every generated
-   successor, so it is pure (no memo table, no shared cache) and builds
-   only what it hashes: one array of canonical payloads, and, only when
-   the sort moves a process, the slot order.  The representative's
-   spines and payloads are mixed in place (Check.Fingerprint.of_slots),
-   and assembled as lists only if the fingerprint's key is compared. *)
+   successor, so it is pure but for the slot memos, which hold a pure
+   function of their configuration, and builds only what it hashes: one
+   array of canonical payloads, and, only when the sort moves a process,
+   the slot order and the renamed payloads.  The representative's slot
+   hashes are mixed in a loop, in slot order; a slot whose payload was
+   neither nulled nor renamed takes its configuration's memo, and only
+   the others are hashed afresh.  The key is assembled as lists only if
+   the fingerprint's key is compared. *)
 let canonical_fingerprint spec sys =
   let n = Cimp.System.n_procs sys in
   let nulled = ref false in
@@ -146,20 +166,22 @@ let canonical_fingerprint spec sys =
       if (not (spec.permute_ok sys)) || in_order spec sys canon sym_pids then None
       else Some (sorted_src spec sys canon n sym_pids)
   in
+  let h = ref Check.Fingerprint.seed in
   match src with
   | None ->
-    ( Check.Fingerprint.of_slots ~n
-        ~stack:(fun q -> (Cimp.System.proc sys q).Cimp.Com.stack)
-        ~data:(fun q -> canon.(q)),
-      false,
-      !nulled )
+    for q = 0 to n - 1 do
+      h := Check.Fingerprint.mix_slot !h (rep_slot_hash sys q canon.(q))
+    done;
+    (Check.Fingerprint.of_mix !h ~key:(rep_key sys Fun.id canon), false, !nulled)
   | Some src ->
     (* perm.(old_pid) = canonical slot *)
     let perm = Array.make n 0 in
     Array.iteri (fun slot p -> perm.(p) <- slot) src;
     let perm p = perm.(p) in
-    ( Check.Fingerprint.of_slots ~n
-        ~stack:(fun q -> (Cimp.System.proc sys src.(q)).Cimp.Com.stack)
-        ~data:(fun q -> spec.rename_shared ~perm ~pid:q canon.(src.(q))),
-      true,
-      !nulled )
+    let rep = Array.copy canon in
+    for q = 0 to n - 1 do
+      let d = spec.rename_shared ~perm ~pid:q canon.(src.(q)) in
+      rep.(q) <- d;
+      h := Check.Fingerprint.mix_slot !h (rep_slot_hash sys src.(q) d)
+    done;
+    (Check.Fingerprint.of_mix !h ~key:(rep_key sys (Array.get src) rep), true, !nulled)

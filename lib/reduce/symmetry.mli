@@ -55,7 +55,8 @@ val canon_state : ('a, 'v, 's) spec -> ('a, 'v, 's) Cimp.System.t -> ('a, 'v, 's
 
 (** [permute spec perm sys]: the runnable system with process [p] in
     slot [perm p] and each payload renamed by [spec.rename_shared], as in
-    {!canonical_fingerprint}; slot names stay.
+    {!canonical_fingerprint}, through {!Cimp.Com.with_data} (a payload
+    the renaming leaves alone keeps its configuration); slot names stay.
     @raise Invalid_argument unless [perm] permutes [spec.sym_pids] and
     fixes every other pid. *)
 val permute :
@@ -68,10 +69,13 @@ val permutations : 'a list -> 'a list list
 
 (** [canonical_fingerprint spec sys] = [(fp, permuted, nulled)]: the
     fingerprint of the canonical representative, whether the sort moved
-    any process, and whether any dead register was nulled.  Pure and
-    domain-safe (the checkers' workers call it concurrently).  The
-    representative's spines and payloads are mixed in place
-    ({!Check.Fingerprint.of_slots}); no spine list is built unless the
-    fingerprint's key is compared. *)
+    any process, and whether any dead register was nulled.  Domain-safe
+    (the checkers' workers call it concurrently): it writes nothing but
+    slot memos ({!Check.Fingerprint.slot_hash}).  The representative's
+    slot hashes are mixed in the sorted order; a slot whose payload
+    [canon_local] and [rename_shared] hand back unchanged takes its
+    configuration's memo, and only nulled or renamed payloads are hashed
+    afresh ({!Check.Fingerprint.fresh_slot_hash}).  No spine list is
+    built unless the fingerprint's key is compared. *)
 val canonical_fingerprint :
   ('a, 'v, 's) spec -> ('a, 'v, 's) Cimp.System.t -> Check.Fingerprint.t * bool * bool

@@ -12,10 +12,12 @@ type snapshot = {
 
 let manifest_name = "MANIFEST.json"
 
-(* Schema 2: fingerprints mix one hash per label (schema 1's mixed label
-   characters, so none of its stored fingerprints would match), and
-   state.json names each segment file with its MD5. *)
-let schema = 2
+(* Schema 3: fingerprints mix one hash per slot (schema 2's mixed every
+   slot's spine, then every payload, in one sequence, and schema 1's
+   mixed label characters, so none of their stored fingerprints would
+   match); state.json names each segment file with its MD5, as since
+   schema 2. *)
+let schema = 3
 
 let t0_name shard = Printf.sprintf "t0-%02d.seg" shard
 

@@ -51,10 +51,11 @@ val write :
     without loading the store (so a resuming tool can rebuild the model
     first).  [MANIFEST.json] is read fail-closed like [state.json]
     below: [schema], [seq], [latest] and [config] (opaque, but present)
-    are required, and a schema other than 2 returns [Error
-    "MANIFEST.json: schema N, expected 2"] (schema-1 snapshots hold
-    fingerprints that mixed label characters, which no run now
-    produces). *)
+    are required, and a schema other than 3 returns [Error
+    "MANIFEST.json: schema N, expected 3"] (schema-2 snapshots hold
+    fingerprints mixed without slot hashes, and schema-1 snapshots
+    fingerprints that mixed label characters, neither of which any run
+    now produces). *)
 val manifest : string -> (int * Obs.Json.t, string) result
 
 (** Load the latest complete snapshot.  The store is rebuilt with the
@@ -72,7 +73,7 @@ val manifest : string -> (int * Obs.Json.t, string) result
     [best.fp], [frontier[0][3]], [shards[3].next_seq]) instead of being
     read as a default.  The only nulls accepted are those {!write}
     writes: [best] when there is no violation and [tier0] for an empty
-    shard.  [schema] must be 2, as in the manifest; [config] (the
+    shard.  [schema] must be 3, as in the manifest; [config] (the
     manifest's is the one read) is not read.  Every tier-0 dump and live
     segment is checked against the MD5 [state.json] records for it before
     it is decoded: a mismatch returns [Error] naming the snapshot's file

@@ -191,8 +191,9 @@ let test_wrong_config_header =
   Certify.Certificate.write_header ~dir { h with Certify.Certificate.config_hash = other };
   expect_fail ~what:"wrong config" ~subs:[ "\"config_hash\""; "different instance" ] dir
 
-(* A certificate of the previous format is refused by its header, naming
-   the format: GCCERT001 tables hold fingerprints that mixed label
+(* A certificate of an earlier format is refused by its header, naming
+   the format: GCCERT002 tables hold fingerprints mixed without slot
+   hashes, and GCCERT001 tables fingerprints that mixed label
    characters, which no run produces now.  `gcmodel recheck` prints the
    refusal as one line and exits 1. *)
 let test_old_format () =
@@ -201,13 +202,18 @@ let test_old_format () =
   Alcotest.(check (pair int (list string))) "certifying explore" (0, [])
     (Test_core.run_tool [ "explore"; "--refs"; "2"; "--ops"; "1"; "--certificate"; dir ]);
   let h = ok_or_fail "header" (Certify.Certificate.read_header dir) in
-  Certify.Certificate.write_header ~dir { h with Certify.Certificate.format = "GCCERT001" };
-  let refusal = {|CERT.json: header field "format" is "GCCERT001", expected "GCCERT002"|} in
-  Alcotest.(check (result unit string)) "the header is refused" (Error refusal)
-    (Result.map ignore (Certify.Certificate.read_header dir));
-  Alcotest.(check (pair int (list string))) "recheck refuses it in one line"
-    (1, [ "gcmodel recheck: FAILED — " ^ refusal ])
-    (Test_core.run_tool [ "recheck"; dir ])
+  List.iter
+    (fun format ->
+      Certify.Certificate.write_header ~dir { h with Certify.Certificate.format };
+      let refusal =
+        Printf.sprintf {|CERT.json: header field "format" is "%s", expected "GCCERT003"|} format
+      in
+      Alcotest.(check (result unit string)) (format ^ ": the header is refused") (Error refusal)
+        (Result.map ignore (Certify.Certificate.read_header dir));
+      Alcotest.(check (pair int (list string))) (format ^ ": recheck refuses it in one line")
+        (1, [ "gcmodel recheck: FAILED — " ^ refusal ])
+        (Test_core.run_tool [ "recheck"; dir ]))
+    [ "GCCERT002"; "GCCERT001" ]
 
 (* Dropping a table entry past the digest (rewriting table + header
    consistently) must still fail: the entry's parent regenerates it as a
@@ -356,15 +362,15 @@ let suite =
       (round_trip ~jobs:4 ~mode:Reduce.Mode.None_);
     Alcotest.test_case "pinned header (1 mutator, reduce none)" `Quick
       (pinned ~n_muts:1 ~mode:Reduce.Mode.None_ ~config:"9c9619547ed81c40927cbb02d34d2c89"
-         ~root_fp:712490451316215488 ~digest:"4c00d14404f1dd7f881b620a86d0f1a7" ~states:2_826
+         ~root_fp:4086465194855388184 ~digest:"c19453f97df78bad862696c4a043a6bd" ~states:2_826
          ~max_depth:102);
     Alcotest.test_case "pinned header (1 mutator, reduce all)" `Quick
       (pinned ~n_muts:1 ~mode:Reduce.Mode.All ~config:"9c9619547ed81c40927cbb02d34d2c89"
-         ~root_fp:712490451316215488 ~digest:"2ff5728b73e0e72b50273068ce21b322" ~states:1_176
+         ~root_fp:4086465194855388184 ~digest:"f6848396e743fb131f6142878239a31a" ~states:1_176
          ~max_depth:91);
     Alcotest.test_case "pinned header (2 mutators, reduce all)" `Quick
       (pinned ~n_muts:2 ~mode:Reduce.Mode.All ~config:"7b7680aa5dcfd320c7ef9d1d9bf30ca6"
-         ~root_fp:(-2847648095995270416) ~digest:"7a813ff90fa0de31401fb26b6ce65edc"
+         ~root_fp:1183634424940104685 ~digest:"92ed09061412cb72b18cefb26e0f28e9"
          ~states:28_656 ~max_depth:130);
     Alcotest.test_case "reduce mode is part of the claim" `Quick test_mode_is_part_of_the_claim;
     Alcotest.test_case "producers emit byte-identical tables" `Quick

@@ -149,45 +149,52 @@ let test_fingerprint_hashes_distinct_and_stable () =
 
 (* The mix itself is pinned: fingerprint values are stored in
    certificate tables and checkpoints, so a change to any value is a
-   format change.  Literal (payload, hash) pairs of 64-bit OCaml cover
-   every branch of the data walk and the control spine. *)
+   format change.  Literal (slots, hash) pairs of 64-bit OCaml, each
+   slot a (spine, payload) pair, cover every branch of the data walk and
+   the control spine. *)
 let test_fingerprint_mix_pinned () =
   let o = Stdlib.Obj.repr in
-  let hash ~control ~data =
+  let hash slots =
     Check.Fingerprint.hash
-      (Check.Fingerprint.of_parts ~control:(List.map (List.map Label.v) control) ~data)
+      (Check.Fingerprint.of_parts
+         ~control:(List.map (fun (spine, _) -> List.map Label.v spine) slots)
+         ~data:(List.map snd slots))
   in
+  let payload d = [ ([], d) ] in
   List.iter
-    (fun (name, control, data, expected) ->
-      Alcotest.(check int) name expected (hash ~control ~data))
+    (fun (name, slots, expected) -> Alcotest.(check int) name expected (hash slots))
     [
-      ("nothing", [], [], -2455861434336641879);
-      ("int 0", [], [ o 0 ], -2909792836339976902);
-      ("int 42", [], [ o 42 ], -2909768647084156260);
-      ("int -1", [], [ o (-1) ], 2909791736828348691);
-      ("max_int", [], [ o max_int ], -1701894281599039213);
-      ("bool, unit, char", [], [ o true; o (); o 'x' ], 3514615715335992333);
-      ("nested tuples", [], [ o (1, (2, 3), (true, (4, 5))) ], 1717613350686318152);
-      ("int list", [], [ o [ 1; 2; 3 ] ], -1932457934465071838);
-      ("list of lists", [], [ o [ [ 1 ]; []; [ 2; 3 ] ] ], -3873825818469810512);
+      ("no slots", [], 3587885995934242);
+      ("int 0", payload (o 0), 1601107058821624007);
+      ("int 42", payload (o 42), 1698431430088075533);
+      ("int -1", payload (o (-1)), -1599985556961038012);
+      ("max_int", payload (o max_int), 3011700461466349892);
+      ("bool, unit, char", [ ([], o true); ([], o ()); ([], o 'x') ], -1111965296382223720);
+      ("nested tuples", payload (o (1, (2, 3), (true, (4, 5)))), 3007560549910920461);
+      ("int list", payload (o [ 1; 2; 3 ]), 2356226011020086197);
+      ("list of lists", payload (o [ [ 1 ]; []; [ 2; 3 ] ]), 1378521799422258105);
       ( "options",
-        [],
-        [ o (Some 3, (None : int option), Some (Some [ 1 ])) ],
-        -1961808778417716076 );
-      ("empty string", [], [ o "" ], -2905966535874559522);
-      ("long string", [], [ o "a string longer than eight bytes" ], 2937475729345543142);
-      ("boxed float", [], [ o 3.25 ], 957677741709055392);
-      ("Int64", [], [ o 0x1234_5678_9abc_def0L ], -3116572490697964817);
-      ("float array", [], [ o [| 1.0; -2.5 |] ], -3915065103952829492);
-      ("(int, float) pairs", [], [ o [ (1, 0.5); (2, -0.0) ] ], 1886788731287286071);
+        payload (o (Some 3, (None : int option), Some (Some [ 1 ]))),
+        -2562119817083348597 );
+      ("empty string", payload (o ""), -2846509835280129317);
+      ("long string", payload (o "a string longer than eight bytes"), -4583628164577657741);
+      ("boxed float", payload (o 3.25), 1294033252900774805);
+      ("Int64", payload (o 0x1234_5678_9abc_def0L), -3579026680379152392);
+      ("float array", payload (o [| 1.0; -2.5 |]), 88095716291137789);
+      ("(int, float) pairs", payload (o [ (1, 0.5); (2, -0.0) ]), -549203581964218168);
       ( "multi-label spines",
-        [ [ "gc:mark:loop"; "gc:outer" ]; []; [ "mut:hs-read"; "mut:op"; "top" ] ],
-        [],
-        -708084758999165368 );
+        [
+          ([ "gc:mark:loop"; "gc:outer" ], o ());
+          ([], o ());
+          ([ "mut:hs-read"; "mut:op"; "top" ], o ());
+        ],
+        -1550072947600218441 );
       ( "spines and data",
-        [ [ "a"; "" ]; [ "bcdefghijk" ] ],
-        [ o 1; o (Some "x"); o [ 1.5 ] ],
-        2873276622092698797 );
+        [ ([ "a"; "" ], o 1); ([ "bcdefghijk" ], o (Some "x")); ([], o [ 1.5 ]) ],
+        -3173894698104631644 );
+      ( "slot order",
+        [ ([], o 1); ([ "a"; "" ], o [ 1.5 ]); ([ "bcdefghijk" ], o (Some "x")) ],
+        4558053338885709868 );
     ];
   (* a spine mixes one word per label, its hash, so the label hash is
      part of the format too *)
@@ -200,7 +207,7 @@ let test_fingerprint_mix_pinned () =
       ("mut:hs-read", 1199268353952638969);
     ];
   let rejects name v =
-    match hash ~control:[] ~data:[ v ] with
+    match hash (payload v) with
     | _ -> Alcotest.fail (name ^ ": accepted a non-canonical payload")
     | exception Invalid_argument _ -> ()
   in
@@ -208,7 +215,10 @@ let test_fingerprint_mix_pinned () =
   rejects "closure" (o (fun x -> x + !r));
   rejects "closure in a tuple" (o (1, (fun x -> x + !r)));
   rejects "lazy" (o (Lazy.from_fun (fun () -> !r)));
-  rejects "object" (o (object method x = !r end))
+  rejects "object" (o (object method x = !r end));
+  match Check.Fingerprint.of_parts ~control:[ [] ] ~data:[] with
+  | _ -> Alcotest.fail "of_parts accepted a spine without a payload"
+  | exception Invalid_argument _ -> ()
 
 (* -- the parallel explorer ------------------------------------------------- *)
 

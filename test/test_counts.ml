@@ -7,14 +7,17 @@
    Gc.compact.  Neither depends on the host's speed, so the gate can
    block on any machine.
 
-   The words bounds sit 5% above the recorded values (closure 1,127,
-   recheck 1,099, walk 777 words), so a different 5.1.x patch release
+   The words bounds sit 5% above the recorded values (closure 1,099,
+   recheck 1,071, walk 773 words), so a different 5.1.x patch release
    does not trip them.  Walk's promoted words per step are bounded too,
    at 4 over a recorded 1: a walker keeps one int per step of its run,
    not the states it visited, and one that kept a tail of its states
    alive again (41 promoted words per step) fails here.  A change that
    deliberately moves a count or an allocation re-records the literal
-   here. *)
+   here.  recheck's table.seg size depends on the fingerprint values
+   (the table is delta-compressed in fingerprint order), so a change to
+   the fingerprint mix re-pins it too: 989,143 bytes before fingerprints
+   mixed one hash per slot, 989,185 since. *)
 
 let paper_cfg ~cycles ~ops =
   let v = Option.get (Core.Variants.by_name "paper") in
@@ -107,7 +110,7 @@ let test_closure () =
   Alcotest.(check (list int)) "states, transitions, depth" [ states; 166_678; 249 ]
     [ o.Check.Explore.states; o.transitions; o.depth ];
   closure_counts c reducer;
-  check_words ~bound:1_183. words.minor
+  check_words ~bound:1_154. words.minor
 
 let test_recheck () =
   let cfg = closure_cfg in
@@ -131,9 +134,9 @@ let test_recheck () =
   in
   let _, st = Test_certify.ok_or_fail "validate" res in
   Alcotest.(check int) "validated states" states st.Certify.Recheck.states;
-  Alcotest.(check int) "table.seg bytes" 989_143 st.Certify.Recheck.table_bytes;
+  Alcotest.(check int) "table.seg bytes" 989_185 st.Certify.Recheck.table_bytes;
   closure_counts c reducer;
-  check_words ~bound:1_154. words.minor
+  check_words ~bound:1_125. words.minor
 
 let test_walk () =
   let cfg = paper_cfg ~cycles:0 ~ops:0 in
@@ -159,7 +162,7 @@ let test_walk () =
   Alcotest.(check int) "steps" steps o.Check.Random_walk.steps_taken;
   check_counts c passthrough ~succ:steps ~fp:0 ~canon:0 ~evals:5_400_018 ~sym:0 ~nulled:0
     ~deferred:0;
-  check_words ~bound:816. words.minor;
+  check_words ~bound:812. words.minor;
   check_words ~kind:"promoted" ~bound:4. words.promoted
 
 let suite =

@@ -977,8 +977,8 @@ let set k v = function
   | Obs.Json.Obj kvs -> Obs.Json.Obj (List.map (fun (k', x) -> (k', if k' = k then v else x)) kvs)
   | j -> j
 
-(* A checkpoint of an older schema is refused by name.  Schema 1 stored
-   fingerprints that mixed label characters, which no run produces now,
+(* A checkpoint of an older schema is refused by name.  Schema 2 stored
+   fingerprints mixed without slot hashes, which no run produces now,
    so its frontier could not be found in its own store.  Its manifest,
    and a state.json behind a current manifest, are each refused naming
    the document and the schema found; `gcmodel resume` prints that as one
@@ -989,20 +989,20 @@ let test_old_schema_refused () =
   Alcotest.(check (pair int (list string))) "checkpointed explore" (0, [])
     (Test_core.run_tool
        [ "explore"; "--refs"; "2"; "--ops"; "1"; "--reduce"; "none"; "--checkpoint"; ckpt ]);
-  let schema_1 path f =
+  let schema_2 path f =
     let original = read_file path in
-    write_file path (Obs.Json.to_string (set "schema" (Obs.Json.Int 1) (parse path original)));
+    write_file path (Obs.Json.to_string (set "schema" (Obs.Json.Int 2) (parse path original)));
     Fun.protect ~finally:(fun () -> write_file path original) f
   in
   let manifest = Filename.concat ckpt "MANIFEST.json" in
   let state = Filename.concat (latest_snap ckpt) "state.json" in
   List.iter
     (fun (doc, path) ->
-      let refusal = doc ^ ": schema 1, expected 2" in
-      schema_1 path (fun () ->
-          Alcotest.(check (result unit string)) (doc ^ ": load refuses schema 1") (Error refusal)
+      let refusal = doc ^ ": schema 2, expected 3" in
+      schema_2 path (fun () ->
+          Alcotest.(check (result unit string)) (doc ^ ": load refuses schema 2") (Error refusal)
             (load_snapshot ckpt);
-          Alcotest.(check (pair int (list string))) (doc ^ ": resume refuses schema 1")
+          Alcotest.(check (pair int (list string))) (doc ^ ": resume refuses schema 2")
             (1, [ "gcmodel resume: " ^ refusal ])
             (Test_core.run_tool [ "resume"; ckpt ])))
     [ ("MANIFEST.json", manifest); ("state.json", state) ];
