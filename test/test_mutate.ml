@@ -214,16 +214,19 @@ let test_survived_on_tiny_budget () =
 
 (* -- the generated manuals stay in sync --------------------------------------- *)
 
-(* `dune runtest` runs in _build/default/test; `dune exec test/test_main.exe`
-   runs wherever it was invoked — walk up until docs/ appears. *)
-let read_doc name =
+(* A file of the repository by its path from the root.  `dune runtest`
+   runs in _build/default/test; `dune exec test/test_main.exe` runs
+   wherever it was invoked — walk up until the file appears. *)
+let read_repo_file path =
   let candidates =
-    List.map (fun up -> Filename.concat up (Filename.concat "docs" name))
+    List.map (fun up -> Filename.concat up path)
       [ "."; ".."; Filename.concat ".." ".."; List.fold_left Filename.concat ".." [ ".."; ".." ] ]
   in
   match List.find_opt Sys.file_exists candidates with
   | Some path -> In_channel.with_open_bin path In_channel.input_all
-  | None -> Alcotest.fail ("cannot locate docs/" ^ name)
+  | None -> Alcotest.fail ("cannot locate " ^ path)
+
+let read_doc name = read_repo_file (Filename.concat "docs" name)
 
 let test_docs_match_generators () =
   Alcotest.(check (list string)) "gcmodel doc writes the four manuals"
